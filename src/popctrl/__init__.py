@@ -15,7 +15,7 @@ from .errors import (ConfigurationError, ConsistencyError, DimensionError,
                      DomainError, NumericalFailure, PopctrlError)
 from .fixed_point import (ContractionReport, FixedPointConfig, FixedPointState,
                           contraction_test, iterate_to_fixed_point, trace_map)
-from .forward import StateSolution, fertile_male_integral, solve_forward
+from .forward import FrozenOperator, StateSolution, fertile_male_integral, solve_forward
 from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
                    region_mask, write_field_csv)
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
@@ -33,7 +33,7 @@ __all__ = [
     "AdjointSolution", "CharGrid", "ConfigurationError", "ConsistencyError",
     "ContractionReport", "ControlGeometry", "ControlMode", "ControlResult",
     "DemographicModel", "DimensionError", "DomainError", "EpsilonSchedule",
-    "Fertility", "Field2D", "FixedPointConfig", "FixedPointState",
+    "Fertility", "Field2D", "FixedPointConfig", "FixedPointState", "FrozenOperator",
     "NumericalFailure", "ObservabilityReport", "PenaltyProblem", "PopctrlError",
     "RateFunction", "Scenario", "StateSolution", "ThresholdReport",
     "ValidationReport", "beta_eval", "build_grid", "contraction_test",

@@ -1,7 +1,8 @@
 """Backward adjoint solver, implemented as the exact transpose of the
 discrete forward map.
 
-The sweep works on "effective" arrays that absorb the trapezoid half
+The sweep (`FrozenOperator.adjoint_levels`, next to the forward step it
+transposes) works on "effective" arrays that absorb the trapezoid half
 weights of the terminal pairing; with that convention the recursion is
 plain characteristic transport plus an h-weighted nonlocal source at the
 already-computed level, and the discrete duality identity
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, NumericalFailure
-from .forward import _as_profile, _control_values, control_masks, transport_tables
+from .errors import ConsistencyError
+from .forward import FrozenOperator, _as_profile, _control_values, control_masks
 from .grid import Field2D
 from .model import ControlMode
 
@@ -45,45 +46,25 @@ class AdjointSolution:
     l_eff: np.ndarray = dc_field(default=None, repr=False)
 
 
-def _sweep_from_work(model, grid, work_n, work_l, trace):
+def _sweep_from_work(model, grid, geom, work_n, work_l, trace):
     """Backward sweep from already weighted terminal work arrays."""
-    na, nt = grid.num_age_cells, grid.num_time_cells
-    h = grid.step
-    tables = transport_tables(model, grid)
-    ages, s_m, s_f, wa = tables["ages"], tables["s_m"], tables["s_f"], tables["wa"]
-    gamma = model.female_fraction
-    theta = wa / h
+    return FrozenOperator(model, grid, geom, trace).adjoint(work_n, work_l)
 
-    n_rows = np.zeros((na + 1, nt + 1))
-    l_rows = np.zeros((na + 1, nt + 1))
-    n_eff = np.zeros((na + 1, nt + 1))
-    l_eff = np.zeros((na + 1, nt + 1))
-    wn = work_n.copy()
-    wl = work_l.copy()
-    n_rows[:, nt] = wn
-    l_rows[:, nt] = wl
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(nt, 0, -1):
-            beta = np.asarray(model.fertility(ages, trace[j]), dtype=float)
-            sweep = 1.0 + gamma * wa[0] * beta[0]
-            source = h * sweep * ((1.0 - gamma) * wn[0] + gamma * wl[0])
-            wl_eff = wl + theta * source * beta
-            n_eff[:, j] = wn
-            l_eff[:, j] = wl_eff
-            new_n = np.zeros(na + 1)
-            new_l = np.zeros(na + 1)
-            new_n[:-1] = s_m[1:] * wn[1:]
-            new_l[:-1] = s_f[1:] * wl_eff[1:]
-            wn, wl = new_n, new_l
-            n_rows[:, j - 1] = wn
-            l_rows[:, j - 1] = wl
-            if not (np.isfinite(wn).all() and np.isfinite(wl).all()):
-                raise NumericalFailure(
-                    f"adjoint solve lost finiteness at level {j - 1}", step=j - 1)
-    n_eff[:, 0] = wn
-    l_eff[:, 0] = wl
-    return n_rows, l_rows, n_eff, l_eff
+def _terminal_data(grid, n_T, l_T, mode):
+    """Validated terminal profiles, with the slot the mode leaves dead set to zero."""
+    zero = np.zeros(grid.num_age_cells + 1)
+    if mode is ControlMode.MALE_ONLY:
+        if l_T is not None and np.any(np.asarray(l_T) != 0.0):
+            raise ConsistencyError("male-only adjoint has zero female terminal datum")
+        l_T = zero
+    if mode is ControlMode.FEMALE_ONLY:
+        if n_T is not None and np.any(np.asarray(n_T) != 0.0):
+            raise ConsistencyError("female-only adjoint has zero male terminal datum")
+        n_T = zero
+    q_m = _as_profile(zero if n_T is None else n_T, grid, "n_T")
+    q_f = _as_profile(zero if l_T is None else l_T, grid, "l_T")
+    return q_m, q_f
 
 
 def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace, mode=ControlMode.BOTH):
@@ -95,32 +76,18 @@ def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace, mode=ControlMode.BO
     time level; the effective arrays used by duality and gradients carry
     the terminal trapezoid weights.
     """
-    na, nt = grid.num_age_cells, grid.num_time_cells
-    frozen_trace = np.asarray(frozen_trace, dtype=float)
-    if frozen_trace.shape != (nt + 1,):
-        raise DimensionError(f"frozen trace has shape {frozen_trace.shape}, "
-                             f"expected ({nt + 1},)")
-    zero = np.zeros(na + 1)
-    if mode is ControlMode.MALE_ONLY:
-        if l_T is not None and np.any(np.asarray(l_T) != 0.0):
-            raise ConsistencyError("male-only adjoint has zero female terminal datum")
-        l_T = zero
-    if mode is ControlMode.FEMALE_ONLY:
-        if n_T is not None and np.any(np.asarray(n_T) != 0.0):
-            raise ConsistencyError("female-only adjoint has zero male terminal datum")
-        n_T = zero
-    q_m = _as_profile(zero if n_T is None else n_T, grid, "n_T")
-    q_f = _as_profile(zero if l_T is None else l_T, grid, "l_T")
+    nt = grid.num_time_cells
+    q_m, q_f = _terminal_data(grid, n_T, l_T, mode)
 
     theta = grid.age_weights() / grid.step
     n_rows, l_rows, n_eff, l_eff = _sweep_from_work(
-        model, grid, theta * q_m, theta * q_f, frozen_trace)
+        model, grid, geom, theta * q_m, theta * q_f, frozen_trace)
     n_rows[:, nt] = q_m
     l_rows[:, nt] = q_f
     return AdjointSolution(
         n=Field2D(grid, n_rows), l=Field2D(grid, l_rows),
         n0_trace=n_rows[0, :].copy(), l0_trace=l_rows[0, :].copy(),
-        frozen_trace=frozen_trace.copy(), mode=mode,
+        frozen_trace=np.array(frozen_trace, dtype=float), mode=mode,
         n_eff=n_eff, l_eff=l_eff,
     )
 

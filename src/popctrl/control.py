@@ -16,13 +16,12 @@ In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .adjoint import _sweep_from_work
 from .errors import ConfigurationError, ConsistencyError
-from .forward import control_masks, solve_forward
+from .forward import FrozenOperator, control_masks
 from .grid import Field2D, region_mask
 from .model import ControlMode
 
@@ -30,6 +29,7 @@ FLAG_NON_ADMISSIBLE = "NON_ADMISSIBLE"
 FLAG_CONVERGENCE_NOT_REACHED = "CONVERGENCE_NOT_REACHED"
 FLAG_TARGET_NOT_REACHED = "TARGET_NOT_REACHED"
 FLAG_FIXED_POINT_NOT_REACHED = "FIXED_POINT_NOT_REACHED"
+FLAG_CONTRACTION_BOUND_EXCEEDED = "CONTRACTION_BOUND_EXCEEDED"
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,20 @@ def terminal_weights(grid, geom):
     return None, wa
 
 
+def terminal_norms(grid, geom, m, f):
+    """(male, female) norms of terminal profiles, weighted as the target is tested.
+
+    The male norm uses the mode's penalty weight (the tail above
+    ``target_min_age`` in male-only mode), the female norm the full
+    trapezoid weights.
+    """
+    w_m, _ = terminal_weights(grid, geom)
+    wa = grid.age_weights()
+    m_norm = float(np.sqrt(np.dot(w_m if w_m is not None else wa, m ** 2)))
+    f_norm = float(np.sqrt(np.dot(wa, f ** 2)))
+    return m_norm, f_norm
+
+
 def _check_modes(problem, geom):
     if problem.mode is not geom.mode:
         raise ConsistencyError(
@@ -135,21 +149,30 @@ def _check_modes(problem, geom):
 
 
 class _Workspace:
-    """Caches everything reused across CG iterations for one (eps, theta)."""
+    """Caches everything reused across CG iterations for one (eps, theta).
+
+    One frozen-trace operator serves every forward and adjoint sweep.
+    """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0):
         _check_modes(problem, geom)
         self.problem = problem
-        self.model = model
         self.grid = grid
         self.geom = geom
-        self.trace = np.asarray(trace, dtype=float)
+        self.op = FrozenOperator(model, grid, geom, trace)
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
         self.male, self.female = build_spaces(grid, geom)
         self.spaces = [s for s in (self.male, self.female) if s is not None]
         self.w_m, self.w_f = terminal_weights(grid, geom)
         self.zero_profile = np.zeros(grid.num_age_cells + 1)
+
+    def pack(self, v_m, v_f):
+        """Packed control of the active spaces; an absent field counts as zero."""
+        zeros2 = np.zeros((self.grid.num_age_cells + 1, self.grid.num_time_cells + 1))
+        return [space.pack(v.values if v is not None else zeros2)
+                for space, v in ((self.male, v_m), (self.female, v_f))
+                if space is not None]
 
     def fields_from_packed(self, packed):
         i = 0
@@ -164,10 +187,7 @@ class _Workspace:
         vm, vf = self.fields_from_packed(packed)
         m0 = self.m0 if with_data else self.zero_profile
         f0 = self.f0 if with_data else self.zero_profile
-        return solve_forward(self.model, self.grid, self.geom,
-                             None if vm is None else Field2D(self.grid, vm),
-                             None if vf is None else Field2D(self.grid, vf),
-                             m0, f0, frozen_trace=self.trace)
+        return self.op.state(m0, f0, vm, vf)
 
     def adjoint_packed(self, m_term, f_term, sign):
         """Pack the adjoint of sign/eps-weighted terminal states onto the spaces."""
@@ -179,8 +199,7 @@ class _Workspace:
             work_n = sign * self.w_m * m_term / (h * eps)
         if self.w_f is not None:
             work_l = sign * self.w_f * f_term / (h * theta)
-        _, _, n_eff, l_eff = _sweep_from_work(self.model, self.grid,
-                                              work_n, work_l, self.trace)
+        _, _, n_eff, l_eff = self.op.adjoint(work_n, work_l)
         out = []
         if self.male is not None:
             out.append(n_eff[self.male.idx, 1:])
@@ -222,23 +241,14 @@ class _Workspace:
         return [p - a for p, a in zip(packed, adj)]
 
     def terminal_norms(self, state):
-        wa = self.grid.age_weights()
-        wm = self.w_m if self.w_m is not None else wa
-        m_norm = float(np.sqrt(np.dot(wm, state.m.values[:, -1] ** 2)))
-        f_norm = float(np.sqrt(np.dot(wa, state.f.values[:, -1] ** 2)))
-        return m_norm, f_norm
+        return terminal_norms(self.grid, self.geom, state.m.values[:, -1],
+                              state.f.values[:, -1])
 
 
 def evaluate_objective(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
     """Value of the penalty functional at the given controls."""
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    zeros2 = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1))
-    packed = []
-    if ws.male is not None:
-        packed.append(ws.male.pack(v_m.values if v_m is not None else zeros2))
-    if ws.female is not None:
-        packed.append(ws.female.pack(v_f.values if v_f is not None else zeros2))
-    return ws.objective(packed)
+    return ws.objective(ws.pack(v_m, v_f))
 
 
 def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
@@ -249,20 +259,9 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
     inactive control mode is None.
     """
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    zeros2 = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1))
-    packed = []
-    if ws.male is not None:
-        packed.append(ws.male.pack(v_m.values if v_m is not None else zeros2))
-    if ws.female is not None:
-        packed.append(ws.female.pack(v_f.values if v_f is not None else zeros2))
-    grad = ws.gradient(packed)
-    g_m = g_f = None
-    i = 0
-    if ws.male is not None:
-        g_m = Field2D(grid, ws.male.unpack(grad[i])); i += 1
-    if ws.female is not None:
-        g_f = Field2D(grid, ws.female.unpack(grad[i]))
-    return g_m, g_f
+    g_m, g_f = ws.fields_from_packed(ws.gradient(ws.pack(v_m, v_f)))
+    return (None if g_m is None else Field2D(grid, g_m),
+            None if g_f is None else Field2D(grid, g_f))
 
 
 def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
@@ -273,12 +272,10 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
     gradient norm, or flags CONVERGENCE_NOT_REACHED after max_cg_iters.
     """
     if epsilon is not None or theta is not None:
-        problem = PenaltyProblem(
+        problem = replace(
+            problem,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
-            theta=theta if theta is not None else problem.theta,
-            target_norm=problem.target_norm, mode=problem.mode,
-            max_cg_iters=problem.max_cg_iters, cg_tol=problem.cg_tol,
-            schedule=problem.schedule)
+            theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     b = ws.rhs()
     norm_b = np.sqrt(ws.inner(b, b))

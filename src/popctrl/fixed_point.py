@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .control import (FLAG_FIXED_POINT_NOT_REACHED, FLAG_TARGET_NOT_REACHED,
-                      minimize_penalty, target_reached, terminal_weights)
+                      minimize_penalty, target_reached, terminal_norms)
 from .errors import ConfigurationError
 from .forward import solve_forward
 from .model import ControlGeometry, ControlMode
@@ -123,11 +123,8 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
             flags.append(FLAG_FIXED_POINT_NOT_REACHED)
             break
         nonlinear = solve_forward(model, grid, geom, result.v_m, result.v_f, m0, f0)
-        w_m, w_f = terminal_weights(grid, geom)
-        wa = grid.age_weights()
-        m_norm = float(np.sqrt(np.dot(w_m if w_m is not None else wa,
-                                      nonlinear.m.values[:, -1] ** 2)))
-        f_norm = float(np.sqrt(np.dot(wa, nonlinear.f.values[:, -1] ** 2)))
+        m_norm, f_norm = terminal_norms(grid, geom, nonlinear.m.values[:, -1],
+                                        nonlinear.f.values[:, -1])
         history[-1]["nonlinear_m_norm"] = m_norm
         history[-1]["nonlinear_f_norm"] = f_norm
         converged_all = True

@@ -8,6 +8,7 @@ cumulative table, which makes them exactly multiplicative.
 """
 
 import enum
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,8 @@ class DemographicModel:
     last_cell_survival: float = 0.0
     quad_intervals: int = DEFAULT_QUAD_INTERVALS
     _mortality_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _mortality_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.max_age > 0):
@@ -196,22 +199,30 @@ class DemographicModel:
 
     def _cumulative_mortality(self, which):
         table = self._mortality_tables.get(which)
-        if table is None:
-            rate = self.male_mortality if which == "male" else self.female_mortality
-            ages = np.linspace(0.0, self.max_age, self.quad_intervals + 1)
-            try:
-                values = rate(ages)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"{which}_mortality is not evaluable on [0, max_age]: {exc}") from exc
-            values = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(values)):
-                raise ConfigurationError(f"{which}_mortality produced non-finite values")
-            h = ages[1] - ages[0]
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (values[1:] + values[:-1]))))
-            table = (ages, cum)
-            self._mortality_tables[which] = table
+        if table is not None:
+            return table
+        # filled under the lock so concurrent first users evaluate the rate once
+        with self._mortality_lock:
+            table = self._mortality_tables.get(which)
+            if table is None:
+                table = self._mortality_table(which)
+                self._mortality_tables[which] = table
         return table
+
+    def _mortality_table(self, which):
+        rate = self.male_mortality if which == "male" else self.female_mortality
+        ages = np.linspace(0.0, self.max_age, self.quad_intervals + 1)
+        try:
+            values = rate(ages)
+        except Exception as exc:
+            raise ConfigurationError(
+                f"{which}_mortality is not evaluable on [0, max_age]: {exc}") from exc
+        values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(f"{which}_mortality produced non-finite values")
+        h = ages[1] - ages[0]
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (values[1:] + values[:-1]))))
+        return ages, cum
 
     def mortality_integral(self, which, age):
         """Trapezoid value of the cumulative mortality integral up to ``age``."""
@@ -226,13 +237,6 @@ class DemographicModel:
             raise DomainError("survival_ratio: interval outside [0, max_age]")
         return float(np.exp(self.mortality_integral(which, a_lo)
                             - self.mortality_integral(which, a_hi)))
-
-    def beta_sup_estimate(self, p_max=10.0, age_samples=257, p_samples=41):
-        ages = np.linspace(0.0, self.max_age, age_samples)
-        best = 0.0
-        for p in np.linspace(0.0, p_max, p_samples):
-            best = max(best, float(np.max(self.fertility(ages, p))))
-        return best
 
 
 def survival_ratio(mu, a_lo, a_hi, intervals=None):

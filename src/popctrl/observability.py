@@ -10,15 +10,15 @@ numerical overflow.
 """
 
 import math
+import mmap
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .adjoint import region_inner, solve_adjoint
+from .adjoint import _terminal_data, region_inner
 from .errors import DomainError
-from .forward import control_masks
+from .forward import FrozenOperator, control_masks
 from .model import ControlMode
-from .util import map_parallel
 
 INFINITE_QUOTIENT = math.inf
 
@@ -37,22 +37,35 @@ class ObservabilityReport:
     geometry: object = None
 
 
-def _energies(model, grid, geom, n_T, l_T, trace):
-    adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=geom.mode)
+def _quotients(op, n_T, l_T):
+    """Energy quotient of each column of (N+1) x k terminal blocks.
+
+    One batched adjoint sweep serves all columns.  A column invisible from
+    the control regions but carrying initial energy gets the infinity
+    sentinel.
+    """
+    grid, mode = op.grid, op.geom.mode
+    theta = (grid.age_weights() / grid.step)[:, None]
+    _, _, n_eff, l_eff = op.adjoint(theta * n_T, theta * l_T)
     wa = grid.age_weights()
-    mask_m, mask_f = control_masks(grid, geom)
-    mode = geom.mode
-    num = 0.0
-    den = 0.0
-    if mode is not ControlMode.FEMALE_ONLY:
-        num += float(np.dot(wa, adj.n.values[:, 0] ** 2))
-        den += region_inner(grid, mask_m, adj.n_eff, adj.n_eff)
-    if mode is not ControlMode.MALE_ONLY:
-        num += float(np.dot(wa, adj.l.values[:, 0] ** 2))
-        den += region_inner(grid, mask_f, adj.l_eff, adj.l_eff)
-    if mode is ControlMode.MALE_ONLY:
-        num += float(np.dot(wa, adj.l.values[:, 0] ** 2))
-    return num, den
+    quotients = []
+    for c in range(n_T.shape[1]):
+        n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]
+        num = 0.0
+        den = 0.0
+        if mode is not ControlMode.FEMALE_ONLY:
+            num += float(np.dot(wa, n_c[:, 0] ** 2))
+            den += region_inner(grid, op.mask_m, n_c, n_c)
+        if mode is not ControlMode.MALE_ONLY:
+            num += float(np.dot(wa, l_c[:, 0] ** 2))
+            den += region_inner(grid, op.mask_f, l_c, l_c)
+        if mode is ControlMode.MALE_ONLY:
+            num += float(np.dot(wa, l_c[:, 0] ** 2))
+        if den <= 1e-300 * max(num, 1.0):
+            quotients.append(INFINITE_QUOTIENT if num > 0 else 0.0)
+        else:
+            quotients.append(num / den)
+    return quotients
 
 
 def observability_ratio(model, grid, geom, n_T, l_T, trace):
@@ -66,10 +79,9 @@ def observability_ratio(model, grid, geom, n_T, l_T, trace):
     scale = float(np.max(np.abs(n_arr))) + float(np.max(np.abs(l_arr)))
     if scale == 0.0:
         raise DomainError("observability_ratio: terminal data must not vanish")
-    num, den = _energies(model, grid, geom, n_arr, l_arr, trace)
-    if den <= 1e-300 * max(num, 1.0):
-        return INFINITE_QUOTIENT if num > 0 else 0.0
-    return num / den
+    q_m, q_f = _terminal_data(grid, n_arr, l_arr, geom.mode)
+    op = FrozenOperator(model, grid, geom, trace)
+    return _quotients(op, q_m[:, None], q_f[:, None])[0]
 
 
 def _probe_data(rng, grid, geom):
@@ -100,49 +112,72 @@ def _terminal_basis(grid, geom):
     return [("n", i) for i in range(na + 1)] + [("l", i) for i in range(na + 1)]
 
 
-def _power_iteration(model, grid, geom, trace, iters):
+def _mapped_zeros(shape):
+    """Zero float array in its own anonymous mapping, unmapped when freed.
+
+    The denominator factor takes tens of MB per trace.  Freed back into
+    the malloc heap, a block that size stays resident and adds to the
+    next horizon's larger one in the peak memory of a sweep.
+    """
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, 8 * max(1, size))
+    return np.frombuffer(buf, dtype=float, count=size).reshape(shape)
+
+
+def _quadratic_forms(op):
+    """Gram matrices of the (numerator, denominator) forms on the live terminal basis.
+
+    One batched adjoint sweep covers every basis vector; each level's rows
+    go straight into the form factors, so no per-vector lattice arrays are
+    kept.
+    """
+    grid, mode = op.grid, op.geom.mode
+    basis = _terminal_basis(grid, op.geom)
+    dim = len(basis)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    wa = grid.age_weights()
+    h = grid.step
+    sq_wa = np.sqrt(wa)[:, None]
+    sqw_m = np.sqrt(h * h * op.mask_m[1:, None] * np.ones(nt))
+    sqw_f = np.sqrt(h * h * op.mask_f[1:, None] * np.ones(nt))
+
+    theta = wa / h
+    work_n = np.zeros((na + 1, dim))
+    work_l = np.zeros((na + 1, dim))
+    for k, (slot, i) in enumerate(basis):
+        (work_n if slot == "n" else work_l)[i, k] = theta[i]
+
+    # row k: initial energy density (slot, age) and region energy density
+    # (slot, age >= 1, level >= 1) of basis vector k
+    num_rows = np.zeros((dim, 2, na + 1))
+    den_rows = _mapped_zeros((dim, 2, na, nt))
+
+    def collect(j, n_j, l_j, l_eff_j):
+        if j == 0:
+            if mode is not ControlMode.FEMALE_ONLY:
+                num_rows[:, 0] = (sq_wa * n_j).T
+            num_rows[:, 1] = (sq_wa * l_j).T
+            return
+        if mode is not ControlMode.FEMALE_ONLY:
+            den_rows[:, 0, :, j - 1] = (sqw_m[:, j - 1, None] * n_j[1:]).T
+        if mode is not ControlMode.MALE_ONLY:
+            den_rows[:, 1, :, j - 1] = (sqw_f[:, j - 1, None] * l_eff_j[1:]).T
+
+    op.adjoint_levels(work_n, work_l, collect)
+    num_rows = num_rows.reshape(dim, -1)
+    den_rows = den_rows.reshape(dim, -1)
+    return num_rows @ num_rows.T, den_rows @ den_rows.T
+
+
+def _power_iteration(op, iters):
     """Generalized Rayleigh maximization on the (numerator, denominator) forms.
 
-    Assembles both quadratic forms by solving the adjoint on every live
-    terminal basis vector.  Terminal directions invisible from the control
-    regions but carrying initial energy make the quotient unbounded and are
-    detected from the denominator's null space; otherwise the quotient is
-    maximized by power iteration on the denominator-whitened numerator.
+    Terminal directions invisible from the control regions but carrying
+    initial energy make the quotient unbounded and are detected from the
+    denominator's null space; otherwise the quotient is maximized by power
+    iteration on the denominator-whitened numerator.
     """
-    basis = _terminal_basis(grid, geom)
-    dim = len(basis)
-    na = grid.num_age_cells
-    wa = grid.age_weights()
-    mask_m, mask_f = control_masks(grid, geom)
-    h = grid.step
-    sq_wa = np.sqrt(wa)
-    sqw_m = np.sqrt((h * h * mask_m[1:, None]
-                     * np.ones(grid.num_time_cells)).ravel())
-    sqw_f = np.sqrt((h * h * mask_f[1:, None]
-                     * np.ones(grid.num_time_cells)).ravel())
-
-    num_rows = np.zeros((dim, 2 * (na + 1)))
-    den_rows = np.zeros((dim, sqw_m.size + sqw_f.size))
-    mode = geom.mode
-    for k, (slot, i) in enumerate(basis):
-        n_T = np.zeros(na + 1)
-        l_T = np.zeros(na + 1)
-        (n_T if slot == "n" else l_T)[i] = 1.0
-        adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=mode)
-        nvec = np.zeros(2 * (na + 1))
-        if mode is not ControlMode.FEMALE_ONLY:
-            nvec[:na + 1] = sq_wa * adj.n.values[:, 0]
-        nvec[na + 1:] = sq_wa * adj.l.values[:, 0]
-        num_rows[k] = nvec
-        dvec = np.zeros(sqw_m.size + sqw_f.size)
-        if mode is not ControlMode.FEMALE_ONLY:
-            dvec[:sqw_m.size] = sqw_m * adj.n_eff[1:, 1:].ravel()
-        if mode is not ControlMode.MALE_ONLY:
-            dvec[sqw_m.size:] = sqw_f * adj.l_eff[1:, 1:].ravel()
-        den_rows[k] = dvec
-    num_form = num_rows @ num_rows.T
-    den_form = den_rows @ den_rows.T
-
+    num_form, den_form = _quadratic_forms(op)
     den_vals, den_vecs = np.linalg.eigh(den_form)
     den_scale = max(float(den_vals[-1]), 0.0)
     num_scale = max(float(np.max(np.abs(num_form))), 1e-300)
@@ -201,24 +236,23 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
     all_samples = []
     diverged = False
     power_best = None
-    for trace in traces:
-        def one_probe(probe_seed, _trace=trace):
-            rng = np.random.default_rng(probe_seed)
-            n_T, l_T = _probe_data(rng, grid, geom)
-            return observability_ratio(model, grid, geom, n_T, l_T, _trace)
+    data = [_probe_data(np.random.default_rng(s), grid, geom) for s in seeds]
+    if geom.mode is not ControlMode.FEMALE_ONLY and np.any(cone_live):
+        rng = np.random.default_rng(seed + 99)
+        n_T = np.where(cone_live, 1.0 + rng.random(cone_live.size), 0.0)
+        data.append((n_T, np.zeros_like(n_T)))
+    n_block = np.stack([n_T for n_T, _ in data], axis=1)
+    l_block = np.stack([l_T for _, l_T in data], axis=1)
 
-        samples = map_parallel(one_probe, seeds)
-        if geom.mode is not ControlMode.FEMALE_ONLY and np.any(cone_live):
-            rng = np.random.default_rng(seed + 99)
-            n_T = np.where(cone_live, 1.0 + rng.random(cone_live.size), 0.0)
-            samples = samples + [observability_ratio(
-                model, grid, geom, n_T, np.zeros_like(n_T), trace)]
+    for trace in traces:
+        op = FrozenOperator(model, grid, geom, trace)
+        samples = _quotients(op, n_block, l_block)
         finite = [s for s in samples if math.isfinite(s)]
         if len(finite) < len(samples):
             diverged = True
         estimate = max(finite) if finite else INFINITE_QUOTIENT
         if power_iters > 0:
-            power = _power_iteration(model, grid, geom, trace, power_iters)
+            power = _power_iteration(op, power_iters)
             if math.isfinite(power):
                 estimate = max(estimate, power)
                 power_best = power if power_best is None else max(power_best, power)

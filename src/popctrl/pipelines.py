@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .control import synthesize_null_control
+from .control import (FLAG_CONTRACTION_BOUND_EXCEEDED, synthesize_null_control,
+                      terminal_norms)
 from .errors import ConfigurationError
 from .fixed_point import contraction_test, iterate_to_fixed_point
 from .forward import solve_forward
@@ -88,11 +89,9 @@ def cmd_simulate(scenario, outdir, seed, log):
     write_field_csv(os.path.join(outdir, "f.csv"), state.f)
     _write_trace_csv(os.path.join(outdir, "traces.csv"), ["t", "M", "N"],
                      [grid.times(), state.fertile_male_trace, state.birth_trace])
-    wa = grid.age_weights()
-    scalars = {
-        "terminal_m_norm": float(np.sqrt(wa @ state.m.values[:, -1] ** 2)),
-        "terminal_f_norm": float(np.sqrt(wa @ state.f.values[:, -1] ** 2)),
-    }
+    m_norm, f_norm = terminal_norms(grid, scenario.geometry, state.m.values[:, -1],
+                                    state.f.values[:, -1])
+    scalars = {"terminal_m_norm": m_norm, "terminal_f_norm": f_norm}
     write_json(os.path.join(outdir, "report.json"),
                base_report("simulate", scenario, grid, seed, [], scalars))
     log(f"simulate: grid {grid.num_age_cells}x{grid.num_time_cells}, terminal norms "
@@ -171,11 +170,12 @@ def cmd_solve(scenario, outdir, seed, log):
             writer.writerow([_fmt(entry["epsilon"]), entry["iteration"],
                              _fmt(entry["delta"]), _fmt(entry["terminal_m_norm"]),
                              _fmt(entry["terminal_f_norm"])])
-    wa = grid.age_weights()
+    m_norm, f_norm = terminal_norms(grid, scenario.geometry, nonlinear.m.values[:, -1],
+                                    nonlinear.f.values[:, -1])
     scalars = _control_scalars(result)
     scalars.update({
-        "nonlinear_m_norm": float(np.sqrt(wa @ nonlinear.m.values[:, -1] ** 2)),
-        "nonlinear_f_norm": float(np.sqrt(wa @ nonlinear.f.values[:, -1] ** 2)),
+        "nonlinear_m_norm": m_norm,
+        "nonlinear_f_norm": f_norm,
         "outer_iterations": len(fp_state.history),
         "fixed_point_converged": fp_state.converged,
     })
@@ -195,7 +195,7 @@ def cmd_contraction(scenario, outdir, seed, log):
                               seed=seed, amplitude=cfg["amplitude"])
     passed = report.max_ratio <= report.bound
     payload = base_report("contraction", scenario, grid, seed,
-                          [] if passed else ["CONTRACTION_BOUND_EXCEEDED"],
+                          [] if passed else [FLAG_CONTRACTION_BOUND_EXCEEDED],
                           {"max_ratio": report.max_ratio, "bound": report.bound,
                            "sigma_hat": report.sigma_hat, "trials": report.trials})
     write_json(os.path.join(outdir, "report.json"), payload)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from popctrl import build_grid, read_field_csv
+from popctrl import build_grid, read_field_csv, region_mask
 from popctrl.cli import run_command
 
 FAST_SCENARIO = {
@@ -174,6 +174,30 @@ def test_female_only_mode_via_cli(tmp_path):
     grid = build_grid(1.0, 0.35, 0.0625)
     vm = read_field_csv(os.path.join(out, "v_m.csv"), grid)
     assert np.all(vm.values == 0.0)
+
+
+def test_male_only_tail_norm_reported_as_targeted(tmp_path):
+    # the nonlinear norm in the report is the one the target is tested with:
+    # the infant ages below target_min_age are exempt in male-only mode
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["geometry"].update({"male_window": [0.0, 0.9], "horizon": 0.15,
+                            "target_min_age": 0.05, "mode": "MALE_ONLY"})
+    raw["grid"]["target_h"] = 0.03125
+    raw["penalty"]["target_norm"] = 0.0006
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(raw))
+    out = str(tmp_path / "tail")
+    code = run_command(["solve", str(path), "--out", out, "--quiet"])
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    grid = build_grid(1.0, 0.15, 0.03125)
+    m_T = read_field_csv(os.path.join(out, "m.csv"), grid).values[:, -1]
+    tail = grid.step * region_mask(grid, 0.05, 1.0)
+    norm = report["scalars"]["nonlinear_m_norm"]
+    assert norm == pytest.approx(float(np.sqrt(tail @ m_T ** 2)), rel=1e-12)
+    assert norm < float(np.sqrt(grid.age_weights() @ m_T ** 2))
+    reached = norm <= 0.0006
+    assert reached == ("TARGET_NOT_REACHED" not in report["flags"])
+    assert code == (0 if reached else 1)
 
 
 def test_adjoint_mode_mismatch_is_an_error(tmp_path):

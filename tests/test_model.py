@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +109,48 @@ class TestSurvivalRatio:
         model = reference_model()
         assert model.survival_ratio("male", lo, hi2) <= \
             model.survival_ratio("male", lo, hi1) + 1e-12
+
+
+def test_concurrent_first_use_builds_each_mortality_table_once():
+    calls = {"male": 0, "female": 0}
+
+    def slow_rate(which, value):
+        def fn(ages):
+            calls[which] += 1
+            time.sleep(0.05)  # keep the first thread inside the fill
+            return np.full_like(ages, value)
+        return RateFunction("constant", fn, f"slow constant {which}")
+
+    base = reference_model()
+    model = DemographicModel(
+        male_mortality=slow_rate("male", 0.2), female_mortality=slow_rate("female", 0.3),
+        fertility=base.fertility, male_fertility_weight=base.male_fertility_weight,
+        female_fraction=0.6, fertility_onset=0.15, max_age=1.0)
+    workers = 4
+    start = threading.Barrier(workers, timeout=10)
+    errors = []
+
+    def first_use():
+        try:
+            start.wait()
+            model.survival_ratio("male", 0.1, 0.5)
+            model.survival_ratio("female", 0.1, 0.5)
+        except Exception as exc:  # reported below; a thread must not die silently
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_use) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert calls == {"male": 1, "female": 1}
 
 
 class TestRateEvaluation:
