@@ -12,6 +12,17 @@ without preconditioning.  Gradients come from one adjoint sweep and are
 exact for the discrete objective because the adjoint is the exact
 transpose of the forward map.
 
+The compact part is L* D L: L maps a control to the terminal state of the
+zero-data frozen-trace system, L* is its adjoint (one backward sweep from
+a terminal work vector) and D holds the penalty weights.  So every CG
+vector is an explicit anchor plus L* of a terminal-space vector of size
+2(N+1), and the CG recurrence runs on those coordinates with the
+operator's cached control Gramian G = h L L* (HUM duality): an iteration
+is one 2(N+1)-sized matrix-vector product instead of a forward and an
+adjoint sweep.  A handful of sweeps per call set up the anchor, confirm
+the final residual and form the control and its state.  The recurrence,
+the stopping rule and the flags are those of control-space CG.
+
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
 """
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .forward import FrozenOperator, control_masks
+from .forward import FrozenOperator, StateSolution, control_masks
 from .grid import Field2D, region_mask
 from .model import ControlMode
 
@@ -75,6 +86,7 @@ class ControlResult:
     epsilon: float
     theta: float
     stage_history: list = dc_field(default_factory=list)
+    state: StateSolution = None  # the controlled frozen-trace solve
 
     @property
     def target_norms(self):
@@ -151,15 +163,22 @@ def _check_modes(problem, geom):
 class _Workspace:
     """Caches everything reused across CG iterations for one (eps, theta).
 
-    One frozen-trace operator serves every forward and adjoint sweep.
+    One frozen-trace operator serves every forward and adjoint sweep; pass
+    ``operator`` to share one (and its Gramian) between penalty stages.
     """
 
-    def __init__(self, problem, model, grid, geom, trace, m0, f0):
+    def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
         _check_modes(problem, geom)
         self.problem = problem
         self.grid = grid
         self.geom = geom
-        self.op = FrozenOperator(model, grid, geom, trace)
+        if operator is None:
+            operator = FrozenOperator(model, grid, geom, trace)
+        elif (operator.grid != grid or operator.geom != geom
+              or not np.array_equal(operator.trace, np.asarray(trace, dtype=float))):
+            raise ConsistencyError("operator was built for another grid, geometry "
+                                   "or trace")
+        self.op = operator
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
         self.male, self.female = build_spaces(grid, geom)
@@ -189,23 +208,41 @@ class _Workspace:
         f0 = self.f0 if with_data else self.zero_profile
         return self.op.state(m0, f0, vm, vf)
 
-    def adjoint_packed(self, m_term, f_term, sign):
-        """Pack the adjoint of sign/eps-weighted terminal states onto the spaces."""
-        h = self.grid.step
-        eps, theta = self.problem.epsilon, self.effective_theta()
-        work_n = np.zeros_like(self.zero_profile)
-        work_l = np.zeros_like(self.zero_profile)
-        if self.w_m is not None:
-            work_n = sign * self.w_m * m_term / (h * eps)
-        if self.w_f is not None:
-            work_l = sign * self.w_f * f_term / (h * theta)
-        _, _, n_eff, l_eff = self.op.adjoint(work_n, work_l)
+    def adjoint_image(self, work):
+        """L* of a stacked terminal work vector (male then female slot), packed.
+
+        L* is the adjoint of the terminal map L (zero data) in the pairing
+        <L* u, x> = h * u . L x, so ``op.control_gramian()`` is h L L*.
+        """
+        size = self.zero_profile.size
+        _, _, n_eff, l_eff = self.op.adjoint(work[:size], work[size:])
         out = []
         if self.male is not None:
             out.append(n_eff[self.male.idx, 1:])
         if self.female is not None:
             out.append(l_eff[self.female.idx, 1:])
         return out
+
+    def penalty_weights(self):
+        """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
+        h = self.grid.step
+        size = self.zero_profile.size
+        weights = np.zeros(2 * size)
+        if self.w_m is not None:
+            weights[:size] = self.w_m / (h * self.problem.epsilon)
+        if self.w_f is not None:
+            weights[size:] = self.w_f / (h * self.effective_theta())
+        return weights
+
+    def terminal(self, packed, with_data):
+        """Stacked terminal (male, female) profiles of the controlled sweep."""
+        state = self.forward(packed, with_data)
+        return np.concatenate([state.m.values[:, -1], state.f.values[:, -1]])
+
+    def adjoint_packed(self, m_term, f_term, sign):
+        """Pack the adjoint of sign/eps-weighted terminal states onto the spaces."""
+        return self.adjoint_image(
+            sign * self.penalty_weights() * np.concatenate([m_term, f_term]))
 
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
@@ -264,45 +301,108 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
             None if g_f is None else Field2D(grid, g_f))
 
 
+_PROJECTION_RIDGE = 1e-12
+
+
+def _terminal_cg(ws, r0, rho0, tol, max_iters):
+    """The CG recurrence for H x = r0 on vectors sigma * u + L* c.
+
+    u is the part of r0 that L* does not reach: r0 = u + L* c0, with c0 the
+    ridge-regularized least-squares fit G c0 = h L r0.  Then
+    H (sigma, c) = (sigma, c + D (G c / h + sigma * t_u)), with G the
+    operator's control Gramian and t_u = L u, and every inner product is
+    sigma sigma' |u|^2 + h (sigma c' + sigma' c) . t_u + c . G c', so an
+    iteration costs one Gramian product instead of a forward and an adjoint
+    sweep.  Because u is small and nearly orthogonal to the range of L*, no
+    anchor term cancels against L* c as the residual shrinks, for cold
+    starts and for warm starts from another trace alike.  Once the formula
+    puts the residual below the tolerance, one adjoint sweep forms it and
+    the stopping test uses its norm.
+
+    Returns (sigma, c) of the solution sigma * u + L* c of H x = r0, u, the
+    residual norm history and the final squared residual norm.
+    """
+    h = ws.grid.step
+    gram = ws.op.control_gramian()
+    weights = ws.penalty_weights()
+    scale = float(np.max(np.diag(gram)))
+    c_r = np.zeros_like(weights)
+    if scale > 0:
+        c_r = ws.op.solve_gramian(h * ws.terminal(r0, with_data=False),
+                                  _PROJECTION_RIDGE * scale)
+    u = [ri - li for ri, li in zip(r0, ws.adjoint_image(c_r))]
+    t_u = ws.terminal(u, with_data=False)
+    rho_u = ws.inner(u, u)
+
+    def inner(s1, c1, gc1, s2, c2):
+        return s1 * s2 * rho_u + h * (s1 * np.dot(c2, t_u) + s2 * np.dot(c1, t_u)) \
+            + float(np.dot(c2, gc1))
+
+    sigma_x, c_x = 0.0, np.zeros_like(weights)
+    sigma_r, gc_r = 1.0, gram @ c_r
+    sigma_d, c_d, gc_d = sigma_r, c_r.copy(), gc_r.copy()
+    rho = rho0
+    history = []
+    while np.sqrt(rho) > tol and len(history) < max_iters:
+        c_q = c_d + weights * (gc_d / h + sigma_d * t_u)
+        gc_q = gram @ c_q
+        dq = inner(sigma_d, c_q, gc_q, sigma_d, c_d)
+        if dq <= 0:
+            break  # numerically exhausted: Hessian is SPD so this is rounding
+        alpha = rho / dq
+        sigma_x += alpha * sigma_d
+        c_x += alpha * c_d
+        sigma_r -= alpha * sigma_d
+        c_r -= alpha * c_q
+        gc_r -= alpha * gc_q
+        rho_new = inner(sigma_r, c_r, gc_r, sigma_r, c_r)
+        if rho_new <= tol * tol:
+            # near the tolerance the formula's terms cancel: stop on the residual itself
+            r = [sigma_r * ui + li for ui, li in zip(u, ws.adjoint_image(c_r))]
+            rho_new = ws.inner(r, r)
+        beta = rho_new / rho
+        sigma_d = sigma_r + beta * sigma_d
+        c_d = c_r + beta * c_d
+        gc_d = gc_r + beta * gc_d
+        rho = rho_new
+        history.append(float(np.sqrt(rho)))
+    return sigma_x, c_x, u, history, rho
+
+
 def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
-                     epsilon=None, theta=None):
+                     epsilon=None, theta=None, operator=None):
     """Conjugate-gradient minimization of the penalty functional.
 
     Stops when the gradient norm falls below cg_tol times the zero-control
-    gradient norm, or flags CONVERGENCE_NOT_REACHED after max_cg_iters.
+    gradient norm, or flags CONVERGENCE_NOT_REACHED after max_cg_iters (or
+    when the curvature along a search direction is not positive).  The
+    iterations run in terminal coordinates on the control Gramian of
+    ``operator``, a FrozenOperator for ``trace`` that is built here when
+    None.  The result carries the controlled frozen-trace state.
     """
     if epsilon is not None or theta is not None:
         problem = replace(
             problem,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
     b = ws.rhs()
     norm_b = np.sqrt(ws.inner(b, b))
-    x = [s.zeros() for s in ws.spaces] if v_init is None else [p.copy() for p in v_init]
     if v_init is None:
-        r = [bi.copy() for bi in b]
+        x = [s.zeros() for s in ws.spaces]
+        r0 = b
     else:
-        hx = ws.apply_hessian(x)
-        r = [bi - hi for bi, hi in zip(b, hx)]
-    rho = ws.inner(r, r)
+        x = [p.copy() for p in v_init]
+        r0 = [bi - hi for bi, hi in zip(b, ws.apply_hessian(x))]
+    rho = ws.inner(r0, r0)
     cg_trace = [float(np.sqrt(rho))]
-    d = [ri.copy() for ri in r]
-    iterations = 0
     tol = problem.cg_tol * norm_b
-    while np.sqrt(rho) > tol and iterations < problem.max_cg_iters:
-        q = ws.apply_hessian(d)
-        dq = ws.inner(d, q)
-        if dq <= 0:
-            break  # numerically exhausted: Hessian is SPD so this is rounding
-        alpha = rho / dq
-        x = [xi + alpha * di for xi, di in zip(x, d)]
-        r = [ri - alpha * qi for ri, qi in zip(r, q)]
-        rho_new = ws.inner(r, r)
-        d = [ri + (rho_new / rho) * di for ri, di in zip(r, d)]
-        rho = rho_new
-        cg_trace.append(float(np.sqrt(rho)))
-        iterations += 1
+    iterations = 0
+    if np.sqrt(rho) > tol and problem.max_cg_iters > 0:
+        sigma, c, u, history, rho = _terminal_cg(ws, r0, rho, tol, problem.max_cg_iters)
+        cg_trace += history
+        iterations = len(history)
+        x = [xi + sigma * ui + li for xi, ui, li in zip(x, u, ws.adjoint_image(c))]
     converged = np.sqrt(rho) <= tol
 
     state = ws.forward(x, with_data=True)
@@ -321,6 +421,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
         J_value=ws.objective(x, state=state),
         cg_trace=cg_trace, iterations=iterations, converged=converged,
         flags=flags, epsilon=problem.epsilon, theta=ws.effective_theta(),
+        state=state,
     ), x
 
 
@@ -332,25 +433,33 @@ def target_reached(mode, target_norm, m_norm, f_norm):
     return m_norm <= target_norm and f_norm <= target_norm
 
 
+def stage_entry(result):
+    """Summary of one penalty stage, as recorded in ``stage_history``."""
+    return {
+        "epsilon": result.epsilon,
+        "terminal_m_norm": result.terminal_m_norm,
+        "terminal_f_norm": result.terminal_f_norm,
+        "iterations": result.iterations,
+        "J_value": result.J_value,
+    }
+
+
 def synthesize_null_control(problem, model, grid, geom, trace, m0, f0):
     """Walk the penalty schedule until the terminal norms meet the target.
 
     Returns the first successful stage's result, or the last stage flagged
-    TARGET_NOT_REACHED.  Stages warm-start from the previous controls.
+    TARGET_NOT_REACHED.  Stages warm-start from the previous controls and
+    share one frozen-trace operator, hence one control Gramian.
     """
+    operator = FrozenOperator(model, grid, geom, trace)
     history = []
     packed = None
     result = None
     for eps in problem.schedule.values():
         result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                          v_init=packed, epsilon=eps, theta=eps)
-        history.append({
-            "epsilon": eps,
-            "terminal_m_norm": result.terminal_m_norm,
-            "terminal_f_norm": result.terminal_f_norm,
-            "iterations": result.iterations,
-            "J_value": result.J_value,
-        })
+                                          v_init=packed, epsilon=eps, theta=eps,
+                                          operator=operator)
+        history.append(stage_entry(result))
         result.stage_history = history
         if target_reached(geom.mode, problem.target_norm,
                           result.terminal_m_norm, result.terminal_f_norm):

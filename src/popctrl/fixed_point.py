@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .control import (FLAG_FIXED_POINT_NOT_REACHED, FLAG_TARGET_NOT_REACHED,
-                      minimize_penalty, target_reached, terminal_norms)
+                      minimize_penalty, stage_entry, target_reached, terminal_norms)
 from .errors import ConfigurationError
 from .forward import solve_forward
 from .model import ControlGeometry, ControlMode
@@ -62,14 +62,13 @@ def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=
               v_init=None):
     """One application of the controlled-trace map.
 
-    Minimizes the penalty functional for the frozen trace, re-solves the
-    controlled system, and returns the resulting fertile-male trace along
-    with the control result, warm-start data and controlled state.
+    Minimizes the penalty functional for the frozen trace and returns the
+    fertile-male trace of the controlled frozen-trace solve along with the
+    control result, warm-start data and that controlled state.
     """
     result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                                       v_init=v_init, epsilon=epsilon, theta=theta)
-    state = solve_forward(model, grid, geom, result.v_m, result.v_f, m0, f0,
-                          frozen_trace=np.asarray(trace, dtype=float))
+    state = result.state
     return state.fertile_male_trace.copy(), result, packed, state
 
 
@@ -87,6 +86,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
     p = uncontrolled.fertile_male_trace.copy()
     omega = fp_config.omega
     history = []
+    stages = []
     flags = []
     packed = None
     result = None
@@ -119,6 +119,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
             if delta <= fp_config.fp_tol * norm_p:
                 stage_converged = True
                 break
+        stages.append(stage_entry(result))
         if not stage_converged:
             flags.append(FLAG_FIXED_POINT_NOT_REACHED)
             break
@@ -135,6 +136,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
             flags.append(FLAG_TARGET_NOT_REACHED)
 
     if result is not None:
+        result.stage_history = stages
         for flag in flags:
             if flag not in result.flags:
                 result.flags.append(flag)

@@ -129,6 +129,7 @@ class FrozenOperator:
                               for p in self.trace])
         # one boundary sweep per level: exact when fertility vanishes at age zero
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
+        self._gramian = self._gramian_blocks = None
 
     @staticmethod
     def _block(values, extra_dims=0):
@@ -274,6 +275,101 @@ class FrozenOperator:
 
         self.adjoint_levels(work_n, work_l, store)
         return self._unblock((n_rows, l_rows, n_rows.copy(), l_eff), single)
+
+    def control_gramian(self):
+        """Gramian of the adjoint images of the 2(N+1) terminal unit work vectors.
+
+        Entry (p, q) is the control-space inner product
+        h^2 * sum over levels >= 1 and ages >= 1 of
+        (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
+        is the backward sweep from the work pair whose stacked entry p is 1
+        (entries 0..N are the male slot, N+1..2N+1 the female one).  Built
+        on first use and cached: it does not depend on the penalty weights.
+        """
+        if self._gramian is None:
+            self._gramian, self._gramian_blocks = self._assemble_gramian()
+        return self._gramian
+
+    def solve_gramian(self, rhs, ridge):
+        """Solve (G + ridge I) c = rhs for the control Gramian G, ridge > 0.
+
+        The spike block of G is diagonal (see ``_assemble_gramian``), so only
+        its Schur complement on the 2 min(Nt, N+1) dense unit vectors is
+        factored.
+        """
+        gram = self.control_gramian()
+        dense, spikes = self._gramian_blocks
+        diag = gram[spikes, spikes] + ridge
+        cross = gram[np.ix_(dense, spikes)]
+        schur = gram[np.ix_(dense, dense)] - (cross / diag) @ cross.T
+        schur[np.diag_indices_from(schur)] += ridge
+        c = np.empty_like(rhs)
+        c[dense] = np.linalg.solve(schur, rhs[dense] - cross @ (rhs[spikes] / diag))
+        c[spikes] = (rhs[spikes] - cross.T @ c[dense]) / diag
+        return c
+
+    def _assemble_gramian(self):
+        """One batched sweep of 2 min(Nt, N+1) + 2 columns, laid out by transport.
+
+        The male row has no source, and a terminal age a >= Nt reaches age 0
+        only at level 0, after the last feedback.  So the unit vectors of
+        those ages stay one transported spike per level, in row a - (Nt - j)
+        at level j.  All spikes of one slot ride in one column without
+        sharing a row: their diagonal entries and their products with the
+        other columns are read off that row.  Only the 2 min(Nt, N+1)
+        younger unit vectors, whose spike triggers the nonlocal feedback,
+        need a dense product per level.
+        """
+        na, nt = self.grid.num_age_cells, self.grid.num_time_cells
+        h = self.grid.step
+        size = na + 1
+        young = min(nt, size)
+        dense = 2 * young
+        work_n = np.zeros((size, dense + 2))
+        work_l = np.zeros((size, dense + 2))
+        work_n[:young, :young] = np.eye(young)
+        work_l[:young, young:dense] = np.eye(young)
+        work_n[young:, dense] = 1.0
+        work_l[young:, dense + 1] = 1.0
+
+        rows_m = np.nonzero(self.mask_m[1:])[0] + 1
+        rows_f = np.nonzero(self.mask_f[1:])[0] + 1
+        root_m = (h * np.sqrt(self.mask_m[rows_m]))[:, None]
+        root_f = (h * np.sqrt(self.mask_f[rows_f]))[:, None]
+        wq_m, wq_f = h * h * self.mask_m, h * h * self.mask_f
+        region = np.empty((rows_m.size + rows_f.size, dense))
+        gram_dense = np.zeros((dense, dense))
+        # rows: stacked spike index (slot, age); columns: the dense unit vectors
+        spike_cross = np.zeros((2 * size, dense))
+        spike_diag = np.zeros(2 * size)
+
+        def collect(j, n_j, l_j, l_eff_j):
+            if j == 0:
+                return
+            np.multiply(root_m, n_j[rows_m, :dense], out=region[:rows_m.size])
+            np.multiply(root_f, l_eff_j[rows_f, :dense], out=region[rows_m.size:])
+            np.add(gram_dense, region.T @ region, out=gram_dense)
+            if young == size:
+                return
+            # at level j, row a - (nt - j) carries the spike of terminal age a
+            span = slice(young - nt + j, size - nt + j)
+            for slot, rows, wq, col in ((0, n_j, wq_m, dense),
+                                        (size, l_eff_j, wq_f, dense + 1)):
+                spike = rows[span, col]
+                weighted = wq[span] * spike
+                ages = slice(slot + young, slot + size)
+                spike_diag[ages] += weighted * spike
+                spike_cross[ages] += weighted[:, None] * rows[span, :dense]
+
+        self.adjoint_levels(work_n, work_l, collect)
+        dense_idx = np.r_[0:young, size:size + young]
+        spike_idx = np.r_[young:size, size + young:2 * size]
+        gram = np.zeros((2 * size, 2 * size))
+        gram[np.ix_(dense_idx, dense_idx)] = gram_dense
+        gram[np.ix_(spike_idx, dense_idx)] = spike_cross[spike_idx]
+        gram[np.ix_(dense_idx, spike_idx)] = spike_cross[spike_idx].T
+        gram[spike_idx, spike_idx] = spike_diag[spike_idx]
+        return gram, (dense_idx, spike_idx)
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):

@@ -129,6 +129,21 @@ def test_solve_deterministic_reports(scenario_path, tmp_path):
         assert _read(os.path.join(out_a, name)) == _read(os.path.join(out_b, name))
 
 
+def test_solve_report_lists_every_stage(scenario_path, tmp_path):
+    out = str(tmp_path / "stages")
+    assert run_command(["solve", scenario_path, "--out", out, "--quiet"]) == 0
+    scalars = json.loads(_read(os.path.join(out, "report.json")))["scalars"]
+    with open(os.path.join(out, "history.csv")) as handle:
+        walked = list(dict.fromkeys(line.split(",")[0]
+                                    for line in handle.read().splitlines()[1:]))
+    stages = scalars["stages"]
+    assert [float(s["epsilon"]) for s in stages] == [float(e) for e in walked]
+    assert len(stages) >= 2
+    for key in ("epsilon", "terminal_m_norm", "terminal_f_norm", "iterations",
+                "J_value"):
+        assert stages[-1][key] == scalars[key]
+
+
 def test_contraction_command(scenario_path, tmp_path):
     out = str(tmp_path / "c")
     assert run_command(["contraction", scenario_path, "--out", out, "--quiet"]) == 0

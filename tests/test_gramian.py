@@ -1,0 +1,181 @@
+"""The control Gramian of a frozen-trace operator, and the penalty CG that runs
+on it in terminal coordinates, against the control-space CG loop."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
+                     minimize_penalty, solve_forward)
+from popctrl.control import _Workspace
+from popctrl.errors import ConsistencyError
+from popctrl.forward import FrozenOperator
+
+from conftest import random_nonneg_model, reference_data, reference_model
+
+
+def _geometry(mode, horizon, target_min_age=0.0):
+    return ControlGeometry(male_window=(0.2, 0.9), female_window=(0.1, 0.95),
+                           horizon=horizon, target_min_age=target_min_age, mode=mode)
+
+
+def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
+                               v_init=None, epsilon=None, theta=None):
+    """The control-space CG loop: one forward and one adjoint sweep per iteration.
+
+    Returns (packed control, iterations, cg_trace, converged).
+    """
+    if epsilon is not None or theta is not None:
+        problem = replace(
+            problem,
+            epsilon=epsilon if epsilon is not None else problem.epsilon,
+            theta=theta if theta is not None else problem.theta)
+    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    b = ws.rhs()
+    norm_b = np.sqrt(ws.inner(b, b))
+    x = [s.zeros() for s in ws.spaces] if v_init is None else [p.copy() for p in v_init]
+    if v_init is None:
+        r = [bi.copy() for bi in b]
+    else:
+        hx = ws.apply_hessian(x)
+        r = [bi - hi for bi, hi in zip(b, hx)]
+    rho = ws.inner(r, r)
+    cg_trace = [float(np.sqrt(rho))]
+    d = [ri.copy() for ri in r]
+    iterations = 0
+    tol = problem.cg_tol * norm_b
+    while np.sqrt(rho) > tol and iterations < problem.max_cg_iters:
+        q = ws.apply_hessian(d)
+        dq = ws.inner(d, q)
+        if dq <= 0:
+            break  # numerically exhausted: Hessian is SPD so this is rounding
+        alpha = rho / dq
+        x = [xi + alpha * di for xi, di in zip(x, d)]
+        r = [ri - alpha * qi for ri, qi in zip(r, q)]
+        rho_new = ws.inner(r, r)
+        d = [ri + (rho_new / rho) * di for ri, di in zip(r, d)]
+        rho = rho_new
+        cg_trace.append(float(np.sqrt(rho)))
+        iterations += 1
+    converged = np.sqrt(rho) <= tol
+    return x, iterations, cg_trace, converged
+
+
+def _naive_gramian(ws):
+    size = 2 * (ws.grid.num_age_cells + 1)
+    images = [ws.adjoint_image(np.eye(size)[p]) for p in range(size)]
+    return np.array([[ws.inner(a, b) for b in images] for a in images])
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+@pytest.mark.parametrize("horizon", [0.35, 1.0])  # 1.0: every terminal age reaches age 0
+@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(5)],
+                         ids=["reference", "random_nonneg"])
+def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age,
+                                                            horizon, make_model):
+    model = make_model()  # random_nonneg: fertility ignores the onset, boundary sweep
+    geom = _geometry(mode, horizon, target_min_age)
+    grid = build_grid(1.0, horizon, 1.0 / 16)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=mode)
+    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    gram = ws.op.control_gramian()
+    expected = _naive_gramian(ws)
+    assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert ws.op.control_gramian() is gram  # cached on the operator
+
+
+def test_gramian_pairs_terminal_map_and_adjoint():
+    # <L* u, x> = h u . L x, so G = h L L*
+    model = reference_model()
+    geom = _geometry(ControlMode.BOTH, 0.35)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
+    r = np.random.default_rng(4)
+    c = r.standard_normal(2 * (grid.num_age_cells + 1))
+    lc = ws.terminal(ws.adjoint_image(c), with_data=False)
+    gc = ws.op.control_gramian() @ c
+    assert np.max(np.abs(grid.step * lc - gc)) <= 1e-12 * np.max(np.abs(gc))
+
+
+def _relative(ws, x, y):
+    diff = [a - b for a, b in zip(x, y)]
+    return np.sqrt(ws.inner(diff, diff) / ws.inner(y, y))
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_terminal_cg_matches_control_space_loop(mode, target_min_age):
+    model = reference_model()
+    geom = _geometry(mode, 0.35, target_min_age)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    other = 1.05 * trace
+    problem = PenaltyProblem(mode=mode, max_cg_iters=2000, cg_tol=1e-10)
+
+    calls = [  # (trace, epsilon, warm start from the reference of call k or None)
+        (trace, 1e-2, None),   # cold
+        (trace, 1e-3, 0),      # warm, same trace
+        (other, 1e-3, 1),      # warm from another trace's control
+    ]
+    ref_packed = []
+    for frozen, eps, warm in calls:
+        v_init = None if warm is None else ref_packed[warm]
+        want, want_iters, _, want_conv = reference_minimize_penalty(
+            problem, model, grid, geom, frozen, m0, f0, v_init=v_init, epsilon=eps,
+            theta=eps)
+        result, got = minimize_penalty(problem, model, grid, geom, frozen, m0, f0,
+                                       v_init=v_init, epsilon=eps, theta=eps)
+        ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
+                        frozen, m0, f0)
+        assert abs(result.iterations - want_iters) <= 1
+        assert len(result.cg_trace) == result.iterations + 1
+        assert result.converged and want_conv
+        assert _relative(ws, got, want) <= 1e-8
+        ref_packed.append(want)
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
+    model = reference_model()
+    geom = _geometry(mode, 0.35, target_min_age)
+    grid = build_grid(1.0, 0.35, 1.0 / 80)
+    assert (grid.num_age_cells, grid.num_time_cells) == (80, 28)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    operator = FrozenOperator(model, grid, geom, trace)
+    problem = PenaltyProblem(mode=mode, max_cg_iters=4000, cg_tol=1e-9)
+    packed = None
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                          v_init=packed, epsilon=eps, theta=eps,
+                                          operator=operator)
+        assert result.converged
+        ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
+                        trace, m0, f0)
+        b = ws.rhs()
+        grad = ws.gradient(packed)
+        assert np.sqrt(ws.inner(grad, grad)) <= \
+            1.01 * problem.cg_tol * np.sqrt(ws.inner(b, b))
+
+
+def test_operator_for_another_trace_is_rejected():
+    model = reference_model()
+    geom = _geometry(ControlMode.BOTH, 0.35)
+    grid = build_grid(1.0, 0.35, 1.0 / 16)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    operator = FrozenOperator(model, grid, geom, 2.0 * trace)
+    with pytest.raises(ConsistencyError):
+        minimize_penalty(PenaltyProblem(), model, grid, geom, trace, m0, f0,
+                         operator=operator)

@@ -9,7 +9,8 @@ import pytest
 
 from popctrl import (ControlGeometry, ControlMode, Fertility, Field2D, PenaltyProblem,
                      build_grid, duality_residual, estimate_observability_constant,
-                     minimize_penalty, observability_ratio, solve_adjoint, solve_forward)
+                     minimize_penalty, observability_ratio, solve_adjoint, solve_forward,
+                     trace_map)
 from popctrl import observability as obs
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
@@ -152,6 +153,26 @@ def test_fertility_evaluated_once_per_level_per_operator():
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
                                     probes=4, power_iters=3, seed=0)
     assert calls == list(trace) + list(2.0 * trace)
+
+
+def test_trace_map_evaluates_fertility_once_per_level():
+    # the controlled frozen-trace state comes from the penalty solve's own
+    # operator, so a trace_map call builds exactly one operator
+    model, calls = _counting(reference_model())
+    geom = _geometry(ControlMode.BOTH, horizon=0.35)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
+    y, result, packed, state = trace_map(trace, model, grid, geom, problem, m0, f0)
+    assert calls == list(trace)
+    expected = solve_forward(reference_model(), grid, geom, result.v_m, result.v_f,
+                             m0, f0, frozen_trace=trace)
+    assert np.array_equal(state.m.values, expected.m.values)
+    assert np.array_equal(y, expected.fertile_male_trace)
+    del calls[:]
+    trace_map(1.1 * trace, model, grid, geom, problem, m0, f0, v_init=packed)
+    assert calls == list(1.1 * trace)
 
 
 # -- batched observability against one solve_adjoint per terminal datum --------
