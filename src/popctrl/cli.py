@@ -18,8 +18,18 @@ from . import pipelines
 from .errors import PopctrlError
 from .scenario import load_scenario
 
-_COMMANDS = ("validate", "simulate", "adjoint", "control", "solve", "contraction",
-             "observability", "sweep")
+# command -> help text; each command but "sweep" runs pipelines.cmd_<command>,
+# looked up at call time so that wrappers installed on the module see the call
+_COMMANDS = {
+    "validate": "check demographic hypotheses and geometry",
+    "simulate": "uncontrolled nonlinear solve; writes m.csv f.csv traces.csv",
+    "adjoint": "backward adjoint solve from terminal data; writes n.csv l.csv",
+    "control": "synthesize approximate null controls; writes v_m.csv v_f.csv",
+    "solve": "full nonlinear controlled pipeline via fixed-point iteration",
+    "contraction": "probe the well-posedness contraction map",
+    "observability": "estimate observability constants over a geometry sweep",
+    "sweep": "parameter sweep of the control pipeline from a sweep file",
+}
 
 
 def _build_parser():
@@ -28,16 +38,7 @@ def _build_parser():
         description="Simulation, control synthesis and observability probes for a "
                     "two-sex age-structured population model.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, help_text in (
-            ("validate", "check demographic hypotheses and geometry"),
-            ("simulate", "uncontrolled nonlinear solve; writes m.csv f.csv traces.csv"),
-            ("adjoint", "backward adjoint solve from terminal data; writes n.csv l.csv"),
-            ("control", "synthesize approximate null controls; writes v_m.csv v_f.csv"),
-            ("solve", "full nonlinear controlled pipeline via fixed-point iteration"),
-            ("contraction", "probe the well-posedness contraction map"),
-            ("observability", "estimate observability constants over a geometry sweep"),
-            ("sweep", "parameter sweep of the control pipeline from a sweep file"),
-    ):
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="scenario JSON file"
                        if name != "sweep" else "sweep JSON file (with 'base' scenario)")
@@ -98,22 +99,11 @@ def run_command(argv):
             if not quiet:
                 print(message)
 
-        if args.command == "validate":
-            code = pipelines.cmd_validate(scenario_like, outdir, args.seed, log)
-        elif args.command == "simulate":
-            code = pipelines.cmd_simulate(scenario_like, outdir, args.seed, log)
-        elif args.command == "adjoint":
-            code = pipelines.cmd_adjoint(scenario_like, outdir, args.seed, log)
-        elif args.command == "control":
-            code = pipelines.cmd_control(scenario_like, outdir, args.seed, log)
-        elif args.command == "solve":
-            code = pipelines.cmd_solve(scenario_like, outdir, args.seed, log)
-        elif args.command == "contraction":
-            code = pipelines.cmd_contraction(scenario_like, outdir, args.seed, log)
-        elif args.command == "observability":
-            code = pipelines.cmd_observability(scenario_like, outdir, args.seed, log)
-        else:
+        if args.command == "sweep":
             code = pipelines.cmd_sweep(sweep_spec, base_raw, outdir, args.seed, log)
+        else:
+            command = getattr(pipelines, f"cmd_{args.command}")
+            code = command(scenario_like, outdir, args.seed, log)
     except (PopctrlError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

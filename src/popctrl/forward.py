@@ -129,7 +129,7 @@ class FrozenOperator:
                               for p in self.trace])
         # one boundary sweep per level: exact when fertility vanishes at age zero
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
-        self._gramian = self._gramian_blocks = None
+        self._gramian_cache = None
 
     @staticmethod
     def _block(values, extra_dims=0):
@@ -286,19 +286,29 @@ class FrozenOperator:
         (entries 0..N are the male slot, N+1..2N+1 the female one).  Built
         on first use and cached: it does not depend on the penalty weights.
         """
-        if self._gramian is None:
-            self._gramian, self._gramian_blocks = self._assemble_gramian()
-        return self._gramian
+        return self._gramians()[0]
+
+    def initial_gramian(self):
+        """Initial-energy Gramian of the same adjoint images.
+
+        Entry (p, q) is sum over ages of wa * (n_p * n_q + l_p * l_q) at
+        level 0.  Cached with ``control_gramian``, from the same sweep.
+        """
+        return self._gramians()[1]
+
+    def _gramians(self):
+        if self._gramian_cache is None:
+            self._gramian_cache = self._assemble_gramians()
+        return self._gramian_cache
 
     def solve_gramian(self, rhs, ridge):
         """Solve (G + ridge I) c = rhs for the control Gramian G, ridge > 0.
 
-        The spike block of G is diagonal (see ``_assemble_gramian``), so only
+        The spike block of G is diagonal (see ``_assemble_gramians``), so only
         its Schur complement on the 2 min(Nt, N+1) dense unit vectors is
         factored.
         """
-        gram = self.control_gramian()
-        dense, spikes = self._gramian_blocks
+        gram, _, (dense, spikes) = self._gramians()
         diag = gram[spikes, spikes] + ridge
         cross = gram[np.ix_(dense, spikes)]
         schur = gram[np.ix_(dense, dense)] - (cross / diag) @ cross.T
@@ -308,7 +318,7 @@ class FrozenOperator:
         c[spikes] = (rhs[spikes] - cross.T @ c[dense]) / diag
         return c
 
-    def _assemble_gramian(self):
+    def _assemble_gramians(self):
         """One batched sweep of 2 min(Nt, N+1) + 2 columns, laid out by transport.
 
         The male row has no source, and a terminal age a >= Nt reaches age 0
@@ -318,7 +328,11 @@ class FrozenOperator:
         sharing a row: their diagonal entries and their products with the
         other columns are read off that row.  Only the 2 min(Nt, N+1)
         younger unit vectors, whose spike triggers the nonlocal feedback,
-        need a dense product per level.
+        need a dense product per level.  The control Gramian sums the
+        region-weighted rows (n_j, l_eff_j) of the levels j >= 1, the
+        initial one the trapezoid-weighted rows (n_0, l_0) of level 0.
+
+        Returns (control Gramian, initial Gramian, (dense, spike) indices).
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
@@ -332,44 +346,71 @@ class FrozenOperator:
         work_n[young:, dense] = 1.0
         work_l[young:, dense + 1] = 1.0
 
-        rows_m = np.nonzero(self.mask_m[1:])[0] + 1
-        rows_f = np.nonzero(self.mask_f[1:])[0] + 1
-        root_m = (h * np.sqrt(self.mask_m[rows_m]))[:, None]
-        root_f = (h * np.sqrt(self.mask_f[rows_f]))[:, None]
-        wq_m, wq_f = h * h * self.mask_m, h * h * self.mask_f
-        region = np.empty((rows_m.size + rows_f.size, dense))
-        gram_dense = np.zeros((dense, dense))
-        # rows: stacked spike index (slot, age); columns: the dense unit vectors
-        spike_cross = np.zeros((2 * size, dense))
-        spike_diag = np.zeros(2 * size)
+        # the age-zero node never couples to the controls
+        region_m, region_f = self.mask_m.copy(), self.mask_f.copy()
+        region_m[0] = region_f[0] = 0.0
+        control = _TransportGram(size, nt, h, region_m, region_f)
+        initial = _TransportGram(size, nt, 1.0, self.wa, self.wa)
 
         def collect(j, n_j, l_j, l_eff_j):
             if j == 0:
-                return
-            np.multiply(root_m, n_j[rows_m, :dense], out=region[:rows_m.size])
-            np.multiply(root_f, l_eff_j[rows_f, :dense], out=region[rows_m.size:])
-            np.add(gram_dense, region.T @ region, out=gram_dense)
-            if young == size:
-                return
-            # at level j, row a - (nt - j) carries the spike of terminal age a
-            span = slice(young - nt + j, size - nt + j)
-            for slot, rows, wq, col in ((0, n_j, wq_m, dense),
-                                        (size, l_eff_j, wq_f, dense + 1)):
-                spike = rows[span, col]
-                weighted = wq[span] * spike
-                ages = slice(slot + young, slot + size)
-                spike_diag[ages] += weighted * spike
-                spike_cross[ages] += weighted[:, None] * rows[span, :dense]
+                initial.add(j, n_j, l_j)
+            else:
+                control.add(j, n_j, l_eff_j)
 
         self.adjoint_levels(work_n, work_l, collect)
-        dense_idx = np.r_[0:young, size:size + young]
-        spike_idx = np.r_[young:size, size + young:2 * size]
-        gram = np.zeros((2 * size, 2 * size))
-        gram[np.ix_(dense_idx, dense_idx)] = gram_dense
-        gram[np.ix_(spike_idx, dense_idx)] = spike_cross[spike_idx]
-        gram[np.ix_(dense_idx, spike_idx)] = spike_cross[spike_idx].T
-        gram[spike_idx, spike_idx] = spike_diag[spike_idx]
-        return gram, (dense_idx, spike_idx)
+        blocks = (np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size])
+        return control.matrix(*blocks), initial.matrix(*blocks), blocks
+
+
+class _TransportGram:
+    """Weighted Gram sums of the terminal unit vectors over the levels of a sweep.
+
+    Accumulates sum over the visited levels and ages of
+    (scale^2 * weight_n * n_p * n_q + scale^2 * weight_l * l_p * l_q) for the
+    column layout of ``FrozenOperator._assemble_gramians``: dense unit-vector
+    columns first, then one spike column per slot.
+    """
+
+    def __init__(self, size, nt, scale, weight_n, weight_l):
+        self.size, self.nt = size, nt
+        self.young = min(nt, size)
+        self.dense = 2 * self.young
+        self.rows_n = np.nonzero(weight_n)[0]
+        self.rows_l = np.nonzero(weight_l)[0]
+        self.root_n = (scale * np.sqrt(weight_n[self.rows_n]))[:, None]
+        self.root_l = (scale * np.sqrt(weight_l[self.rows_l]))[:, None]
+        self.wq_n, self.wq_l = scale * scale * weight_n, scale * scale * weight_l
+        self.region = np.empty((self.rows_n.size + self.rows_l.size, self.dense))
+        self.gram_dense = np.zeros((self.dense, self.dense))
+        # rows: stacked spike index (slot, age); columns: the dense unit vectors
+        self.spike_cross = np.zeros((2 * size, self.dense))
+        self.spike_diag = np.zeros(2 * size)
+
+    def add(self, j, n_rows, l_rows):
+        size, young, dense, split = self.size, self.young, self.dense, self.rows_n.size
+        np.multiply(self.root_n, n_rows[self.rows_n, :dense], out=self.region[:split])
+        np.multiply(self.root_l, l_rows[self.rows_l, :dense], out=self.region[split:])
+        np.add(self.gram_dense, self.region.T @ self.region, out=self.gram_dense)
+        if young == size:
+            return
+        # at level j, row a - (nt - j) carries the spike of terminal age a
+        span = slice(young - self.nt + j, size - self.nt + j)
+        for slot, rows, wq, col in ((0, n_rows, self.wq_n, dense),
+                                    (size, l_rows, self.wq_l, dense + 1)):
+            spike = rows[span, col]
+            weighted = wq[span] * spike
+            ages = slice(slot + young, slot + size)
+            self.spike_diag[ages] += weighted * spike
+            self.spike_cross[ages] += weighted[:, None] * rows[span, :dense]
+
+    def matrix(self, dense_idx, spike_idx):
+        gram = np.zeros((2 * self.size, 2 * self.size))
+        gram[np.ix_(dense_idx, dense_idx)] = self.gram_dense
+        gram[np.ix_(spike_idx, dense_idx)] = self.spike_cross[spike_idx]
+        gram[np.ix_(dense_idx, spike_idx)] = self.spike_cross[spike_idx].T
+        gram[spike_idx, spike_idx] = self.spike_diag[spike_idx]
+        return gram
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):

@@ -3,14 +3,16 @@
 The observability constant is estimated from below: the maximum over
 random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
-the pair of quadratic forms.  A zero denominator with nonzero numerator is
-reported as the infinity sentinel: violated observability is a first-class
-outcome that certifies the time condition in the discrete model, not a
-numerical overflow.
+the pair of quadratic forms.  The forms are the initial-energy and control
+Gramians of the frozen-trace operator (`FrozenOperator.initial_gramian` and
+`control_gramian`, one batched sweep for both) on the live terminal entries,
+scaled by the terminal weights.  A zero denominator with nonzero numerator
+is reported as the infinity sentinel: violated observability is a
+first-class outcome that certifies the time condition in the discrete
+model, not a numerical overflow.
 """
 
 import math
-import mmap
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -44,23 +46,18 @@ def _quotients(op, n_T, l_T):
     the control regions but carrying initial energy gets the infinity
     sentinel.
     """
-    grid, mode = op.grid, op.geom.mode
+    grid = op.grid
     theta = (grid.age_weights() / grid.step)[:, None]
     _, _, n_eff, l_eff = op.adjoint(theta * n_T, theta * l_T)
     wa = grid.age_weights()
     quotients = []
     for c in range(n_T.shape[1]):
         n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]
-        num = 0.0
-        den = 0.0
-        if mode is not ControlMode.FEMALE_ONLY:
-            num += float(np.dot(wa, n_c[:, 0] ** 2))
-            den += region_inner(grid, op.mask_m, n_c, n_c)
-        if mode is not ControlMode.MALE_ONLY:
-            num += float(np.dot(wa, l_c[:, 0] ** 2))
-            den += region_inner(grid, op.mask_f, l_c, l_c)
-        if mode is ControlMode.MALE_ONLY:
-            num += float(np.dot(wa, l_c[:, 0] ** 2))
+        # the dead slot of a mode adds exact zeros: its masks vanish, and a
+        # zero male terminal datum keeps the sourceless male row zero
+        num = float(np.dot(wa, n_c[:, 0] ** 2)) + float(np.dot(wa, l_c[:, 0] ** 2))
+        den = (region_inner(grid, op.mask_m, n_c, n_c)
+               + region_inner(grid, op.mask_f, l_c, l_c))
         if den <= 1e-300 * max(num, 1.0):
             quotients.append(INFINITE_QUOTIENT if num > 0 else 0.0)
         else:
@@ -100,73 +97,27 @@ def _probe_data(rng, grid, geom):
 
 
 def _terminal_basis(grid, geom):
-    """Indices of the live terminal degrees of freedom for the mode."""
-    na = grid.num_age_cells
-    ages = grid.ages()
+    """Stacked indices (male 0..N, female N+1..2N+1) of the live terminal entries."""
+    size = grid.num_age_cells + 1
     if geom.mode is ControlMode.MALE_ONLY:
-        live = np.where(ages >= geom.target_min_age)[0] if geom.target_min_age > 0 \
-            else np.arange(na + 1)
-        return [("n", int(i)) for i in live]
+        return np.nonzero(grid.ages() >= geom.target_min_age)[0]
     if geom.mode is ControlMode.FEMALE_ONLY:
-        return [("l", int(i)) for i in range(na + 1)]
-    return [("n", i) for i in range(na + 1)] + [("l", i) for i in range(na + 1)]
-
-
-def _mapped_zeros(shape):
-    """Zero float array in its own anonymous mapping, unmapped when freed.
-
-    The denominator factor takes tens of MB per trace.  Freed back into
-    the malloc heap, a block that size stays resident and adds to the
-    next horizon's larger one in the peak memory of a sweep.
-    """
-    size = int(np.prod(shape))
-    buf = mmap.mmap(-1, 8 * max(1, size))
-    return np.frombuffer(buf, dtype=float, count=size).reshape(shape)
+        return np.arange(size, 2 * size)
+    return np.arange(2 * size)
 
 
 def _quadratic_forms(op):
     """Gram matrices of the (numerator, denominator) forms on the live terminal basis.
 
-    One batched adjoint sweep covers every basis vector; each level's rows
-    go straight into the form factors, so no per-vector lattice arrays are
-    kept.
+    Basis vector p is the terminal datum whose stacked entry p is 1, so its
+    work vector is theta_p times a unit vector and the forms are the
+    operator's initial and control Gramians scaled by theta_p theta_q.
     """
-    grid, mode = op.grid, op.geom.mode
-    basis = _terminal_basis(grid, op.geom)
-    dim = len(basis)
-    na, nt = grid.num_age_cells, grid.num_time_cells
-    wa = grid.age_weights()
-    h = grid.step
-    sq_wa = np.sqrt(wa)[:, None]
-    sqw_m = np.sqrt(h * h * op.mask_m[1:, None] * np.ones(nt))
-    sqw_f = np.sqrt(h * h * op.mask_f[1:, None] * np.ones(nt))
-
-    theta = wa / h
-    work_n = np.zeros((na + 1, dim))
-    work_l = np.zeros((na + 1, dim))
-    for k, (slot, i) in enumerate(basis):
-        (work_n if slot == "n" else work_l)[i, k] = theta[i]
-
-    # row k: initial energy density (slot, age) and region energy density
-    # (slot, age >= 1, level >= 1) of basis vector k
-    num_rows = np.zeros((dim, 2, na + 1))
-    den_rows = _mapped_zeros((dim, 2, na, nt))
-
-    def collect(j, n_j, l_j, l_eff_j):
-        if j == 0:
-            if mode is not ControlMode.FEMALE_ONLY:
-                num_rows[:, 0] = (sq_wa * n_j).T
-            num_rows[:, 1] = (sq_wa * l_j).T
-            return
-        if mode is not ControlMode.FEMALE_ONLY:
-            den_rows[:, 0, :, j - 1] = (sqw_m[:, j - 1, None] * n_j[1:]).T
-        if mode is not ControlMode.MALE_ONLY:
-            den_rows[:, 1, :, j - 1] = (sqw_f[:, j - 1, None] * l_eff_j[1:]).T
-
-    op.adjoint_levels(work_n, work_l, collect)
-    num_rows = num_rows.reshape(dim, -1)
-    den_rows = den_rows.reshape(dim, -1)
-    return num_rows @ num_rows.T, den_rows @ den_rows.T
+    live = _terminal_basis(op.grid, op.geom)
+    theta = np.tile(op.wa / op.grid.step, 2)[live]
+    scale = np.outer(theta, theta)
+    pairs = np.ix_(live, live)
+    return scale * op.initial_gramian()[pairs], scale * op.control_gramian()[pairs]
 
 
 def _power_iteration(op, iters):
@@ -191,9 +142,12 @@ def _power_iteration(op, iters):
     live = den_vals > null_cut
     if not np.any(live):
         return 0.0
-    whiten = den_vecs[:, live] / np.sqrt(den_vals[live])
+    root = np.sqrt(den_vals[live])
+    whiten = den_vecs[:, live] / root
     reduced = whiten.T @ num_form @ whiten
-    z = np.ones(reduced.shape[0])
+    # start from the all-ones terminal direction in whitened coordinates, so the
+    # iterates do not depend on the signs or rotations of the eigenvectors
+    z = root * (den_vecs[:, live].T @ np.ones(den_vecs.shape[0]))
     z /= np.linalg.norm(z)
     best = 0.0
     for _ in range(max(1, iters)):

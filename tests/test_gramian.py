@@ -1,5 +1,6 @@
-"""The control Gramian of a frozen-trace operator, and the penalty CG that runs
-on it in terminal coordinates, against the control-space CG loop."""
+"""The control and initial-energy Gramians of a frozen-trace operator, and the
+penalty CG that runs on the control Gramian in terminal coordinates, against
+the control-space CG loop."""
 
 from dataclasses import replace
 
@@ -68,6 +69,17 @@ def _naive_gramian(ws):
     return np.array([[ws.inner(a, b) for b in images] for a in images])
 
 
+def _naive_initial_gramian(op):
+    size = 2 * (op.grid.num_age_cells + 1)
+    wa = op.grid.age_weights()
+    rows = []
+    for p in range(size):
+        n, l, _, _ = op.adjoint(*np.split(np.eye(size)[p], 2))
+        rows.append((n[:, 0], l[:, 0]))
+    return np.array([[np.dot(wa, n_p * n_q) + np.dot(wa, l_p * l_q) for n_q, l_q in rows]
+                     for n_p, l_p in rows])
+
+
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
@@ -87,6 +99,10 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     expected = _naive_gramian(ws)
     assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert ws.op.control_gramian() is gram  # cached on the operator
+    initial = ws.op.initial_gramian()
+    expected = _naive_initial_gramian(ws.op)
+    assert np.max(np.abs(initial - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert ws.op.initial_gramian() is initial
 
 
 def test_gramian_pairs_terminal_map_and_adjoint():

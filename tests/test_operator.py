@@ -209,10 +209,8 @@ def _reference_forms(model, grid, geom, trace):
     num_rows = np.zeros((len(basis), 2 * (na + 1)))
     den_rows = np.zeros((len(basis), sqw_m.size + sqw_f.size))
     mode = geom.mode
-    for k, (slot, i) in enumerate(basis):
-        n_T = np.zeros(na + 1)
-        l_T = np.zeros(na + 1)
-        (n_T if slot == "n" else l_T)[i] = 1.0
+    for k, p in enumerate(basis):
+        n_T, l_T = np.split(np.eye(2 * (na + 1))[p], 2)
         adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=mode)
         if mode is not ControlMode.FEMALE_ONLY:
             num_rows[k, :na + 1] = sq_wa * adj.n.values[:, 0]
@@ -244,9 +242,56 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     assert [observability_ratio(model, grid, geom, n, l, trace)
             for n, l in data] == expected
 
+    # the forms come from the operator's Gramians, summed in another order
     num_form, den_form = obs._quadratic_forms(op)
     ref_num, ref_den = _reference_forms(model, grid, geom, trace)
-    assert np.array_equal(num_form, ref_num) and np.array_equal(den_form, ref_den)
+    for got, want in ((num_form, ref_num), (den_form, ref_den)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     batched = obs._power_iteration(op, 12)
     monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: (ref_num, ref_den))
-    assert obs._power_iteration(op, 12) == batched
+    assert abs(obs._power_iteration(op, 12) - batched) <= 1e-12 * batched
+
+
+def _observability_setup(mode=ControlMode.BOTH, target_min_age=0.0):
+    model = reference_model()
+    geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    return model, grid, geom, trace
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypatch):
+    model, grid, geom, trace = _observability_setup(mode, target_min_age)
+    op = FrozenOperator(model, grid, geom, trace)
+    plain = obs._power_iteration(op, 5)
+    assert np.isfinite(plain)
+    eigh = np.linalg.eigh
+
+    def flipped(matrix):
+        vals, vecs = eigh(matrix)
+        vecs[:, ::2] *= -1.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    assert abs(obs._power_iteration(op, 5) - plain) <= 1e-12 * plain
+
+
+def test_estimate_makes_two_sweeps_per_trace(monkeypatch):
+    # the probes, then the operator's Gramian sweep, which serves both forms
+    model, grid, geom, trace = _observability_setup()
+    widths = []
+    levels = FrozenOperator.adjoint_levels
+
+    def counting(self, work_n, work_l, visit):
+        widths.append(np.shape(work_n)[1])
+        return levels(self, work_n, work_l, visit)
+
+    monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting)
+    estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace], probes=4,
+                                    power_iters=3, seed=0)
+    gramian_width = 2 * min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+    assert len(widths) == 4 and widths[1::2] == [gramian_width] * 2
