@@ -88,10 +88,6 @@ class ControlResult:
     stage_history: list = dc_field(default_factory=list)
     state: StateSolution = None  # the controlled frozen-trace solve
 
-    @property
-    def target_norms(self):
-        return self.terminal_m_norm, self.terminal_f_norm
-
 
 class ControlSpace:
     """Active control degrees of freedom over one region mask."""

@@ -22,7 +22,6 @@ from .control import (FLAG_FIXED_POINT_NOT_REACHED, FLAG_TARGET_NOT_REACHED,
 from .errors import ConfigurationError
 from .forward import solve_forward
 from .model import ControlGeometry, ControlMode
-from .util import map_parallel
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,8 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
     measured sup norms, the domain length and the configured response
     Lipschitz constant.  Requires separable fertility.
     """
+    if trials < 1 or not amplitude > 0:
+        raise ConfigurationError("contraction_test needs trials >= 1 and amplitude > 0")
     fert = model.fertility
     if not fert.separable:
         raise ConfigurationError("contraction_test requires separable fertility")
@@ -183,9 +184,12 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
     beta1 = np.asarray(fert.age_profile(ages), dtype=float)
 
     shape = (grid.num_age_cells + 1, grid.num_time_cells + 1)
-
-    def one_trial(trial_seed):
-        r = np.random.default_rng(trial_seed)
+    # the metric weights need sigma_hat, known only after every trial, so each
+    # trial keeps the age-integrated squared differences per time node
+    profiles = []
+    y_sup = p_max = -np.inf
+    for k in range(trials):
+        r = np.random.default_rng(seed + 7919 * k)
         p_field = amplitude * r.random(shape)
         q_field = amplitude * r.random(shape)
         trace_p = wa @ (lam[:, None] * p_field)
@@ -194,15 +198,11 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
                               frozen_trace=trace_p)
         sol_q = solve_forward(model, grid, geom, None, None, m0, f0,
                               frozen_trace=trace_q)
-        sup = max(float(np.max(wa @ (beta1[:, None] * sol.f.values)))
-                  for sol in (sol_p, sol_q))
-        return (p_field - q_field, sol_p.m.values - sol_q.m.values, sup,
-                max(float(np.max(trace_p)), float(np.max(trace_q))))
-
-    results = map_parallel(one_trial, [seed + 7919 * k for k in range(trials)])
-    pairs = [(dp, dm) for dp, dm, _, _ in results]
-    y_sup = max(r[2] for r in results)
-    p_max = max(r[3] for r in results)
+        for sol in (sol_p, sol_q):
+            y_sup = max(y_sup, float(np.max(wa @ (beta1[:, None] * sol.f.values))))
+        p_max = max(p_max, float(np.max(trace_p)), float(np.max(trace_q)))
+        profiles.append((wa @ (p_field - q_field)**2,
+                         wa @ (sol_p.m.values - sol_q.m.values)**2))
 
     beta2_sup = float(np.max(np.abs(np.asarray(
         fert.response(np.linspace(0.0, max(p_max, 1e-12), 1025)), dtype=float))))
@@ -214,11 +214,11 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
 
     weights = grid.time_weights() * np.exp(-2.0 * sigma_hat * grid.times())
 
-    def metric(diff):
-        return float(np.sqrt(np.sum(weights * (wa @ diff**2))))
+    def metric(profile):
+        return float(np.sqrt(np.sum(weights * profile)))
 
     ratios = []
-    for dp, dm in pairs:
+    for dp, dm in profiles:
         denom = metric(dp)
         if denom == 0.0:
             continue  # identical inputs carry no information

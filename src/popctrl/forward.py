@@ -3,11 +3,12 @@ frozen-trace operator shared by the linear machinery.
 
 Each time step transports interior nodes with per-cell survival ratios,
 adds the region-masked control as a piecewise-constant source over the
-characteristic cell, evaluates the fertile-male integral at the new level,
-and closes the step with the nonlocal birth boundary.  The fertility
-argument is either the solution's own fertile-male trace (nonlinear mode)
-or a supplied frozen trace (the linear auxiliary mode used by the control
-machinery).
+characteristic cell, takes the level's fertility row, and closes the step
+with the nonlocal birth boundary.  One step loop serves both solves; only
+the source of the fertility row differs.  The nonlinear solve evaluates
+fertility at the solution's own fertile-male integral, once per level and
+before the births; the frozen-trace operator (the linear auxiliary mode
+used by the control machinery) reads it from a table built for its trace.
 
 Step order is explicit because the male weight vanishes at age zero and
 fertility vanishes below the onset age; when a scenario violates the
@@ -37,23 +38,6 @@ class StateSolution:
     fertile_male_trace: np.ndarray  # integral of weight * m per time node
     birth_trace: np.ndarray         # integral of fertility * f per time node
     frozen_trace: np.ndarray = None  # trace the fertility was evaluated at, None if nonlinear
-
-
-def transport_tables(model, grid):
-    """Per-cell survival ratios, nodal weights and masks shared by the solvers."""
-    ages = grid.ages()
-    na = grid.num_age_cells
-    s_m = np.zeros(na + 1)
-    s_f = np.zeros(na + 1)
-    ints_m = model.mortality_integral("male", ages)
-    ints_f = model.mortality_integral("female", ages)
-    s_m[1:] = np.exp(ints_m[:-1] - ints_m[1:])
-    s_f[1:] = np.exp(ints_f[:-1] - ints_f[1:])
-    s_m[na] = model.last_cell_survival
-    s_f[na] = model.last_cell_survival
-    lam = np.asarray(model.male_fertility_weight(ages), dtype=float)
-    wa = grid.age_weights()
-    return {"ages": ages, "s_m": s_m, "s_f": s_f, "lam": lam, "wa": wa}
 
 
 def control_masks(grid, geom):
@@ -100,36 +84,30 @@ def fertile_male_integral(values, model, grid):
     return float(np.dot(grid.age_weights(), lam * arr))
 
 
-class FrozenOperator:
-    """The linear frozen-trace map and its exact transpose, for one trace.
+class _Transport:
+    """The trace-independent tables of the sweeps, and the forward step loop.
 
     Holds the survival ratios, the male fertility weight, the trapezoid
-    weights, the control masks and the fertility table beta(., trace[j])
-    of every time level, so the sweeps evaluate no rate function.
-
-    Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
-    independent right-hand sides; results keep the column axis last.
+    weights, the control masks and the female fraction; the nonlinear solve
+    and every frozen-trace operator build them here.
     """
 
-    def __init__(self, model, grid, geom, trace):
-        trace = np.array(trace, dtype=float)
-        if trace.shape != (grid.num_time_cells + 1,):
-            raise DimensionError(f"frozen trace has shape {trace.shape}, "
-                                 f"expected ({grid.num_time_cells + 1},)")
+    def __init__(self, model, grid, geom):
         self.grid = grid
         self.geom = geom
-        self.trace = trace
-        tables = transport_tables(model, grid)
-        self.s_m, self.s_f, self.lam, self.wa = (
-            tables[k] for k in ("s_m", "s_f", "lam", "wa"))
+        self.ages = grid.ages()
+        na = grid.num_age_cells
+        ints_m = model.mortality_integral("male", self.ages)
+        ints_f = model.mortality_integral("female", self.ages)
+        self.s_m = np.zeros(na + 1)
+        self.s_f = np.zeros(na + 1)
+        self.s_m[1:] = np.exp(ints_m[:-1] - ints_m[1:])
+        self.s_f[1:] = np.exp(ints_f[:-1] - ints_f[1:])
+        self.s_m[na] = self.s_f[na] = model.last_cell_survival
+        self.lam = np.asarray(model.male_fertility_weight(self.ages), dtype=float)
+        self.wa = grid.age_weights()
         self.mask_m, self.mask_f = control_masks(grid, geom)
         self.gamma = model.female_fraction
-        ages = tables["ages"]
-        self.beta = np.array([np.asarray(model.fertility(ages, p), dtype=float)
-                              for p in self.trace])
-        # one boundary sweep per level: exact when fertility vanishes at age zero
-        self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
-        self._gramian_cache = None
 
     @staticmethod
     def _block(values, extra_dims=0):
@@ -144,13 +122,14 @@ class FrozenOperator:
     def _unblock(arrays, single):
         return tuple(a[..., 0] for a in arrays) if single else arrays
 
-    def forward(self, m0, f0, v_m=None, v_f=None):
+    def _step_loop(self, m0, f0, v_m, v_f, fertility_row):
         """Forward sweep; returns (m, f, fertile-male trace, birth trace).
 
-        ``m0``/``f0`` are (N+1,) or (N+1, k); controls are None or full
-        lattice arrays of shape (N+1, Nt+1) or (N+1, Nt+1, k) to match.
-        Raises NumericalFailure with the step index if the solution stops
-        being finite.
+        ``fertility_row(j, male)`` returns the fertility over the age nodes
+        at level j; ``male`` is the male block its argument would integrate:
+        the whole initial block at level 0, the transported interior rows
+        before the births at level j >= 1.  Shapes as in
+        ``FrozenOperator.forward``.
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
@@ -159,7 +138,8 @@ class FrozenOperator:
         vm = None if v_m is None else self._block(v_m, extra_dims=1)
         vf = None if v_f is None else self._block(v_f, extra_dims=1)
         k = m0.shape[1]
-        s_m, s_f, lam, wa = self.s_m, self.s_f, self.lam, self.wa
+        s_m, s_f = self.s_m[1:, None], self.s_f[1:, None]
+        lam, wa = self.lam, self.wa
         gamma = self.gamma
         hmask_m = (h * self.mask_m[1:])[:, None]
         hmask_f = (h * self.mask_f[1:])[:, None]
@@ -173,37 +153,73 @@ class FrozenOperator:
         # interior weights exclude node 0: the male weight and the fertility both
         # contribute nothing there under the standing hypotheses
         wa_int = wa[1:]
-        births = np.zeros(k)
 
-        beta0 = self.beta[0]
+        beta = fertility_row(0, m0)
+        # one boundary sweep: exact when fertility vanishes at age zero
+        factor = 1.0 + gamma * wa[0] * beta[0]
         for c in range(k):
             male_trace[0, c] = float(np.dot(wa, lam * m0[:, c]))
-            birth0 = float(np.dot(wa_int, beta0[1:] * f0[1:, c]))
-            birth_trace[0, c] = self.boundary_factor[0] * birth0
+            birth0 = float(np.dot(wa_int, beta[1:] * f0[1:, c]))
+            birth_trace[0, c] = factor * birth0
 
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(nt):
-                mt = s_m[1:, None] * m[:-1, n]
-                ft = s_f[1:, None] * f[:-1, n]
+                mt = s_m * m[:-1, n]
+                ft = s_f * f[:-1, n]
                 if vm is not None:
                     mt = mt + hmask_m * vm[1:, n + 1]
                 if vf is not None:
                     ft = ft + hmask_f * vf[1:, n + 1]
-                beta_int = self.beta[n + 1, 1:]
-                for c in range(k):
-                    births[c] = np.dot(wa_int, beta_int * ft[:, c])
-                births *= self.boundary_factor[n + 1]
-                m[0, n + 1] = (1.0 - gamma) * births
-                f[0, n + 1] = gamma * births
+                beta = fertility_row(n + 1, mt)
+                beta_int = beta[1:]
+                factor = 1.0 + gamma * wa[0] * beta[0]
                 m[1:, n + 1] = mt
                 f[1:, n + 1] = ft
-                birth_trace[n + 1] = births
                 for c in range(k):
+                    births = float(np.dot(wa_int, beta_int * ft[:, c])) * factor
+                    m[0, n + 1, c] = (1.0 - gamma) * births
+                    f[0, n + 1, c] = gamma * births
+                    birth_trace[n + 1, c] = births
                     male_trace[n + 1, c] = float(np.dot(wa, lam * m[:, n + 1, c]))
                 if not (np.isfinite(m[:, n + 1]).all() and np.isfinite(f[:, n + 1]).all()):
                     raise NumericalFailure(
                         f"forward solve lost finiteness at step {n + 1}", step=n + 1)
         return self._unblock((m, f, male_trace, birth_trace), single)
+
+
+class FrozenOperator(_Transport):
+    """The linear frozen-trace map and its exact transpose, for one trace.
+
+    Holds the trace-independent tables and the fertility table
+    beta(., trace[j]) of every time level, so the sweeps evaluate no rate
+    function.
+
+    Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
+    independent right-hand sides; results keep the column axis last.
+    """
+
+    def __init__(self, model, grid, geom, trace):
+        trace = np.array(trace, dtype=float)
+        if trace.shape != (grid.num_time_cells + 1,):
+            raise DimensionError(f"frozen trace has shape {trace.shape}, "
+                                 f"expected ({grid.num_time_cells + 1},)")
+        super().__init__(model, grid, geom)
+        self.trace = trace
+        self.beta = np.array([np.asarray(model.fertility(self.ages, p), dtype=float)
+                              for p in self.trace])
+        # one boundary sweep per level, as in the forward step loop
+        self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
+        self._gramian_cache = None
+
+    def forward(self, m0, f0, v_m=None, v_f=None):
+        """Forward sweep; returns (m, f, fertile-male trace, birth trace).
+
+        ``m0``/``f0`` are (N+1,) or (N+1, k); controls are None or full
+        lattice arrays of shape (N+1, Nt+1) or (N+1, Nt+1, k) to match.
+        Raises NumericalFailure with the step index if the solution stops
+        being finite.
+        """
+        return self._step_loop(m0, f0, v_m, v_f, lambda j, male: self.beta[j])
 
     def state(self, m0, f0, v_m=None, v_f=None):
         """Single-column forward sweep packaged as a StateSolution."""
@@ -427,51 +443,17 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
     if frozen_trace is not None:
         return FrozenOperator(model, grid, geom, frozen_trace).state(m0, f0, vm, vf)
 
-    na, nt = grid.num_age_cells, grid.num_time_cells
-    h = grid.step
-    tables = transport_tables(model, grid)
-    ages, s_m, s_f, lam, wa = (tables[k] for k in ("ages", "s_m", "s_f", "lam", "wa"))
-    mask_m, mask_f = control_masks(grid, geom)
+    transport = _Transport(model, grid, geom)
+    ages, lam, wa = transport.ages, transport.lam, transport.wa
 
-    gamma = model.female_fraction
-    m = np.zeros((na + 1, nt + 1))
-    f = np.zeros((na + 1, nt + 1))
-    m[:, 0] = m0
-    f[:, 0] = f0
-    male_trace = np.zeros(nt + 1)
-    birth_trace = np.zeros(nt + 1)
-    # interior weights exclude node 0: the male weight and the fertility both
-    # contribute nothing there under the standing hypotheses
-    wa_int = wa[1:]
+    def fertility_row(j, male):
+        # level 0 weighs the whole initial profile, later levels the
+        # transported interior rows before the births
+        cut = 0 if j == 0 else 1
+        level_p = float(np.dot(wa[cut:], lam[cut:] * male[:, 0]))
+        return np.asarray(model.fertility(ages, level_p), dtype=float)
 
-    male_trace[0] = float(np.dot(wa, lam * m0))
-    beta0 = np.asarray(model.fertility(ages, male_trace[0]), dtype=float)
-    birth0 = float(np.dot(wa[1:], beta0[1:] * f0[1:]))
-    birth_trace[0] = (1.0 + gamma * wa[0] * beta0[0]) * birth0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(nt):
-            mt = s_m[1:] * m[:-1, n]
-            ft = s_f[1:] * f[:-1, n]
-            if vm is not None:
-                mt = mt + h * mask_m[1:] * vm[1:, n + 1]
-            if vf is not None:
-                ft = ft + h * mask_f[1:] * vf[1:, n + 1]
-            level_p = float(np.dot(wa_int, lam[1:] * mt))
-            beta = np.asarray(model.fertility(ages, level_p), dtype=float)
-            births = float(np.dot(wa_int, beta[1:] * ft))
-            # one boundary sweep: exact when fertility vanishes at age zero
-            births *= 1.0 + gamma * wa[0] * beta[0]
-            m[0, n + 1] = (1.0 - gamma) * births
-            f[0, n + 1] = gamma * births
-            m[1:, n + 1] = mt
-            f[1:, n + 1] = ft
-            birth_trace[n + 1] = births
-            male_trace[n + 1] = float(np.dot(wa, lam * m[:, n + 1]))
-            if not (np.isfinite(m[:, n + 1]).all() and np.isfinite(f[:, n + 1]).all()):
-                raise NumericalFailure(
-                    f"forward solve lost finiteness at step {n + 1}", step=n + 1)
-
+    m, f, male_trace, birth_trace = transport._step_loop(m0, f0, vm, vf, fertility_row)
     return StateSolution(
         m=Field2D(grid, m), f=Field2D(grid, f),
         fertile_male_trace=male_trace, birth_trace=birth_trace,

@@ -1,37 +1,7 @@
-"""Small shared helpers: worker pool sizing, deterministic serialization."""
+"""Deterministic serialization helpers: canonical JSON, hashing, file output."""
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def worker_count(task_count=None):
-    """Worker cap from POPCTRL_THREADS (default: up to 4, bounded by the CPU count)."""
-    cap = min(4, os.cpu_count() or 1)
-    env = os.environ.get("POPCTRL_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-    if task_count is not None:
-        cap = min(cap, max(1, task_count))
-    return cap
-
-
-def map_parallel(fn, items):
-    """Order-preserving map over independent work items.
-
-    Runs on a thread pool when more than one worker is allowed; results are
-    collected by index so the output is deterministic either way.
-    """
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def canonical_json(obj):

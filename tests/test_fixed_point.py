@@ -142,3 +142,12 @@ class TestContraction:
         report = contraction_test(model, grid, m0, f0, trials=25, seed=0)
         assert len(report.ratios) == 25  # no degenerate pairs with this rng
         assert report.max_ratio <= report.bound
+
+    @pytest.mark.parametrize("trials, amplitude", [(0, 1.0), (-1, 1.0), (3, 0.0),
+                                                   (3, -0.5), (3, float("nan"))])
+    def test_rejects_empty_or_zero_probe(self, grid, trials, amplitude):
+        # no trial, or fields that are zero or negative, carry no contraction information
+        m0, f0 = reference_data(grid)
+        with pytest.raises(ConfigurationError):
+            contraction_test(reference_model(), grid, m0, f0, trials=trials,
+                             amplitude=amplitude)

@@ -175,6 +175,28 @@ def test_trace_map_evaluates_fertility_once_per_level():
     assert calls == list(1.1 * trace)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_nonlinear_solve_is_the_frozen_step_at_its_own_arguments(mode):
+    # one step loop: the nonlinear solve evaluates fertility once per level and
+    # is the frozen-trace sweep at the arguments it evaluated
+    model, calls = _counting(random_nonneg_model(3))
+    geom = _geometry(mode)
+    grid = build_grid(1.0, 0.5, 1.0 / 16)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    r = np.random.default_rng(23)
+    m0, f0 = r.random(na + 1), r.random(na + 1)
+    vm = r.standard_normal((na + 1, nt + 1)) if mode is not ControlMode.FEMALE_ONLY else None
+    vf = r.standard_normal((na + 1, nt + 1)) if mode is not ControlMode.MALE_ONLY else None
+    nonlinear = solve_forward(model, grid, geom, vm, vf, m0, f0)
+    assert len(calls) == nt + 1
+    recorded = list(calls)
+    frozen = FrozenOperator(model, grid, geom, recorded).state(m0, f0, vm, vf)
+    assert np.array_equal(frozen.m.values, nonlinear.m.values)
+    assert np.array_equal(frozen.f.values, nonlinear.f.values)
+    assert np.array_equal(frozen.fertile_male_trace, nonlinear.fertile_male_trace)
+    assert np.array_equal(frozen.birth_trace, nonlinear.birth_trace)
+
+
 # -- batched observability against one solve_adjoint per terminal datum --------
 
 
