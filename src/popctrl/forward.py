@@ -19,7 +19,9 @@ For a frozen trace the map is linear, and `FrozenOperator` holds everything
 its forward sweep and exact transpose need, built once per trace.  Both
 sweeps take a single age profile or an (N+1) x k block of columns; every
 per-column operation is the one the single-column sweep performs, so a
-block sweep equals k single sweeps bit for bit.
+block sweep equals k single sweeps bit for bit.  The operator's control and
+initial Gramians come from one such sweep with a single column per terminal
+age young enough to reach age 0 (see `FrozenOperator._assemble_gramians`).
 """
 
 from dataclasses import dataclass
@@ -335,18 +337,27 @@ class FrozenOperator(_Transport):
         return c
 
     def _assemble_gramians(self):
-        """One batched sweep of 2 min(Nt, N+1) + 2 columns, laid out by transport.
+        """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
 
-        The male row has no source, and a terminal age a >= Nt reaches age 0
-        only at level 0, after the last feedback.  So the unit vectors of
-        those ages stay one transported spike per level, in row a - (Nt - j)
-        at level j.  All spikes of one slot ride in one column without
-        sharing a row: their diagonal entries and their products with the
-        other columns are read off that row.  Only the 2 min(Nt, N+1)
-        younger unit vectors, whose spike triggers the nonlocal feedback,
-        need a dense product per level.  The control Gramian sums the
-        region-weighted rows (n_j, l_eff_j) of the levels j >= 1, the
-        initial one the trapezoid-weighted rows (n_0, l_0) of level 0.
+        The male row has no source, so until terminal age p reaches age 0, at
+        level Nt - p, both of its unit vectors stay single transported
+        spikes, in row p - (Nt - j) of their slot at level j.  A terminal age
+        p >= Nt reaches age 0 only at level 0, after the last feedback, so
+        its spikes never end.  All those older spikes of one slot ride in one
+        column without sharing a row.  Each of the min(Nt, N+1) younger ages
+        gets one column that starts from its unit vector in both slots: at
+        level Nt - p its two spikes, of values s_m and s_f there, inject one
+        birth source, and from then on the column carries the response R_p
+        to it, in the female rows only.  From that level on, the male unit
+        vector's image is a_p R_p and the female one's b_p R_p, with
+        a_p = (1 - gamma) s_m / ((1 - gamma) s_m + gamma s_f) and
+        b_p = gamma s_f / ((1 - gamma) s_m + gamma s_f) = 1 - a_p.  So the
+        dense product runs over the female rows of the live columns only; the
+        spikes' squares, and the products of the female spikes with the live
+        columns, are read off single rows; and (a, b) expand the result to
+        both slots.  The control Gramian sums the region-weighted rows
+        (n_j, l_eff_j) of the levels j >= 1, the initial one the
+        trapezoid-weighted rows (n_0, l_0) of level 0.
 
         Returns (control Gramian, initial Gramian, (dense, spike) indices).
         """
@@ -354,78 +365,102 @@ class FrozenOperator(_Transport):
         h = self.grid.step
         size = na + 1
         young = min(nt, size)
-        dense = 2 * young
-        work_n = np.zeros((size, dense + 2))
-        work_l = np.zeros((size, dense + 2))
-        work_n[:young, :young] = np.eye(young)
-        work_l[:young, young:dense] = np.eye(young)
-        work_n[young:, dense] = 1.0
-        work_l[young:, dense + 1] = 1.0
+        work_n = np.zeros((size, young + 2))
+        work_l = np.zeros((size, young + 2))
+        work_n[:young, :young] = work_l[:young, :young] = np.eye(young)
+        work_n[young:, young] = 1.0
+        work_l[young:, young + 1] = 1.0
 
         # the age-zero node never couples to the controls
         region_m, region_f = self.mask_m.copy(), self.mask_f.copy()
         region_m[0] = region_f[0] = 0.0
-        control = _TransportGram(size, nt, h, region_m, region_f)
-        initial = _TransportGram(size, nt, 1.0, self.wa, self.wa)
+        control = _LiveGram(size, nt, h, region_m, region_f)
+        initial = _LiveGram(size, nt, 1.0, self.wa, self.wa)
+        reached = np.zeros((2, young))  # (s_m, s_f) of each young age at age 0
 
         def collect(j, n_j, l_j, l_eff_j):
             if j == 0:
                 initial.add(j, n_j, l_j)
-            else:
-                control.add(j, n_j, l_eff_j)
+                return
+            if nt - j < young:
+                reached[:, nt - j] = n_j[0, nt - j], l_j[0, nt - j]
+            control.add(j, n_j, l_eff_j)
 
         self.adjoint_levels(work_n, work_l, collect)
+        gamma = self.gamma
+        births = (1.0 - gamma) * reached[0] + gamma * reached[1]
+        # a column whose spikes die before age 0 has no response: any split serves
+        split = np.zeros((2, young))
+        np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
+        np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
         blocks = (np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size])
-        return control.matrix(*blocks), initial.matrix(*blocks), blocks
+        return control.matrix(*split), initial.matrix(*split), blocks
 
 
-class _TransportGram:
-    """Weighted Gram sums of the terminal unit vectors over the levels of a sweep.
+class _LiveGram:
+    """Weighted Gram sums over the levels of the sweep of ``_assemble_gramians``.
 
-    Accumulates sum over the visited levels and ages of
-    (scale^2 * weight_n * n_p * n_q + scale^2 * weight_l * l_p * l_q) for the
-    column layout of ``FrozenOperator._assemble_gramians``: dense unit-vector
-    columns first, then one spike column per slot.
+    With weights scale^2 * weight_n and scale^2 * weight_l, accumulates the
+    female-row Gram matrix of the live young columns, the products of every
+    female spike with the live columns, and the squares of the spikes of
+    both slots; ``matrix`` expands them to the 2(N+1) x 2(N+1) Gramian of
+    the terminal unit vectors.
     """
 
     def __init__(self, size, nt, scale, weight_n, weight_l):
         self.size, self.nt = size, nt
-        self.young = min(nt, size)
-        self.dense = 2 * self.young
-        self.rows_n = np.nonzero(weight_n)[0]
+        self.young = young = min(nt, size)
         self.rows_l = np.nonzero(weight_l)[0]
-        self.root_n = (scale * np.sqrt(weight_n[self.rows_n]))[:, None]
         self.root_l = (scale * np.sqrt(weight_l[self.rows_l]))[:, None]
         self.wq_n, self.wq_l = scale * scale * weight_n, scale * scale * weight_l
-        self.region = np.empty((self.rows_n.size + self.rows_l.size, self.dense))
-        self.gram_dense = np.zeros((self.dense, self.dense))
-        # rows: stacked spike index (slot, age); columns: the dense unit vectors
-        self.spike_cross = np.zeros((2 * size, self.dense))
-        self.spike_diag = np.zeros(2 * size)
+        self.region = np.empty(self.rows_l.size * young)
+        self.gram_live = np.zeros((young, young))
+        # rows: female spike by terminal age; columns: the live young columns
+        self.spike_cross = np.zeros((size, young))
+        self.spike_diag = np.zeros((2, size))
+        # the sweep column that carries the spike of each terminal age, per slot
+        ages = np.arange(size)
+        self.col_n = np.minimum(ages, young)
+        self.col_l = np.where(ages < young, ages, young + 1)
 
     def add(self, j, n_rows, l_rows):
-        size, young, dense, split = self.size, self.young, self.dense, self.rows_n.size
-        np.multiply(self.root_n, n_rows[self.rows_n, :dense], out=self.region[:split])
-        np.multiply(self.root_l, l_rows[self.rows_l, :dense], out=self.region[split:])
-        np.add(self.gram_dense, self.region.T @ self.region, out=self.gram_dense)
-        if young == size:
-            return
-        # at level j, row a - (nt - j) carries the spike of terminal age a
-        span = slice(young - self.nt + j, size - self.nt + j)
-        for slot, rows, wq, col in ((0, n_rows, self.wq_n, dense),
-                                    (size, l_rows, self.wq_l, dense + 1)):
-            spike = rows[span, col]
-            weighted = wq[span] * spike
-            ages = slice(slot + young, slot + size)
-            self.spike_diag[ages] += weighted * spike
-            self.spike_cross[ages] += weighted[:, None] * rows[span, :dense]
+        shift = self.nt - j
+        # the young columns p <= Nt - j have reached age 0
+        live = min(shift + 1, self.young)
+        region = self.region[:self.rows_l.size * live].reshape(-1, live)
+        np.multiply(self.root_l, l_rows[self.rows_l, :live], out=region)
+        gram = self.gram_live[:live, :live]
+        np.add(gram, region.T @ region, out=gram)
+        # every other terminal age p is a spike in row p - (Nt - j) of each slot
+        rows = np.arange(max(live - shift, 0), self.size - shift)
+        ages = rows + shift
+        spike_n = n_rows[rows, self.col_n[ages]]
+        spike_l = l_rows[rows, self.col_l[ages]]
+        weighted = self.wq_l[rows] * spike_l
+        self.spike_diag[0, ages] += self.wq_n[rows] * spike_n * spike_n
+        self.spike_diag[1, ages] += weighted * spike_l
+        self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
-    def matrix(self, dense_idx, spike_idx):
-        gram = np.zeros((2 * self.size, 2 * self.size))
-        gram[np.ix_(dense_idx, dense_idx)] = self.gram_dense
-        gram[np.ix_(spike_idx, dense_idx)] = self.spike_cross[spike_idx]
-        gram[np.ix_(dense_idx, spike_idx)] = self.spike_cross[spike_idx].T
-        gram[spike_idx, spike_idx] = self.spike_diag[spike_idx]
+    def matrix(self, a, b):
+        """The Gramian of the terminal unit vectors, the male image of young age
+        p being a_p times its column's response and the female one b_p times."""
+        size, young = self.size, self.young
+        male, female, old = (slice(0, young), slice(size, size + young),
+                             slice(size + young, 2 * size))
+        live, cross = self.gram_live, self.spike_cross
+        # pair[p, q]: the female spike of age q against the live column p
+        pair = cross[:young].T
+        female_pair = b[:, None] * pair
+        gram = np.zeros((2 * size, 2 * size))
+        gram[male, male] = np.outer(a, a) * live
+        gram[male, female] = np.outer(a, b) * live + a[:, None] * pair
+        gram[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
+        gram[old, male] = cross[young:] * a
+        gram[old, female] = cross[young:] * b
+        gram[female, male] = gram[male, female].T
+        gram[male, old] = gram[old, male].T
+        gram[female, old] = gram[old, female].T
+        gram[np.diag_indices_from(gram)] += self.spike_diag.ravel()
         return gram
 
 

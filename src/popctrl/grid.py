@@ -135,18 +135,19 @@ def region_mask(grid, lo, hi):
 
 
 def write_field_csv(path, field):
-    """Dump as 'age,time,value' rows, time-major then age."""
+    """Dump as 'age,time,value' rows, time-major then age.
+
+    The bytes are those of ``csv.writer``'s default dialect: no formatted
+    number needs quoting, and every line ends in CR LF.  Each age string is
+    formatted once per field and each time string once per level.
+    """
     grid = field.grid
-    ages = grid.ages()
-    times = grid.times()
+    ages = [f"{a:.17g}," for a in grid.ages().tolist()]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["age", "time", "value"])
-        for n in range(grid.num_time_cells + 1):
-            t = times[n]
-            for i in range(grid.num_age_cells + 1):
-                writer.writerow([f"{ages[i]:.17g}", f"{t:.17g}",
-                                 f"{field.values[i, n]:.17g}"])
+        handle.write("age,time,value\r\n")
+        for t, column in zip(grid.times().tolist(), field.values.T.tolist()):
+            stamp = f"{t:.17g},"
+            handle.write("".join([f"{a}{stamp}{v:.17g}\r\n" for a, v in zip(ages, column)]))
 
 
 def read_field_csv(path, grid):

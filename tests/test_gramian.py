@@ -105,6 +105,30 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     assert ws.op.initial_gramian() is initial
 
 
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+@pytest.mark.parametrize("horizon", [0.35, 1.0, 1.3])  # 1.3: no terminal age is older
+@pytest.mark.parametrize("last_cell_survival", [0.0, 0.5])
+@pytest.mark.parametrize("female_fraction", [0.05, 0.95])
+def test_birth_source_split_matches_pairwise_adjoint_images(mode, target_min_age, horizon,
+                                                            last_cell_survival,
+                                                            female_fraction):
+    # the male and female images of a young terminal age are the (a, b) shares
+    # of one birth response; a lopsided female fraction makes one share tiny,
+    # and a dead last cell gives the oldest age no response at all
+    model = replace(reference_model(gamma=female_fraction),
+                    last_cell_survival=last_cell_survival)
+    geom = _geometry(mode, horizon, target_min_age)
+    grid = build_grid(1.0, horizon, 1.0 / 16)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    ws = _Workspace(PenaltyProblem(mode=mode), model, grid, geom, trace, m0, f0)
+    for gram, expected in ((ws.op.control_gramian(), _naive_gramian(ws)),
+                           (ws.op.initial_gramian(), _naive_initial_gramian(ws.op))):
+        assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_gramian_pairs_terminal_map_and_adjoint():
     # <L* u, x> = h u . L x, so G = h L L*
     model = reference_model()

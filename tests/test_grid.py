@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 
@@ -117,6 +119,24 @@ def test_field_roundtrip(tmp_path):
     write_field_csv(path, field)
     loaded = read_field_csv(path, g)
     assert np.array_equal(loaded.values, field.values)
+
+
+def test_field_csv_bytes_match_csv_writer(tmp_path):
+    g = build_grid(1.0, 0.5, 0.125)
+    special = [0.0, -0.0, 1e-5, 5e-324, 1e300, -1e300]
+    values = np.random.default_rng(1).standard_normal((g.num_age_cells + 1,
+                                                       g.num_time_cells + 1))
+    values.flat[:len(special)] = special
+    path = os.path.join(tmp_path, "field.csv")
+    write_field_csv(path, Field2D.from_values(g, values))
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["age", "time", "value"])
+    for n, t in enumerate(g.times()):
+        for i, a in enumerate(g.ages()):
+            writer.writerow([f"{a:.17g}", f"{t:.17g}", f"{values[i, n]:.17g}"])
+    with open(path, "rb") as handle:
+        assert handle.read() == reference.getvalue().encode()
 
 
 def test_field_rejects_non_finite():

@@ -315,5 +315,5 @@ def test_estimate_makes_two_sweeps_per_trace(monkeypatch):
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting)
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace], probes=4,
                                     power_iters=3, seed=0)
-    gramian_width = 2 * min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+    gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
     assert len(widths) == 4 and widths[1::2] == [gramian_width] * 2

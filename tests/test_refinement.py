@@ -5,12 +5,14 @@ These record sequences rather than fixed bounds; run with ``-s`` to see them.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from popctrl import (build_grid, estimate_observability_constant, load_scenario,
-                     solve_forward, synthesize_null_control)
+from popctrl import (ControlMode, build_grid, estimate_observability_constant,
+                     integrate_age, iterate_to_fixed_point, load_scenario, solve_forward,
+                     synthesize_null_control)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "example.json")
 
@@ -55,3 +57,38 @@ def test_observability_estimate_settles_under_refinement():
     assert all(math.isfinite(e) and e > 0 for e in estimates)
     increments = np.abs(np.diff(estimates))
     assert increments[1] < increments[0]
+
+
+def _total_after_max_age(scenario, grid, m, f):
+    """Total population after an uncontrolled nonlinear solve of length A from (m, f)."""
+    max_age = scenario.model.max_age
+    later = build_grid(max_age, max_age, grid.step)
+    assert later.step == grid.step
+    state = solve_forward(scenario.model, later, replace(scenario.geometry, horizon=max_age),
+                          None, None, m, f)
+    return integrate_age(state.m.values[:, -1] + state.f.values[:, -1], later)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_population_dies_out_one_max_age_after_control(mode):
+    # the paper's claim: once one sex is null-controlled at T, the whole
+    # population is extinct by T + A, A the maximal age
+    scenario = load_scenario(EXAMPLE)
+    geom = replace(scenario.geometry, mode=mode)
+    problem = replace(scenario.penalty, mode=mode)
+    fixed_point = replace(scenario.fixed_point, omega=1.0)
+    rows = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        grid = build_grid(scenario.model.max_age, geom.horizon, h)
+        m0, f0 = scenario.sample_initial(grid)
+        state, result, nonlinear = iterate_to_fixed_point(scenario.model, grid, geom,
+                                                          problem, fixed_point, m0, f0)
+        assert state.converged and not result.flags
+        controlled = _total_after_max_age(scenario, grid, nonlinear.m.values[:, -1],
+                                          nonlinear.f.values[:, -1])
+        uncontrolled = _total_after_max_age(scenario, grid, m0, f0)
+        rows.append((grid.num_age_cells, controlled, uncontrolled))
+    print(f"{mode.value} total at T + A, controlled / uncontrolled:",
+          " -> ".join(f"{c:.3g} / {u:.3g} ({na} cells)" for na, c, u in rows))
+    assert all(c <= 1e-3 * u for _, c, u in rows)
