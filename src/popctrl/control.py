@@ -210,14 +210,22 @@ class _Workspace:
         L* is the adjoint of the terminal map L (zero data) in the pairing
         <L* u, x> = h * u . L x, so ``op.control_gramian()`` is h L L*.
         """
+        return self.adjoint_images(work)[0]
+
+    def adjoint_images(self, *works):
+        """``adjoint_image`` of each work vector, from one batched sweep."""
         size = self.zero_profile.size
-        _, _, n_eff, l_eff = self.op.adjoint(work[:size], work[size:])
-        out = []
-        if self.male is not None:
-            out.append(n_eff[self.male.idx, 1:])
-        if self.female is not None:
-            out.append(l_eff[self.female.idx, 1:])
-        return out
+        block = np.stack(works, axis=1)
+        _, _, n_eff, l_eff = self.op.adjoint(block[:size], block[size:])
+        images = []
+        for c in range(len(works)):
+            image = []
+            if self.male is not None:
+                image.append(n_eff[self.male.idx, 1:, c])
+            if self.female is not None:
+                image.append(l_eff[self.female.idx, 1:, c])
+            images.append(image)
+        return images
 
     def penalty_weights(self):
         """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
@@ -252,6 +260,21 @@ class _Workspace:
     def rhs(self):
         state = self.forward([s.zeros() for s in self.spaces], with_data=True)
         return self.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], -1.0)
+
+    def rhs_and_hessian(self, packed):
+        """(``rhs()``, ``apply_hessian(packed)``) from one forward and one
+        adjoint sweep of two columns: the data with zero control, and zero
+        data with the control ``packed``."""
+        zero = self.zero_profile
+        zeros = self.fields_from_packed([s.zeros() for s in self.spaces])
+        controls = [None if v is None else np.stack([v0, v], axis=-1)
+                    for v0, v in zip(zeros, self.fields_from_packed(packed))]
+        m, f, _, _ = self.op.forward(np.stack([self.m0, zero], axis=1),
+                                     np.stack([self.f0, zero], axis=1), *controls)
+        weights = self.penalty_weights()
+        y0, y = (np.concatenate([m[:, -1, c], f[:, -1, c]]) for c in (0, 1))
+        b, adj = self.adjoint_images(-weights * y0, weights * y)
+        return b, [p + a for p, a in zip(packed, adj)]
 
     def inner(self, x, y):
         return sum(s.inner(a, b) for s, a, b in zip(self.spaces, x, y))
@@ -313,10 +336,12 @@ def _terminal_cg(ws, r0, rho0, tol, max_iters):
     anchor term cancels against L* c as the residual shrinks, for cold
     starts and for warm starts from another trace alike.  Once the formula
     puts the residual below the tolerance, one adjoint sweep forms it and
-    the stopping test uses its norm.
+    the stopping test uses its norm; the same sweep forms L* of the current
+    c_x, which is the last term of the solution when the loop ends there.
 
-    Returns (sigma, c) of the solution sigma * u + L* c of H x = r0, u, the
-    residual norm history and the final squared residual norm.
+    Returns (sigma, c) of the solution sigma * u + L* c of H x = r0, u,
+    L* c (None when the loop did not end on that check), the residual norm
+    history and the final squared residual norm.
     """
     h = ws.grid.step
     gram = ws.op.control_gramian()
@@ -334,7 +359,7 @@ def _terminal_cg(ws, r0, rho0, tol, max_iters):
         return s1 * s2 * rho_u + h * (s1 * np.dot(c2, t_u) + s2 * np.dot(c1, t_u)) \
             + float(np.dot(c2, gc1))
 
-    sigma_x, c_x = 0.0, np.zeros_like(weights)
+    sigma_x, c_x, image_x = 0.0, np.zeros_like(weights), None
     sigma_r, gc_r = 1.0, gram @ c_r
     sigma_d, c_d, gc_d = sigma_r, c_r.copy(), gc_r.copy()
     rho = rho0
@@ -348,13 +373,15 @@ def _terminal_cg(ws, r0, rho0, tol, max_iters):
         alpha = rho / dq
         sigma_x += alpha * sigma_d
         c_x += alpha * c_d
+        image_x = None
         sigma_r -= alpha * sigma_d
         c_r -= alpha * c_q
         gc_r -= alpha * gc_q
         rho_new = inner(sigma_r, c_r, gc_r, sigma_r, c_r)
         if rho_new <= tol * tol:
             # near the tolerance the formula's terms cancel: stop on the residual itself
-            r = [sigma_r * ui + li for ui, li in zip(u, ws.adjoint_image(c_r))]
+            image_r, image_x = ws.adjoint_images(c_r, c_x)
+            r = [sigma_r * ui + li for ui, li in zip(u, image_r)]
             rho_new = ws.inner(r, r)
         beta = rho_new / rho
         sigma_d = sigma_r + beta * sigma_d
@@ -362,7 +389,7 @@ def _terminal_cg(ws, r0, rho0, tol, max_iters):
         gc_d = gc_r + beta * gc_d
         rho = rho_new
         history.append(float(np.sqrt(rho)))
-    return sigma_x, c_x, u, history, rho
+    return sigma_x, c_x, u, image_x, history, rho
 
 
 def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
@@ -382,23 +409,27 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
-    b = ws.rhs()
-    norm_b = np.sqrt(ws.inner(b, b))
     if v_init is None:
+        b = ws.rhs()
         x = [s.zeros() for s in ws.spaces]
         r0 = b
     else:
         x = [p.copy() for p in v_init]
-        r0 = [bi - hi for bi, hi in zip(b, ws.apply_hessian(x))]
+        b, hx = ws.rhs_and_hessian(x)
+        r0 = [bi - hi for bi, hi in zip(b, hx)]
+    norm_b = np.sqrt(ws.inner(b, b))
     rho = ws.inner(r0, r0)
     cg_trace = [float(np.sqrt(rho))]
     tol = problem.cg_tol * norm_b
     iterations = 0
     if np.sqrt(rho) > tol and problem.max_cg_iters > 0:
-        sigma, c, u, history, rho = _terminal_cg(ws, r0, rho, tol, problem.max_cg_iters)
+        sigma, c, u, image, history, rho = _terminal_cg(ws, r0, rho, tol,
+                                                        problem.max_cg_iters)
         cg_trace += history
         iterations = len(history)
-        x = [xi + sigma * ui + li for xi, ui, li in zip(x, u, ws.adjoint_image(c))]
+        if image is None:
+            image = ws.adjoint_image(c)
+        x = [xi + sigma * ui + li for xi, ui, li in zip(x, u, image)]
     converged = np.sqrt(rho) <= tol
 
     state = ws.forward(x, with_data=True)

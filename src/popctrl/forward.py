@@ -166,26 +166,31 @@ class _Transport:
 
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(nt):
-                mt = s_m * m[:-1, n]
-                ft = s_f * f[:-1, n]
+                # the transported interior rows, written in place
+                mt, ft = m[1:, n + 1], f[1:, n + 1]
+                np.multiply(s_m, m[:-1, n], out=mt)
+                np.multiply(s_f, f[:-1, n], out=ft)
                 if vm is not None:
-                    mt = mt + hmask_m * vm[1:, n + 1]
+                    mt += hmask_m * vm[1:, n + 1]
                 if vf is not None:
-                    ft = ft + hmask_f * vf[1:, n + 1]
+                    ft += hmask_f * vf[1:, n + 1]
                 beta = fertility_row(n + 1, mt)
                 beta_int = beta[1:]
                 factor = 1.0 + gamma * wa[0] * beta[0]
-                m[1:, n + 1] = mt
-                f[1:, n + 1] = ft
                 for c in range(k):
                     births = float(np.dot(wa_int, beta_int * ft[:, c])) * factor
                     m[0, n + 1, c] = (1.0 - gamma) * births
                     f[0, n + 1, c] = gamma * births
                     birth_trace[n + 1, c] = births
                     male_trace[n + 1, c] = float(np.dot(wa, lam * m[:, n + 1, c]))
-                if not (np.isfinite(m[:, n + 1]).all() and np.isfinite(f[:, n + 1]).all()):
-                    raise NumericalFailure(
-                        f"forward solve lost finiteness at step {n + 1}", step=n + 1)
+        # one check of levels 1..Nt; the first non-finite level is searched
+        # for only when there is one
+        if not (np.isfinite(m[:, 1:]).all() and np.isfinite(f[:, 1:]).all()):
+            finite = (np.isfinite(m[:, 1:]).all(axis=(0, 2))
+                      & np.isfinite(f[:, 1:]).all(axis=(0, 2)))
+            step = int(np.argmin(finite)) + 1
+            raise NumericalFailure(f"forward solve lost finiteness at step {step}",
+                                   step=step)
         return self._unblock((m, f, male_trace, birth_trace), single)
 
 
@@ -218,8 +223,9 @@ class FrozenOperator(_Transport):
 
         ``m0``/``f0`` are (N+1,) or (N+1, k); controls are None or full
         lattice arrays of shape (N+1, Nt+1) or (N+1, Nt+1, k) to match.
-        Raises NumericalFailure with the step index if the solution stops
-        being finite.
+        Raises NumericalFailure with the first step, in any column, at which
+        the solution stops being finite; the lattice is checked once, after
+        the sweep.
         """
         return self._step_loop(m0, f0, v_m, v_f, lambda j, male: self.beta[j])
 
@@ -238,16 +244,34 @@ class FrozenOperator(_Transport):
         female row with the same-level nonlocal feedback (equal to l_j at
         level 0).  The blocks are reused from level to level, so ``visit``
         must copy what it keeps.  The work arrays carry the terminal
-        trapezoid weights (theta = wa / h).  Raises NumericalFailure with the
-        level index if a level stops being finite.
+        trapezoid weights (theta = wa / h).
+
+        Raises NumericalFailure with the index of the first level, in sweep
+        order, that stops being finite.  Finiteness is checked once, at
+        level 0, so ``visit`` may already have seen non-finite rows at the
+        levels j >= 1 when the failure is raised; it never sees them at
+        level 0.
         """
-        na, nt = self.grid.num_age_cells, self.grid.num_time_cells
-        h = self.grid.step
-        wn = np.array(self._block(work_n))
-        wl = np.array(self._block(work_l))
+        na = self.grid.num_age_cells
+        wn, wl = self._block(work_n), self._block(work_l)
         if wn.shape != wl.shape or wn.shape[0] != na + 1:
             raise DimensionError(f"work blocks have shapes {wn.shape} and {wl.shape}, "
                                  f"expected ({na + 1}, k)")
+        n_0, l_0 = self._backward(wn, wl, visit)
+        # a non-finite entry stays non-finite down to level 0: the finite
+        # survival ratios carry it along its row to row 0, and the feedback
+        # spreads row 0 to every row (theta > 0)
+        if not (np.isfinite(n_0).all() and np.isfinite(l_0).all()):
+            self._backward(wn, wl, self._check_finite)
+            raise NumericalFailure("adjoint solve lost finiteness at level 0", step=0)
+        visit(0, n_0, l_0, l_0)
+
+    def _backward(self, work_n, work_l, visit):
+        """The levels Nt..1 of ``adjoint_levels`` on copies of the work blocks;
+        returns the rows (n_0, l_0) of level 0."""
+        nt = self.grid.num_time_cells
+        h = self.grid.step
+        wn, wl = np.array(work_n), np.array(work_l)
         gamma = self.gamma
         theta = (self.wa / h)[:, None]
         s_m, s_f = self.s_m[1:, None], self.s_f[1:, None]
@@ -267,10 +291,14 @@ class FrozenOperator(_Transport):
                 wn, next_n = next_n, wn
                 wl, next_l = next_l, wl
                 next_n[-1] = next_l[-1] = 0.0
-                if not (np.isfinite(wn).all() and np.isfinite(wl).all()):
-                    raise NumericalFailure(
-                        f"adjoint solve lost finiteness at level {j - 1}", step=j - 1)
-        visit(0, wn, wl, wl)
+        return wn, wl
+
+    def _check_finite(self, j, n_j, l_j, l_eff_j):
+        """Visit of the failure path: raises at the first non-finite level
+        below the terminal one."""
+        if j < self.grid.num_time_cells and not (np.isfinite(n_j).all()
+                                                 and np.isfinite(l_j).all()):
+            raise NumericalFailure(f"adjoint solve lost finiteness at level {j}", step=j)
 
     def adjoint(self, work_n, work_l):
         """Whole backward sweep; returns (n, l, n_eff, l_eff) lattice arrays.
@@ -468,8 +496,10 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
     """Solve the state system forward; frozen_trace=None selects nonlinear mode.
 
     Controls may be None (treated as zero).  Initial data are nodal age
-    profiles.  Raises NumericalFailure with the step index if the solution
-    stops being finite.
+    profiles.  Raises NumericalFailure with the first step at which the
+    solution stops being finite, checked once after the sweep; in nonlinear
+    mode the levels after it get a non-finite fertility row without a call
+    to the model's fertility.
     """
     vm = _control_values(v_m, grid, "v_m")
     vf = _control_values(v_f, grid, "v_f")
@@ -482,6 +512,10 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
     ages, lam, wa = transport.ages, transport.lam, transport.wa
 
     def fertility_row(j, male):
+        # the sweep goes on past a non-finite level and reports it at the end;
+        # the rate function only ever sees integrals of finite rows
+        if not np.isfinite(male).all():
+            return np.full(ages.size, np.nan)
         # level 0 weighs the whole initial profile, later levels the
         # transported interior rows before the births
         cut = 0 if j == 0 else 1

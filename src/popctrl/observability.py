@@ -6,7 +6,9 @@ energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
 Gramians of the frozen-trace operator (`FrozenOperator.initial_gramian` and
 `control_gramian`, one batched sweep for both) on the live terminal entries,
-scaled by the terminal weights.  A zero denominator with nonzero numerator
+scaled by the terminal weights; when the power iteration runs, the probe
+quotients are read off the same Gramians, and otherwise one batched sweep of
+the probes gives them.  A zero denominator with nonzero numerator
 is reported as the infinity sentinel: violated observability is a
 first-class outcome that certifies the time condition in the discrete
 model, not a numerical overflow.
@@ -58,11 +60,30 @@ def _quotients(op, n_T, l_T):
         num = float(np.dot(wa, n_c[:, 0] ** 2)) + float(np.dot(wa, l_c[:, 0] ** 2))
         den = (region_inner(grid, op.mask_m, n_c, n_c)
                + region_inner(grid, op.mask_f, l_c, l_c))
-        if den <= 1e-300 * max(num, 1.0):
-            quotients.append(INFINITE_QUOTIENT if num > 0 else 0.0)
-        else:
-            quotients.append(num / den)
+        quotients.append(_quotient(num, den))
     return quotients
+
+
+def _gramian_quotients(op, n_T, l_T):
+    """The quotients of ``_quotients``, read off the operator's Gramians.
+
+    With w = theta * (n_T, l_T) stacked, a column's quotient is
+    w . E0 w / w . G w for the initial and control Gramians, so no sweep
+    runs beyond the one that assembles them.
+    """
+    theta = (op.wa / op.grid.step)[:, None]
+    work = np.concatenate([theta * n_T, theta * l_T])
+    num = np.sum(work * (op.initial_gramian() @ work), axis=0)
+    den = np.sum(work * (op.control_gramian() @ work), axis=0)
+    return [_quotient(float(a), float(b)) for a, b in zip(num, den)]
+
+
+def _quotient(num, den):
+    """num / den, or the infinity sentinel for a datum that carries initial
+    energy but is invisible from the control regions."""
+    if den <= 1e-300 * max(num, 1.0):
+        return INFINITE_QUOTIENT if num > 0 else 0.0
+    return num / den
 
 
 def observability_ratio(model, grid, geom, n_T, l_T, trace):
@@ -200,7 +221,12 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
 
     for trace in traces:
         op = FrozenOperator(model, grid, geom, trace)
-        samples = _quotients(op, n_block, l_block)
+        if power_iters > 0:
+            # the Gramians the power iteration needs give the probe quotients too
+            samples = _gramian_quotients(op, n_block, l_block)
+        else:
+            # one sweep of the probes costs less than assembling the Gramians
+            samples = _quotients(op, n_block, l_block)
         finite = [s for s in samples if math.isfinite(s)]
         if len(finite) < len(samples):
             diverged = True

@@ -222,25 +222,25 @@ def cmd_observability(scenario, outdir, seed, log):
         cfg = {"horizons": [geometry.horizon], "male_lo": [geometry.male_window[0]],
                "male_hi": [geometry.male_window[1]], "probes": 16, "power_iters": 0,
                "num_traces": 3}
+    windows = [(lo, hi) for lo in cfg["male_lo"] for hi in cfg["male_hi"] if lo < hi]
     rows = []
     for horizon in cfg["horizons"]:
-        for lo in cfg["male_lo"]:
-            for hi in cfg["male_hi"]:
-                if not (lo < hi):
-                    continue
-                geom = ControlGeometry(
-                    male_window=(lo, hi), female_window=scenario.geometry.female_window,
-                    horizon=horizon, target_min_age=scenario.geometry.target_min_age,
-                    mode=scenario.geometry.mode)
-                grid = build_grid(scenario.model.max_age, horizon, scenario.target_h)
-                # the frozen traces come from the uncontrolled solve, which does
-                # not depend on the control geometry
-                traces = _observability_traces(scenario, grid, cfg["num_traces"])
-                report = estimate_observability_constant(
-                    scenario.model, grid, geom, traces, probes=cfg["probes"],
-                    power_iters=cfg["power_iters"], seed=seed)
-                rows.append([horizon, lo, hi, report.threshold_margin,
-                             report.estimated_constant, report.diverged])
+        if not windows:
+            break  # nothing to estimate, so no uncontrolled solve either
+        grid = build_grid(scenario.model.max_age, horizon, scenario.target_h)
+        # the frozen traces come from the uncontrolled solve, which does not
+        # depend on the control window: one set serves every window
+        traces = _observability_traces(scenario, grid, cfg["num_traces"])
+        for lo, hi in windows:
+            geom = ControlGeometry(
+                male_window=(lo, hi), female_window=scenario.geometry.female_window,
+                horizon=horizon, target_min_age=scenario.geometry.target_min_age,
+                mode=scenario.geometry.mode)
+            report = estimate_observability_constant(
+                scenario.model, grid, geom, traces, probes=cfg["probes"],
+                power_iters=cfg["power_iters"], seed=seed)
+            rows.append([horizon, lo, hi, report.threshold_margin,
+                         report.estimated_constant, report.diverged])
     with open(os.path.join(outdir, "observability.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["T", "a1", "a2", "margin", "estimate", "diverged_flag"])

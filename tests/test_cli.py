@@ -161,6 +161,37 @@ def test_observability_command(scenario_path, tmp_path):
     assert len(rows) == 1
 
 
+def test_observability_window_sweep_solves_once_per_horizon(tmp_path, monkeypatch):
+    from popctrl import pipelines
+
+    def run(name, horizons, male_lo, male_hi):
+        raw = json.loads(json.dumps(FAST_SCENARIO))
+        raw["observability"] = {"horizons": horizons, "male_lo": male_lo,
+                                "male_hi": male_hi, "probes": 4, "power_iters": 3,
+                                "num_traces": 2}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = str(tmp_path / name)
+        assert run_command(["observability", str(path), "--out", out, "--quiet"]) == 0
+        return _read(os.path.join(out, "observability.csv")).splitlines(keepends=True)
+
+    solves = []
+    solve_forward = pipelines.solve_forward
+
+    def counting(*args, **kwargs):
+        solves.append(args[1].horizon)
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "solve_forward", counting)
+    swept = run("sweep", [0.35, 0.5], [0.2, 0.3], [0.8, 0.9])
+    assert solves == pytest.approx([0.35, 0.5])  # one solve per horizon, not per window
+    # each row is byte-identical to the row of a run with that window alone
+    single = [run(f"T{t}_{lo}_{hi}", [t], [lo], [hi])
+              for t in (0.35, 0.5) for lo in (0.2, 0.3) for hi in (0.8, 0.9)]
+    assert swept[0] == single[0][0] and len(swept) == 9
+    assert swept[1:] == [lines[1] for lines in single]
+
+
 def test_sweep_command(scenario_path, tmp_path):
     sweep = {"base": os.path.basename(scenario_path),
              "parameters": [{"path": "penalty.schedule.stages", "values": [1, 2]}]}

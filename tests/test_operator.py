@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, Fertility, Field2D, PenaltyProblem,
-                     build_grid, duality_residual, estimate_observability_constant,
-                     minimize_penalty, observability_ratio, solve_adjoint, solve_forward,
-                     trace_map)
+from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, Field2D,
+                     PenaltyProblem, RateFunction, build_grid, duality_residual,
+                     estimate_observability_constant, minimize_penalty,
+                     observability_ratio, solve_adjoint, solve_forward, trace_map)
 from popctrl import observability as obs
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
@@ -83,6 +83,88 @@ def test_non_finite_column_raises_with_level():
     assert info.value.step == 1
 
 
+def _explosive_model():
+    """Fertility exp(p) p: finite at moderate traces, overflowing at huge ones."""
+    return DemographicModel(
+        male_mortality=RateFunction.constant(0.2),
+        female_mortality=RateFunction.constant(0.3),
+        fertility=Fertility.separable_pair(
+            RateFunction.constant(1.0), RateFunction.expression("exp(p) * p", "p"), 1.0),
+        male_fertility_weight=RateFunction.constant(1.0),
+        female_fraction=0.5, fertility_onset=0.15, max_age=1.0)
+
+
+_LEVELS = ["first", "middle", "last"]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("slot", ["male", "female"])
+@pytest.mark.parametrize("where", _LEVELS)
+def test_forward_reports_the_first_non_finite_level(bad, slot, where):
+    # finiteness is checked once after the sweep; the reported step is the
+    # first level that a check after every step would have stopped at
+    grid = build_grid(1.0, 0.5, 1.0 / 16)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    level = {"first": 1, "middle": nt // 2, "last": nt}[where]
+    op = FrozenOperator(reference_model(), grid, _geometry(ControlMode.BOTH),
+                        np.ones(nt + 1))
+    k = 3
+    controls = {s: np.zeros((na + 1, nt + 1, k)) for s in ("male", "female")}
+    controls[slot][na // 2, level, 1] = bad  # age 0.5, inside both windows
+    with pytest.raises(NumericalFailure) as info:
+        op.forward(np.ones((na + 1, k)), np.ones((na + 1, k)),
+                   controls["male"], controls["female"])
+    assert info.value.step == level
+    finite = [0, 2]
+    op.forward(np.ones((na + 1, 2)), np.ones((na + 1, 2)),
+               controls["male"][..., finite], controls["female"][..., finite])
+
+
+@pytest.mark.parametrize("fault", ["beta", "column"])
+@pytest.mark.parametrize("where", _LEVELS)
+def test_adjoint_reports_the_first_non_finite_level(fault, where):
+    # the sweep runs from level Nt down, so a feedback that overflows at level j
+    # spoils level j - 1 first; only level 0 is checked on the way
+    grid = build_grid(1.0, 0.5, 1.0 / 16)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    j = {"first": nt, "middle": nt // 2, "last": 1}[where]
+    trace = np.full(nt + 1, 0.5)
+    work = np.ones((na + 1, 3))
+    if fault == "beta":
+        trace[j] = 1e3  # exp(1e3) overflows: every column meets an infinite beta
+    else:
+        # a finite beta of about 1.8e12 at level j; column 1 carries a huge value
+        # that reaches age 0, where it meets that beta, exactly at level j
+        trace[j] = 25.0
+        work[nt - j, 1] = 1e300
+    op = FrozenOperator(_explosive_model(), grid, _geometry(ControlMode.BOTH), trace)
+    assert np.isfinite(np.delete(op.beta, j, axis=0)).all()
+    visited = []
+    with pytest.raises(NumericalFailure) as info:
+        op.adjoint_levels(work, work, lambda level, *rows: visited.append(level))
+    assert info.value.step == j - 1
+    assert 0 not in visited  # the rows of levels >= 1 may be non-finite by then
+    if fault == "column":
+        op.adjoint(work[:, [0, 2]], work[:, [0, 2]])
+
+
+@pytest.mark.parametrize("where", _LEVELS)
+def test_nonlinear_solve_reports_the_first_non_finite_level(where):
+    # a male control spike at level n lifts the fertile-male integral there
+    # far enough for exp(p) p to overflow, so the births of level n are infinite
+    model = _explosive_model()
+    geom = _geometry(ControlMode.BOTH)
+    grid = build_grid(1.0, 0.5, 1.0 / 16)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    level = {"first": 1, "middle": nt // 2, "last": nt}[where]
+    v_m = np.zeros((na + 1, nt + 1))
+    v_m[na // 2, level] = 1e6
+    profile = np.full(na + 1, 0.1)
+    with pytest.raises(NumericalFailure) as info:
+        solve_forward(model, grid, geom, v_m, None, profile, profile)
+    assert info.value.step == level
+
+
 def test_duality_and_gradient_through_one_operator_fine_grid():
     model = reference_model()
     geom = _geometry(ControlMode.BOTH, horizon=0.35)
@@ -126,6 +208,49 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
     minus = ws.objective([xi - eta * di for xi, di in zip(x, d)])
     fd = (plus - minus) / (2 * eta)
     assert abs(directional - fd) <= 1e-7 * abs(fd)
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_warm_stage_sweeps(mode, target_min_age, monkeypatch):
+    # b and H x_prev share a 2-column forward and a 2-column adjoint sweep; the
+    # residual check's adjoint of [c_r | c_x] also gives the control's last term
+    model = reference_model()
+    geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    problem = PenaltyProblem(mode=mode)
+    first, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                     epsilon=1e-2, theta=1e-2)
+    next_trace = first.state.fertile_male_trace
+
+    widths = {"forward": [], "adjoint": []}
+    forward, levels = FrozenOperator.forward, FrozenOperator.adjoint_levels
+
+    def counting_forward(self, m0, f0, v_m=None, v_f=None):
+        widths["forward"].append(1 if np.ndim(m0) == 1 else np.shape(m0)[1])
+        return forward(self, m0, f0, v_m, v_f)
+
+    def counting_levels(self, work_n, work_l, visit):
+        widths["adjoint"].append(np.shape(work_n)[1])
+        return levels(self, work_n, work_l, visit)
+
+    monkeypatch.setattr(FrozenOperator, "forward", counting_forward)
+    monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting_levels)
+    result, _ = minimize_penalty(problem, model, grid, geom, next_trace, m0, f0,
+                                 v_init=packed, epsilon=1e-3, theta=1e-3)
+    assert result.converged and result.iterations > 1
+    gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+    assert widths == {"forward": [2, 1, 1, 1], "adjoint": [2, gramian_width, 1, 2]}
+
+    # the 2-column sweeps give b and H x_prev bit for bit
+    ws = _Workspace(dataclasses.replace(problem, epsilon=1e-3, theta=1e-3), model, grid,
+                    geom, next_trace, m0, f0)
+    b, hx = ws.rhs_and_hessian(packed)
+    for got, want in ((b, ws.rhs()), (hx, ws.apply_hessian(packed))):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _counting(model):
@@ -302,8 +427,10 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
     assert abs(obs._power_iteration(op, 5) - plain) <= 1e-12 * plain
 
 
-def test_estimate_makes_two_sweeps_per_trace(monkeypatch):
-    # the probes, then the operator's Gramian sweep, which serves both forms
+@pytest.mark.parametrize("power_iters", [0, 3])
+def test_estimate_makes_one_sweep_per_trace(power_iters, monkeypatch):
+    # with power iteration the operator's Gramian sweep serves both forms and
+    # the probe quotients; without it one sweep of the probes costs less
     model, grid, geom, trace = _observability_setup()
     widths = []
     levels = FrozenOperator.adjoint_levels
@@ -314,6 +441,39 @@ def test_estimate_makes_two_sweeps_per_trace(monkeypatch):
 
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting)
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace], probes=4,
-                                    power_iters=3, seed=0)
+                                    power_iters=power_iters, seed=0)
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
-    assert len(widths) == 4 and widths[1::2] == [gramian_width] * 2
+    # 4 probes; no terminal age is old enough for the cone datum at this horizon
+    assert widths == [gramian_width if power_iters else 4] * 2
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_gramian_quotients_match_probe_sweep(mode, target_min_age):
+    model, grid, geom, trace = _observability_setup(mode, target_min_age)
+    op = FrozenOperator(model, grid, geom, trace)
+    rng = np.random.default_rng(5)
+    data = [obs._probe_data(rng, grid, geom) for _ in range(6)]
+    n_block = np.stack([n for n, _ in data], axis=1)
+    l_block = np.stack([l for _, l in data], axis=1)
+    swept = np.array(obs._quotients(op, n_block, l_block))
+    read = np.array(obs._gramian_quotients(op, n_block, l_block))
+    assert np.all(np.abs(read - swept) <= 1e-13 * swept)
+
+
+def test_gramian_quotients_keep_the_infinity_sentinel():
+    # a short horizon leaves the oldest ages invisible from the male window
+    model = reference_model()
+    geom = ControlGeometry(male_window=(0.1, 0.5), female_window=(0.05, 0.6),
+                           horizon=0.3, mode=ControlMode.BOTH)
+    grid = build_grid(1.0, 0.3, 1.0 / 32)
+    op = FrozenOperator(model, grid, geom, np.zeros(grid.num_time_cells + 1))
+    ages = grid.ages()
+    invisible = np.where(ages >= 0.85, 1.0, 0.0)
+    n_block = np.stack([invisible, np.zeros_like(ages), np.sin(np.pi * ages)], axis=1)
+    l_block = np.zeros_like(n_block)
+    swept = obs._quotients(op, n_block, l_block)
+    read = obs._gramian_quotients(op, n_block, l_block)
+    assert swept[:2] == read[:2] == [obs.INFINITE_QUOTIENT, 0.0]
+    assert abs(read[2] - swept[2]) <= 1e-13 * swept[2]
