@@ -6,22 +6,21 @@ that actually couple to the state (inside the region mask, time levels
 
     J(v) = 1/2 ||v||^2  +  1/(2 eps) ||m(T)||^2  (+ 1/(2 theta) ||f(T)||^2)
 
-with mode-appropriate terminal terms, its Hessian is identity plus a
-positive semidefinite compact part, and plain conjugate gradients converge
-without preconditioning.  Gradients come from one adjoint sweep and are
-exact for the discrete objective because the adjoint is the exact
-transpose of the forward map.
+with mode-appropriate terminal terms.  Gradients come from one adjoint
+sweep and are exact for the discrete objective because the adjoint is the
+exact transpose of the forward map.
 
-The compact part is L* D L: L maps a control to the terminal state of the
+The Hessian is I + L* D L: L maps a control to the terminal state of the
 zero-data frozen-trace system, L* is its adjoint (one backward sweep from
-a terminal work vector) and D holds the penalty weights.  So every CG
-vector is an explicit anchor plus L* of a terminal-space vector of size
-2(N+1), and the CG recurrence runs on those coordinates with the
-operator's cached control Gramian G = h L L* (HUM duality): an iteration
-is one 2(N+1)-sized matrix-vector product instead of a forward and an
-adjoint sweep.  A handful of sweeps per call set up the anchor, confirm
-the final residual and form the control and its state.  The recurrence,
-the stopping rule and the flags are those of control-space CG.
+a terminal work vector) and D holds the penalty weights.  By HUM duality
+the optimum is v = L* c, where c solves the terminal-space system
+(I + D G / h) c = -D y0, G = h L L* is the operator's cached control
+Gramian and y0 the terminal state of the uncontrolled sweep.  So a stage
+runs one forward sweep for y0, one dense solve in the 2(N+1) terminal
+coordinates and one adjoint sweep for the control, then checks the
+explicit gradient from a forward and an adjoint sweep; a correction solve
+on the remaining terminal residual runs only while that gradient is above
+tolerance.
 
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
@@ -157,7 +156,7 @@ def _check_modes(problem, geom):
 
 
 class _Workspace:
-    """Caches everything reused across CG iterations for one (eps, theta).
+    """Caches everything a penalty stage reuses for one (eps, theta).
 
     One frozen-trace operator serves every forward and adjoint sweep; pass
     ``operator`` to share one (and its Gramian) between penalty stages.
@@ -240,8 +239,7 @@ class _Workspace:
 
     def terminal(self, packed, with_data):
         """Stacked terminal (male, female) profiles of the controlled sweep."""
-        state = self.forward(packed, with_data)
-        return np.concatenate([state.m.values[:, -1], state.f.values[:, -1]])
+        return _terminal(self.forward(packed, with_data))
 
     def adjoint_packed(self, m_term, f_term, sign):
         """Pack the adjoint of sign/eps-weighted terminal states onto the spaces."""
@@ -260,21 +258,6 @@ class _Workspace:
     def rhs(self):
         state = self.forward([s.zeros() for s in self.spaces], with_data=True)
         return self.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], -1.0)
-
-    def rhs_and_hessian(self, packed):
-        """(``rhs()``, ``apply_hessian(packed)``) from one forward and one
-        adjoint sweep of two columns: the data with zero control, and zero
-        data with the control ``packed``."""
-        zero = self.zero_profile
-        zeros = self.fields_from_packed([s.zeros() for s in self.spaces])
-        controls = [None if v is None else np.stack([v0, v], axis=-1)
-                    for v0, v in zip(zeros, self.fields_from_packed(packed))]
-        m, f, _, _ = self.op.forward(np.stack([self.m0, zero], axis=1),
-                                     np.stack([self.f0, zero], axis=1), *controls)
-        weights = self.penalty_weights()
-        y0, y = (np.concatenate([m[:, -1, c], f[:, -1, c]]) for c in (0, 1))
-        b, adj = self.adjoint_images(-weights * y0, weights * y)
-        return b, [p + a for p, a in zip(packed, adj)]
 
     def inner(self, x, y):
         return sum(s.inner(a, b) for s, a, b in zip(self.spaces, x, y))
@@ -320,88 +303,24 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
             None if g_f is None else Field2D(grid, g_f))
 
 
-_PROJECTION_RIDGE = 1e-12
+def _terminal(state):
+    """Stacked terminal (male, female) profiles of a state."""
+    return np.concatenate([state.m.values[:, -1], state.f.values[:, -1]])
 
 
-def _terminal_cg(ws, r0, rho0, tol, max_iters):
-    """The CG recurrence for H x = r0 on vectors sigma * u + L* c.
+def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
+                     theta=None, operator=None):
+    """Minimize the penalty functional by the terminal-space (HUM) solve.
 
-    u is the part of r0 that L* does not reach: r0 = u + L* c0, with c0 the
-    ridge-regularized least-squares fit G c0 = h L r0.  Then
-    H (sigma, c) = (sigma, c + D (G c / h + sigma * t_u)), with G the
-    operator's control Gramian and t_u = L u, and every inner product is
-    sigma sigma' |u|^2 + h (sigma c' + sigma' c) . t_u + c . G c', so an
-    iteration costs one Gramian product instead of a forward and an adjoint
-    sweep.  Because u is small and nearly orthogonal to the range of L*, no
-    anchor term cancels against L* c as the residual shrinks, for cold
-    starts and for warm starts from another trace alike.  Once the formula
-    puts the residual below the tolerance, one adjoint sweep forms it and
-    the stopping test uses its norm; the same sweep forms L* of the current
-    c_x, which is the last term of the solution when the loop ends there.
-
-    Returns (sigma, c) of the solution sigma * u + L* c of H x = r0, u,
-    L* c (None when the loop did not end on that check), the residual norm
-    history and the final squared residual norm.
-    """
-    h = ws.grid.step
-    gram = ws.op.control_gramian()
-    weights = ws.penalty_weights()
-    scale = float(np.max(np.diag(gram)))
-    c_r = np.zeros_like(weights)
-    if scale > 0:
-        c_r = ws.op.solve_gramian(h * ws.terminal(r0, with_data=False),
-                                  _PROJECTION_RIDGE * scale)
-    u = [ri - li for ri, li in zip(r0, ws.adjoint_image(c_r))]
-    t_u = ws.terminal(u, with_data=False)
-    rho_u = ws.inner(u, u)
-
-    def inner(s1, c1, gc1, s2, c2):
-        return s1 * s2 * rho_u + h * (s1 * np.dot(c2, t_u) + s2 * np.dot(c1, t_u)) \
-            + float(np.dot(c2, gc1))
-
-    sigma_x, c_x, image_x = 0.0, np.zeros_like(weights), None
-    sigma_r, gc_r = 1.0, gram @ c_r
-    sigma_d, c_d, gc_d = sigma_r, c_r.copy(), gc_r.copy()
-    rho = rho0
-    history = []
-    while np.sqrt(rho) > tol and len(history) < max_iters:
-        c_q = c_d + weights * (gc_d / h + sigma_d * t_u)
-        gc_q = gram @ c_q
-        dq = inner(sigma_d, c_q, gc_q, sigma_d, c_d)
-        if dq <= 0:
-            break  # numerically exhausted: Hessian is SPD so this is rounding
-        alpha = rho / dq
-        sigma_x += alpha * sigma_d
-        c_x += alpha * c_d
-        image_x = None
-        sigma_r -= alpha * sigma_d
-        c_r -= alpha * c_q
-        gc_r -= alpha * gc_q
-        rho_new = inner(sigma_r, c_r, gc_r, sigma_r, c_r)
-        if rho_new <= tol * tol:
-            # near the tolerance the formula's terms cancel: stop on the residual itself
-            image_r, image_x = ws.adjoint_images(c_r, c_x)
-            r = [sigma_r * ui + li for ui, li in zip(u, image_r)]
-            rho_new = ws.inner(r, r)
-        beta = rho_new / rho
-        sigma_d = sigma_r + beta * sigma_d
-        c_d = c_r + beta * c_d
-        gc_d = gc_r + beta * gc_d
-        rho = rho_new
-        history.append(float(np.sqrt(rho)))
-    return sigma_x, c_x, u, image_x, history, rho
-
-
-def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
-                     epsilon=None, theta=None, operator=None):
-    """Conjugate-gradient minimization of the penalty functional.
-
-    Stops when the gradient norm falls below cg_tol times the zero-control
-    gradient norm, or flags CONVERGENCE_NOT_REACHED after max_cg_iters (or
-    when the curvature along a search direction is not positive).  The
-    iterations run in terminal coordinates on the control Gramian of
-    ``operator``, a FrozenOperator for ``trace`` that is built here when
-    None.  The result carries the controlled frozen-trace state.
+    Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
+    a FrozenOperator for ``trace`` that is built here when None, and sets
+    the control to L* c.  Stops when the explicit gradient norm is at most
+    cg_tol times the zero-control gradient norm |b|; while it is above, a
+    correction solve on the terminal residual -(c + D y(T)) follows, up to
+    max_cg_iters solves in all, after which CONVERGENCE_NOT_REACHED is
+    flagged.  ``iterations`` counts the solves and ``cg_trace`` holds |b|
+    and the gradient norm after each solve.  The result carries the
+    controlled frozen-trace state.
     """
     if epsilon is not None or theta is not None:
         problem = replace(
@@ -409,30 +328,28 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
-    if v_init is None:
-        b = ws.rhs()
-        x = [s.zeros() for s in ws.spaces]
-        r0 = b
-    else:
-        x = [p.copy() for p in v_init]
-        b, hx = ws.rhs_and_hessian(x)
-        r0 = [bi - hi for bi, hi in zip(b, hx)]
-    norm_b = np.sqrt(ws.inner(b, b))
-    rho = ws.inner(r0, r0)
-    cg_trace = [float(np.sqrt(rho))]
-    tol = problem.cg_tol * norm_b
-    iterations = 0
-    if np.sqrt(rho) > tol and problem.max_cg_iters > 0:
-        sigma, c, u, image, history, rho = _terminal_cg(ws, r0, rho, tol,
-                                                        problem.max_cg_iters)
-        cg_trace += history
-        iterations = len(history)
-        if image is None:
-            image = ws.adjoint_image(c)
-        x = [xi + sigma * ui + li for xi, ui, li in zip(x, u, image)]
-    converged = np.sqrt(rho) <= tol
-
+    weights = ws.penalty_weights()
+    x = [s.zeros() for s in ws.spaces]
     state = ws.forward(x, with_data=True)
+    work = -weights * _terminal(state)  # -D y0
+    c = ws.op.solve_gramian(work, weights)
+    b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c, one sweep
+    norm_b = np.sqrt(ws.inner(b, b))
+    tol = problem.cg_tol * norm_b
+    cg_trace = [float(norm_b)]
+    while cg_trace[-1] > tol and len(cg_trace) <= problem.max_cg_iters:
+        if len(cg_trace) > 1:
+            # correction on the terminal residual -(c + D y(T))
+            delta = ws.op.solve_gramian(work - c, weights)
+            c = c + delta
+            step = ws.adjoint_image(delta)
+        x = [xi + si for xi, si in zip(x, step)]
+        state = ws.forward(x, with_data=True)
+        work = -weights * _terminal(state)
+        grad = [xi - gi for xi, gi in zip(x, ws.adjoint_image(work))]
+        cg_trace.append(float(np.sqrt(ws.inner(grad, grad))))
+    converged = cg_trace[-1] <= tol
+
     m_norm, f_norm = ws.terminal_norms(state)
     flags = []
     if not geom.admissible_time(grid.max_age):
@@ -446,10 +363,10 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, v_init=None,
         v_f=Field2D(grid, vf if vf is not None else zeros2.copy()),
         terminal_m_norm=m_norm, terminal_f_norm=f_norm,
         J_value=ws.objective(x, state=state),
-        cg_trace=cg_trace, iterations=iterations, converged=converged,
+        cg_trace=cg_trace, iterations=len(cg_trace) - 1, converged=converged,
         flags=flags, epsilon=problem.epsilon, theta=ws.effective_theta(),
         state=state,
-    ), x
+    )
 
 
 def target_reached(mode, target_norm, m_norm, f_norm):
@@ -475,21 +392,19 @@ def synthesize_null_control(problem, model, grid, geom, trace, m0, f0):
     """Walk the penalty schedule until the terminal norms meet the target.
 
     Returns the first successful stage's result, or the last stage flagged
-    TARGET_NOT_REACHED.  Stages warm-start from the previous controls and
-    share one frozen-trace operator, hence one control Gramian.
+    TARGET_NOT_REACHED.  Each stage is solved from scratch; the stages share
+    one frozen-trace operator, hence one control Gramian.
     """
     operator = FrozenOperator(model, grid, geom, trace)
     history = []
-    packed = None
     result = None
     for eps in problem.schedule.values():
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                          v_init=packed, epsilon=eps, theta=eps,
-                                          operator=operator)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                  epsilon=eps, theta=eps, operator=operator)
         history.append(stage_entry(result))
         result.stage_history = history
         if target_reached(geom.mode, problem.target_norm,
                           result.terminal_m_norm, result.terminal_f_norm):
-            return result, packed
+            return result
     result.flags.append(FLAG_TARGET_NOT_REACHED)
-    return result, packed
+    return result

@@ -57,18 +57,16 @@ def _trace_derivative_norm(grid, values):
     return float(np.sqrt(grid.step * np.sum(diffs**2)))
 
 
-def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=None,
-              v_init=None):
+def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=None):
     """One application of the controlled-trace map.
 
-    Minimizes the penalty functional for the frozen trace and returns the
-    fertile-male trace of the controlled frozen-trace solve along with the
-    control result, warm-start data and that controlled state.
+    Minimizes the penalty functional for the frozen trace, from scratch, and
+    returns the fertile-male trace of the controlled frozen-trace solve
+    along with the control result, whose ``state`` is that solve.
     """
-    result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                      v_init=v_init, epsilon=epsilon, theta=theta)
-    state = result.state
-    return state.fertile_male_trace.copy(), result, packed, state
+    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                              epsilon=epsilon, theta=theta)
+    return result.state.fertile_male_trace.copy(), result
 
 
 def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
@@ -87,7 +85,6 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
     history = []
     stages = []
     flags = []
-    packed = None
     result = None
     nonlinear = uncontrolled
     converged_all = False
@@ -96,9 +93,8 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
         stage_converged = False
         prev_delta = None
         for k in range(fp_config.max_outer_iters):
-            y, result, packed, frozen_state = trace_map(
-                p, model, grid, geom, problem, m0, f0,
-                epsilon=eps, theta=eps, v_init=packed)
+            y, result = trace_map(p, model, grid, geom, problem, m0, f0,
+                                  epsilon=eps, theta=eps)
             p_new = (1.0 - omega) * p + omega * y
             delta = trace_norm(grid, p_new - p)
             norm_p = trace_norm(grid, p)

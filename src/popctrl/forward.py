@@ -347,21 +347,25 @@ class FrozenOperator(_Transport):
             self._gramian_cache = self._assemble_gramians()
         return self._gramian_cache
 
-    def solve_gramian(self, rhs, ridge):
-        """Solve (G + ridge I) c = rhs for the control Gramian G, ridge > 0.
+    def solve_gramian(self, rhs, weights):
+        """Solve (I + diag(weights) G / h) c = rhs for the control Gramian G.
 
-        The spike block of G is diagonal (see ``_assemble_gramians``), so only
-        its Schur complement on the 2 min(Nt, N+1) dense unit vectors is
-        factored.
+        ``weights`` are nonnegative, one per terminal unit vector; a zero
+        weight makes its row an identity row.  The spike block of G is
+        diagonal (see ``_assemble_gramians``), so only the Schur complement
+        on the 2 min(Nt, N+1) dense unit vectors is factored.
         """
         gram, _, (dense, spikes) = self._gramians()
-        diag = gram[spikes, spikes] + ridge
+        h = self.grid.step
+        d_dense, d_spike = weights[dense] / h, weights[spikes] / h
+        diag = 1.0 + d_spike * gram[spikes, spikes]
         cross = gram[np.ix_(dense, spikes)]
-        schur = gram[np.ix_(dense, dense)] - (cross / diag) @ cross.T
-        schur[np.diag_indices_from(schur)] += ridge
+        schur = gram[np.ix_(dense, dense)] - (cross * (d_spike / diag)) @ cross.T
+        schur *= d_dense[:, None]
+        schur[np.diag_indices_from(schur)] += 1.0
         c = np.empty_like(rhs)
-        c[dense] = np.linalg.solve(schur, rhs[dense] - cross @ (rhs[spikes] / diag))
-        c[spikes] = (rhs[spikes] - cross.T @ c[dense]) / diag
+        c[dense] = np.linalg.solve(schur, rhs[dense] - d_dense * (cross @ (rhs[spikes] / diag)))
+        c[spikes] = (rhs[spikes] - d_spike * (cross.T @ c[dense])) / diag
         return c
 
     def _assemble_gramians(self):

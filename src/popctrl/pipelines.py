@@ -140,8 +140,8 @@ def cmd_control(scenario, outdir, seed, log):
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
     trace = uncontrolled_trace(scenario, grid)
-    result, _ = synthesize_null_control(scenario.penalty, scenario.model, grid,
-                                        scenario.geometry, trace, m0, f0)
+    result = synthesize_null_control(scenario.penalty, scenario.model, grid,
+                                     scenario.geometry, trace, m0, f0)
     write_field_csv(os.path.join(outdir, "v_m.csv"), result.v_m)
     write_field_csv(os.path.join(outdir, "v_f.csv"), result.v_f)
     write_json(os.path.join(outdir, "report.json"),
@@ -292,8 +292,8 @@ def cmd_sweep(sweep_spec, base_raw, outdir, seed, log):
         grid = make_grid(scenario)
         m0, f0 = scenario.sample_initial(grid)
         trace = uncontrolled_trace(scenario, grid)
-        result, _ = synthesize_null_control(scenario.penalty, scenario.model, grid,
-                                            scenario.geometry, trace, m0, f0)
+        result = synthesize_null_control(scenario.penalty, scenario.model, grid,
+                                         scenario.geometry, trace, m0, f0)
         any_flagged = any_flagged or bool(result.flags)
         rows.append(list(combo) + [result.terminal_m_norm, result.terminal_f_norm,
                                    result.J_value, result.iterations,

@@ -131,11 +131,10 @@ def test_criterion_4_epsilon_scaling():
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
                              max_cg_iters=6000, cg_tol=1e-10)
-    packed = None
     ratios_m, ratios_f = [], []
     for eps in (1e-2, 1e-3, 1e-4):
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                          v_init=packed, epsilon=eps, theta=eps)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                  epsilon=eps, theta=eps)
         assert result.converged
         ratios_m.append(result.terminal_m_norm ** 2 / eps)
         ratios_f.append(result.terminal_f_norm ** 2 / eps)
@@ -151,7 +150,7 @@ def test_criterion_5_null_control_success():
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
                              mode=ControlMode.BOTH, max_cg_iters=6000, cg_tol=1e-10)
-    result, _ = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
+    result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (FLAG_TARGET_NOT_REACHED not in result.flags
           and result.terminal_m_norm <= kappa and result.terminal_f_norm <= kappa)
     report(5, f"default schedule reaches both terminal norms <= {kappa:.3e} "
@@ -183,10 +182,9 @@ def test_criterion_6_time_condition_sharpness():
     floor = np.sqrt(float(w_cone @ uncontrolled.m.values[:, -1] ** 2))
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
                              max_cg_iters=6000, cg_tol=1e-10)
-    packed = None
     for eps in problem.schedule.values():
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                          v_init=packed, epsilon=eps, theta=eps)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                  epsilon=eps, theta=eps)
         controlled = solve_forward(model, grid, geom, result.v_m, result.v_f,
                                    m0, f0, frozen_trace=trace)
         deviation = np.max(np.abs((controlled.m.values[:, -1]
@@ -209,7 +207,7 @@ def test_criterion_7_male_only_control():
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
                              mode=ControlMode.MALE_ONLY, max_cg_iters=6000,
                              cg_tol=1e-10)
-    result, _ = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
+    result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (result.terminal_m_norm <= kappa
           and FLAG_TARGET_NOT_REACHED not in result.flags
           and np.all(result.v_f.values == 0.0))

@@ -206,6 +206,19 @@ def test_sweep_command(scenario_path, tmp_path):
     assert lines[0].startswith("penalty.schedule.stages")
     assert len(lines) == 3
 
+    # the schedule sets every stage's penalty weight, so two starts whose
+    # schedules share no weight give different results
+    sweep["parameters"] = [{"path": "penalty.schedule.start", "values": [1e-2, 3e-3]}]
+    with open(sweep_path, "w") as handle:
+        json.dump(sweep, handle)
+    out = str(tmp_path / "start")
+    assert run_command(["sweep", sweep_path, "--out", out, "--quiet"]) in (0, 1)
+    with open(os.path.join(out, "sweep.csv")) as handle:
+        rows = handle.read().strip().splitlines()[1:]
+    assert len(rows) == 2
+    first, second = (row.split(",")[1:] for row in rows)
+    assert first != second
+
 
 def test_female_only_mode_via_cli(tmp_path):
     raw = json.loads(json.dumps(FAST_SCENARIO))

@@ -6,6 +6,7 @@ from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      solve_forward, synthesize_null_control)
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
+from popctrl.forward import FrozenOperator
 from popctrl.observability import forced_terminal_mask
 
 from conftest import reference_data, reference_geometry, reference_model
@@ -129,16 +130,17 @@ class TestMinimize:
     def test_zero_data_zero_control(self, setup):
         model, geom, grid, _, _, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        result, _ = minimize_penalty(problem, model, grid, geom, trace, zeros, zeros)
+        result = minimize_penalty(problem, model, grid, geom, trace, zeros, zeros)
         assert result.iterations == 0
         assert result.J_value == 0.0
         assert np.all(result.v_m.values == 0.0)
 
     def test_support_and_optimality(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         assert result.converged
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        packed = ws.pack(result.v_m, result.v_f)
         # support: exactly zero outside the active region
         active = np.zeros_like(result.v_m.values, dtype=bool)
         active[ws.male.idx, 1:] = True
@@ -156,9 +158,9 @@ class TestMinimize:
 
     def test_gradient_norm_below_tolerance(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-        grad = ws.gradient(packed)
+        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         zero_grad = ws.gradient([s.zeros() for s in ws.spaces])
         assert np.sqrt(ws.inner(grad, grad)) <= \
             problem.cg_tol * np.sqrt(ws.inner(zero_grad, zero_grad)) * 1.01
@@ -168,32 +170,47 @@ class TestMinimize:
         # cannot decrease
         model, geom, grid, m0, f0, trace, problem = setup
         values = []
-        packed = None
         for eps in (1e-2, 1e-3, 1e-4):
-            result, packed = minimize_penalty(problem, model, grid, geom, trace,
-                                              m0, f0, v_init=packed, epsilon=eps,
-                                              theta=eps)
+            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                      epsilon=eps, theta=eps)
             values.append(result.J_value)
         assert values[0] <= values[1] <= values[2]
 
     def test_terminal_scaling_bounded(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        packed = None
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
-            result, packed = minimize_penalty(problem, model, grid, geom, trace,
-                                              m0, f0, v_init=packed, epsilon=eps,
-                                              theta=eps)
+            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                      epsilon=eps, theta=eps)
             ratios.append(result.terminal_m_norm ** 2 / eps)
         assert max(ratios) <= 3.0 * min(ratios)
 
-    def test_iteration_cap_flags(self, setup):
+    @pytest.mark.parametrize("max_cg_iters", [1, 2])
+    def test_iteration_cap_flags(self, setup, max_cg_iters):
+        # no solve gets the gradient below rounding level, so the cap ends the stage
         model, geom, grid, m0, f0, trace, problem = setup
         capped = PenaltyProblem(epsilon=1e-4, theta=1e-4, mode=ControlMode.BOTH,
-                                max_cg_iters=2, cg_tol=1e-12)
-        result, _ = minimize_penalty(capped, model, grid, geom, trace, m0, f0)
+                                max_cg_iters=max_cg_iters, cg_tol=1e-18)
+        result = minimize_penalty(capped, model, grid, geom, trace, m0, f0)
         assert not result.converged
         assert FLAG_CONVERGENCE_NOT_REACHED in result.flags
+        assert result.iterations == max_cg_iters
+        assert len(result.cg_trace) == max_cg_iters + 1
+
+
+    def test_correction_solves_recover_from_an_inexact_solve(self, setup, monkeypatch):
+        # with each terminal-space solve off by half, the correction solves on
+        # -(c + D y(T)) still drive the explicit gradient below the tolerance
+        model, geom, grid, m0, f0, trace, problem = setup
+        exact = FrozenOperator.solve_gramian
+        monkeypatch.setattr(FrozenOperator, "solve_gramian",
+                            lambda self, rhs, weights: 0.5 * exact(self, rhs, weights))
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        assert result.converged and result.iterations > 10
+        assert all(b < a for a, b in zip(result.cg_trace, result.cg_trace[1:]))
+        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+        assert np.sqrt(ws.inner(grad, grad)) <= problem.cg_tol * result.cg_trace[0]
 
 
 class TestSynthesize:
@@ -201,7 +218,7 @@ class TestSynthesize:
         model, geom, grid, m0, f0, trace, _ = setup
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=10.0,
                                  mode=ControlMode.BOTH)
-        result, _ = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
+        result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert not result.flags
         assert len(result.stage_history) == 1
 
@@ -212,7 +229,7 @@ class TestSynthesize:
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
                                  mode=ControlMode.BOTH, max_cg_iters=4000,
                                  cg_tol=1e-10)
-        result, _ = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
+        result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert FLAG_TARGET_NOT_REACHED not in result.flags
         assert result.terminal_m_norm <= kappa
         assert result.terminal_f_norm <= kappa
@@ -227,7 +244,7 @@ class TestSynthesize:
         trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
         problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.MALE_ONLY,
                                  max_cg_iters=2000, cg_tol=1e-10)
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         assert np.all(result.v_f.values == 0.0)
         # reported male norm is restricted to ages above the tail cutoff
         state = solve_forward(model, grid, geom, result.v_m, None, m0, f0,
@@ -250,7 +267,7 @@ class TestSynthesize:
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
                                  mode=ControlMode.FEMALE_ONLY, max_cg_iters=4000,
                                  cg_tol=1e-10)
-        result, _ = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
+        result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert np.all(result.v_m.values == 0.0)
         assert result.terminal_f_norm <= kappa
         assert FLAG_TARGET_NOT_REACHED not in result.flags
@@ -274,11 +291,9 @@ class TestSynthesize:
         assert float(w_cone.sum()) > 0 and floor > 0
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
                                  max_cg_iters=3000, cg_tol=1e-10)
-        packed = None
         for eps in (1e-2, 1e-3, 1e-4):
-            result, packed = minimize_penalty(problem, model, grid, geom, trace,
-                                              m0, f0, v_init=packed, epsilon=eps,
-                                              theta=eps)
+            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                      epsilon=eps, theta=eps)
             assert FLAG_NON_ADMISSIBLE in result.flags
             controlled = solve_forward(model, grid, geom, result.v_m, result.v_f,
                                        m0, f0, frozen_trace=trace)

@@ -26,7 +26,7 @@ class TestTraceMap:
         model, geom, grid, _, _, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
         trace = np.linspace(0.0, 1.0, grid.num_time_cells + 1)
-        y, result, _, _ = trace_map(trace, model, grid, geom, problem, zeros, zeros)
+        y, result = trace_map(trace, model, grid, geom, problem, zeros, zeros)
         assert np.all(y == 0.0)
         assert result.J_value == 0.0
 
@@ -41,7 +41,7 @@ class TestTraceMap:
             fertility_onset=model.fertility_onset,
             max_age=model.max_age)
         trace = np.linspace(0.0, 1.0, grid.num_time_cells + 1)
-        y, _, _, _ = trace_map(trace, flat, grid, geom, problem, m0, f0)
+        y, _ = trace_map(trace, flat, grid, geom, problem, m0, f0)
         assert np.all(y == 0.0)
 
     def test_trace_stays_in_bounded_ball(self, setup):
@@ -54,7 +54,7 @@ class TestTraceMap:
         sups, ders = [], []
         for _ in range(4):
             trace = rng.random(grid.num_time_cells + 1)
-            y, _, _, _ = trace_map(trace, model, grid, geom, problem, m0, f0)
+            y, _ = trace_map(trace, model, grid, geom, problem, m0, f0)
             sups.append(np.max(np.abs(y)))
             diffs = np.diff(y) / grid.step
             ders.append(np.sqrt(grid.step * np.sum(diffs ** 2)))

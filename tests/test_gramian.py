@@ -1,6 +1,6 @@
 """The control and initial-energy Gramians of a frozen-trace operator, and the
-penalty CG that runs on the control Gramian in terminal coordinates, against
-the control-space CG loop."""
+penalty solve that runs on the control Gramian in terminal coordinates,
+against a dense solve of the full system and the control-space CG loop."""
 
 from dataclasses import replace
 
@@ -22,7 +22,7 @@ def _geometry(mode, horizon, target_min_age=0.0):
 
 
 def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
-                               v_init=None, epsilon=None, theta=None):
+                               epsilon=None, theta=None):
     """The control-space CG loop: one forward and one adjoint sweep per iteration.
 
     Returns (packed control, iterations, cg_trace, converged).
@@ -35,12 +35,8 @@ def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     b = ws.rhs()
     norm_b = np.sqrt(ws.inner(b, b))
-    x = [s.zeros() for s in ws.spaces] if v_init is None else [p.copy() for p in v_init]
-    if v_init is None:
-        r = [bi.copy() for bi in b]
-    else:
-        hx = ws.apply_hessian(x)
-        r = [bi - hi for bi, hi in zip(b, hx)]
+    x = [s.zeros() for s in ws.spaces]
+    r = [bi.copy() for bi in b]
     rho = ws.inner(r, r)
     cg_trace = [float(np.sqrt(rho))]
     d = [ri.copy() for ri in r]
@@ -144,6 +140,29 @@ def test_gramian_pairs_terminal_map_and_adjoint():
     assert np.max(np.abs(grid.step * lc - gc)) <= 1e-12 * np.max(np.abs(gc))
 
 
+@pytest.mark.parametrize("horizon", [0.35, 1.0])
+def test_solve_gramian_matches_dense_solve(horizon):
+    # the Schur complement of the spike block gives the solve of the full
+    # matrix, and a zero weight leaves an identity row
+    model = reference_model()
+    geom = _geometry(ControlMode.BOTH, horizon)
+    grid = build_grid(1.0, horizon, 1.0 / 16)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    op = FrozenOperator(model, grid, geom, trace)
+    r = np.random.default_rng(11)
+    size = 2 * (grid.num_age_cells + 1)
+    weights = r.random(size) / (grid.step * 1e-4)
+    weights[r.random(size) < 0.3] = 0.0
+    rhs = r.standard_normal(size)
+    got = op.solve_gramian(rhs, weights)
+    system = np.eye(size) + weights[:, None] * op.control_gramian() / grid.step
+    want = np.linalg.solve(system, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    zero = weights == 0.0
+    assert np.max(np.abs(got[zero] - rhs[zero])) <= 1e-13 * np.max(np.abs(rhs))
+
+
 def _relative(ws, x, y):
     diff = [a - b for a, b in zip(x, y)]
     return np.sqrt(ws.inner(diff, diff) / ws.inner(y, y))
@@ -152,35 +171,35 @@ def _relative(ws, x, y):
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
-def test_terminal_cg_matches_control_space_loop(mode, target_min_age):
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target_min_age,
+                                                                   eps):
     model = reference_model()
     geom = _geometry(mode, 0.35, target_min_age)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    other = 1.05 * trace
     problem = PenaltyProblem(mode=mode, max_cg_iters=2000, cg_tol=1e-10)
+    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                              epsilon=eps, theta=eps)
+    assert result.converged and result.iterations == 1
+    assert len(result.cg_trace) == result.iterations + 1
+    ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
+                    trace, m0, f0)
+    got = ws.pack(result.v_m, result.v_f)
 
-    calls = [  # (trace, epsilon, warm start from the reference of call k or None)
-        (trace, 1e-2, None),   # cold
-        (trace, 1e-3, 0),      # warm, same trace
-        (other, 1e-3, 1),      # warm from another trace's control
-    ]
-    ref_packed = []
-    for frozen, eps, warm in calls:
-        v_init = None if warm is None else ref_packed[warm]
-        want, want_iters, _, want_conv = reference_minimize_penalty(
-            problem, model, grid, geom, frozen, m0, f0, v_init=v_init, epsilon=eps,
-            theta=eps)
-        result, got = minimize_penalty(problem, model, grid, geom, frozen, m0, f0,
-                                       v_init=v_init, epsilon=eps, theta=eps)
-        ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
-                        frozen, m0, f0)
-        assert abs(result.iterations - want_iters) <= 1
-        assert len(result.cg_trace) == result.iterations + 1
-        assert result.converged and want_conv
-        assert _relative(ws, got, want) <= 1e-8
-        ref_packed.append(want)
+    # the optimum L* D^1/2 w, with (I + D^1/2 G D^1/2 / h) w = -D^1/2 y0 solved
+    # densely on the pairwise Gramian, with no Schur complement
+    root = np.sqrt(ws.penalty_weights())
+    y0 = ws.terminal([s.zeros() for s in ws.spaces], with_data=True)
+    system = np.eye(root.size) + root[:, None] * _naive_gramian(ws) * root / grid.step
+    exact = ws.adjoint_image(root * np.linalg.solve(system, -root * y0))
+    assert _relative(ws, got, exact) <= 1e-10
+
+    want, _, _, want_conv = reference_minimize_penalty(
+        problem, model, grid, geom, trace, m0, f0, epsilon=eps, theta=eps)
+    assert want_conv
+    assert _relative(ws, got, want) <= 1e-8
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
@@ -195,16 +214,14 @@ def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     operator = FrozenOperator(model, grid, geom, trace)
     problem = PenaltyProblem(mode=mode, max_cg_iters=4000, cg_tol=1e-9)
-    packed = None
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        result, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                          v_init=packed, epsilon=eps, theta=eps,
-                                          operator=operator)
+        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                                  epsilon=eps, theta=eps, operator=operator)
         assert result.converged
         ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
                         trace, m0, f0)
         b = ws.rhs()
-        grad = ws.gradient(packed)
+        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         assert np.sqrt(ws.inner(grad, grad)) <= \
             1.01 * problem.cg_tol * np.sqrt(ws.inner(b, b))
 

@@ -213,18 +213,15 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
-def test_warm_stage_sweeps(mode, target_min_age, monkeypatch):
-    # b and H x_prev share a 2-column forward and a 2-column adjoint sweep; the
-    # residual check's adjoint of [c_r | c_x] also gives the control's last term
+def test_stage_sweeps(mode, target_min_age, monkeypatch):
+    # y0 takes one forward sweep, b and L* c share one 2-column adjoint sweep,
+    # and the gradient check takes one forward and one adjoint sweep
     model = reference_model()
     geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(mode=mode)
-    first, packed = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                     epsilon=1e-2, theta=1e-2)
-    next_trace = first.state.fertile_male_trace
 
     widths = {"forward": [], "adjoint": []}
     forward, levels = FrozenOperator.forward, FrozenOperator.adjoint_levels
@@ -239,18 +236,19 @@ def test_warm_stage_sweeps(mode, target_min_age, monkeypatch):
 
     monkeypatch.setattr(FrozenOperator, "forward", counting_forward)
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting_levels)
-    result, _ = minimize_penalty(problem, model, grid, geom, next_trace, m0, f0,
-                                 v_init=packed, epsilon=1e-3, theta=1e-3)
-    assert result.converged and result.iterations > 1
+    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
+                              epsilon=1e-3, theta=1e-3)
+    assert result.converged and result.iterations == 1
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
-    assert widths == {"forward": [2, 1, 1, 1], "adjoint": [2, gramian_width, 1, 2]}
+    assert widths == {"forward": [1, 1], "adjoint": [gramian_width, 2, 1]}
+    monkeypatch.undo()
 
-    # the 2-column sweeps give b and H x_prev bit for bit
+    # the 2-column sweep gives |b| and the check gives the gradient bit for bit
     ws = _Workspace(dataclasses.replace(problem, epsilon=1e-3, theta=1e-3), model, grid,
-                    geom, next_trace, m0, f0)
-    b, hx = ws.rhs_and_hessian(packed)
-    for got, want in ((b, ws.rhs()), (hx, ws.apply_hessian(packed))):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    geom, trace, m0, f0)
+    b = ws.rhs()
+    grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+    assert result.cg_trace == [np.sqrt(ws.inner(b, b)), np.sqrt(ws.inner(grad, grad))]
 
 
 def _counting(model):
@@ -271,8 +269,8 @@ def test_fertility_evaluated_once_per_level_per_operator():
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
-    result, _ = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
-    assert result.iterations > 10
+    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+    assert result.iterations >= 1
     assert calls == list(trace)
     del calls[:]
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
@@ -289,14 +287,14 @@ def test_trace_map_evaluates_fertility_once_per_level():
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
-    y, result, packed, state = trace_map(trace, model, grid, geom, problem, m0, f0)
+    y, result = trace_map(trace, model, grid, geom, problem, m0, f0)
     assert calls == list(trace)
     expected = solve_forward(reference_model(), grid, geom, result.v_m, result.v_f,
                              m0, f0, frozen_trace=trace)
-    assert np.array_equal(state.m.values, expected.m.values)
+    assert np.array_equal(result.state.m.values, expected.m.values)
     assert np.array_equal(y, expected.fertile_male_trace)
     del calls[:]
-    trace_map(1.1 * trace, model, grid, geom, problem, m0, f0, v_init=packed)
+    trace_map(1.1 * trace, model, grid, geom, problem, m0, f0)
     assert calls == list(1.1 * trace)
 
 
