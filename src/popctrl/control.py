@@ -1,26 +1,29 @@
 """Penalty-functional control synthesis for the frozen-trace system.
 
-The optimization variable is the control itself, restricted to the nodes
-that actually couple to the state (inside the region mask, time levels
-1..Nt).  In that space the objective is
+A control is the pair (v_m, v_f) of (N+1) x (Nt+1) lattice fields, zero off
+the nodes that couple to the state (inside the region mask, ages >= 1, time
+levels 1..Nt).  The sex a single-control mode leaves uncontrolled has an
+empty region, so its field stays zero.  Controls are paired by the
+duality-consistent ``adjoint.region_inner``, summed over the two sexes, and
+the objective is
 
     J(v) = 1/2 ||v||^2  +  1/(2 eps) ||m(T)||^2  (+ 1/(2 theta) ||f(T)||^2)
 
-with mode-appropriate terminal terms.  Gradients come from one adjoint
-sweep and are exact for the discrete objective because the adjoint is the
-exact transpose of the forward map.
+with mode-appropriate terminal terms, that is 1/2 h sum D y(T)^2 with D the
+diagonal penalty weights of the stacked terminal state y(T).  Gradients come
+from one adjoint sweep and are exact for the discrete objective because the
+adjoint is the exact transpose of the forward map.
 
 The Hessian is I + L* D L: L maps a control to the terminal state of the
-zero-data frozen-trace system, L* is its adjoint (one backward sweep from
-a terminal work vector) and D holds the penalty weights.  By HUM duality
-the optimum is v = L* c, where c solves the terminal-space system
-(I + D G / h) c = -D y0, G = h L L* is the operator's cached control
-Gramian and y0 the terminal state of the uncontrolled sweep.  So a stage
-runs one forward sweep for y0, one dense solve in the 2(N+1) terminal
-coordinates and one adjoint sweep for the control, then checks the
-explicit gradient from a forward and an adjoint sweep; a correction solve
-on the remaining terminal residual runs only while that gradient is above
-tolerance.
+zero-data frozen-trace system and L* is its adjoint (one backward sweep from
+a terminal work vector).  By HUM duality the optimum is v = L* c, where c
+solves the terminal-space system (I + D G / h) c = -D y0, G = h L L* is the
+operator's cached control Gramian and y0 the terminal state of the
+uncontrolled sweep.  So a stage runs one forward sweep for y0, one dense
+solve in the 2(N+1) terminal coordinates and one adjoint sweep for the
+control, then checks the explicit gradient from a forward and an adjoint
+sweep; a correction solve on the remaining terminal residual runs only while
+that gradient is above tolerance.
 
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
@@ -30,8 +33,9 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .adjoint import region_inner
 from .errors import ConfigurationError, ConsistencyError
-from .forward import FrozenOperator, StateSolution, control_masks
+from .forward import FrozenOperator, StateSolution
 from .grid import Field2D, region_mask
 from .model import ControlMode
 
@@ -47,6 +51,14 @@ class EpsilonSchedule:
     start: float = 1e-2
     ratio: float = 10.0
     stages: int = 4
+
+    def __post_init__(self):
+        if not self.start > 0:
+            raise ConfigurationError("schedule start must be positive")
+        if not self.ratio > 1:
+            raise ConfigurationError("schedule ratio must be above 1")
+        if self.stages < 1:
+            raise ConfigurationError("schedule needs at least one stage")
 
     def values(self):
         return [self.start / self.ratio**k for k in range(self.stages)]
@@ -69,6 +81,10 @@ class PenaltyProblem:
             raise ConfigurationError("theta must be positive in coupled mode")
         if self.target_norm <= 0:
             raise ConfigurationError("target_norm must be positive")
+        if self.max_cg_iters < 1:
+            raise ConfigurationError("max_cg_iters must be at least 1")
+        if not self.cg_tol > 0:
+            raise ConfigurationError("cg_tol must be positive")
 
 
 @dataclass
@@ -86,39 +102,6 @@ class ControlResult:
     theta: float
     stage_history: list = dc_field(default_factory=list)
     state: StateSolution = None  # the controlled frozen-trace solve
-
-
-class ControlSpace:
-    """Active control degrees of freedom over one region mask."""
-
-    def __init__(self, grid, mask):
-        self.grid = grid
-        self.mask = mask
-        idx = np.where(mask > 0)[0]
-        self.idx = idx[idx >= 1]  # the age-zero node never couples to the state
-        self.wq = (grid.step**2) * mask[self.idx]
-
-    def pack(self, values):
-        return values[self.idx, 1:].copy()
-
-    def unpack(self, packed):
-        full = np.zeros((self.grid.num_age_cells + 1, self.grid.num_time_cells + 1))
-        full[self.idx, 1:] = packed
-        return full
-
-    def zeros(self):
-        return np.zeros((self.idx.size, self.grid.num_time_cells))
-
-    def inner(self, u, v):
-        return float(np.sum(self.wq[:, None] * u * v))
-
-
-def build_spaces(grid, geom):
-    """(male space or None, female space or None) for the geometry's mode."""
-    mask_m, mask_f = control_masks(grid, geom)
-    male = ControlSpace(grid, mask_m) if geom.mode is not ControlMode.FEMALE_ONLY else None
-    female = ControlSpace(grid, mask_f) if geom.mode is not ControlMode.MALE_ONLY else None
-    return male, female
 
 
 def terminal_weights(grid, geom):
@@ -158,8 +141,14 @@ def _check_modes(problem, geom):
 class _Workspace:
     """Caches everything a penalty stage reuses for one (eps, theta).
 
-    One frozen-trace operator serves every forward and adjoint sweep; pass
-    ``operator`` to share one (and its Gramian) between penalty stages.
+    A control is the pair [v_m, v_f] of (N+1) x (Nt+1) lattice arrays, zero
+    off ``support``: the region-mask nodes at ages >= 1 and time levels
+    >= 1, the only ones that couple to the state.  The sex a single-control
+    mode leaves uncontrolled has an empty region, so its field stays zero.
+    The inner product is the duality-consistent ``region_inner`` summed
+    over the two sexes.  One frozen-trace operator serves every forward and
+    adjoint sweep; pass ``operator`` to share one (and its Gramian) between
+    penalty stages.
     """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
@@ -176,35 +165,29 @@ class _Workspace:
         self.op = operator
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
-        self.male, self.female = build_spaces(grid, geom)
-        self.spaces = [s for s in (self.male, self.female) if s is not None]
+        self.masks = (operator.mask_m, operator.mask_f)
+        # the age-zero node and time level 0 never couple to the state
+        support = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1), dtype=bool)
+        support[1:, 1:] = True
+        self.support = [support & (mask > 0)[:, None] for mask in self.masks]
         self.w_m, self.w_f = terminal_weights(grid, geom)
         self.zero_profile = np.zeros(grid.num_age_cells + 1)
 
+    def zeros(self):
+        return [np.zeros(support.shape) for support in self.support]
+
     def pack(self, v_m, v_f):
-        """Packed control of the active spaces; an absent field counts as zero."""
-        zeros2 = np.zeros((self.grid.num_age_cells + 1, self.grid.num_time_cells + 1))
-        return [space.pack(v.values if v is not None else zeros2)
-                for space, v in ((self.male, v_m), (self.female, v_f))
-                if space is not None]
+        """The control of two fields, restricted to ``support``; None counts as zero."""
+        return [np.where(support, v.values, 0.0) if v is not None else np.zeros(support.shape)
+                for support, v in zip(self.support, (v_m, v_f))]
 
-    def fields_from_packed(self, packed):
-        i = 0
-        vm = vf = None
-        if self.male is not None:
-            vm = self.male.unpack(packed[i]); i += 1
-        if self.female is not None:
-            vf = self.female.unpack(packed[i])
-        return vm, vf
-
-    def forward(self, packed, with_data):
-        vm, vf = self.fields_from_packed(packed)
+    def forward(self, x, with_data):
         m0 = self.m0 if with_data else self.zero_profile
         f0 = self.f0 if with_data else self.zero_profile
-        return self.op.state(m0, f0, vm, vf)
+        return self.op.state(m0, f0, *x)
 
     def adjoint_image(self, work):
-        """L* of a stacked terminal work vector (male then female slot), packed.
+        """L* of a stacked terminal work vector (male then female slot).
 
         L* is the adjoint of the terminal map L (zero data) in the pairing
         <L* u, x> = h * u . L x, so ``op.control_gramian()`` is h L L*.
@@ -215,16 +198,17 @@ class _Workspace:
         """``adjoint_image`` of each work vector, from one batched sweep."""
         size = self.zero_profile.size
         block = np.stack(works, axis=1)
-        _, _, n_eff, l_eff = self.op.adjoint(block[:size], block[size:])
-        images = []
-        for c in range(len(works)):
-            image = []
-            if self.male is not None:
-                image.append(n_eff[self.male.idx, 1:, c])
-            if self.female is not None:
-                image.append(l_eff[self.female.idx, 1:, c])
-            images.append(image)
-        return images
+        shape = (size, self.grid.num_time_cells + 1, len(works))
+        n_rows, l_eff = np.zeros(shape), np.zeros(shape)
+
+        def store(j, n_j, l_j, l_eff_j):
+            n_rows[:, j] = n_j
+            l_eff[:, j] = l_eff_j
+
+        self.op.adjoint_levels(block[:size], block[size:], store)
+        support_m, support_f = self.support
+        return [[np.where(support_m, n_rows[..., c], 0.0),
+                 np.where(support_f, l_eff[..., c], 0.0)] for c in range(len(works))]
 
     def penalty_weights(self):
         """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
@@ -237,47 +221,36 @@ class _Workspace:
             weights[size:] = self.w_f / (h * self.effective_theta())
         return weights
 
-    def terminal(self, packed, with_data):
+    def terminal(self, x, with_data):
         """Stacked terminal (male, female) profiles of the controlled sweep."""
-        return _terminal(self.forward(packed, with_data))
-
-    def adjoint_packed(self, m_term, f_term, sign):
-        """Pack the adjoint of sign/eps-weighted terminal states onto the spaces."""
-        return self.adjoint_image(
-            sign * self.penalty_weights() * np.concatenate([m_term, f_term]))
+        return _terminal(self.forward(x, with_data))
 
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
             else self.problem.epsilon
 
-    def apply_hessian(self, packed):
-        state = self.forward(packed, with_data=False)
-        adj = self.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], +1.0)
-        return [p + a for p, a in zip(packed, adj)]
+    def apply_hessian(self, x):
+        image = self.adjoint_image(self.penalty_weights() * self.terminal(x, with_data=False))
+        return [xi + a for xi, a in zip(x, image)]
 
     def rhs(self):
-        state = self.forward([s.zeros() for s in self.spaces], with_data=True)
-        return self.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], -1.0)
+        return self.adjoint_image(
+            -self.penalty_weights() * self.terminal(self.zeros(), with_data=True))
 
     def inner(self, x, y):
-        return sum(s.inner(a, b) for s, a, b in zip(self.spaces, x, y))
+        return sum(region_inner(self.grid, mask, a, b)
+                   for mask, a, b in zip(self.masks, x, y))
 
-    def objective(self, packed, state=None):
+    def objective(self, x, state=None):
+        """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``."""
         if state is None:
-            state = self.forward(packed, with_data=True)
-        value = 0.5 * self.inner(packed, packed)
-        if self.w_m is not None:
-            value += 0.5 / self.problem.epsilon * float(
-                np.dot(self.w_m, state.m.values[:, -1] ** 2))
-        if self.w_f is not None:
-            value += 0.5 / self.effective_theta() * float(
-                np.dot(self.w_f, state.f.values[:, -1] ** 2))
-        return value
+            state = self.forward(x, with_data=True)
+        penalty = self.grid.step * float(np.dot(self.penalty_weights(), _terminal(state) ** 2))
+        return 0.5 * (self.inner(x, x) + penalty)
 
-    def gradient(self, packed):
-        state = self.forward(packed, with_data=True)
-        adj = self.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], -1.0)
-        return [p - a for p, a in zip(packed, adj)]
+    def gradient(self, x):
+        image = self.adjoint_image(-self.penalty_weights() * self.terminal(x, with_data=True))
+        return [xi - a for xi, a in zip(x, image)]
 
     def terminal_norms(self, state):
         return terminal_norms(self.grid, self.geom, state.m.values[:, -1],
@@ -294,13 +267,14 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
     """Exact gradient of the discrete objective, as region-supported fields.
 
     Returns (g_m, g_f) Field2D, each equal to the control minus the masked
-    adjoint state on its region and zero elsewhere; the entry for an
-    inactive control mode is None.
+    adjoint state on the control's support and zero elsewhere, the gradient
+    in the region inner product; the entry for a sex the mode leaves
+    uncontrolled is None.
     """
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    g_m, g_f = ws.fields_from_packed(ws.gradient(ws.pack(v_m, v_f)))
-    return (None if g_m is None else Field2D(grid, g_m),
-            None if g_f is None else Field2D(grid, g_f))
+    g_m, g_f = ws.gradient(ws.pack(v_m, v_f))
+    return (None if geom.mode is ControlMode.FEMALE_ONLY else Field2D(grid, g_m),
+            None if geom.mode is ControlMode.MALE_ONLY else Field2D(grid, g_f))
 
 
 def _terminal(state):
@@ -314,13 +288,14 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
 
     Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
     a FrozenOperator for ``trace`` that is built here when None, and sets
-    the control to L* c.  Stops when the explicit gradient norm is at most
-    cg_tol times the zero-control gradient norm |b|; while it is above, a
-    correction solve on the terminal residual -(c + D y(T)) follows, up to
-    max_cg_iters solves in all, after which CONVERGENCE_NOT_REACHED is
-    flagged.  ``iterations`` counts the solves and ``cg_trace`` holds |b|
-    and the gradient norm after each solve.  The result carries the
-    controlled frozen-trace state.
+    the control to L* c, a pair of lattice fields that vanish off the
+    control support.  Stops when the explicit gradient norm, in the region
+    inner product, is at most cg_tol times the zero-control gradient norm
+    |b|; while it is above, a correction solve on the terminal residual
+    -(c + D y(T)) follows, up to max_cg_iters solves in all, after which
+    CONVERGENCE_NOT_REACHED is flagged.  ``iterations`` counts the solves
+    and ``cg_trace`` holds |b| and the gradient norm after each solve.  The
+    result carries the controlled frozen-trace state.
     """
     if epsilon is not None or theta is not None:
         problem = replace(
@@ -329,7 +304,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
     weights = ws.penalty_weights()
-    x = [s.zeros() for s in ws.spaces]
+    x = ws.zeros()
     state = ws.forward(x, with_data=True)
     work = -weights * _terminal(state)  # -D y0
     c = ws.op.solve_gramian(work, weights)
@@ -356,11 +331,8 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
         flags.append(FLAG_NON_ADMISSIBLE)
     if not converged:
         flags.append(FLAG_CONVERGENCE_NOT_REACHED)
-    vm, vf = ws.fields_from_packed(x)
-    zeros2 = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1))
     return ControlResult(
-        v_m=Field2D(grid, vm if vm is not None else zeros2),
-        v_f=Field2D(grid, vf if vf is not None else zeros2.copy()),
+        v_m=Field2D(grid, x[0]), v_f=Field2D(grid, x[1]),
         terminal_m_norm=m_norm, terminal_f_norm=f_norm,
         J_value=ws.objective(x, state=state),
         cg_trace=cg_trace, iterations=len(cg_trace) - 1, converged=converged,

@@ -296,12 +296,12 @@ def cmd_sweep(sweep_spec, base_raw, outdir, seed, log):
                                          scenario.geometry, trace, m0, f0)
         any_flagged = any_flagged or bool(result.flags)
         rows.append(list(combo) + [result.terminal_m_norm, result.terminal_f_norm,
-                                   result.J_value, result.iterations,
-                                   "|".join(result.flags)])
+                                   result.J_value, result.iterations, result.epsilon,
+                                   len(result.stage_history), "|".join(result.flags)])
     with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(paths + ["terminal_m_norm", "terminal_f_norm", "J_value",
-                                 "iterations", "flags"])
+                                 "iterations", "epsilon", "stages", "flags"])
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
     log(f"sweep: {len(rows)} combinations written")

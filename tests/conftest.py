@@ -76,3 +76,9 @@ def random_nonneg_model(seed, max_age=1.0):
         female_fraction=0.4,
         fertility_onset=0.15,
         max_age=max_age)
+
+
+def random_control(ws, rng):
+    """A standard-normal control pair of a penalty workspace, zero off its support."""
+    return [np.where(support, rng.standard_normal(support.shape), 0.0)
+            for support in ws.support]

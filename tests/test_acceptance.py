@@ -24,8 +24,8 @@ from popctrl.control import _Workspace, FLAG_TARGET_NOT_REACHED
 from popctrl.fixed_point import FixedPointConfig
 from popctrl.observability import forced_set_measure, forced_terminal_mask
 
-from conftest import (random_nonneg_model, reference_data, reference_geometry,
-                      reference_model, transport_model)
+from conftest import (random_control, random_nonneg_model, reference_data,
+                      reference_geometry, reference_model, transport_model)
 
 H_TARGET = 1.0 / 64
 
@@ -112,8 +112,7 @@ def test_criterion_3_gradient_exactness():
                                  theta=10 ** r.uniform(-3, -1),
                                  mode=ControlMode.BOTH)
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-        x = [r.standard_normal(s.zeros().shape) for s in ws.spaces]
-        d = [r.standard_normal(s.zeros().shape) for s in ws.spaces]
+        x, d = random_control(ws, r), random_control(ws, r)
         norm = np.sqrt(ws.inner(d, d))
         d = [di / norm for di in d]
         directional = ws.inner(ws.gradient(x), d)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -218,6 +219,19 @@ def test_sweep_command(scenario_path, tmp_path):
     assert len(rows) == 2
     first, second = (row.split(",")[1:] for row in rows)
     assert first != second
+
+    # two schedules that end on the same penalty weight (1e-4, the first to
+    # reach the target) write the same results and tell apart by the stages run
+    sweep["parameters"] = [{"path": "penalty.schedule.start", "values": [1e-2, 1e-3]}]
+    with open(sweep_path, "w") as handle:
+        json.dump(sweep, handle)
+    out = str(tmp_path / "same_end")
+    assert run_command(["sweep", sweep_path, "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "sweep.csv"), newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["stages"] for row in rows] == ["3", "2"]
+    assert rows[0]["epsilon"] == rows[1]["epsilon"]
+    assert float(rows[0]["epsilon"]) == pytest.approx(1e-4, rel=1e-15)
 
 
 def test_female_only_mode_via_cli(tmp_path):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
-                     evaluate_objective, minimize_penalty, objective_gradient,
-                     solve_forward, synthesize_null_control)
+from popctrl import (ControlGeometry, ControlMode, EpsilonSchedule, PenaltyProblem,
+                     build_grid, evaluate_objective, minimize_penalty,
+                     objective_gradient, solve_forward, synthesize_null_control)
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
+from popctrl.errors import ConfigurationError
 from popctrl.forward import FrozenOperator
 from popctrl.observability import forced_terminal_mask
 
-from conftest import reference_data, reference_geometry, reference_model
+from conftest import random_control, reference_data, reference_geometry, reference_model
 
 
 @pytest.fixture
@@ -22,6 +23,20 @@ def setup():
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
                              max_cg_iters=2000, cg_tol=1e-10)
     return model, geom, grid, m0, f0, trace, problem
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EpsilonSchedule(start=0.0),
+    lambda: EpsilonSchedule(ratio=1.0),
+    lambda: EpsilonSchedule(stages=0),
+    lambda: PenaltyProblem(max_cg_iters=0),
+    lambda: PenaltyProblem(cg_tol=0.0),
+], ids=["start", "ratio", "stages", "max_cg_iters", "cg_tol"])
+def test_library_config_rejects_what_the_scenario_parser_rejects(make):
+    # the same bounds as scenario.py: a schedule with no stage would return no
+    # result, a zero solve cap the zero control, a zero tolerance every solve
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 class TestObjective:
@@ -47,8 +62,7 @@ class TestObjective:
         model, geom, grid, m0, f0, trace, problem = setup
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
         rng = np.random.default_rng(0)
-        x = [rng.standard_normal(s.zeros().shape) for s in ws.spaces]
-        y = [rng.standard_normal(s.zeros().shape) for s in ws.spaces]
+        x, y = random_control(ws, rng), random_control(ws, rng)
         for t in (0.0, 0.3, 0.7, 1.0):
             blend = [t * a + (1 - t) * b for a, b in zip(x, y)]
             assert ws.objective(blend) <= (t * ws.objective(x)
@@ -68,8 +82,7 @@ class TestGradient:
         model, geom, grid, m0, f0, trace, problem = setup
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
         rng = np.random.default_rng(3)
-        x = [rng.standard_normal(s.zeros().shape) for s in ws.spaces]
-        d = [rng.standard_normal(s.zeros().shape) for s in ws.spaces]
+        x, d = random_control(ws, rng), random_control(ws, rng)
         norm = np.sqrt(ws.inner(d, d))
         d = [di / norm for di in d]
         directional = ws.inner(ws.gradient(x), d)
@@ -91,20 +104,19 @@ class TestGradient:
         problem = PenaltyProblem(epsilon=1e-2, theta=2e-3, mode=ControlMode.BOTH)
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
 
-        sizes = [s.zeros().size for s in ws.spaces]
+        sizes = [int(s.sum()) for s in ws.support]
         dim = sum(sizes)
 
-        def pack_flat(packed):
-            return np.concatenate([p.ravel() for p in packed])
+        def pack_flat(x):
+            return np.concatenate([xi[s] for xi, s in zip(x, ws.support)])
 
         def unpack_flat(vec):
-            out, k = [], 0
-            for s, size in zip(ws.spaces, sizes):
-                out.append(vec[k:k + size].reshape(s.zeros().shape))
-                k += size
+            out = ws.zeros()
+            out[0][ws.support[0]] = vec[:sizes[0]]
+            out[1][ws.support[1]] = vec[sizes[0]:]
             return out
 
-        base = ws.forward([s.zeros() for s in ws.spaces], with_data=True)
+        base = ws.forward(ws.zeros(), with_data=True)
         t0 = np.concatenate([base.m.values[:, -1], base.f.values[:, -1]])
         columns = []
         for k in range(dim):
@@ -114,8 +126,9 @@ class TestGradient:
                                            state.f.values[:, -1]]))
         tmat = np.stack(columns, axis=1)
 
-        na = grid.num_age_cells
-        wq = np.concatenate([np.repeat(s.wq, grid.num_time_cells) for s in ws.spaces])
+        h = grid.step
+        wq = np.concatenate([np.broadcast_to(h * h * mask[:, None], s.shape)[s]
+                             for mask, s in zip(ws.masks, ws.support)])
         pw = np.concatenate([ws.w_m / problem.epsilon, ws.w_f / problem.theta])
 
         rng = np.random.default_rng(8)
@@ -142,16 +155,12 @@ class TestMinimize:
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
         packed = ws.pack(result.v_m, result.v_f)
         # support: exactly zero outside the active region
-        active = np.zeros_like(result.v_m.values, dtype=bool)
-        active[ws.male.idx, 1:] = True
-        assert np.all(result.v_m.values[~active] == 0.0)
-        active_f = np.zeros_like(result.v_f.values, dtype=bool)
-        active_f[ws.female.idx, 1:] = True
-        assert np.all(result.v_f.values[~active_f] == 0.0)
+        support_m, support_f = ws.support
+        assert np.all(result.v_m.values[~support_m] == 0.0)
+        assert np.all(result.v_f.values[~support_f] == 0.0)
         # optimality: the control equals the masked adjoint of the penalized
         # terminal state on the active set
-        state = ws.forward(packed, with_data=True)
-        opt = ws.adjoint_packed(state.m.values[:, -1], state.f.values[:, -1], -1.0)
+        opt = ws.adjoint_image(-ws.penalty_weights() * ws.terminal(packed, with_data=True))
         err = max(np.max(np.abs(p - o)) for p, o in zip(packed, opt))
         scale = max(np.max(np.abs(p)) for p in packed)
         assert err <= 1e-6 * max(scale, 1e-30)
@@ -161,7 +170,7 @@ class TestMinimize:
         result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
         grad = ws.gradient(ws.pack(result.v_m, result.v_f))
-        zero_grad = ws.gradient([s.zeros() for s in ws.spaces])
+        zero_grad = ws.gradient(ws.zeros())
         assert np.sqrt(ws.inner(grad, grad)) <= \
             problem.cg_tol * np.sqrt(ws.inner(zero_grad, zero_grad)) * 1.01
 

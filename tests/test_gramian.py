@@ -35,7 +35,7 @@ def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     b = ws.rhs()
     norm_b = np.sqrt(ws.inner(b, b))
-    x = [s.zeros() for s in ws.spaces]
+    x = ws.zeros()
     r = [bi.copy() for bi in b]
     rho = ws.inner(r, r)
     cg_trace = [float(np.sqrt(rho))]
@@ -191,7 +191,7 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     # the optimum L* D^1/2 w, with (I + D^1/2 G D^1/2 / h) w = -D^1/2 y0 solved
     # densely on the pairwise Gramian, with no Schur complement
     root = np.sqrt(ws.penalty_weights())
-    y0 = ws.terminal([s.zeros() for s in ws.spaces], with_data=True)
+    y0 = ws.terminal(ws.zeros(), with_data=True)
     system = np.eye(root.size) + root[:, None] * _naive_gramian(ws) * root / grid.step
     exact = ws.adjoint_image(root * np.linalg.solve(system, -root * y0))
     assert _relative(ws, got, exact) <= 1e-10

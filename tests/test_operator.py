@@ -17,7 +17,7 @@ from popctrl.control import _Workspace
 from popctrl.errors import NumericalFailure
 from popctrl.forward import FrozenOperator, StateSolution, control_masks
 
-from conftest import random_nonneg_model, reference_data, reference_model
+from conftest import random_control, random_nonneg_model, reference_data, reference_model
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 
@@ -198,8 +198,7 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
 
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    x = [r.standard_normal(s.zeros().shape) for s in ws.spaces]
-    d = [r.standard_normal(s.zeros().shape) for s in ws.spaces]
+    x, d = random_control(ws, r), random_control(ws, r)
     norm = np.sqrt(ws.inner(d, d))
     d = [di / norm for di in d]
     directional = ws.inner(ws.gradient(x), d)
@@ -234,8 +233,12 @@ def test_stage_sweeps(mode, target_min_age, monkeypatch):
         widths["adjoint"].append(np.shape(work_n)[1])
         return levels(self, work_n, work_l, visit)
 
+    def whole_adjoint(self, work_n, work_l):
+        raise AssertionError("the control path stores whole adjoint lattices")
+
     monkeypatch.setattr(FrozenOperator, "forward", counting_forward)
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting_levels)
+    monkeypatch.setattr(FrozenOperator, "adjoint", whole_adjoint)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                               epsilon=1e-3, theta=1e-3)
     assert result.converged and result.iterations == 1
@@ -249,6 +252,31 @@ def test_stage_sweeps(mode, target_min_age, monkeypatch):
     b = ws.rhs()
     grad = ws.gradient(ws.pack(result.v_m, result.v_f))
     assert result.cg_trace == [np.sqrt(ws.inner(b, b)), np.sqrt(ws.inner(grad, grad))]
+
+
+@pytest.mark.parametrize("mode, target_min_age", [
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.FEMALE_ONLY, 0.0)])
+def test_adjoint_images_are_the_adjoint_restricted_to_the_support(mode, target_min_age):
+    # each column of a 2-column image batch is its own whole adjoint sweep's
+    # (n_eff, l_eff), zeroed off the control support, bit for bit
+    model = reference_model()
+    geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    ws = _Workspace(PenaltyProblem(mode=mode), model, grid, geom, trace, m0, f0)
+    support_m, support_f = ws.support
+    # the sex the mode leaves uncontrolled has an empty support
+    assert support_m.any() == (mode is not ControlMode.FEMALE_ONLY)
+    assert support_f.any() == (mode is not ControlMode.MALE_ONLY)
+    works = np.random.default_rng(23).standard_normal((2, 2 * (grid.num_age_cells + 1)))
+    images = ws.adjoint_images(*works)
+    assert len(images) == 2
+    for work, (image_m, image_f) in zip(works, images):
+        _, _, n_eff, l_eff = ws.op.adjoint(*np.split(work, 2))
+        assert np.array_equal(image_m, np.where(support_m, n_eff, 0.0))
+        assert np.array_equal(image_f, np.where(support_f, l_eff, 0.0))
 
 
 def _counting(model):
