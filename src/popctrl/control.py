@@ -29,6 +29,7 @@ In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -44,6 +45,11 @@ FLAG_CONVERGENCE_NOT_REACHED = "CONVERGENCE_NOT_REACHED"
 FLAG_TARGET_NOT_REACHED = "TARGET_NOT_REACHED"
 FLAG_FIXED_POINT_NOT_REACHED = "FIXED_POINT_NOT_REACHED"
 FLAG_CONTRACTION_BOUND_EXCEEDED = "CONTRACTION_BOUND_EXCEEDED"
+
+
+def _positive(value):
+    """True for a finite positive number; NaN fails, as every comparison does."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,12 @@ class PenaltyProblem:
     schedule: EpsilonSchedule = dc_field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.mode is ControlMode.BOTH and self.theta <= 0:
-            raise ConfigurationError("theta must be positive in coupled mode")
-        if self.target_norm <= 0:
-            raise ConfigurationError("target_norm must be positive")
+        if not _positive(self.epsilon):
+            raise ConfigurationError("epsilon must be positive and finite")
+        if self.mode is ControlMode.BOTH and not _positive(self.theta):
+            raise ConfigurationError("theta must be positive and finite in coupled mode")
+        if not _positive(self.target_norm):
+            raise ConfigurationError("target_norm must be positive and finite")
         if self.max_cg_iters < 1:
             raise ConfigurationError("max_cg_iters must be at least 1")
         if not self.cg_tol > 0:

@@ -13,6 +13,7 @@ uncontrolled frozen-field solve, measured in the exponentially weighted
 metric whose rate is reconstructed from the model constants.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .control import (FLAG_FIXED_POINT_NOT_REACHED, FLAG_TARGET_NOT_REACHED,
                       minimize_penalty, stage_entry, target_reached, terminal_norms)
 from .errors import ConfigurationError
-from .forward import solve_forward
+from .forward import FrozenOperator, solve_forward
 from .model import ControlGeometry, ControlMode
 
 
@@ -33,8 +34,9 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.omega <= 1.0):
             raise ConfigurationError("omega must lie in (0, 1]")
-        if self.fp_tol <= 0 or self.max_outer_iters < 1:
-            raise ConfigurationError("fp_tol must be positive, max_outer_iters >= 1")
+        if not (math.isfinite(self.fp_tol) and self.fp_tol > 0) or self.max_outer_iters < 1:
+            raise ConfigurationError("fp_tol must be positive and finite, "
+                                     "max_outer_iters >= 1")
 
 
 @dataclass
@@ -57,15 +59,17 @@ def _trace_derivative_norm(grid, values):
     return float(np.sqrt(grid.step * np.sum(diffs**2)))
 
 
-def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=None):
+def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=None,
+              operator=None):
     """One application of the controlled-trace map.
 
     Minimizes the penalty functional for the frozen trace, from scratch, and
     returns the fertile-male trace of the controlled frozen-trace solve
     along with the control result, whose ``state`` is that solve.
+    ``operator`` is as in ``minimize_penalty``.
     """
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                              epsilon=epsilon, theta=theta)
+                              epsilon=epsilon, theta=theta, operator=operator)
     return result.state.fertile_male_trace.copy(), result
 
 
@@ -77,10 +81,14 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
     system; the schedule advances until the nonlinear terminal norms meet
     the target or the stages run out.
 
+    Every outer iteration's operator is the previous one retraced, so they
+    all share one set of trace-independent tables.
+
     Returns (FixedPointState, ControlResult, nonlinear StateSolution).
     """
     uncontrolled = solve_forward(model, grid, geom, None, None, m0, f0)
     p = uncontrolled.fertile_male_trace.copy()
+    operator = None
     omega = fp_config.omega
     history = []
     stages = []
@@ -93,8 +101,10 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
         stage_converged = False
         prev_delta = None
         for k in range(fp_config.max_outer_iters):
+            operator = (FrozenOperator(model, grid, geom, p) if operator is None
+                        else operator.retrace(p))
             y, result = trace_map(p, model, grid, geom, problem, m0, f0,
-                                  epsilon=eps, theta=eps)
+                                  epsilon=eps, theta=eps, operator=operator)
             p_new = (1.0 - omega) * p + omega * y
             delta = trace_norm(grid, p_new - p)
             norm_p = trace_norm(grid, p)

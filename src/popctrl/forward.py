@@ -16,14 +16,26 @@ onset cutoff the birth integral gets one extra boundary sweep, which the
 adjoint reproduces exactly (the `boundary_factor` below).
 
 For a frozen trace the map is linear, and `FrozenOperator` holds everything
-its forward sweep and exact transpose need, built once per trace.  Both
-sweeps take a single age profile or an (N+1) x k block of columns; every
-per-column operation is the one the single-column sweep performs, so a
-block sweep equals k single sweeps bit for bit.  The operator's control and
-initial Gramians come from one such sweep with a single column per terminal
-age young enough to reach age 0 (see `FrozenOperator._assemble_gramians`).
+its forward sweep and exact transpose need, built once per trace;
+`FrozenOperator.retrace` gives the operator of another trace that shares
+every trace-independent table.  Both sweeps take a single age profile or an
+(N+1) x k block of columns; every per-column operation is the one the
+single-column sweep performs, so a block sweep equals k single sweeps bit
+for bit.
+
+The operator's control and initial Gramians take one of two paths, by the
+kind of fertility.  Separable fertility phi(a) r(p) is tabulated from one
+vector call of r per trace, and the Gramians come in closed form from a
+discrete renewal equation (`_Renewal`): its trace-independent tables are
+built once and shared by retraced operators, and a trace costs one Nt x Nt
+triangular solve and four small matrix products.  Any other fertility is
+evaluated once per level, and the Gramians come from one batched adjoint
+sweep with a single column per terminal age young enough to reach age 0
+(`FrozenOperator._assemble_gramians`), which is also the oracle the closed
+form is tested against.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,24 +211,51 @@ class FrozenOperator(_Transport):
 
     Holds the trace-independent tables and the fertility table
     beta(., trace[j]) of every time level, so the sweeps evaluate no rate
-    function.
+    function; for separable fertility also its age profile and its
+    ``response`` at every level, the factors of that table.
 
     Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
     independent right-hand sides; results keep the column axis last.
     """
 
     def __init__(self, model, grid, geom, trace):
-        trace = np.array(trace, dtype=float)
-        if trace.shape != (grid.num_time_cells + 1,):
-            raise DimensionError(f"frozen trace has shape {trace.shape}, "
-                                 f"expected ({grid.num_time_cells + 1},)")
         super().__init__(model, grid, geom)
+        self.fertility = fertility = model.fertility
+        # a separable fertility's age profile, shared by every trace
+        self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
+                            if fertility.separable else None)
+        self._renewal = None
+        self._freeze(trace)
+
+    def _freeze(self, trace):
+        """Tabulate the fertility of every level at ``trace``."""
+        trace = np.array(trace, dtype=float)
+        nt = self.grid.num_time_cells
+        if trace.shape != (nt + 1,):
+            raise DimensionError(f"frozen trace has shape {trace.shape}, "
+                                 f"expected ({nt + 1},)")
         self.trace = trace
-        self.beta = np.array([np.asarray(model.fertility(self.ages, p), dtype=float)
-                              for p in self.trace])
+        if self.age_profile is None:
+            self.response = None
+            self.beta = np.array([np.asarray(self.fertility(self.ages, p), dtype=float)
+                                  for p in trace])
+        else:
+            # the products phi(a) r(p) the per-level calls form, from one vector call
+            self.response = np.asarray(self.fertility.response(trace), dtype=float)
+            self.beta = self.age_profile[None, :] * self.response[:, None]
         # one boundary sweep per level, as in the forward step loop
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
         self._gramian_cache = None
+
+    def retrace(self, trace):
+        """The operator of the same model, grid and geometry for another trace.
+
+        It shares every trace-independent table of this one, the renewal
+        tables of the closed-form Gramians included once they are built.
+        """
+        op = copy.copy(self)
+        op._freeze(trace)
+        return op
 
     def forward(self, m0, f0, v_m=None, v_f=None):
         """Forward sweep; returns (m, f, fertile-male trace, birth trace).
@@ -331,6 +370,8 @@ class FrozenOperator(_Transport):
         is the backward sweep from the work pair whose stacked entry p is 1
         (entries 0..N are the male slot, N+1..2N+1 the female one).  Built
         on first use and cached: it does not depend on the penalty weights.
+        Separable fertility takes the closed form of ``_Renewal``, any other
+        the sweep of ``_assemble_gramians``.
         """
         return self._gramians()[0]
 
@@ -344,7 +385,17 @@ class FrozenOperator(_Transport):
 
     def _gramians(self):
         if self._gramian_cache is None:
-            self._gramian_cache = self._assemble_gramians()
+            if self.age_profile is None:
+                self._gramian_cache = self._assemble_gramians()
+            else:
+                if self._renewal is None:
+                    self._renewal = _Renewal(self)
+                gramians = self._renewal.gramians(self.response, self.boundary_factor)
+                if not all(np.isfinite(g).all() for g in gramians[:2]):
+                    # the sweep names the first level that stops being finite
+                    self._assemble_gramians()
+                    raise NumericalFailure("Gramian assembly lost finiteness")
+                self._gramian_cache = gramians
         return self._gramian_cache
 
     def solve_gramian(self, rhs, weights):
@@ -370,6 +421,10 @@ class FrozenOperator(_Transport):
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
+
+        The Gramians of a fertility that is not separable come from here; a
+        separable one takes ``_Renewal``, and comes here only to name the
+        level at which a non-finite closed form stops being finite.
 
         The male row has no source, so until terminal age p reaches age 0, at
         level Nt - p, both of its unit vectors stay single transported
@@ -419,14 +474,27 @@ class FrozenOperator(_Transport):
             control.add(j, n_j, l_eff_j)
 
         self.adjoint_levels(work_n, work_l, collect)
-        gamma = self.gamma
-        births = (1.0 - gamma) * reached[0] + gamma * reached[1]
-        # a column whose spikes die before age 0 has no response: any split serves
-        split = np.zeros((2, young))
-        np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
-        np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
-        blocks = (np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size])
-        return control.matrix(*split), initial.matrix(*split), blocks
+        _, split = _birth_split(reached, self.gamma)
+        return (control.matrix(*split), initial.matrix(*split),
+                _terminal_blocks(size, young))
+
+
+def _birth_split(reached, gamma):
+    """The birth source E_p = (1 - gamma) s_m + gamma s_f of each young terminal
+    age, and the shares (a_p, b_p) of its male and female unit vectors, from
+    the spike values (s_m, s_f) that reach age 0."""
+    births = (1.0 - gamma) * reached[0] + gamma * reached[1]
+    # a column whose spikes die before age 0 has no response: any split serves
+    split = np.zeros(reached.shape)
+    np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
+    np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
+    return births, split
+
+
+def _terminal_blocks(size, young):
+    """Stacked (dense, spike) indices: the young terminal ages of both slots,
+    then the older ones."""
+    return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
 
 
 class _LiveGram:
@@ -474,26 +542,143 @@ class _LiveGram:
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
     def matrix(self, a, b):
-        """The Gramian of the terminal unit vectors, the male image of young age
-        p being a_p times its column's response and the female one b_p times."""
-        size, young = self.size, self.young
-        male, female, old = (slice(0, young), slice(size, size + young),
-                             slice(size + young, 2 * size))
-        live, cross = self.gram_live, self.spike_cross
-        # pair[p, q]: the female spike of age q against the live column p
-        pair = cross[:young].T
-        female_pair = b[:, None] * pair
-        gram = np.zeros((2 * size, 2 * size))
-        gram[male, male] = np.outer(a, a) * live
-        gram[male, female] = np.outer(a, b) * live + a[:, None] * pair
-        gram[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
-        gram[old, male] = cross[young:] * a
-        gram[old, female] = cross[young:] * b
-        gram[female, male] = gram[male, female].T
-        gram[male, old] = gram[old, male].T
-        gram[female, old] = gram[old, female].T
-        gram[np.diag_indices_from(gram)] += self.spike_diag.ravel()
-        return gram
+        """The Gramian of the terminal unit vectors (see ``_expand``)."""
+        return _expand(self.gram_live, self.spike_cross, self.spike_diag, a, b)
+
+
+def _expand(live, cross, diag, a, b):
+    """The 2(N+1) x 2(N+1) Gramian of the terminal unit vectors.
+
+    ``live`` is the Gram matrix of the young columns' responses, ``cross``
+    the products of every terminal age's female spike with those responses
+    and ``diag`` the squares of the spikes of both slots; the male image of
+    young age p is a_p times its column's response and the female one b_p
+    times.
+    """
+    size, young = cross.shape
+    male, female, old = (slice(0, young), slice(size, size + young),
+                         slice(size + young, 2 * size))
+    # pair[p, q]: the female spike of age q against the live column p
+    pair = cross[:young].T
+    female_pair = b[:, None] * pair
+    gram = np.zeros((2 * size, 2 * size))
+    gram[male, male] = np.outer(a, a) * live
+    gram[male, female] = np.outer(a, b) * live + a[:, None] * pair
+    gram[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
+    gram[old, male] = cross[young:] * a
+    gram[old, female] = cross[young:] * b
+    gram[female, male] = gram[male, female].T
+    gram[male, old] = gram[old, male].T
+    gram[female, old] = gram[old, female].T
+    gram[np.diag_indices_from(gram)] += diag.ravel()
+    return gram
+
+
+class _Renewal:
+    """Closed-form Gramians of the frozen-trace operators of one model, grid
+    and geometry, for separable fertility beta(a, p) = phi(a) r(p).
+
+    The feedback of the sweep of ``FrozenOperator._assemble_gramians`` at
+    level j is then psi c_j q_j: one fixed age profile psi = (wa / h) phi
+    times c_j = h bf_j r_j, bf_j the level's boundary factor, times the
+    level's birth source q_j = (1 - gamma) n_j[0] + gamma l_j[0].  Let T_d psi
+    be psi carried d levels down the female rows and kappa_d its age-0
+    entry.  The column of young terminal age p injects E_p at level Nt - p,
+    so its feedback amplitudes alpha_j = c_j q_j solve the discrete renewal
+    equation (I - gamma diag(c) K) alpha = c_{Nt-p} E_p e_{Nt-p}, with
+    K[j, k] = kappa_{k-j} for k > j, and its response at level j is the sum
+    over k >= j of alpha_k T_{k-j} psi.  Stacking the amplitudes as Lambda,
+    the response block of the control Gramian is Lambda^T Q Lambda and the
+    spike-by-response block Z Lambda, where Q sums the region-weighted
+    products of T_{k-j} psi and T_{k'-j} psi over the levels j and Z those
+    of the female spikes with T_{k-j} psi; the initial Gramian has Q0 and
+    Z0 at level 0.  Only c depends on the trace, so everything else is
+    tabulated here, once.
+    """
+
+    def __init__(self, op):
+        na, nt = op.grid.num_age_cells, op.grid.num_time_cells
+        h = op.grid.step
+        size = na + 1
+        self.nt, self.size, self.h, self.gamma = nt, size, h, op.gamma
+        self.young = young = min(nt, size)
+        region_m, region_f = op.mask_m.copy(), op.mask_f.copy()
+        region_m[0] = region_f[0] = 0.0
+        wq_m, wq_f, wa = h * h * region_m, h * h * region_f, op.wa
+
+        # carried[d] is T_d psi; spikes[s, d, q] the spike of terminal age q of
+        # slot s after d levels, in row q - d, multiplied in the sweep's order
+        carried = np.zeros((nt + 1, size))
+        carried[0] = (wa / h) * op.age_profile
+        spikes = np.zeros((2, nt + 1, size))
+        spikes[:, 0] = 1.0
+        survival = np.stack([op.s_m, op.s_f])
+        for d in range(1, nt + 1):
+            carried[d, :-1] = op.s_f[1:] * carried[d - 1, 1:]
+            if d < size:
+                spikes[:, d, d:] = survival[:, 1:size - d + 1] * spikes[:, d - 1, d:]
+
+        # K[j, k] = kappa_{k-j} above the diagonal
+        lag = np.arange(nt)[None, :] - np.arange(nt)[:, None]
+        self.kernel = np.where(lag > 0, carried[np.maximum(lag, 0), 0], 0.0)
+        young_ages = np.arange(young)
+        self.births, self.split = _birth_split(spikes[:, young_ages, young_ages], op.gamma)
+        self.inject = nt - 1 - young_ages  # row of level Nt - p among levels 1..Nt
+
+        # control: levels j = Nt - d >= 1, spikes in rows r = q - d >= 1
+        root = carried[:nt] * np.sqrt(wq_f)
+        q_ctrl = root @ root.T  # Q[k, k'] = sum_j G[k - j, k' - j], G this Gram matrix
+        for k in range(1, nt):
+            q_ctrl[k, 1:] += q_ctrl[k - 1, :-1]
+        z_ctrl = np.zeros((size, nt))
+        diag_ctrl = np.zeros((2, size))
+        for d in range(min(nt, size - 1)):
+            j = nt - d
+            rows = slice(1, size - d)
+            spike_f = spikes[1, d, d + 1:]
+            weighted = wq_f[rows] * spike_f
+            spike_m = spikes[0, d, d + 1:]
+            z_ctrl[d + 1:, j - 1:] += weighted[:, None] * carried[:d + 1, rows].T
+            diag_ctrl[0, d + 1:] += wq_m[rows] * spike_m * spike_m
+            diag_ctrl[1, d + 1:] += weighted * spike_f
+
+        # initial: level 0, spikes of the terminal ages q >= Nt in rows q - Nt
+        root = carried[1:] * np.sqrt(wa)
+        q_init = root @ root.T
+        z_init = np.zeros((size, nt))
+        diag_init = np.zeros((2, size))
+        if nt < size:
+            rows = slice(0, size - nt)
+            weighted = wa[rows] * spikes[1, nt, nt:]
+            z_init[nt:] = weighted[:, None] * carried[1:, rows].T
+            diag_init[0, nt:] = wa[rows] * spikes[0, nt, nt:] * spikes[0, nt, nt:]
+            diag_init[1, nt:] = weighted * spikes[1, nt, nt:]
+        self.forms = np.vstack([q_ctrl, q_init])
+        self.cross = np.vstack([z_ctrl, z_init])
+        self.diag = (diag_ctrl, diag_init)
+        self.blocks = _terminal_blocks(size, young)
+
+    def gramians(self, response, boundary_factor):
+        """(control Gramian, initial Gramian, (dense, spike) indices) at the
+        per-level fertility response and boundary factor of a trace."""
+        nt, size, young = self.nt, self.size, self.young
+        # a non-finite fertility spoils the result; the caller checks it
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.h * boundary_factor[1:] * response[1:]
+            system = np.eye(nt) - (self.gamma * c)[:, None] * self.kernel
+            source = np.zeros((nt, young))
+            source[self.inject, np.arange(young)] = c[self.inject] * self.births
+            # the system is unit upper triangular: LU finds no row to swap
+            amplitudes = np.linalg.solve(system, source)
+            forms = self.forms @ amplitudes
+            cross = self.cross @ amplitudes
+            out = []
+            for half, diag in enumerate(self.diag):
+                live = amplitudes.T @ forms[half * nt:(half + 1) * nt]
+                live = 0.5 * (live + live.T)
+                out.append(_expand(live, cross[half * size:(half + 1) * size], diag,
+                                   *self.split))
+        return out[0], out[1], self.blocks
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):

@@ -5,10 +5,11 @@ random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
 Gramians of the frozen-trace operator (`FrozenOperator.initial_gramian` and
-`control_gramian`, one batched sweep for both) on the live terminal entries,
-scaled by the terminal weights; when the power iteration runs, the probe
-quotients are read off the same Gramians, and otherwise one batched sweep of
-the probes gives them.  A zero denominator with nonzero numerator
+`control_gramian`, built together) on the live terminal entries, scaled by
+the terminal weights; when the power iteration runs, the probe quotients are
+read off the same Gramians, and otherwise one batched sweep of the probes
+gives them.  The operators of one call are retraced from the first, so they
+share its trace-independent tables.  A zero denominator with nonzero numerator
 is reported as the infinity sentinel: violated observability is a
 first-class outcome that certifies the time condition in the discrete
 model, not a numerical overflow.
@@ -68,8 +69,8 @@ def _gramian_quotients(op, n_T, l_T):
     """The quotients of ``_quotients``, read off the operator's Gramians.
 
     With w = theta * (n_T, l_T) stacked, a column's quotient is
-    w . E0 w / w . G w for the initial and control Gramians, so no sweep
-    runs beyond the one that assembles them.
+    w . E0 w / w . G w for the initial and control Gramians, so no probe
+    sweep runs.
     """
     theta = (op.wa / op.grid.step)[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
@@ -219,13 +220,16 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
     n_block = np.stack([n_T for n_T, _ in data], axis=1)
     l_block = np.stack([l_T for _, l_T in data], axis=1)
 
+    op = None
     for trace in traces:
-        op = FrozenOperator(model, grid, geom, trace)
+        # the traces share the operator's trace-independent tables
+        op = FrozenOperator(model, grid, geom, trace) if op is None else op.retrace(trace)
         if power_iters > 0:
             # the Gramians the power iteration needs give the probe quotients too
             samples = _gramian_quotients(op, n_block, l_block)
         else:
-            # one sweep of the probes costs less than assembling the Gramians
+            # one sweep of the probes: it costs less than a swept Gramian
+            # assembly, though more than a closed-form one
             samples = _quotients(op, n_block, l_block)
         finite = [s for s in samples if math.isfinite(s)]
         if len(finite) < len(samples):

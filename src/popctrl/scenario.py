@@ -9,6 +9,7 @@ objects or bare numbers.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +50,9 @@ def _number(obj, path, *, default=None, minimum=None, maximum=None,
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigurationError(f"{path}: expected a number")
     value = float(obj)
+    # NaN passes every comparison below, since each of them is False for it
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{path}: must be finite")
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{path}: must be >= {minimum}")
     if maximum is not None and value > maximum:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def reference_model(beta_amp=1.3, gamma=0.6, onset=0.15):
         female_fraction=gamma,
         fertility_onset=onset,
         max_age=1.0)
+
+
+def expr_fertility_model(beta_amp=1.3, gamma=0.6, onset=0.15):
+    """The reference model with its fertility written as one ``expr`` of (a, p),
+    which the frozen-trace operator tabulates level by level and whose
+    Gramians it assembles from the adjoint sweep."""
+    fertility = Fertility.from_spec(
+        {"kind": "expr", "expr": f"{beta_amp} * step(a - {onset}) * p / (1 + p)"},
+        "fertility")
+    return dataclasses.replace(reference_model(beta_amp, gamma, onset), fertility=fertility)
 
 
 def reference_geometry(horizon=0.35, mode=ControlMode.BOTH):

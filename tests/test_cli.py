@@ -273,6 +273,19 @@ def test_male_only_tail_norm_reported_as_targeted(tmp_path):
     assert code == (0 if reached else 1)
 
 
+def test_nan_target_norm_is_a_configuration_error(tmp_path):
+    # json reads a bare NaN; it used to run every stage and exit 1 with
+    # TARGET_NOT_REACHED
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["penalty"]["target_norm"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))
+    assert "NaN" in path.read_text()
+    out = str(tmp_path / "nan")
+    assert run_command(["control", str(path), "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_adjoint_mode_mismatch_is_an_error(tmp_path):
     # male-only adjoint admits no female terminal datum
     raw = json.loads(json.dumps(FAST_SCENARIO))

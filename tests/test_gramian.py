@@ -13,7 +13,8 @@ from popctrl.control import _Workspace
 from popctrl.errors import ConsistencyError
 from popctrl.forward import FrozenOperator
 
-from conftest import random_nonneg_model, reference_data, reference_model
+from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
+                      reference_model)
 
 
 def _geometry(mode, horizon, target_min_age=0.0):
@@ -76,15 +77,39 @@ def _naive_initial_gramian(op):
                      for n_p, l_p in rows])
 
 
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _check_gramians(ws):
+    """Both Gramians of the workspace's operator against the pairwise adjoint
+    images and against the sweep assembly; separable fertility takes the
+    closed form, any other the sweep itself."""
+    op = ws.op
+    swept = op._assemble_gramians()
+    for got, pairwise, sweep in ((op.control_gramian(), _naive_gramian(ws), swept[0]),
+                                 (op.initial_gramian(), _naive_initial_gramian(op),
+                                  swept[1])):
+        assert _close(got, pairwise)
+        if op.fertility.separable:
+            assert _close(got, sweep)
+        else:
+            assert np.array_equal(got, sweep)
+    assert (op._renewal is not None) == op.fertility.separable
+
+
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
 @pytest.mark.parametrize("horizon", [0.35, 1.0])  # 1.0: every terminal age reaches age 0
-@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(5)],
-                         ids=["reference", "random_nonneg"])
+@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(5),
+                                        expr_fertility_model],
+                         ids=["reference", "random_nonneg", "expr"])
 def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age,
                                                             horizon, make_model):
-    model = make_model()  # random_nonneg: fertility ignores the onset, boundary sweep
+    # random_nonneg: fertility ignores the onset, boundary sweep;
+    # expr: fertility is not separable, so the Gramians come from the sweep
+    model = make_model()
     geom = _geometry(mode, horizon, target_min_age)
     grid = build_grid(1.0, horizon, 1.0 / 16)
     m0, f0 = reference_data(grid)
@@ -92,12 +117,9 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=mode)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     gram = ws.op.control_gramian()
-    expected = _naive_gramian(ws)
-    assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert ws.op.control_gramian() is gram  # cached on the operator
     initial = ws.op.initial_gramian()
-    expected = _naive_initial_gramian(ws.op)
-    assert np.max(np.abs(initial - expected)) <= 1e-13 * np.max(np.abs(expected))
+    _check_gramians(ws)
+    assert ws.op.control_gramian() is gram  # cached on the operator
     assert ws.op.initial_gramian() is initial
 
 
@@ -120,9 +142,7 @@ def test_birth_source_split_matches_pairwise_adjoint_images(mode, target_min_age
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     ws = _Workspace(PenaltyProblem(mode=mode), model, grid, geom, trace, m0, f0)
-    for gram, expected in ((ws.op.control_gramian(), _naive_gramian(ws)),
-                           (ws.op.initial_gramian(), _naive_initial_gramian(ws.op))):
-        assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(expected))
+    _check_gramians(ws)
 
 
 def test_gramian_pairs_terminal_map_and_adjoint():

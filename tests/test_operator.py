@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, Field2D,
-                     PenaltyProblem, RateFunction, build_grid, duality_residual,
-                     estimate_observability_constant, minimize_penalty,
-                     observability_ratio, solve_adjoint, solve_forward, trace_map)
+                     FixedPointConfig, PenaltyProblem, RateFunction, build_grid,
+                     duality_residual, estimate_observability_constant,
+                     iterate_to_fixed_point, minimize_penalty, observability_ratio,
+                     solve_adjoint, solve_forward, synthesize_null_control, trace_map)
+from popctrl import forward as forward_module
 from popctrl import observability as obs
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
-from popctrl.errors import NumericalFailure
+from popctrl.errors import DimensionError, NumericalFailure
 from popctrl.forward import FrozenOperator, StateSolution, control_masks
 
-from conftest import random_control, random_nonneg_model, reference_data, reference_model
+from conftest import (expr_fertility_model, random_control, random_nonneg_model,
+                      reference_data, reference_model)
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 
@@ -212,10 +215,13 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
-def test_stage_sweeps(mode, target_min_age, monkeypatch):
+@pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
+                         ids=["separable", "expr"])
+def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     # y0 takes one forward sweep, b and L* c share one 2-column adjoint sweep,
-    # and the gradient check takes one forward and one adjoint sweep
-    model = reference_model()
+    # and the gradient check takes one forward and one adjoint sweep; the
+    # Gramians take no sweep for separable fertility and one for any other
+    model = make_model()
     geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
@@ -242,8 +248,9 @@ def test_stage_sweeps(mode, target_min_age, monkeypatch):
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                               epsilon=1e-3, theta=1e-3)
     assert result.converged and result.iterations == 1
-    gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
-    assert widths == {"forward": [1, 1], "adjoint": [gramian_width, 2, 1]}
+    gramian_sweep = ([] if model.fertility.separable
+                     else [min(grid.num_time_cells, grid.num_age_cells + 1) + 2])
+    assert widths == {"forward": [1, 1], "adjoint": gramian_sweep + [2, 1]}
     monkeypatch.undo()
 
     # the 2-column sweep gives |b| and the check gives the gradient bit for bit
@@ -346,6 +353,134 @@ def test_nonlinear_solve_is_the_frozen_step_at_its_own_arguments(mode):
     assert np.array_equal(frozen.f.values, nonlinear.f.values)
     assert np.array_equal(frozen.fertile_male_trace, nonlinear.fertile_male_trace)
     assert np.array_equal(frozen.birth_trace, nonlinear.birth_trace)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(3)],
+                         ids=["reference", "random_nonneg"])
+def test_separable_fertility_table_is_the_per_level_calls(mode, make_model):
+    # phi(a) r(p) from one vector call of each factor: the same IEEE products
+    # as one model.fertility call per level
+    model = make_model()
+    geom = _geometry(mode)
+    grid = build_grid(1.0, 0.5, 1.0 / 32)
+    na, nt = grid.num_age_cells, grid.num_time_cells
+    r = np.random.default_rng(7)
+    vm = r.random((na + 1, nt + 1)) if mode is not ControlMode.FEMALE_ONLY else None
+    vf = r.random((na + 1, nt + 1)) if mode is not ControlMode.MALE_ONLY else None
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, vm, vf, m0, f0).fertile_male_trace
+    op = FrozenOperator(model, grid, geom, trace)
+    assert op.response is not None
+    expected = np.array([model.fertility(grid.ages(), p) for p in trace])
+    assert np.array_equal(op.beta, expected)
+    assert np.array_equal(op.retrace(2.0 * trace).beta,
+                          [model.fertility(grid.ages(), p) for p in 2.0 * trace])
+
+
+def _counting_factors(model):
+    """The model with its separable fertility's age profile and response
+    recording each argument; the per-level fertility, which the nonlinear
+    solve calls, is left uncounted."""
+    fertility = model.fertility
+    calls = {"age_profile": [], "response": []}
+
+    def counted(name):
+        factor = getattr(fertility, name)
+
+        def record(x):
+            calls[name].append(np.array(x, dtype=float))
+            return factor(x)
+        return record
+
+    counting = Fertility(fertility, age_profile=counted("age_profile"),
+                         response=counted("response"),
+                         response_lipschitz=fertility.response_lipschitz)
+    return dataclasses.replace(model, fertility=counting), calls
+
+
+def _counting_tables(monkeypatch):
+    built = []
+
+    class Counting(forward_module._Renewal):
+        def __init__(self, op):
+            built.append(op.trace)
+            super().__init__(op)
+
+    monkeypatch.setattr(forward_module, "_Renewal", Counting)
+    return built
+
+
+def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
+    # every outer iteration's operator is the previous one retraced: one age
+    # profile and one set of tables per solve, one response call per operator
+    model, calls = _counting_factors(reference_model())
+    built = _counting_tables(monkeypatch)
+    geom = _geometry(ControlMode.BOTH, horizon=0.35)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3,
+                             mode=ControlMode.BOTH)
+    state, result, _ = iterate_to_fixed_point(model, grid, geom, problem,
+                                              FixedPointConfig(), m0, f0)
+    outer = len(state.history)
+    assert outer > 1
+    assert len(calls["age_profile"]) == 1
+    assert np.array_equal(calls["age_profile"][0], grid.ages())
+    assert [c.shape for c in calls["response"]] == [(grid.num_time_cells + 1,)] * outer
+    assert np.array_equal(calls["response"][-1], result.state.frozen_trace)
+    assert len(built) == 1
+
+    del calls["age_profile"][:], calls["response"][:], built[:]
+    synthesize_null_control(problem, model, grid, geom, result.state.frozen_trace, m0, f0)
+    assert (len(calls["age_profile"]), len(calls["response"]), len(built)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("power_iters", [0, 3])
+def test_separable_tables_built_once_per_horizon(power_iters, monkeypatch):
+    model, calls = _counting_factors(reference_model())
+    built = _counting_tables(monkeypatch)
+    _, grid, geom, trace = _observability_setup()
+    traces = [trace, 2.0 * trace, 0.5 * trace]
+    estimate_observability_constant(model, grid, geom, traces, probes=4,
+                                    power_iters=power_iters, seed=0)
+    assert len(calls["age_profile"]) == 1
+    assert all(np.array_equal(got, want) for got, want in zip(calls["response"], traces))
+    assert len(calls["response"]) == len(traces)
+    # without power iteration no Gramian is needed
+    assert len(built) == (1 if power_iters else 0)
+
+
+def test_retraced_operator_shares_the_tables():
+    model, grid, geom, trace = _observability_setup()
+    op = FrozenOperator(model, grid, geom, trace)
+    gram = op.control_gramian()
+    other = op.retrace(1.5 * trace)
+    fresh = FrozenOperator(model, grid, geom, 1.5 * trace)
+    assert other._renewal is op._renewal
+    assert np.array_equal(other.trace, fresh.trace)
+    for got, want in ((other.beta, fresh.beta),
+                      (other.control_gramian(), fresh.control_gramian()),
+                      (other.initial_gramian(), fresh.initial_gramian())):
+        assert np.array_equal(got, want)
+    assert op.control_gramian() is gram
+    with pytest.raises(DimensionError):
+        op.retrace(trace[:-1])
+
+
+@pytest.mark.parametrize("where", _LEVELS)
+def test_closed_form_gramian_reports_the_first_non_finite_level(where):
+    # an overflowing fertility makes the closed form non-finite; the failure
+    # names the level the sweep stops at
+    grid = build_grid(1.0, 0.5, 1.0 / 16)
+    nt = grid.num_time_cells
+    j = {"first": nt, "middle": nt // 2, "last": 1}[where]
+    trace = np.full(nt + 1, 0.5)
+    trace[j] = 1e3
+    op = FrozenOperator(_explosive_model(), grid, _geometry(ControlMode.BOTH), trace)
+    with pytest.raises(NumericalFailure) as info:
+        op.control_gramian()
+    assert info.value.step == j - 1
 
 
 # -- batched observability against one solve_adjoint per terminal datum --------
@@ -454,10 +589,14 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
 
 
 @pytest.mark.parametrize("power_iters", [0, 3])
-def test_estimate_makes_one_sweep_per_trace(power_iters, monkeypatch):
-    # with power iteration the operator's Gramian sweep serves both forms and
-    # the probe quotients; without it one sweep of the probes costs less
-    model, grid, geom, trace = _observability_setup()
+@pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
+                         ids=["separable", "expr"])
+def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch):
+    # with power iteration the operator's Gramians serve both forms and the
+    # probe quotients: closed-form for separable fertility, one sweep for any
+    # other; without it one sweep of the probes costs less
+    model = make_model()
+    _, grid, geom, trace = _observability_setup()
     widths = []
     levels = FrozenOperator.adjoint_levels
 
@@ -470,7 +609,10 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, monkeypatch):
                                     power_iters=power_iters, seed=0)
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
     # 4 probes; no terminal age is old enough for the cone datum at this horizon
-    assert widths == [gramian_width if power_iters else 4] * 2
+    if not power_iters:
+        assert widths == [4] * 2
+    else:
+        assert widths == ([] if model.fertility.separable else [gramian_width] * 2)
 
 
 @pytest.mark.parametrize("mode, target_min_age", [

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
-from popctrl import ControlMode, load_scenario, parse_scenario
+from popctrl import (ControlMode, FixedPointConfig, PenaltyProblem, load_scenario,
+                     parse_scenario)
 from popctrl.errors import ConfigurationError
 
 MINIMAL = {
@@ -86,6 +88,26 @@ def test_fraction_bounds_enforced():
     raw["model"]["female_fraction"] = 1.0
     with pytest.raises(ConfigurationError, match="female_fraction"):
         parse_scenario(raw)
+
+
+@pytest.mark.parametrize("section, key, library", [
+    ("penalty", "epsilon", lambda v: PenaltyProblem(epsilon=v)),
+    ("penalty", "theta", lambda v: PenaltyProblem(theta=v)),
+    ("penalty", "target_norm", lambda v: PenaltyProblem(target_norm=v)),
+    ("fixed_point", "fp_tol", lambda v: FixedPointConfig(fp_tol=v)),
+    ("geometry", "horizon", None),
+    ("model", "max_age", None),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_numbers_rejected(section, key, library, value):
+    # every bound check is False for NaN, so finiteness is checked first
+    raw = _copy()
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: must be finite"):
+        parse_scenario(raw)
+    if library is not None:
+        with pytest.raises(ConfigurationError, match="finite"):
+            library(value)
 
 
 def test_rate_function_kinds():
