@@ -32,7 +32,11 @@ triangular solve and four small matrix products.  Any other fertility is
 evaluated once per level, and the Gramians come from one batched adjoint
 sweep with a single column per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`), which is also the oracle the closed
-form is tested against.
+form is tested against.  Both paths give the Gramians in block form
+(`GramianBlocks`): the terminal ages too old to reach age 0 stay spikes
+that never share a row, so their block is diagonal; the penalty solve and
+the observability power iteration work on the blocks, and the dense
+matrices are expanded only on demand.
 """
 
 import copy
@@ -361,29 +365,14 @@ class FrozenOperator(_Transport):
         self.adjoint_levels(work_n, work_l, store)
         return self._unblock((n_rows, l_rows, n_rows.copy(), l_eff), single)
 
-    def control_gramian(self):
-        """Gramian of the adjoint images of the 2(N+1) terminal unit work vectors.
+    def gramians(self):
+        """(control, initial) Gramians of the terminal unit work vectors, as
+        ``GramianBlocks``.
 
-        Entry (p, q) is the control-space inner product
-        h^2 * sum over levels >= 1 and ages >= 1 of
-        (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
-        is the backward sweep from the work pair whose stacked entry p is 1
-        (entries 0..N are the male slot, N+1..2N+1 the female one).  Built
-        on first use and cached: it does not depend on the penalty weights.
-        Separable fertility takes the closed form of ``_Renewal``, any other
-        the sweep of ``_assemble_gramians``.
+        Built on first use and cached: they do not depend on the penalty
+        weights.  Separable fertility takes the closed form of ``_Renewal``,
+        any other the sweep of ``_assemble_gramians``.
         """
-        return self._gramians()[0]
-
-    def initial_gramian(self):
-        """Initial-energy Gramian of the same adjoint images.
-
-        Entry (p, q) is sum over ages of wa * (n_p * n_q + l_p * l_q) at
-        level 0.  Cached with ``control_gramian``, from the same sweep.
-        """
-        return self._gramians()[1]
-
-    def _gramians(self):
         if self._gramian_cache is None:
             if self.age_profile is None:
                 self._gramian_cache = self._assemble_gramians()
@@ -391,32 +380,55 @@ class FrozenOperator(_Transport):
                 if self._renewal is None:
                     self._renewal = _Renewal(self)
                 gramians = self._renewal.gramians(self.response, self.boundary_factor)
-                if not all(np.isfinite(g).all() for g in gramians[:2]):
+                if not all(np.isfinite(part).all() for g in gramians
+                           for part in (g.dense, g.cross, g.diag)):
                     # the sweep names the first level that stops being finite
                     self._assemble_gramians()
                     raise NumericalFailure("Gramian assembly lost finiteness")
                 self._gramian_cache = gramians
         return self._gramian_cache
 
+    def control_gramian(self):
+        """Gramian of the adjoint images of the 2(N+1) terminal unit work vectors.
+
+        Entry (p, q) is the control-space inner product
+        h^2 * sum over levels >= 1 and ages >= 1 of
+        (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
+        is the backward sweep from the work pair whose stacked entry p is 1
+        (entries 0..N are the male slot, N+1..2N+1 the female one).  The
+        dense 2(N+1) x 2(N+1) matrix, expanded from ``gramians()[0]`` on
+        first use and cached; the solvers work on the blocks.
+        """
+        return self.gramians()[0].matrix()
+
+    def initial_gramian(self):
+        """Initial-energy Gramian of the same adjoint images.
+
+        Entry (p, q) is sum over ages of wa * (n_p * n_q + l_p * l_q) at
+        level 0.  The dense matrix of ``gramians()[1]``, expanded on demand.
+        """
+        return self.gramians()[1].matrix()
+
     def solve_gramian(self, rhs, weights):
         """Solve (I + diag(weights) G / h) c = rhs for the control Gramian G.
 
         ``weights`` are nonnegative, one per terminal unit vector; a zero
         weight makes its row an identity row.  The spike block of G is
-        diagonal (see ``_assemble_gramians``), so only the Schur complement
-        on the 2 min(Nt, N+1) dense unit vectors is factored.
+        diagonal, so only the Schur complement on the 2 min(Nt, N+1) dense
+        unit vectors is formed, straight from the blocks of G, and factored.
         """
-        gram, _, (dense, spikes) = self._gramians()
+        gram = self.gramians()[0]
+        dense, spikes = gram.index
         h = self.grid.step
         d_dense, d_spike = weights[dense] / h, weights[spikes] / h
-        diag = 1.0 + d_spike * gram[spikes, spikes]
-        cross = gram[np.ix_(dense, spikes)]
-        schur = gram[np.ix_(dense, dense)] - (cross * (d_spike / diag)) @ cross.T
+        diag = 1.0 + d_spike * gram.diag
+        schur = gram.schur(d_spike / diag)
         schur *= d_dense[:, None]
         schur[np.diag_indices_from(schur)] += 1.0
         c = np.empty_like(rhs)
-        c[dense] = np.linalg.solve(schur, rhs[dense] - d_dense * (cross @ (rhs[spikes] / diag)))
-        c[spikes] = (rhs[spikes] - d_spike * (cross.T @ c[dense])) / diag
+        c[dense] = np.linalg.solve(schur,
+                                   rhs[dense] - d_dense * (gram.cross @ (rhs[spikes] / diag)))
+        c[spikes] = (rhs[spikes] - d_spike * (gram.cross.T @ c[dense])) / diag
         return c
 
     def _assemble_gramians(self):
@@ -446,7 +458,7 @@ class FrozenOperator(_Transport):
         (n_j, l_eff_j) of the levels j >= 1, the initial one the
         trapezoid-weighted rows (n_0, l_0) of level 0.
 
-        Returns (control Gramian, initial Gramian, (dense, spike) indices).
+        Returns the (control, initial) Gramians as ``GramianBlocks``.
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
@@ -475,8 +487,7 @@ class FrozenOperator(_Transport):
 
         self.adjoint_levels(work_n, work_l, collect)
         _, split = _birth_split(reached, self.gamma)
-        return (control.matrix(*split), initial.matrix(*split),
-                _terminal_blocks(size, young))
+        return control.blocks(*split), initial.blocks(*split)
 
 
 def _birth_split(reached, gamma):
@@ -503,8 +514,8 @@ class _LiveGram:
     With weights scale^2 * weight_n and scale^2 * weight_l, accumulates the
     female-row Gram matrix of the live young columns, the products of every
     female spike with the live columns, and the squares of the spikes of
-    both slots; ``matrix`` expands them to the 2(N+1) x 2(N+1) Gramian of
-    the terminal unit vectors.
+    both slots; ``blocks`` gives the Gramian of the terminal unit vectors
+    from them.
     """
 
     def __init__(self, size, nt, scale, weight_n, weight_l):
@@ -541,36 +552,101 @@ class _LiveGram:
         self.spike_diag[1, ages] += weighted * spike_l
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
-    def matrix(self, a, b):
-        """The Gramian of the terminal unit vectors (see ``_expand``)."""
-        return _expand(self.gram_live, self.spike_cross, self.spike_diag, a, b)
+    def blocks(self, a, b):
+        """The Gramian of the terminal unit vectors (see ``_gram_blocks``)."""
+        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b)
 
 
-def _expand(live, cross, diag, a, b):
-    """The 2(N+1) x 2(N+1) Gramian of the terminal unit vectors.
+class GramianBlocks:
+    """A Gramian of the 2(N+1) terminal unit vectors, in block form.
+
+    ``index`` holds the (dense, spike) stacked indices: the young terminal
+    ages of both slots, then the older ones.  ``dense`` is the block A on
+    the dense indices, ``cross`` the block C between dense and spike ones
+    and ``diag`` the diagonal of the spike block, which is diagonal because
+    the older spikes never share a row.  ``matrix`` expands the form to the
+    full matrix on demand.
+    """
+
+    def __init__(self, dense, cross, diag, index):
+        self.dense, self.cross, self.diag = dense, cross, diag
+        self.index = index
+        self._matrix = None
+
+    def matrix(self):
+        """The full symmetric matrix, built on first use and cached."""
+        if self._matrix is None:
+            self._matrix = _expand(self)
+        return self._matrix
+
+    def apply(self, x_dense, x_spike):
+        """The product with the vector (or columns) of dense part ``x_dense``
+        and spike part ``x_spike``, split the same way."""
+        return (self.dense @ x_dense + self.cross @ x_spike,
+                self.cross.T @ x_dense + (self.diag * x_spike.T).T)
+
+    def quadratic(self, x_dense, x_spike):
+        """x . F x of the vector, or of each column, split as in ``apply``."""
+        f_dense, f_spike = self.apply(x_dense, x_spike)
+        return np.sum(x_dense * f_dense, axis=0) + np.sum(x_spike * f_spike, axis=0)
+
+    def schur(self, spike_weights):
+        """A - C diag(spike_weights) C^T, a new array."""
+        return self.dense - (self.cross * spike_weights) @ self.cross.T
+
+    def restrict(self, live, scale):
+        """The form on the sorted stacked entries ``live``, the unit vector of
+        live[i] scaled by scale[i]; indices then count positions in ``live``."""
+        dense, spikes = self.index
+        position = np.full(dense.size + spikes.size, -1)
+        position[live] = np.arange(len(live))
+        weight = np.zeros(position.size)
+        weight[live] = scale
+        keep_d, keep_s = position[dense] >= 0, position[spikes] >= 0
+        w_d, w_s = weight[dense[keep_d]], weight[spikes[keep_s]]
+        return GramianBlocks(np.outer(w_d, w_d) * self.dense[np.ix_(keep_d, keep_d)],
+                             np.outer(w_d, w_s) * self.cross[np.ix_(keep_d, keep_s)],
+                             w_s * w_s * self.diag[keep_s],
+                             (position[dense[keep_d]], position[spikes[keep_s]]))
+
+
+def _gram_blocks(live, cross, diag, a, b):
+    """The Gramian of the terminal unit vectors in block form.
 
     ``live`` is the Gram matrix of the young columns' responses, ``cross``
     the products of every terminal age's female spike with those responses
     and ``diag`` the squares of the spikes of both slots; the male image of
     young age p is a_p times its column's response and the female one b_p
-    times.
+    times.  A male spike of an older age meets nothing but itself, so its
+    columns of C are zero.
     """
     size, young = cross.shape
-    male, female, old = (slice(0, young), slice(size, size + young),
-                         slice(size + young, 2 * size))
+    male, female = slice(0, young), slice(young, 2 * young)
     # pair[p, q]: the female spike of age q against the live column p
     pair = cross[:young].T
     female_pair = b[:, None] * pair
-    gram = np.zeros((2 * size, 2 * size))
-    gram[male, male] = np.outer(a, a) * live
-    gram[male, female] = np.outer(a, b) * live + a[:, None] * pair
-    gram[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
-    gram[old, male] = cross[young:] * a
-    gram[old, female] = cross[young:] * b
-    gram[female, male] = gram[male, female].T
-    gram[male, old] = gram[old, male].T
-    gram[female, old] = gram[old, female].T
-    gram[np.diag_indices_from(gram)] += diag.ravel()
+    dense = np.zeros((2 * young, 2 * young))
+    dense[male, male] = np.outer(a, a) * live
+    dense[male, female] = np.outer(a, b) * live + a[:, None] * pair
+    dense[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
+    dense[female, male] = dense[male, female].T
+    dense[np.diag_indices_from(dense)] += diag[:, :young].ravel()
+    old = size - young
+    spike_cross = np.zeros((2 * young, 2 * old))
+    spike_cross[male, old:] = (cross[young:] * a).T
+    spike_cross[female, old:] = (cross[young:] * b).T
+    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(),
+                         _terminal_blocks(size, young))
+
+
+def _expand(blocks):
+    """The full symmetric matrix of a ``GramianBlocks``."""
+    dense, spikes = blocks.index
+    gram = np.zeros((dense.size + spikes.size,) * 2)
+    gram[np.ix_(dense, dense)] = blocks.dense
+    gram[np.ix_(dense, spikes)] = blocks.cross
+    gram[np.ix_(spikes, dense)] = blocks.cross.T
+    gram[spikes, spikes] = blocks.diag
     return gram
 
 
@@ -656,11 +732,10 @@ class _Renewal:
         self.forms = np.vstack([q_ctrl, q_init])
         self.cross = np.vstack([z_ctrl, z_init])
         self.diag = (diag_ctrl, diag_init)
-        self.blocks = _terminal_blocks(size, young)
 
     def gramians(self, response, boundary_factor):
-        """(control Gramian, initial Gramian, (dense, spike) indices) at the
-        per-level fertility response and boundary factor of a trace."""
+        """The (control, initial) ``GramianBlocks`` at the per-level fertility
+        response and boundary factor of a trace."""
         nt, size, young = self.nt, self.size, self.young
         # a non-finite fertility spoils the result; the caller checks it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -676,9 +751,9 @@ class _Renewal:
             for half, diag in enumerate(self.diag):
                 live = amplitudes.T @ forms[half * nt:(half + 1) * nt]
                 live = 0.5 * (live + live.T)
-                out.append(_expand(live, cross[half * size:(half + 1) * size], diag,
-                                   *self.split))
-        return out[0], out[1], self.blocks
+                out.append(_gram_blocks(live, cross[half * size:(half + 1) * size], diag,
+                                        *self.split))
+        return out[0], out[1]
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
@@ -699,6 +774,11 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
 
     transport = _Transport(model, grid, geom)
     ages, lam, wa = transport.ages, transport.lam, transport.wa
+    fertility = model.fertility
+    # a separable fertility's age profile, evaluated once per solve: each level
+    # then forms the products phi(a) r(p) of a per-level call from one scalar
+    profile = (np.asarray(fertility.age_profile(ages), dtype=float)
+               if fertility.separable else None)
 
     def fertility_row(j, male):
         # the sweep goes on past a non-finite level and reports it at the end;
@@ -709,7 +789,9 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
         # transported interior rows before the births
         cut = 0 if j == 0 else 1
         level_p = float(np.dot(wa[cut:], lam[cut:] * male[:, 0]))
-        return np.asarray(model.fertility(ages, level_p), dtype=float)
+        if profile is None:
+            return np.asarray(fertility(ages, level_p), dtype=float)
+        return profile * fertility.response(np.asarray(level_p, dtype=float))
 
     m, f, male_trace, birth_trace = transport._step_loop(m0, f0, vm, vf, fertility_row)
     return StateSolution(

@@ -54,6 +54,10 @@ class CharGrid:
 
 def build_grid(max_age, horizon, target_h):
     """Largest common step h <= target_h with Na*h = max_age and Nt*h = horizon."""
+    # NaN fails every range check below, so it is caught here
+    if not all(np.isfinite(x) for x in (max_age, horizon, target_h)):
+        raise ConfigurationError(f"max_age={max_age}, horizon={horizon} and "
+                                 f"target_h={target_h} must be finite")
     if max_age <= 0 or horizon <= 0:
         raise ConfigurationError("max_age and horizon must be positive")
     if target_h <= 0:

@@ -4,10 +4,13 @@ The observability constant is estimated from below: the maximum over
 random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
-Gramians of the frozen-trace operator (`FrozenOperator.initial_gramian` and
-`control_gramian`, built together) on the live terminal entries, scaled by
-the terminal weights; when the power iteration runs, the probe quotients are
-read off the same Gramians, and otherwise one batched sweep of the probes
+Gramians of the frozen-trace operator (`FrozenOperator.gramians`, built
+together) on the live terminal entries, scaled by the terminal weights and
+kept in the operator's block form: a dense block on the young terminal
+ages, a diagonal on the older spikes and the cross block between them.
+The power iteration factors only the Schur complement of the spike
+diagonal, never the whole denominator.  When it runs, the probe quotients
+are read off the same blocks, and otherwise one batched sweep of the probes
 gives them.  The operators of one call are retraced from the first, so they
 share its trace-independent tables.  A zero denominator with nonzero numerator
 is reported as the infinity sentinel: violated observability is a
@@ -69,13 +72,15 @@ def _gramian_quotients(op, n_T, l_T):
     """The quotients of ``_quotients``, read off the operator's Gramians.
 
     With w = theta * (n_T, l_T) stacked, a column's quotient is
-    w . E0 w / w . G w for the initial and control Gramians, so no probe
-    sweep runs.
+    w . E0 w / w . G w for the initial and control Gramians, applied in
+    block form, so no probe sweep runs.
     """
     theta = (op.wa / op.grid.step)[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
-    num = np.sum(work * (op.initial_gramian() @ work), axis=0)
-    den = np.sum(work * (op.control_gramian() @ work), axis=0)
+    control, initial = op.gramians()
+    dense, spikes = control.index
+    num = initial.quadratic(work[dense], work[spikes])
+    den = control.quadratic(work[dense], work[spikes])
     return [_quotient(float(a), float(b)) for a, b in zip(num, den)]
 
 
@@ -129,7 +134,8 @@ def _terminal_basis(grid, geom):
 
 
 def _quadratic_forms(op):
-    """Gram matrices of the (numerator, denominator) forms on the live terminal basis.
+    """The (numerator, denominator) forms on the live terminal basis, as
+    ``GramianBlocks``.
 
     Basis vector p is the terminal datum whose stacked entry p is 1, so its
     work vector is theta_p times a unit vector and the forms are the
@@ -137,9 +143,8 @@ def _quadratic_forms(op):
     """
     live = _terminal_basis(op.grid, op.geom)
     theta = np.tile(op.wa / op.grid.step, 2)[live]
-    scale = np.outer(theta, theta)
-    pairs = np.ix_(live, live)
-    return scale * op.initial_gramian()[pairs], scale * op.control_gramian()[pairs]
+    control, initial = op.gramians()
+    return initial.restrict(live, theta), control.restrict(live, theta)
 
 
 def _power_iteration(op, iters):
@@ -147,40 +152,60 @@ def _power_iteration(op, iters):
 
     Terminal directions invisible from the control regions but carrying
     initial energy make the quotient unbounded and are detected from the
-    denominator's null space; otherwise the quotient is maximized by power
-    iteration on the denominator-whitened numerator.
+    denominator's null space; otherwise ``iters`` power steps maximize the
+    quotient: from the all-ones direction x scaled to x . D x = 1, each step
+    forms y = N x, takes x . y as a quotient and moves to x = D^- y scaled
+    by sqrt(y . D^- y), which is power iteration on the denominator-whitened
+    numerator.
+
+    The denominator D stays in block form: D^- y solves with the dense
+    block's Schur complement S = A - C Delta^+ C^T and the spike diagonal
+    Delta, so the only eigendecomposition is that of S, and A gives only its
+    largest eigenvalue.  The relative null
+    cut is measured against max(lambda_max(A), max Delta), which lies within
+    a factor 2 of lambda_max(D); the null directions are the dead spikes and
+    the null vectors v of S, lifted to (v, -Delta^+ C^T v).
     """
-    num_form, den_form = _quadratic_forms(op)
-    den_vals, den_vecs = np.linalg.eigh(den_form)
-    den_scale = max(float(den_vals[-1]), 0.0)
-    num_scale = max(float(np.max(np.abs(num_form))), 1e-300)
-    null_cut = 1e-12 * max(den_scale, 1e-300)
-    null_space = den_vecs[:, den_vals <= null_cut]
-    if null_space.size:
-        null_energy = float(np.max(np.sum(null_space * (num_form @ null_space),
-                                          axis=0)))
-        if null_energy > 1e-10 * num_scale:
-            return INFINITE_QUOTIENT
-    live = den_vals > null_cut
-    if not np.any(live):
+    num, den = _quadratic_forms(op)
+    top = max(float(np.max(den.diag, initial=0.0)),
+              float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
+    null_cut = 1e-12 * max(top, 1e-300)
+    live_spikes = den.diag > null_cut
+    inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
+    vals, vecs = np.linalg.eigh(den.schur(inv_diag))
+    live = vals > null_cut
+
+    num_scale = max(max(float(np.max(np.abs(part), initial=0.0))
+                        for part in (num.dense, num.cross, num.diag)), 1e-300)
+    null_dense = vecs[:, ~live]
+    null_spike = -inv_diag[:, None] * (den.cross.T @ null_dense)
+    null_energy = np.r_[num.quadratic(null_dense, null_spike)
+                        / (np.sum(null_dense ** 2, axis=0) + np.sum(null_spike ** 2, axis=0)),
+                        num.diag[~live_spikes]]
+    if null_energy.size and float(np.max(null_energy)) > 1e-10 * num_scale:
+        return INFINITE_QUOTIENT
+    if not (np.any(live) or np.any(live_spikes)):
         return 0.0
-    root = np.sqrt(den_vals[live])
-    whiten = den_vecs[:, live] / root
-    reduced = whiten.T @ num_form @ whiten
-    # start from the all-ones terminal direction in whitened coordinates, so the
-    # iterates do not depend on the signs or rotations of the eigenvectors
-    z = root * (den_vecs[:, live].T @ np.ones(den_vecs.shape[0]))
-    z /= np.linalg.norm(z)
+    whiten = vecs[:, live] / np.sqrt(vals[live])
+
+    # start from the all-ones terminal direction, so the iterates do not
+    # depend on the signs or rotations of the eigenvectors
+    x_dense, x_spike = np.ones(den.dense.shape[0]), np.ones(den.diag.size)
+    start = math.sqrt(float(den.quadratic(x_dense, x_spike)))
+    x_dense, x_spike = x_dense / start, x_spike / start
     best = 0.0
     for _ in range(max(1, iters)):
-        z_new = reduced @ z
-        norm = np.linalg.norm(z_new)
+        y_dense, y_spike = num.apply(x_dense, x_spike)
+        # x = D^- y by the block elimination, and |z|^2 + y . Delta^+ y = y . x
+        z = whiten.T @ (y_dense - den.cross @ (inv_diag * y_spike))
+        norm = math.sqrt(float(z @ z) + float(y_spike @ (inv_diag * y_spike)))
         if norm == 0.0:
             break
-        best = max(best, float(z @ z_new))
-        z = z_new / norm
-    best = max(best, float(z @ reduced @ z))
-    return best
+        best = max(best, float(x_dense @ y_dense) + float(x_spike @ y_spike))
+        x_dense = whiten @ z
+        x_spike = inv_diag * (y_spike - den.cross.T @ x_dense)
+        x_dense, x_spike = x_dense / norm, x_spike / norm
+    return max(best, float(num.quadratic(x_dense, x_spike)))
 
 
 def estimate_observability_constant(model, grid, geom, traces, *, probes=32,

@@ -286,6 +286,15 @@ def test_nan_target_norm_is_a_configuration_error(tmp_path):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_nan_grid_step_is_a_configuration_error(scenario_path, tmp_path, capsys):
+    # it used to surface as "cannot convert float NaN to integer"
+    out = str(tmp_path / "nan")
+    assert run_command(["simulate", scenario_path, "--grid-h", "nan",
+                        "--out", out, "--quiet"]) == 2
+    assert "target_h=nan" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_adjoint_mode_mismatch_is_an_error(tmp_path):
     # male-only adjoint admits no female terminal datum
     raw = json.loads(json.dumps(FAST_SCENARIO))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from popctrl import Field2D, build_grid, fertile_male_integral, solve_forward
+from popctrl import (ControlMode, Fertility, Field2D, build_grid, fertile_male_integral,
+                     solve_forward)
+from popctrl import forward as forward_module
 from popctrl.errors import DimensionError
 
 from conftest import (random_nonneg_model, reference_data, reference_geometry,
@@ -204,3 +208,44 @@ def test_overflow_reports_failing_step():
     with pytest.raises(NumericalFailure) as info:
         solve_forward(explosive, g, geom, None, None, big, big)
     assert info.value.step == 1  # the births of the first level already overflow
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(3)],
+                         ids=["reference", "random_nonneg"])
+def test_separable_rows_equal_per_level_fertility_calls(mode, make_model, monkeypatch):
+    # the nonlinear solve evaluates a separable fertility's age profile once
+    # and one scalar response per level; each row is bit for bit the row of
+    # model.fertility(ages, p), which the same fertility without its factors
+    # is evaluated by
+    model = make_model()
+    unfactored = dataclasses.replace(model, fertility=Fertility(model.fertility))
+    geom = reference_geometry(mode=mode)
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    m0, f0 = reference_data(grid)
+    rng = np.random.default_rng(2)
+    shape = (grid.num_age_cells + 1, grid.num_time_cells + 1)
+    v_m = None if mode is ControlMode.FEMALE_ONLY else rng.random(shape)
+    v_f = None if mode is ControlMode.MALE_ONLY else rng.random(shape)
+
+    step_loop = forward_module._Transport._step_loop
+    rows = []
+
+    def recording(self, m0, f0, vm, vf, fertility_row):
+        def row(j, male):
+            rows.append(fertility_row(j, male))
+            return rows[-1]
+        return step_loop(self, m0, f0, vm, vf, row)
+
+    monkeypatch.setattr(forward_module._Transport, "_step_loop", recording)
+    states = []
+    for which in (model, unfactored):
+        states.append(solve_forward(which, grid, geom, v_m, v_f, m0, f0))
+    got, want = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    assert len(got) == len(want) == grid.num_time_cells + 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert any(np.any(row > 0) for row in got)
+    for a, b in ((states[0].m.values, states[1].m.values),
+                 (states[0].f.values, states[1].f.values),
+                 (states[0].birth_trace, states[1].birth_trace)):
+        assert np.array_equal(a, b)

@@ -87,9 +87,10 @@ def _check_gramians(ws):
     closed form, any other the sweep itself."""
     op = ws.op
     swept = op._assemble_gramians()
-    for got, pairwise, sweep in ((op.control_gramian(), _naive_gramian(ws), swept[0]),
+    for got, pairwise, sweep in ((op.control_gramian(), _naive_gramian(ws),
+                                  swept[0].matrix()),
                                  (op.initial_gramian(), _naive_initial_gramian(op),
-                                  swept[1])):
+                                  swept[1].matrix())):
         assert _close(got, pairwise)
         if op.fertility.separable:
             assert _close(got, sweep)

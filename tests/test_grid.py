@@ -43,6 +43,15 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_input_rejected(self, bad, slot):
+        # NaN passes every range check, and used to reach int(np.ceil(nan))
+        args = [1.0, 0.5, 1.0 / 16]
+        args[slot] = bad
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            build_grid(*args)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(na=st.integers(2, 40), nt=st.integers(2, 40),
            splits=st.integers(1, 5))

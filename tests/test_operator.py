@@ -12,12 +12,13 @@ from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, 
                      duality_residual, estimate_observability_constant,
                      iterate_to_fixed_point, minimize_penalty, observability_ratio,
                      solve_adjoint, solve_forward, synthesize_null_control, trace_map)
+from popctrl import fixed_point as fixed_point_module
 from popctrl import forward as forward_module
 from popctrl import observability as obs
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
-from popctrl.forward import FrozenOperator, StateSolution, control_masks
+from popctrl.forward import FrozenOperator, GramianBlocks, StateSolution, control_masks
 
 from conftest import (expr_fertility_model, random_control, random_nonneg_model,
                       reference_data, reference_model)
@@ -413,22 +414,34 @@ def _counting_tables(monkeypatch):
 
 def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
     # every outer iteration's operator is the previous one retraced: one age
-    # profile and one set of tables per solve, one response call per operator
+    # profile and one set of tables for all of them, one response call per
+    # operator; each nonlinear solve takes the age profile once and one
+    # scalar response per level
     model, calls = _counting_factors(reference_model())
     built = _counting_tables(monkeypatch)
+    nonlinear = []
+
+    def counting_solve(*args, **kwargs):
+        nonlinear.append(kwargs.get("frozen_trace"))
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point_module, "solve_forward", counting_solve)
     geom = _geometry(ControlMode.BOTH, horizon=0.35)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
+    nt = grid.num_time_cells
     m0, f0 = reference_data(grid)
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3,
                              mode=ControlMode.BOTH)
     state, result, _ = iterate_to_fixed_point(model, grid, geom, problem,
                                               FixedPointConfig(), m0, f0)
     outer = len(state.history)
-    assert outer > 1
-    assert len(calls["age_profile"]) == 1
-    assert np.array_equal(calls["age_profile"][0], grid.ages())
-    assert [c.shape for c in calls["response"]] == [(grid.num_time_cells + 1,)] * outer
-    assert np.array_equal(calls["response"][-1], result.state.frozen_trace)
+    assert outer > 1 and len(nonlinear) > 1 and not any(t is not None for t in nonlinear)
+    assert len(calls["age_profile"]) == 1 + len(nonlinear)
+    assert all(np.array_equal(c, grid.ages()) for c in calls["age_profile"])
+    vector = [c for c in calls["response"] if c.ndim]
+    assert [c.shape for c in vector] == [(nt + 1,)] * outer
+    assert len(calls["response"]) - len(vector) == len(nonlinear) * (nt + 1)
+    assert np.array_equal(vector[-1], result.state.frozen_trace)
     assert len(built) == 1
 
     del calls["age_profile"][:], calls["response"][:], built[:]
@@ -554,10 +567,22 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     num_form, den_form = obs._quadratic_forms(op)
     ref_num, ref_den = _reference_forms(model, grid, geom, trace)
     for got, want in ((num_form, ref_num), (den_form, ref_den)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got.matrix() - want)) <= 1e-13 * np.max(np.abs(want))
     batched = obs._power_iteration(op, 12)
-    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: (ref_num, ref_den))
+    # the per-vector forms, cut into the same blocks, feed the power iteration
+    ref_forms = tuple(_as_blocks(ref, num_form.index) for ref in (ref_num, ref_den))
+    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: ref_forms)
     assert abs(obs._power_iteration(op, 12) - batched) <= 1e-12 * batched
+
+
+def _as_blocks(matrix, index):
+    """A dense symmetric form cut into ``GramianBlocks`` by (dense, spike) index;
+    its spike block must be diagonal."""
+    dense, spikes = index
+    spike_block = matrix[np.ix_(spikes, spikes)]
+    assert np.array_equal(spike_block, np.diag(np.diag(spike_block)))
+    return GramianBlocks(matrix[np.ix_(dense, dense)], matrix[np.ix_(dense, spikes)],
+                         np.diag(spike_block).copy(), index)
 
 
 def _observability_setup(mode=ControlMode.BOTH, target_min_age=0.0):
