@@ -15,15 +15,18 @@ from one adjoint sweep and are exact for the discrete objective because the
 adjoint is the exact transpose of the forward map.
 
 The Hessian is I + L* D L: L maps a control to the terminal state of the
-zero-data frozen-trace system and L* is its adjoint (one backward sweep from
-a terminal work vector).  By HUM duality the optimum is v = L* c, where c
-solves the terminal-space system (I + D G / h) c = -D y0, G = h L L* is the
-operator's cached control Gramian and y0 the terminal state of the
-uncontrolled sweep.  So a stage runs one forward sweep for y0, one dense
-solve in the 2(N+1) terminal coordinates and one adjoint sweep for the
-control, then checks the explicit gradient from a forward and an adjoint
-sweep; a correction solve on the remaining terminal residual runs only while
-that gradient is above tolerance.
+zero-data frozen-trace system and L* is its adjoint (the operator's
+transpose applied to a terminal work vector).  By HUM duality the optimum
+is v = L* c, where c solves the terminal-space system
+(I + D G / h) c = -D y0, G = h L L* is the operator's cached control
+Gramian and y0 the terminal state of the uncontrolled system.  For
+separable fertility y0, L* and G all come in closed form from the
+operator's per-trace renewal system, so a stage runs one forward step loop
+in all: the controlled sweep on which it checks the explicit gradient,
+whose adjoint image is closed-form too.  Any other fertility takes y0 from
+a forward sweep and each adjoint image from a backward sweep.  A
+correction solve on the remaining terminal residual runs only while that
+gradient is above tolerance.
 
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
@@ -59,12 +62,20 @@ class EpsilonSchedule:
     stages: int = 4
 
     def __post_init__(self):
-        if not self.start > 0:
-            raise ConfigurationError("schedule start must be positive")
-        if not self.ratio > 1:
-            raise ConfigurationError("schedule ratio must be above 1")
+        if not _positive(self.start):
+            raise ConfigurationError("schedule start must be positive and finite")
+        if not (math.isfinite(self.ratio) and self.ratio > 1):
+            raise ConfigurationError("schedule ratio must be finite and above 1")
         if self.stages < 1:
             raise ConfigurationError("schedule needs at least one stage")
+        try:
+            last = self.start / self.ratio ** (self.stages - 1)
+        except OverflowError:
+            last = 0.0
+        if not last > 0:
+            # a zero epsilon is no penalty; the stage would reject it mid-solve
+            raise ConfigurationError("schedule's last epsilon underflows to 0: "
+                                     "use fewer stages or a smaller ratio")
 
     def values(self):
         return [self.start / self.ratio**k for k in range(self.stages)]
@@ -89,8 +100,8 @@ class PenaltyProblem:
             raise ConfigurationError("target_norm must be positive and finite")
         if self.max_cg_iters < 1:
             raise ConfigurationError("max_cg_iters must be at least 1")
-        if not self.cg_tol > 0:
-            raise ConfigurationError("cg_tol must be positive")
+        if not _positive(self.cg_tol):
+            raise ConfigurationError("cg_tol must be positive and finite")
 
 
 @dataclass
@@ -201,17 +212,10 @@ class _Workspace:
         return self.adjoint_images(work)[0]
 
     def adjoint_images(self, *works):
-        """``adjoint_image`` of each work vector, from one batched sweep."""
+        """``adjoint_image`` of each work vector, from one call on the block."""
         size = self.zero_profile.size
         block = np.stack(works, axis=1)
-        shape = (size, self.grid.num_time_cells + 1, len(works))
-        n_rows, l_eff = np.zeros(shape), np.zeros(shape)
-
-        def store(j, n_j, l_j, l_eff_j):
-            n_rows[:, j] = n_j
-            l_eff[:, j] = l_eff_j
-
-        self.op.adjoint_levels(block[:size], block[size:], store)
+        n_rows, l_eff = self.op.adjoint_images(block[:size], block[size:])
         support_m, support_f = self.support
         return [[np.where(support_m, n_rows[..., c], 0.0),
                  np.where(support_f, l_eff[..., c], 0.0)] for c in range(len(works))]
@@ -231,6 +235,11 @@ class _Workspace:
         """Stacked terminal (male, female) profiles of the controlled sweep."""
         return _terminal(self.forward(x, with_data))
 
+    def uncontrolled_terminal(self):
+        """The terminal profiles y0 of the data without control, stacked as in
+        ``terminal``; closed-form for separable fertility."""
+        return self.op.uncontrolled_terminal(self.m0, self.f0)
+
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
             else self.problem.epsilon
@@ -240,8 +249,7 @@ class _Workspace:
         return [xi + a for xi, a in zip(x, image)]
 
     def rhs(self):
-        return self.adjoint_image(
-            -self.penalty_weights() * self.terminal(self.zeros(), with_data=True))
+        return self.adjoint_image(-self.penalty_weights() * self.uncontrolled_terminal())
 
     def inner(self, x, y):
         return sum(region_inner(self.grid, mask, a, b)
@@ -295,13 +303,18 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
     a FrozenOperator for ``trace`` that is built here when None, and sets
     the control to L* c, a pair of lattice fields that vanish off the
-    control support.  Stops when the explicit gradient norm, in the region
-    inner product, is at most cg_tol times the zero-control gradient norm
-    |b|; while it is above, a correction solve on the terminal residual
-    -(c + D y(T)) follows, up to max_cg_iters solves in all, after which
-    CONVERGENCE_NOT_REACHED is flagged.  ``iterations`` counts the solves
-    and ``cg_trace`` holds |b| and the gradient norm after each solve.  The
-    result carries the controlled frozen-trace state.
+    control support.  The uncontrolled terminal state y0, the right-hand
+    side b = L* (-D y0), L* c and the adjoint image of each check come from
+    the operator: in closed form for separable fertility, from the sweeps
+    for any other; only the control Gramian is assembled.  The controlled
+    state always comes from the forward step loop, and the explicit
+    gradient is checked on it: the stage stops when the gradient norm, in
+    the region inner product, is at most cg_tol times the zero-control
+    gradient norm |b|.  While it is above, a correction solve on the
+    terminal residual -(c + D y(T)) follows, up to max_cg_iters solves in
+    all, after which CONVERGENCE_NOT_REACHED is flagged.  ``iterations``
+    counts the solves and ``cg_trace`` holds |b| and the gradient norm after
+    each solve.  The result carries the controlled frozen-trace state.
     """
     if epsilon is not None or theta is not None:
         problem = replace(
@@ -311,10 +324,10 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
     weights = ws.penalty_weights()
     x = ws.zeros()
-    state = ws.forward(x, with_data=True)
-    work = -weights * _terminal(state)  # -D y0
+    state = None
+    work = -weights * ws.uncontrolled_terminal()  # -D y0
     c = ws.op.solve_gramian(work, weights)
-    b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c, one sweep
+    b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c
     norm_b = np.sqrt(ws.inner(b, b))
     tol = problem.cg_tol * norm_b
     cg_trace = [float(norm_b)]
@@ -330,6 +343,8 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
         grad = [xi - gi for xi, gi in zip(x, ws.adjoint_image(work))]
         cg_trace.append(float(np.sqrt(ws.inner(grad, grad))))
     converged = cg_trace[-1] <= tol
+    if state is None:  # no solve ran: the control stays zero
+        state = ws.forward(x, with_data=True)
 
     m_norm, f_norm = ws.terminal_norms(state)
     flags = []

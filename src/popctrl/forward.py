@@ -16,33 +16,39 @@ onset cutoff the birth integral gets one extra boundary sweep, which the
 adjoint reproduces exactly (the `boundary_factor` below).
 
 For a frozen trace the map is linear, and `FrozenOperator` holds everything
-its forward sweep and exact transpose need, built once per trace;
+its forward map and exact transpose need, built once per trace;
 `FrozenOperator.retrace` gives the operator of another trace that shares
-every trace-independent table.  Both sweeps take a single age profile or an
+every trace-independent table.  Both take a single age profile or an
 (N+1) x k block of columns; every per-column operation is the one the
-single-column sweep performs, so a block sweep equals k single sweeps bit
-for bit.
+single-column call performs, so a block equals k single columns bit for
+bit.
 
-The operator's control and initial Gramians take one of two paths, by the
-kind of fertility.  Separable fertility phi(a) r(p) is tabulated from one
-vector call of r per trace, and the Gramians come in closed form from a
-discrete renewal equation (`_Renewal`): its trace-independent tables are
-built once and shared by retraced operators, and a trace costs one Nt x Nt
-triangular solve and four small matrix products.  Any other fertility is
-evaluated once per level, and the Gramians come from one batched adjoint
-sweep with a single column per terminal age young enough to reach age 0
-(`FrozenOperator._assemble_gramians`), which is also the oracle the closed
-form is tested against.  Both paths give the Gramians in block form
-(`GramianBlocks`): the terminal ages too old to reach age 0 stay spikes
-that never share a row, so their block is diagonal; the penalty solve and
-the observability power iteration work on the blocks, and the dense
-matrices are expanded only on demand.
+The controlled forward map always runs the step loop.  The transpose, the
+uncontrolled terminal state and the control and initial Gramians take one
+of two paths, by the kind of fertility.  Separable fertility phi(a) r(p) is
+tabulated from one vector call of r per trace, and the birth law, the only
+coupling between ages, reduces to a discrete renewal equation on the Nt
+time levels (`_Renewal`).  Its trace-independent tables are built once and
+shared by retraced operators; per trace one triangular system (`_Levels`)
+gives the Gramians, the whole adjoint lattice of any work block and the
+uncontrolled terminal state in closed form, with no level loop.  Any other
+fertility is evaluated once per level: its adjoint is the backward sweep
+(`FrozenOperator.adjoint_levels`), its uncontrolled terminal state the
+step loop, and its Gramians come from one batched sweep with a single
+column per terminal age young enough to reach age 0
+(`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
+the closed forms are tested against.  Both paths give the Gramians in
+block form (`GramianBlocks`): the terminal ages too old to reach age 0 stay
+spikes that never share a row, so their block is diagonal; the penalty
+solve and the observability power iteration work on the blocks, and the
+dense matrices are expanded only on demand.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConsistencyError, DimensionError, NumericalFailure
 from .grid import Field2D, region_mask
@@ -216,7 +222,8 @@ class FrozenOperator(_Transport):
     Holds the trace-independent tables and the fertility table
     beta(., trace[j]) of every time level, so the sweeps evaluate no rate
     function; for separable fertility also its age profile and its
-    ``response`` at every level, the factors of that table.
+    ``response`` at every level, the factors of that table, and the
+    closed forms of ``_Renewal`` built from them on first use.
 
     Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
     independent right-hand sides; results keep the column axis last.
@@ -249,13 +256,14 @@ class FrozenOperator(_Transport):
             self.beta = self.age_profile[None, :] * self.response[:, None]
         # one boundary sweep per level, as in the forward step loop
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
-        self._gramian_cache = None
+        self._gramian_cache = [None, None]  # (control, initial)
+        self._levels = None
 
     def retrace(self, trace):
         """The operator of the same model, grid and geometry for another trace.
 
         It shares every trace-independent table of this one, the renewal
-        tables of the closed-form Gramians included once they are built.
+        tables of the closed forms included once they are built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -295,11 +303,7 @@ class FrozenOperator(_Transport):
         levels j >= 1 when the failure is raised; it never sees them at
         level 0.
         """
-        na = self.grid.num_age_cells
-        wn, wl = self._block(work_n), self._block(work_l)
-        if wn.shape != wl.shape or wn.shape[0] != na + 1:
-            raise DimensionError(f"work blocks have shapes {wn.shape} and {wl.shape}, "
-                                 f"expected ({na + 1}, k)")
+        wn, wl = self._work_blocks(work_n, work_l)
         n_0, l_0 = self._backward(wn, wl, visit)
         # a non-finite entry stays non-finite down to level 0: the finite
         # survival ratios carry it along its row to row 0, and the feedback
@@ -308,6 +312,15 @@ class FrozenOperator(_Transport):
             self._backward(wn, wl, self._check_finite)
             raise NumericalFailure("adjoint solve lost finiteness at level 0", step=0)
         visit(0, n_0, l_0, l_0)
+
+    def _work_blocks(self, work_n, work_l):
+        """The work arrays as (N+1) x k blocks of matching shape."""
+        na = self.grid.num_age_cells
+        wn, wl = self._block(work_n), self._block(work_l)
+        if wn.shape != wl.shape or wn.shape[0] != na + 1:
+            raise DimensionError(f"work blocks have shapes {wn.shape} and {wl.shape}, "
+                                 f"expected ({na + 1}, k)")
+        return wn, wl
 
     def _backward(self, work_n, work_l, visit):
         """The levels Nt..1 of ``adjoint_levels`` on copies of the work blocks;
@@ -344,49 +357,101 @@ class FrozenOperator(_Transport):
             raise NumericalFailure(f"adjoint solve lost finiteness at level {j}", step=j)
 
     def adjoint(self, work_n, work_l):
-        """Whole backward sweep; returns (n, l, n_eff, l_eff) lattice arrays.
+        """The whole adjoint; returns (n, l, n_eff, l_eff) lattice arrays.
 
         The rows at the terminal level are the work arrays themselves;
         ``n_eff`` equals ``n`` and ``l_eff`` adds the same-level feedback,
         as the duality identity and the objective gradient require.
+        Separable fertility takes the closed form of ``_Levels.adjoint``,
+        any other the backward sweep.  Raises NumericalFailure naming the
+        level at which the sweep stops being finite.
         """
-        na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         single = np.ndim(work_n) == 1
-        k = 1 if single else np.shape(work_n)[1]
-        n_rows = np.zeros((na + 1, nt + 1, k))
-        l_rows = np.zeros((na + 1, nt + 1, k))
-        l_eff = np.zeros((na + 1, nt + 1, k))
+        n, l, l_eff = self._adjoint_lattices(work_n, work_l, keep_l=True)
+        return self._unblock((n, l, n.copy(), l_eff), single)
+
+    def adjoint_images(self, work_n, work_l):
+        """The (n, l_eff) lattice blocks of the adjoint, (N+1) x (Nt+1) x k:
+        the rows that pair with the male and female controls."""
+        n, _, l_eff = self._adjoint_lattices(work_n, work_l, keep_l=False)
+        return n, l_eff
+
+    def _adjoint_lattices(self, work_n, work_l, keep_l):
+        """(n, l, l_eff) blocks of the adjoint; l is None unless ``keep_l``."""
+        wn, wl = self._work_blocks(work_n, work_l)
+        if self.age_profile is not None:
+            lattices = self._renewal_levels().adjoint(wn, wl, keep_l)
+            if not all(np.isfinite(a).all() for a in lattices if a is not None):
+                # the sweep names the first level that stops being finite
+                self.adjoint_levels(wn, wl, lambda *rows: None)
+                raise NumericalFailure("adjoint solve lost finiteness")
+            return lattices
+        shape = (wn.shape[0], self.grid.num_time_cells + 1, wn.shape[1])
+        n_rows, l_eff = np.zeros(shape), np.zeros(shape)
+        l_rows = np.zeros(shape) if keep_l else None
 
         def store(j, n_j, l_j, l_eff_j):
             n_rows[:, j] = n_j
-            l_rows[:, j] = l_j
             l_eff[:, j] = l_eff_j
+            if keep_l:
+                l_rows[:, j] = l_j
 
-        self.adjoint_levels(work_n, work_l, store)
-        return self._unblock((n_rows, l_rows, n_rows.copy(), l_eff), single)
+        self.adjoint_levels(wn, wl, store)
+        return n_rows, l_rows, l_eff
+
+    def uncontrolled_terminal(self, m0, f0):
+        """Stacked terminal (male, female) profiles of the forward map from the
+        profiles ``m0``, ``f0`` without controls.
+
+        Separable fertility takes the closed form of ``_Levels.terminal``,
+        any other the step loop.  Raises NumericalFailure naming the first
+        step at which the step loop stops being finite.
+        """
+        if self.age_profile is None:
+            m, f, _, _ = self.forward(m0, f0)
+            return np.concatenate([m[:, -1], f[:, -1]])
+        y0 = self._renewal_levels().terminal(np.asarray(m0, dtype=float),
+                                             np.asarray(f0, dtype=float))
+        if not np.isfinite(y0).all():
+            self.forward(m0, f0)  # names the first non-finite step
+            raise NumericalFailure("forward solve lost finiteness")
+        return y0
+
+    def _renewal_levels(self):
+        """The renewal system of this trace, built on first use; its tables
+        are built once and shared by retraced operators."""
+        if self._levels is None:
+            if self._renewal is None:
+                self._renewal = _Renewal(self)
+            self._levels = _Levels(self._renewal, self.response, self.boundary_factor)
+        return self._levels
 
     def gramians(self):
         """(control, initial) Gramians of the terminal unit work vectors, as
         ``GramianBlocks``.
 
         Built on first use and cached: they do not depend on the penalty
-        weights.  Separable fertility takes the closed form of ``_Renewal``,
+        weights.  Separable fertility takes the closed form of ``_Levels``,
         any other the sweep of ``_assemble_gramians``.
         """
-        if self._gramian_cache is None:
+        return self._gramian(0), self._gramian(1)
+
+    def _gramian(self, half):
+        """The control (``half`` 0) or initial (1) Gramian of ``gramians``;
+        for separable fertility only the one asked for is built."""
+        cache = self._gramian_cache
+        if cache[half] is None:
             if self.age_profile is None:
-                self._gramian_cache = self._assemble_gramians()
+                cache[:] = self._assemble_gramians()
             else:
-                if self._renewal is None:
-                    self._renewal = _Renewal(self)
-                gramians = self._renewal.gramians(self.response, self.boundary_factor)
-                if not all(np.isfinite(part).all() for g in gramians
-                           for part in (g.dense, g.cross, g.diag)):
+                gram = self._renewal_levels().gramian(half)
+                if not all(np.isfinite(part).all() for part in (gram.dense, gram.cross,
+                                                                 gram.diag)):
                     # the sweep names the first level that stops being finite
                     self._assemble_gramians()
                     raise NumericalFailure("Gramian assembly lost finiteness")
-                self._gramian_cache = gramians
-        return self._gramian_cache
+                cache[half] = gram
+        return cache[half]
 
     def control_gramian(self):
         """Gramian of the adjoint images of the 2(N+1) terminal unit work vectors.
@@ -399,7 +464,7 @@ class FrozenOperator(_Transport):
         dense 2(N+1) x 2(N+1) matrix, expanded from ``gramians()[0]`` on
         first use and cached; the solvers work on the blocks.
         """
-        return self.gramians()[0].matrix()
+        return self._gramian(0).matrix()
 
     def initial_gramian(self):
         """Initial-energy Gramian of the same adjoint images.
@@ -407,7 +472,7 @@ class FrozenOperator(_Transport):
         Entry (p, q) is sum over ages of wa * (n_p * n_q + l_p * l_q) at
         level 0.  The dense matrix of ``gramians()[1]``, expanded on demand.
         """
-        return self.gramians()[1].matrix()
+        return self._gramian(1).matrix()
 
     def solve_gramian(self, rhs, weights):
         """Solve (I + diag(weights) G / h) c = rhs for the control Gramian G.
@@ -417,7 +482,7 @@ class FrozenOperator(_Transport):
         diagonal, so only the Schur complement on the 2 min(Nt, N+1) dense
         unit vectors is formed, straight from the blocks of G, and factored.
         """
-        gram = self.gramians()[0]
+        gram = self._gramian(0)
         dense, spikes = gram.index
         h = self.grid.step
         d_dense, d_spike = weights[dense] / h, weights[spikes] / h
@@ -604,8 +669,13 @@ class GramianBlocks:
         weight[live] = scale
         keep_d, keep_s = position[dense] >= 0, position[spikes] >= 0
         w_d, w_s = weight[dense[keep_d]], weight[spikes[keep_s]]
-        return GramianBlocks(np.outer(w_d, w_d) * self.dense[np.ix_(keep_d, keep_d)],
-                             np.outer(w_d, w_s) * self.cross[np.ix_(keep_d, keep_s)],
+        if len(live) == position.size:
+            # every entry is live: the blocks are scaled as they are
+            dense_block, cross_block = self.dense, self.cross
+        else:
+            dense_block = self.dense[np.ix_(keep_d, keep_d)]
+            cross_block = self.cross[np.ix_(keep_d, keep_s)]
+        return GramianBlocks(np.outer(w_d, w_d) * dense_block, np.outer(w_d, w_s) * cross_block,
                              w_s * w_s * self.diag[keep_s],
                              (position[dense[keep_d]], position[spikes[keep_s]]))
 
@@ -651,25 +721,41 @@ def _expand(blocks):
 
 
 class _Renewal:
-    """Closed-form Gramians of the frozen-trace operators of one model, grid
-    and geometry, for separable fertility beta(a, p) = phi(a) r(p).
+    """The trace-independent tables of the closed forms, for separable
+    fertility beta(a, p) = phi(a) r(p), of one model, grid and geometry.
 
-    The feedback of the sweep of ``FrozenOperator._assemble_gramians`` at
-    level j is then psi c_j q_j: one fixed age profile psi = (wa / h) phi
-    times c_j = h bf_j r_j, bf_j the level's boundary factor, times the
-    level's birth source q_j = (1 - gamma) n_j[0] + gamma l_j[0].  Let T_d psi
-    be psi carried d levels down the female rows and kappa_d its age-0
-    entry.  The column of young terminal age p injects E_p at level Nt - p,
-    so its feedback amplitudes alpha_j = c_j q_j solve the discrete renewal
-    equation (I - gamma diag(c) K) alpha = c_{Nt-p} E_p e_{Nt-p}, with
-    K[j, k] = kappa_{k-j} for k > j, and its response at level j is the sum
-    over k >= j of alpha_k T_{k-j} psi.  Stacking the amplitudes as Lambda,
-    the response block of the control Gramian is Lambda^T Q Lambda and the
+    The feedback of the backward sweep at level j is then psi c_j q_j: one
+    fixed age profile psi = (wa / h) phi times c_j = h bf_j r_j, bf_j the
+    level's boundary factor, times the level's birth source
+    q_j = (1 - gamma) n_j[0] + gamma l_j[0].  Let T_d psi be psi carried d
+    levels down the female rows and kappa_d its age-0 entry.  Apart from
+    the feedbacks, the work entry of terminal age q is a spike that the
+    sweep carries down its row: d levels below the terminal one it sits in
+    row q - d, times the survival product ``spikes[slot, d, q]``, and at
+    level Nt - q it reaches age 0.  So the feedback amplitudes
+    alpha_j = c_j q_j of any work pair solve the discrete renewal equation
+    (I - gamma diag(c) K) alpha = c e, with K[j, k] = kappa_{k-j} for k > j
+    and e_j the birth source of the spikes that reach age 0 at level j.  The
+    female row l_j is its spike plus the sum over k > j of
+    alpha_k T_{k-j} psi, a Hankel product in alpha, and l_eff_j adds
+    alpha_j psi.
+
+    The forward map without controls solves the transposed recursion: the
+    births B_n of the levels n >= 1 satisfy
+    (I - gamma diag(c) K^T) B = bf r d, where d_n is the birth integral of
+    the initial female profile carried n levels.  The terminal state is the
+    initial data and the births carried by the same spike products; the
+    survival products are never divided, as ``last_cell_survival`` may be 0.
+
+    For the Gramians, the column of young terminal age p injects E_p at
+    level Nt - p, so its amplitudes solve the renewal equation with the
+    source c_{Nt-p} E_p e_{Nt-p}.  Stacking the amplitudes as Lambda, the
+    response block of the control Gramian is Lambda^T Q Lambda and the
     spike-by-response block Z Lambda, where Q sums the region-weighted
     products of T_{k-j} psi and T_{k'-j} psi over the levels j and Z those
     of the female spikes with T_{k-j} psi; the initial Gramian has Q0 and
-    Z0 at level 0.  Only c depends on the trace, so everything else is
-    tabulated here, once.
+    Z0 at level 0.  Only c depends on the trace (``_Levels``), so everything
+    else is tabulated here, once.
     """
 
     def __init__(self, op):
@@ -680,27 +766,52 @@ class _Renewal:
         self.young = young = min(nt, size)
         region_m, region_f = op.mask_m.copy(), op.mask_f.copy()
         region_m[0] = region_f[0] = 0.0
-        wq_m, wq_f, wa = h * h * region_m, h * h * region_f, op.wa
+        self.weights = (h * h * region_m, h * h * region_f, op.wa)
 
-        # carried[d] is T_d psi; spikes[s, d, q] the spike of terminal age q of
-        # slot s after d levels, in row q - d, multiplied in the sweep's order
-        carried = np.zeros((nt + 1, size))
-        carried[0] = (wa / h) * op.age_profile
-        spikes = np.zeros((2, nt + 1, size))
-        spikes[:, 0] = 1.0
+        # carried[r, d] is row r of T_d psi.  lattice_spikes[s, r, j] is the
+        # spike of terminal age q = r + Nt - j of slot s at level j, in row r,
+        # multiplied in the sweep's order: spikes[s, d, q] above, d = Nt - j;
+        # it is zero where q is past the grid
+        carried = np.zeros((size, nt + 1))
+        carried[:, 0] = (op.wa / h) * op.age_profile
+        lattice = np.zeros((2, size, nt + 1))
+        lattice[:, :, nt] = 1.0
         survival = np.stack([op.s_m, op.s_f])
         for d in range(1, nt + 1):
-            carried[d, :-1] = op.s_f[1:] * carried[d - 1, 1:]
+            carried[:-1, d] = op.s_f[1:] * carried[1:, d - 1]
             if d < size:
-                spikes[:, d, d:] = survival[:, 1:size - d + 1] * spikes[:, d - 1, d:]
+                lattice[:, :size - d, nt - d] = (survival[:, 1:size - d + 1]
+                                                 * lattice[:, 1:size - d + 1, nt - d + 1])
+        self.carried_rows, self.lattice_spikes = carried, lattice
 
         # K[j, k] = kappa_{k-j} above the diagonal
         lag = np.arange(nt)[None, :] - np.arange(nt)[:, None]
-        self.kernel = np.where(lag > 0, carried[np.maximum(lag, 0), 0], 0.0)
+        self.kernel = np.where(lag > 0, carried[0, np.maximum(lag, 0)], 0.0)
         young_ages = np.arange(young)
-        self.births, self.split = _birth_split(spikes[:, young_ages, young_ages], op.gamma)
+        self.born = lattice[:, 0, nt - young_ages]  # (s_m, s_f) of each young age at age 0
+        self.births, self.split = _birth_split(self.born, op.gamma)
         self.inject = nt - 1 - young_ages  # row of level Nt - p among levels 1..Nt
+        # the birth source of level j = 1..Nt: the spikes of terminal age Nt - j
+        # at age 0, in the shares of the birth law
+        self.source_spikes = np.array([[1.0 - op.gamma], [op.gamma]]) * lattice[:, 0, 1:]
+        # l_eff - spike = carried @ A with the Hankel matrix A[d, j] = alpha_{j+d},
+        # read from the amplitudes padded as [0, alpha_1, ..., alpha_Nt, 0];
+        # l drops the term d = 0
+        self.hankel = np.minimum(np.arange(nt + 1)[:, None] + np.arange(nt + 1), nt + 1)
 
+        # the forward map: the terminal ages >= Nt carry the initial data by the
+        # spikes of level 0
+        self.old = lattice[:, :size - young, 0].copy()
+        self._forms = None
+
+    def gramian_forms(self):
+        """The (forms, cross, diag) tables of the (control, initial) Gramians,
+        built on first use."""
+        if self._forms is not None:
+            return self._forms
+        nt, size = self.nt, self.size
+        wq_m, wq_f, wa = self.weights
+        carried, spikes = self.carried_rows.T, self.lattice_spikes
         # control: levels j = Nt - d >= 1, spikes in rows r = q - d >= 1
         root = carried[:nt] * np.sqrt(wq_f)
         q_ctrl = root @ root.T  # Q[k, k'] = sum_j G[k - j, k' - j], G this Gram matrix
@@ -711,9 +822,9 @@ class _Renewal:
         for d in range(min(nt, size - 1)):
             j = nt - d
             rows = slice(1, size - d)
-            spike_f = spikes[1, d, d + 1:]
+            spike_f = spikes[1, rows, j]
             weighted = wq_f[rows] * spike_f
-            spike_m = spikes[0, d, d + 1:]
+            spike_m = spikes[0, rows, j]
             z_ctrl[d + 1:, j - 1:] += weighted[:, None] * carried[:d + 1, rows].T
             diag_ctrl[0, d + 1:] += wq_m[rows] * spike_m * spike_m
             diag_ctrl[1, d + 1:] += weighted * spike_f
@@ -725,35 +836,107 @@ class _Renewal:
         diag_init = np.zeros((2, size))
         if nt < size:
             rows = slice(0, size - nt)
-            weighted = wa[rows] * spikes[1, nt, nt:]
+            weighted = wa[rows] * spikes[1, rows, 0]
             z_init[nt:] = weighted[:, None] * carried[1:, rows].T
-            diag_init[0, nt:] = wa[rows] * spikes[0, nt, nt:] * spikes[0, nt, nt:]
-            diag_init[1, nt:] = weighted * spikes[1, nt, nt:]
-        self.forms = np.vstack([q_ctrl, q_init])
-        self.cross = np.vstack([z_ctrl, z_init])
-        self.diag = (diag_ctrl, diag_init)
+            diag_init[0, nt:] = wa[rows] * spikes[0, rows, 0] * spikes[0, rows, 0]
+            diag_init[1, nt:] = weighted * spikes[1, rows, 0]
+        self._forms = ((q_ctrl, q_init), (z_ctrl, z_init), (diag_ctrl, diag_init))
+        return self._forms
 
-    def gramians(self, response, boundary_factor):
-        """The (control, initial) ``GramianBlocks`` at the per-level fertility
-        response and boundary factor of a trace."""
-        nt, size, young = self.nt, self.size, self.young
-        # a non-finite fertility spoils the result; the caller checks it
+
+class _Levels:
+    """The renewal system U = I - gamma diag(c) K of one trace, and the closed
+    forms it gives from the tables of ``_Renewal``.
+
+    A non-finite fertility spoils the results; the caller checks them.
+    """
+
+    def __init__(self, tables, response, boundary_factor):
+        self.tables = tables
         with np.errstate(over="ignore", invalid="ignore"):
-            c = self.h * boundary_factor[1:] * response[1:]
-            system = np.eye(nt) - (self.gamma * c)[:, None] * self.kernel
-            source = np.zeros((nt, young))
-            source[self.inject, np.arange(young)] = c[self.inject] * self.births
-            # the system is unit upper triangular: LU finds no row to swap
-            amplitudes = np.linalg.solve(system, source)
-            forms = self.forms @ amplitudes
-            cross = self.cross @ amplitudes
-            out = []
-            for half, diag in enumerate(self.diag):
-                live = amplitudes.T @ forms[half * nt:(half + 1) * nt]
-                live = 0.5 * (live + live.T)
-                out.append(_gram_blocks(live, cross[half * size:(half + 1) * size], diag,
-                                        *self.split))
-        return out[0], out[1]
+            self.rate = boundary_factor[1:] * response[1:]  # bf r of the levels 1..Nt
+            self.c = tables.h * boundary_factor[1:] * response[1:]
+            self.system = np.eye(tables.nt) - (tables.gamma * self.c)[:, None] * tables.kernel
+        self._amplitudes = None
+        self._inverse = None
+
+    def inverse(self):
+        """U^-1, formed on first use; all NaN when the fertility is not finite."""
+        if self._inverse is None:
+            if np.isfinite(self.system).all():
+                # U is unit upper triangular: LU swaps no rows
+                self._inverse = np.linalg.inv(self.system)
+            else:
+                self._inverse = np.full(self.system.shape, np.nan)
+        return self._inverse
+
+    def gramian(self, half):
+        """The control (``half`` 0) or initial (1) Gramian as ``GramianBlocks``;
+        both share the young columns' amplitudes, solved on first use."""
+        t = self.tables
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._amplitudes is None:
+                source = np.zeros((t.nt, t.young))
+                source[t.inject, np.arange(t.young)] = self.c[t.inject] * t.births
+                # the system is unit upper triangular: LU finds no row to swap
+                self._amplitudes = np.linalg.solve(self.system, source)
+            amplitudes = self._amplitudes
+            forms, cross, diag = t.gramian_forms()
+            live = amplitudes.T @ (forms[half] @ amplitudes)
+            live = 0.5 * (live + live.T)
+            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split)
+
+    def adjoint(self, work_n, work_l, keep_l):
+        """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint
+        from (N+1) x k work blocks; l is None unless ``keep_l``.  Each column
+        is solved and carried on its own, so a block equals its single
+        columns bit for bit."""
+        t = self.tables
+        nt, size, k = t.nt, t.size, work_n.shape[1]
+        inverse = self.inverse()
+        n, l_eff = np.empty((2, k, size, nt + 1))
+        l = np.empty((k, size, nt + 1)) if keep_l else None
+        spike_f = np.empty((size, nt + 1))
+        # a work column padded with zeros: row r at level j reads entry r + Nt - j,
+        # and level j's birth source entry Nt - j
+        padded = np.zeros((2, size + nt + 1))
+        step = padded.strides[1]
+        reach = as_strided(padded[:, nt:], shape=(2, size, nt + 1),
+                           strides=(padded.strides[0], step, -step))
+        source = padded[:, nt - 1::-1]
+        alpha = np.zeros(nt + 2)  # [0, alpha_1, ..., alpha_Nt, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col in range(k):
+                padded[0, :size], padded[1, :size] = work_n[:, col], work_l[:, col]
+                np.multiply(t.lattice_spikes[0], reach[0], out=n[col])
+                births = t.source_spikes[0] * source[0] + t.source_spikes[1] * source[1]
+                alpha[1:nt + 1] = inverse @ (self.c * births)
+                amplitudes = alpha[t.hankel]
+                np.multiply(t.lattice_spikes[1], reach[1], out=spike_f)
+                np.matmul(t.carried_rows, amplitudes, out=l_eff[col])
+                l_eff[col] += spike_f
+                if keep_l:
+                    np.matmul(t.carried_rows[:, 1:], amplitudes[1:], out=l[col])
+                    l[col] += spike_f
+                    l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
+        return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
+
+    def terminal(self, m0, f0):
+        """Stacked terminal (male, female) profiles of the forward map from
+        the profiles (m0, f0) without controls.
+
+        The births B of the levels 1..Nt solve
+        (I - gamma diag(c) K^T) B = rate d, where d_n = h (T_n psi) . f0 is the
+        birth integral of f0 carried n levels; since that matrix times
+        diag(rate) is diag(rate) U^T, B = rate U^-T d.
+        """
+        t = self.tables
+        old = t.size - t.young
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = t.h * (f0 @ t.carried_rows[:, 1:])
+            births = (self.rate * (self.inverse().T @ data))[t.inject]
+            return np.concatenate([t.born[0] * ((1.0 - t.gamma) * births), t.old[0] * m0[:old],
+                                   t.born[1] * (t.gamma * births), t.old[1] * f0[:old]])
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):

@@ -9,9 +9,10 @@ together) on the live terminal entries, scaled by the terminal weights and
 kept in the operator's block form: a dense block on the young terminal
 ages, a diagonal on the older spikes and the cross block between them.
 The power iteration factors only the Schur complement of the spike
-diagonal, never the whole denominator.  When it runs, the probe quotients
-are read off the same blocks, and otherwise one batched sweep of the probes
-gives them.  The operators of one call are retraced from the first, so they
+diagonal, never the whole denominator.  The probe quotients are read off
+the same blocks when the power iteration runs or the Gramians are
+closed-form (separable fertility); otherwise one batched sweep of the
+probes gives them.  The operators of one call are retraced from the first, so they
 share its trace-independent tables.  A zero denominator with nonzero numerator
 is reported as the infinity sentinel: violated observability is a
 first-class outcome that certifies the time condition in the discrete
@@ -48,13 +49,14 @@ class ObservabilityReport:
 def _quotients(op, n_T, l_T):
     """Energy quotient of each column of (N+1) x k terminal blocks.
 
-    One batched adjoint sweep serves all columns.  A column invisible from
-    the control regions but carrying initial energy gets the infinity
-    sentinel.
+    One call of the operator's adjoint on the block serves all columns:
+    closed-form for separable fertility, one batched sweep for any other.
+    Level 0 of (n_eff, l_eff) is (n, l) there.  A column invisible from the
+    control regions but carrying initial energy gets the infinity sentinel.
     """
     grid = op.grid
     theta = (grid.age_weights() / grid.step)[:, None]
-    _, _, n_eff, l_eff = op.adjoint(theta * n_T, theta * l_T)
+    n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
     wa = grid.age_weights()
     quotients = []
     for c in range(n_T.shape[1]):
@@ -249,12 +251,12 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
     for trace in traces:
         # the traces share the operator's trace-independent tables
         op = FrozenOperator(model, grid, geom, trace) if op is None else op.retrace(trace)
-        if power_iters > 0:
-            # the Gramians the power iteration needs give the probe quotients too
+        if power_iters > 0 or model.fertility.separable:
+            # the Gramians give the probe quotients: the power iteration needs
+            # them anyway, and in closed form they cost less than the probes
             samples = _gramian_quotients(op, n_block, l_block)
         else:
-            # one sweep of the probes: it costs less than a swept Gramian
-            # assembly, though more than a closed-form one
+            # one sweep of the probes costs less than a swept Gramian assembly
             samples = _quotients(op, n_block, l_block)
         finite = [s for s in samples if math.isfinite(s)]
         if len(finite) < len(samples):

@@ -27,16 +27,41 @@ def setup():
 
 @pytest.mark.parametrize("make", [
     lambda: EpsilonSchedule(start=0.0),
+    lambda: EpsilonSchedule(start=np.inf),
+    lambda: EpsilonSchedule(start=np.nan),
     lambda: EpsilonSchedule(ratio=1.0),
+    lambda: EpsilonSchedule(ratio=np.inf),
+    lambda: EpsilonSchedule(ratio=np.nan),
     lambda: EpsilonSchedule(stages=0),
     lambda: PenaltyProblem(max_cg_iters=0),
     lambda: PenaltyProblem(cg_tol=0.0),
-], ids=["start", "ratio", "stages", "max_cg_iters", "cg_tol"])
+    lambda: PenaltyProblem(cg_tol=np.inf),
+    lambda: PenaltyProblem(cg_tol=np.nan),
+], ids=["start", "start-inf", "start-nan", "ratio", "ratio-inf", "ratio-nan", "stages",
+        "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
 def test_library_config_rejects_what_the_scenario_parser_rejects(make):
     # the same bounds as scenario.py: a schedule with no stage would return no
-    # result, a zero solve cap the zero control, a zero tolerance every solve
+    # result, a zero solve cap the zero control, a zero tolerance every solve;
+    # the parser rejects every non-finite number
     with pytest.raises(ConfigurationError):
         make()
+
+
+@pytest.mark.parametrize("start, ratio, stages", [
+    (1e-2, 10.0, 400),   # 10.0 ** 399 overflows
+    (1e-300, 1e20, 3),   # the third value is below the smallest subnormal
+    (5e-324, 2.0, 2),
+])
+def test_schedule_whose_last_epsilon_underflows_is_rejected(start, ratio, stages):
+    # an epsilon of 0 is no penalty: the stage that got it would fail mid-solve
+    with pytest.raises(ConfigurationError, match="underflows"):
+        EpsilonSchedule(start=start, ratio=ratio, stages=stages)
+
+
+def test_schedule_down_to_the_smallest_epsilon_is_accepted():
+    values = EpsilonSchedule(start=1e-2, ratio=10.0, stages=300).values()
+    assert len(values) == 300 and values[-1] > 0.0
+    assert EpsilonSchedule(start=5e-324, ratio=2.0, stages=1).values() == [5e-324]
 
 
 class TestObjective:

@@ -219,9 +219,12 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
                          ids=["separable", "expr"])
 def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
-    # y0 takes one forward sweep, b and L* c share one 2-column adjoint sweep,
-    # and the gradient check takes one forward and one adjoint sweep; the
-    # Gramians take no sweep for separable fertility and one for any other
+    # separable fertility: y0, b and L* c (one 2-column block) and the check's
+    # image come from the renewal system, only the control Gramian is built,
+    # and the one sweep is the controlled forward step loop the gradient is
+    # checked on.  Any other fertility: y0 takes one forward sweep, the
+    # Gramians one batched adjoint sweep, b and L* c one 2-column sweep, and
+    # the check one forward and one adjoint sweep.
     model = make_model()
     geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
@@ -229,8 +232,9 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(mode=mode)
 
-    widths = {"forward": [], "adjoint": []}
+    widths = {"forward": [], "adjoint": [], "closed_form": [], "gramians": []}
     forward, levels = FrozenOperator.forward, FrozenOperator.adjoint_levels
+    closed_adjoint, closed_gramian = forward_module._Levels.adjoint, forward_module._Levels.gramian
 
     def counting_forward(self, m0, f0, v_m=None, v_f=None):
         widths["forward"].append(1 if np.ndim(m0) == 1 else np.shape(m0)[1])
@@ -240,21 +244,38 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
         widths["adjoint"].append(np.shape(work_n)[1])
         return levels(self, work_n, work_l, visit)
 
+    def counting_closed_adjoint(self, work_n, work_l, keep_l):
+        assert not keep_l, "the control path keeps the female rows without feedback"
+        widths["closed_form"].append(np.shape(work_n)[1])
+        return closed_adjoint(self, work_n, work_l, keep_l)
+
+    def counting_gramian(self, half):
+        widths["gramians"].append(half)
+        return closed_gramian(self, half)
+
     def whole_adjoint(self, work_n, work_l):
         raise AssertionError("the control path stores whole adjoint lattices")
 
     monkeypatch.setattr(FrozenOperator, "forward", counting_forward)
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting_levels)
     monkeypatch.setattr(FrozenOperator, "adjoint", whole_adjoint)
+    monkeypatch.setattr(forward_module._Levels, "adjoint", counting_closed_adjoint)
+    monkeypatch.setattr(forward_module._Levels, "gramian", counting_gramian)
+    op = FrozenOperator(model, grid, geom, trace)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                              epsilon=1e-3, theta=1e-3)
+                              epsilon=1e-3, theta=1e-3, operator=op)
     assert result.converged and result.iterations == 1
-    gramian_sweep = ([] if model.fertility.separable
-                     else [min(grid.num_time_cells, grid.num_age_cells + 1) + 2])
-    assert widths == {"forward": [1, 1], "adjoint": gramian_sweep + [2, 1]}
+    if model.fertility.separable:
+        assert widths == {"forward": [1], "adjoint": [], "closed_form": [2, 1],
+                          "gramians": [0]}
+        assert op._gramian_cache[1] is None  # no initial Gramian
+    else:
+        gramian_sweep = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+        assert widths == {"forward": [1, 1], "adjoint": [gramian_sweep, 2, 1],
+                          "closed_form": [], "gramians": []}
     monkeypatch.undo()
 
-    # the 2-column sweep gives |b| and the check gives the gradient bit for bit
+    # the 2-column block gives |b| and the check gives the gradient bit for bit
     ws = _Workspace(dataclasses.replace(problem, epsilon=1e-3, theta=1e-3), model, grid,
                     geom, trace, m0, f0)
     b = ws.rhs()
@@ -451,6 +472,8 @@ def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
 
 @pytest.mark.parametrize("power_iters", [0, 3])
 def test_separable_tables_built_once_per_horizon(power_iters, monkeypatch):
+    # with or without power iteration the probe quotients are read off the
+    # closed-form Gramians, so the traces share one set of tables
     model, calls = _counting_factors(reference_model())
     built = _counting_tables(monkeypatch)
     _, grid, geom, trace = _observability_setup()
@@ -460,8 +483,7 @@ def test_separable_tables_built_once_per_horizon(power_iters, monkeypatch):
     assert len(calls["age_profile"]) == 1
     assert all(np.array_equal(got, want) for got, want in zip(calls["response"], traces))
     assert len(calls["response"]) == len(traces)
-    # without power iteration no Gramian is needed
-    assert len(built) == (1 if power_iters else 0)
+    assert len(built) == 1
 
 
 def test_retraced_operator_shares_the_tables():
@@ -617,9 +639,10 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
                          ids=["separable", "expr"])
 def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch):
-    # with power iteration the operator's Gramians serve both forms and the
-    # probe quotients: closed-form for separable fertility, one sweep for any
-    # other; without it one sweep of the probes costs less
+    # separable fertility: the closed-form Gramians serve both forms and the
+    # probe quotients, with no sweep.  Any other fertility: with power
+    # iteration one Gramian sweep per trace serves them, without it one sweep
+    # of the probes costs less
     model = make_model()
     _, grid, geom, trace = _observability_setup()
     widths = []
@@ -634,10 +657,10 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
                                     power_iters=power_iters, seed=0)
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
     # 4 probes; no terminal age is old enough for the cone datum at this horizon
-    if not power_iters:
-        assert widths == [4] * 2
+    if model.fertility.separable:
+        assert widths == []
     else:
-        assert widths == ([] if model.fertility.separable else [gramian_width] * 2)
+        assert widths == ([gramian_width] if power_iters else [4]) * 2
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
