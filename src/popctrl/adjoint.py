@@ -1,9 +1,8 @@
-"""Backward adjoint solver, implemented as the exact transpose of the
-discrete forward map.
+"""Backward adjoint solver: the exact transpose of the discrete forward map.
 
-The sweep (`FrozenOperator.adjoint_levels`, next to the forward step it
-transposes) works on "effective" arrays that absorb the trapezoid half
-weights of the terminal pairing; with that convention the recursion is
+The backward sweep (`FrozenOperator.adjoint_levels`, next to the forward
+step it transposes) works on "effective" arrays that absorb the trapezoid
+half weights of the terminal pairing; with that convention the recursion is
 plain characteristic transport plus an h-weighted nonlocal source at the
 already-computed level, and the discrete duality identity
 
@@ -14,7 +13,10 @@ already-computed level, and the discrete duality identity
 holds to machine precision for every frozen-trace forward solve.  The
 female effective array includes the same-level nonlocal feedback term,
 because the forward birth integral sees the control injected at the new
-level; `duality_residual` and the objective gradient must use it.
+level; `duality_residual` and the objective gradient must use it.  For
+separable fertility `FrozenOperator.adjoint` gives the same lattices in
+closed form, from the renewal equation of the birth feedback, without
+running the sweep; any other fertility runs it.
 
 The three adjoint variants (coupled pair, male-only pair, female-only
 scalar) share one recursion: the male equation is autonomous transport and
@@ -47,7 +49,7 @@ class AdjointSolution:
 
 
 def _sweep_from_work(model, grid, geom, work_n, work_l, trace):
-    """Backward sweep from already weighted terminal work arrays."""
+    """The adjoint lattices from already weighted terminal work arrays."""
     return FrozenOperator(model, grid, geom, trace).adjoint(work_n, work_l)
 
 

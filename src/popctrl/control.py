@@ -11,7 +11,7 @@ the objective is
 
 with mode-appropriate terminal terms, that is 1/2 h sum D y(T)^2 with D the
 diagonal penalty weights of the stacked terminal state y(T).  Gradients come
-from one adjoint sweep and are exact for the discrete objective because the
+from one adjoint image and are exact for the discrete objective because the
 adjoint is the exact transpose of the forward map.
 
 The Hessian is I + L* D L: L maps a control to the terminal state of the
@@ -235,11 +235,6 @@ class _Workspace:
         """Stacked terminal (male, female) profiles of the controlled sweep."""
         return _terminal(self.forward(x, with_data))
 
-    def uncontrolled_terminal(self):
-        """The terminal profiles y0 of the data without control, stacked as in
-        ``terminal``; closed-form for separable fertility."""
-        return self.op.uncontrolled_terminal(self.m0, self.f0)
-
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
             else self.problem.epsilon
@@ -249,7 +244,9 @@ class _Workspace:
         return [xi + a for xi, a in zip(x, image)]
 
     def rhs(self):
-        return self.adjoint_image(-self.penalty_weights() * self.uncontrolled_terminal())
+        # y0 as the stage takes it: closed-form for separable fertility
+        y0 = self.op.uncontrolled_terminal(self.m0, self.f0)
+        return self.adjoint_image(-self.penalty_weights() * y0)
 
     def inner(self, x, y):
         return sum(region_inner(self.grid, mask, a, b)
@@ -325,7 +322,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     weights = ws.penalty_weights()
     x = ws.zeros()
     state = None
-    work = -weights * ws.uncontrolled_terminal()  # -D y0
+    work = -weights * ws.op.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
     c = ws.op.solve_gramian(work, weights)
     b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c
     norm_b = np.sqrt(ws.inner(b, b))

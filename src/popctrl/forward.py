@@ -731,8 +731,8 @@ class _Renewal:
     levels down the female rows and kappa_d its age-0 entry.  Apart from
     the feedbacks, the work entry of terminal age q is a spike that the
     sweep carries down its row: d levels below the terminal one it sits in
-    row q - d, times the survival product ``spikes[slot, d, q]``, and at
-    level Nt - q it reaches age 0.  So the feedback amplitudes
+    row q - d, times a survival product (``lattice_spikes``), and at level
+    Nt - q it reaches age 0.  So the feedback amplitudes
     alpha_j = c_j q_j of any work pair solve the discrete renewal equation
     (I - gamma diag(c) K) alpha = c e, with K[j, k] = kappa_{k-j} for k > j
     and e_j the birth source of the spikes that reach age 0 at level j.  The
@@ -768,10 +768,9 @@ class _Renewal:
         region_m[0] = region_f[0] = 0.0
         self.weights = (h * h * region_m, h * h * region_f, op.wa)
 
-        # carried[r, d] is row r of T_d psi.  lattice_spikes[s, r, j] is the
-        # spike of terminal age q = r + Nt - j of slot s at level j, in row r,
-        # multiplied in the sweep's order: spikes[s, d, q] above, d = Nt - j;
-        # it is zero where q is past the grid
+        # carried[:, d] is T_d psi.  lattice_spikes[s, r, j] is the spike of
+        # terminal age r + Nt - j of slot s, in row r at level j, multiplied in
+        # the sweep's order; it is zero where that age is past the grid
         carried = np.zeros((size, nt + 1))
         carried[:, 0] = (op.wa / h) * op.age_profile
         lattice = np.zeros((2, size, nt + 1))
@@ -782,7 +781,7 @@ class _Renewal:
             if d < size:
                 lattice[:, :size - d, nt - d] = (survival[:, 1:size - d + 1]
                                                  * lattice[:, 1:size - d + 1, nt - d + 1])
-        self.carried_rows, self.lattice_spikes = carried, lattice
+        self.carried, self.lattice_spikes = carried, lattice
 
         # K[j, k] = kappa_{k-j} above the diagonal
         lag = np.arange(nt)[None, :] - np.arange(nt)[:, None]
@@ -801,7 +800,7 @@ class _Renewal:
 
         # the forward map: the terminal ages >= Nt carry the initial data by the
         # spikes of level 0
-        self.old = lattice[:, :size - young, 0].copy()
+        self.old = lattice[:, :size - young, 0]
         self._forms = None
 
     def gramian_forms(self):
@@ -811,7 +810,7 @@ class _Renewal:
             return self._forms
         nt, size = self.nt, self.size
         wq_m, wq_f, wa = self.weights
-        carried, spikes = self.carried_rows.T, self.lattice_spikes
+        carried, spikes = self.carried.T, self.lattice_spikes  # carried[d] is T_d psi
         # control: levels j = Nt - d >= 1, spikes in rows r = q - d >= 1
         root = carried[:nt] * np.sqrt(wq_f)
         q_ctrl = root @ root.T  # Q[k, k'] = sum_j G[k - j, k' - j], G this Gram matrix
@@ -913,10 +912,10 @@ class _Levels:
                 alpha[1:nt + 1] = inverse @ (self.c * births)
                 amplitudes = alpha[t.hankel]
                 np.multiply(t.lattice_spikes[1], reach[1], out=spike_f)
-                np.matmul(t.carried_rows, amplitudes, out=l_eff[col])
+                np.matmul(t.carried, amplitudes, out=l_eff[col])
                 l_eff[col] += spike_f
                 if keep_l:
-                    np.matmul(t.carried_rows[:, 1:], amplitudes[1:], out=l[col])
+                    np.matmul(t.carried[:, 1:], amplitudes[1:], out=l[col])
                     l[col] += spike_f
                     l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
         return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
@@ -933,7 +932,7 @@ class _Levels:
         t = self.tables
         old = t.size - t.young
         with np.errstate(over="ignore", invalid="ignore"):
-            data = t.h * (f0 @ t.carried_rows[:, 1:])
+            data = t.h * (f0 @ t.carried[:, 1:])
             births = (self.rate * (self.inverse().T @ data))[t.inject]
             return np.concatenate([t.born[0] * ((1.0 - t.gamma) * births), t.old[0] * m0[:old],
                                    t.born[1] * (t.gamma * births), t.old[1] * f0[:old]])
