@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import pipelines
 from .errors import PopctrlError
-from .scenario import load_scenario
+from .scenario import _number, load_scenario
 
 # command -> help text; each command but "sweep" runs pipelines.cmd_<command>,
 # looked up at call time so that wrappers installed on the module see the call
@@ -63,6 +63,9 @@ def run_command(argv):
 
     started = time.perf_counter()
     try:
+        if args.grid_h is not None:
+            # the rule a scenario file's grid.target_h meets, before anything is written
+            _number(args.grid_h, "grid.target_h", strict_min=0.0)
         if args.command == "sweep":
             with open(args.scenario) as handle:
                 sweep_spec = json.load(handle)

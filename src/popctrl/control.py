@@ -19,14 +19,15 @@ zero-data frozen-trace system and L* is its adjoint (the operator's
 transpose applied to a terminal work vector).  By HUM duality the optimum
 is v = L* c, where c solves the terminal-space system
 (I + D G / h) c = -D y0, G = h L L* is the operator's cached control
-Gramian and y0 the terminal state of the uncontrolled system.  For
-separable fertility y0, L* and G all come in closed form from the
-operator's per-trace renewal system, so a stage runs one forward step loop
-in all: the controlled sweep on which it checks the explicit gradient,
-whose adjoint image is closed-form too.  Any other fertility takes y0 from
-a forward sweep and each adjoint image from a backward sweep.  A
-correction solve on the remaining terminal residual runs only while that
-gradient is above tolerance.
+Gramian and y0 the terminal state of the uncontrolled system.  The stage
+checks the explicit gradient on the controlled terminal state: it maps the
+control L* c through L, never through G.  For separable fertility y0, L*,
+G and the controlled terminal state and male trace all come in closed
+form from the operator's per-trace renewal system, so a stage runs no
+level loop.  Any other fertility takes each forward map from the step loop
+and each adjoint image from a backward sweep.  A correction solve on the
+remaining terminal residual runs only while that gradient is above
+tolerance.
 
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .adjoint import region_inner
 from .errors import ConfigurationError, ConsistencyError
-from .forward import FrozenOperator, StateSolution
+from .forward import FrozenOperator
 from .grid import Field2D, region_mask
 from .model import ControlMode
 
@@ -118,7 +119,11 @@ class ControlResult:
     epsilon: float
     theta: float
     stage_history: list = dc_field(default_factory=list)
-    state: StateSolution = None  # the controlled frozen-trace solve
+    # the controlled frozen-trace system: its trace, fertile-male trace and
+    # stacked terminal (male, female) profiles
+    frozen_trace: np.ndarray = None
+    fertile_male_trace: np.ndarray = None
+    terminal: np.ndarray = None
 
 
 def terminal_weights(grid, geom):
@@ -198,10 +203,12 @@ class _Workspace:
         return [np.where(support, v.values, 0.0) if v is not None else np.zeros(support.shape)
                 for support, v in zip(self.support, (v_m, v_f))]
 
-    def forward(self, x, with_data):
+    def observe(self, x, with_data):
+        """(fertile-male trace, stacked terminal profiles) of the control x,
+        from ``FrozenOperator.observe``."""
         m0 = self.m0 if with_data else self.zero_profile
         f0 = self.f0 if with_data else self.zero_profile
-        return self.op.state(m0, f0, *x)
+        return self.op.observe(m0, f0, *x)
 
     def adjoint_image(self, work):
         """L* of a stacked terminal work vector (male then female slot).
@@ -232,8 +239,8 @@ class _Workspace:
         return weights
 
     def terminal(self, x, with_data):
-        """Stacked terminal (male, female) profiles of the controlled sweep."""
-        return _terminal(self.forward(x, with_data))
+        """Stacked terminal (male, female) profiles of the control x."""
+        return self.observe(x, with_data)[1]
 
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
@@ -252,20 +259,20 @@ class _Workspace:
         return sum(region_inner(self.grid, mask, a, b)
                    for mask, a, b in zip(self.masks, x, y))
 
-    def objective(self, x, state=None):
-        """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``."""
-        if state is None:
-            state = self.forward(x, with_data=True)
-        penalty = self.grid.step * float(np.dot(self.penalty_weights(), _terminal(state) ** 2))
+    def objective(self, x, terminal=None):
+        """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``;
+        ``terminal`` is y(T) when already known."""
+        if terminal is None:
+            terminal = self.terminal(x, with_data=True)
+        penalty = self.grid.step * float(np.dot(self.penalty_weights(), terminal ** 2))
         return 0.5 * (self.inner(x, x) + penalty)
 
     def gradient(self, x):
         image = self.adjoint_image(-self.penalty_weights() * self.terminal(x, with_data=True))
         return [xi - a for xi, a in zip(x, image)]
 
-    def terminal_norms(self, state):
-        return terminal_norms(self.grid, self.geom, state.m.values[:, -1],
-                              state.f.values[:, -1])
+    def terminal_norms(self, terminal):
+        return terminal_norms(self.grid, self.geom, *np.split(terminal, 2))
 
 
 def evaluate_objective(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
@@ -288,11 +295,6 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
             None if geom.mode is ControlMode.MALE_ONLY else Field2D(grid, g_f))
 
 
-def _terminal(state):
-    """Stacked terminal (male, female) profiles of a state."""
-    return np.concatenate([state.m.values[:, -1], state.f.values[:, -1]])
-
-
 def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
                      theta=None, operator=None):
     """Minimize the penalty functional by the terminal-space (HUM) solve.
@@ -301,17 +303,19 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     a FrozenOperator for ``trace`` that is built here when None, and sets
     the control to L* c, a pair of lattice fields that vanish off the
     control support.  The uncontrolled terminal state y0, the right-hand
-    side b = L* (-D y0), L* c and the adjoint image of each check come from
-    the operator: in closed form for separable fertility, from the sweeps
-    for any other; only the control Gramian is assembled.  The controlled
-    state always comes from the forward step loop, and the explicit
-    gradient is checked on it: the stage stops when the gradient norm, in
-    the region inner product, is at most cg_tol times the zero-control
-    gradient norm |b|.  While it is above, a correction solve on the
-    terminal residual -(c + D y(T)) follows, up to max_cg_iters solves in
-    all, after which CONVERGENCE_NOT_REACHED is flagged.  ``iterations``
-    counts the solves and ``cg_trace`` holds |b| and the gradient norm after
-    each solve.  The result carries the controlled frozen-trace state.
+    side b = L* (-D y0), L* c, the controlled terminal state y(T) of each
+    check and its adjoint image come from the operator: in closed form for
+    separable fertility (``FrozenOperator.observe`` for y(T)), from the step
+    loop and the sweeps for any other; only the control Gramian is
+    assembled.  The explicit gradient is checked on y(T): the stage stops
+    when the gradient norm, in the region inner product, is at most cg_tol
+    times the zero-control gradient norm |b|.  While it is above, a
+    correction solve on the terminal residual -(c + D y(T)) follows, up to
+    max_cg_iters solves in all, after which CONVERGENCE_NOT_REACHED is
+    flagged.  ``iterations`` counts the solves and ``cg_trace`` holds |b|
+    and the gradient norm after each solve.  The result carries the frozen
+    trace and the controlled system's fertile-male trace and terminal
+    profiles.
     """
     if epsilon is not None or theta is not None:
         problem = replace(
@@ -321,7 +325,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
     weights = ws.penalty_weights()
     x = ws.zeros()
-    state = None
+    observed = None
     work = -weights * ws.op.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
     c = ws.op.solve_gramian(work, weights)
     b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c
@@ -335,15 +339,16 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
             c = c + delta
             step = ws.adjoint_image(delta)
         x = [xi + si for xi, si in zip(x, step)]
-        state = ws.forward(x, with_data=True)
-        work = -weights * _terminal(state)
+        observed = ws.observe(x, with_data=True)
+        work = -weights * observed[1]
         grad = [xi - gi for xi, gi in zip(x, ws.adjoint_image(work))]
         cg_trace.append(float(np.sqrt(ws.inner(grad, grad))))
     converged = cg_trace[-1] <= tol
-    if state is None:  # no solve ran: the control stays zero
-        state = ws.forward(x, with_data=True)
+    if observed is None:  # no solve ran: the control stays zero
+        observed = ws.observe(x, with_data=True)
+    male_trace, terminal = observed
 
-    m_norm, f_norm = ws.terminal_norms(state)
+    m_norm, f_norm = ws.terminal_norms(terminal)
     flags = []
     if not geom.admissible_time(grid.max_age):
         flags.append(FLAG_NON_ADMISSIBLE)
@@ -352,10 +357,10 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     return ControlResult(
         v_m=Field2D(grid, x[0]), v_f=Field2D(grid, x[1]),
         terminal_m_norm=m_norm, terminal_f_norm=f_norm,
-        J_value=ws.objective(x, state=state),
+        J_value=ws.objective(x, terminal=terminal),
         cg_trace=cg_trace, iterations=len(cg_trace) - 1, converged=converged,
         flags=flags, epsilon=problem.epsilon, theta=ws.effective_theta(),
-        state=state,
+        frozen_trace=ws.op.trace.copy(), fertile_male_trace=male_trace, terminal=terminal,
     )
 
 

@@ -64,13 +64,14 @@ def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=
     """One application of the controlled-trace map.
 
     Minimizes the penalty functional for the frozen trace, from scratch, and
-    returns the fertile-male trace of the controlled frozen-trace solve
-    along with the control result, whose ``state`` is that solve.
-    ``operator`` is as in ``minimize_penalty``.
+    returns the fertile-male trace of the controlled frozen-trace system,
+    as the penalty stage computed it (in closed form for separable
+    fertility), along with the control result.  ``operator`` is as in
+    ``minimize_penalty``.
     """
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                               epsilon=epsilon, theta=theta, operator=operator)
-    return result.state.fertile_male_trace.copy(), result
+    return result.fertile_male_trace.copy(), result
 
 
 def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):

@@ -23,19 +23,21 @@ every trace-independent table.  Both take a single age profile or an
 single-column call performs, so a block equals k single columns bit for
 bit.
 
-The controlled forward map always runs the step loop.  The transpose, the
-uncontrolled terminal state and the control and initial Gramians take one
-of two paths, by the kind of fertility.  Separable fertility phi(a) r(p) is
-tabulated from one vector call of r per trace, and the birth law, the only
-coupling between ages, reduces to a discrete renewal equation on the Nt
-time levels (`_Renewal`).  Its trace-independent tables are built once and
-shared by retraced operators; per trace one triangular system (`_Levels`)
-gives the Gramians, the whole adjoint lattice of any work block and the
-uncontrolled terminal state in closed form, with no level loop.  Any other
-fertility is evaluated once per level: its adjoint is the backward sweep
-(`FrozenOperator.adjoint_levels`), its uncontrolled terminal state the
-step loop, and its Gramians come from one batched sweep with a single
-column per terminal age young enough to reach age 0
+`FrozenOperator.forward`/`state` (the whole lattice) always run the step
+loop.  The parts of the forward map a penalty stage reads
+(`FrozenOperator.observe`: the fertile-male trace and the terminal state,
+controls included), the transpose and the control and initial Gramians
+take one of two paths, by the kind of fertility.  Separable fertility
+phi(a) r(p) is tabulated from one vector call of r per trace, and the birth
+law, the only coupling between ages, reduces to a discrete renewal
+equation on the Nt time levels (`_Renewal`).  Its trace-independent tables
+are built once and shared by retraced operators; per trace one triangular
+system (`_Levels`) gives the Gramians, the whole adjoint lattice of any
+work block and the controlled male trace and terminal state in closed
+form, with no level loop.  Any other fertility is evaluated once per
+level: its adjoint is the backward sweep (`FrozenOperator.adjoint_levels`),
+its `observe` the step loop, and its Gramians come from one batched sweep
+with a single column per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
 the closed forms are tested against.  Both paths give the Gramians in
 block form (`GramianBlocks`): the terminal ages too old to reach age 0 stay
@@ -399,23 +401,49 @@ class FrozenOperator(_Transport):
         self.adjoint_levels(wn, wl, store)
         return n_rows, l_rows, l_eff
 
+    def observe(self, m0, f0, v_m=None, v_f=None):
+        """The parts of the forward map a penalty stage reads: the fertile-male
+        trace at every level, (Nt+1,), and the stacked terminal (male, female)
+        profiles, (2(N+1),).
+
+        Single column; arguments as in ``forward``.  Separable fertility takes
+        the closed form of ``_Levels.observe``, any other the step loop.
+        Raises NumericalFailure naming the first step at which the step loop
+        stops being finite.
+        """
+        return self._observe(m0, f0, v_m, v_f, male=True)
+
     def uncontrolled_terminal(self, m0, f0):
         """Stacked terminal (male, female) profiles of the forward map from the
-        profiles ``m0``, ``f0`` without controls.
+        profiles ``m0``, ``f0`` without controls, as ``observe`` gives them."""
+        return self._observe(m0, f0, None, None, male=False)[1]
 
-        Separable fertility takes the closed form of ``_Levels.terminal``,
-        any other the step loop.  Raises NumericalFailure naming the first
-        step at which the step loop stops being finite.
-        """
+    def _observe(self, m0, f0, v_m, v_f, male):
+        """``observe``; the closed form skips the male trace (None) unless
+        ``male``."""
+        if np.ndim(m0) != 1 or np.ndim(f0) != 1:
+            raise DimensionError("observe takes single age profiles")
         if self.age_profile is None:
-            m, f, _, _ = self.forward(m0, f0)
-            return np.concatenate([m[:, -1], f[:, -1]])
-        y0 = self._renewal_levels().terminal(np.asarray(m0, dtype=float),
-                                             np.asarray(f0, dtype=float))
-        if not np.isfinite(y0).all():
-            self.forward(m0, f0)  # names the first non-finite step
+            m, f, male_trace, _ = self.forward(m0, f0, v_m, v_f)
+            return male_trace, np.concatenate([m[:, -1], f[:, -1]])
+        h = self.grid.step
+        shape = (self.grid.num_age_cells + 1, self.grid.num_time_cells + 1)
+        sources = []
+        for v, mask in ((v_m, self.mask_m), (v_f, self.mask_f)):
+            # the lattice of control sources the step loop adds; a sex with an
+            # empty region has none
+            source = None
+            if v is not None and mask.any():
+                source = np.zeros(shape)
+                np.multiply((h * mask[1:])[:, None], v[1:, 1:], out=source[1:, 1:])
+            sources.append(source)
+        male_trace, terminal = self._renewal_levels().observe(
+            np.asarray(m0, dtype=float), np.asarray(f0, dtype=float), *sources, male)
+        if not (np.isfinite(terminal).all()
+                and (male_trace is None or np.isfinite(male_trace).all())):
+            self.forward(m0, f0, v_m, v_f)  # names the first non-finite step
             raise NumericalFailure("forward solve lost finiteness")
-        return y0
+        return male_trace, terminal
 
     def _renewal_levels(self):
         """The renewal system of this trace, built on first use; its tables
@@ -801,7 +829,39 @@ class _Renewal:
         # the forward map: the terminal ages >= Nt carry the initial data by the
         # spikes of level 0
         self.old = lattice[:, :size - young, 0]
+        self.male_weight, self.s_m = op.wa * op.lam, op.s_m
+        self._forward = None
         self._forms = None
+
+    def forward_tables(self):
+        """The tables of ``_Levels.observe``, built on first use:
+        ``male_carried``, whose column d is wa * lambda carried d levels down
+        the male rows, so that its entry r weighs the male trace d levels
+        after a value in row r; the level d + k that entry (d, k) of a
+        product with a source lattice reaches; and the terminal age
+        r + Nt - k that the source in row r at level k reaches."""
+        if self._forward is None:
+            nt, size = self.nt, self.size
+            male_carried = np.zeros((size, nt + 1))
+            male_carried[:, 0] = self.male_weight
+            for d in range(1, nt + 1):
+                male_carried[:-1, d] = self.s_m[1:] * male_carried[1:, d - 1]
+            levels = np.arange(nt + 1)
+            self._forward = (male_carried, (levels[:, None] + levels).ravel(),
+                             (np.arange(size)[:, None] + (nt - levels)).ravel())
+        return self._forward
+
+    def along_levels(self, product):
+        """Level n's sum of an (Nt+1) x (Nt+1) product indexed (d, k): its
+        anti-diagonal d + k = n, for n = 0..Nt."""
+        return np.bincount(self.forward_tables()[1], product.ravel())[:self.nt + 1]
+
+    def to_terminal(self, slot, source):
+        """The terminal profile of slot ``slot`` reached by the sources in an
+        (N+1) x (Nt+1) lattice: each carried by its spike product, summed
+        along its characteristic."""
+        carried = (self.lattice_spikes[slot] * source).ravel()
+        return np.bincount(self.forward_tables()[2], carried)[:self.size]
 
     def gramian_forms(self):
         """The (forms, cross, diag) tables of the (control, initial) Gramians,
@@ -920,22 +980,44 @@ class _Levels:
                     l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
         return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
 
-    def terminal(self, m0, f0):
-        """Stacked terminal (male, female) profiles of the forward map from
-        the profiles (m0, f0) without controls.
+    def observe(self, m0, f0, source_m, source_f, male):
+        """The fertile-male trace at every level (None unless ``male``) and
+        the stacked terminal (male, female) profiles of the forward map from
+        the profiles (m0, f0), with the (N+1) x (Nt+1) lattices of control
+        sources ``source_m``, ``source_f`` (None for none) the step loop adds.
 
         The births B of the levels 1..Nt solve
-        (I - gamma diag(c) K^T) B = rate d, where d_n = h (T_n psi) . f0 is the
-        birth integral of f0 carried n levels; since that matrix times
-        diag(rate) is diag(rate) U^T, B = rate U^-T d.
+        (I - gamma diag(c) K^T) B = rate (d + d_v), where d_n = h (T_n psi) . f0
+        is the birth integral of f0 carried n levels and
+        d_v_n = h sum_k (T_{n-k} psi) . source_f[:, k] that of the female
+        sources; since that matrix times diag(rate) is diag(rate) U^T,
+        B = rate U^-T (d + d_v).  The data, the sources and the births reach
+        the terminal level by the spike products, and the male trace by
+        ``male_carried`` (``_Renewal.forward_tables``), each summed along its
+        characteristics.
         """
         t = self.tables
         old = t.size - t.young
         with np.errstate(over="ignore", invalid="ignore"):
             data = t.h * (f0 @ t.carried[:, 1:])
-            births = (self.rate * (self.inverse().T @ data))[t.inject]
-            return np.concatenate([t.born[0] * ((1.0 - t.gamma) * births), t.old[0] * m0[:old],
-                                   t.born[1] * (t.gamma * births), t.old[1] * f0[:old]])
+            if source_f is not None:
+                data = data + t.h * t.along_levels(t.carried.T @ source_f)[1:]
+            births = self.rate * (self.inverse().T @ data)
+            young = births[t.inject]
+            terminal = np.concatenate([t.born[0] * ((1.0 - t.gamma) * young),
+                                       t.old[0] * m0[:old],
+                                       t.born[1] * (t.gamma * young), t.old[1] * f0[:old]])
+            for slot, source in enumerate((source_m, source_f)):
+                if source is not None:
+                    terminal[slot * t.size:(slot + 1) * t.size] += t.to_terminal(slot, source)
+            if not male:
+                return None, terminal
+            # the male block the male trace integrates: data at level 0, births
+            # at age 0 and the male sources
+            block = np.zeros((t.size, t.nt + 1)) if source_m is None else source_m.copy()
+            block[:, 0] = m0
+            block[0, 1:] = (1.0 - t.gamma) * births
+            return t.along_levels(t.forward_tables()[0].T @ block), terminal
 
 
 def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):

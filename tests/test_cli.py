@@ -291,8 +291,29 @@ def test_nan_grid_step_is_a_configuration_error(scenario_path, tmp_path, capsys)
     out = str(tmp_path / "nan")
     assert run_command(["simulate", scenario_path, "--grid-h", "nan",
                         "--out", out, "--quiet"]) == 2
-    assert "target_h=nan" in capsys.readouterr().err
+    assert "grid.target_h: must be finite" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize("command", ["validate", "control"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_grid_step_override_meets_the_scenario_rule(command, value, tmp_path, capsys):
+    # --grid-h is checked as the scenario file's grid.target_h is, before any
+    # artifact is written: validate used to exit 1 with a validation.json
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["grid"]["target_h"] = float(value)
+    path = tmp_path / "bad_h.json"
+    path.write_text(json.dumps(raw))
+    assert run_command([command, str(path), "--out", str(tmp_path / "file"), "--quiet"]) == 2
+    from_file = capsys.readouterr().err
+    assert from_file.startswith("error: grid.target_h: must be ")
+
+    out = str(tmp_path / "override")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(FAST_SCENARIO))
+    assert run_command([command, str(good), "--grid-h", value, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == from_file
+    assert not os.path.exists(out)
 
 
 def test_adjoint_mode_mismatch_is_an_error(tmp_path):

@@ -1,6 +1,7 @@
 """The closed forms of the renewal equation (separable fertility) against the
 level sweeps they replace: the whole adjoint lattice of a work block, the
-uncontrolled terminal state, duality with the forward step loop, block
+controlled forward map's male trace and terminal state (``observe``),
+duality with the forward step loop and between the closed forms, block
 against single columns, and the level a non-finite result is reported at."""
 
 import dataclasses
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility,
-                     RateFunction, build_grid, duality_residual, solve_adjoint,
-                     solve_forward)
-from popctrl.errors import NumericalFailure
+                     PenaltyProblem, RateFunction, build_grid, duality_residual,
+                     minimize_penalty, solve_adjoint, solve_forward)
+from popctrl.control import _Workspace
+from popctrl.errors import DimensionError, NumericalFailure
 from popctrl.forward import FrozenOperator
 
 from conftest import expr_fertility_model, random_nonneg_model, reference_data, reference_model
@@ -78,9 +80,82 @@ def test_closed_forms_match_the_level_sweeps(mode, model_name, horizon, step):
     assert _close(op.uncontrolled_terminal(m0, f0), np.concatenate([m[:, -1], f[:, -1]]))
 
 
+def _renewal_terminal(op, m0, f0):
+    """The uncontrolled terminal state by the renewal formula, term by term:
+    births rate * U^-T d, carried with the initial data by the spike products."""
+    levels = op._renewal_levels()
+    t = levels.tables
+    old = t.size - t.young
+    births = (levels.rate * (levels.inverse().T @ (t.h * (f0 @ t.carried[:, 1:]))))[t.inject]
+    return np.concatenate([t.born[0] * ((1.0 - t.gamma) * births), t.old[0] * m0[:old],
+                           t.born[1] * (t.gamma * births), t.old[1] * f0[:old]])
+
+
+def _random_controls(grid, rng):
+    shape = (grid.num_age_cells + 1, grid.num_time_cells + 1)
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("horizon", [0.2, 0.35, 1.3])  # 1.3: Nt above N + 1
+@pytest.mark.parametrize("step", [1.0 / 32, 1.0 / 64])
+def test_observe_matches_the_step_loop(mode, model_name, horizon, step):
+    # the male trace and the terminal state of the controlled map, for random
+    # controls (both fields, also where the mode's region is empty) and for a
+    # penalty stage's own control
+    model = MODELS[model_name]()
+    op, m0, f0 = _operator(model, mode, horizon, step)
+    stage = minimize_penalty(PenaltyProblem(mode=mode), model, op.grid, op.geom, op.trace,
+                             m0, f0, epsilon=1e-3, theta=1e-3, operator=op)
+    controls = [_random_controls(op.grid, np.random.default_rng(9)),
+                (stage.v_m.values, stage.v_f.values)]
+    for v_m, v_f in controls + [(None, None)]:
+        m, f, male_trace, _ = op.forward(m0, f0, v_m, v_f)
+        got_trace, got_terminal = op.observe(m0, f0, v_m, v_f)
+        scale = max(np.max(np.abs(m)), np.max(np.abs(f)))
+        assert np.max(np.abs(got_terminal - np.concatenate([m[:, -1], f[:, -1]]))) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(got_trace - male_trace)) <= 1e-13 * np.max(np.abs(male_trace))
+    # the stage carries what it computed for its own control
+    assert np.array_equal(stage.frozen_trace, op.trace)
+    assert np.array_equal(stage.fertile_male_trace, op.observe(m0, f0, stage.v_m.values,
+                                                               stage.v_f.values)[0])
+    # without controls the terminal state is the renewal formula, bit for bit
+    terminal = op.observe(m0, f0)[1]
+    assert np.array_equal(terminal, _renewal_terminal(op, m0, f0))
+    assert np.array_equal(op.uncontrolled_terminal(m0, f0), terminal)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("horizon", [0.35, 1.3])
+def test_duality_between_the_closed_forms(mode, model_name, horizon):
+    # <L* u, x> = h u . L x with L from observe and L* from adjoint_images
+    model = MODELS[model_name]()
+    op, m0, f0 = _operator(model, mode, horizon, 1.0 / 64)
+    ws = _Workspace(PenaltyProblem(mode=mode), model, op.grid, op.geom, op.trace, m0, f0,
+                    operator=op)
+    r = np.random.default_rng(17)
+    x = [np.where(support, v, 0.0)
+         for support, v in zip(ws.support, _random_controls(op.grid, r))]
+    for _ in range(3):
+        u = r.standard_normal(2 * (op.grid.num_age_cells + 1))
+        image = ws.adjoint_image(u)
+        paired = ws.inner(image, x)
+        mapped = op.grid.step * float(u @ ws.terminal(x, with_data=False))
+        assert abs(paired - mapped) <= 1e-12 * np.sqrt(ws.inner(image, image) * ws.inner(x, x))
+
+
+def test_observe_takes_single_profiles():
+    op, m0, f0 = _operator(reference_model(), ControlMode.BOTH, 0.35, 1.0 / 16)
+    with pytest.raises(DimensionError):
+        op.observe(np.stack([m0, m0], axis=1), np.stack([f0, f0], axis=1))
+
+
 def test_expr_fertility_keeps_the_sweeps():
     # fertility that is not separable: the adjoint is the level sweep and the
-    # uncontrolled terminal state the step loop, bit for bit
+    # forward map the step loop, bit for bit
     op, m0, f0 = _operator(expr_fertility_model(), ControlMode.BOTH, 0.35, 1.0 / 32)
     size = op.grid.num_age_cells + 1
     work_n, work_l = np.random.default_rng(2).standard_normal((2, size, 2))
@@ -88,10 +163,15 @@ def test_expr_fertility_keeps_the_sweeps():
     swept_n, swept_l, swept_l_eff = _swept(op, work_n, work_l)
     for got, want in ((n, swept_n), (l, swept_l), (n_eff, swept_n), (l_eff, swept_l_eff)):
         assert np.array_equal(got, want)
-    assert op._renewal is None
     m, f, _, _ = op.forward(m0, f0)
     assert np.array_equal(op.uncontrolled_terminal(m0, f0),
                           np.concatenate([m[:, -1], f[:, -1]]))
+    v_m, v_f = _random_controls(op.grid, np.random.default_rng(4))
+    m, f, male_trace, _ = op.forward(m0, f0, v_m, v_f)
+    got_trace, got_terminal = op.observe(m0, f0, v_m, v_f)
+    assert np.array_equal(got_trace, male_trace)
+    assert np.array_equal(got_terminal, np.concatenate([m[:, -1], f[:, -1]]))
+    assert op._renewal is None
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -179,3 +259,6 @@ def test_non_finite_closed_form_names_the_sweeps_level(fault, where):
     stepped = _failure_step(lambda: op.forward(profile, profile))
     assert stepped == j
     assert _failure_step(lambda: op.uncontrolled_terminal(profile, profile)) == stepped
+    v_m, v_f = _random_controls(grid, np.random.default_rng(1))
+    assert _failure_step(lambda: op.forward(profile, profile, v_m, v_f)) == stepped
+    assert _failure_step(lambda: op.observe(profile, profile, v_m, v_f)) == stepped

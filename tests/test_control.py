@@ -141,12 +141,13 @@ class TestGradient:
             out[1][ws.support[1]] = vec[sizes[0]:]
             return out
 
-        base = ws.forward(ws.zeros(), with_data=True)
+        # the terminal map from the step loop
+        base = ws.op.state(ws.m0, ws.f0, *ws.zeros())
         t0 = np.concatenate([base.m.values[:, -1], base.f.values[:, -1]])
         columns = []
         for k in range(dim):
             e = np.zeros(dim); e[k] = 1.0
-            state = ws.forward(unpack_flat(e), with_data=False)
+            state = ws.op.state(ws.zero_profile, ws.zero_profile, *unpack_flat(e))
             columns.append(np.concatenate([state.m.values[:, -1],
                                            state.f.values[:, -1]]))
         tmat = np.stack(columns, axis=1)

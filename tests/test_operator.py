@@ -3,6 +3,7 @@ duality and gradients through one operator, and the batched observability
 assembly against per-vector adjoint solves."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, 
 from popctrl import fixed_point as fixed_point_module
 from popctrl import forward as forward_module
 from popctrl import observability as obs
+from popctrl.cli import run_command
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
@@ -219,10 +221,10 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
                          ids=["separable", "expr"])
 def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
-    # separable fertility: y0, b and L* c (one 2-column block) and the check's
-    # image come from the renewal system, only the control Gramian is built,
-    # and the one sweep is the controlled forward step loop the gradient is
-    # checked on.  Any other fertility: y0 takes one forward sweep, the
+    # separable fertility: y0 and the check's controlled state (two closed-form
+    # forward maps), b and L* c (one 2-column block) and the check's image come
+    # from the renewal system, only the control Gramian is built, and no level
+    # loop runs.  Any other fertility: y0 takes one forward sweep, the
     # Gramians one batched adjoint sweep, b and L* c one 2-column sweep, and
     # the check one forward and one adjoint sweep.
     model = make_model()
@@ -232,9 +234,10 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(mode=mode)
 
-    widths = {"forward": [], "adjoint": [], "closed_form": [], "gramians": []}
+    widths = {"forward": [], "adjoint": [], "closed_form": [], "gramians": [], "observe": []}
     forward, levels = FrozenOperator.forward, FrozenOperator.adjoint_levels
     closed_adjoint, closed_gramian = forward_module._Levels.adjoint, forward_module._Levels.gramian
+    closed_observe = forward_module._Levels.observe
 
     def counting_forward(self, m0, f0, v_m=None, v_f=None):
         widths["forward"].append(1 if np.ndim(m0) == 1 else np.shape(m0)[1])
@@ -253,6 +256,12 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
         widths["gramians"].append(half)
         return closed_gramian(self, half)
 
+    def counting_observe(self, m0, f0, source_m, source_f, male):
+        # y0 has no sources and no male trace; the check's control has one
+        # source per controlled sex
+        widths["observe"].append((source_m is not None, source_f is not None, male))
+        return closed_observe(self, m0, f0, source_m, source_f, male)
+
     def whole_adjoint(self, work_n, work_l):
         raise AssertionError("the control path stores whole adjoint lattices")
 
@@ -261,18 +270,20 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     monkeypatch.setattr(FrozenOperator, "adjoint", whole_adjoint)
     monkeypatch.setattr(forward_module._Levels, "adjoint", counting_closed_adjoint)
     monkeypatch.setattr(forward_module._Levels, "gramian", counting_gramian)
+    monkeypatch.setattr(forward_module._Levels, "observe", counting_observe)
     op = FrozenOperator(model, grid, geom, trace)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                               epsilon=1e-3, theta=1e-3, operator=op)
     assert result.converged and result.iterations == 1
     if model.fertility.separable:
-        assert widths == {"forward": [1], "adjoint": [], "closed_form": [2, 1],
-                          "gramians": [0]}
+        controlled = (mode is not ControlMode.FEMALE_ONLY, mode is not ControlMode.MALE_ONLY)
+        assert widths == {"forward": [], "adjoint": [], "closed_form": [2, 1],
+                          "gramians": [0], "observe": [(False, False, False), (*controlled, True)]}
         assert op._gramian_cache[1] is None  # no initial Gramian
     else:
         gramian_sweep = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
         assert widths == {"forward": [1, 1], "adjoint": [gramian_sweep, 2, 1],
-                          "closed_form": [], "gramians": []}
+                          "closed_form": [], "gramians": [], "observe": []}
     monkeypatch.undo()
 
     # the 2-column block gives |b| and the check gives the gradient bit for bit
@@ -336,8 +347,10 @@ def test_fertility_evaluated_once_per_level_per_operator():
 
 
 def test_trace_map_evaluates_fertility_once_per_level():
-    # the controlled frozen-trace state comes from the penalty solve's own
-    # operator, so a trace_map call builds exactly one operator
+    # the controlled frozen-trace system's male trace and terminal state come
+    # from the penalty solve's own operator, so a trace_map call builds
+    # exactly one operator; this fertility is not separable, so they are the
+    # step loop's
     model, calls = _counting(reference_model())
     geom = _geometry(ControlMode.BOTH, horizon=0.35)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
@@ -348,11 +361,41 @@ def test_trace_map_evaluates_fertility_once_per_level():
     assert calls == list(trace)
     expected = solve_forward(reference_model(), grid, geom, result.v_m, result.v_f,
                              m0, f0, frozen_trace=trace)
-    assert np.array_equal(result.state.m.values, expected.m.values)
+    assert np.array_equal(result.frozen_trace, trace)
+    assert np.array_equal(result.terminal, np.concatenate([expected.m.values[:, -1],
+                                                           expected.f.values[:, -1]]))
     assert np.array_equal(y, expected.fertile_male_trace)
     del calls[:]
     trace_map(1.1 * trace, model, grid, geom, problem, m0, f0)
     assert calls == list(1.1 * trace)
+
+
+@pytest.mark.parametrize("command", ["control", "solve"])
+def test_separable_penalty_stages_run_no_step_loop(command, tmp_path, monkeypatch):
+    # with separable fertility the forward step loop runs only for the
+    # nonlinear solves: the uncontrolled trace of `control`, and the initial
+    # and per-stage nonlinear solves of `solve`
+    loops, nonlinear = [], []
+    step_loop = forward_module._Transport._step_loop
+
+    def counting_loop(self, *args):
+        loops.append(type(self).__name__)
+        return step_loop(self, *args)
+
+    def counting_solve(*args, **kwargs):
+        nonlinear.append(kwargs.get("frozen_trace"))
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(forward_module._Transport, "_step_loop", counting_loop)
+    monkeypatch.setattr(fixed_point_module, "solve_forward", counting_solve)
+    scenario = str(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "example.json")
+    assert run_command([command, scenario, "--grid-h", "0.03125", "--out", str(tmp_path),
+                        "--quiet"]) == 0
+    if command == "control":
+        assert loops == ["_Transport"]
+    else:
+        assert len(nonlinear) > 1 and all(t is None for t in nonlinear)
+        assert loops == ["_Transport"] * len(nonlinear)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -462,11 +505,11 @@ def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
     vector = [c for c in calls["response"] if c.ndim]
     assert [c.shape for c in vector] == [(nt + 1,)] * outer
     assert len(calls["response"]) - len(vector) == len(nonlinear) * (nt + 1)
-    assert np.array_equal(vector[-1], result.state.frozen_trace)
+    assert np.array_equal(vector[-1], result.frozen_trace)
     assert len(built) == 1
 
     del calls["age_profile"][:], calls["response"][:], built[:]
-    synthesize_null_control(problem, model, grid, geom, result.state.frozen_trace, m0, f0)
+    synthesize_null_control(problem, model, grid, geom, result.frozen_trace, m0, f0)
     assert (len(calls["age_profile"]), len(calls["response"]), len(built)) == (1, 1, 1)
 
 
