@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .forward import FrozenOperator, _as_profile, _control_values, control_masks
-from .grid import Field2D
+from .grid import Field2D, lattice_inner, region_weights
 from .model import ControlMode
 
 
@@ -98,12 +98,11 @@ def region_inner(grid, mask, u, v):
     """Duality-consistent inner product over a control region.
 
     Age nodes are weighted by h * mask (trapezoid over the window), time
-    levels 1..Nt by h each; level 0 and the age-zero node never couple to
-    the state and carry weight zero.
+    levels 1..Nt by h each (``grid.region_weights``).  A frozen-trace
+    operator keeps the weights of its masks (``geometry_tables``), which the
+    penalty stage pairs controls with through the same ``lattice_inner``.
     """
-    h = grid.step
-    w = h * h * mask[1:, None]
-    return float(np.sum(w * u[1:, 1:] * v[1:, 1:]))
+    return lattice_inner(region_weights(grid, mask), u, v)
 
 
 def duality_residual(state, adjoint, n_T, l_T, m0, f0, v_m, v_f, model, grid, geom):

@@ -19,15 +19,15 @@ zero-data frozen-trace system and L* is its adjoint (the operator's
 transpose applied to a terminal work vector).  By HUM duality the optimum
 is v = L* c, where c solves the terminal-space system
 (I + D G / h) c = -D y0, G = h L L* is the operator's cached control
-Gramian and y0 the terminal state of the uncontrolled system.  The stage
-checks the explicit gradient on the controlled terminal state: it maps the
-control L* c through L, never through G.  For separable fertility y0, L*,
-G and the controlled terminal state and male trace all come in closed
-form from the operator's per-trace renewal system, so a stage runs no
-level loop.  Any other fertility takes each forward map from the step loop
-and each adjoint image from a backward sweep.  A correction solve on the
-remaining terminal residual runs only while that gradient is above
-tolerance.
+Gramian and y0 the terminal state of the uncontrolled system; the stopping
+scale |b| = |L* (-D y0)| is read off G too.  The stage checks the explicit
+gradient on the controlled terminal state: it maps the control L* c
+through L, never through G.  For separable fertility every map comes in
+closed form from the operator's per-trace renewal system, so a stage runs
+no level loop; any other fertility takes the step loop and the backward
+sweep.  The supports, inner-product weights and terminal weights are built
+once per operator family (``FrozenOperator.geometry_tables``), so a stage
+forms only its penalty weights.
 
 In the single-control modes the lone terminal term is weighted by
 ``epsilon``; ``theta`` only matters for the coupled mode.
@@ -38,10 +38,9 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .adjoint import region_inner
 from .errors import ConfigurationError, ConsistencyError
-from .forward import FrozenOperator
-from .grid import Field2D, region_mask
+from .forward import FrozenOperator, terminal_weights
+from .grid import Field2D, lattice_inner
 from .model import ControlMode
 
 FLAG_NON_ADMISSIBLE = "NON_ADMISSIBLE"
@@ -126,55 +125,39 @@ class ControlResult:
     terminal: np.ndarray = None
 
 
-def terminal_weights(grid, geom):
-    """Quadratic-form weights of the terminal penalty terms (W_m, W_f)."""
-    wa = grid.age_weights()
-    if geom.mode is ControlMode.BOTH:
-        return wa, wa
-    if geom.mode is ControlMode.MALE_ONLY:
-        if geom.target_min_age > 0:
-            wm = grid.step * region_mask(grid, geom.target_min_age, grid.max_age)
-        else:
-            wm = wa
-        return wm, None
-    return None, wa
-
-
-def terminal_norms(grid, geom, m, f):
+def terminal_norms(grid, geom, m, f, weights=None):
     """(male, female) norms of terminal profiles, weighted as the target is tested.
 
     The male norm uses the mode's penalty weight (the tail above
     ``target_min_age`` in male-only mode), the female norm the full
-    trapezoid weights.
+    trapezoid weights.  ``weights`` are the ``terminal_weights`` of the
+    grid and geometry, when already built.
     """
-    w_m, _ = terminal_weights(grid, geom)
+    w_m, _ = terminal_weights(grid, geom) if weights is None else weights
     wa = grid.age_weights()
     m_norm = float(np.sqrt(np.dot(w_m if w_m is not None else wa, m ** 2)))
     f_norm = float(np.sqrt(np.dot(wa, f ** 2)))
     return m_norm, f_norm
 
 
-def _check_modes(problem, geom):
-    if problem.mode is not geom.mode:
-        raise ConsistencyError(
-            f"penalty mode {problem.mode} does not match geometry mode {geom.mode}")
-
-
 class _Workspace:
-    """Caches everything a penalty stage reuses for one (eps, theta).
+    """A penalty stage for one (eps, theta) on one frozen-trace operator.
 
     A control is the pair [v_m, v_f] of (N+1) x (Nt+1) lattice arrays, zero
     off ``support``: the region-mask nodes at ages >= 1 and time levels
     >= 1, the only ones that couple to the state.  The sex a single-control
     mode leaves uncontrolled has an empty region, so its field stays zero.
     The inner product is the duality-consistent ``region_inner`` summed
-    over the two sexes.  One frozen-trace operator serves every forward and
-    adjoint sweep; pass ``operator`` to share one (and its Gramian) between
-    penalty stages.
+    over the two sexes, one fused product per sex on the operator's weight
+    lattices; supports, weights and terminal weights are the operator's
+    ``geometry_tables``.  Pass ``operator`` to share one frozen-trace
+    operator (and its Gramian) between penalty stages.
     """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
-        _check_modes(problem, geom)
+        if problem.mode is not geom.mode:
+            raise ConsistencyError(
+                f"penalty mode {problem.mode} does not match geometry mode {geom.mode}")
         self.problem = problem
         self.grid = grid
         self.geom = geom
@@ -187,13 +170,15 @@ class _Workspace:
         self.op = operator
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
-        self.masks = (operator.mask_m, operator.mask_f)
-        # the age-zero node and time level 0 never couple to the state
-        support = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1), dtype=bool)
-        support[1:, 1:] = True
-        self.support = [support & (mask > 0)[:, None] for mask in self.masks]
-        self.w_m, self.w_f = terminal_weights(grid, geom)
+        tables = operator.geometry_tables
+        self.masks = tables.masks
+        self.support = tables.supports
+        self.w_m, self.w_f = tables.terminal_weights
         self.zero_profile = np.zeros(grid.num_age_cells + 1)
+        # the stage's one dependence on (eps, theta): D of ``penalty_weights``
+        self._weights = np.concatenate([
+            self.zero_profile if w is None else w / (grid.step * scale)
+            for w, scale in ((self.w_m, problem.epsilon), (self.w_f, self.effective_theta()))])
 
     def zeros(self):
         return [np.zeros(support.shape) for support in self.support]
@@ -216,27 +201,16 @@ class _Workspace:
         L* is the adjoint of the terminal map L (zero data) in the pairing
         <L* u, x> = h * u . L x, so ``op.control_gramian()`` is h L L*.
         """
-        return self.adjoint_images(work)[0]
-
-    def adjoint_images(self, *works):
-        """``adjoint_image`` of each work vector, from one call on the block."""
         size = self.zero_profile.size
-        block = np.stack(works, axis=1)
-        n_rows, l_eff = self.op.adjoint_images(block[:size], block[size:])
+        n_rows, l_eff = self.op.adjoint_images(work[:size], work[size:])
         support_m, support_f = self.support
-        return [[np.where(support_m, n_rows[..., c], 0.0),
-                 np.where(support_f, l_eff[..., c], 0.0)] for c in range(len(works))]
+        return [np.where(support_m, n_rows[..., 0], 0.0),
+                np.where(support_f, l_eff[..., 0], 0.0)]
 
     def penalty_weights(self):
-        """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
-        h = self.grid.step
-        size = self.zero_profile.size
-        weights = np.zeros(2 * size)
-        if self.w_m is not None:
-            weights[:size] = self.w_m / (h * self.problem.epsilon)
-        if self.w_f is not None:
-            weights[size:] = self.w_f / (h * self.effective_theta())
-        return weights
+        """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L.
+        Formed once per stage, in the constructor."""
+        return self._weights
 
     def terminal(self, x, with_data):
         """Stacked terminal (male, female) profiles of the control x."""
@@ -256,8 +230,8 @@ class _Workspace:
         return self.adjoint_image(-self.penalty_weights() * y0)
 
     def inner(self, x, y):
-        return sum(region_inner(self.grid, mask, a, b)
-                   for mask, a, b in zip(self.masks, x, y))
+        return sum(lattice_inner(weights, a, b)
+                   for weights, a, b in zip(self.op.geometry_tables.inner_weights, x, y))
 
     def objective(self, x, terminal=None):
         """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``;
@@ -270,9 +244,6 @@ class _Workspace:
     def gradient(self, x):
         image = self.adjoint_image(-self.penalty_weights() * self.terminal(x, with_data=True))
         return [xi - a for xi, a in zip(x, image)]
-
-    def terminal_norms(self, terminal):
-        return terminal_norms(self.grid, self.geom, *np.split(terminal, 2))
 
 
 def evaluate_objective(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
@@ -302,14 +273,16 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
     a FrozenOperator for ``trace`` that is built here when None, and sets
     the control to L* c, a pair of lattice fields that vanish off the
-    control support.  The uncontrolled terminal state y0, the right-hand
-    side b = L* (-D y0), L* c, the controlled terminal state y(T) of each
-    check and its adjoint image come from the operator: in closed form for
-    separable fertility (``FrozenOperator.observe`` for y(T)), from the step
-    loop and the sweeps for any other; only the control Gramian is
-    assembled.  The explicit gradient is checked on y(T): the stage stops
-    when the gradient norm, in the region inner product, is at most cg_tol
-    times the zero-control gradient norm |b|.  While it is above, a
+    control support.  The uncontrolled terminal state y0, L* c, the
+    controlled terminal state y(T) of each check and its adjoint image come
+    from the operator: in closed form for separable fertility
+    (``FrozenOperator.observe`` for y(T)), from the step loop and the sweeps
+    for any other; only the control Gramian is assembled, and the
+    trace-independent tables are the operator family's.  The norm |b| of
+    the zero-control gradient b = L* w, w = -D y0, is sqrt(w . G w), so b
+    itself is never formed.  The explicit gradient is checked on y(T): the
+    stage stops when the gradient norm, in the region inner product, is at
+    most cg_tol |b|.  While it is above, a
     correction solve on the terminal residual -(c + D y(T)) follows, up to
     max_cg_iters solves in all, after which CONVERGENCE_NOT_REACHED is
     flagged.  ``iterations`` counts the solves and ``cg_trace`` holds |b|
@@ -328,10 +301,11 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     observed = None
     work = -weights * ws.op.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
     c = ws.op.solve_gramian(work, weights)
-    b, step = ws.adjoint_images(work, c)  # the right-hand side and L* c
-    norm_b = np.sqrt(ws.inner(b, b))
+    step = ws.adjoint_image(c)  # L* c
+    # |b| = |L* work|, read off G = h L L*; rounding must not take it below 0
+    norm_b = math.sqrt(max(ws.op.control_energy(work), 0.0))
     tol = problem.cg_tol * norm_b
-    cg_trace = [float(norm_b)]
+    cg_trace = [norm_b]
     while cg_trace[-1] > tol and len(cg_trace) <= problem.max_cg_iters:
         if len(cg_trace) > 1:
             # correction on the terminal residual -(c + D y(T))
@@ -348,7 +322,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
         observed = ws.observe(x, with_data=True)
     male_trace, terminal = observed
 
-    m_norm, f_norm = ws.terminal_norms(terminal)
+    m_norm, f_norm = terminal_norms(grid, geom, *np.split(terminal, 2), weights=(ws.w_m, ws.w_f))
     flags = []
     if not geom.admissible_time(grid.max_age):
         flags.append(FLAG_NON_ADMISSIBLE)

@@ -48,12 +48,13 @@ dense matrices are expanded only on demand.
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConsistencyError, DimensionError, NumericalFailure
-from .grid import Field2D, region_mask
+from .grid import Field2D, region_mask, region_weights
 from .model import ControlMode
 
 
@@ -78,6 +79,47 @@ def control_masks(grid, geom):
         female = region_mask(grid, *geom.female_window)
     zero = np.zeros(grid.num_age_cells + 1)
     return (male if male is not None else zero, female if female is not None else zero)
+
+
+def terminal_weights(grid, geom):
+    """Quadratic-form weights of the terminal penalty terms (W_m, W_f)."""
+    wa = grid.age_weights()
+    if geom.mode is ControlMode.FEMALE_ONLY:
+        return None, wa
+    if geom.mode is ControlMode.MALE_ONLY and geom.target_min_age > 0:
+        return grid.step * region_mask(grid, geom.target_min_age, grid.max_age), None
+    return wa, wa if geom.mode is ControlMode.BOTH else None
+
+
+class _GeometryTables:
+    """The trace-independent tables that pair an operator's controls and weigh
+    its terminal states, each built on first use and shared by every operator
+    ``FrozenOperator.retrace`` makes from it."""
+
+    def __init__(self, grid, geom, masks):
+        self.grid, self.geom, self.masks = grid, geom, masks
+
+    @cached_property
+    def inner_weights(self):
+        """(male, female) ``region_weights`` of the control masks."""
+        return tuple(region_weights(self.grid, mask) for mask in self.masks)
+
+    @cached_property
+    def supports(self):
+        """(male, female) control supports: the nodes of nonzero inner weight."""
+        return tuple(weights > 0 for weights in self.inner_weights)
+
+    @cached_property
+    def terminal_weights(self):
+        return terminal_weights(self.grid, self.geom)
+
+    @cached_property
+    def terminal_blocks(self):
+        """Stacked (dense, spike) indices of the Gramian blocks: the young
+        terminal ages of both slots, then the older ones."""
+        size = self.grid.num_age_cells + 1
+        young = min(self.grid.num_time_cells, size)
+        return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
 
 
 def _as_profile(values, grid, name):
@@ -225,7 +267,10 @@ class FrozenOperator(_Transport):
     beta(., trace[j]) of every time level, so the sweeps evaluate no rate
     function; for separable fertility also its age profile and its
     ``response`` at every level, the factors of that table, and the
-    closed forms of ``_Renewal`` built from them on first use.
+    closed forms of ``_Renewal`` built from them on first use.  The tables
+    that pair controls and weigh terminal states (``geometry_tables``) and
+    the renewal tables are built once per operator family: ``retrace``
+    shares them.
 
     Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
     independent right-hand sides; results keep the column axis last.
@@ -237,6 +282,7 @@ class FrozenOperator(_Transport):
         # a separable fertility's age profile, shared by every trace
         self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
                             if fertility.separable else None)
+        self.geometry_tables = _GeometryTables(grid, geom, (self.mask_m, self.mask_f))
         self._renewal = None
         self._freeze(trace)
 
@@ -264,8 +310,8 @@ class FrozenOperator(_Transport):
     def retrace(self, trace):
         """The operator of the same model, grid and geometry for another trace.
 
-        It shares every trace-independent table of this one, the renewal
-        tables of the closed forms included once they are built.
+        It shares every trace-independent table of this one: the geometry
+        tables and the renewal tables of the closed forms, built or not.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -517,12 +563,18 @@ class FrozenOperator(_Transport):
         diag = 1.0 + d_spike * gram.diag
         schur = gram.schur(d_spike / diag)
         schur *= d_dense[:, None]
-        schur[np.diag_indices_from(schur)] += 1.0
+        schur.flat[::schur.shape[0] + 1] += 1.0
         c = np.empty_like(rhs)
         c[dense] = np.linalg.solve(schur,
                                    rhs[dense] - d_dense * (gram.cross @ (rhs[spikes] / diag)))
         c[spikes] = (rhs[spikes] - d_spike * (gram.cross.T @ c[dense])) / diag
         return c
+
+    def control_energy(self, work):
+        """work . G work on the control Gramian G = h L L*: the squared control
+        norm of the adjoint image of a stacked work vector, without the image."""
+        dense, spikes = self._gramian(0).index
+        return float(self._gramian(0).quadratic(work[dense], work[spikes]))
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
@@ -580,7 +632,8 @@ class FrozenOperator(_Transport):
 
         self.adjoint_levels(work_n, work_l, collect)
         _, split = _birth_split(reached, self.gamma)
-        return control.blocks(*split), initial.blocks(*split)
+        index = self.geometry_tables.terminal_blocks
+        return control.blocks(*split, index), initial.blocks(*split, index)
 
 
 def _birth_split(reached, gamma):
@@ -593,12 +646,6 @@ def _birth_split(reached, gamma):
     np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
     np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
     return births, split
-
-
-def _terminal_blocks(size, young):
-    """Stacked (dense, spike) indices: the young terminal ages of both slots,
-    then the older ones."""
-    return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
 
 
 class _LiveGram:
@@ -645,9 +692,9 @@ class _LiveGram:
         self.spike_diag[1, ages] += weighted * spike_l
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
-    def blocks(self, a, b):
+    def blocks(self, a, b, index):
         """The Gramian of the terminal unit vectors (see ``_gram_blocks``)."""
-        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b)
+        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b, index)
 
 
 class GramianBlocks:
@@ -708,7 +755,7 @@ class GramianBlocks:
                              (position[dense[keep_d]], position[spikes[keep_s]]))
 
 
-def _gram_blocks(live, cross, diag, a, b):
+def _gram_blocks(live, cross, diag, a, b, index):
     """The Gramian of the terminal unit vectors in block form.
 
     ``live`` is the Gram matrix of the young columns' responses, ``cross``
@@ -716,7 +763,8 @@ def _gram_blocks(live, cross, diag, a, b):
     and ``diag`` the squares of the spikes of both slots; the male image of
     young age p is a_p times its column's response and the female one b_p
     times.  A male spike of an older age meets nothing but itself, so its
-    columns of C are zero.
+    columns of C are zero.  ``index`` is the (dense, spike) split,
+    ``_GeometryTables.terminal_blocks``.
     """
     size, young = cross.shape
     male, female = slice(0, young), slice(young, 2 * young)
@@ -728,13 +776,12 @@ def _gram_blocks(live, cross, diag, a, b):
     dense[male, female] = np.outer(a, b) * live + a[:, None] * pair
     dense[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
     dense[female, male] = dense[male, female].T
-    dense[np.diag_indices_from(dense)] += diag[:, :young].ravel()
+    dense.flat[::2 * young + 1] += diag[:, :young].ravel()
     old = size - young
     spike_cross = np.zeros((2 * young, 2 * old))
     spike_cross[male, old:] = (cross[young:] * a).T
     spike_cross[female, old:] = (cross[young:] * b).T
-    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(),
-                         _terminal_blocks(size, young))
+    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(), index)
 
 
 def _expand(blocks):
@@ -830,6 +877,7 @@ class _Renewal:
         # spikes of level 0
         self.old = lattice[:, :size - young, 0]
         self.male_weight, self.s_m = op.wa * op.lam, op.s_m
+        self.index = op.geometry_tables.terminal_blocks
         self._forward = None
         self._forms = None
 
@@ -916,34 +964,38 @@ class _Levels:
             self.rate = boundary_factor[1:] * response[1:]  # bf r of the levels 1..Nt
             self.c = tables.h * boundary_factor[1:] * response[1:]
             self.system = np.eye(tables.nt) - (tables.gamma * self.c)[:, None] * tables.kernel
-        self._amplitudes = None
-        self._inverse = None
+        self._inverse = self._amplitudes = None  # both formed by ``inverse``
 
     def inverse(self):
-        """U^-1, formed on first use; all NaN when the fertility is not finite."""
+        """U^-1 and the young columns' Gramian amplitudes (source c E_p at the
+        injection level of age p), formed on first use from one LU of U; all
+        NaN when the fertility is not finite."""
         if self._inverse is None:
+            t = self.tables
+            rhs = np.zeros((t.nt, t.nt + t.young))
+            rhs[:, :t.nt] = np.eye(t.nt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs[t.inject, t.nt + np.arange(t.young)] = self.c[t.inject] * t.births
             if np.isfinite(self.system).all():
                 # U is unit upper triangular: LU swaps no rows
-                self._inverse = np.linalg.inv(self.system)
+                solved = np.linalg.solve(self.system, rhs)
             else:
-                self._inverse = np.full(self.system.shape, np.nan)
+                solved = np.full(rhs.shape, np.nan)
+            self._inverse = np.ascontiguousarray(solved[:, :t.nt])
+            self._amplitudes = np.ascontiguousarray(solved[:, t.nt:])
         return self._inverse
 
     def gramian(self, half):
         """The control (``half`` 0) or initial (1) Gramian as ``GramianBlocks``;
-        both share the young columns' amplitudes, solved on first use."""
+        both take the young columns' amplitudes that ``inverse`` solves for."""
         t = self.tables
+        self.inverse()
+        amplitudes = self._amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._amplitudes is None:
-                source = np.zeros((t.nt, t.young))
-                source[t.inject, np.arange(t.young)] = self.c[t.inject] * t.births
-                # the system is unit upper triangular: LU finds no row to swap
-                self._amplitudes = np.linalg.solve(self.system, source)
-            amplitudes = self._amplitudes
             forms, cross, diag = t.gramian_forms()
             live = amplitudes.T @ (forms[half] @ amplitudes)
             live = 0.5 * (live + live.T)
-            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split)
+            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split, t.index)
 
     def adjoint(self, work_n, work_l, keep_l):
         """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint
@@ -978,7 +1030,7 @@ class _Levels:
                     np.matmul(t.carried[:, 1:], amplitudes[1:], out=l[col])
                     l[col] += spike_f
                     l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
-        return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
+        return tuple(None if a is None else a.transpose(1, 2, 0) for a in (n, l, l_eff))
 
     def observe(self, m0, f0, source_m, source_f, male):
         """The fertile-male trace at every level (None unless ``male``) and

@@ -138,20 +138,35 @@ def region_mask(grid, lo, hi):
     return mask
 
 
+def region_weights(grid, mask):
+    """Lattice weights h^2 * mask of the duality-consistent inner product over
+    a control region; level 0 and the age-zero node, which never couple to
+    the state, carry weight zero."""
+    weights = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1))
+    weights[1:, 1:] = (grid.step * grid.step * mask[1:])[:, None]
+    return weights
+
+
+def lattice_inner(weights, u, v):
+    """sum(weights * u * v) over the lattice, as one fused product."""
+    return float(np.vdot(weights * u, v))
+
+
 def write_field_csv(path, field):
     """Dump as 'age,time,value' rows, time-major then age.
 
     The bytes are those of ``csv.writer``'s default dialect: no formatted
-    number needs quoting, and every line ends in CR LF.  Each age string is
-    formatted once per field and each time string once per level.
+    number needs quoting, and every line ends in CR LF.  One template per
+    field holds the age strings; each level puts its time string in and
+    formats its values with a single ``%``.
     """
     grid = field.grid
-    ages = [f"{a:.17g}," for a in grid.ages().tolist()]
+    # the formatted numbers hold no NUL, so it marks the time string's place
+    template = "".join(f"{a:.17g},\0,%.17g\r\n" for a in grid.ages().tolist())
     with open(path, "w", newline="") as handle:
         handle.write("age,time,value\r\n")
         for t, column in zip(grid.times().tolist(), field.values.T.tolist()):
-            stamp = f"{t:.17g},"
-            handle.write("".join([f"{a}{stamp}{v:.17g}\r\n" for a, v in zip(ages, column)]))
+            handle.write(template.replace("\0", f"{t:.17g}") % tuple(column))
 
 
 def read_field_csv(path, grid):

@@ -9,7 +9,9 @@ together) on the live terminal entries, scaled by the terminal weights and
 kept in the operator's block form: a dense block on the young terminal
 ages, a diagonal on the older spikes and the cross block between them.
 The power iteration factors only the Schur complement of the spike
-diagonal, never the whole denominator.  The probe quotients are read off
+diagonal, never the whole denominator, and measures its null cut against
+max(|A|_F, max Delta) of the denominator's dense block A and spike
+diagonal Delta, which needs no eigendecomposition.  The probe quotients are read off
 the same blocks when the power iteration runs or the Gramians are
 closed-form (separable fertility); otherwise one batched sweep of the
 probes gives them.  The operators of one call are retraced from the first, so they
@@ -24,9 +26,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .adjoint import _terminal_data, region_inner
+from .adjoint import _terminal_data
 from .errors import DomainError
 from .forward import FrozenOperator, control_masks
+from .grid import lattice_inner
 from .model import ControlMode
 
 INFINITE_QUOTIENT = math.inf
@@ -58,14 +61,15 @@ def _quotients(op, n_T, l_T):
     theta = (grid.age_weights() / grid.step)[:, None]
     n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
     wa = grid.age_weights()
+    weights_m, weights_f = op.geometry_tables.inner_weights
     quotients = []
     for c in range(n_T.shape[1]):
         n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]
         # the dead slot of a mode adds exact zeros: its masks vanish, and a
         # zero male terminal datum keeps the sourceless male row zero
         num = float(np.dot(wa, n_c[:, 0] ** 2)) + float(np.dot(wa, l_c[:, 0] ** 2))
-        den = (region_inner(grid, op.mask_m, n_c, n_c)
-               + region_inner(grid, op.mask_f, l_c, l_c))
+        # ``region_inner`` on the operator's weight lattices
+        den = lattice_inner(weights_m, n_c, n_c) + lattice_inner(weights_f, l_c, l_c)
         quotients.append(_quotient(num, den))
     return quotients
 
@@ -162,16 +166,12 @@ def _power_iteration(op, iters):
 
     The denominator D stays in block form: D^- y solves with the dense
     block's Schur complement S = A - C Delta^+ C^T and the spike diagonal
-    Delta, so the only eigendecomposition is that of S, and A gives only its
-    largest eigenvalue.  The relative null
-    cut is measured against max(lambda_max(A), max Delta), which lies within
-    a factor 2 of lambda_max(D); the null directions are the dead spikes and
-    the null vectors v of S, lifted to (v, -Delta^+ C^T v).
+    Delta, so the only eigendecomposition is that of S.  The relative null
+    cut is ``_null_cut``; the null directions are the dead spikes and the
+    null vectors v of S, lifted to (v, -Delta^+ C^T v).
     """
     num, den = _quadratic_forms(op)
-    top = max(float(np.max(den.diag, initial=0.0)),
-              float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
-    null_cut = 1e-12 * max(top, 1e-300)
+    null_cut = _null_cut(den)
     live_spikes = den.diag > null_cut
     inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
     vals, vecs = np.linalg.eigh(den.schur(inv_diag))
@@ -208,6 +208,15 @@ def _power_iteration(op, iters):
         x_spike = inv_diag * (y_spike - den.cross.T @ x_dense)
         x_dense, x_spike = x_dense / norm, x_spike / norm
     return max(best, float(num.quadratic(x_dense, x_spike)))
+
+
+def _null_cut(den):
+    """1e-12 max(|A|_F, max Delta): the eigenvalue below which a direction of
+    the denominator ``den`` counts as null.  |A|_F lies in [lambda_max(A),
+    sqrt(rank A) lambda_max(A)], so the scale lies in [lambda_max(D) / 2,
+    sqrt(rank A) lambda_max(D)] and needs no eigendecomposition."""
+    top = max(float(np.max(den.diag, initial=0.0)), float(np.linalg.norm(den.dense)))
+    return 1e-12 * max(top, 1e-300)
 
 
 def estimate_observability_constant(model, grid, geom, traces, *, probes=32,

@@ -91,6 +91,32 @@ def test_block_power_iteration_matches_expanded_oracle(mode, target_min_age, mak
     assert flags == [unobservable] * len(flags)
 
 
+def _live_counts(den, null_cut):
+    """(live spikes, live eigenvalues of the Schur complement) under a cut."""
+    live_spikes = den.diag > null_cut
+    inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
+    vals = np.linalg.eigvalsh(den.schur(inv_diag))
+    return int(np.sum(live_spikes)), int(np.sum(vals > null_cut))
+
+
+@pytest.mark.parametrize("mode, target_min_age", MODES)
+@pytest.mark.parametrize("make_model", MODELS, ids=MODEL_IDS)
+def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_age,
+                                                             make_model):
+    # the cut against max(|A|_F, max Delta) keeps every live and null
+    # direction of the cut against max(lambda_max(A), max Delta)
+    for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
+        for h in (1.0 / 32, 1.0 / 64):
+            op = _operator(make_model, mode, target_min_age, horizon, h)
+            _, den = obs._quadratic_forms(op)
+            top = max(float(np.max(den.diag, initial=0.0)),
+                      float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
+            eigen_cut = 1e-12 * max(top, 1e-300)
+            assert obs._null_cut(den) >= eigen_cut
+            assert _live_counts(den, obs._null_cut(den)) == _live_counts(den, eigen_cut), \
+                (horizon, h)
+
+
 @pytest.mark.parametrize("mode", [ControlMode.BOTH, ControlMode.MALE_ONLY])
 def test_dead_spike_with_initial_energy_gives_the_sentinel(mode):
     # a short horizon leaves the oldest male ages invisible from the male
@@ -149,14 +175,17 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
             return factor(matrix, *args, **kwargs)
         return run
 
+    def no_eigvalsh(matrix, *args, **kwargs):
+        raise AssertionError("the null cut takes no eigenvalues of A")
+
     monkeypatch.setattr(forward_module, "_expand", no_expand)
     monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", sized(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
     assert result.converged
     report = estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
                                              probes=4, power_iters=5, seed=0)
     assert report.power_estimate is not None
-    # one eigvalsh and one eigh per trace, on the dense block only
-    assert sizes == [2 * grid.num_time_cells] * 4
+    # one eigh per trace, on the dense block only
+    assert sizes == [2 * grid.num_time_cells] * 2
