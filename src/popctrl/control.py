@@ -140,6 +140,12 @@ def terminal_norms(grid, geom, m, f, weights=None):
     return m_norm, f_norm
 
 
+def _check_modes(problem, geom):
+    if problem.mode is not geom.mode:
+        raise ConsistencyError(
+            f"penalty mode {problem.mode} does not match geometry mode {geom.mode}")
+
+
 class _Workspace:
     """A penalty stage for one (eps, theta) on one frozen-trace operator.
 
@@ -155,9 +161,7 @@ class _Workspace:
     """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
-        if problem.mode is not geom.mode:
-            raise ConsistencyError(
-                f"penalty mode {problem.mode} does not match geometry mode {geom.mode}")
+        _check_modes(problem, geom)
         self.problem = problem
         self.grid = grid
         self.geom = geom
@@ -174,11 +178,14 @@ class _Workspace:
         self.masks = tables.masks
         self.support = tables.supports
         self.w_m, self.w_f = tables.terminal_weights
-        self.zero_profile = np.zeros(grid.num_age_cells + 1)
+        size = grid.num_age_cells + 1
+        self.zero_profile = np.zeros(size)
         # the stage's one dependence on (eps, theta): D of ``penalty_weights``
-        self._weights = np.concatenate([
-            self.zero_profile if w is None else w / (grid.step * scale)
-            for w, scale in ((self.w_m, problem.epsilon), (self.w_f, self.effective_theta()))])
+        self._weights = np.zeros(2 * size)
+        if self.w_m is not None:
+            self._weights[:size] = self.w_m / (grid.step * problem.epsilon)
+        if self.w_f is not None:
+            self._weights[size:] = self.w_f / (grid.step * self.effective_theta())
 
     def zeros(self):
         return [np.zeros(support.shape) for support in self.support]
@@ -282,13 +289,12 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     the zero-control gradient b = L* w, w = -D y0, is sqrt(w . G w), so b
     itself is never formed.  The explicit gradient is checked on y(T): the
     stage stops when the gradient norm, in the region inner product, is at
-    most cg_tol |b|.  While it is above, a
-    correction solve on the terminal residual -(c + D y(T)) follows, up to
-    max_cg_iters solves in all, after which CONVERGENCE_NOT_REACHED is
-    flagged.  ``iterations`` counts the solves and ``cg_trace`` holds |b|
-    and the gradient norm after each solve.  The result carries the frozen
-    trace and the controlled system's fertile-male trace and terminal
-    profiles.
+    most cg_tol |b|.  While it is above, a correction solve on the terminal
+    residual -(c + D y(T)) follows, up to max_cg_iters solves in all, after
+    which CONVERGENCE_NOT_REACHED is flagged.  ``iterations`` counts the
+    solves and ``cg_trace`` holds |b| and the gradient norm after each
+    solve.  The result carries the frozen trace and the controlled system's
+    fertile-male trace and terminal profiles.
     """
     if epsilon is not None or theta is not None:
         problem = replace(

@@ -84,11 +84,15 @@ def control_masks(grid, geom):
 def terminal_weights(grid, geom):
     """Quadratic-form weights of the terminal penalty terms (W_m, W_f)."""
     wa = grid.age_weights()
-    if geom.mode is ControlMode.FEMALE_ONLY:
-        return None, wa
-    if geom.mode is ControlMode.MALE_ONLY and geom.target_min_age > 0:
-        return grid.step * region_mask(grid, geom.target_min_age, grid.max_age), None
-    return wa, wa if geom.mode is ControlMode.BOTH else None
+    if geom.mode is ControlMode.BOTH:
+        return wa, wa
+    if geom.mode is ControlMode.MALE_ONLY:
+        if geom.target_min_age > 0:
+            wm = grid.step * region_mask(grid, geom.target_min_age, grid.max_age)
+        else:
+            wm = wa
+        return wm, None
+    return None, wa
 
 
 class _GeometryTables:

@@ -11,8 +11,8 @@ ages, a diagonal on the older spikes and the cross block between them.
 The power iteration factors only the Schur complement of the spike
 diagonal, never the whole denominator, and measures its null cut against
 max(|A|_F, max Delta) of the denominator's dense block A and spike
-diagonal Delta, which needs no eigendecomposition.  The probe quotients are read off
-the same blocks when the power iteration runs or the Gramians are
+diagonal Delta, with no eigendecomposition.  The probe quotients are read
+off the same blocks when the power iteration runs or the Gramians are
 closed-form (separable fertility); otherwise one batched sweep of the
 probes gives them.  The operators of one call are retraced from the first, so they
 share its trace-independent tables.  A zero denominator with nonzero numerator
