@@ -976,8 +976,7 @@ class _Levels:
         NaN when the fertility is not finite."""
         if self._inverse is None:
             t = self.tables
-            rhs = np.zeros((t.nt, t.nt + t.young))
-            rhs[:, :t.nt] = np.eye(t.nt)
+            rhs = np.eye(t.nt, t.nt + t.young)
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs[t.inject, t.nt + np.arange(t.young)] = self.c[t.inject] * t.births
             if np.isfinite(self.system).all():
@@ -985,8 +984,7 @@ class _Levels:
                 solved = np.linalg.solve(self.system, rhs)
             else:
                 solved = np.full(rhs.shape, np.nan)
-            self._inverse = np.ascontiguousarray(solved[:, :t.nt])
-            self._amplitudes = np.ascontiguousarray(solved[:, t.nt:])
+            self._inverse, self._amplitudes = solved[:, :t.nt], solved[:, t.nt:]
         return self._inverse
 
     def gramian(self, half):
