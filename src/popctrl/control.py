@@ -302,6 +302,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
+    ws.op.control_blocks()  # before y0, so one LU of the renewal system serves both
     weights = ws.penalty_weights()
     x = ws.zeros()
     observed = None

@@ -560,7 +560,7 @@ class FrozenOperator(_Transport):
         diagonal, so only the Schur complement on the 2 min(Nt, N+1) dense
         unit vectors is formed, straight from the blocks of G, and factored.
         """
-        gram = self._gramian(0)
+        gram = self.control_blocks()
         dense, spikes = gram.index
         h = self.grid.step
         d_dense, d_spike = weights[dense] / h, weights[spikes] / h
@@ -577,8 +577,14 @@ class FrozenOperator(_Transport):
     def control_energy(self, work):
         """work . G work on the control Gramian G = h L L*: the squared control
         norm of the adjoint image of a stacked work vector, without the image."""
-        dense, spikes = self._gramian(0).index
-        return float(self._gramian(0).quadratic(work[dense], work[spikes]))
+        gram = self.control_blocks()
+        dense, spikes = gram.index
+        return float(gram.quadratic(work[dense], work[spikes]))
+
+    def control_blocks(self):
+        """``gramians()[0]``, built alone on first use; for separable fertility
+        building it before ``observe`` or the adjoint shares their LU."""
+        return self._gramian(0)
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
@@ -968,30 +974,39 @@ class _Levels:
             self.rate = boundary_factor[1:] * response[1:]  # bf r of the levels 1..Nt
             self.c = tables.h * boundary_factor[1:] * response[1:]
             self.system = np.eye(tables.nt) - (tables.gamma * self.c)[:, None] * tables.kernel
-        self._inverse = self._amplitudes = None  # both formed by ``inverse``
+        self._inverse = self._amplitudes = None
 
     def inverse(self):
-        """U^-1 and the young columns' Gramian amplitudes (source c E_p at the
-        injection level of age p), formed on first use from one LU of U; all
-        NaN when the fertility is not finite."""
+        """U^-1, formed on first use; all NaN when the fertility is not finite."""
         if self._inverse is None:
-            t = self.tables
-            rhs = np.eye(t.nt, t.nt + t.young)
+            self._solve(amplitudes=False)
+        return self._inverse
+
+    def _solve(self, amplitudes):
+        """Form U^-1 and, with ``amplitudes``, the young columns' Gramian
+        amplitudes (source c E_p at the injection level of age p) from one LU
+        of U: a caller that needs both asks for the Gramian first."""
+        t = self.tables
+        rhs = np.eye(t.nt, t.nt + (t.young if amplitudes else 0))
+        if amplitudes:
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs[t.inject, t.nt + np.arange(t.young)] = self.c[t.inject] * t.births
-            if np.isfinite(self.system).all():
-                # U is unit upper triangular: LU swaps no rows
-                solved = np.linalg.solve(self.system, rhs)
-            else:
-                solved = np.full(rhs.shape, np.nan)
-            self._inverse, self._amplitudes = solved[:, :t.nt], solved[:, t.nt:]
-        return self._inverse
+        if np.isfinite(self.system).all():
+            # U is unit upper triangular: LU swaps no rows
+            solved = np.linalg.solve(self.system, rhs)
+        else:
+            solved = np.full(rhs.shape, np.nan)
+        # a U^-1 formed before is formed again, bit for bit
+        self._inverse = solved[:, :t.nt]
+        if amplitudes:
+            self._amplitudes = solved[:, t.nt:]
 
     def gramian(self, half):
         """The control (``half`` 0) or initial (1) Gramian as ``GramianBlocks``;
-        both take the young columns' amplitudes that ``inverse`` solves for."""
+        both take the young columns' amplitudes, solved on first use."""
         t = self.tables
-        self.inverse()
+        if self._amplitudes is None:
+            self._solve(amplitudes=True)
         amplitudes = self._amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
             forms, cross, diag = t.gramian_forms()

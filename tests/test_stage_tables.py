@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from popctrl import ControlGeometry, ControlMode, PenaltyProblem, build_grid, solve_forward
+from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid, minimize_penalty,
+                     solve_forward)
 from popctrl import forward as forward_module
 from popctrl.adjoint import region_inner
 from popctrl.cli import run_command
@@ -43,6 +44,30 @@ def test_rhs_norm_from_the_gramian_is_the_lattice_norm(make_model, mode, target_
     lattice = np.sqrt(ws.inner(b, b))
     assert lattice > 0
     assert abs(np.sqrt(ws.op.control_energy(work)) - lattice) <= 1e-13 * lattice
+
+
+def test_a_stage_factors_the_renewal_system_once(monkeypatch):
+    # the stage builds its Gramian before y0, so U^-1 and the Gramian's
+    # amplitudes come from one solve; an adjoint alone solves for U^-1 only
+    ws = _stage(reference_model, ControlMode.BOTH)
+    nt = ws.grid.num_time_cells
+    young = min(nt, ws.grid.num_age_cells + 1)
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    result = minimize_penalty(ws.problem, reference_model(), ws.grid, ws.geom, ws.op.trace,
+                              ws.m0, ws.f0, operator=ws.op.retrace(ws.op.trace))
+    assert result.iterations == 1
+    # the renewal system, then the Schur complement of the penalty solve
+    assert shapes == [((nt, nt), (nt, nt + young)), ((2 * young, 2 * young), (2 * young,))]
+    shapes.clear()
+    ws.op.retrace(ws.op.trace).adjoint(ws.m0, ws.f0)
+    assert shapes == [((nt, nt), (nt, nt))]
 
 
 def test_fused_inner_matches_the_sliced_formula():
