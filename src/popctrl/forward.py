@@ -974,7 +974,8 @@ class _Levels:
             self.rate = boundary_factor[1:] * response[1:]  # bf r of the levels 1..Nt
             self.c = tables.h * boundary_factor[1:] * response[1:]
             self.system = np.eye(tables.nt) - (tables.gamma * self.c)[:, None] * tables.kernel
-        self._inverse = self._amplitudes = None
+        self._amplitudes = None
+        self._inverse = None
 
     def inverse(self):
         """U^-1, formed on first use; all NaN when the fertility is not finite."""
