@@ -38,8 +38,9 @@ GRIDS = ((1.0 / 64, 20), (1.0 / 256, 5))  # (h, calls per round): 80 x 28 and 26
 
 
 def _layers(h, calls):
-    """{layer: (prepare, run)}: ``prepare()`` makes the arguments of ``calls``
-    runs outside the timing, ``run(argument)`` is one timed call."""
+    """(grid, {layer: (prepare, run)}) of the example at step ``h``:
+    ``prepare()`` makes the arguments of ``calls`` runs outside the timing,
+    ``run(argument)`` is one timed call."""
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
     from popctrl.forward import FrozenOperator
