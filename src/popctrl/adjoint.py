@@ -98,9 +98,8 @@ def region_inner(grid, mask, u, v):
     """Duality-consistent inner product over a control region.
 
     Age nodes are weighted by h * mask (trapezoid over the window), time
-    levels 1..Nt by h each (``grid.region_weights``).  A frozen-trace
-    operator keeps the weights of its masks (``geometry_tables``), which the
-    penalty stage pairs controls with through the same ``lattice_inner``.
+    levels 1..Nt by h each (``grid.region_weights``); a frozen-trace
+    operator keeps those of its masks as ``inner_weights``.
     """
     return lattice_inner(region_weights(grid, mask), u, v)
 

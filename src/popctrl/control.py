@@ -26,7 +26,7 @@ through L, never through G.  For separable fertility every map comes in
 closed form from the operator's per-trace renewal system, so a stage runs
 no level loop; any other fertility takes the step loop and the backward
 sweep.  The supports, inner-product weights and terminal weights are built
-once per operator family (``FrozenOperator.geometry_tables``), so a stage
+once per operator family (``FrozenOperator``), so a stage
 forms only its penalty weights.
 
 In the single-control modes the lone terminal term is weighted by
@@ -125,15 +125,14 @@ class ControlResult:
     terminal: np.ndarray = None
 
 
-def terminal_norms(grid, geom, m, f, weights=None):
+def terminal_norms(grid, geom, m, f):
     """(male, female) norms of terminal profiles, weighted as the target is tested.
 
     The male norm uses the mode's penalty weight (the tail above
     ``target_min_age`` in male-only mode), the female norm the full
-    trapezoid weights.  ``weights`` are the ``terminal_weights`` of the
-    grid and geometry, when already built.
+    trapezoid weights.
     """
-    w_m, _ = terminal_weights(grid, geom) if weights is None else weights
+    w_m, _ = terminal_weights(grid, geom)
     wa = grid.age_weights()
     m_norm = float(np.sqrt(np.dot(w_m if w_m is not None else wa, m ** 2)))
     f_norm = float(np.sqrt(np.dot(wa, f ** 2)))
@@ -155,9 +154,9 @@ class _Workspace:
     mode leaves uncontrolled has an empty region, so its field stays zero.
     The inner product is the duality-consistent ``region_inner`` summed
     over the two sexes, one fused product per sex on the operator's weight
-    lattices; supports, weights and terminal weights are the operator's
-    ``geometry_tables``.  Pass ``operator`` to share one frozen-trace
-    operator (and its Gramian) between penalty stages.
+    lattices; supports, weights and terminal weights are the operator's.
+    Pass ``operator`` to share one frozen-trace operator (and its Gramian)
+    between penalty stages.
     """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
@@ -174,14 +173,12 @@ class _Workspace:
         self.op = operator
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
-        tables = operator.geometry_tables
-        self.masks = tables.masks
-        self.support = tables.supports
-        self.w_m, self.w_f = tables.terminal_weights
+        self.masks = (operator.mask_m, operator.mask_f)
+        self.support = operator.supports
+        self.w_m, self.w_f = operator.terminal_weights
         size = grid.num_age_cells + 1
         self.zero_profile = np.zeros(size)
-        # the stage's one dependence on (eps, theta): D of ``penalty_weights``
-        self._weights = np.zeros(2 * size)
+        self._weights = np.zeros(2 * size)  # ``penalty_weights``, one per stage
         if self.w_m is not None:
             self._weights[:size] = self.w_m / (grid.step * problem.epsilon)
         if self.w_f is not None:
@@ -215,8 +212,7 @@ class _Workspace:
                 np.where(support_f, l_eff[..., 0], 0.0)]
 
     def penalty_weights(self):
-        """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L.
-        Formed once per stage, in the constructor."""
+        """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
         return self._weights
 
     def terminal(self, x, with_data):
@@ -238,7 +234,7 @@ class _Workspace:
 
     def inner(self, x, y):
         return sum(lattice_inner(weights, a, b)
-                   for weights, a, b in zip(self.op.geometry_tables.inner_weights, x, y))
+                   for weights, a, b in zip(self.op.inner_weights, x, y))
 
     def objective(self, x, terminal=None):
         """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``;
@@ -302,7 +298,6 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
-    ws.op.control_blocks()  # before y0, so one LU of the renewal system serves both
     weights = ws.penalty_weights()
     x = ws.zeros()
     observed = None
@@ -329,7 +324,7 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
         observed = ws.observe(x, with_data=True)
     male_trace, terminal = observed
 
-    m_norm, f_norm = terminal_norms(grid, geom, *np.split(terminal, 2), weights=(ws.w_m, ws.w_f))
+    m_norm, f_norm = terminal_norms(grid, geom, *np.split(terminal, 2))
     flags = []
     if not geom.admissible_time(grid.max_age):
         flags.append(FLAG_NON_ADMISSIBLE)

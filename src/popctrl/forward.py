@@ -48,7 +48,6 @@ dense matrices are expanded only on demand.
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -93,37 +92,6 @@ def terminal_weights(grid, geom):
             wm = wa
         return wm, None
     return None, wa
-
-
-class _GeometryTables:
-    """The trace-independent tables that pair an operator's controls and weigh
-    its terminal states, each built on first use and shared by every operator
-    ``FrozenOperator.retrace`` makes from it."""
-
-    def __init__(self, grid, geom, masks):
-        self.grid, self.geom, self.masks = grid, geom, masks
-
-    @cached_property
-    def inner_weights(self):
-        """(male, female) ``region_weights`` of the control masks."""
-        return tuple(region_weights(self.grid, mask) for mask in self.masks)
-
-    @cached_property
-    def supports(self):
-        """(male, female) control supports: the nodes of nonzero inner weight."""
-        return tuple(weights > 0 for weights in self.inner_weights)
-
-    @cached_property
-    def terminal_weights(self):
-        return terminal_weights(self.grid, self.geom)
-
-    @cached_property
-    def terminal_blocks(self):
-        """Stacked (dense, spike) indices of the Gramian blocks: the young
-        terminal ages of both slots, then the older ones."""
-        size = self.grid.num_age_cells + 1
-        young = min(self.grid.num_time_cells, size)
-        return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
 
 
 def _as_profile(values, grid, name):
@@ -267,14 +235,12 @@ class _Transport:
 class FrozenOperator(_Transport):
     """The linear frozen-trace map and its exact transpose, for one trace.
 
-    Holds the trace-independent tables and the fertility table
+    Holds the trace-independent tables, the weights that pair controls and
+    weigh terminal states among them, and the fertility table
     beta(., trace[j]) of every time level, so the sweeps evaluate no rate
     function; for separable fertility also its age profile and its
     ``response`` at every level, the factors of that table, and the
-    closed forms of ``_Renewal`` built from them on first use.  The tables
-    that pair controls and weigh terminal states (``geometry_tables``) and
-    the renewal tables are built once per operator family: ``retrace``
-    shares them.
+    closed forms of ``_Renewal`` built from them on first use.
 
     Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
     independent right-hand sides; results keep the column axis last.
@@ -286,7 +252,10 @@ class FrozenOperator(_Transport):
         # a separable fertility's age profile, shared by every trace
         self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
                             if fertility.separable else None)
-        self.geometry_tables = _GeometryTables(grid, geom, (self.mask_m, self.mask_f))
+        self.inner_weights = tuple(region_weights(grid, mask)
+                                   for mask in (self.mask_m, self.mask_f))
+        self.supports = tuple(weights > 0 for weights in self.inner_weights)
+        self.terminal_weights = terminal_weights(grid, geom)
         self._renewal = None
         self._freeze(trace)
 
@@ -314,8 +283,8 @@ class FrozenOperator(_Transport):
     def retrace(self, trace):
         """The operator of the same model, grid and geometry for another trace.
 
-        It shares every trace-independent table of this one: the geometry
-        tables and the renewal tables of the closed forms, built or not.
+        It shares every trace-independent table of this one, the renewal
+        tables of the closed forms included once they are built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -560,14 +529,14 @@ class FrozenOperator(_Transport):
         diagonal, so only the Schur complement on the 2 min(Nt, N+1) dense
         unit vectors is formed, straight from the blocks of G, and factored.
         """
-        gram = self.control_blocks()
+        gram = self._gramian(0)
         dense, spikes = gram.index
         h = self.grid.step
         d_dense, d_spike = weights[dense] / h, weights[spikes] / h
         diag = 1.0 + d_spike * gram.diag
         schur = gram.schur(d_spike / diag)
         schur *= d_dense[:, None]
-        schur.flat[::schur.shape[0] + 1] += 1.0
+        schur[np.diag_indices_from(schur)] += 1.0
         c = np.empty_like(rhs)
         c[dense] = np.linalg.solve(schur,
                                    rhs[dense] - d_dense * (gram.cross @ (rhs[spikes] / diag)))
@@ -575,16 +544,10 @@ class FrozenOperator(_Transport):
         return c
 
     def control_energy(self, work):
-        """work . G work on the control Gramian G = h L L*: the squared control
-        norm of the adjoint image of a stacked work vector, without the image."""
-        gram = self.control_blocks()
+        """work . G work, G = h L L*: the squared norm of L* work, without L* work."""
+        gram = self._gramian(0)
         dense, spikes = gram.index
         return float(gram.quadratic(work[dense], work[spikes]))
-
-    def control_blocks(self):
-        """``gramians()[0]``, built alone on first use; for separable fertility
-        building it before ``observe`` or the adjoint shares their LU."""
-        return self._gramian(0)
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
@@ -642,8 +605,7 @@ class FrozenOperator(_Transport):
 
         self.adjoint_levels(work_n, work_l, collect)
         _, split = _birth_split(reached, self.gamma)
-        index = self.geometry_tables.terminal_blocks
-        return control.blocks(*split, index), initial.blocks(*split, index)
+        return control.blocks(*split), initial.blocks(*split)
 
 
 def _birth_split(reached, gamma):
@@ -656,6 +618,12 @@ def _birth_split(reached, gamma):
     np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
     np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
     return births, split
+
+
+def _terminal_blocks(size, young):
+    """Stacked (dense, spike) indices: the young terminal ages of both slots,
+    then the older ones."""
+    return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
 
 
 class _LiveGram:
@@ -702,9 +670,9 @@ class _LiveGram:
         self.spike_diag[1, ages] += weighted * spike_l
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
-    def blocks(self, a, b, index):
+    def blocks(self, a, b):
         """The Gramian of the terminal unit vectors (see ``_gram_blocks``)."""
-        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b, index)
+        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b)
 
 
 class GramianBlocks:
@@ -765,7 +733,7 @@ class GramianBlocks:
                              (position[dense[keep_d]], position[spikes[keep_s]]))
 
 
-def _gram_blocks(live, cross, diag, a, b, index):
+def _gram_blocks(live, cross, diag, a, b):
     """The Gramian of the terminal unit vectors in block form.
 
     ``live`` is the Gram matrix of the young columns' responses, ``cross``
@@ -773,8 +741,7 @@ def _gram_blocks(live, cross, diag, a, b, index):
     and ``diag`` the squares of the spikes of both slots; the male image of
     young age p is a_p times its column's response and the female one b_p
     times.  A male spike of an older age meets nothing but itself, so its
-    columns of C are zero.  ``index`` is the (dense, spike) split,
-    ``_GeometryTables.terminal_blocks``.
+    columns of C are zero.
     """
     size, young = cross.shape
     male, female = slice(0, young), slice(young, 2 * young)
@@ -786,12 +753,13 @@ def _gram_blocks(live, cross, diag, a, b, index):
     dense[male, female] = np.outer(a, b) * live + a[:, None] * pair
     dense[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
     dense[female, male] = dense[male, female].T
-    dense.flat[::2 * young + 1] += diag[:, :young].ravel()
+    dense[np.diag_indices_from(dense)] += diag[:, :young].ravel()
     old = size - young
     spike_cross = np.zeros((2 * young, 2 * old))
     spike_cross[male, old:] = (cross[young:] * a).T
     spike_cross[female, old:] = (cross[young:] * b).T
-    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(), index)
+    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(),
+                         _terminal_blocks(size, young))
 
 
 def _expand(blocks):
@@ -849,9 +817,8 @@ class _Renewal:
         size = na + 1
         self.nt, self.size, self.h, self.gamma = nt, size, h, op.gamma
         self.young = young = min(nt, size)
-        region_m, region_f = op.mask_m.copy(), op.mask_f.copy()
-        region_m[0] = region_f[0] = 0.0
-        self.weights = (h * h * region_m, h * h * region_f, op.wa)
+        # h^2 mask, zero at the age-zero node: the inner weights of a level
+        self.weights = (op.inner_weights[0][:, 1], op.inner_weights[1][:, 1], op.wa)
 
         # carried[:, d] is T_d psi.  lattice_spikes[s, r, j] is the spike of
         # terminal age r + Nt - j of slot s, in row r at level j, multiplied in
@@ -887,7 +854,6 @@ class _Renewal:
         # spikes of level 0
         self.old = lattice[:, :size - young, 0]
         self.male_weight, self.s_m = op.wa * op.lam, op.s_m
-        self.index = op.geometry_tables.terminal_blocks
         self._forward = None
         self._forms = None
 
@@ -980,40 +946,28 @@ class _Levels:
     def inverse(self):
         """U^-1, formed on first use; all NaN when the fertility is not finite."""
         if self._inverse is None:
-            self._solve(amplitudes=False)
+            if np.isfinite(self.system).all():
+                # U is unit upper triangular: LU swaps no rows
+                self._inverse = np.linalg.inv(self.system)
+            else:
+                self._inverse = np.full(self.system.shape, np.nan)
         return self._inverse
-
-    def _solve(self, amplitudes):
-        """Form U^-1 and, with ``amplitudes``, the young columns' Gramian
-        amplitudes (source c E_p at the injection level of age p) from one LU
-        of U: a caller that needs both asks for the Gramian first."""
-        t = self.tables
-        rhs = np.eye(t.nt, t.nt + (t.young if amplitudes else 0))
-        if amplitudes:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs[t.inject, t.nt + np.arange(t.young)] = self.c[t.inject] * t.births
-        if np.isfinite(self.system).all():
-            # U is unit upper triangular: LU swaps no rows
-            solved = np.linalg.solve(self.system, rhs)
-        else:
-            solved = np.full(rhs.shape, np.nan)
-        # a U^-1 formed before is formed again, bit for bit
-        self._inverse = solved[:, :t.nt]
-        if amplitudes:
-            self._amplitudes = solved[:, t.nt:]
 
     def gramian(self, half):
         """The control (``half`` 0) or initial (1) Gramian as ``GramianBlocks``;
-        both take the young columns' amplitudes, solved on first use."""
+        both share the young columns' amplitudes, solved on first use."""
         t = self.tables
-        if self._amplitudes is None:
-            self._solve(amplitudes=True)
-        amplitudes = self._amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
+            if self._amplitudes is None:
+                source = np.zeros((t.nt, t.young))
+                source[t.inject, np.arange(t.young)] = self.c[t.inject] * t.births
+                # the system is unit upper triangular: LU finds no row to swap
+                self._amplitudes = np.linalg.solve(self.system, source)
+            amplitudes = self._amplitudes
             forms, cross, diag = t.gramian_forms()
             live = amplitudes.T @ (forms[half] @ amplitudes)
             live = 0.5 * (live + live.T)
-            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split, t.index)
+            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split)
 
     def adjoint(self, work_n, work_l, keep_l):
         """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint
@@ -1048,7 +1002,7 @@ class _Levels:
                     np.matmul(t.carried[:, 1:], amplitudes[1:], out=l[col])
                     l[col] += spike_f
                     l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
-        return tuple(None if a is None else a.transpose(1, 2, 0) for a in (n, l, l_eff))
+        return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
 
     def observe(self, m0, f0, source_m, source_f, male):
         """The fertile-male trace at every level (None unless ``male``) and

@@ -139,9 +139,8 @@ def region_mask(grid, lo, hi):
 
 
 def region_weights(grid, mask):
-    """Lattice weights h^2 * mask of the duality-consistent inner product over
-    a control region; level 0 and the age-zero node, which never couple to
-    the state, carry weight zero."""
+    """Lattice weights h^2 mask of ``adjoint.region_inner``; level 0 and the
+    age-zero node, which never couple to the state, weigh zero."""
     weights = np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1))
     weights[1:, 1:] = (grid.step * grid.step * mask[1:])[:, None]
     return weights
@@ -157,11 +156,10 @@ def write_field_csv(path, field):
 
     The bytes are those of ``csv.writer``'s default dialect: no formatted
     number needs quoting, and every line ends in CR LF.  One template per
-    field holds the age strings; each level puts its time string in and
-    formats its values with a single ``%``.
+    field holds the age strings; a level puts its time at the NUL marks and
+    formats its values with one ``%``.
     """
     grid = field.grid
-    # the formatted numbers hold no NUL, so it marks the time string's place
     template = "".join(f"{a:.17g},\0,%.17g\r\n" for a in grid.ages().tolist())
     with open(path, "w", newline="") as handle:
         handle.write("age,time,value\r\n")

@@ -9,10 +9,9 @@ together) on the live terminal entries, scaled by the terminal weights and
 kept in the operator's block form: a dense block on the young terminal
 ages, a diagonal on the older spikes and the cross block between them.
 The power iteration factors only the Schur complement of the spike
-diagonal, never the whole denominator, and measures its null cut against
-max(|A|_F, max Delta) of the denominator's dense block A and spike
-diagonal Delta, with no eigendecomposition.  The probe quotients are read
-off the same blocks when the power iteration runs or the Gramians are
+diagonal, never the whole denominator, and takes its null cut with no
+other eigendecomposition.  The probe quotients are read off
+the same blocks when the power iteration runs or the Gramians are
 closed-form (separable fertility); otherwise one batched sweep of the
 probes gives them.  The operators of one call are retraced from the first, so they
 share its trace-independent tables.  A zero denominator with nonzero numerator
@@ -61,14 +60,13 @@ def _quotients(op, n_T, l_T):
     theta = (grid.age_weights() / grid.step)[:, None]
     n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
     wa = grid.age_weights()
-    weights_m, weights_f = op.geometry_tables.inner_weights
+    weights_m, weights_f = op.inner_weights
     quotients = []
     for c in range(n_T.shape[1]):
         n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]
         # the dead slot of a mode adds exact zeros: its masks vanish, and a
         # zero male terminal datum keeps the sourceless male row zero
         num = float(np.dot(wa, n_c[:, 0] ** 2)) + float(np.dot(wa, l_c[:, 0] ** 2))
-        # ``region_inner`` on the operator's weight lattices
         den = lattice_inner(weights_m, n_c, n_c) + lattice_inner(weights_f, l_c, l_c)
         quotients.append(_quotient(num, den))
     return quotients
@@ -211,10 +209,9 @@ def _power_iteration(op, iters):
 
 
 def _null_cut(den):
-    """1e-12 max(|A|_F, max Delta): the eigenvalue below which a direction of
-    the denominator ``den`` counts as null.  |A|_F lies in [lambda_max(A),
-    sqrt(rank A) lambda_max(A)], so the scale lies in [lambda_max(D) / 2,
-    sqrt(rank A) lambda_max(D)] and needs no eigendecomposition."""
+    """1e-12 max(|A|_F, max Delta): below it a direction of the denominator
+    ``den`` counts as null.  |A|_F lies in [lambda_max(A), sqrt(rank A)
+    lambda_max(A)], so the scale is within that of lambda_max(D) / 2."""
     top = max(float(np.max(den.diag, initial=0.0)), float(np.linalg.norm(den.dense)))
     return 1e-12 * max(top, 1e-300)
 

@@ -1,15 +1,13 @@
 """A penalty stage reads its trace-independent tables off the operator family:
-|b| from the control Gramian, the fused control inner product, and geometry
-tables built once per CLI solve."""
+|b| from the control Gramian, the fused control inner product, and tables
+built once per CLI solve."""
 
-import functools
 import json
 
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid, minimize_penalty,
-                     solve_forward)
+from popctrl import ControlGeometry, ControlMode, PenaltyProblem, build_grid, solve_forward
 from popctrl import forward as forward_module
 from popctrl.adjoint import region_inner
 from popctrl.cli import run_command
@@ -19,7 +17,7 @@ from popctrl.grid import lattice_inner, region_weights
 from conftest import expr_fertility_model, reference_data, reference_model
 from test_cli import FAST_SCENARIO
 
-TABLES = ("inner_weights", "supports", "terminal_weights", "terminal_blocks")
+TABLES = ("inner_weights", "supports", "terminal_weights")
 
 
 def _stage(make_model, mode, target_min_age=0.0):
@@ -46,30 +44,6 @@ def test_rhs_norm_from_the_gramian_is_the_lattice_norm(make_model, mode, target_
     assert abs(np.sqrt(ws.op.control_energy(work)) - lattice) <= 1e-13 * lattice
 
 
-def test_a_stage_factors_the_renewal_system_once(monkeypatch):
-    # the stage builds its Gramian before y0, so U^-1 and the Gramian's
-    # amplitudes come from one solve; an adjoint alone solves for U^-1 only
-    ws = _stage(reference_model, ControlMode.BOTH)
-    nt = ws.grid.num_time_cells
-    young = min(nt, ws.grid.num_age_cells + 1)
-    shapes = []
-    solve = np.linalg.solve
-
-    def counting(a, b):
-        shapes.append((np.shape(a), np.shape(b)))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    result = minimize_penalty(ws.problem, reference_model(), ws.grid, ws.geom, ws.op.trace,
-                              ws.m0, ws.f0, operator=ws.op.retrace(ws.op.trace))
-    assert result.iterations == 1
-    # the renewal system, then the Schur complement of the penalty solve
-    assert shapes == [((nt, nt), (nt, nt + young)), ((2 * young, 2 * young), (2 * young,))]
-    shapes.clear()
-    ws.op.retrace(ws.op.trace).adjoint(ws.m0, ws.f0)
-    assert shapes == [((nt, nt), (nt, nt))]
-
-
 def test_fused_inner_matches_the_sliced_formula():
     rng = np.random.default_rng(4)
     for na, nt in ((32, 11), (80, 28), (260, 91)):
@@ -90,14 +64,12 @@ def test_fused_inner_matches_the_sliced_formula():
                 assert abs(region_inner(grid, mask, u, u) - squares) <= 1e-15 * squares
 
 
-def test_retraced_operators_share_the_geometry_tables():
+def test_retraced_operators_share_the_stage_tables():
     ws = _stage(reference_model, ControlMode.BOTH)
     op = ws.op
     other = op.retrace(2.0 * op.trace)
-    assert other.geometry_tables is op.geometry_tables
-    assert all(getattr(other.geometry_tables, name) is getattr(op.geometry_tables, name)
-               for name in TABLES)
-    assert ws.support is op.geometry_tables.supports
+    assert all(getattr(other, name) is getattr(op, name) for name in TABLES)
+    assert ws.support is op.supports
     # the supports are the nodes of nonzero inner weight, away from the
     # age-zero node and level 0
     for support, mask in zip(ws.support, ws.masks):
@@ -106,21 +78,20 @@ def test_retraced_operators_share_the_geometry_tables():
         assert np.array_equal(support, want)
 
 
-def test_cli_solve_builds_the_geometry_tables_once(tmp_path, monkeypatch):
-    cls = forward_module._GeometryTables
+def test_cli_solve_builds_the_stage_tables_once(tmp_path, monkeypatch):
     builds = []
-    for name in TABLES:
-        def counted(self, build=cls.__dict__[name].func, name=name):
-            builds.append(name)
-            return build(self)
-        prop = functools.cached_property(counted)
-        prop.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, prop)
+
+    def counted(grid, mask):
+        builds.append(mask)
+        return region_weights(grid, mask)
+
+    monkeypatch.setattr(forward_module, "region_weights", counted)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(FAST_SCENARIO))
     out = tmp_path / "out"
     assert run_command(["solve", str(path), "--out", str(out), "--quiet"]) in (0, 1)
     with open(out / "report.json") as handle:
         assert json.load(handle)["scalars"]["outer_iterations"] > 1
-    # every stage of every outer iteration reads the tables of one family
-    assert sorted(builds) == sorted(TABLES)
+    # every stage of every outer iteration reads the tables of one family:
+    # one weight lattice per sex
+    assert len(builds) == 2
