@@ -99,7 +99,7 @@ def region_inner(grid, mask, u, v):
 
     Age nodes are weighted by h * mask (trapezoid over the window), time
     levels 1..Nt by h each (``grid.region_weights``); a frozen-trace
-    operator keeps those of its masks as ``inner_weights``.
+    operator keeps those of its masks (``geometry_tables``).
     """
     return lattice_inner(region_weights(grid, mask), u, v)
 

@@ -25,8 +25,8 @@ gradient on the controlled terminal state: it maps the control L* c
 through L, never through G.  For separable fertility every map comes in
 closed form from the operator's per-trace renewal system, so a stage runs
 no level loop; any other fertility takes the step loop and the backward
-sweep.  The supports, inner-product weights and terminal weights are built
-once per operator family (``FrozenOperator``), so a stage
+sweep.  The supports, inner-product weights and terminal weights are the
+operator's ``geometry_tables``, built once per operator family, so a stage
 forms only its penalty weights.
 
 In the single-control modes the lone terminal term is weighted by
@@ -174,8 +174,7 @@ class _Workspace:
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
         self.masks = (operator.mask_m, operator.mask_f)
-        self.support = operator.supports
-        self.w_m, self.w_f = operator.terminal_weights
+        self.inner_weights, self.support, (self.w_m, self.w_f) = operator.geometry_tables()
         size = grid.num_age_cells + 1
         self.zero_profile = np.zeros(size)
         self._weights = np.zeros(2 * size)  # ``penalty_weights``, one per stage
@@ -234,7 +233,7 @@ class _Workspace:
 
     def inner(self, x, y):
         return sum(lattice_inner(weights, a, b)
-                   for weights, a, b in zip(self.op.inner_weights, x, y))
+                   for weights, a, b in zip(self.inner_weights, x, y))
 
     def objective(self, x, terminal=None):
         """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``;

@@ -235,8 +235,7 @@ class _Transport:
 class FrozenOperator(_Transport):
     """The linear frozen-trace map and its exact transpose, for one trace.
 
-    Holds the trace-independent tables, the weights that pair controls and
-    weigh terminal states among them, and the fertility table
+    Holds the trace-independent tables and the fertility table
     beta(., trace[j]) of every time level, so the sweeps evaluate no rate
     function; for separable fertility also its age profile and its
     ``response`` at every level, the factors of that table, and the
@@ -252,10 +251,7 @@ class FrozenOperator(_Transport):
         # a separable fertility's age profile, shared by every trace
         self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
                             if fertility.separable else None)
-        self.inner_weights = tuple(region_weights(grid, mask)
-                                   for mask in (self.mask_m, self.mask_f))
-        self.supports = tuple(weights > 0 for weights in self.inner_weights)
-        self.terminal_weights = terminal_weights(grid, geom)
+        self._geometry = None
         self._renewal = None
         self._freeze(trace)
 
@@ -280,11 +276,21 @@ class FrozenOperator(_Transport):
         self._gramian_cache = [None, None]  # (control, initial)
         self._levels = None
 
+    def geometry_tables(self):
+        """(inner weights, supports, terminal weights): the ``region_weights``
+        of the control masks, their nodes of nonzero weight, and the
+        ``terminal_weights``; built on first use, as the renewal tables are."""
+        if self._geometry is None:
+            weights = tuple(region_weights(self.grid, mask) for mask in (self.mask_m, self.mask_f))
+            self._geometry = (weights, tuple(w > 0 for w in weights),
+                              terminal_weights(self.grid, self.geom))
+        return self._geometry
+
     def retrace(self, trace):
         """The operator of the same model, grid and geometry for another trace.
 
-        It shares every trace-independent table of this one, the renewal
-        tables of the closed forms included once they are built.
+        It shares every trace-independent table of this one, the geometry
+        and renewal tables included once they are built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -817,8 +823,9 @@ class _Renewal:
         size = na + 1
         self.nt, self.size, self.h, self.gamma = nt, size, h, op.gamma
         self.young = young = min(nt, size)
-        # h^2 mask, zero at the age-zero node: the inner weights of a level
-        self.weights = (op.inner_weights[0][:, 1], op.inner_weights[1][:, 1], op.wa)
+        region_m, region_f = op.mask_m.copy(), op.mask_f.copy()
+        region_m[0] = region_f[0] = 0.0
+        self.weights = (h * h * region_m, h * h * region_f, op.wa)
 
         # carried[:, d] is T_d psi.  lattice_spikes[s, r, j] is the spike of
         # terminal age r + Nt - j of slot s, in row r at level j, multiplied in

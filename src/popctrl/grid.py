@@ -155,9 +155,8 @@ def write_field_csv(path, field):
     """Dump as 'age,time,value' rows, time-major then age.
 
     The bytes are those of ``csv.writer``'s default dialect: no formatted
-    number needs quoting, and every line ends in CR LF.  One template per
-    field holds the age strings; a level puts its time at the NUL marks and
-    formats its values with one ``%``.
+    number needs quoting, and every line ends in CR LF.  A per-field template
+    holds the age strings; a level fills in its time and values with one ``%``.
     """
     grid = field.grid
     template = "".join(f"{a:.17g},\0,%.17g\r\n" for a in grid.ages().tolist())

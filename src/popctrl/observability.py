@@ -60,7 +60,7 @@ def _quotients(op, n_T, l_T):
     theta = (grid.age_weights() / grid.step)[:, None]
     n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
     wa = grid.age_weights()
-    weights_m, weights_f = op.inner_weights
+    weights_m, weights_f = op.geometry_tables()[0]
     quotients = []
     for c in range(n_T.shape[1]):
         n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]

@@ -17,9 +17,6 @@ from popctrl.grid import lattice_inner, region_weights
 from conftest import expr_fertility_model, reference_data, reference_model
 from test_cli import FAST_SCENARIO
 
-TABLES = ("inner_weights", "supports", "terminal_weights")
-
-
 def _stage(make_model, mode, target_min_age=0.0):
     model = make_model()
     geom = ControlGeometry(male_window=(0.2, 0.9), female_window=(0.1, 0.95), horizon=0.35,
@@ -64,12 +61,12 @@ def test_fused_inner_matches_the_sliced_formula():
                 assert abs(region_inner(grid, mask, u, u) - squares) <= 1e-15 * squares
 
 
-def test_retraced_operators_share_the_stage_tables():
+def test_retraced_operators_share_the_geometry_tables():
     ws = _stage(reference_model, ControlMode.BOTH)
     op = ws.op
-    other = op.retrace(2.0 * op.trace)
-    assert all(getattr(other, name) is getattr(op, name) for name in TABLES)
-    assert ws.support is op.supports
+    tables = op.geometry_tables()
+    assert op.retrace(2.0 * op.trace).geometry_tables() is tables
+    assert ws.support is tables[1]
     # the supports are the nodes of nonzero inner weight, away from the
     # age-zero node and level 0
     for support, mask in zip(ws.support, ws.masks):
@@ -78,7 +75,17 @@ def test_retraced_operators_share_the_stage_tables():
         assert np.array_equal(support, want)
 
 
-def test_cli_solve_builds_the_stage_tables_once(tmp_path, monkeypatch):
+def test_an_adjoint_or_forward_map_alone_builds_no_geometry_tables():
+    ws = _stage(reference_model, ControlMode.BOTH)
+    op = ws.op.retrace(ws.op.trace)
+    op._geometry = None
+    op.adjoint(ws.m0, ws.f0)
+    op.forward(ws.m0, ws.f0)
+    op.observe(ws.m0, ws.f0, None, None)
+    assert op._geometry is None
+
+
+def test_cli_solve_builds_the_geometry_tables_once(tmp_path, monkeypatch):
     builds = []
 
     def counted(grid, mask):
