@@ -156,14 +156,19 @@ def write_field_csv(path, field):
 
     The bytes are those of ``csv.writer``'s default dialect: no formatted
     number needs quoting, and every line ends in CR LF.  A per-field template
-    holds the age strings; a level fills in its time and values with one ``%``.
+    holds the age strings; each level formats its time and values into it
+    with one ``%``.
     """
     grid = field.grid
-    template = "".join(f"{a:.17g},\0,%.17g\r\n" for a in grid.ages().tolist())
+    ages = grid.ages().tolist()
+    template = "".join(f"{a:.17g},%s,%.17g\r\n" for a in ages)
+    args = [None] * (2 * len(ages))  # time, value of each row
     with open(path, "w", newline="") as handle:
         handle.write("age,time,value\r\n")
         for t, column in zip(grid.times().tolist(), field.values.T.tolist()):
-            handle.write(template.replace("\0", f"{t:.17g}") % tuple(column))
+            args[0::2] = [f"{t:.17g}"] * len(ages)
+            args[1::2] = column
+            handle.write(template % tuple(args))
 
 
 def read_field_csv(path, grid):
