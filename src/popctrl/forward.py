@@ -542,7 +542,7 @@ class FrozenOperator(_Transport):
         diag = 1.0 + d_spike * gram.diag
         schur = gram.schur(d_spike / diag)
         schur *= d_dense[:, None]
-        schur[np.diag_indices_from(schur)] += 1.0
+        schur.flat[::schur.shape[0] + 1] += 1.0  # the diagonal
         c = np.empty_like(rhs)
         c[dense] = np.linalg.solve(schur,
                                    rhs[dense] - d_dense * (gram.cross @ (rhs[spikes] / diag)))
@@ -629,7 +629,8 @@ def _birth_split(reached, gamma):
 def _terminal_blocks(size, young):
     """Stacked (dense, spike) indices: the young terminal ages of both slots,
     then the older ones."""
-    return np.r_[0:young, size:size + young], np.r_[young:size, size + young:2 * size]
+    ages = np.arange(2 * size).reshape(2, size)
+    return ages[:, :young].ravel(), ages[:, young:].ravel()
 
 
 class _LiveGram:
@@ -759,7 +760,7 @@ def _gram_blocks(live, cross, diag, a, b):
     dense[male, female] = np.outer(a, b) * live + a[:, None] * pair
     dense[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
     dense[female, male] = dense[male, female].T
-    dense[np.diag_indices_from(dense)] += diag[:, :young].ravel()
+    dense.flat[::2 * young + 1] += diag[:, :young].ravel()  # the diagonal
     old = size - young
     spike_cross = np.zeros((2 * young, 2 * old))
     spike_cross[male, old:] = (cross[young:] * a).T
@@ -1009,7 +1010,7 @@ class _Levels:
                     np.matmul(t.carried[:, 1:], amplitudes[1:], out=l[col])
                     l[col] += spike_f
                     l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
-        return tuple(None if a is None else np.moveaxis(a, 0, -1) for a in (n, l, l_eff))
+        return tuple(None if a is None else a.transpose(1, 2, 0) for a in (n, l, l_eff))
 
     def observe(self, m0, f0, source_m, source_f, male):
         """The fertile-male trace at every level (None unless ``male``) and
