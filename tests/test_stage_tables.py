@@ -77,8 +77,7 @@ def test_retraced_operators_share_the_geometry_tables():
 
 def test_an_adjoint_or_forward_map_alone_builds_no_geometry_tables():
     ws = _stage(reference_model, ControlMode.BOTH)
-    op = ws.op.retrace(ws.op.trace)
-    op._geometry = None
+    op = forward_module.FrozenOperator(reference_model(), ws.grid, ws.geom, ws.op.trace)
     op.adjoint(ws.m0, ws.f0)
     op.forward(ws.m0, ws.f0)
     op.observe(ws.m0, ws.f0, None, None)
