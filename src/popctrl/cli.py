@@ -8,6 +8,7 @@ printed to stderr only.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="popctrl",
         description="Simulation, control synthesis and observability probes for a "

@@ -19,8 +19,10 @@ zero-data frozen-trace system and L* is its adjoint (the operator's
 transpose applied to a terminal work vector).  By HUM duality the optimum
 is v = L* c, where c solves the terminal-space system
 (I + D G / h) c = -D y0, G = h L L* is the operator's cached control
-Gramian and y0 the terminal state of the uncontrolled system; the stopping
-scale |b| = |L* (-D y0)| is read off G too.  The stage checks the explicit
+Gramian and y0 the terminal state of the uncontrolled system.  G stays in
+block form, and the blocks make both the solve
+(``GramianBlocks.penalised_solve``) and the stopping scale
+|b| = |L* (-D y0)| (``GramianBlocks.energy``).  The stage checks the explicit
 gradient on the controlled terminal state: it maps the control L* c
 through L, never through G.  For separable fertility every map comes in
 closed form from the operator's per-trace renewal system, so a stage runs
@@ -173,10 +175,8 @@ class _Workspace:
         self.op = operator
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
-        self.masks = (operator.mask_m, operator.mask_f)
         self.inner_weights, self.support, (self.w_m, self.w_f) = operator.geometry_tables()
         size = grid.num_age_cells + 1
-        self.zero_profile = np.zeros(size)
         self._weights = np.zeros(2 * size)  # ``penalty_weights``, one per stage
         if self.w_m is not None:
             self._weights[:size] = self.w_m / (grid.step * problem.epsilon)
@@ -191,12 +191,10 @@ class _Workspace:
         return [np.where(support, v.values, 0.0) if v is not None else np.zeros(support.shape)
                 for support, v in zip(self.support, (v_m, v_f))]
 
-    def observe(self, x, with_data):
+    def observe(self, x):
         """(fertile-male trace, stacked terminal profiles) of the control x,
         from ``FrozenOperator.observe``."""
-        m0 = self.m0 if with_data else self.zero_profile
-        f0 = self.f0 if with_data else self.zero_profile
-        return self.op.observe(m0, f0, *x)
+        return self.op.observe(self.m0, self.f0, *x)
 
     def adjoint_image(self, work):
         """L* of a stacked terminal work vector (male then female slot).
@@ -204,7 +202,7 @@ class _Workspace:
         L* is the adjoint of the terminal map L (zero data) in the pairing
         <L* u, x> = h * u . L x, so ``op.control_gramian()`` is h L L*.
         """
-        size = self.zero_profile.size
+        size = self.m0.size
         n_rows, l_eff = self.op.adjoint_images(work[:size], work[size:])
         support_m, support_f = self.support
         return [np.where(support_m, n_rows[..., 0], 0.0),
@@ -214,22 +212,13 @@ class _Workspace:
         """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""
         return self._weights
 
-    def terminal(self, x, with_data):
+    def terminal(self, x):
         """Stacked terminal (male, female) profiles of the control x."""
-        return self.observe(x, with_data)[1]
+        return self.observe(x)[1]
 
     def effective_theta(self):
         return self.problem.theta if self.geom.mode is ControlMode.BOTH \
             else self.problem.epsilon
-
-    def apply_hessian(self, x):
-        image = self.adjoint_image(self.penalty_weights() * self.terminal(x, with_data=False))
-        return [xi + a for xi, a in zip(x, image)]
-
-    def rhs(self):
-        # y0 as the stage takes it: closed-form for separable fertility
-        y0 = self.op.uncontrolled_terminal(self.m0, self.f0)
-        return self.adjoint_image(-self.penalty_weights() * y0)
 
     def inner(self, x, y):
         return sum(lattice_inner(weights, a, b)
@@ -239,12 +228,12 @@ class _Workspace:
         """J(x) = 1/2 <x, x> + 1/2 h sum D y(T)^2, D the ``penalty_weights``;
         ``terminal`` is y(T) when already known."""
         if terminal is None:
-            terminal = self.terminal(x, with_data=True)
+            terminal = self.terminal(x)
         penalty = self.grid.step * float(np.dot(self.penalty_weights(), terminal ** 2))
         return 0.5 * (self.inner(x, x) + penalty)
 
     def gradient(self, x):
-        image = self.adjoint_image(-self.penalty_weights() * self.terminal(x, with_data=True))
+        image = self.adjoint_image(-self.penalty_weights() * self.terminal(x))
         return [xi - a for xi, a in zip(x, image)]
 
 
@@ -298,29 +287,30 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
     weights = ws.penalty_weights()
+    gram, shift = ws.op.control_gramian(), weights / grid.step  # (I + diag(shift) G) c
     x = ws.zeros()
     observed = None
     work = -weights * ws.op.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
-    c = ws.op.solve_gramian(work, weights)
+    c = gram.penalised_solve(shift, work)
     step = ws.adjoint_image(c)  # L* c
     # |b| = |L* work|, read off G = h L L*; rounding must not take it below 0
-    norm_b = math.sqrt(max(ws.op.control_energy(work), 0.0))
+    norm_b = math.sqrt(max(float(gram.energy(work)), 0.0))
     tol = problem.cg_tol * norm_b
     cg_trace = [norm_b]
     while cg_trace[-1] > tol and len(cg_trace) <= problem.max_cg_iters:
         if len(cg_trace) > 1:
             # correction on the terminal residual -(c + D y(T))
-            delta = ws.op.solve_gramian(work - c, weights)
+            delta = gram.penalised_solve(shift, work - c)
             c = c + delta
             step = ws.adjoint_image(delta)
         x = [xi + si for xi, si in zip(x, step)]
-        observed = ws.observe(x, with_data=True)
+        observed = ws.observe(x)
         work = -weights * observed[1]
         grad = [xi - gi for xi, gi in zip(x, ws.adjoint_image(work))]
         cg_trace.append(float(np.sqrt(ws.inner(grad, grad))))
     converged = cg_trace[-1] <= tol
     if observed is None:  # no solve ran: the control stays zero
-        observed = ws.observe(x, with_data=True)
+        observed = ws.observe(x)
     male_trace, terminal = observed
 
     m_norm, f_norm = terminal_norms(grid, geom, *np.split(terminal, 2))

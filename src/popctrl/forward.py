@@ -41,9 +41,11 @@ with a single column per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
 the closed forms are tested against.  Both paths give the Gramians in
 block form (`GramianBlocks`): the terminal ages too old to reach age 0 stay
-spikes that never share a row, so their block is diagonal; the penalty
-solve and the observability power iteration work on the blocks, and the
-dense matrices are expanded only on demand.
+spikes that never share a row, so their block is diagonal.  Every solve
+with a Gramian is a method of its blocks: the penalised solve of a penalty
+stage, and the pseudo-inverse and null directions the observability power
+iteration uses, each factoring only a Schur complement on the dense
+indices.  The dense matrices are expanded only on demand (``matrix``).
 """
 
 import copy
@@ -485,9 +487,21 @@ class FrozenOperator(_Transport):
 
         Built on first use and cached: they do not depend on the penalty
         weights.  Separable fertility takes the closed form of ``_Levels``,
-        any other the sweep of ``_assemble_gramians``.
+        any other the sweep of ``_assemble_gramians``.  Entry (p, q) of the
+        control Gramian is the control-space inner product
+        h^2 * sum over levels >= 1 and ages >= 1 of
+        (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
+        is the backward sweep from the work pair whose stacked entry p is 1
+        (entries 0..N are the male slot, N+1..2N+1 the female one); entry
+        (p, q) of the initial one is sum over ages of wa * (n_p * n_q + l_p * l_q)
+        at level 0.
         """
         return self._gramian(0), self._gramian(1)
+
+    def control_gramian(self):
+        """The control Gramian of ``gramians``; for separable fertility the
+        initial one is not built."""
+        return self._gramian(0)
 
     def _gramian(self, half):
         """The control (``half`` 0) or initial (1) Gramian of ``gramians``;
@@ -505,55 +519,6 @@ class FrozenOperator(_Transport):
                     raise NumericalFailure("Gramian assembly lost finiteness")
                 cache[half] = gram
         return cache[half]
-
-    def control_gramian(self):
-        """Gramian of the adjoint images of the 2(N+1) terminal unit work vectors.
-
-        Entry (p, q) is the control-space inner product
-        h^2 * sum over levels >= 1 and ages >= 1 of
-        (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
-        is the backward sweep from the work pair whose stacked entry p is 1
-        (entries 0..N are the male slot, N+1..2N+1 the female one).  The
-        dense 2(N+1) x 2(N+1) matrix, expanded from ``gramians()[0]`` on
-        first use and cached; the solvers work on the blocks.
-        """
-        return self._gramian(0).matrix()
-
-    def initial_gramian(self):
-        """Initial-energy Gramian of the same adjoint images.
-
-        Entry (p, q) is sum over ages of wa * (n_p * n_q + l_p * l_q) at
-        level 0.  The dense matrix of ``gramians()[1]``, expanded on demand.
-        """
-        return self._gramian(1).matrix()
-
-    def solve_gramian(self, rhs, weights):
-        """Solve (I + diag(weights) G / h) c = rhs for the control Gramian G.
-
-        ``weights`` are nonnegative, one per terminal unit vector; a zero
-        weight makes its row an identity row.  The spike block of G is
-        diagonal, so only the Schur complement on the 2 min(Nt, N+1) dense
-        unit vectors is formed, straight from the blocks of G, and factored.
-        """
-        gram = self._gramian(0)
-        dense, spikes = gram.index
-        h = self.grid.step
-        d_dense, d_spike = weights[dense] / h, weights[spikes] / h
-        diag = 1.0 + d_spike * gram.diag
-        schur = gram.schur(d_spike / diag)
-        schur *= d_dense[:, None]
-        schur.flat[::schur.shape[0] + 1] += 1.0  # the diagonal
-        c = np.empty_like(rhs)
-        c[dense] = np.linalg.solve(schur,
-                                   rhs[dense] - d_dense * (gram.cross @ (rhs[spikes] / diag)))
-        c[spikes] = (rhs[spikes] - d_spike * (gram.cross.T @ c[dense])) / diag
-        return c
-
-    def control_energy(self, work):
-        """work . G work, G = h L L*: the squared norm of L* work, without L* work."""
-        gram = self._gramian(0)
-        dense, spikes = gram.index
-        return float(gram.quadratic(work[dense], work[spikes]))
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
@@ -688,9 +653,11 @@ class GramianBlocks:
     ``index`` holds the (dense, spike) stacked indices: the young terminal
     ages of both slots, then the older ones.  ``dense`` is the block A on
     the dense indices, ``cross`` the block C between dense and spike ones
-    and ``diag`` the diagonal of the spike block, which is diagonal because
-    the older spikes never share a row.  ``matrix`` expands the form to the
-    full matrix on demand.
+    and ``diag`` the diagonal Delta of the spike block, which is diagonal
+    because the older spikes never share a row.  Every solve with the form
+    is made here: Delta is eliminated and only a Schur complement
+    A - C W C^T on the dense indices is factored.  ``matrix`` expands the
+    form to the full matrix on demand.
     """
 
     def __init__(self, dense, cross, diag, index):
@@ -701,7 +668,13 @@ class GramianBlocks:
     def matrix(self):
         """The full symmetric matrix, built on first use and cached."""
         if self._matrix is None:
-            self._matrix = _expand(self)
+            dense, spikes = self.index
+            gram = np.zeros((dense.size + spikes.size,) * 2)
+            gram[np.ix_(dense, dense)] = self.dense
+            gram[np.ix_(dense, spikes)] = self.cross
+            gram[np.ix_(spikes, dense)] = self.cross.T
+            gram[spikes, spikes] = self.diag
+            self._matrix = gram
         return self._matrix
 
     def apply(self, x_dense, x_spike):
@@ -715,9 +688,75 @@ class GramianBlocks:
         f_dense, f_spike = self.apply(x_dense, x_spike)
         return np.sum(x_dense * f_dense, axis=0) + np.sum(x_spike * f_spike, axis=0)
 
+    def energy(self, x):
+        """x . F x of a stacked vector, or of each column of a stacked block."""
+        dense, spikes = self.index
+        return self.quadratic(x[dense], x[spikes])
+
+    def max_abs(self):
+        """The largest |entry| of the form."""
+        return max(float(np.max(np.abs(part), initial=0.0))
+                   for part in (self.dense, self.cross, self.diag))
+
     def schur(self, spike_weights):
         """A - C diag(spike_weights) C^T, a new array."""
         return self.dense - (self.cross * spike_weights) @ self.cross.T
+
+    def penalised_solve(self, weights, rhs):
+        """Solve (I + diag(weights) F) c = rhs for a stacked ``rhs``.
+
+        ``weights`` are nonnegative, one per stacked entry; a zero weight
+        makes its row an identity row.  Delta is eliminated, so only the
+        Schur complement on the dense indices is formed and factored.
+        """
+        dense, spikes = self.index
+        d_dense, d_spike = weights[dense], weights[spikes]
+        diag = 1.0 + d_spike * self.diag
+        schur = self.schur(d_spike / diag)
+        schur *= d_dense[:, None]
+        schur.flat[::schur.shape[0] + 1] += 1.0  # the diagonal
+        c = np.empty_like(rhs)
+        c[dense] = np.linalg.solve(schur,
+                                   rhs[dense] - d_dense * (self.cross @ (rhs[spikes] / diag)))
+        c[spikes] = (rhs[spikes] - d_spike * (self.cross.T @ c[dense])) / diag
+        return c
+
+    def null_cut(self):
+        """1e-12 max(|A|_F, max Delta): below it a direction of this positive
+        semidefinite form counts as null.  |A|_F lies in [lambda_max(A),
+        sqrt(rank A) lambda_max(A)], so the scale is within that of
+        lambda_max(F) / 2."""
+        top = max(float(np.max(self.diag, initial=0.0)), float(np.linalg.norm(self.dense)))
+        return 1e-12 * max(top, 1e-300)
+
+    def pseudo_inverse(self):
+        """The pseudo-inverse F^- of this positive semidefinite form, and its
+        null directions, both under ``null_cut``.
+
+        Returns (solve, null_dense, null_spike, dead).  ``solve(y_dense,
+        y_spike)`` gives (x_dense, x_spike, y . x) for x = F^- y.  The null
+        directions are the dead spikes, flagged in ``dead``, and the null
+        vectors v of the Schur complement S = A - C Delta^+ C^T, lifted to
+        (v, -Delta^+ C^T v): the columns of (null_dense, null_spike).  S is
+        the only matrix eigendecomposed, and null_dense has as many columns
+        as rows exactly when S has no live eigenvalue.
+        """
+        cut = self.null_cut()
+        live_spikes = self.diag > cut
+        inv_diag = np.divide(1.0, self.diag, out=np.zeros_like(self.diag), where=live_spikes)
+        vals, vecs = np.linalg.eigh(self.schur(inv_diag))
+        live = vals > cut
+        null_dense = vecs[:, ~live]
+        null_spike = -inv_diag[:, None] * (self.cross.T @ null_dense)
+        whiten = vecs[:, live] / np.sqrt(vals[live])
+
+        def solve(y_dense, y_spike):
+            # |z|^2 + y . Delta^+ y = y . x
+            z = whiten.T @ (y_dense - self.cross @ (inv_diag * y_spike))
+            x_dense = whiten @ z
+            x_spike = inv_diag * (y_spike - self.cross.T @ x_dense)
+            return x_dense, x_spike, float(z @ z) + float(y_spike @ (inv_diag * y_spike))
+        return solve, null_dense, null_spike, ~live_spikes
 
     def restrict(self, live, scale):
         """The form on the sorted stacked entries ``live``, the unit vector of
@@ -767,17 +806,6 @@ def _gram_blocks(live, cross, diag, a, b):
     spike_cross[female, old:] = (cross[young:] * b).T
     return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(),
                          _terminal_blocks(size, young))
-
-
-def _expand(blocks):
-    """The full symmetric matrix of a ``GramianBlocks``."""
-    dense, spikes = blocks.index
-    gram = np.zeros((dense.size + spikes.size,) * 2)
-    gram[np.ix_(dense, dense)] = blocks.dense
-    gram[np.ix_(dense, spikes)] = blocks.cross
-    gram[np.ix_(spikes, dense)] = blocks.cross.T
-    gram[spikes, spikes] = blocks.diag
-    return gram
 
 
 class _Renewal:

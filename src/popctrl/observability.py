@@ -8,16 +8,17 @@ Gramians of the frozen-trace operator (`FrozenOperator.gramians`, built
 together) on the live terminal entries, scaled by the terminal weights and
 kept in the operator's block form: a dense block on the young terminal
 ages, a diagonal on the older spikes and the cross block between them.
-The power iteration factors only the Schur complement of the spike
-diagonal, never the whole denominator, and takes its null cut with no
-other eigendecomposition.  The probe quotients are read off
-the same blocks when the power iteration runs or the Gramians are
-closed-form (separable fertility); otherwise one batched sweep of the
-probes gives them.  The operators of one call are retraced from the first, so they
-share its trace-independent tables.  A zero denominator with nonzero numerator
-is reported as the infinity sentinel: violated observability is a
-first-class outcome that certifies the time condition in the discrete
-model, not a numerical overflow.
+The power iteration applies the denominator's pseudo-inverse and takes its
+null directions from ``GramianBlocks.pseudo_inverse``, which eliminates the
+spike diagonal; this module keeps the policy: the start, the steps and the
+null-energy test.  The probe quotients are read off the same blocks when
+the power iteration runs or the Gramians are closed-form (separable
+fertility); otherwise one batched sweep of the probes gives them.  The
+operators of one call are retraced from the first, so they share its
+trace-independent tables.  A zero denominator with nonzero numerator is
+reported as the infinity sentinel: violated observability is a first-class
+outcome that certifies the time condition in the discrete model, not a
+numerical overflow.
 """
 
 import math
@@ -82,10 +83,8 @@ def _gramian_quotients(op, n_T, l_T):
     theta = (op.wa / op.grid.step)[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
     control, initial = op.gramians()
-    dense, spikes = control.index
-    num = initial.quadratic(work[dense], work[spikes])
-    den = control.quadratic(work[dense], work[spikes])
-    return [_quotient(float(a), float(b)) for a, b in zip(num, den)]
+    return [_quotient(float(a), float(b))
+            for a, b in zip(initial.energy(work), control.energy(work))]
 
 
 def _quotient(num, den):
@@ -156,37 +155,24 @@ def _power_iteration(op, iters):
 
     Terminal directions invisible from the control regions but carrying
     initial energy make the quotient unbounded and are detected from the
-    denominator's null space; otherwise ``iters`` power steps maximize the
-    quotient: from the all-ones direction x scaled to x . D x = 1, each step
-    forms y = N x, takes x . y as a quotient and moves to x = D^- y scaled
-    by sqrt(y . D^- y), which is power iteration on the denominator-whitened
-    numerator.
-
-    The denominator D stays in block form: D^- y solves with the dense
-    block's Schur complement S = A - C Delta^+ C^T and the spike diagonal
-    Delta, so the only eigendecomposition is that of S.  The relative null
-    cut is ``_null_cut``; the null directions are the dead spikes and the
-    null vectors v of S, lifted to (v, -Delta^+ C^T v).
+    denominator's null directions; otherwise ``iters`` power steps maximize
+    the quotient: from the all-ones direction x scaled to x . D x = 1, each
+    step forms y = N x, takes x . y as a quotient and moves to x = D^- y
+    scaled by sqrt(y . D^- y), which is power iteration on the
+    denominator-whitened numerator.  D^- and the null directions are
+    ``GramianBlocks.pseudo_inverse`` of the denominator, so D stays in block
+    form.
     """
     num, den = _quadratic_forms(op)
-    null_cut = _null_cut(den)
-    live_spikes = den.diag > null_cut
-    inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
-    vals, vecs = np.linalg.eigh(den.schur(inv_diag))
-    live = vals > null_cut
-
-    num_scale = max(max(float(np.max(np.abs(part), initial=0.0))
-                        for part in (num.dense, num.cross, num.diag)), 1e-300)
-    null_dense = vecs[:, ~live]
-    null_spike = -inv_diag[:, None] * (den.cross.T @ null_dense)
+    solve, null_dense, null_spike, dead = den.pseudo_inverse()
+    num_scale = max(num.max_abs(), 1e-300)
     null_energy = np.r_[num.quadratic(null_dense, null_spike)
                         / (np.sum(null_dense ** 2, axis=0) + np.sum(null_spike ** 2, axis=0)),
-                        num.diag[~live_spikes]]
+                        num.diag[dead]]
     if null_energy.size and float(np.max(null_energy)) > 1e-10 * num_scale:
         return INFINITE_QUOTIENT
-    if not (np.any(live) or np.any(live_spikes)):
-        return 0.0
-    whiten = vecs[:, live] / np.sqrt(vals[live])
+    if null_dense.shape[1] == null_dense.shape[0] and np.all(dead):
+        return 0.0  # every direction is null
 
     # start from the all-ones terminal direction, so the iterates do not
     # depend on the signs or rotations of the eigenvectors
@@ -196,24 +182,13 @@ def _power_iteration(op, iters):
     best = 0.0
     for _ in range(max(1, iters)):
         y_dense, y_spike = num.apply(x_dense, x_spike)
-        # x = D^- y by the block elimination, and |z|^2 + y . Delta^+ y = y . x
-        z = whiten.T @ (y_dense - den.cross @ (inv_diag * y_spike))
-        norm = math.sqrt(float(z @ z) + float(y_spike @ (inv_diag * y_spike)))
+        f_dense, f_spike, energy = solve(y_dense, y_spike)
+        norm = math.sqrt(energy)
         if norm == 0.0:
             break
         best = max(best, float(x_dense @ y_dense) + float(x_spike @ y_spike))
-        x_dense = whiten @ z
-        x_spike = inv_diag * (y_spike - den.cross.T @ x_dense)
-        x_dense, x_spike = x_dense / norm, x_spike / norm
+        x_dense, x_spike = f_dense / norm, f_spike / norm
     return max(best, float(num.quadratic(x_dense, x_spike)))
-
-
-def _null_cut(den):
-    """1e-12 max(|A|_F, max Delta): below it a direction of the denominator
-    ``den`` counts as null.  |A|_F lies in [lambda_max(A), sqrt(rank A)
-    lambda_max(A)], so the scale is within that of lambda_max(D) / 2."""
-    top = max(float(np.max(den.diag, initial=0.0)), float(np.linalg.norm(den.dense)))
-    return 1e-12 * max(top, 1e-300)
 
 
 def estimate_observability_constant(model, grid, geom, traces, *, probes=32,

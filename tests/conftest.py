@@ -94,3 +94,29 @@ def random_control(ws, rng):
     """A standard-normal control pair of a penalty workspace, zero off its support."""
     return [np.where(support, rng.standard_normal(support.shape), 0.0)
             for support in ws.support]
+
+
+class PenaltySystem:
+    """The normal equations H x = b of a penalty workspace ``ws``.
+
+    H = I + L* D L and b = L* (-D y0), with L x the terminal state of the
+    control x from zero data (``op.observe``), L* the workspace's adjoint
+    image (``op.adjoint_images`` on the support), D its penalty weights and
+    y0 the uncontrolled terminal state.
+    """
+
+    def __init__(self, ws):
+        self.ws = ws
+        self.zero = np.zeros(ws.m0.size)
+
+    def terminal_map(self, x):
+        """L x."""
+        return self.ws.op.observe(self.zero, self.zero, *x)[1]
+
+    def rhs(self):
+        ws = self.ws
+        return ws.adjoint_image(-ws.penalty_weights() * ws.op.uncontrolled_terminal(ws.m0, ws.f0))
+
+    def apply_hessian(self, x):
+        image = self.ws.adjoint_image(self.ws.penalty_weights() * self.terminal_map(x))
+        return [xi + a for xi, a in zip(x, image)]

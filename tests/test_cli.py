@@ -1,11 +1,15 @@
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from popctrl import build_grid, read_field_csv, region_mask
+from popctrl import cli
 from popctrl.cli import run_command
 
 FAST_SCENARIO = {
@@ -336,3 +340,55 @@ def test_grid_override_changes_hash(scenario_path, tmp_path):
     rep_b = json.loads(_read(os.path.join(out_b, "report.json")))
     assert rep_a["scenario_hash"] != rep_b["scenario_hash"]
     assert rep_b["grid"]["h"] == 0.05
+
+
+def test_run_command_builds_its_parser_once(scenario_path, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["validate", scenario_path, "--out", str(tmp_path), "--quiet"]
+    assert run_command(argv) == run_command(argv) in (0, 1)
+    assert built.count("popctrl") == 1
+
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "example.json")
+
+
+def test_blas_thread_count_moves_fields_only_in_the_last_bits(tmp_path):
+    # the artifacts are byte-identical for one BLAS thread count; between 1
+    # and 2 threads the flags and iterations hold and the fields agree to
+    # rounding.  The variable is set for the child processes only.  The
+    # products at 80x28 may be too small for a second BLAS thread, so a
+    # 260x91 control runs too
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cases = (("control", 64, ("v_m", "v_f")), ("solve", 64, ("v_m", "v_f", "m", "f")),
+             ("control", 256, ("v_m", "v_f")))
+    children = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command, cells, _ in cases:
+            out = tmp_path / f"{command}_{cells}_{threads}"
+            children.append(subprocess.Popen(
+                [sys.executable, "-m", "popctrl.cli", command, EXAMPLE, "--grid-h",
+                 repr(1.0 / cells), "--out", str(out), "--quiet"], env=env))
+    assert [child.wait(timeout=60) for child in children] == [0] * len(children)
+    for command, cells, fields in cases:
+        one, two = (tmp_path / f"{command}_{cells}_{threads}" for threads in ("1", "2"))
+        reports = [json.loads(_read(out / "report.json")) for out in (one, two)]
+        assert reports[0]["flags"] == reports[1]["flags"]
+        for key in ("iterations", "outer_iterations", "fixed_point_converged"):
+            assert reports[0]["scalars"].get(key) == reports[1]["scalars"].get(key)
+        assert [stage["iterations"] for stage in reports[0]["scalars"]["stages"]] == \
+            [stage["iterations"] for stage in reports[1]["scalars"]["stages"]]
+        for name in fields:
+            a, b = (np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
+                    for out in (one, two))
+            assert np.array_equal(a[:, :2], b[:, :2])
+            assert np.max(np.abs(a[:, 2] - b[:, 2])) <= 1e-13 * np.max(np.abs(a[:, 2]))

@@ -16,7 +16,8 @@ from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
 from popctrl.forward import FrozenOperator
 
-from conftest import expr_fertility_model, random_nonneg_model, reference_data, reference_model
+from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model, reference_data,
+                      reference_model)
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 MODELS = {
@@ -143,7 +144,7 @@ def test_duality_between_the_closed_forms(mode, model_name, horizon):
         u = r.standard_normal(2 * (op.grid.num_age_cells + 1))
         image = ws.adjoint_image(u)
         paired = ws.inner(image, x)
-        mapped = op.grid.step * float(u @ ws.terminal(x, with_data=False))
+        mapped = op.grid.step * float(u @ PenaltySystem(ws).terminal_map(x))
         assert abs(paired - mapped) <= 1e-12 * np.sqrt(ws.inner(image, image) * ws.inner(x, x))
 
 

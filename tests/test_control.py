@@ -7,7 +7,7 @@ from popctrl import (ControlGeometry, ControlMode, EpsilonSchedule, PenaltyProbl
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
 from popctrl.errors import ConfigurationError
-from popctrl.forward import FrozenOperator
+from popctrl.forward import GramianBlocks
 from popctrl.observability import forced_terminal_mask
 
 from conftest import random_control, reference_data, reference_geometry, reference_model
@@ -145,16 +145,17 @@ class TestGradient:
         base = ws.op.state(ws.m0, ws.f0, *ws.zeros())
         t0 = np.concatenate([base.m.values[:, -1], base.f.values[:, -1]])
         columns = []
+        zero = np.zeros(grid.num_age_cells + 1)
         for k in range(dim):
             e = np.zeros(dim); e[k] = 1.0
-            state = ws.op.state(ws.zero_profile, ws.zero_profile, *unpack_flat(e))
+            state = ws.op.state(zero, zero, *unpack_flat(e))
             columns.append(np.concatenate([state.m.values[:, -1],
                                            state.f.values[:, -1]]))
         tmat = np.stack(columns, axis=1)
 
         h = grid.step
         wq = np.concatenate([np.broadcast_to(h * h * mask[:, None], s.shape)[s]
-                             for mask, s in zip(ws.masks, ws.support)])
+                             for mask, s in zip((ws.op.mask_m, ws.op.mask_f), ws.support)])
         pw = np.concatenate([ws.w_m / problem.epsilon, ws.w_f / problem.theta])
 
         rng = np.random.default_rng(8)
@@ -186,7 +187,7 @@ class TestMinimize:
         assert np.all(result.v_f.values[~support_f] == 0.0)
         # optimality: the control equals the masked adjoint of the penalized
         # terminal state on the active set
-        opt = ws.adjoint_image(-ws.penalty_weights() * ws.terminal(packed, with_data=True))
+        opt = ws.adjoint_image(-ws.penalty_weights() * ws.terminal(packed))
         err = max(np.max(np.abs(p - o)) for p, o in zip(packed, opt))
         scale = max(np.max(np.abs(p)) for p in packed)
         assert err <= 1e-6 * max(scale, 1e-30)
@@ -237,9 +238,9 @@ class TestMinimize:
         # with each terminal-space solve off by half, the correction solves on
         # -(c + D y(T)) still drive the explicit gradient below the tolerance
         model, geom, grid, m0, f0, trace, problem = setup
-        exact = FrozenOperator.solve_gramian
-        monkeypatch.setattr(FrozenOperator, "solve_gramian",
-                            lambda self, rhs, weights: 0.5 * exact(self, rhs, weights))
+        exact = GramianBlocks.penalised_solve
+        monkeypatch.setattr(GramianBlocks, "penalised_solve",
+                            lambda self, weights, rhs: 0.5 * exact(self, weights, rhs))
         result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         assert result.converged and result.iterations > 10
         assert all(b < a for a, b in zip(result.cg_trace, result.cg_trace[1:]))

@@ -13,8 +13,8 @@ from popctrl.control import _Workspace
 from popctrl.errors import ConsistencyError
 from popctrl.forward import FrozenOperator
 
-from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
-                      reference_model)
+from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model,
+                      reference_data, reference_model)
 
 
 def _geometry(mode, horizon, target_min_age=0.0):
@@ -34,7 +34,8 @@ def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
             epsilon=epsilon if epsilon is not None else problem.epsilon,
             theta=theta if theta is not None else problem.theta)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    b = ws.rhs()
+    system = PenaltySystem(ws)
+    b = system.rhs()
     norm_b = np.sqrt(ws.inner(b, b))
     x = ws.zeros()
     r = [bi.copy() for bi in b]
@@ -44,7 +45,7 @@ def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
     iterations = 0
     tol = problem.cg_tol * norm_b
     while np.sqrt(rho) > tol and iterations < problem.max_cg_iters:
-        q = ws.apply_hessian(d)
+        q = system.apply_hessian(d)
         dq = ws.inner(d, q)
         if dq <= 0:
             break  # numerically exhausted: Hessian is SPD so this is rounding
@@ -87,9 +88,9 @@ def _check_gramians(ws):
     closed form, any other the sweep itself."""
     op = ws.op
     swept = op._assemble_gramians()
-    for got, pairwise, sweep in ((op.control_gramian(), _naive_gramian(ws),
-                                  swept[0].matrix()),
-                                 (op.initial_gramian(), _naive_initial_gramian(op),
+    control, initial = op.gramians()
+    for got, pairwise, sweep in ((control.matrix(), _naive_gramian(ws), swept[0].matrix()),
+                                 (initial.matrix(), _naive_initial_gramian(op),
                                   swept[1].matrix())):
         assert _close(got, pairwise)
         if op.fertility.separable:
@@ -117,11 +118,12 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=mode)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    gram = ws.op.control_gramian()
-    initial = ws.op.initial_gramian()
+    gram, initial = ws.op.gramians()
     _check_gramians(ws)
-    assert ws.op.control_gramian() is gram  # cached on the operator
-    assert ws.op.initial_gramian() is initial
+    # cached on the operator, and each expanded matrix on its blocks
+    assert all(a is b for a, b in zip(ws.op.gramians(), (gram, initial)))
+    assert ws.op.control_gramian() is gram
+    assert gram.matrix() is gram.matrix()
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
@@ -156,32 +158,9 @@ def test_gramian_pairs_terminal_map_and_adjoint():
     ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
     r = np.random.default_rng(4)
     c = r.standard_normal(2 * (grid.num_age_cells + 1))
-    lc = ws.terminal(ws.adjoint_image(c), with_data=False)
-    gc = ws.op.control_gramian() @ c
+    lc = PenaltySystem(ws).terminal_map(ws.adjoint_image(c))
+    gc = ws.op.control_gramian().matrix() @ c
     assert np.max(np.abs(grid.step * lc - gc)) <= 1e-12 * np.max(np.abs(gc))
-
-
-@pytest.mark.parametrize("horizon", [0.35, 1.0])
-def test_solve_gramian_matches_dense_solve(horizon):
-    # the Schur complement of the spike block gives the solve of the full
-    # matrix, and a zero weight leaves an identity row
-    model = reference_model()
-    geom = _geometry(ControlMode.BOTH, horizon)
-    grid = build_grid(1.0, horizon, 1.0 / 16)
-    m0, f0 = reference_data(grid)
-    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    op = FrozenOperator(model, grid, geom, trace)
-    r = np.random.default_rng(11)
-    size = 2 * (grid.num_age_cells + 1)
-    weights = r.random(size) / (grid.step * 1e-4)
-    weights[r.random(size) < 0.3] = 0.0
-    rhs = r.standard_normal(size)
-    got = op.solve_gramian(rhs, weights)
-    system = np.eye(size) + weights[:, None] * op.control_gramian() / grid.step
-    want = np.linalg.solve(system, rhs)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    zero = weights == 0.0
-    assert np.max(np.abs(got[zero] - rhs[zero])) <= 1e-13 * np.max(np.abs(rhs))
 
 
 def _relative(ws, x, y):
@@ -212,7 +191,7 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     # the optimum L* D^1/2 w, with (I + D^1/2 G D^1/2 / h) w = -D^1/2 y0 solved
     # densely on the pairwise Gramian, with no Schur complement
     root = np.sqrt(ws.penalty_weights())
-    y0 = ws.terminal(ws.zeros(), with_data=True)
+    y0 = ws.terminal(ws.zeros())
     system = np.eye(root.size) + root[:, None] * _naive_gramian(ws) * root / grid.step
     exact = ws.adjoint_image(root * np.linalg.solve(system, -root * y0))
     assert _relative(ws, got, exact) <= 1e-10
@@ -241,7 +220,7 @@ def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
         assert result.converged
         ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
                         trace, m0, f0)
-        b = ws.rhs()
+        b = PenaltySystem(ws).rhs()
         grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         assert np.sqrt(ws.inner(grad, grad)) <= \
             1.01 * problem.cg_tol * np.sqrt(ws.inner(b, b))

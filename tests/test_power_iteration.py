@@ -9,9 +9,8 @@ import pytest
 
 from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      estimate_observability_constant, minimize_penalty, solve_forward)
-from popctrl import forward as forward_module
 from popctrl import observability as obs
-from popctrl.forward import FrozenOperator
+from popctrl.forward import FrozenOperator, GramianBlocks
 
 from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
                       reference_model)
@@ -91,32 +90,6 @@ def test_block_power_iteration_matches_expanded_oracle(mode, target_min_age, mak
     assert flags == [unobservable] * len(flags)
 
 
-def _live_counts(den, null_cut):
-    """(live spikes, live eigenvalues of the Schur complement) under a cut."""
-    live_spikes = den.diag > null_cut
-    inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
-    vals = np.linalg.eigvalsh(den.schur(inv_diag))
-    return int(np.sum(live_spikes)), int(np.sum(vals > null_cut))
-
-
-@pytest.mark.parametrize("mode, target_min_age", MODES)
-@pytest.mark.parametrize("make_model", MODELS, ids=MODEL_IDS)
-def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_age,
-                                                             make_model):
-    # the cut against max(|A|_F, max Delta) keeps every live and null
-    # direction of the cut against max(lambda_max(A), max Delta)
-    for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
-        for h in (1.0 / 32, 1.0 / 64):
-            op = _operator(make_model, mode, target_min_age, horizon, h)
-            _, den = obs._quadratic_forms(op)
-            top = max(float(np.max(den.diag, initial=0.0)),
-                      float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
-            eigen_cut = 1e-12 * max(top, 1e-300)
-            assert obs._null_cut(den) >= eigen_cut
-            assert _live_counts(den, obs._null_cut(den)) == _live_counts(den, eigen_cut), \
-                (horizon, h)
-
-
 @pytest.mark.parametrize("mode", [ControlMode.BOTH, ControlMode.MALE_ONLY])
 def test_dead_spike_with_initial_energy_gives_the_sentinel(mode):
     # a short horizon leaves the oldest male ages invisible from the male
@@ -146,9 +119,9 @@ def test_block_forms_expand_to_the_dense_forms(mode, target_min_age):
     op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
     live = obs._terminal_basis(op.grid, op.geom)
     scale = np.outer(*(2 * [np.tile(op.wa / op.grid.step, 2)[live]]))
-    for blocks, dense in zip(obs._quadratic_forms(op),
-                             (op.initial_gramian(), op.control_gramian())):
-        assert np.array_equal(blocks.matrix(), scale * dense[np.ix_(live, live)])
+    control, initial = op.gramians()
+    for blocks, full in zip(obs._quadratic_forms(op), (initial, control)):
+        assert np.array_equal(blocks.matrix(), scale * full.matrix()[np.ix_(live, live)])
 
 
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
@@ -178,7 +151,7 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     def no_eigvalsh(matrix, *args, **kwargs):
         raise AssertionError("the null cut takes no eigenvalues of A")
 
-    monkeypatch.setattr(forward_module, "_expand", no_expand)
+    monkeypatch.setattr(GramianBlocks, "matrix", no_expand)
     monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)

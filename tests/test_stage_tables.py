@@ -14,7 +14,7 @@ from popctrl.cli import run_command
 from popctrl.control import _Workspace
 from popctrl.grid import lattice_inner, region_weights
 
-from conftest import expr_fertility_model, reference_data, reference_model
+from conftest import PenaltySystem, expr_fertility_model, reference_data, reference_model
 from test_cli import FAST_SCENARIO
 
 def _stage(make_model, mode, target_min_age=0.0):
@@ -35,10 +35,10 @@ def _stage(make_model, mode, target_min_age=0.0):
 def test_rhs_norm_from_the_gramian_is_the_lattice_norm(make_model, mode, target_min_age):
     ws = _stage(make_model, mode, target_min_age)
     work = -ws.penalty_weights() * ws.op.uncontrolled_terminal(ws.m0, ws.f0)
-    b = ws.rhs()
+    b = PenaltySystem(ws).rhs()
     lattice = np.sqrt(ws.inner(b, b))
     assert lattice > 0
-    assert abs(np.sqrt(ws.op.control_energy(work)) - lattice) <= 1e-13 * lattice
+    assert abs(np.sqrt(ws.op.control_gramian().energy(work)) - lattice) <= 1e-13 * lattice
 
 
 def test_fused_inner_matches_the_sliced_formula():
@@ -69,7 +69,7 @@ def test_retraced_operators_share_the_geometry_tables():
     assert ws.support is tables[1]
     # the supports are the nodes of nonzero inner weight, away from the
     # age-zero node and level 0
-    for support, mask in zip(ws.support, ws.masks):
+    for support, mask in zip(ws.support, (ws.op.mask_m, ws.op.mask_f)):
         want = np.zeros(support.shape, dtype=bool)
         want[1:, 1:] = (mask[1:] > 0)[:, None]
         assert np.array_equal(support, want)

@@ -18,6 +18,8 @@ layers.  The layers:
   adjoint_images  FrozenOperator.adjoint_images of one terminal work column
   gramian         FrozenOperator.gramians of a freshly retraced operator
   stage           minimize_penalty at epsilon 1e-2 on a freshly retraced operator
+  power_iteration observability._power_iteration, 20 steps, on a freshly
+                  retraced operator (its Gramians included)
   fixed_point     iterate_to_fixed_point with the scenario's settings (CLI solve)
   observability   estimate_observability_constant, three traces, 8 probes and
                   20 power steps (the observe_sweep settings of bench/)
@@ -44,7 +46,7 @@ def _layers(h, calls):
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
     from popctrl.forward import FrozenOperator
-    from popctrl.observability import estimate_observability_constant
+    from popctrl.observability import _power_iteration, estimate_observability_constant
     from popctrl.pipelines import make_grid, uncontrolled_trace
     from popctrl.scenario import load_scenario
 
@@ -74,6 +76,7 @@ def _layers(h, calls):
         "gramian": (retraced, lambda fresh: fresh.gramians()),
         "stage": (retraced, lambda fresh: minimize_penalty(
             penalty, model, grid, geom, trace, m0, f0, operator=fresh)),
+        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20)),
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
