@@ -21,7 +21,9 @@ running the sweep; any other fertility runs it.
 The three adjoint variants (coupled pair, male-only pair, female-only
 scalar) share one recursion: the male equation is autonomous transport and
 the female source always has the (1-gamma, gamma) split of the birth law,
-so the variants differ only in which terminal data are allowed.
+so the variants differ only in which terminal data are allowed.  The
+geometry's mode decides: a slot that ``forward.terminal_weights`` leaves
+untargeted takes a zero datum.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConsistencyError
-from .forward import FrozenOperator, _as_profile, _control_values, control_masks
+from .forward import (FrozenOperator, _as_profile, _control_values, control_masks,
+                      terminal_weights)
 from .grid import Field2D, lattice_inner, region_weights
 from .model import ControlMode
 
@@ -53,33 +56,31 @@ def _sweep_from_work(model, grid, geom, work_n, work_l, trace):
     return FrozenOperator(model, grid, geom, trace).adjoint(work_n, work_l)
 
 
-def _terminal_data(grid, n_T, l_T, mode):
-    """Validated terminal profiles, with the slot the mode leaves dead set to zero."""
+def _terminal_data(grid, geom, n_T, l_T):
+    """Validated terminal profiles; None means zero, and a slot that
+    ``terminal_weights`` leaves untargeted (dead) must be zero."""
     zero = np.zeros(grid.num_age_cells + 1)
-    if mode is ControlMode.MALE_ONLY:
-        if l_T is not None and np.any(np.asarray(l_T) != 0.0):
-            raise ConsistencyError("male-only adjoint has zero female terminal datum")
-        l_T = zero
-    if mode is ControlMode.FEMALE_ONLY:
-        if n_T is not None and np.any(np.asarray(n_T) != 0.0):
-            raise ConsistencyError("female-only adjoint has zero male terminal datum")
-        n_T = zero
-    q_m = _as_profile(zero if n_T is None else n_T, grid, "n_T")
-    q_f = _as_profile(zero if l_T is None else l_T, grid, "l_T")
-    return q_m, q_f
+    data = []
+    for name, datum, weights in zip(("n_T", "l_T"), (n_T, l_T), terminal_weights(grid, geom)):
+        if weights is None and datum is not None and np.any(np.asarray(datum) != 0.0):
+            raise ConsistencyError(f"{name} must vanish: a {geom.mode.value} geometry "
+                                   "does not target that terminal slot")
+        data.append(_as_profile(zero if datum is None or weights is None else datum,
+                                grid, name))
+    return data
 
 
-def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace, mode=ControlMode.BOTH):
+def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace):
     """Solve the backward adjoint system from terminal data.
 
-    ``mode`` selects which terminal slot is live: the male-only variant
-    forces the female terminal datum to zero, the female-only variant the
-    male one.  The returned fields store the raw terminal data at the last
-    time level; the effective arrays used by duality and gradients carry
-    the terminal trapezoid weights.
+    The geometry's mode selects the live terminal slots: the male-only
+    variant forces the female terminal datum to zero, the female-only
+    variant the male one.  The returned fields store the raw terminal data
+    at the last time level; the effective arrays used by duality and
+    gradients carry the terminal trapezoid weights.
     """
     nt = grid.num_time_cells
-    q_m, q_f = _terminal_data(grid, n_T, l_T, mode)
+    q_m, q_f = _terminal_data(grid, geom, n_T, l_T)
 
     theta = grid.age_weights() / grid.step
     n_rows, l_rows, n_eff, l_eff = _sweep_from_work(
@@ -89,7 +90,7 @@ def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace, mode=ControlMode.BO
     return AdjointSolution(
         n=Field2D(grid, n_rows), l=Field2D(grid, l_rows),
         n0_trace=n_rows[0, :].copy(), l0_trace=l_rows[0, :].copy(),
-        frozen_trace=np.array(frozen_trace, dtype=float), mode=mode,
+        frozen_trace=np.array(frozen_trace, dtype=float), mode=geom.mode,
         n_eff=n_eff, l_eff=l_eff,
     )
 

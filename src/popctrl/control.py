@@ -2,17 +2,16 @@
 
 A control is the pair (v_m, v_f) of (N+1) x (Nt+1) lattice fields, zero off
 the nodes that couple to the state (inside the region mask, ages >= 1, time
-levels 1..Nt).  The sex a single-control mode leaves uncontrolled has an
-empty region, so its field stays zero.  Controls are paired by the
-duality-consistent ``adjoint.region_inner``, summed over the two sexes, and
-the objective is
+levels 1..Nt).  A sex without a control window has an empty region, so
+its field stays zero.  Controls are paired by the duality-consistent
+``adjoint.region_inner``, summed over the two sexes, and the objective is
 
     J(v) = 1/2 ||v||^2  +  1/(2 eps) ||m(T)||^2  (+ 1/(2 theta) ||f(T)||^2)
 
-with mode-appropriate terminal terms, that is 1/2 h sum D y(T)^2 with D the
-diagonal penalty weights of the stacked terminal state y(T).  Gradients come
-from one adjoint image and are exact for the discrete objective because the
-adjoint is the exact transpose of the forward map.
+with one terminal term per targeted slot, that is 1/2 h sum D y(T)^2 with D
+the diagonal penalty weights of the stacked terminal state y(T).  Gradients
+come from one adjoint image and are exact for the discrete objective because
+the adjoint is the exact transpose of the forward map.
 
 The Hessian is I + L* D L: L maps a control to the terminal state of the
 zero-data frozen-trace system and L* is its adjoint (the operator's
@@ -31,8 +30,12 @@ sweep.  The supports, inner-product weights and terminal weights are the
 operator's ``geometry_tables``, built once per operator family, so a stage
 forms only its penalty weights.
 
-In the single-control modes the lone terminal term is weighted by
-``epsilon``; ``theta`` only matters for the coupled mode.
+The geometry alone sets the control mode, and ``forward`` holds its two
+rules: ``control_windows`` gives each sex's window or None, and
+``terminal_weights`` the targeted terminal slots and entries with their
+weights.  Everything here derives from them.  A lone terminal term is
+weighted by ``epsilon``; ``theta`` only weights the female term when both
+slots are targeted.
 """
 
 import math
@@ -41,9 +44,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .forward import FrozenOperator, terminal_weights
+from .forward import FrozenOperator, control_windows, terminal_weights
 from .grid import Field2D, lattice_inner
-from .model import ControlMode
 
 FLAG_NON_ADMISSIBLE = "NON_ADMISSIBLE"
 FLAG_CONVERGENCE_NOT_REACHED = "CONVERGENCE_NOT_REACHED"
@@ -88,7 +90,6 @@ class PenaltyProblem:
     epsilon: float = 1e-2
     theta: float = 1e-2
     target_norm: float = 1e-3
-    mode: ControlMode = ControlMode.BOTH
     max_cg_iters: int = 800
     cg_tol: float = 1e-9
     schedule: EpsilonSchedule = dc_field(default_factory=EpsilonSchedule)
@@ -96,8 +97,8 @@ class PenaltyProblem:
     def __post_init__(self):
         if not _positive(self.epsilon):
             raise ConfigurationError("epsilon must be positive and finite")
-        if self.mode is ControlMode.BOTH and not _positive(self.theta):
-            raise ConfigurationError("theta must be positive and finite in coupled mode")
+        if not _positive(self.theta):
+            raise ConfigurationError("theta must be positive and finite")
         if not _positive(self.target_norm):
             raise ConfigurationError("target_norm must be positive and finite")
         if self.max_cg_iters < 1:
@@ -130,21 +131,13 @@ class ControlResult:
 def terminal_norms(grid, geom, m, f):
     """(male, female) norms of terminal profiles, weighted as the target is tested.
 
-    The male norm uses the mode's penalty weight (the tail above
-    ``target_min_age`` in male-only mode), the female norm the full
+    A targeted slot takes its ``terminal_weights`` (in male-only mode the
+    tail above ``target_min_age``), a slot the target leaves out the full
     trapezoid weights.
     """
-    w_m, _ = terminal_weights(grid, geom)
     wa = grid.age_weights()
-    m_norm = float(np.sqrt(np.dot(w_m if w_m is not None else wa, m ** 2)))
-    f_norm = float(np.sqrt(np.dot(wa, f ** 2)))
-    return m_norm, f_norm
-
-
-def _check_modes(problem, geom):
-    if problem.mode is not geom.mode:
-        raise ConsistencyError(
-            f"penalty mode {problem.mode} does not match geometry mode {geom.mode}")
+    return tuple(float(np.sqrt(np.dot(wa if w is None else w, x ** 2)))
+                 for w, x in zip(terminal_weights(grid, geom), (m, f)))
 
 
 class _Workspace:
@@ -152,8 +145,8 @@ class _Workspace:
 
     A control is the pair [v_m, v_f] of (N+1) x (Nt+1) lattice arrays, zero
     off ``support``: the region-mask nodes at ages >= 1 and time levels
-    >= 1, the only ones that couple to the state.  The sex a single-control
-    mode leaves uncontrolled has an empty region, so its field stays zero.
+    >= 1, the only ones that couple to the state.  A sex without a control
+    window has an empty region, so its field stays zero.
     The inner product is the duality-consistent ``region_inner`` summed
     over the two sexes, one fused product per sex on the operator's weight
     lattices; supports, weights and terminal weights are the operator's.
@@ -162,7 +155,6 @@ class _Workspace:
     """
 
     def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
-        _check_modes(problem, geom)
         self.problem = problem
         self.grid = grid
         self.geom = geom
@@ -217,8 +209,9 @@ class _Workspace:
         return self.observe(x)[1]
 
     def effective_theta(self):
-        return self.problem.theta if self.geom.mode is ControlMode.BOTH \
-            else self.problem.epsilon
+        """theta when both slots are targeted; a lone terminal term takes epsilon."""
+        both = self.w_m is not None and self.w_f is not None
+        return self.problem.theta if both else self.problem.epsilon
 
     def inner(self, x, y):
         return sum(lattice_inner(weights, a, b)
@@ -248,13 +241,13 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
 
     Returns (g_m, g_f) Field2D, each equal to the control minus the masked
     adjoint state on the control's support and zero elsewhere, the gradient
-    in the region inner product; the entry for a sex the mode leaves
-    uncontrolled is None.
+    in the region inner product; the entry of a sex without a
+    ``control_windows`` window is None.
     """
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
-    g_m, g_f = ws.gradient(ws.pack(v_m, v_f))
-    return (None if geom.mode is ControlMode.FEMALE_ONLY else Field2D(grid, g_m),
-            None if geom.mode is ControlMode.MALE_ONLY else Field2D(grid, g_f))
+    gradient = ws.gradient(ws.pack(v_m, v_f))
+    return tuple(None if window is None else Field2D(grid, g)
+                 for window, g in zip(control_windows(geom), gradient))
 
 
 def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
@@ -329,12 +322,11 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     )
 
 
-def target_reached(mode, target_norm, m_norm, f_norm):
-    if mode is ControlMode.MALE_ONLY:
-        return m_norm <= target_norm
-    if mode is ControlMode.FEMALE_ONLY:
-        return f_norm <= target_norm
-    return m_norm <= target_norm and f_norm <= target_norm
+def target_reached(grid, geom, target_norm, m_norm, f_norm):
+    """True when the norm of every slot ``terminal_weights`` targets is at
+    most ``target_norm``."""
+    return all(norm <= target_norm for w, norm
+               in zip(terminal_weights(grid, geom), (m_norm, f_norm)) if w is not None)
 
 
 def stage_entry(result):
@@ -363,7 +355,7 @@ def synthesize_null_control(problem, model, grid, geom, trace, m0, f0):
                                   epsilon=eps, theta=eps, operator=operator)
         history.append(stage_entry(result))
         result.stage_history = history
-        if target_reached(geom.mode, problem.target_norm,
+        if target_reached(grid, geom, problem.target_norm,
                           result.terminal_m_norm, result.terminal_f_norm):
             return result
     result.flags.append(FLAG_TARGET_NOT_REACHED)

@@ -135,7 +135,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
         history[-1]["nonlinear_m_norm"] = m_norm
         history[-1]["nonlinear_f_norm"] = f_norm
         converged_all = True
-        if target_reached(geom.mode, problem.target_norm, m_norm, f_norm):
+        if target_reached(grid, geom, problem.target_norm, m_norm, f_norm):
             break
     else:
         if converged_all:

@@ -68,32 +68,40 @@ class StateSolution:
     frozen_trace: np.ndarray = None  # trace the fertility was evaluated at, None if nonlinear
 
 
+def control_windows(geom):
+    """The (male, female) control windows of the geometry's mode; None for a
+    sex the mode leaves uncontrolled.  A male-only control acts on
+    (0, male_window[1])."""
+    if geom.mode is ControlMode.MALE_ONLY:
+        return (0.0, geom.male_window[1]), None
+    if geom.mode is ControlMode.FEMALE_ONLY:
+        return None, geom.female_window
+    return geom.male_window, geom.female_window
+
+
 def control_masks(grid, geom):
-    """Nodal region masks for the (male, female) control supports of the mode."""
-    male = female = None
-    if geom.mode is ControlMode.BOTH:
-        male = region_mask(grid, *geom.male_window)
-        female = region_mask(grid, *geom.female_window)
-    elif geom.mode is ControlMode.MALE_ONLY:
-        male = region_mask(grid, 0.0, geom.male_window[1])
-    elif geom.mode is ControlMode.FEMALE_ONLY:
-        female = region_mask(grid, *geom.female_window)
-    zero = np.zeros(grid.num_age_cells + 1)
-    return (male if male is not None else zero, female if female is not None else zero)
+    """Nodal region masks of the (male, female) ``control_windows``; zero for
+    an uncontrolled sex."""
+    return tuple(np.zeros(grid.num_age_cells + 1) if window is None
+                 else region_mask(grid, *window) for window in control_windows(geom))
 
 
 def terminal_weights(grid, geom):
-    """Quadratic-form weights of the terminal penalty terms (W_m, W_f)."""
+    """Quadratic-form weights (W_m, W_f) of the targeted terminal entries.
+
+    None marks a slot the mode does not target.  A male-only target leaves
+    out the ages below ``target_min_age``, and the node at it (within the
+    grid tolerance) has half weight.  The penalty, the reported norms and
+    the observability forms and probes all read their terminal entries here.
+    """
     wa = grid.age_weights()
-    if geom.mode is ControlMode.BOTH:
-        return wa, wa
     if geom.mode is ControlMode.MALE_ONLY:
         if geom.target_min_age > 0:
-            wm = grid.step * region_mask(grid, geom.target_min_age, grid.max_age)
-        else:
-            wm = wa
-        return wm, None
-    return None, wa
+            return grid.step * region_mask(grid, geom.target_min_age, grid.max_age), None
+        return wa, None
+    if geom.mode is ControlMode.FEMALE_ONLY:
+        return None, wa
+    return wa, wa
 
 
 def _as_profile(values, grid, name):

@@ -95,10 +95,6 @@ class Field2D:
     values: np.ndarray
 
     @staticmethod
-    def zeros(grid):
-        return Field2D(grid, np.zeros((grid.num_age_cells + 1, grid.num_time_cells + 1)))
-
-    @staticmethod
     def from_values(grid, values):
         values = np.asarray(values, dtype=float)
         expected = (grid.num_age_cells + 1, grid.num_time_cells + 1)

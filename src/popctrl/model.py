@@ -167,8 +167,8 @@ class DemographicModel:
 
     last_cell_survival is the survival ratio assigned to the final age cell;
     the default 0 reproduces "nobody outlives the maximal age" without a
-    singular mortality rate.  quad_intervals sets the cumulative mortality
-    table resolution; the default keeps survival quadrature at least four
+    singular mortality rate.  The cumulative mortality table has
+    ``DEFAULT_QUAD_INTERVALS`` cells, so survival quadrature is at least four
     times finer than any solver grid with up to 2048 age cells.
     """
 
@@ -180,7 +180,6 @@ class DemographicModel:
     fertility_onset: float
     max_age: float
     last_cell_survival: float = 0.0
-    quad_intervals: int = DEFAULT_QUAD_INTERVALS
     _mortality_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _mortality_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                             repr=False, compare=False)
@@ -194,8 +193,6 @@ class DemographicModel:
             raise ConfigurationError("fertility_onset must lie strictly inside (0, max_age)")
         if not (0.0 <= self.last_cell_survival <= 1.0):
             raise ConfigurationError("last_cell_survival must lie in [0, 1]")
-        if self.quad_intervals < 4:
-            raise ConfigurationError("quad_intervals must be at least 4")
 
     def _cumulative_mortality(self, which):
         table = self._mortality_tables.get(which)
@@ -211,7 +208,7 @@ class DemographicModel:
 
     def _mortality_table(self, which):
         rate = self.male_mortality if which == "male" else self.female_mortality
-        ages = np.linspace(0.0, self.max_age, self.quad_intervals + 1)
+        ages = np.linspace(0.0, self.max_age, DEFAULT_QUAD_INTERVALS + 1)
         try:
             values = rate(ages)
         except Exception as exc:
@@ -239,19 +236,17 @@ class DemographicModel:
                             - self.mortality_integral(which, a_hi)))
 
 
-def survival_ratio(mu, a_lo, a_hi, intervals=None):
+def survival_ratio(mu, a_lo, a_hi):
     """Standalone survival ratio for an arbitrary rate callable.
 
-    Composite trapezoid over (a_lo, a_hi); the resolution defaults to a
-    fixed fine subdivision so nested intervals compose to within quadrature
-    tolerance.
+    Composite trapezoid over (a_lo, a_hi) on a fixed fine subdivision, so
+    nested intervals compose to within quadrature tolerance.
     """
     if a_lo > a_hi:
         raise DomainError(f"survival_ratio: a_lo={a_lo} exceeds a_hi={a_hi}")
     if a_lo == a_hi:
         return 1.0
-    if intervals is None:
-        intervals = max(64, int(np.ceil((a_hi - a_lo) * 4096)))
+    intervals = max(64, int(np.ceil((a_hi - a_lo) * 4096)))
     ages = np.linspace(a_lo, a_hi, intervals + 1)
     values = np.asarray(mu(ages), dtype=float)
     h = ages[1] - ages[0]
@@ -335,9 +330,6 @@ class ValidationReport:
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
     def summary_lines(self):
         lines = []
         for c in self.checks:
@@ -349,17 +341,17 @@ class ValidationReport:
         return lines
 
 
-def validate_hypotheses(model, geom, *, age_samples=513, p_max=10.0, p_samples=41,
-                        fixed_point_driver=True):
+def validate_hypotheses(model, geom):
     """Check the demographic hypotheses and geometry conditions by sampling.
 
-    Returns a report with one entry per condition and the witnessing sample
-    point for failures; never raises for a failed hypothesis, only for
-    non-evaluable rate functions.
+    Ages are sampled at 513 points of [0, A], male levels at 41 points of
+    [0, 10].  Returns a report with one entry per condition and the
+    witnessing sample point for failures; never raises for a failed
+    hypothesis, only for non-evaluable rate functions.
     """
     A = model.max_age
-    ages = np.linspace(0.0, A, age_samples)
-    ps = np.linspace(0.0, p_max, p_samples)
+    ages = np.linspace(0.0, A, 513)
+    ps = np.linspace(0.0, 10.0, 41)
     checks = []
 
     def eval_or_raise(name, fn, *args):
@@ -383,7 +375,7 @@ def validate_hypotheses(model, geom, *, age_samples=513, p_max=10.0, p_samples=4
     checks.append(CheckResult("H1: female mortality nonnegative", not bad.any(),
                               witness(bad, mu_f, "mu_f") if bad.any() else ""))
 
-    beta_all = np.empty((p_samples, age_samples))
+    beta_all = np.empty((ps.size, ages.size))
     for k, p in enumerate(ps):
         beta_all[k] = eval_or_raise("fertility", model.fertility, ages, p)
     bad = beta_all < 0
@@ -423,14 +415,13 @@ def validate_hypotheses(model, geom, *, age_samples=513, p_max=10.0, p_samples=4
     checks.append(CheckResult("H4: weight*mortality integrable (finite quadrature)",
                               bool(finite), "" if finite else "non-finite integral"))
 
-    if fixed_point_driver:
-        ends_ok = abs(float(model.male_fertility_weight(0.0))) <= 1e-12 and \
-            abs(float(model.male_fertility_weight(A))) <= 1e-12
-        checks.append(CheckResult("fixed point driver: weight vanishes at ages 0 and A",
-                                  ends_ok,
-                                  "" if ends_ok else
-                                  f"weight(0)={model.male_fertility_weight(0.0):.6g}, "
-                                  f"weight(A)={model.male_fertility_weight(A):.6g}"))
+    ends_ok = abs(float(model.male_fertility_weight(0.0))) <= 1e-12 and \
+        abs(float(model.male_fertility_weight(A))) <= 1e-12
+    checks.append(CheckResult("fixed point driver: weight vanishes at ages 0 and A",
+                              ends_ok,
+                              "" if ends_ok else
+                              f"weight(0)={model.male_fertility_weight(0.0):.6g}, "
+                              f"weight(A)={model.male_fertility_weight(A):.6g}"))
 
     if model.fertility.separable and model.fertility.response_lipschitz is not None:
         resp = model.fertility.response

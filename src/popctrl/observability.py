@@ -5,9 +5,10 @@ random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
 Gramians of the frozen-trace operator (`FrozenOperator.gramians`, built
-together) on the live terminal entries, scaled by the terminal weights and
-kept in the operator's block form: a dense block on the young terminal
-ages, a diagonal on the older spikes and the cross block between them.
+together) on the targeted terminal entries, scaled by the trapezoid
+weights and kept in the operator's block form: a dense block on the young
+terminal ages, a diagonal on the older spikes and the cross block between
+them.
 The power iteration applies the denominator's pseudo-inverse and takes its
 null directions from ``GramianBlocks.pseudo_inverse``, which eliminates the
 spike diagonal; this module keeps the policy: the start, the steps and the
@@ -19,6 +20,12 @@ trace-independent tables.  A zero denominator with nonzero numerator is
 reported as the infinity sentinel: violated observability is a first-class
 outcome that certifies the time condition in the discrete model, not a
 numerical overflow.
+
+The geometry's mode reaches this module only through ``forward``'s rules:
+the targeted entries are the nonzero ``terminal_weights`` (the node at a
+male-only ``target_min_age`` included), and they give the forms' basis,
+the probes' support and the cone probe's tail, once per estimate; the
+cone probe's male window is that of ``control_windows``.
 """
 
 import math
@@ -28,7 +35,7 @@ import numpy as np
 
 from .adjoint import _terminal_data
 from .errors import DomainError
-from .forward import FrozenOperator, control_masks
+from .forward import FrozenOperator, control_masks, control_windows, terminal_weights
 from .grid import lattice_inner
 from .model import ControlMode
 
@@ -106,52 +113,44 @@ def observability_ratio(model, grid, geom, n_T, l_T, trace):
     scale = float(np.max(np.abs(n_arr))) + float(np.max(np.abs(l_arr)))
     if scale == 0.0:
         raise DomainError("observability_ratio: terminal data must not vanish")
-    q_m, q_f = _terminal_data(grid, n_arr, l_arr, geom.mode)
+    q_m, q_f = _terminal_data(grid, geom, n_arr, l_arr)
     op = FrozenOperator(model, grid, geom, trace)
     return _quotients(op, q_m[:, None], q_f[:, None])[0]
 
 
-def _probe_data(rng, grid, geom):
-    na = grid.num_age_cells
-    mode = geom.mode
-    n_T = rng.standard_normal(na + 1)
-    l_T = rng.standard_normal(na + 1)
-    if mode is ControlMode.MALE_ONLY:
-        l_T = np.zeros(na + 1)
-        if geom.target_min_age > 0:
-            n_T = n_T.copy()
-            n_T[grid.ages() < geom.target_min_age] = 0.0
-    elif mode is ControlMode.FEMALE_ONLY:
-        n_T = np.zeros(na + 1)
-    return n_T, l_T
+def _targeted_entries(grid, geom):
+    """Stacked mask (male 0..N, female N+1..2N+1) of the targeted terminal
+    entries: those of nonzero ``terminal_weights``."""
+    zero = np.zeros(grid.num_age_cells + 1)
+    weights = [zero if w is None else w for w in terminal_weights(grid, geom)]
+    return np.concatenate(weights) > 0
 
 
-def _terminal_basis(grid, geom):
-    """Stacked indices (male 0..N, female N+1..2N+1) of the live terminal entries."""
-    size = grid.num_age_cells + 1
-    if geom.mode is ControlMode.MALE_ONLY:
-        return np.nonzero(grid.ages() >= geom.target_min_age)[0]
-    if geom.mode is ControlMode.FEMALE_ONLY:
-        return np.arange(size, 2 * size)
-    return np.arange(2 * size)
+def _probe_data(rngs, targeted):
+    """One standard normal stacked terminal datum per generator, male slot
+    drawn first, zero off the ``targeted`` entries."""
+    size = targeted.size // 2
+    return [np.where(targeted, np.concatenate([rng.standard_normal(size),
+                                               rng.standard_normal(size)]), 0.0)
+            for rng in rngs]
 
 
-def _quadratic_forms(op):
-    """The (numerator, denominator) forms on the live terminal basis, as
-    ``GramianBlocks``.
+def _quadratic_forms(op, live):
+    """The (numerator, denominator) forms on the basis of the sorted stacked
+    entries ``live``, as ``GramianBlocks``.
 
     Basis vector p is the terminal datum whose stacked entry p is 1, so its
     work vector is theta_p times a unit vector and the forms are the
     operator's initial and control Gramians scaled by theta_p theta_q.
     """
-    live = _terminal_basis(op.grid, op.geom)
     theta = np.tile(op.wa / op.grid.step, 2)[live]
     control, initial = op.gramians()
     return initial.restrict(live, theta), control.restrict(live, theta)
 
 
-def _power_iteration(op, iters):
-    """Generalized Rayleigh maximization on the (numerator, denominator) forms.
+def _power_iteration(op, iters, live):
+    """Generalized Rayleigh maximization on the (numerator, denominator) forms
+    of ``_quadratic_forms`` on the stacked entries ``live``.
 
     Terminal directions invisible from the control regions but carrying
     initial energy make the quotient unbounded and are detected from the
@@ -163,7 +162,7 @@ def _power_iteration(op, iters):
     ``GramianBlocks.pseudo_inverse`` of the denominator, so D stays in block
     form.
     """
-    num, den = _quadratic_forms(op)
+    num, den = _quadratic_forms(op, live)
     solve, null_dense, null_spike, dead = den.pseudo_inverse()
     num_scale = max(num.max_abs(), 1e-300)
     null_energy = np.r_[num.quadratic(null_dense, null_spike)
@@ -206,27 +205,25 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
     if probes < 1:
         raise DomainError("probes must be >= 1")
 
-    seeds = [seed + 1000 * k for k in range(probes)]
-    # deterministic cone-concentrated probes expose unobserved directions
-    # that diffuse random data would average away
-    cone = unreachable_from_window(grid, geom.male_window
-                                   if geom.mode is not ControlMode.MALE_ONLY
-                                   else (0.0, geom.male_window[1]), geom.horizon)
-    cone_live = cone & (grid.ages() >= geom.horizon)
-    if geom.mode is ControlMode.MALE_ONLY and geom.target_min_age > 0:
-        cone_live &= grid.ages() >= geom.target_min_age
+    targeted = _targeted_entries(grid, geom)
+    live = np.flatnonzero(targeted)
+    data = _probe_data([np.random.default_rng(seed + 1000 * k) for k in range(probes)],
+                       targeted)
+    # a deterministic probe concentrated on the targeted male tail that the
+    # male window's characteristics miss exposes unobserved directions that
+    # diffuse random data would average away
+    size = grid.num_age_cells + 1
+    cone = unreachable_from_window(grid, control_windows(geom)[0], geom.horizon)
+    cone &= (grid.ages() >= geom.horizon) & targeted[:size]
+    if np.any(cone):
+        rng = np.random.default_rng(seed + 99)
+        data.append(np.r_[np.where(cone, 1.0 + rng.random(size), 0.0), np.zeros(size)])
+    n_block, l_block = np.split(np.stack(data, axis=1), 2)
 
     estimates = []
     all_samples = []
     diverged = False
     power_best = None
-    data = [_probe_data(np.random.default_rng(s), grid, geom) for s in seeds]
-    if geom.mode is not ControlMode.FEMALE_ONLY and np.any(cone_live):
-        rng = np.random.default_rng(seed + 99)
-        n_T = np.where(cone_live, 1.0 + rng.random(cone_live.size), 0.0)
-        data.append((n_T, np.zeros_like(n_T)))
-    n_block = np.stack([n_T for n_T, _ in data], axis=1)
-    l_block = np.stack([l_T for _, l_T in data], axis=1)
 
     op = None
     for trace in traces:
@@ -244,7 +241,7 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
             diverged = True
         estimate = max(finite) if finite else INFINITE_QUOTIENT
         if power_iters > 0:
-            power = _power_iteration(op, power_iters)
+            power = _power_iteration(op, power_iters, live)
             if math.isfinite(power):
                 estimate = max(estimate, power)
                 power_best = power if power_best is None else max(power_best, power)
@@ -327,28 +324,23 @@ def unreachable_from_window(grid, window, horizon):
     return (ages <= lo + tol) | (ages - horizon >= hi - tol)
 
 
-def forced_terminal_mask(model, grid, geom, p_probes=(0.5, 1.0, 5.0)):
+def forced_terminal_mask(model, grid, geom):
     """Age nodes where the terminal male profile is control-independent.
 
     Computed from the discrete scheme itself: a terminal node is forced
     when every arrival node on its backward characteristic carries zero
     male-control mask weight, and it is not fed by the birth boundary (age
-    at least the horizon, or fertility identically zero, or no control can
-    shape the female population).  On the returned nodes the controlled
-    solve equals the uncontrolled one exactly, for every admissible
-    control.
+    at least the horizon, or fertility zero at the male levels 0.5, 1 and
+    5, or no female control window to shape the female population).  On
+    the returned nodes the controlled solve equals the uncontrolled one
+    exactly, for every admissible control.
     """
     ages = grid.ages()
-    mode = geom.mode
     mask_m, _ = control_masks(grid, geom)
     nt = grid.num_time_cells
 
-    beta_active = False
-    for p in p_probes:
-        if float(np.max(np.abs(model.fertility(ages, p)))) > 0:
-            beta_active = True
-            break
-    births_shapeable = beta_active and mode in (ControlMode.BOTH, ControlMode.FEMALE_ONLY)
+    births_shapeable = control_windows(geom)[1] is not None and any(
+        float(np.max(np.abs(model.fertility(ages, p)))) > 0 for p in (0.5, 1.0, 5.0))
 
     forced = np.zeros(ages.size, dtype=bool)
     for i in range(ages.size):

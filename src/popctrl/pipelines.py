@@ -9,6 +9,7 @@ across reruns of the same scenario and seed.
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ConfigurationError
 from .fixed_point import contraction_test, iterate_to_fixed_point
 from .forward import solve_forward
 from .grid import build_grid, write_field_csv
-from .model import ControlGeometry, validate_hypotheses
+from .model import validate_hypotheses
 from .observability import estimate_observability_constant
 from .util import write_json
 
@@ -57,12 +58,14 @@ def base_report(command, scenario, grid, seed, flags, scalars):
     }
 
 
-def _write_trace_csv(path, header, columns):
+def _write_csv(path, header, rows):
+    """A small CSV: floats through ``_fmt``, every other value as csv.writer
+    prints it."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def cmd_validate(scenario, outdir, seed, log):
@@ -87,8 +90,8 @@ def cmd_simulate(scenario, outdir, seed, log):
     state = solve_forward(scenario.model, grid, scenario.geometry, None, None, m0, f0)
     write_field_csv(os.path.join(outdir, "m.csv"), state.m)
     write_field_csv(os.path.join(outdir, "f.csv"), state.f)
-    _write_trace_csv(os.path.join(outdir, "traces.csv"), ["t", "M", "N"],
-                     [grid.times(), state.fertile_male_trace, state.birth_trace])
+    _write_csv(os.path.join(outdir, "traces.csv"), ["t", "M", "N"],
+               zip(grid.times(), state.fertile_male_trace, state.birth_trace))
     m_norm, f_norm = terminal_norms(grid, scenario.geometry, state.m.values[:, -1],
                                     state.f.values[:, -1])
     scalars = {"terminal_m_norm": m_norm, "terminal_f_norm": f_norm}
@@ -106,12 +109,11 @@ def cmd_adjoint(scenario, outdir, seed, log):
     grid = make_grid(scenario)
     n_T, l_T = scenario.sample_terminal(grid)
     trace = uncontrolled_trace(scenario, grid)
-    adj = solve_adjoint(scenario.model, grid, scenario.geometry, n_T, l_T, trace,
-                        mode=scenario.geometry.mode)
+    adj = solve_adjoint(scenario.model, grid, scenario.geometry, n_T, l_T, trace)
     write_field_csv(os.path.join(outdir, "n.csv"), adj.n)
     write_field_csv(os.path.join(outdir, "l.csv"), adj.l)
-    _write_trace_csv(os.path.join(outdir, "traces.csv"), ["t", "n0", "l0"],
-                     [grid.times(), adj.n0_trace, adj.l0_trace])
+    _write_csv(os.path.join(outdir, "traces.csv"), ["t", "n0", "l0"],
+               zip(grid.times(), adj.n0_trace, adj.l0_trace))
     wa = grid.age_weights()
     scalars = {
         "initial_n_norm": float(np.sqrt(wa @ adj.n.values[:, 0] ** 2)),
@@ -162,14 +164,9 @@ def cmd_solve(scenario, outdir, seed, log):
     write_field_csv(os.path.join(outdir, "v_f.csv"), result.v_f)
     write_field_csv(os.path.join(outdir, "m.csv"), nonlinear.m)
     write_field_csv(os.path.join(outdir, "f.csv"), nonlinear.f)
-    with open(os.path.join(outdir, "history.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epsilon", "iteration", "delta", "terminal_m_norm",
-                         "terminal_f_norm"])
-        for entry in fp_state.history:
-            writer.writerow([_fmt(entry["epsilon"]), entry["iteration"],
-                             _fmt(entry["delta"]), _fmt(entry["terminal_m_norm"]),
-                             _fmt(entry["terminal_f_norm"])])
+    columns = ["epsilon", "iteration", "delta", "terminal_m_norm", "terminal_f_norm"]
+    _write_csv(os.path.join(outdir, "history.csv"), columns,
+               ([entry[c] for c in columns] for entry in fp_state.history))
     m_norm, f_norm = terminal_norms(grid, scenario.geometry, nonlinear.m.values[:, -1],
                                     nonlinear.f.values[:, -1])
     scalars = _control_scalars(result)
@@ -190,7 +187,7 @@ def cmd_solve(scenario, outdir, seed, log):
 def cmd_contraction(scenario, outdir, seed, log):
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
-    cfg = scenario.contraction or {"trials": 50, "amplitude": 1.0}
+    cfg = scenario.contraction
     report = contraction_test(scenario.model, grid, m0, f0, trials=cfg["trials"],
                               seed=seed, amplitude=cfg["amplitude"])
     passed = report.max_ratio <= report.bound
@@ -199,8 +196,8 @@ def cmd_contraction(scenario, outdir, seed, log):
                           {"max_ratio": report.max_ratio, "bound": report.bound,
                            "sigma_hat": report.sigma_hat, "trials": report.trials})
     write_json(os.path.join(outdir, "report.json"), payload)
-    _write_trace_csv(os.path.join(outdir, "ratios.csv"), ["trial", "ratio"],
-                     [list(range(len(report.ratios))), report.ratios])
+    _write_csv(os.path.join(outdir, "ratios.csv"), ["trial", "ratio"],
+               enumerate(report.ratios))
     log(f"contraction: max ratio {report.max_ratio:.6g} vs bound {report.bound:.6g}")
     return 0 if passed else 1
 
@@ -217,11 +214,6 @@ def _observability_traces(scenario, grid, count):
 
 def cmd_observability(scenario, outdir, seed, log):
     cfg = scenario.observability
-    if cfg is None:
-        geometry = scenario.geometry
-        cfg = {"horizons": [geometry.horizon], "male_lo": [geometry.male_window[0]],
-               "male_hi": [geometry.male_window[1]], "probes": 16, "power_iters": 0,
-               "num_traces": 3}
     windows = [(lo, hi) for lo in cfg["male_lo"] for hi in cfg["male_hi"] if lo < hi]
     rows = []
     for horizon in cfg["horizons"]:
@@ -232,21 +224,14 @@ def cmd_observability(scenario, outdir, seed, log):
         # depend on the control window: one set serves every window
         traces = _observability_traces(scenario, grid, cfg["num_traces"])
         for lo, hi in windows:
-            geom = ControlGeometry(
-                male_window=(lo, hi), female_window=scenario.geometry.female_window,
-                horizon=horizon, target_min_age=scenario.geometry.target_min_age,
-                mode=scenario.geometry.mode)
+            geom = replace(scenario.geometry, male_window=(lo, hi), horizon=horizon)
             report = estimate_observability_constant(
                 scenario.model, grid, geom, traces, probes=cfg["probes"],
                 power_iters=cfg["power_iters"], seed=seed)
             rows.append([horizon, lo, hi, report.threshold_margin,
-                         report.estimated_constant, report.diverged])
-    with open(os.path.join(outdir, "observability.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["T", "a1", "a2", "margin", "estimate", "diverged_flag"])
-        for row in rows:
-            writer.writerow([_fmt(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(row[3]),
-                             _fmt(row[4]), int(row[5])])
+                         report.estimated_constant, int(report.diverged)])
+    _write_csv(os.path.join(outdir, "observability.csv"),
+               ["T", "a1", "a2", "margin", "estimate", "diverged_flag"], rows)
     log(f"observability: {len(rows)} sweep points written")
     return 0
 
@@ -298,11 +283,8 @@ def cmd_sweep(sweep_spec, base_raw, outdir, seed, log):
         rows.append(list(combo) + [result.terminal_m_norm, result.terminal_f_norm,
                                    result.J_value, result.iterations, result.epsilon,
                                    len(result.stage_history), "|".join(result.flags)])
-    with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(paths + ["terminal_m_norm", "terminal_f_norm", "J_value",
-                                 "iterations", "epsilon", "stages", "flags"])
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    _write_csv(os.path.join(outdir, "sweep.csv"),
+               paths + ["terminal_m_norm", "terminal_f_norm", "J_value", "iterations",
+                        "epsilon", "stages", "flags"], rows)
     log(f"sweep: {len(rows)} combinations written")
     return 1 if any_flagged else 0

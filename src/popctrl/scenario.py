@@ -274,7 +274,6 @@ def parse_scenario(raw, *, source="scenario"):
         theta=_number(praw.get("theta"), "penalty.theta", default=1e-2, strict_min=0.0),
         target_norm=_number(praw.get("target_norm"), "penalty.target_norm",
                             default=1e-3, strict_min=0.0),
-        mode=mode,
         max_cg_iters=_integer(praw.get("max_cg_iters"), "penalty.max_cg_iters",
                               default=800, minimum=1),
         cg_tol=_number(praw.get("cg_tol"), "penalty.cg_tol", default=1e-9,
@@ -303,39 +302,36 @@ def parse_scenario(raw, *, source="scenario"):
     resolved["fixed_point"] = {"omega": fixed_point.omega, "fp_tol": fixed_point.fp_tol,
                                "max_outer_iters": fixed_point.max_outer_iters}
 
-    observability = None
-    if "observability" in raw:
-        oraw = _require_dict(raw["observability"], "observability")
-        _check_keys(oraw, "observability", required=(),
-                    optional=("horizons", "male_lo", "male_hi", "probes",
-                              "power_iters", "num_traces"))
-        observability = {
-            "horizons": [_number(v, "observability.horizons[]", strict_min=0.0)
-                         for v in oraw.get("horizons", [geometry.horizon])],
-            "male_lo": [_number(v, "observability.male_lo[]", minimum=0.0)
-                        for v in oraw.get("male_lo", [a1])],
-            "male_hi": [_number(v, "observability.male_hi[]", strict_min=0.0)
-                        for v in oraw.get("male_hi", [a2])],
-            "probes": _integer(oraw.get("probes"), "observability.probes",
-                               default=16, minimum=1),
-            "power_iters": _integer(oraw.get("power_iters"), "observability.power_iters",
-                                    default=0, minimum=0),
-            "num_traces": _integer(oraw.get("num_traces"), "observability.num_traces",
-                                   default=3, minimum=1),
-        }
-        resolved["observability"] = observability
-
-    contraction = None
-    if "contraction" in raw:
-        craw = _require_dict(raw["contraction"], "contraction")
-        _check_keys(craw, "contraction", required=(), optional=("trials", "amplitude"))
-        contraction = {
-            "trials": _integer(craw.get("trials"), "contraction.trials",
-                               default=50, minimum=1),
-            "amplitude": _number(craw.get("amplitude"), "contraction.amplitude",
-                                 default=1.0, strict_min=0.0),
-        }
-        resolved["contraction"] = contraction
+    # an absent section takes the defaults, and stays out of ``resolved`` so
+    # that the scenario hash does not move
+    oraw = _require_dict(raw.get("observability", {}), "observability")
+    _check_keys(oraw, "observability", required=(),
+                optional=("horizons", "male_lo", "male_hi", "probes",
+                          "power_iters", "num_traces"))
+    observability = {
+        "horizons": [_number(v, "observability.horizons[]", strict_min=0.0)
+                     for v in oraw.get("horizons", [geometry.horizon])],
+        "male_lo": [_number(v, "observability.male_lo[]", minimum=0.0)
+                    for v in oraw.get("male_lo", [a1])],
+        "male_hi": [_number(v, "observability.male_hi[]", strict_min=0.0)
+                    for v in oraw.get("male_hi", [a2])],
+        "probes": _integer(oraw.get("probes"), "observability.probes",
+                           default=16, minimum=1),
+        "power_iters": _integer(oraw.get("power_iters"), "observability.power_iters",
+                                default=0, minimum=0),
+        "num_traces": _integer(oraw.get("num_traces"), "observability.num_traces",
+                               default=3, minimum=1),
+    }
+    craw = _require_dict(raw.get("contraction", {}), "contraction")
+    _check_keys(craw, "contraction", required=(), optional=("trials", "amplitude"))
+    contraction = {
+        "trials": _integer(craw.get("trials"), "contraction.trials", default=50, minimum=1),
+        "amplitude": _number(craw.get("amplitude"), "contraction.amplitude",
+                             default=1.0, strict_min=0.0),
+    }
+    for section, config in (("observability", observability), ("contraction", contraction)):
+        if section in raw:
+            resolved[section] = config
 
     output_dir = "."
     quiet = False

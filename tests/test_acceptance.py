@@ -109,8 +109,7 @@ def test_criterion_3_gradient_exactness():
         f0 = r.random(grid.num_age_cells + 1)
         trace = r.random(grid.num_time_cells + 1)
         problem = PenaltyProblem(epsilon=10 ** r.uniform(-3, -1),
-                                 theta=10 ** r.uniform(-3, -1),
-                                 mode=ControlMode.BOTH)
+                                 theta=10 ** r.uniform(-3, -1))
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
         x, d = random_control(ws, r), random_control(ws, r)
         norm = np.sqrt(ws.inner(d, d))
@@ -128,7 +127,7 @@ def test_criterion_3_gradient_exactness():
 def test_criterion_4_epsilon_scaling():
     model, geom, grid, m0, f0 = _scenario()
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
                              max_cg_iters=6000, cg_tol=1e-10)
     ratios_m, ratios_f = [], []
     for eps in (1e-2, 1e-3, 1e-4):
@@ -148,7 +147,7 @@ def test_criterion_5_null_control_success():
     kappa = _kappa(grid, m0, f0)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                             mode=ControlMode.BOTH, max_cg_iters=6000, cg_tol=1e-10)
+                             max_cg_iters=6000, cg_tol=1e-10)
     result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (FLAG_TARGET_NOT_REACHED not in result.flags
           and result.terminal_m_norm <= kappa and result.terminal_f_norm <= kappa)
@@ -179,7 +178,7 @@ def test_criterion_6_time_condition_sharpness():
     assert measure > 0.0, "unreachable cone has measure zero"
     w_cone = grid.age_weights() * cone
     floor = np.sqrt(float(w_cone @ uncontrolled.m.values[:, -1] ** 2))
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
                              max_cg_iters=6000, cg_tol=1e-10)
     for eps in problem.schedule.values():
         result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
@@ -203,8 +202,7 @@ def test_criterion_7_male_only_control():
     m0, f0 = reference_data(grid)
     kappa = _kappa(grid, m0, f0)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                             mode=ControlMode.MALE_ONLY, max_cg_iters=6000,
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa, max_cg_iters=6000,
                              cg_tol=1e-10)
     result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (result.terminal_m_norm <= kappa
@@ -247,7 +245,7 @@ def test_criterion_10_fixed_point_convergence():
     model, geom, grid, m0, f0 = _scenario()
     kappa = _kappa(grid, m0, f0)
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                             mode=ControlMode.BOTH, max_cg_iters=6000, cg_tol=1e-9)
+                             max_cg_iters=6000, cg_tol=1e-9)
     fp = FixedPointConfig(omega=0.5, fp_tol=1e-4, max_outer_iters=40)
     state, result, nonlinear = iterate_to_fixed_point(model, grid, geom, problem,
                                                       fp, m0, f0)

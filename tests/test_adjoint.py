@@ -110,10 +110,10 @@ def test_mode_variants_force_terminal_slots(model, grid):
     data = rng.standard_normal(grid.num_age_cells + 1)
     with pytest.raises(ConsistencyError):
         solve_adjoint(model, grid, geom_m, data, data,
-                      np.zeros(grid.num_time_cells + 1), mode=ControlMode.MALE_ONLY)
+                      np.zeros(grid.num_time_cells + 1))
     geom_f = reference_geometry(horizon=0.35, mode=ControlMode.FEMALE_ONLY)
     adj = solve_adjoint(model, grid, geom_f, None, data,
-                        np.zeros(grid.num_time_cells + 1), mode=ControlMode.FEMALE_ONLY)
+                        np.zeros(grid.num_time_cells + 1))
     assert np.all(adj.n.values == 0.0)
 
 

@@ -107,7 +107,7 @@ def test_observe_matches_the_step_loop(mode, model_name, horizon, step):
     # penalty stage's own control
     model = MODELS[model_name]()
     op, m0, f0 = _operator(model, mode, horizon, step)
-    stage = minimize_penalty(PenaltyProblem(mode=mode), model, op.grid, op.geom, op.trace,
+    stage = minimize_penalty(PenaltyProblem(), model, op.grid, op.geom, op.trace,
                              m0, f0, epsilon=1e-3, theta=1e-3, operator=op)
     controls = [_random_controls(op.grid, np.random.default_rng(9)),
                 (stage.v_m.values, stage.v_f.values)]
@@ -135,7 +135,7 @@ def test_duality_between_the_closed_forms(mode, model_name, horizon):
     # <L* u, x> = h u . L x with L from observe and L* from adjoint_images
     model = MODELS[model_name]()
     op, m0, f0 = _operator(model, mode, horizon, 1.0 / 64)
-    ws = _Workspace(PenaltyProblem(mode=mode), model, op.grid, op.geom, op.trace, m0, f0,
+    ws = _Workspace(PenaltyProblem(), model, op.grid, op.geom, op.trace, m0, f0,
                     operator=op)
     r = np.random.default_rng(17)
     x = [np.where(support, v, 0.0)
@@ -191,7 +191,7 @@ def test_duality_between_step_loop_and_closed_form_adjoint(mode, model_name, hor
     l_T = r.standard_normal(na + 1) if mode is not ControlMode.MALE_ONLY else None
     trace = 2.0 * r.random(nt + 1)
     state = solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=trace)
-    adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=mode)
+    adj = solve_adjoint(model, grid, geom, n_T, l_T, trace)
     zero = np.zeros(na + 1)
     residual, scale = duality_residual(state, adj, zero if n_T is None else n_T,
                                        zero if l_T is None else l_T, m0, f0, v_m, v_f,

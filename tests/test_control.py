@@ -20,7 +20,7 @@ def setup():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
                              max_cg_iters=2000, cg_tol=1e-10)
     return model, geom, grid, m0, f0, trace, problem
 
@@ -33,16 +33,19 @@ def setup():
     lambda: EpsilonSchedule(ratio=np.inf),
     lambda: EpsilonSchedule(ratio=np.nan),
     lambda: EpsilonSchedule(stages=0),
+    lambda: PenaltyProblem(theta=0.0),
+    lambda: PenaltyProblem(theta=np.nan),
     lambda: PenaltyProblem(max_cg_iters=0),
     lambda: PenaltyProblem(cg_tol=0.0),
     lambda: PenaltyProblem(cg_tol=np.inf),
     lambda: PenaltyProblem(cg_tol=np.nan),
 ], ids=["start", "start-inf", "start-nan", "ratio", "ratio-inf", "ratio-nan", "stages",
-        "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
+        "theta", "theta-nan", "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
 def test_library_config_rejects_what_the_scenario_parser_rejects(make):
     # the same bounds as scenario.py: a schedule with no stage would return no
     # result, a zero solve cap the zero control, a zero tolerance every solve;
-    # the parser rejects every non-finite number
+    # theta is checked whatever the geometry's mode; the parser rejects every
+    # non-finite number
     with pytest.raises(ConfigurationError):
         make()
 
@@ -126,7 +129,7 @@ class TestGradient:
         grid = build_grid(1.0, 1.0, 1.0 / 8)
         m0, f0 = reference_data(grid)
         trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-        problem = PenaltyProblem(epsilon=1e-2, theta=2e-3, mode=ControlMode.BOTH)
+        problem = PenaltyProblem(epsilon=1e-2, theta=2e-3)
         ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
 
         sizes = [int(s.sum()) for s in ws.support]
@@ -225,7 +228,7 @@ class TestMinimize:
     def test_iteration_cap_flags(self, setup, max_cg_iters):
         # no solve gets the gradient below rounding level, so the cap ends the stage
         model, geom, grid, m0, f0, trace, problem = setup
-        capped = PenaltyProblem(epsilon=1e-4, theta=1e-4, mode=ControlMode.BOTH,
+        capped = PenaltyProblem(epsilon=1e-4, theta=1e-4,
                                 max_cg_iters=max_cg_iters, cg_tol=1e-18)
         result = minimize_penalty(capped, model, grid, geom, trace, m0, f0)
         assert not result.converged
@@ -252,8 +255,7 @@ class TestMinimize:
 class TestSynthesize:
     def test_large_target_succeeds_immediately(self, setup):
         model, geom, grid, m0, f0, trace, _ = setup
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=10.0,
-                                 mode=ControlMode.BOTH)
+        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=10.0)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert not result.flags
         assert len(result.stage_history) == 1
@@ -263,7 +265,7 @@ class TestSynthesize:
         wa = grid.age_weights()
         kappa = 1e-3 * (np.sqrt(wa @ m0 ** 2) + np.sqrt(wa @ f0 ** 2))
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 mode=ControlMode.BOTH, max_cg_iters=4000,
+                                 max_cg_iters=4000,
                                  cg_tol=1e-10)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert FLAG_TARGET_NOT_REACHED not in result.flags
@@ -278,7 +280,7 @@ class TestSynthesize:
         grid = build_grid(1.0, 0.15, 1.0 / 32)
         m0, f0 = reference_data(grid)
         trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-        problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.MALE_ONLY,
+        problem = PenaltyProblem(epsilon=1e-3, theta=1e-3,
                                  max_cg_iters=2000, cg_tol=1e-10)
         result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
         assert np.all(result.v_f.values == 0.0)
@@ -301,7 +303,7 @@ class TestSynthesize:
         kappa = 1e-3 * float(np.sqrt(grid.age_weights() @ f0 ** 2))
         trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 mode=ControlMode.FEMALE_ONLY, max_cg_iters=4000,
+                                 max_cg_iters=4000,
                                  cg_tol=1e-10)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert np.all(result.v_m.values == 0.0)
@@ -325,7 +327,7 @@ class TestSynthesize:
         w_cone = grid.age_weights() * cone
         floor = np.sqrt(float(w_cone @ uncontrolled.m.values[:, -1] ** 2))
         assert float(w_cone.sum()) > 0 and floor > 0
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, mode=ControlMode.BOTH,
+        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
                                  max_cg_iters=3000, cg_tol=1e-10)
         for eps in (1e-2, 1e-3, 1e-4):
             result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,

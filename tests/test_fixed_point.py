@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from popctrl import (ControlMode, FixedPointConfig, PenaltyProblem, build_grid,
-                     contraction_test, iterate_to_fixed_point, trace_map)
+from popctrl import (FixedPointConfig, PenaltyProblem, build_grid, contraction_test,
+                     iterate_to_fixed_point, trace_map)
 from popctrl.errors import ConfigurationError
 from popctrl.fixed_point import trace_norm
 from popctrl.model import DemographicModel, Fertility, RateFunction
@@ -17,7 +17,7 @@ def setup():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3,
-                             mode=ControlMode.BOTH, max_cg_iters=3000, cg_tol=1e-9)
+                             max_cg_iters=3000, cg_tol=1e-9)
     return model, geom, grid, m0, f0, problem
 
 
@@ -79,7 +79,7 @@ class TestIteration:
         wa = grid.age_weights()
         kappa = 1e-3 * (np.sqrt(wa @ m0 ** 2) + np.sqrt(wa @ f0 ** 2))
         problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 mode=ControlMode.BOTH, max_cg_iters=3000,
+                                 max_cg_iters=3000,
                                  cg_tol=1e-9)
         fp = FixedPointConfig(omega=0.5, fp_tol=1e-4, max_outer_iters=40)
         state, result, nonlinear = iterate_to_fixed_point(model, grid, geom, problem,

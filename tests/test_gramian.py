@@ -116,7 +116,7 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     grid = build_grid(1.0, horizon, 1.0 / 16)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=mode)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     gram, initial = ws.op.gramians()
     _check_gramians(ws)
@@ -144,7 +144,7 @@ def test_birth_source_split_matches_pairwise_adjoint_images(mode, target_min_age
     grid = build_grid(1.0, horizon, 1.0 / 16)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    ws = _Workspace(PenaltyProblem(mode=mode), model, grid, geom, trace, m0, f0)
+    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
     _check_gramians(ws)
 
 
@@ -179,7 +179,7 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(mode=mode, max_cg_iters=2000, cg_tol=1e-10)
+    problem = PenaltyProblem(max_cg_iters=2000, cg_tol=1e-10)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                               epsilon=eps, theta=eps)
     assert result.converged and result.iterations == 1
@@ -213,7 +213,7 @@ def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     operator = FrozenOperator(model, grid, geom, trace)
-    problem = PenaltyProblem(mode=mode, max_cg_iters=4000, cg_tol=1e-9)
+    problem = PenaltyProblem(max_cg_iters=4000, cg_tol=1e-9)
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
         result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
                                   epsilon=eps, theta=eps, operator=operator)

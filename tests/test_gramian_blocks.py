@@ -9,7 +9,7 @@ from popctrl import ControlMode
 from popctrl import observability as obs
 
 from conftest import expr_fertility_model, reference_model
-from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator
+from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator, live_entries
 
 
 @pytest.mark.parametrize("horizon", [0.35, 1.0])
@@ -63,7 +63,7 @@ def test_pseudo_inverse_and_null_directions_match_the_matrix(make_model, mode,
     for horizon in (0.35, 1.0):
         op = _operator(make_model, mode, target_min_age, horizon, 1.0 / 32)
         assert _check_pseudo_inverse(op.control_gramian()) >= 2
-        _check_pseudo_inverse(obs._quadratic_forms(op)[1])
+        _check_pseudo_inverse(obs._quadratic_forms(op, live_entries(op))[1])
 
 
 def _live_counts(den, null_cut):
@@ -83,7 +83,7 @@ def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_ag
     for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
         for h in (1.0 / 32, 1.0 / 64):
             op = _operator(make_model, mode, target_min_age, horizon, h)
-            _, den = obs._quadratic_forms(op)
+            _, den = obs._quadratic_forms(op, live_entries(op))
             top = max(float(np.max(den.diag, initial=0.0)),
                       float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
             eigen_cut = 1e-12 * max(top, 1e-300)

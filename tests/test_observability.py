@@ -7,7 +7,9 @@ from popctrl import (ControlGeometry, ControlMode, build_grid,
                      estimate_observability_constant, forced_terminal_mask,
                      observability_ratio, solve_forward, threshold_margins,
                      unreachable_from_window)
+from popctrl import observability as obs
 from popctrl.errors import DomainError
+from popctrl.forward import GramianBlocks, terminal_weights
 from popctrl.observability import forced_set_measure
 
 from conftest import reference_data, reference_geometry, reference_model
@@ -181,3 +183,44 @@ class TestCones:
         # swept window are forced
         ages = grid.ages()
         assert np.all(mask[ages >= 0.5 + 0.2 + grid.step])
+
+
+def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypatch):
+    # at h = 1/140 node 14 sits at age 0.09999999999999999, the boundary of a
+    # male-only target from age 0.1, which the penalty weighs h/2.  The
+    # forms' basis, the probes' support and the cone probe's tail are the
+    # nonzero terminal weights, that node included.  A male window ending at
+    # 0.05 with horizon 0.05 leaves the whole targeted tail in the cone.
+    model = reference_model()
+    geom = ControlGeometry(male_window=(0.01, 0.05), female_window=(0.01, 0.95),
+                           horizon=0.05, target_min_age=0.1, mode=ControlMode.MALE_ONLY)
+    grid = build_grid(1.0, 0.05, 1.0 / 140)
+    w_m, w_f = terminal_weights(grid, geom)
+    assert w_f is None and grid.ages()[14] < 0.1 and w_m[14] == grid.step / 2
+    targeted = np.flatnonzero(w_m)
+    assert targeted[0] == 14 and targeted[-1] == grid.num_age_cells
+
+    seen = {"basis": []}
+    quotients, restrict = obs._gramian_quotients, GramianBlocks.restrict
+
+    def probes(op, n_T, l_T):
+        seen["probes"] = n_T, l_T
+        return quotients(op, n_T, l_T)
+
+    def basis(blocks, live, scale):
+        seen["basis"].append(live)
+        return restrict(blocks, live, scale)
+
+    monkeypatch.setattr(obs, "_gramian_quotients", probes)
+    monkeypatch.setattr(GramianBlocks, "restrict", basis)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    estimate_observability_constant(model, grid, geom, [trace], probes=4, power_iters=2)
+    # the numerator and denominator forms
+    assert len(seen["basis"]) == 2
+    assert all(np.array_equal(live, targeted) for live in seen["basis"])
+    n_T, l_T = seen["probes"]
+    # four random probes, then the cone probe on the targeted tail
+    assert n_T.shape[1] == 5 and not np.any(l_T)
+    for column in n_T.T:
+        assert np.array_equal(np.flatnonzero(column), targeted)

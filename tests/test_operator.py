@@ -24,6 +24,7 @@ from popctrl.forward import FrozenOperator, GramianBlocks, StateSolution, contro
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
                       random_nonneg_model, reference_data, reference_model)
+from test_power_iteration import live_entries
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 
@@ -202,7 +203,7 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
             Field2D(grid, vf[..., c]), model, grid, geom)
         assert residual <= 1e-12 * scale
 
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
     x, d = random_control(ws, r), random_control(ws, r)
     norm = np.sqrt(ws.inner(d, d))
@@ -232,7 +233,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(mode=mode)
+    problem = PenaltyProblem()
 
     widths = {"forward": [], "adjoint": [], "closed_form": [], "gramians": [], "observe": []}
     forward, levels = FrozenOperator.forward, FrozenOperator.adjoint_levels
@@ -307,7 +308,7 @@ def test_adjoint_images_are_the_adjoint_restricted_to_the_support(mode, target_m
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    ws = _Workspace(PenaltyProblem(mode=mode), model, grid, geom, trace, m0, f0)
+    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
     support_m, support_f = ws.support
     # the sex the mode leaves uncontrolled has an empty support
     assert support_m.any() == (mode is not ControlMode.FEMALE_ONLY)
@@ -337,7 +338,7 @@ def test_fertility_evaluated_once_per_level_per_operator():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
     assert result.iterations >= 1
     assert calls == list(trace)
@@ -357,7 +358,7 @@ def test_trace_map_evaluates_fertility_once_per_level():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     y, result = trace_map(trace, model, grid, geom, problem, m0, f0)
     assert calls == list(trace)
     expected = solve_forward(reference_model(), grid, geom, result.v_m, result.v_f,
@@ -495,8 +496,7 @@ def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     nt = grid.num_time_cells
     m0, f0 = reference_data(grid)
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3,
-                             mode=ControlMode.BOTH)
+    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3)
     state, result, _ = iterate_to_fixed_point(model, grid, geom, problem,
                                               FixedPointConfig(), m0, f0)
     outer = len(state.history)
@@ -565,7 +565,7 @@ def test_closed_form_gramian_reports_the_first_non_finite_level(where):
 
 
 def _reference_ratio(model, grid, geom, n_T, l_T, trace):
-    adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=geom.mode)
+    adj = solve_adjoint(model, grid, geom, n_T, l_T, trace)
     wa = grid.age_weights()
     mask_m, mask_f = control_masks(grid, geom)
     mode = geom.mode
@@ -584,8 +584,14 @@ def _reference_ratio(model, grid, geom, n_T, l_T, trace):
     return num / den
 
 
+def _probes(rng, grid, geom, count):
+    """``count`` probe data of one generator, as (n_T, l_T) pairs."""
+    return [np.split(datum, 2)
+            for datum in obs._probe_data([rng] * count, obs._targeted_entries(grid, geom))]
+
+
 def _reference_forms(model, grid, geom, trace):
-    basis = obs._terminal_basis(grid, geom)
+    basis = np.flatnonzero(obs._targeted_entries(grid, geom))
     na, nt = grid.num_age_cells, grid.num_time_cells
     h = grid.step
     sq_wa = np.sqrt(grid.age_weights())
@@ -597,7 +603,7 @@ def _reference_forms(model, grid, geom, trace):
     mode = geom.mode
     for k, p in enumerate(basis):
         n_T, l_T = np.split(np.eye(2 * (na + 1))[p], 2)
-        adj = solve_adjoint(model, grid, geom, n_T, l_T, trace, mode=mode)
+        adj = solve_adjoint(model, grid, geom, n_T, l_T, trace)
         if mode is not ControlMode.FEMALE_ONLY:
             num_rows[k, :na + 1] = sq_wa * adj.n.values[:, 0]
             den_rows[k, :sqw_m.size] = sqw_m * adj.n_eff[1:, 1:].ravel()
@@ -619,8 +625,7 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     op = FrozenOperator(model, grid, geom, trace)
 
-    rng = np.random.default_rng(3)
-    data = [obs._probe_data(rng, grid, geom) for _ in range(6)]
+    data = _probes(np.random.default_rng(3), grid, geom, 6)
     n_block = np.stack([n for n, _ in data], axis=1)
     l_block = np.stack([l for _, l in data], axis=1)
     expected = [_reference_ratio(model, grid, geom, n, l, trace) for n, l in data]
@@ -629,15 +634,16 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
             for n, l in data] == expected
 
     # the forms come from the operator's Gramians, summed in another order
-    num_form, den_form = obs._quadratic_forms(op)
+    live = live_entries(op)
+    num_form, den_form = obs._quadratic_forms(op, live)
     ref_num, ref_den = _reference_forms(model, grid, geom, trace)
     for got, want in ((num_form, ref_num), (den_form, ref_den)):
         assert np.max(np.abs(got.matrix() - want)) <= 1e-13 * np.max(np.abs(want))
-    batched = obs._power_iteration(op, 12)
+    batched = obs._power_iteration(op, 12, live)
     # the per-vector forms, cut into the same blocks, feed the power iteration
     ref_forms = tuple(_as_blocks(ref, num_form.index) for ref in (ref_num, ref_den))
-    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: ref_forms)
-    assert abs(obs._power_iteration(op, 12) - batched) <= 1e-12 * batched
+    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op, _live: ref_forms)
+    assert abs(obs._power_iteration(op, 12, live) - batched) <= 1e-12 * batched
 
 
 def _as_blocks(matrix, index):
@@ -665,7 +671,8 @@ def _observability_setup(mode=ControlMode.BOTH, target_min_age=0.0):
 def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypatch):
     model, grid, geom, trace = _observability_setup(mode, target_min_age)
     op = FrozenOperator(model, grid, geom, trace)
-    plain = obs._power_iteration(op, 5)
+    live = live_entries(op)
+    plain = obs._power_iteration(op, 5, live)
     assert np.isfinite(plain)
     eigh = np.linalg.eigh
 
@@ -675,7 +682,7 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
         return vals, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", flipped)
-    assert abs(obs._power_iteration(op, 5) - plain) <= 1e-12 * plain
+    assert abs(obs._power_iteration(op, 5, live) - plain) <= 1e-12 * plain
 
 
 @pytest.mark.parametrize("power_iters", [0, 3])
@@ -712,8 +719,7 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
 def test_gramian_quotients_match_probe_sweep(mode, target_min_age):
     model, grid, geom, trace = _observability_setup(mode, target_min_age)
     op = FrozenOperator(model, grid, geom, trace)
-    rng = np.random.default_rng(5)
-    data = [obs._probe_data(rng, grid, geom) for _ in range(6)]
+    data = _probes(np.random.default_rng(5), grid, geom, 6)
     n_block = np.stack([n for n, _ in data], axis=1)
     l_block = np.stack([l for _, l in data], axis=1)
     swept = np.array(obs._quotients(op, n_block, l_block))

@@ -26,10 +26,16 @@ def _geometry(mode, horizon, target_min_age=0.0):
                            horizon=horizon, target_min_age=target_min_age, mode=mode)
 
 
+def live_entries(op):
+    """The sorted stacked indices of the operator geometry's targeted terminal
+    entries, the basis of the observability forms."""
+    return np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
+
+
 def oracle_power_iteration(op, iters):
     """The power iteration on the expanded forms: the denominator's full
     eigendecomposition gives its null space and whitens the numerator."""
-    num_blocks, den_blocks = obs._quadratic_forms(op)
+    num_blocks, den_blocks = obs._quadratic_forms(op, live_entries(op))
     num_form, den_form = num_blocks.matrix(), den_blocks.matrix()
     den_vals, den_vecs = np.linalg.eigh(den_form)
     den_scale = max(float(den_vals[-1]), 0.0)
@@ -79,7 +85,8 @@ def test_block_power_iteration_matches_expanded_oracle(mode, target_min_age, mak
     for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
         for h in (1.0 / 32, 1.0 / 64):
             op = _operator(make_model, mode, target_min_age, horizon, h)
-            got, want = obs._power_iteration(op, 20), oracle_power_iteration(op, 20)
+            got = obs._power_iteration(op, 20, live_entries(op))
+            want = oracle_power_iteration(op, 20)
             assert math.isinf(got) == math.isinf(want), (horizon, h, got, want)
             flags.append(math.isinf(got))
             if not math.isinf(want):
@@ -98,9 +105,10 @@ def test_dead_spike_with_initial_energy_gives_the_sentinel(mode):
                            horizon=0.3, mode=mode)
     grid = build_grid(1.0, 0.3, 1.0 / 32)
     op = FrozenOperator(reference_model(), grid, geom, np.zeros(grid.num_time_cells + 1))
-    num, den = obs._quadratic_forms(op)
+    live = live_entries(op)
+    num, den = obs._quadratic_forms(op, live)
     assert np.max(num.diag[den.diag == 0.0]) > 0.0
-    assert obs._power_iteration(op, 20) == oracle_power_iteration(op, 20) \
+    assert obs._power_iteration(op, 20, live) == oracle_power_iteration(op, 20) \
         == obs.INFINITE_QUOTIENT
 
 
@@ -108,19 +116,20 @@ def test_targets_older_than_every_young_age_leave_no_dense_block():
     # male-only targets from age 0.3 on, horizon 0.2: every live terminal
     # entry is an older spike
     op = _operator(reference_model, ControlMode.MALE_ONLY, 0.3, 0.2, 1.0 / 32)
-    num, den = obs._quadratic_forms(op)
+    live = live_entries(op)
+    num, den = obs._quadratic_forms(op, live)
     assert den.dense.shape == (0, 0) and den.diag.size > 0
-    got, want = obs._power_iteration(op, 20), oracle_power_iteration(op, 20)
+    got, want = obs._power_iteration(op, 20, live), oracle_power_iteration(op, 20)
     assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("mode, target_min_age", MODES)
 def test_block_forms_expand_to_the_dense_forms(mode, target_min_age):
     op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
-    live = obs._terminal_basis(op.grid, op.geom)
+    live = live_entries(op)
     scale = np.outer(*(2 * [np.tile(op.wa / op.grid.step, 2)[live]]))
     control, initial = op.gramians()
-    for blocks, full in zip(obs._quadratic_forms(op), (initial, control)):
+    for blocks, full in zip(obs._quadratic_forms(op, live), (initial, control)):
         assert np.array_equal(blocks.matrix(), scale * full.matrix()[np.ix_(live, live)])
 
 
@@ -154,7 +163,7 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     monkeypatch.setattr(GramianBlocks, "matrix", no_expand)
     monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=ControlMode.BOTH)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
     assert result.converged
     report = estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],

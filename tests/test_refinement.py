@@ -78,14 +78,14 @@ def test_population_dies_out_one_max_age_after_control(mode):
     # population is extinct by T + A, A the maximal age
     scenario = load_scenario(EXAMPLE)
     geom = replace(scenario.geometry, mode=mode)
-    problem = replace(scenario.penalty, mode=mode)
     fixed_point = replace(scenario.fixed_point, omega=1.0)
     rows = []
     for h in (1 / 32, 1 / 64, 1 / 128):
         grid = build_grid(scenario.model.max_age, geom.horizon, h)
         m0, f0 = scenario.sample_initial(grid)
         state, result, nonlinear = iterate_to_fixed_point(scenario.model, grid, geom,
-                                                          problem, fixed_point, m0, f0)
+                                                          scenario.penalty, fixed_point,
+                                                          m0, f0)
         assert state.converged and not result.flags
         controlled = _total_after_max_age(scenario, grid, nonlinear.m.values[:, -1],
                                           nonlinear.f.values[:, -1])

@@ -46,6 +46,23 @@ def test_minimal_scenario_fills_defaults():
     assert scn.resolved["penalty"]["target_norm"] == 0.001
 
 
+def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
+    # the defaults of the observability and contraction commands come from
+    # the parser alone; an absent section must not move the scenario hash
+    scn = parse_scenario(_copy())
+    assert scn.observability == {"horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9],
+                                 "probes": 16, "power_iters": 0, "num_traces": 3}
+    assert scn.contraction == {"trials": 50, "amplitude": 1.0}
+    assert "observability" not in scn.resolved and "contraction" not in scn.resolved
+    raw = _copy()
+    raw["observability"], raw["contraction"] = {}, {}
+    explicit = parse_scenario(raw)
+    assert (explicit.observability, explicit.contraction) == \
+        (scn.observability, scn.contraction)
+    assert explicit.resolved["contraction"] == scn.contraction
+    assert explicit.scenario_hash != scn.scenario_hash
+
+
 def test_unknown_top_level_key_named():
     raw = _copy()
     raw["modle"] = {}

@@ -24,7 +24,7 @@ def _stage(make_model, mode, target_min_age=0.0):
     grid = build_grid(1.0, geom.horizon, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3, mode=mode)
+    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
     return _Workspace(problem, model, grid, geom, trace, m0, f0)
 
 

@@ -43,10 +43,13 @@ def _layers(h, calls):
     """(grid, {layer: (prepare, run)}) of the example at step ``h``:
     ``prepare()`` makes the arguments of ``calls`` runs outside the timing,
     ``run(argument)`` is one timed call."""
+    import numpy as np
+
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
     from popctrl.forward import FrozenOperator
-    from popctrl.observability import _power_iteration, estimate_observability_constant
+    from popctrl.observability import (_power_iteration, _targeted_entries,
+                                       estimate_observability_constant)
     from popctrl.pipelines import make_grid, uncontrolled_trace
     from popctrl.scenario import load_scenario
 
@@ -61,6 +64,7 @@ def _layers(h, calls):
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0[:, None], f0[:, None])
     traces = [trace, 0.5 * trace, 1.5 * trace]
+    live = np.flatnonzero(_targeted_entries(grid, geom))
 
     def repeat(value):
         return lambda: [value] * calls
@@ -76,7 +80,7 @@ def _layers(h, calls):
         "gramian": (retraced, lambda fresh: fresh.gramians()),
         "stage": (retraced, lambda fresh: minimize_penalty(
             penalty, model, grid, geom, trace, m0, f0, operator=fresh)),
-        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20)),
+        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20, live)),
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
