@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import pipelines
 from .errors import PopctrlError
-from .scenario import _number, load_scenario
+from .scenario import _number, _require_dict, load_scenario
 
 # command -> help text; each command but "sweep" runs pipelines.cmd_<command>,
 # looked up at call time so that wrappers installed on the module see the call
@@ -85,8 +85,10 @@ def run_command(argv):
                     base_raw = json.load(handle)
             else:
                 base_raw = base
+            _require_dict(base_raw, "base")
             if args.grid_h is not None:
-                base_raw.setdefault("grid", {})["target_h"] = args.grid_h
+                grid_raw = _require_dict(base_raw.setdefault("grid", {}), "base.grid")
+                grid_raw["target_h"] = args.grid_h
             scenario_like = None
             outdir = args.out or "."
             quiet = args.quiet

@@ -6,10 +6,11 @@ levels 1..Nt).  A sex without a control window has an empty region, so
 its field stays zero.  Controls are paired by the duality-consistent
 ``adjoint.region_inner``, summed over the two sexes, and the objective is
 
-    J(v) = 1/2 ||v||^2  +  1/(2 eps) ||m(T)||^2  (+ 1/(2 theta) ||f(T)||^2)
+    J(v) = 1/2 ||v||^2  +  1/(2 eps) (||m(T)||^2 + ||f(T)||^2)
 
 with one terminal term per targeted slot, that is 1/2 h sum D y(T)^2 with D
-the diagonal penalty weights of the stacked terminal state y(T).  Gradients
+the diagonal penalty weights of the stacked terminal state y(T): a targeted
+slot's ``terminal_weights`` w enter D as w / (h eps).  Gradients
 come from one adjoint image and are exact for the discrete objective because
 the adjoint is the exact transpose of the forward map.
 
@@ -30,20 +31,21 @@ sweep.  The supports, inner-product weights and terminal weights are the
 operator's ``geometry_tables``, built once per operator family, so a stage
 forms only its penalty weights.
 
-The geometry alone sets the control mode, and ``forward`` holds its two
-rules: ``control_windows`` gives each sex's window or None, and
+A stage is a function of three things: its ``FrozenOperator``, which
+holds the model, grid, geometry and frozen trace; the initial data; and one
+eps.  The schedule supplies eps, one value per stage.  The geometry alone
+sets the control mode, and ``forward`` holds its two rules:
+``control_windows`` gives each sex's window or None, and
 ``terminal_weights`` the targeted terminal slots and entries with their
-weights.  Everything here derives from them.  A lone terminal term is
-weighted by ``epsilon``; ``theta`` only weights the female term when both
-slots are targeted.
+weights.  Everything here derives from them.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError
 from .forward import FrozenOperator, control_windows, terminal_weights
 from .grid import Field2D, lattice_inner
 
@@ -87,18 +89,12 @@ class EpsilonSchedule:
 
 @dataclass
 class PenaltyProblem:
-    epsilon: float = 1e-2
-    theta: float = 1e-2
     target_norm: float = 1e-3
     max_cg_iters: int = 800
     cg_tol: float = 1e-9
     schedule: EpsilonSchedule = dc_field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
-        if not _positive(self.epsilon):
-            raise ConfigurationError("epsilon must be positive and finite")
-        if not _positive(self.theta):
-            raise ConfigurationError("theta must be positive and finite")
         if not _positive(self.target_norm):
             raise ConfigurationError("target_norm must be positive and finite")
         if self.max_cg_iters < 1:
@@ -119,7 +115,6 @@ class ControlResult:
     converged: bool
     flags: list
     epsilon: float
-    theta: float
     stage_history: list = dc_field(default_factory=list)
     # the controlled frozen-trace system: its trace, fertile-male trace and
     # stacked terminal (male, female) profiles
@@ -141,7 +136,7 @@ def terminal_norms(grid, geom, m, f):
 
 
 class _Workspace:
-    """A penalty stage for one (eps, theta) on one frozen-trace operator.
+    """A penalty stage for one eps on one frozen-trace operator.
 
     A control is the pair [v_m, v_f] of (N+1) x (Nt+1) lattice arrays, zero
     off ``support``: the region-mask nodes at ages >= 1 and time levels
@@ -149,31 +144,23 @@ class _Workspace:
     window has an empty region, so its field stays zero.
     The inner product is the duality-consistent ``region_inner`` summed
     over the two sexes, one fused product per sex on the operator's weight
-    lattices; supports, weights and terminal weights are the operator's.
-    Pass ``operator`` to share one frozen-trace operator (and its Gramian)
-    between penalty stages.
+    lattices; supports, weights and terminal weights are the operator's,
+    and stages on one operator share its Gramian.
     """
 
-    def __init__(self, problem, model, grid, geom, trace, m0, f0, operator=None):
-        self.problem = problem
-        self.grid = grid
-        self.geom = geom
-        if operator is None:
-            operator = FrozenOperator(model, grid, geom, trace)
-        elif (operator.grid != grid or operator.geom != geom
-              or not np.array_equal(operator.trace, np.asarray(trace, dtype=float))):
-            raise ConsistencyError("operator was built for another grid, geometry "
-                                   "or trace")
+    def __init__(self, operator, m0, f0, epsilon):
+        if not _positive(epsilon):
+            raise ConfigurationError("epsilon must be positive and finite")
         self.op = operator
+        self.grid = operator.grid
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
-        self.inner_weights, self.support, (self.w_m, self.w_f) = operator.geometry_tables()
-        size = grid.num_age_cells + 1
+        self.inner_weights, self.support, terminal = operator.geometry_tables()
+        size = self.grid.num_age_cells + 1
         self._weights = np.zeros(2 * size)  # ``penalty_weights``, one per stage
-        if self.w_m is not None:
-            self._weights[:size] = self.w_m / (grid.step * problem.epsilon)
-        if self.w_f is not None:
-            self._weights[size:] = self.w_f / (grid.step * self.effective_theta())
+        for k, w in enumerate(terminal):
+            if w is not None:
+                self._weights[k * size:(k + 1) * size] = w / (self.grid.step * epsilon)
 
     def zeros(self):
         return [np.zeros(support.shape) for support in self.support]
@@ -208,11 +195,6 @@ class _Workspace:
         """Stacked terminal (male, female) profiles of the control x."""
         return self.observe(x)[1]
 
-    def effective_theta(self):
-        """theta when both slots are targeted; a lone terminal term takes epsilon."""
-        both = self.w_m is not None and self.w_f is not None
-        return self.problem.theta if both else self.problem.epsilon
-
     def inner(self, x, y):
         return sum(lattice_inner(weights, a, b)
                    for weights, a, b in zip(self.inner_weights, x, y))
@@ -230,13 +212,13 @@ class _Workspace:
         return [xi - a for xi, a in zip(x, image)]
 
 
-def evaluate_objective(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
+def evaluate_objective(epsilon, model, grid, geom, trace, m0, f0, v_m, v_f):
     """Value of the penalty functional at the given controls."""
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, epsilon)
     return ws.objective(ws.pack(v_m, v_f))
 
 
-def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
+def objective_gradient(epsilon, model, grid, geom, trace, m0, f0, v_m, v_f):
     """Exact gradient of the discrete objective, as region-supported fields.
 
     Returns (g_m, g_f) Field2D, each equal to the control minus the masked
@@ -244,22 +226,22 @@ def objective_gradient(problem, model, grid, geom, trace, m0, f0, v_m, v_f):
     in the region inner product; the entry of a sex without a
     ``control_windows`` window is None.
     """
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, epsilon)
     gradient = ws.gradient(ws.pack(v_m, v_f))
     return tuple(None if window is None else Field2D(grid, g)
                  for window, g in zip(control_windows(geom), gradient))
 
 
-def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
-                     theta=None, operator=None):
-    """Minimize the penalty functional by the terminal-space (HUM) solve.
+def minimize_penalty(problem, operator, m0, f0, epsilon):
+    """Minimize the penalty functional of weight ``epsilon`` by the
+    terminal-space (HUM) solve.
 
     Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
-    a FrozenOperator for ``trace`` that is built here when None, and sets
-    the control to L* c, a pair of lattice fields that vanish off the
-    control support.  The uncontrolled terminal state y0, L* c, the
-    controlled terminal state y(T) of each check and its adjoint image come
-    from the operator: in closed form for separable fertility
+    the FrozenOperator of the frozen trace, and sets the control to L* c, a
+    pair of lattice fields that vanish off the control support.  The
+    uncontrolled terminal state y0, L* c, the controlled terminal state y(T)
+    of each check and its adjoint image come from the operator: in closed
+    form for separable fertility
     (``FrozenOperator.observe`` for y(T)), from the step loop and the sweeps
     for any other; only the control Gramian is assembled, and the
     trace-independent tables are the operator family's.  The norm |b| of
@@ -273,17 +255,13 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
     solve.  The result carries the frozen trace and the controlled system's
     fertile-male trace and terminal profiles.
     """
-    if epsilon is not None or theta is not None:
-        problem = replace(
-            problem,
-            epsilon=epsilon if epsilon is not None else problem.epsilon,
-            theta=theta if theta is not None else problem.theta)
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0, operator=operator)
+    grid, geom = operator.grid, operator.geom
+    ws = _Workspace(operator, m0, f0, epsilon)
     weights = ws.penalty_weights()
-    gram, shift = ws.op.control_gramian(), weights / grid.step  # (I + diag(shift) G) c
+    gram, shift = operator.control_gramian(), weights / grid.step  # (I + diag(shift) G) c
     x = ws.zeros()
     observed = None
-    work = -weights * ws.op.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
+    work = -weights * operator.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
     c = gram.penalised_solve(shift, work)
     step = ws.adjoint_image(c)  # L* c
     # |b| = |L* work|, read off G = h L L*; rounding must not take it below 0
@@ -317,8 +295,8 @@ def minimize_penalty(problem, model, grid, geom, trace, m0, f0, *, epsilon=None,
         terminal_m_norm=m_norm, terminal_f_norm=f_norm,
         J_value=ws.objective(x, terminal=terminal),
         cg_trace=cg_trace, iterations=len(cg_trace) - 1, converged=converged,
-        flags=flags, epsilon=problem.epsilon, theta=ws.effective_theta(),
-        frozen_trace=ws.op.trace.copy(), fertile_male_trace=male_trace, terminal=terminal,
+        flags=flags, epsilon=epsilon,
+        frozen_trace=operator.trace.copy(), fertile_male_trace=male_trace, terminal=terminal,
     )
 
 
@@ -351,8 +329,7 @@ def synthesize_null_control(problem, model, grid, geom, trace, m0, f0):
     history = []
     result = None
     for eps in problem.schedule.values():
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                  epsilon=eps, theta=eps, operator=operator)
+        result = minimize_penalty(problem, operator, m0, f0, eps)
         history.append(stage_entry(result))
         result.stage_history = history
         if target_reached(grid, geom, problem.target_norm,

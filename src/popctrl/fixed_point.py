@@ -59,18 +59,15 @@ def _trace_derivative_norm(grid, values):
     return float(np.sqrt(grid.step * np.sum(diffs**2)))
 
 
-def trace_map(trace, model, grid, geom, problem, m0, f0, *, epsilon=None, theta=None,
-              operator=None):
+def trace_map(operator, problem, m0, f0, epsilon):
     """One application of the controlled-trace map.
 
-    Minimizes the penalty functional for the frozen trace, from scratch, and
-    returns the fertile-male trace of the controlled frozen-trace system,
-    as the penalty stage computed it (in closed form for separable
-    fertility), along with the control result.  ``operator`` is as in
-    ``minimize_penalty``.
+    Minimizes the penalty functional of weight ``epsilon`` for the frozen
+    trace of ``operator``, from scratch, and returns the fertile-male trace
+    of the controlled frozen-trace system, as the penalty stage computed it
+    (in closed form for separable fertility), along with the control result.
     """
-    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                              epsilon=epsilon, theta=theta, operator=operator)
+    result = minimize_penalty(problem, operator, m0, f0, epsilon)
     return result.fertile_male_trace.copy(), result
 
 
@@ -104,8 +101,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
         for k in range(fp_config.max_outer_iters):
             operator = (FrozenOperator(model, grid, geom, p) if operator is None
                         else operator.retrace(p))
-            y, result = trace_map(p, model, grid, geom, problem, m0, f0,
-                                  epsilon=eps, theta=eps, operator=operator)
+            y, result = trace_map(operator, problem, m0, f0, eps)
             p_new = (1.0 - omega) * p + omega * y
             delta = trace_norm(grid, p_new - p)
             norm_p = trace_norm(grid, p)

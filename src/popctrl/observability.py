@@ -292,8 +292,8 @@ def threshold_margins(geom, max_age):
     """
     a1, a2 = geom.male_window
     t_hor = geom.horizon
-    margin_pair = t_hor - (a1 + max_age - a2)
-    margin_male = t_hor - (max_age - a2)
+    margin_pair = geom.time_margin(max_age, ControlMode.BOTH)
+    margin_male = geom.time_margin(max_age, ControlMode.MALE_ONLY)
     tail_witness = None
     if margin_male > 0:
         kappa = min(margin_male, a2 - a1) / 2.0

@@ -268,10 +268,11 @@ def parse_scenario(raw, *, source="scenario"):
         stages=_integer(sraw.get("stages"), "penalty.schedule.stages",
                         default=4, minimum=1),
     )
+    # epsilon and theta are checked and hashed, and read by nothing: every
+    # stage's penalty weight comes from the schedule
+    epsilon = _number(praw.get("epsilon"), "penalty.epsilon", default=1e-2, strict_min=0.0)
+    theta = _number(praw.get("theta"), "penalty.theta", default=1e-2, strict_min=0.0)
     penalty = PenaltyProblem(
-        epsilon=_number(praw.get("epsilon"), "penalty.epsilon",
-                        default=1e-2, strict_min=0.0),
-        theta=_number(praw.get("theta"), "penalty.theta", default=1e-2, strict_min=0.0),
         target_norm=_number(praw.get("target_norm"), "penalty.target_norm",
                             default=1e-3, strict_min=0.0),
         max_cg_iters=_integer(praw.get("max_cg_iters"), "penalty.max_cg_iters",
@@ -281,7 +282,7 @@ def parse_scenario(raw, *, source="scenario"):
         schedule=schedule,
     )
     resolved["penalty"] = {
-        "epsilon": penalty.epsilon, "theta": penalty.theta,
+        "epsilon": epsilon, "theta": theta,
         "target_norm": penalty.target_norm, "max_cg_iters": penalty.max_cg_iters,
         "cg_tol": penalty.cg_tol,
         "schedule": {"start": schedule.start, "ratio": schedule.ratio,

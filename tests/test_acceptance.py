@@ -22,6 +22,7 @@ from popctrl import (ControlGeometry, ControlMode, Field2D, PenaltyProblem,
 from popctrl.cli import run_command
 from popctrl.control import _Workspace, FLAG_TARGET_NOT_REACHED
 from popctrl.fixed_point import FixedPointConfig
+from popctrl.forward import FrozenOperator
 from popctrl.observability import forced_set_measure, forced_terminal_mask
 
 from conftest import (random_control, random_nonneg_model, reference_data,
@@ -108,9 +109,8 @@ def test_criterion_3_gradient_exactness():
         m0 = r.random(grid.num_age_cells + 1)
         f0 = r.random(grid.num_age_cells + 1)
         trace = r.random(grid.num_time_cells + 1)
-        problem = PenaltyProblem(epsilon=10 ** r.uniform(-3, -1),
-                                 theta=10 ** r.uniform(-3, -1))
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0,
+                        10 ** r.uniform(-3, -1))
         x, d = random_control(ws, r), random_control(ws, r)
         norm = np.sqrt(ws.inner(d, d))
         d = [di / norm for di in d]
@@ -127,12 +127,11 @@ def test_criterion_3_gradient_exactness():
 def test_criterion_4_epsilon_scaling():
     model, geom, grid, m0, f0 = _scenario()
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
-                             max_cg_iters=6000, cg_tol=1e-10)
+    problem = PenaltyProblem(max_cg_iters=6000, cg_tol=1e-10)
+    op = FrozenOperator(model, grid, geom, trace)
     ratios_m, ratios_f = [], []
     for eps in (1e-2, 1e-3, 1e-4):
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                  epsilon=eps, theta=eps)
+        result = minimize_penalty(problem, op, m0, f0, eps)
         assert result.converged
         ratios_m.append(result.terminal_m_norm ** 2 / eps)
         ratios_f.append(result.terminal_f_norm ** 2 / eps)
@@ -146,7 +145,7 @@ def test_criterion_5_null_control_success():
     model, geom, grid, m0, f0 = _scenario()
     kappa = _kappa(grid, m0, f0)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
+    problem = PenaltyProblem(target_norm=kappa,
                              max_cg_iters=6000, cg_tol=1e-10)
     result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (FLAG_TARGET_NOT_REACHED not in result.flags
@@ -178,11 +177,10 @@ def test_criterion_6_time_condition_sharpness():
     assert measure > 0.0, "unreachable cone has measure zero"
     w_cone = grid.age_weights() * cone
     floor = np.sqrt(float(w_cone @ uncontrolled.m.values[:, -1] ** 2))
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
-                             max_cg_iters=6000, cg_tol=1e-10)
+    problem = PenaltyProblem(max_cg_iters=6000, cg_tol=1e-10)
+    op = FrozenOperator(model, grid, geom, trace)
     for eps in problem.schedule.values():
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                  epsilon=eps, theta=eps)
+        result = minimize_penalty(problem, op, m0, f0, eps)
         controlled = solve_forward(model, grid, geom, result.v_m, result.v_f,
                                    m0, f0, frozen_trace=trace)
         deviation = np.max(np.abs((controlled.m.values[:, -1]
@@ -202,7 +200,7 @@ def test_criterion_7_male_only_control():
     m0, f0 = reference_data(grid)
     kappa = _kappa(grid, m0, f0)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa, max_cg_iters=6000,
+    problem = PenaltyProblem(target_norm=kappa, max_cg_iters=6000,
                              cg_tol=1e-10)
     result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
     ok = (result.terminal_m_norm <= kappa
@@ -244,7 +242,7 @@ def test_criterion_9_contraction():
 def test_criterion_10_fixed_point_convergence():
     model, geom, grid, m0, f0 = _scenario()
     kappa = _kappa(grid, m0, f0)
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
+    problem = PenaltyProblem(target_norm=kappa,
                              max_cg_iters=6000, cg_tol=1e-9)
     fp = FixedPointConfig(omega=0.5, fp_tol=1e-4, max_outer_iters=40)
     state, result, nonlinear = iterate_to_fixed_point(model, grid, geom, problem,

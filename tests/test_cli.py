@@ -238,6 +238,47 @@ def test_sweep_command(scenario_path, tmp_path):
     assert float(rows[0]["epsilon"]) == pytest.approx(1e-4, rel=1e-15)
 
 
+
+@pytest.mark.parametrize("base, message", [
+    ([1.0], "base: expected an object"),
+    (dict(FAST_SCENARIO, grid=0.0625), "base.grid: expected an object"),
+], ids=["base", "grid"])
+def test_sweep_grid_override_on_a_malformed_base_is_an_error(base, message, tmp_path,
+                                                             capsys):
+    # both used to end in a traceback and exit 1, the "completed with flags" code
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(
+        {"base": base, "parameters": [{"path": "penalty.schedule.stages", "values": [1]}]}))
+    out = tmp_path / "out"
+    assert run_command(["sweep", str(sweep_path), "--grid-h", "0.0625",
+                        "--out", str(out), "--quiet"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_penalty_epsilon_and_theta_change_no_artifact_but_the_hash(tmp_path):
+    # every stage takes its penalty weight from the schedule: the file's
+    # penalty.epsilon and penalty.theta are checked and hashed, and read by nothing
+    outs = []
+    for epsilon, theta in ((1e-2, 1e-2), (0.5, 3e-7)):
+        raw = json.loads(json.dumps(FAST_SCENARIO))
+        raw["penalty"].update(epsilon=epsilon, theta=theta)
+        path = tmp_path / f"scenario_{epsilon}.json"
+        path.write_text(json.dumps(raw))
+        outs.append(tmp_path / f"out_{epsilon}")
+        assert run_command(["control", str(path), "--out", str(outs[-1]), "--quiet"]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) == ["report.json", "v_f.csv", "v_m.csv"]
+    for name in names:
+        one, two = (_read(os.path.join(out, name)).splitlines() for out in outs)
+        if name == "report.json":
+            hashes = [[line for line in lines if b'"scenario_hash"' in line]
+                      for lines in (one, two)]
+            assert len(hashes[0]) == len(hashes[1]) == 1 and hashes[0] != hashes[1]
+            one, two = ([line for line in lines if b'"scenario_hash"' not in line]
+                        for lines in (one, two))
+        assert one == two
+
 def test_female_only_mode_via_cli(tmp_path):
     raw = json.loads(json.dumps(FAST_SCENARIO))
     raw["geometry"]["mode"] = "FEMALE_ONLY"

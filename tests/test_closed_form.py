@@ -107,8 +107,7 @@ def test_observe_matches_the_step_loop(mode, model_name, horizon, step):
     # penalty stage's own control
     model = MODELS[model_name]()
     op, m0, f0 = _operator(model, mode, horizon, step)
-    stage = minimize_penalty(PenaltyProblem(), model, op.grid, op.geom, op.trace,
-                             m0, f0, epsilon=1e-3, theta=1e-3, operator=op)
+    stage = minimize_penalty(PenaltyProblem(), op, m0, f0, 1e-3)
     controls = [_random_controls(op.grid, np.random.default_rng(9)),
                 (stage.v_m.values, stage.v_f.values)]
     for v_m, v_f in controls + [(None, None)]:
@@ -135,8 +134,7 @@ def test_duality_between_the_closed_forms(mode, model_name, horizon):
     # <L* u, x> = h u . L x with L from observe and L* from adjoint_images
     model = MODELS[model_name]()
     op, m0, f0 = _operator(model, mode, horizon, 1.0 / 64)
-    ws = _Workspace(PenaltyProblem(), model, op.grid, op.geom, op.trace, m0, f0,
-                    operator=op)
+    ws = _Workspace(op, m0, f0, 1e-2)
     r = np.random.default_rng(17)
     x = [np.where(support, v, 0.0)
          for support, v in zip(ws.support, _random_controls(op.grid, r))]

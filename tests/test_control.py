@@ -7,10 +7,12 @@ from popctrl import (ControlGeometry, ControlMode, EpsilonSchedule, PenaltyProbl
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
 from popctrl.errors import ConfigurationError
-from popctrl.forward import GramianBlocks
+from popctrl.forward import FrozenOperator, GramianBlocks, terminal_weights
 from popctrl.observability import forced_terminal_mask
 
 from conftest import random_control, reference_data, reference_geometry, reference_model
+
+EPS = 1e-2  # the penalty weight of the single-stage tests
 
 
 @pytest.fixture
@@ -20,8 +22,7 @@ def setup():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
-                             max_cg_iters=2000, cg_tol=1e-10)
+    problem = PenaltyProblem(max_cg_iters=2000, cg_tol=1e-10)
     return model, geom, grid, m0, f0, trace, problem
 
 
@@ -33,19 +34,16 @@ def setup():
     lambda: EpsilonSchedule(ratio=np.inf),
     lambda: EpsilonSchedule(ratio=np.nan),
     lambda: EpsilonSchedule(stages=0),
-    lambda: PenaltyProblem(theta=0.0),
-    lambda: PenaltyProblem(theta=np.nan),
     lambda: PenaltyProblem(max_cg_iters=0),
     lambda: PenaltyProblem(cg_tol=0.0),
     lambda: PenaltyProblem(cg_tol=np.inf),
     lambda: PenaltyProblem(cg_tol=np.nan),
 ], ids=["start", "start-inf", "start-nan", "ratio", "ratio-inf", "ratio-nan", "stages",
-        "theta", "theta-nan", "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
+        "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
 def test_library_config_rejects_what_the_scenario_parser_rejects(make):
     # the same bounds as scenario.py: a schedule with no stage would return no
     # result, a zero solve cap the zero control, a zero tolerance every solve;
-    # theta is checked whatever the geometry's mode; the parser rejects every
-    # non-finite number
+    # the parser rejects every non-finite number
     with pytest.raises(ConfigurationError):
         make()
 
@@ -71,7 +69,7 @@ class TestObjective:
     def test_zero_everything(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        value = evaluate_objective(problem, model, grid, geom, trace, zeros, zeros,
+        value = evaluate_objective(EPS, model, grid, geom, trace, zeros, zeros,
                                    None, None)
         assert value == 0.0
 
@@ -80,15 +78,15 @@ class TestObjective:
         state = solve_forward(model, grid, geom, None, None, m0, f0,
                               frozen_trace=trace)
         wa = grid.age_weights()
-        expected = (0.5 / problem.epsilon * float(wa @ state.m.values[:, -1] ** 2)
-                    + 0.5 / problem.theta * float(wa @ state.f.values[:, -1] ** 2))
-        value = evaluate_objective(problem, model, grid, geom, trace, m0, f0,
+        expected = 0.5 / EPS * (float(wa @ state.m.values[:, -1] ** 2)
+                                + float(wa @ state.f.values[:, -1] ** 2))
+        value = evaluate_objective(EPS, model, grid, geom, trace, m0, f0,
                                    None, None)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_convexity_along_segments(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
         rng = np.random.default_rng(0)
         x, y = random_control(ws, rng), random_control(ws, rng)
         for t in (0.0, 0.3, 0.7, 1.0):
@@ -101,14 +99,14 @@ class TestGradient:
     def test_zero_at_zero_data(self, setup):
         model, geom, grid, _, _, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        g_m, g_f = objective_gradient(problem, model, grid, geom, trace, zeros,
+        g_m, g_f = objective_gradient(EPS, model, grid, geom, trace, zeros,
                                       zeros, None, None)
         assert np.all(g_m.values == 0.0)
         assert np.all(g_f.values == 0.0)
 
     def test_finite_difference_check(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
         rng = np.random.default_rng(3)
         x, d = random_control(ws, rng), random_control(ws, rng)
         norm = np.sqrt(ws.inner(d, d))
@@ -129,8 +127,8 @@ class TestGradient:
         grid = build_grid(1.0, 1.0, 1.0 / 8)
         m0, f0 = reference_data(grid)
         trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-        problem = PenaltyProblem(epsilon=1e-2, theta=2e-3)
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        eps = 2e-3
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, eps)
 
         sizes = [int(s.sum()) for s in ws.support]
         dim = sum(sizes)
@@ -159,7 +157,7 @@ class TestGradient:
         h = grid.step
         wq = np.concatenate([np.broadcast_to(h * h * mask[:, None], s.shape)[s]
                              for mask, s in zip((ws.op.mask_m, ws.op.mask_f), ws.support)])
-        pw = np.concatenate([ws.w_m / problem.epsilon, ws.w_f / problem.theta])
+        pw = np.concatenate(terminal_weights(grid, geom)) / eps
 
         rng = np.random.default_rng(8)
         v = rng.standard_normal(dim)
@@ -173,16 +171,18 @@ class TestMinimize:
     def test_zero_data_zero_control(self, setup):
         model, geom, grid, _, _, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        result = minimize_penalty(problem, model, grid, geom, trace, zeros, zeros)
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace),
+                                  zeros, zeros, EPS)
         assert result.iterations == 0
         assert result.J_value == 0.0
         assert np.all(result.v_m.values == 0.0)
 
     def test_support_and_optimality(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
+                                  EPS)
         assert result.converged
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
         packed = ws.pack(result.v_m, result.v_f)
         # support: exactly zero outside the active region
         support_m, support_f = ws.support
@@ -197,8 +197,9 @@ class TestMinimize:
 
     def test_gradient_norm_below_tolerance(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
+                                  EPS)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
         grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         zero_grad = ws.gradient(ws.zeros())
         assert np.sqrt(ws.inner(grad, grad)) <= \
@@ -208,29 +209,37 @@ class TestMinimize:
         # smaller eps weights the terminal misfit harder, so the optimal value
         # cannot decrease
         model, geom, grid, m0, f0, trace, problem = setup
+        op = FrozenOperator(model, grid, geom, trace)
         values = []
         for eps in (1e-2, 1e-3, 1e-4):
-            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                      epsilon=eps, theta=eps)
+            result = minimize_penalty(problem, op, m0, f0, eps)
             values.append(result.J_value)
         assert values[0] <= values[1] <= values[2]
 
     def test_terminal_scaling_bounded(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
+        op = FrozenOperator(model, grid, geom, trace)
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
-            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                      epsilon=eps, theta=eps)
+            result = minimize_penalty(problem, op, m0, f0, eps)
             ratios.append(result.terminal_m_norm ** 2 / eps)
         assert max(ratios) <= 3.0 * min(ratios)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-2, np.inf, np.nan])
+    def test_stage_weight_must_be_positive_and_finite(self, setup, epsilon):
+        # a negative weight would return a control with no flag
+        model, geom, grid, m0, f0, trace, problem = setup
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
+                             epsilon)
 
     @pytest.mark.parametrize("max_cg_iters", [1, 2])
     def test_iteration_cap_flags(self, setup, max_cg_iters):
         # no solve gets the gradient below rounding level, so the cap ends the stage
         model, geom, grid, m0, f0, trace, problem = setup
-        capped = PenaltyProblem(epsilon=1e-4, theta=1e-4,
-                                max_cg_iters=max_cg_iters, cg_tol=1e-18)
-        result = minimize_penalty(capped, model, grid, geom, trace, m0, f0)
+        capped = PenaltyProblem(max_cg_iters=max_cg_iters, cg_tol=1e-18)
+        result = minimize_penalty(capped, FrozenOperator(model, grid, geom, trace), m0, f0,
+                                  1e-4)
         assert not result.converged
         assert FLAG_CONVERGENCE_NOT_REACHED in result.flags
         assert result.iterations == max_cg_iters
@@ -244,10 +253,11 @@ class TestMinimize:
         exact = GramianBlocks.penalised_solve
         monkeypatch.setattr(GramianBlocks, "penalised_solve",
                             lambda self, weights, rhs: 0.5 * exact(self, weights, rhs))
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
+                                  EPS)
         assert result.converged and result.iterations > 10
         assert all(b < a for a, b in zip(result.cg_trace, result.cg_trace[1:]))
-        ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
         grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         assert np.sqrt(ws.inner(grad, grad)) <= problem.cg_tol * result.cg_trace[0]
 
@@ -255,7 +265,7 @@ class TestMinimize:
 class TestSynthesize:
     def test_large_target_succeeds_immediately(self, setup):
         model, geom, grid, m0, f0, trace, _ = setup
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=10.0)
+        problem = PenaltyProblem(target_norm=10.0)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert not result.flags
         assert len(result.stage_history) == 1
@@ -264,9 +274,7 @@ class TestSynthesize:
         model, geom, grid, m0, f0, trace, _ = setup
         wa = grid.age_weights()
         kappa = 1e-3 * (np.sqrt(wa @ m0 ** 2) + np.sqrt(wa @ f0 ** 2))
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 max_cg_iters=4000,
-                                 cg_tol=1e-10)
+        problem = PenaltyProblem(target_norm=kappa, max_cg_iters=4000, cg_tol=1e-10)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert FLAG_TARGET_NOT_REACHED not in result.flags
         assert result.terminal_m_norm <= kappa
@@ -280,9 +288,9 @@ class TestSynthesize:
         grid = build_grid(1.0, 0.15, 1.0 / 32)
         m0, f0 = reference_data(grid)
         trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-        problem = PenaltyProblem(epsilon=1e-3, theta=1e-3,
-                                 max_cg_iters=2000, cg_tol=1e-10)
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+        problem = PenaltyProblem(max_cg_iters=2000, cg_tol=1e-10)
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
+                                  1e-3)
         assert np.all(result.v_f.values == 0.0)
         # reported male norm is restricted to ages above the tail cutoff
         state = solve_forward(model, grid, geom, result.v_m, None, m0, f0,
@@ -302,9 +310,7 @@ class TestSynthesize:
         m0, f0 = reference_data(grid)
         kappa = 1e-3 * float(np.sqrt(grid.age_weights() @ f0 ** 2))
         trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 max_cg_iters=4000,
-                                 cg_tol=1e-10)
+        problem = PenaltyProblem(target_norm=kappa, max_cg_iters=4000, cg_tol=1e-10)
         result = synthesize_null_control(problem, model, grid, geom, trace, m0, f0)
         assert np.all(result.v_m.values == 0.0)
         assert result.terminal_f_norm <= kappa
@@ -327,11 +333,10 @@ class TestSynthesize:
         w_cone = grid.age_weights() * cone
         floor = np.sqrt(float(w_cone @ uncontrolled.m.values[:, -1] ** 2))
         assert float(w_cone.sum()) > 0 and floor > 0
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2,
-                                 max_cg_iters=3000, cg_tol=1e-10)
+        problem = PenaltyProblem(max_cg_iters=3000, cg_tol=1e-10)
+        op = FrozenOperator(model, grid, geom, trace)
         for eps in (1e-2, 1e-3, 1e-4):
-            result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                      epsilon=eps, theta=eps)
+            result = minimize_penalty(problem, op, m0, f0, eps)
             assert FLAG_NON_ADMISSIBLE in result.flags
             controlled = solve_forward(model, grid, geom, result.v_m, result.v_f,
                                        m0, f0, frozen_trace=trace)

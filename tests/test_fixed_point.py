@@ -5,6 +5,7 @@ from popctrl import (FixedPointConfig, PenaltyProblem, build_grid, contraction_t
                      iterate_to_fixed_point, trace_map)
 from popctrl.errors import ConfigurationError
 from popctrl.fixed_point import trace_norm
+from popctrl.forward import FrozenOperator
 from popctrl.model import DemographicModel, Fertility, RateFunction
 
 from conftest import reference_data, reference_geometry, reference_model
@@ -16,8 +17,7 @@ def setup():
     geom = reference_geometry()
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3,
-                             max_cg_iters=3000, cg_tol=1e-9)
+    problem = PenaltyProblem(target_norm=1e-3, max_cg_iters=3000, cg_tol=1e-9)
     return model, geom, grid, m0, f0, problem
 
 
@@ -26,7 +26,8 @@ class TestTraceMap:
         model, geom, grid, _, _, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
         trace = np.linspace(0.0, 1.0, grid.num_time_cells + 1)
-        y, result = trace_map(trace, model, grid, geom, problem, zeros, zeros)
+        y, result = trace_map(FrozenOperator(model, grid, geom, trace), problem, zeros,
+                              zeros, 1e-2)
         assert np.all(y == 0.0)
         assert result.J_value == 0.0
 
@@ -41,7 +42,7 @@ class TestTraceMap:
             fertility_onset=model.fertility_onset,
             max_age=model.max_age)
         trace = np.linspace(0.0, 1.0, grid.num_time_cells + 1)
-        y, _ = trace_map(trace, flat, grid, geom, problem, m0, f0)
+        y, _ = trace_map(FrozenOperator(flat, grid, geom, trace), problem, m0, f0, 1e-2)
         assert np.all(y == 0.0)
 
     def test_trace_stays_in_bounded_ball(self, setup):
@@ -54,7 +55,7 @@ class TestTraceMap:
         sups, ders = [], []
         for _ in range(4):
             trace = rng.random(grid.num_time_cells + 1)
-            y, _ = trace_map(trace, model, grid, geom, problem, m0, f0)
+            y, _ = trace_map(FrozenOperator(model, grid, geom, trace), problem, m0, f0, 1e-2)
             sups.append(np.max(np.abs(y)))
             diffs = np.diff(y) / grid.step
             ders.append(np.sqrt(grid.step * np.sum(diffs ** 2)))
@@ -78,9 +79,7 @@ class TestIteration:
         model, geom, grid, m0, f0, problem = setup
         wa = grid.age_weights()
         kappa = 1e-3 * (np.sqrt(wa @ m0 ** 2) + np.sqrt(wa @ f0 ** 2))
-        problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=kappa,
-                                 max_cg_iters=3000,
-                                 cg_tol=1e-9)
+        problem = PenaltyProblem(target_norm=kappa, max_cg_iters=3000, cg_tol=1e-9)
         fp = FixedPointConfig(omega=0.5, fp_tol=1e-4, max_outer_iters=40)
         state, result, nonlinear = iterate_to_fixed_point(model, grid, geom, problem,
                                                           fp, m0, f0)

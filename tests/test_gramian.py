@@ -10,7 +10,6 @@ import pytest
 from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      minimize_penalty, solve_forward)
 from popctrl.control import _Workspace
-from popctrl.errors import ConsistencyError
 from popctrl.forward import FrozenOperator
 
 from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model,
@@ -22,18 +21,12 @@ def _geometry(mode, horizon, target_min_age=0.0):
                            horizon=horizon, target_min_age=target_min_age, mode=mode)
 
 
-def reference_minimize_penalty(problem, model, grid, geom, trace, m0, f0, *,
-                               epsilon=None, theta=None):
+def reference_minimize_penalty(problem, operator, m0, f0, epsilon):
     """The control-space CG loop: one forward and one adjoint sweep per iteration.
 
     Returns (packed control, iterations, cg_trace, converged).
     """
-    if epsilon is not None or theta is not None:
-        problem = replace(
-            problem,
-            epsilon=epsilon if epsilon is not None else problem.epsilon,
-            theta=theta if theta is not None else problem.theta)
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(operator, m0, f0, epsilon)
     system = PenaltySystem(ws)
     b = system.rhs()
     norm_b = np.sqrt(ws.inner(b, b))
@@ -116,8 +109,7 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     grid = build_grid(1.0, horizon, 1.0 / 16)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-3)
     gram, initial = ws.op.gramians()
     _check_gramians(ws)
     # cached on the operator, and each expanded matrix on its blocks
@@ -144,7 +136,7 @@ def test_birth_source_split_matches_pairwise_adjoint_images(mode, target_min_age
     grid = build_grid(1.0, horizon, 1.0 / 16)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-2)
     _check_gramians(ws)
 
 
@@ -155,7 +147,7 @@ def test_gramian_pairs_terminal_map_and_adjoint():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-2)
     r = np.random.default_rng(4)
     c = r.standard_normal(2 * (grid.num_age_cells + 1))
     lc = PenaltySystem(ws).terminal_map(ws.adjoint_image(c))
@@ -180,12 +172,10 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     problem = PenaltyProblem(max_cg_iters=2000, cg_tol=1e-10)
-    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                              epsilon=eps, theta=eps)
+    result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0, eps)
     assert result.converged and result.iterations == 1
     assert len(result.cg_trace) == result.iterations + 1
-    ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
-                    trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, eps)
     got = ws.pack(result.v_m, result.v_f)
 
     # the optimum L* D^1/2 w, with (I + D^1/2 G D^1/2 / h) w = -D^1/2 y0 solved
@@ -197,7 +187,7 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     assert _relative(ws, got, exact) <= 1e-10
 
     want, _, _, want_conv = reference_minimize_penalty(
-        problem, model, grid, geom, trace, m0, f0, epsilon=eps, theta=eps)
+        problem, FrozenOperator(model, grid, geom, trace), m0, f0, eps)
     assert want_conv
     assert _relative(ws, got, want) <= 1e-8
 
@@ -215,24 +205,11 @@ def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
     operator = FrozenOperator(model, grid, geom, trace)
     problem = PenaltyProblem(max_cg_iters=4000, cg_tol=1e-9)
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                                  epsilon=eps, theta=eps, operator=operator)
+        result = minimize_penalty(problem, operator, m0, f0, eps)
         assert result.converged
-        ws = _Workspace(replace(problem, epsilon=eps, theta=eps), model, grid, geom,
-                        trace, m0, f0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, eps)
         b = PenaltySystem(ws).rhs()
         grad = ws.gradient(ws.pack(result.v_m, result.v_f))
         assert np.sqrt(ws.inner(grad, grad)) <= \
             1.01 * problem.cg_tol * np.sqrt(ws.inner(b, b))
 
-
-def test_operator_for_another_trace_is_rejected():
-    model = reference_model()
-    geom = _geometry(ControlMode.BOTH, 0.35)
-    grid = build_grid(1.0, 0.35, 1.0 / 16)
-    m0, f0 = reference_data(grid)
-    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    operator = FrozenOperator(model, grid, geom, 2.0 * trace)
-    with pytest.raises(ConsistencyError):
-        minimize_penalty(PenaltyProblem(), model, grid, geom, trace, m0, f0,
-                         operator=operator)

@@ -203,8 +203,7 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
             Field2D(grid, vf[..., c]), model, grid, geom)
         assert residual <= 1e-12 * scale
 
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    ws = _Workspace(problem, model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-3)
     x, d = random_control(ws, r), random_control(ws, r)
     norm = np.sqrt(ws.inner(d, d))
     d = [di / norm for di in d]
@@ -273,8 +272,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     monkeypatch.setattr(forward_module._Levels, "gramian", counting_gramian)
     monkeypatch.setattr(forward_module._Levels, "observe", counting_observe)
     op = FrozenOperator(model, grid, geom, trace)
-    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0,
-                              epsilon=1e-3, theta=1e-3, operator=op)
+    result = minimize_penalty(problem, op, m0, f0, 1e-3)
     assert result.converged and result.iterations == 1
     if model.fertility.separable:
         controlled = (mode is not ControlMode.FEMALE_ONLY, mode is not ControlMode.MALE_ONLY)
@@ -289,8 +287,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
 
     # |b| from the Gramian is the lattice norm of b up to rounding, and the
     # check gives the gradient bit for bit
-    ws = _Workspace(dataclasses.replace(problem, epsilon=1e-3, theta=1e-3), model, grid,
-                    geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-3)
     b = PenaltySystem(ws).rhs()
     grad = ws.gradient(ws.pack(result.v_m, result.v_f))
     assert abs(result.cg_trace[0] - np.sqrt(ws.inner(b, b))) <= 1e-13 * result.cg_trace[0]
@@ -308,7 +305,7 @@ def test_adjoint_images_are_the_adjoint_restricted_to_the_support(mode, target_m
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    ws = _Workspace(PenaltyProblem(), model, grid, geom, trace, m0, f0)
+    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-2)
     support_m, support_f = ws.support
     # the sex the mode leaves uncontrolled has an empty support
     assert support_m.any() == (mode is not ControlMode.FEMALE_ONLY)
@@ -338,8 +335,8 @@ def test_fertility_evaluated_once_per_level_per_operator():
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+    result = minimize_penalty(PenaltyProblem(), FrozenOperator(model, grid, geom, trace),
+                              m0, f0, 1e-3)
     assert result.iterations >= 1
     assert calls == list(trace)
     del calls[:]
@@ -350,16 +347,17 @@ def test_fertility_evaluated_once_per_level_per_operator():
 
 def test_trace_map_evaluates_fertility_once_per_level():
     # the controlled frozen-trace system's male trace and terminal state come
-    # from the penalty solve's own operator, so a trace_map call builds
-    # exactly one operator; this fertility is not separable, so they are the
-    # step loop's
+    # from the operator trace_map is given, so the fertility is evaluated only
+    # on that operator's trace; this fertility is not separable, so they are
+    # the step loop's
     model, calls = _counting(reference_model())
     geom = _geometry(ControlMode.BOTH, horizon=0.35)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    y, result = trace_map(trace, model, grid, geom, problem, m0, f0)
+    problem = PenaltyProblem()
+    op = FrozenOperator(model, grid, geom, trace)
+    y, result = trace_map(op, problem, m0, f0, 1e-3)
     assert calls == list(trace)
     expected = solve_forward(reference_model(), grid, geom, result.v_m, result.v_f,
                              m0, f0, frozen_trace=trace)
@@ -368,7 +366,7 @@ def test_trace_map_evaluates_fertility_once_per_level():
                                                            expected.f.values[:, -1]]))
     assert np.array_equal(y, expected.fertile_male_trace)
     del calls[:]
-    trace_map(1.1 * trace, model, grid, geom, problem, m0, f0)
+    trace_map(op.retrace(1.1 * trace), problem, m0, f0, 1e-3)
     assert calls == list(1.1 * trace)
 
 
@@ -496,7 +494,7 @@ def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
     grid = build_grid(1.0, 0.35, 1.0 / 32)
     nt = grid.num_time_cells
     m0, f0 = reference_data(grid)
-    problem = PenaltyProblem(epsilon=1e-2, theta=1e-2, target_norm=1e-3)
+    problem = PenaltyProblem(target_norm=1e-3)
     state, result, _ = iterate_to_fixed_point(model, grid, geom, problem,
                                               FixedPointConfig(), m0, f0)
     outer = len(state.history)

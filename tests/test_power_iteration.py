@@ -163,8 +163,8 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     monkeypatch.setattr(GramianBlocks, "matrix", no_expand)
     monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    result = minimize_penalty(problem, model, grid, geom, trace, m0, f0)
+    result = minimize_penalty(PenaltyProblem(), FrozenOperator(model, grid, geom, trace),
+                              m0, f0, 1e-3)
     assert result.converged
     report = estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
                                              probes=4, power_iters=5, seed=0)

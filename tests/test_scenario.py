@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from popctrl import (ControlMode, FixedPointConfig, PenaltyProblem, load_scenario,
-                     parse_scenario)
+from popctrl import (ControlMode, EpsilonSchedule, FixedPointConfig, PenaltyProblem,
+                     load_scenario, parse_scenario)
 from popctrl.errors import ConfigurationError
 
 MINIMAL = {
@@ -38,7 +38,7 @@ def _copy():
 
 def test_minimal_scenario_fills_defaults():
     scn = parse_scenario(_copy())
-    assert scn.penalty.epsilon == 0.01
+    assert scn.resolved["penalty"]["epsilon"] == scn.resolved["penalty"]["theta"] == 0.01
     assert scn.penalty.schedule.stages == 4
     assert scn.fixed_point.omega == 0.5
     assert scn.geometry.mode is ControlMode.BOTH
@@ -107,9 +107,11 @@ def test_fraction_bounds_enforced():
         parse_scenario(raw)
 
 
+# the library reads every stage's penalty weight off the schedule, so the
+# schedule stands in for the file's penalty.epsilon and penalty.theta
 @pytest.mark.parametrize("section, key, library", [
-    ("penalty", "epsilon", lambda v: PenaltyProblem(epsilon=v)),
-    ("penalty", "theta", lambda v: PenaltyProblem(theta=v)),
+    ("penalty", "epsilon", lambda v: EpsilonSchedule(start=v)),
+    ("penalty", "theta", lambda v: EpsilonSchedule(start=v)),
     ("penalty", "target_norm", lambda v: PenaltyProblem(target_norm=v)),
     ("fixed_point", "fp_tol", lambda v: FixedPointConfig(fp_tol=v)),
     ("geometry", "horizon", None),
@@ -125,6 +127,20 @@ def test_non_finite_numbers_rejected(section, key, library, value):
     if library is not None:
         with pytest.raises(ConfigurationError, match="finite"):
             library(value)
+
+
+@pytest.mark.parametrize("key", ["epsilon", "theta"])
+def test_unread_penalty_weights_are_still_checked_and_hashed(key):
+    # no stage reads penalty.epsilon or penalty.theta, but the file format
+    # keeps both: a zero is rejected and a change moves the scenario hash
+    raw = _copy()
+    raw["penalty"] = {key: 0.0}
+    with pytest.raises(ConfigurationError, match=rf"penalty\.{key}: must be > 0"):
+        parse_scenario(raw)
+    raw["penalty"] = {key: 1e-3}
+    scn = parse_scenario(raw)
+    assert scn.resolved["penalty"][key] == 1e-3
+    assert scn.scenario_hash != parse_scenario(_copy()).scenario_hash
 
 
 def test_rate_function_kinds():
@@ -148,6 +164,9 @@ def test_example_scenario_loads():
     scn = load_scenario(path)
     assert scn.model.max_age == 1.0
     assert scn.observability["probes"] == 8
+    # plain JSON and sha256: the same on every platform and BLAS
+    assert scn.scenario_hash == \
+        "bbf7fc62c662923c69534c4b355ddbe239bec42ec78f53d9e3d6b16fdf0cfe6f"
 
 
 def test_missing_file():

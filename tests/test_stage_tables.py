@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from popctrl import ControlGeometry, ControlMode, PenaltyProblem, build_grid, solve_forward
+from popctrl import ControlGeometry, ControlMode, build_grid, solve_forward
 from popctrl import forward as forward_module
 from popctrl.adjoint import region_inner
 from popctrl.cli import run_command
@@ -24,8 +24,7 @@ def _stage(make_model, mode, target_min_age=0.0):
     grid = build_grid(1.0, geom.horizon, 1.0 / 32)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    problem = PenaltyProblem(epsilon=1e-3, theta=1e-3)
-    return _Workspace(problem, model, grid, geom, trace, m0, f0)
+    return _Workspace(forward_module.FrozenOperator(model, grid, geom, trace), m0, f0, 1e-3)
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
@@ -77,7 +76,7 @@ def test_retraced_operators_share_the_geometry_tables():
 
 def test_an_adjoint_or_forward_map_alone_builds_no_geometry_tables():
     ws = _stage(reference_model, ControlMode.BOTH)
-    op = forward_module.FrozenOperator(reference_model(), ws.grid, ws.geom, ws.op.trace)
+    op = forward_module.FrozenOperator(reference_model(), ws.grid, ws.op.geom, ws.op.trace)
     op.adjoint(ws.m0, ws.f0)
     op.forward(ws.m0, ws.f0)
     op.observe(ws.m0, ws.f0, None, None)

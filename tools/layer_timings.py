@@ -10,7 +10,8 @@ so a slow spell of the host falls on all layers alike.
 
 --src imports popctrl from another source directory (for instance a copy of
 an earlier commit's src/), so two versions can be timed with the same
-layers.  The layers:
+layers; the source must take ``minimize_penalty(problem, operator, m0, f0,
+epsilon)``.  The layers:
 
   rate            FrozenOperator.retrace: the fertility table of every level
   step_loop       FrozenOperator.forward, both controls, one column
@@ -37,6 +38,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRIDS = ((1.0 / 64, 20), (1.0 / 256, 5))  # (h, calls per round): 80 x 28 and 260 x 91
+EPSILON = 1e-2  # the penalty weight of the stage layer and of the controls
 
 
 def _layers(h, calls):
@@ -60,7 +62,7 @@ def _layers(h, calls):
     m0, f0 = scenario.sample_initial(grid)
     trace = uncontrolled_trace(scenario, grid)
     op = FrozenOperator(model, grid, geom, trace)
-    control = minimize_penalty(penalty, model, grid, geom, trace, m0, f0, operator=op)
+    control = minimize_penalty(penalty, op, m0, f0, EPSILON)
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0[:, None], f0[:, None])
     traces = [trace, 0.5 * trace, 1.5 * trace]
@@ -78,8 +80,7 @@ def _layers(h, calls):
         "observe": (repeat(None), lambda _: op.observe(m0, f0, v_m, v_f)),
         "adjoint_images": (repeat(work), lambda w: op.adjoint_images(*w)),
         "gramian": (retraced, lambda fresh: fresh.gramians()),
-        "stage": (retraced, lambda fresh: minimize_penalty(
-            penalty, model, grid, geom, trace, m0, f0, operator=fresh)),
+        "stage": (retraced, lambda fresh: minimize_penalty(penalty, fresh, m0, f0, EPSILON)),
         "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20, live)),
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
