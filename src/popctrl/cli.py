@@ -9,18 +9,17 @@ printed to stderr only.
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import pipelines
 from .errors import PopctrlError
-from .scenario import _number, _require_dict, load_scenario
+from .scenario import load_input
 
-# command -> help text; each command but "sweep" runs pipelines.cmd_<command>,
-# looked up at call time so that wrappers installed on the module see the call
+# command -> help text; each command runs pipelines.cmd_<command> on its
+# parsed input file, looked up at call time so that wrappers installed on
+# the module see the call
 _COMMANDS = {
     "validate": "check demographic hypotheses and geometry",
     "simulate": "uncontrolled nonlinear solve; writes m.csv f.csv traces.csv",
@@ -65,59 +64,39 @@ def run_command(argv):
         return 2
 
     started = time.perf_counter()
+    made = []
     try:
-        if args.grid_h is not None:
-            # the rule a scenario file's grid.target_h meets, before anything is written
-            _number(args.grid_h, "grid.target_h", strict_min=0.0)
-        if args.command == "sweep":
-            with open(args.scenario) as handle:
-                sweep_spec = json.load(handle)
-            if not isinstance(sweep_spec, dict) or "base" not in sweep_spec:
-                raise PopctrlError("sweep file needs a 'base' key naming a scenario "
-                                   "file or holding an inline scenario object")
-            extra = set(sweep_spec) - {"base", "parameters"}
-            if extra:
-                raise PopctrlError(f"sweep file has unknown key(s) {sorted(extra)}")
-            base = sweep_spec["base"]
-            if isinstance(base, str):
-                base_path = os.path.join(os.path.dirname(args.scenario), base)
-                with open(base_path) as handle:
-                    base_raw = json.load(handle)
-            else:
-                base_raw = base
-            _require_dict(base_raw, "base")
-            if args.grid_h is not None:
-                grid_raw = _require_dict(base_raw.setdefault("grid", {}), "base.grid")
-                grid_raw["target_h"] = args.grid_h
-            scenario_like = None
-            outdir = args.out or "."
-            quiet = args.quiet
-        else:
-            scenario_like = load_scenario(args.scenario)
-            if args.grid_h is not None:
-                resolved = dict(scenario_like.resolved)
-                resolved["grid"] = {"target_h": args.grid_h}
-                scenario_like = replace(scenario_like, target_h=args.grid_h,
-                                        resolved=resolved)
-            outdir = args.out or scenario_like.output_dir
-            quiet = args.quiet or scenario_like.quiet
-        os.makedirs(outdir, exist_ok=True)
+        job = load_input(args.scenario, args.command, args.grid_h)
+        outdir = args.out or job.output_dir
+        quiet = args.quiet or job.quiet
+        made = _make_directory(outdir)
 
         def log(message):
             if not quiet:
                 print(message)
 
-        if args.command == "sweep":
-            code = pipelines.cmd_sweep(sweep_spec, base_raw, outdir, args.seed, log)
-        else:
-            command = getattr(pipelines, f"cmd_{args.command}")
-            code = command(scenario_like, outdir, args.seed, log)
+        code = getattr(pipelines, f"cmd_{args.command}")(job, outdir, args.seed, log)
     except (PopctrlError, OSError, ValueError) as exc:
+        for path in made:  # an error exit leaves no empty directory of its own behind
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not quiet:
         print(f"elapsed {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return code
+
+
+def _make_directory(path):
+    """Make the directory ``path``; returns the directories this made, deepest first."""
+    made = []
+    missing = os.path.abspath(path)
+    while not os.path.isdir(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    os.makedirs(path, exist_ok=True)
+    return made
 
 
 def main():

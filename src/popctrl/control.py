@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked, set_checked
 from .forward import FrozenOperator, control_windows, terminal_weights
 from .grid import Field2D, lattice_inner
 
@@ -56,11 +56,6 @@ FLAG_FIXED_POINT_NOT_REACHED = "FIXED_POINT_NOT_REACHED"
 FLAG_CONTRACTION_BOUND_EXCEEDED = "CONTRACTION_BOUND_EXCEEDED"
 
 
-def _positive(value):
-    """True for a finite positive number; NaN fails, as every comparison does."""
-    return math.isfinite(value) and value > 0
-
-
 @dataclass(frozen=True)
 class EpsilonSchedule:
     start: float = 1e-2
@@ -68,19 +63,16 @@ class EpsilonSchedule:
     stages: int = 4
 
     def __post_init__(self):
-        if not _positive(self.start):
-            raise ConfigurationError("schedule start must be positive and finite")
-        if not (math.isfinite(self.ratio) and self.ratio > 1):
-            raise ConfigurationError("schedule ratio must be finite and above 1")
-        if self.stages < 1:
-            raise ConfigurationError("schedule needs at least one stage")
+        set_checked(self, "start", gt=0)
+        set_checked(self, "ratio", gt=1)
+        set_checked(self, "stages", ge=1, integer=True)
         try:
             last = self.start / self.ratio ** (self.stages - 1)
         except OverflowError:
             last = 0.0
         if not last > 0:
             # a zero epsilon is no penalty; the stage would reject it mid-solve
-            raise ConfigurationError("schedule's last epsilon underflows to 0: "
+            raise ConfigurationError("stages: the last epsilon underflows to 0: "
                                      "use fewer stages or a smaller ratio")
 
     def values(self):
@@ -95,12 +87,9 @@ class PenaltyProblem:
     schedule: EpsilonSchedule = dc_field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
-        if not _positive(self.target_norm):
-            raise ConfigurationError("target_norm must be positive and finite")
-        if self.max_cg_iters < 1:
-            raise ConfigurationError("max_cg_iters must be at least 1")
-        if not _positive(self.cg_tol):
-            raise ConfigurationError("cg_tol must be positive and finite")
+        set_checked(self, "target_norm", gt=0)
+        set_checked(self, "max_cg_iters", ge=1, integer=True)
+        set_checked(self, "cg_tol", gt=0)
 
 
 @dataclass
@@ -149,8 +138,7 @@ class _Workspace:
     """
 
     def __init__(self, operator, m0, f0, epsilon):
-        if not _positive(epsilon):
-            raise ConfigurationError("epsilon must be positive and finite")
+        epsilon = checked("epsilon", epsilon, gt=0)
         self.op = operator
         self.grid = operator.grid
         self.m0 = np.asarray(m0, dtype=float)

@@ -13,14 +13,13 @@ uncontrolled frozen-field solve, measured in the exponentially weighted
 metric whose rate is reconstructed from the model constants.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .control import (FLAG_FIXED_POINT_NOT_REACHED, FLAG_TARGET_NOT_REACHED,
                       minimize_penalty, stage_entry, target_reached, terminal_norms)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, set_checked
 from .forward import FrozenOperator, _as_profile, solve_forward
 from .model import ControlGeometry, ControlMode
 
@@ -32,11 +31,9 @@ class FixedPointConfig:
     max_outer_iters: int = 40
 
     def __post_init__(self):
-        if not (0.0 < self.omega <= 1.0):
-            raise ConfigurationError("omega must lie in (0, 1]")
-        if not (math.isfinite(self.fp_tol) and self.fp_tol > 0) or self.max_outer_iters < 1:
-            raise ConfigurationError("fp_tol must be positive and finite, "
-                                     "max_outer_iters >= 1")
+        set_checked(self, "omega", gt=0, le=1)
+        set_checked(self, "fp_tol", gt=0)
+        set_checked(self, "max_outer_iters", ge=1, integer=True)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, checked, set_checked
 from .expressions import compile_expression
 
 DEFAULT_QUAD_INTERVALS = 8192
@@ -139,9 +139,7 @@ class Fertility:
             response = RateFunction.from_spec(spec["response"], "p", f"{where}.response")
             lip = spec.get("response_lipschitz")
             if lip is not None:
-                lip = float(lip)
-                if lip <= 0:
-                    raise ConfigurationError(f"{where}.response_lipschitz: must be positive")
+                lip = checked(f"{where}.response_lipschitz", lip, gt=0)
             return Fertility.separable_pair(profile, response, lip)
         if kind == "expr":
             if keys - {"kind", "expr"}:
@@ -185,14 +183,10 @@ class DemographicModel:
                                             repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.max_age > 0):
-            raise ConfigurationError("max_age must be positive")
-        if not (0.0 < self.female_fraction < 1.0):
-            raise ConfigurationError("female_fraction must lie strictly between 0 and 1")
-        if not (0.0 < self.fertility_onset < self.max_age):
-            raise ConfigurationError("fertility_onset must lie strictly inside (0, max_age)")
-        if not (0.0 <= self.last_cell_survival <= 1.0):
-            raise ConfigurationError("last_cell_survival must lie in [0, 1]")
+        set_checked(self, "female_fraction", gt=0, lt=1)
+        set_checked(self, "max_age", gt=0)
+        set_checked(self, "fertility_onset", gt=0, lt=self.max_age)
+        set_checked(self, "last_cell_survival", ge=0, le=1)
 
     def _cumulative_mortality(self, which):
         table = self._mortality_tables.get(which)
@@ -285,18 +279,16 @@ class ControlGeometry:
     mode: ControlMode = ControlMode.BOTH
 
     def __post_init__(self):
-        a1, a2 = self.male_window
-        b1, b2 = self.female_window
-        if not (0.0 <= a1 < a2):
-            raise ConfigurationError("male_window must satisfy 0 <= lo < hi")
-        if not (0.0 <= b1 < b2):
-            raise ConfigurationError("female_window must satisfy 0 <= lo < hi")
-        if not (self.horizon > 0):
-            raise ConfigurationError("horizon must be positive")
-        if self.target_min_age < 0:
-            raise ConfigurationError("target_min_age must be nonnegative")
+        for name in ("male_window", "female_window"):
+            window = getattr(self, name)
+            if not isinstance(window, (list, tuple)) or len(window) != 2:
+                raise ConfigurationError(f"{name}: expected [lo, hi]")
+            lo = checked(f"{name}[0]", window[0], ge=0)
+            object.__setattr__(self, name, (lo, checked(f"{name}[1]", window[1], gt=lo)))
+        set_checked(self, "horizon", gt=0)
+        set_checked(self, "target_min_age", ge=0)
         if not isinstance(self.mode, ControlMode):
-            raise ConfigurationError("mode must be a ControlMode")
+            raise ConfigurationError("mode: expected a ControlMode")
 
     def time_margin(self, max_age, mode=None):
         """Slack of the controllability time condition for the given mode."""

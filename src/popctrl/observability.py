@@ -190,7 +190,7 @@ def _power_iteration(op, iters, live):
     return max(best, float(num.quadratic(x_dense, x_spike)))
 
 
-def estimate_observability_constant(model, grid, geom, traces, *, probes=32,
+def estimate_observability_constant(model, grid, geom, traces, *, probes=16,
                                     power_iters=0, seed=0):
     """Lower estimate of the observability constant, repeated per frozen trace.
 

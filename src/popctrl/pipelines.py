@@ -237,55 +237,22 @@ def cmd_observability(scenario, outdir, seed, log):
     return 0
 
 
-def set_json_path(obj, dotted, value):
-    parts = dotted.split(".")
-    node = obj
-    for key in parts[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigurationError(f"sweep parameter path {dotted!r} not in scenario")
-        node = node[key]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigurationError(f"sweep parameter path {dotted!r} not in scenario")
-    node[parts[-1]] = value
-
-
-def cmd_sweep(sweep_spec, base_raw, outdir, seed, log):
-    """Cartesian parameter sweep running the control pipeline per combination."""
-    import itertools
-    import json
-
-    from .scenario import parse_scenario
-
-    parameters = sweep_spec.get("parameters")
-    if not isinstance(parameters, list) or not parameters:
-        raise ConfigurationError("sweep file needs a non-empty 'parameters' list")
-    paths = []
-    value_lists = []
-    for k, item in enumerate(parameters):
-        if not isinstance(item, dict) or set(item) != {"path", "values"}:
-            raise ConfigurationError(
-                f"sweep.parameters[{k}]: expected {{'path':..., 'values': [...]}}")
-        paths.append(item["path"])
-        value_lists.append(item["values"])
-
+def cmd_sweep(sweep, outdir, seed, log):
+    """The control pipeline on every run of a parsed sweep file."""
     rows = []
     any_flagged = False
-    for combo in itertools.product(*value_lists):
-        raw = json.loads(json.dumps(base_raw))
-        for path, value in zip(paths, combo):
-            set_json_path(raw, path, value)
-        scenario = parse_scenario(raw)
+    for values, scenario in sweep.runs:
         grid = make_grid(scenario)
         m0, f0 = scenario.sample_initial(grid)
         trace = uncontrolled_trace(scenario, grid)
         result = synthesize_null_control(scenario.penalty, scenario.model, grid,
                                          scenario.geometry, trace, m0, f0)
         any_flagged = any_flagged or bool(result.flags)
-        rows.append(list(combo) + [result.terminal_m_norm, result.terminal_f_norm,
-                                   result.J_value, result.iterations, result.epsilon,
-                                   len(result.stage_history), "|".join(result.flags)])
+        rows.append(values + [result.terminal_m_norm, result.terminal_f_norm,
+                              result.J_value, result.iterations, result.epsilon,
+                              len(result.stage_history), "|".join(result.flags)])
     _write_csv(os.path.join(outdir, "sweep.csv"),
-               paths + ["terminal_m_norm", "terminal_f_norm", "J_value", "iterations",
-                        "epsilon", "stages", "flags"], rows)
+               sweep.paths + ["terminal_m_norm", "terminal_f_norm", "J_value",
+                              "iterations", "epsilon", "stages", "flags"], rows)
     log(f"sweep: {len(rows)} combinations written")
     return 1 if any_flagged else 0

@@ -1,83 +1,72 @@
-"""Scenario files: a single JSON document describing one experiment.
+"""Scenario files, each a single JSON document describing one experiment,
+and sweep files, which run the control pipeline over the values of some of
+a scenario's numbers.
 
 Top-level keys: "model", "geometry", "grid", "initial" (required) and
 "terminal", "penalty", "fixed_point", "observability", "contraction",
-"output" (optional).  Unknown keys anywhere are an error, and error
-messages name the offending JSON path.  docs/scenario_schema.md lists
-every field; rate functions are {"kind": "constant"|"table"|"expr", ...}
-objects or bare numbers.
+"output" (optional).  Unknown keys anywhere are an error, and a null value
+means the key is absent.  docs/scenario_schema.md lists every field; rate
+functions are {"kind": "constant"|"table"|"expr", ...} objects or bare
+numbers.
+
+The defaults and bounds of the numbers in "model", "geometry", "penalty",
+"penalty.schedule" and "fixed_point" are those of DemographicModel,
+ControlGeometry, PenaltyProblem, EpsilonSchedule and FixedPointConfig: the
+parser builds each class from the keys present.  A library error names the
+field ("start: must be > 0"), and a file error puts the JSON path before it
+("penalty.schedule.start: must be > 0").  The parser keeps the rules of the
+file format alone: object shapes and keys, rate-function specs, the mode
+string, penalty.epsilon and penalty.theta, grid.target_h, the
+observability, contraction and output sections, and the control windows
+inside [0, max_age].
 """
 
+import itertools
 import json
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .control import EpsilonSchedule, PenaltyProblem
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked
 from .fixed_point import FixedPointConfig
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
                     RateFunction)
 from .util import canonical_json, sha256_hex
 
-_RATE_KEYS = {"kind", "value", "points", "values", "expr"}
 
-
-def _require_dict(obj, path):
+def _section(obj, path, required=(), optional=()):
+    """The non-null entries of the JSON object ``obj`` at ``path``: every key
+    must be in ``required`` or ``optional``, and every required one non-null,
+    since a null value means the key is absent."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    return obj
-
-
-def _check_keys(obj, path, required, optional=()):
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise ConfigurationError(f"{path}: unknown key(s) {unknown}")
-    missing = sorted(set(required) - set(obj))
+    present = {key: value for key, value in obj.items() if value is not None}
+    missing = sorted(set(required) - set(present))
     if missing:
         raise ConfigurationError(f"{path}: missing required key(s) {missing}")
+    return present
 
 
-def _number(obj, path, *, default=None, minimum=None, maximum=None,
-            strict_min=None, strict_max=None):
-    if obj is None:
-        if default is None:
-            raise ConfigurationError(f"{path}: missing number")
-        obj = default
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number")
-    value = float(obj)
-    # NaN passes every comparison below, since each of them is False for it
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{path}: must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{path}: must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"{path}: must be <= {maximum}")
-    if strict_min is not None and value <= strict_min:
-        raise ConfigurationError(f"{path}: must be > {strict_min}")
-    if strict_max is not None and value >= strict_max:
-        raise ConfigurationError(f"{path}: must be < {strict_max}")
-    return value
+def _config(cls, path, section, **built):
+    """``cls`` from ``built`` and the entries of ``section`` that name its
+    other fields, so an absent entry takes the class default; the class
+    names the field in its error, and the JSON ``path`` goes before it."""
+    names = {f.name for f in fields(cls)} - set(built)
+    try:
+        return cls(**built, **{k: v for k, v in section.items() if k in names})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}.{exc}") from None
 
 
-def _integer(obj, path, *, default=None, minimum=None):
-    if obj is None:
-        obj = default
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigurationError(f"{path}: expected an integer")
-    if minimum is not None and obj < minimum:
-        raise ConfigurationError(f"{path}: must be >= {minimum}")
-    return obj
-
-
-def _pair(obj, path):
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ConfigurationError(f"{path}: expected [lo, hi]")
-    return (_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
+def _number_list(values, path, **rule):
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{path}: expected a list")
+    return [checked(f"{path}[{k}]", v, **rule) for k, v in enumerate(values)]
 
 
 def _sanity_check_rates(model):
@@ -145,99 +134,72 @@ class Scenario:
 
 
 def _rate_spec_resolved(spec, path):
-    """Echo a validated rate-function spec back in canonical primitive form."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return {"kind": "constant", "value": float(spec)}
-    _require_dict(spec, path)
-    unknown = sorted(set(spec) - _RATE_KEYS)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {unknown}")
-    return {k: spec[k] for k in sorted(spec)}
+    """Echo a rate-function spec that ``RateFunction.from_spec`` accepted
+    back in canonical primitive form."""
+    if isinstance(spec, dict):
+        return {k: spec[k] for k in sorted(spec)}
+    if isinstance(spec, bool):
+        raise ConfigurationError(f"{path}: expected an object")
+    return {"kind": "constant", "value": float(spec)}
+
+
+def _document(raw, source):
+    return _section(raw, source, required=("model", "geometry", "grid", "initial"),
+                    optional=("terminal", "penalty", "fixed_point", "observability",
+                              "contraction", "output"))
 
 
 def parse_scenario(raw, *, source="scenario"):
     """Validate a parsed JSON document and build the typed scenario."""
-    _require_dict(raw, source)
-    _check_keys(raw, source,
-                required=("model", "geometry", "grid", "initial"),
-                optional=("terminal", "penalty", "fixed_point", "observability",
-                          "contraction", "output"))
+    raw = _document(raw, source)
     resolved = {}
 
-    mraw = _require_dict(raw["model"], "model")
-    _check_keys(mraw, "model",
-                required=("male_mortality", "female_mortality", "fertility",
-                          "male_fertility_weight", "female_fraction",
-                          "fertility_onset", "max_age"),
-                optional=("last_cell_survival",))
-    max_age = _number(mraw["max_age"], "model.max_age", strict_min=0.0)
-    model = DemographicModel(
-        male_mortality=RateFunction.from_spec(mraw["male_mortality"], "a",
-                                              "model.male_mortality"),
-        female_mortality=RateFunction.from_spec(mraw["female_mortality"], "a",
-                                                "model.female_mortality"),
-        fertility=Fertility.from_spec(mraw["fertility"], "model.fertility"),
-        male_fertility_weight=RateFunction.from_spec(mraw["male_fertility_weight"], "a",
-                                                     "model.male_fertility_weight"),
-        female_fraction=_number(mraw["female_fraction"], "model.female_fraction",
-                                strict_min=0.0, strict_max=1.0),
-        fertility_onset=_number(mraw["fertility_onset"], "model.fertility_onset",
-                                strict_min=0.0, strict_max=max_age),
-        max_age=max_age,
-        last_cell_survival=_number(mraw.get("last_cell_survival"),
-                                   "model.last_cell_survival",
-                                   default=0.0, minimum=0.0, maximum=1.0),
-    )
+    mraw = _section(raw["model"], "model",
+                    required=("male_mortality", "female_mortality", "fertility",
+                              "male_fertility_weight", "female_fraction",
+                              "fertility_onset", "max_age"),
+                    optional=("last_cell_survival",))
+    rates = {name: RateFunction.from_spec(mraw[name], "a", f"model.{name}")
+             for name in ("male_mortality", "female_mortality", "male_fertility_weight")}
+    model = _config(DemographicModel, "model", mraw, **rates,
+                    fertility=Fertility.from_spec(mraw["fertility"], "model.fertility"))
     _sanity_check_rates(model)
     resolved["model"] = {
-        "male_mortality": _rate_spec_resolved(mraw["male_mortality"], "model.male_mortality"),
-        "female_mortality": _rate_spec_resolved(mraw["female_mortality"],
-                                                "model.female_mortality"),
+        **{name: _rate_spec_resolved(mraw[name], f"model.{name}") for name in rates},
         "fertility": mraw["fertility"],
-        "male_fertility_weight": _rate_spec_resolved(mraw["male_fertility_weight"],
-                                                     "model.male_fertility_weight"),
         "female_fraction": model.female_fraction,
         "fertility_onset": model.fertility_onset,
         "max_age": model.max_age,
         "last_cell_survival": model.last_cell_survival,
     }
 
-    graw = _require_dict(raw["geometry"], "geometry")
-    _check_keys(graw, "geometry",
-                required=("male_window", "female_window", "horizon"),
-                optional=("target_min_age", "mode"))
-    mode_text = graw.get("mode", "BOTH")
-    try:
-        mode = ControlMode(mode_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"geometry.mode: {mode_text!r} is not one of "
-            f"{[m.value for m in ControlMode]}") from None
-    geometry = ControlGeometry(
-        male_window=_pair(graw["male_window"], "geometry.male_window"),
-        female_window=_pair(graw["female_window"], "geometry.female_window"),
-        horizon=_number(graw["horizon"], "geometry.horizon", strict_min=0.0),
-        target_min_age=_number(graw.get("target_min_age"), "geometry.target_min_age",
-                               default=0.0, minimum=0.0),
-        mode=mode,
-    )
+    graw = _section(raw["geometry"], "geometry",
+                    required=("male_window", "female_window", "horizon"),
+                    optional=("target_min_age", "mode"))
+    mode = {}
+    if "mode" in graw:
+        try:
+            mode["mode"] = ControlMode(graw["mode"])
+        except ValueError:
+            raise ConfigurationError(
+                f"geometry.mode: {graw['mode']!r} is not one of "
+                f"{[m.value for m in ControlMode]}") from None
+    geometry = _config(ControlGeometry, "geometry", graw, **mode)
     a1, a2 = geometry.male_window
     b1, b2 = geometry.female_window
-    if a2 > max_age or b2 > max_age:
+    if a2 > model.max_age or b2 > model.max_age:
         raise ConfigurationError("geometry: control windows must lie inside [0, max_age]")
     resolved["geometry"] = {
         "male_window": [a1, a2], "female_window": [b1, b2],
         "horizon": geometry.horizon, "target_min_age": geometry.target_min_age,
-        "mode": mode.value,
+        "mode": geometry.mode.value,
     }
 
-    grraw = _require_dict(raw["grid"], "grid")
-    _check_keys(grraw, "grid", required=("target_h",))
-    target_h = _number(grraw["target_h"], "grid.target_h", strict_min=0.0)
+    grraw = _section(raw["grid"], "grid", required=("target_h",))
+    target_h = checked("grid.target_h", grraw["target_h"], gt=0)
     resolved["grid"] = {"target_h": target_h}
 
-    iraw = _require_dict(raw["initial"], "initial")
-    _check_keys(iraw, "initial", required=("m0", "f0"))
+    iraw = _section(raw["initial"], "initial", required=("m0", "f0"))
     m0 = RateFunction.from_spec(iraw["m0"], "a", "initial.m0")
     f0 = RateFunction.from_spec(iraw["f0"], "a", "initial.f0")
     resolved["initial"] = {"m0": _rate_spec_resolved(iraw["m0"], "initial.m0"),
@@ -245,8 +207,7 @@ def parse_scenario(raw, *, source="scenario"):
 
     n_T = l_T = None
     if "terminal" in raw:
-        traw = _require_dict(raw["terminal"], "terminal")
-        _check_keys(traw, "terminal", required=(), optional=("n_T", "l_T"))
+        traw = _section(raw["terminal"], "terminal", optional=("n_T", "l_T"))
         if "n_T" in traw:
             n_T = RateFunction.from_spec(traw["n_T"], "a", "terminal.n_T")
         if "l_T" in traw:
@@ -254,96 +215,62 @@ def parse_scenario(raw, *, source="scenario"):
         resolved["terminal"] = {k: _rate_spec_resolved(traw[k], f"terminal.{k}")
                                 for k in sorted(traw)}
 
-    praw = _require_dict(raw.get("penalty", {}), "penalty")
-    _check_keys(praw, "penalty", required=(),
-                optional=("epsilon", "theta", "target_norm", "max_cg_iters",
-                          "cg_tol", "schedule"))
-    sraw = _require_dict(praw.get("schedule", {}), "penalty.schedule")
-    _check_keys(sraw, "penalty.schedule", required=(), optional=("start", "ratio", "stages"))
-    schedule = EpsilonSchedule(
-        start=_number(sraw.get("start"), "penalty.schedule.start",
-                      default=1e-2, strict_min=0.0),
-        ratio=_number(sraw.get("ratio"), "penalty.schedule.ratio",
-                      default=10.0, strict_min=1.0),
-        stages=_integer(sraw.get("stages"), "penalty.schedule.stages",
-                        default=4, minimum=1),
-    )
-    # epsilon and theta are checked and hashed, and read by nothing: every
-    # stage's penalty weight comes from the schedule
-    epsilon = _number(praw.get("epsilon"), "penalty.epsilon", default=1e-2, strict_min=0.0)
-    theta = _number(praw.get("theta"), "penalty.theta", default=1e-2, strict_min=0.0)
-    penalty = PenaltyProblem(
-        target_norm=_number(praw.get("target_norm"), "penalty.target_norm",
-                            default=1e-3, strict_min=0.0),
-        max_cg_iters=_integer(praw.get("max_cg_iters"), "penalty.max_cg_iters",
-                              default=800, minimum=1),
-        cg_tol=_number(praw.get("cg_tol"), "penalty.cg_tol", default=1e-9,
-                       strict_min=0.0),
-        schedule=schedule,
-    )
+    praw = _section(raw.get("penalty", {}), "penalty",
+                    optional=("epsilon", "theta", "target_norm", "max_cg_iters",
+                              "cg_tol", "schedule"))
+    schedule = _config(EpsilonSchedule, "penalty.schedule",
+                       _section(praw.get("schedule", {}), "penalty.schedule",
+                                optional=("start", "ratio", "stages")))
+    penalty = _config(PenaltyProblem, "penalty", praw, schedule=schedule)
     resolved["penalty"] = {
-        "epsilon": epsilon, "theta": theta,
+        # checked and hashed, and read by nothing: every stage's penalty
+        # weight comes from the schedule
+        "epsilon": checked("penalty.epsilon", praw.get("epsilon", 1e-2), gt=0),
+        "theta": checked("penalty.theta", praw.get("theta", 1e-2), gt=0),
         "target_norm": penalty.target_norm, "max_cg_iters": penalty.max_cg_iters,
         "cg_tol": penalty.cg_tol,
         "schedule": {"start": schedule.start, "ratio": schedule.ratio,
                      "stages": schedule.stages},
     }
 
-    fraw = _require_dict(raw.get("fixed_point", {}), "fixed_point")
-    _check_keys(fraw, "fixed_point", required=(),
-                optional=("omega", "fp_tol", "max_outer_iters"))
-    fixed_point = FixedPointConfig(
-        omega=_number(fraw.get("omega"), "fixed_point.omega", default=0.5,
-                      strict_min=0.0, maximum=1.0),
-        fp_tol=_number(fraw.get("fp_tol"), "fixed_point.fp_tol", default=1e-4,
-                       strict_min=0.0),
-        max_outer_iters=_integer(fraw.get("max_outer_iters"),
-                                 "fixed_point.max_outer_iters", default=40, minimum=1),
-    )
+    fixed_point = _config(FixedPointConfig, "fixed_point",
+                          _section(raw.get("fixed_point", {}), "fixed_point",
+                                   optional=("omega", "fp_tol", "max_outer_iters")))
     resolved["fixed_point"] = {"omega": fixed_point.omega, "fp_tol": fixed_point.fp_tol,
                                "max_outer_iters": fixed_point.max_outer_iters}
 
     # an absent section takes the defaults, and stays out of ``resolved`` so
     # that the scenario hash does not move
-    oraw = _require_dict(raw.get("observability", {}), "observability")
-    _check_keys(oraw, "observability", required=(),
-                optional=("horizons", "male_lo", "male_hi", "probes",
-                          "power_iters", "num_traces"))
+    oraw = _section(raw.get("observability", {}), "observability",
+                    optional=("horizons", "male_lo", "male_hi", "probes",
+                              "power_iters", "num_traces"))
     observability = {
-        "horizons": [_number(v, "observability.horizons[]", strict_min=0.0)
-                     for v in oraw.get("horizons", [geometry.horizon])],
-        "male_lo": [_number(v, "observability.male_lo[]", minimum=0.0)
-                    for v in oraw.get("male_lo", [a1])],
-        "male_hi": [_number(v, "observability.male_hi[]", strict_min=0.0)
-                    for v in oraw.get("male_hi", [a2])],
-        "probes": _integer(oraw.get("probes"), "observability.probes",
-                           default=16, minimum=1),
-        "power_iters": _integer(oraw.get("power_iters"), "observability.power_iters",
-                                default=0, minimum=0),
-        "num_traces": _integer(oraw.get("num_traces"), "observability.num_traces",
-                               default=3, minimum=1),
+        "horizons": _number_list(oraw.get("horizons", [geometry.horizon]),
+                                 "observability.horizons", gt=0),
+        "male_lo": _number_list(oraw.get("male_lo", [a1]), "observability.male_lo", ge=0),
+        "male_hi": _number_list(oraw.get("male_hi", [a2]), "observability.male_hi", gt=0),
+        "probes": checked("observability.probes", oraw.get("probes", 16),
+                          ge=1, integer=True),
+        "power_iters": checked("observability.power_iters", oraw.get("power_iters", 0),
+                               ge=0, integer=True),
+        "num_traces": checked("observability.num_traces", oraw.get("num_traces", 3),
+                              ge=1, integer=True),
     }
-    craw = _require_dict(raw.get("contraction", {}), "contraction")
-    _check_keys(craw, "contraction", required=(), optional=("trials", "amplitude"))
+    craw = _section(raw.get("contraction", {}), "contraction",
+                    optional=("trials", "amplitude"))
     contraction = {
-        "trials": _integer(craw.get("trials"), "contraction.trials", default=50, minimum=1),
-        "amplitude": _number(craw.get("amplitude"), "contraction.amplitude",
-                             default=1.0, strict_min=0.0),
+        "trials": checked("contraction.trials", craw.get("trials", 50), ge=1, integer=True),
+        "amplitude": checked("contraction.amplitude", craw.get("amplitude", 1.0), gt=0),
     }
     for section, config in (("observability", observability), ("contraction", contraction)):
         if section in raw:
             resolved[section] = config
 
-    output_dir = "."
-    quiet = False
-    if "output" in raw:
-        oraw = _require_dict(raw["output"], "output")
-        _check_keys(oraw, "output", required=(), optional=("directory", "quiet"))
-        directory = oraw.get("directory", ".")
-        if not isinstance(directory, str):
-            raise ConfigurationError("output.directory: expected a string")
-        output_dir = directory
-        quiet = bool(oraw.get("quiet", False))
+    outraw = _section(raw.get("output", {}), "output", optional=("directory", "quiet"))
+    output_dir = outraw.get("directory", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigurationError("output.directory: expected a string")
+    quiet = bool(outraw.get("quiet", False))
     resolved["output"] = {"directory": output_dir, "quiet": quiet}
 
     return Scenario(model=model, geometry=geometry, target_h=target_h,
@@ -353,13 +280,95 @@ def parse_scenario(raw, *, source="scenario"):
                     resolved=resolved)
 
 
-def load_scenario(path):
-    """Read, schema-check and resolve a scenario file."""
+def _read_json(path):
     if not os.path.exists(path):
         raise ConfigurationError(f"scenario file not found: {path}")
     with open(path) as handle:
         try:
-            raw = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario(raw, source=os.path.basename(path))
+
+
+def load_scenario(path):
+    """Read, schema-check and resolve a scenario file."""
+    return parse_scenario(_read_json(path), source=os.path.basename(path))
+
+
+@dataclass
+class Sweep:
+    """A parsed sweep file: the swept JSON paths of the base scenario and one
+    (values, scenario) run per combination of their values, in
+    ``itertools.product`` order."""
+
+    paths: list
+    runs: list
+    # a sweep file has no output section: the command-line defaults hold
+    output_dir = "."
+    quiet = False
+
+
+def _set_path(raw, dotted, value, where):
+    *parents, last = dotted.split(".")
+    node = raw
+    for key in parents:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
+        raise ConfigurationError(f"{where}: {dotted!r} is not in the base scenario")
+    node[last] = value
+
+
+def _with_grid_h(raw, grid_h):
+    """``raw`` with grid.target_h replaced by ``grid_h``, when given; a
+    document without a grid object is left for the parser to report."""
+    if grid_h is not None and isinstance(raw, dict) and isinstance(raw.get("grid"), dict):
+        raw = dict(raw, grid=dict(raw["grid"], target_h=grid_h))
+    return raw
+
+
+def _parse_sweep(raw, source, directory, grid_h):
+    """Every run of a sweep file, each parsed before any of them is run.
+
+    ``base`` is a scenario object or a file name relative to ``directory``;
+    each ``parameters`` entry names a ``path`` present in it and the list of
+    ``values`` swept there.  An error in a run's scenario names its path
+    under ``base``."""
+    sweep = _section(raw, source, required=("base", "parameters"))
+    base = sweep["base"]
+    if isinstance(base, str):
+        base = _read_json(os.path.join(directory, base))
+    if not isinstance(base, dict):
+        raise ConfigurationError("base: expected an object")
+    base = _with_grid_h(base, grid_h)
+    parameters = sweep["parameters"]
+    if not isinstance(parameters, list) or not parameters:
+        raise ConfigurationError("parameters: expected a non-empty list")
+    items = [_section(item, f"parameters[{k}]", required=("path", "values"))
+             for k, item in enumerate(parameters)]
+    for k, item in enumerate(items):
+        if not isinstance(item["path"], str):
+            raise ConfigurationError(f"parameters[{k}].path: expected a string")
+        if not isinstance(item["values"], list):
+            raise ConfigurationError(f"parameters[{k}].values: expected a list")
+    runs = []
+    for values in itertools.product(*(item["values"] for item in items)):
+        run = json.loads(json.dumps(base))
+        for k, (item, value) in enumerate(zip(items, values)):
+            _set_path(run, item["path"], value, f"parameters[{k}].path")
+        try:
+            runs.append((list(values), parse_scenario(run, source="base")))
+        except ConfigurationError as exc:
+            message = str(exc)  # a document-level error already starts with "base:"
+            raise ConfigurationError(
+                message if message.startswith("base:") else f"base.{message}") from None
+    return Sweep(paths=[item["path"] for item in items], runs=runs)
+
+
+def load_input(path, command, grid_h=None):
+    """The parsed input file of the CLI command ``command``: a Sweep for
+    "sweep", a Scenario for any other.  ``grid_h``, when given, replaces
+    grid.target_h (the base scenario's, in a sweep file) before any check."""
+    raw = _read_json(path)
+    if command == "sweep":
+        return _parse_sweep(raw, os.path.basename(path), os.path.dirname(path), grid_h)
+    return parse_scenario(_with_grid_h(raw, grid_h), source=os.path.basename(path))

@@ -239,21 +239,47 @@ def test_sweep_command(scenario_path, tmp_path):
 
 
 
-@pytest.mark.parametrize("base, message", [
-    ([1.0], "base: expected an object"),
-    (dict(FAST_SCENARIO, grid=0.0625), "base.grid: expected an object"),
-], ids=["base", "grid"])
-def test_sweep_grid_override_on_a_malformed_base_is_an_error(base, message, tmp_path,
-                                                             capsys):
-    # both used to end in a traceback and exit 1, the "completed with flags" code
-    sweep_path = tmp_path / "sweep.json"
-    sweep_path.write_text(json.dumps(
-        {"base": base, "parameters": [{"path": "penalty.schedule.stages", "values": [1]}]}))
-    out = tmp_path / "out"
-    assert run_command(["sweep", str(sweep_path), "--grid-h", "0.0625",
-                        "--out", str(out), "--quiet"]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+def _input(command, **changes):
+    """The FAST_SCENARIO document with top-level ``changes`` (None deletes a
+    key), as the input file of ``command``: the base of a one-run sweep file."""
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    for key, value in changes.items():
+        raw.pop(key) if value is None else raw.update({key: value})
+    if command != "sweep":
+        return raw
+    return {"base": raw, "parameters": [{"path": "penalty.schedule.stages", "values": [1]}]}
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("sweep", {"base": [1.0], "parameters": [{"path": "x", "values": [1]}]},
+     "base: expected an object"),
+    ("sweep", _input("sweep", grid=0.0625), "base.grid: expected an object"),
+    ("sweep", _input("sweep", grid=3), "base.grid: expected an object"),
+    ("sweep", _input("sweep", penalty=dict(FAST_SCENARIO["penalty"], cg_tol=0)),
+     "base.penalty.cg_tol: must be > 0"),
+    ("sweep", {"base": FAST_SCENARIO, "parameters": "x"},
+     "parameters: expected a non-empty list"),
+    ("adjoint", _input("adjoint", terminal=None), "adjoint command needs a 'terminal'"),
+    ("adjoint", _input("adjoint", geometry=dict(FAST_SCENARIO["geometry"], mode="MALE_ONLY"),
+                       terminal={"l_T": 1.0}), "l_T must vanish"),
+    ("observability", _input("observability", observability={"horizons": [1e-9]}),
+     "target_h=0.0625 must be smaller than min(max_age, horizon)=1e-09"),
+], ids=["base", "grid", "grid-3", "cg_tol", "parameters", "adjoint", "adjoint-mode",
+        "observability"])
+def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, message,
+                                                             tmp_path, capsys):
+    # with --grid-h the first two used to end in a traceback and exit 1, the
+    # "completed with flags" code; the others exited 2 but left an empty
+    # output directory.  The directories the run made go; one that existed stays
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for override in ([], ["--grid-h", "0.0625"]):
+        assert run_command([command, str(path), *override,
+                            "--out", str(existing / "out" / "run"), "--quiet"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert os.listdir(existing) == []
 
 
 def test_penalty_epsilon_and_theta_change_no_artifact_but_the_hash(tmp_path):

@@ -26,28 +26,6 @@ def setup():
     return model, geom, grid, m0, f0, trace, problem
 
 
-@pytest.mark.parametrize("make", [
-    lambda: EpsilonSchedule(start=0.0),
-    lambda: EpsilonSchedule(start=np.inf),
-    lambda: EpsilonSchedule(start=np.nan),
-    lambda: EpsilonSchedule(ratio=1.0),
-    lambda: EpsilonSchedule(ratio=np.inf),
-    lambda: EpsilonSchedule(ratio=np.nan),
-    lambda: EpsilonSchedule(stages=0),
-    lambda: PenaltyProblem(max_cg_iters=0),
-    lambda: PenaltyProblem(cg_tol=0.0),
-    lambda: PenaltyProblem(cg_tol=np.inf),
-    lambda: PenaltyProblem(cg_tol=np.nan),
-], ids=["start", "start-inf", "start-nan", "ratio", "ratio-inf", "ratio-nan", "stages",
-        "max_cg_iters", "cg_tol", "cg_tol-inf", "cg_tol-nan"])
-def test_library_config_rejects_what_the_scenario_parser_rejects(make):
-    # the same bounds as scenario.py: a schedule with no stage would return no
-    # result, a zero solve cap the zero control, a zero tolerance every solve;
-    # the parser rejects every non-finite number
-    with pytest.raises(ConfigurationError):
-        make()
-
-
 @pytest.mark.parametrize("start, ratio, stages", [
     (1e-2, 10.0, 400),   # 10.0 ** 399 overflows
     (1e-300, 1e20, 3),   # the third value is below the smallest subnormal

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -107,26 +109,123 @@ def test_fraction_bounds_enforced():
         parse_scenario(raw)
 
 
-# the library reads every stage's penalty weight off the schedule, so the
-# schedule stands in for the file's penalty.epsilon and penalty.theta
-@pytest.mark.parametrize("section, key, library", [
-    ("penalty", "epsilon", lambda v: EpsilonSchedule(start=v)),
-    ("penalty", "theta", lambda v: EpsilonSchedule(start=v)),
-    ("penalty", "target_norm", lambda v: PenaltyProblem(target_norm=v)),
-    ("fixed_point", "fp_tol", lambda v: FixedPointConfig(fp_tol=v)),
-    ("geometry", "horizon", None),
-    ("model", "max_age", None),
+@pytest.mark.parametrize("section, key", [
+    ("penalty", "epsilon"), ("penalty", "theta"), ("penalty", "target_norm"),
+    ("fixed_point", "fp_tol"), ("geometry", "horizon"), ("model", "max_age"),
+    # a NaN constant used to be accepted and flag every contraction probe
+    ("model.fertility", "response_lipschitz"),
 ])
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-def test_non_finite_numbers_rejected(section, key, library, value):
-    # every bound check is False for NaN, so finiteness is checked first
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],
+                         ids=["nan", "inf", "beyond-float"])
+def test_non_finite_numbers_rejected(section, key, value):
+    # every bound check is False for NaN, so finiteness is checked first; a
+    # JSON integer beyond the float range used to end in an OverflowError
     raw = _copy()
-    raw.setdefault(section, {})[key] = value
-    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: must be finite"):
+    _node(raw, section)[key] = value
+    with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}: must be finite")):
         parse_scenario(raw)
-    if library is not None:
-        with pytest.raises(ConfigurationError, match="finite"):
-            library(value)
+
+
+# every numeric field of the five configs: (JSON section, field, integer,
+# out-of-range value and its message, an integral value in range or None);
+# a window entry is a field of the form "<window>[<index>]"
+CONFIG_FIELDS = [
+    ("model", "female_fraction", False, 1.0, "must be < 1", None),
+    ("model", "fertility_onset", False, 1.0, "must be < 1.0", None),
+    ("model", "max_age", False, 0.0, "must be > 0", 1),
+    ("model", "last_cell_survival", False, 1.5, "must be <= 1", 1),
+    ("geometry", "male_window[0]", False, -0.1, "must be >= 0", 0),
+    ("geometry", "male_window[1]", False, 0.2, "must be > 0.2", 1),
+    ("geometry", "female_window[0]", False, -1.0, "must be >= 0", 0),
+    ("geometry", "female_window[1]", False, 0.05, "must be > 0.1", 1),
+    ("geometry", "horizon", False, 0.0, "must be > 0", 1),
+    ("geometry", "target_min_age", False, -0.5, "must be >= 0", 0),
+    ("penalty.schedule", "start", False, 0.0, "must be > 0", 1),
+    ("penalty.schedule", "ratio", False, 1.0, "must be > 1", 2),
+    ("penalty.schedule", "stages", True, 0, "must be >= 1", None),
+    ("penalty", "target_norm", False, -1.0, "must be > 0", 1),
+    ("penalty", "max_cg_iters", True, 0, "must be >= 1", None),
+    ("penalty", "cg_tol", False, 0.0, "must be > 0", 1),
+    ("fixed_point", "omega", False, 1.5, "must be <= 1", 1),
+    ("fixed_point", "fp_tol", False, 0.0, "must be > 0", 1),
+    ("fixed_point", "max_outer_iters", True, 0, "must be >= 1", None),
+]
+
+
+def _config_cases():
+    for section, field, integer, bad, message, integral in CONFIG_FIELDS:
+        kind = "expected an integer" if integer else "expected a number"
+        cases = {"range": (bad, message), "nan": (math.nan, "must be finite"),
+                 "inf": (math.inf, "must be finite"), "bool": (True, kind),
+                 "string": ("1", kind), "null": (None, None)}
+        if integer:
+            cases.update(nan=(math.nan, kind), inf=(math.inf, kind), fraction=(2.5, kind))
+        elif integral is not None:
+            cases["integral"] = (integral, None)
+        for name, (value, expected) in cases.items():
+            yield pytest.param(section, field, value, expected,
+                               id=f"{section}.{field}-{name}")
+
+
+def _node(raw, section):
+    for key in section.split("."):
+        raw = raw.setdefault(key, {})
+    return raw
+
+
+def _set_field(section, field, value):
+    """The MINIMAL document with ``field`` of ``section`` set to ``value``
+    (a null window entry nulls the window), the parsed config of that
+    section, the field's name and the value the class takes for it."""
+    raw, scn = _copy(), parse_scenario(_copy())
+    config = {"model": scn.model, "geometry": scn.geometry, "penalty": scn.penalty,
+              "penalty.schedule": scn.penalty.schedule,
+              "fixed_point": scn.fixed_point}[section]
+    name, _, index = field.partition("[")
+    if index and value is not None:
+        pair = list(getattr(config, name))
+        pair[int(index[0])] = value
+        _node(raw, section)[name] = pair
+        return raw, config, name, tuple(pair)
+    _node(raw, section)[name] = value
+    return raw, config, name, value
+
+
+@pytest.mark.parametrize("section, field, value, expected", _config_cases())
+def test_config_rules_live_in_the_classes_and_the_file_adds_its_path(
+        section, field, value, expected):
+    # one rule per field: the class raises "<field>: ..." and the file the
+    # same text after its JSON path; among the cases are the values the
+    # classes used to accept, such as ControlGeometry(target_min_age=nan),
+    # horizon=inf, male_window=(0.2, inf), DemographicModel(max_age=inf),
+    # EpsilonSchedule(stages=2.5), PenaltyProblem(max_cg_iters=True) and
+    # FixedPointConfig(max_outer_iters=1.5)
+    raw, config, name, library_value = _set_field(section, field, value)
+    if expected is not None:
+        with pytest.raises(ConfigurationError) as from_library:
+            dataclasses.replace(config, **{name: library_value})
+        assert str(from_library.value) == f"{field}: {expected}"
+        with pytest.raises(ConfigurationError) as from_file:
+            parse_scenario(raw)
+        assert str(from_file.value) == f"{section}.{field}: {expected}"
+    elif value is None:
+        # JSON null means the key is absent: the class default, or a missing key
+        default = {f.name: f.default for f in dataclasses.fields(config)}[name]
+        if default is dataclasses.MISSING:
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{section}: missing required key\(s\) \['{name}'\]$"):
+                parse_scenario(raw)
+        else:
+            absent = _copy()
+            _node(absent, section)
+            assert parse_scenario(raw).scenario_hash == parse_scenario(absent).scenario_hash
+    else:
+        # an integral number is stored as a float, so "max_age": 1 hashes as 1.0
+        as_float = _set_field(section, field, float(value))[0]
+        assert parse_scenario(raw).scenario_hash == parse_scenario(as_float).scenario_hash
+        stored = getattr(dataclasses.replace(config, **{name: library_value}), name)
+        assert {type(x) for x in (stored if isinstance(stored, tuple) else [stored])} \
+            == {float}
 
 
 @pytest.mark.parametrize("key", ["epsilon", "theta"])
