@@ -13,15 +13,16 @@ from .control import (ControlResult, EpsilonSchedule, PenaltyProblem,
                       synthesize_null_control)
 from .errors import (ConfigurationError, ConsistencyError, DimensionError,
                      DomainError, NumericalFailure, PopctrlError)
-from .fixed_point import (ContractionReport, FixedPointConfig, FixedPointState,
-                          contraction_test, iterate_to_fixed_point, trace_map)
+from .fixed_point import (ContractionConfig, ContractionReport, FixedPointConfig,
+                          FixedPointState, contraction_test, iterate_to_fixed_point,
+                          trace_map)
 from .forward import FrozenOperator, StateSolution, fertile_male_integral, solve_forward
 from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
                    region_mask, write_field_csv)
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
                     RateFunction, ValidationReport, beta_eval, lambda_eval,
                     survival_ratio, validate_hypotheses)
-from .observability import (ObservabilityReport, ThresholdReport,
+from .observability import (ObservabilityConfig, ObservabilityReport, ThresholdReport,
                             estimate_observability_constant, forced_terminal_mask,
                             observability_ratio, threshold_margins,
                             unreachable_from_window)
@@ -31,12 +32,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointSolution", "CharGrid", "ConfigurationError", "ConsistencyError",
-    "ContractionReport", "ControlGeometry", "ControlMode", "ControlResult",
-    "DemographicModel", "DimensionError", "DomainError", "EpsilonSchedule",
-    "Fertility", "Field2D", "FixedPointConfig", "FixedPointState", "FrozenOperator",
-    "NumericalFailure", "ObservabilityReport", "PenaltyProblem", "PopctrlError",
-    "RateFunction", "Scenario", "StateSolution", "ThresholdReport",
-    "ValidationReport", "beta_eval", "build_grid", "contraction_test",
+    "ContractionConfig", "ContractionReport", "ControlGeometry", "ControlMode",
+    "ControlResult", "DemographicModel", "DimensionError", "DomainError",
+    "EpsilonSchedule", "Fertility", "Field2D", "FixedPointConfig", "FixedPointState",
+    "FrozenOperator", "NumericalFailure", "ObservabilityConfig", "ObservabilityReport",
+    "PenaltyProblem", "PopctrlError", "RateFunction", "Scenario", "StateSolution",
+    "ThresholdReport", "ValidationReport", "beta_eval", "build_grid", "contraction_test",
     "duality_residual", "estimate_observability_constant", "evaluate_objective",
     "fertile_male_integral", "forced_terminal_mask", "integrate_age",
     "iterate_to_fixed_point", "lambda_eval", "load_scenario", "minimize_penalty",

@@ -4,6 +4,8 @@ configuration field."""
 import math
 import numbers
 
+import numpy as np
+
 
 class PopctrlError(Exception):
     """Base class for all errors raised by popctrl."""
@@ -67,3 +69,10 @@ def set_checked(config, name, **rule):
     """Replace the field ``name`` of a (possibly frozen) dataclass by its
     ``checked`` value."""
     object.__setattr__(config, name, checked(name, getattr(config, name), **rule))
+
+
+def checked_list(name, values, **rule):
+    """The ``checked`` value of each entry of the list ``values``, named "<name>[k]"."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ConfigurationError(f"{name}: expected a list")
+    return [checked(f"{name}[{k}]", v, **rule) for k, v in enumerate(values)]

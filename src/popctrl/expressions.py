@@ -8,6 +8,7 @@ numpy arrays.
 """
 
 import ast
+import operator
 
 import numpy as np
 
@@ -34,11 +35,15 @@ _BINOPS = {
     ast.Pow: np.power,
 }
 
+_UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
 
 def compile_expression(text, variables):
     """Compile ``text`` into a callable taking keyword args named in ``variables``.
 
-    Raises ConfigurationError on any syntax outside the grammar above.
+    One walk raises ConfigurationError on any syntax outside the grammar above
+    or a wrong number of function arguments, and compiles each node into a
+    closure over its children, so a call does no dispatch on node types.
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigurationError("expression must be a non-empty string")
@@ -48,59 +53,46 @@ def compile_expression(text, variables):
         raise ConfigurationError(f"cannot parse expression {text!r}: {exc}") from exc
     allowed = set(variables)
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name):
+    def compiled(node):
+        # env -> value of ``node``; children compile in evaluation order
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = _BINOPS[type(node.op)], compiled(node.left), compiled(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
+            op, operand = _UNARYOPS[type(node.op)], compiled(node.operand)
+            return lambda env: op(operand(env))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            value = float(node.value)
+            return lambda env: value
+        if isinstance(node, ast.Name):
             if node.id not in allowed:
                 raise ConfigurationError(
                     f"unknown variable {node.id!r} in expression {text!r} "
                     f"(allowed: {sorted(allowed)})"
                 )
-        elif isinstance(node, ast.Call):
+            return operator.itemgetter(node.id)
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ConfigurationError(f"unknown function call in expression {text!r}")
             if node.keywords:
                 raise ConfigurationError(f"keyword arguments not allowed in {text!r}")
-            for arg in node.args:
-                check(arg)
-        else:
-            raise ConfigurationError(
-                f"unsupported syntax {type(node).__name__!r} in expression {text!r}"
-            )
+            # a ufunc takes ``nin`` inputs, and would write into an extra one
+            if len(node.args) != getattr(_FUNCTIONS[node.func.id], "nin", 1):
+                raise ConfigurationError(
+                    f"wrong number of arguments to {node.func.id}() in expression {text!r}")
+            function, args = _FUNCTIONS[node.func.id], [compiled(arg) for arg in node.args]
+            return lambda env: function(*[arg(env) for arg in args])
+        raise ConfigurationError(
+            f"unsupported syntax {type(node).__name__!r} in expression {text!r}"
+        )
 
-    check(tree)
-
-    def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, env), evaluate(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            value = evaluate(node.operand, env)
-            return -value if isinstance(node.op, ast.USub) else +value
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.Call):
-            args = [evaluate(arg, env) for arg in node.args]
-            return _FUNCTIONS[node.func.id](*args)
-        raise AssertionError("unreachable after check()")
+    body = compiled(tree.body)
 
     def fn(**env):
         missing = allowed - set(env)
         if missing:
             raise ConfigurationError(f"expression {text!r} missing variables {sorted(missing)}")
         with np.errstate(all="ignore"):
-            return evaluate(tree, env)
+            return body(env)
 
-    fn.source = text
     return fn

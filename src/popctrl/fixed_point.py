@@ -36,6 +36,18 @@ class FixedPointConfig:
         set_checked(self, "max_outer_iters", ge=1, integer=True)
 
 
+@dataclass(frozen=True)
+class ContractionConfig:
+    """The random field pairs of `contraction_test` and their amplitude."""
+
+    trials: int = 50
+    amplitude: float = 1.0
+
+    def __post_init__(self):
+        set_checked(self, "trials", ge=1, integer=True)
+        set_checked(self, "amplitude", gt=0)
+
+
 @dataclass
 class FixedPointState:
     trace: np.ndarray
@@ -157,7 +169,7 @@ class ContractionReport:
     y_sup: float
 
 
-def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
+def contraction_test(model, grid, m0, f0, *, config=ContractionConfig(), seed=0):
     """Measure the weighted-metric contraction factor of the uncontrolled map.
 
     For random pairs of nonnegative frozen fields the map sends a field to
@@ -166,8 +178,6 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
     measured sup norms, the domain length and the configured response
     Lipschitz constant.  Requires separable fertility.
     """
-    if trials < 1 or not amplitude > 0:
-        raise ConfigurationError("contraction_test needs trials >= 1 and amplitude > 0")
     fert = model.fertility
     if not fert.separable:
         raise ConfigurationError("contraction_test requires separable fertility")
@@ -190,10 +200,10 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
     profiles = []
     y_sup = p_max = -np.inf
     op = None  # the operator of the first trace, retraced for every other
-    for k in range(trials):
+    for k in range(config.trials):
         r = np.random.default_rng(seed + 7919 * k)
-        p_field = amplitude * r.random(shape)
-        q_field = amplitude * r.random(shape)
+        p_field = config.amplitude * r.random(shape)
+        q_field = config.amplitude * r.random(shape)
         trace_p = wa @ (lam[:, None] * p_field)
         trace_q = wa @ (lam[:, None] * q_field)
         males = []
@@ -226,5 +236,5 @@ def contraction_test(model, grid, m0, f0, *, trials=50, seed=0, amplitude=1.0):
         ratios.append(metric(dm) / denom)
     return ContractionReport(
         sigma_hat=sigma_hat, max_ratio=max(ratios) if ratios else 0.0,
-        ratios=ratios, bound=1.0 / np.sqrt(2.0) + 0.1, trials=trials, seed=seed,
+        ratios=ratios, bound=1.0 / np.sqrt(2.0) + 0.1, trials=config.trials, seed=seed,
         y_sup=y_sup)

@@ -2,9 +2,11 @@
 
 Rate functions come in three flavours (constant, tabulated with linear
 interpolation, closed-form expression) so that scenario files are fully
-self-contained.  Mortality integrals are accumulated once on a fine age
-grid; survival ratios are then exact ratios pi(hi)/pi(lo) of the same
-cumulative table, which makes them exactly multiplicative.
+self-contained.  Their constructors own the values: a constant or table
+entry is a finite number, an expression compiles, and an error names the
+field ("values[1]: must be finite").  Mortality integrals are accumulated
+once on a fine age grid; survival ratios are then exact ratios
+pi(hi)/pi(lo) of the same cumulative table, so they multiply exactly.
 """
 
 import enum
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, checked, set_checked
+from .errors import ConfigurationError, DomainError, checked, checked_list, set_checked
 from .expressions import compile_expression
 
 DEFAULT_QUAD_INTERVALS = 8192
@@ -41,56 +43,33 @@ class RateFunction:
 
     @staticmethod
     def constant(value):
-        value = float(value)
+        value = checked("value", value)
         return RateFunction("constant", lambda x: np.full_like(x, value, dtype=float),
                             f"constant {value}")
 
     @staticmethod
     def table(points, values):
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if points.ndim != 1 or points.shape != values.shape or points.size < 2:
-            raise ConfigurationError("table needs matching 1-d point/value arrays, length >= 2")
+        points, values = (np.array(checked_list(name, samples), dtype=float)
+                          for name, samples in (("points", points), ("values", values)))
+        if points.size < 2 or points.shape != values.shape:
+            raise ConfigurationError("values: expected as many entries as points, at least 2")
         if np.any(np.diff(points) <= 0):
-            raise ConfigurationError("table points must be strictly increasing")
+            raise ConfigurationError("points: must be strictly increasing")
         return RateFunction("table", lambda x: np.interp(x, points, values),
                             f"table with {points.size} samples")
 
     @staticmethod
-    def expression(text, variable):
-        fn = compile_expression(text, [variable])
-        return RateFunction("expr", lambda x: fn(**{variable: x}), f"expr {text!r}")
+    def expression(expr, variable):
+        fn = _compiled(expr, [variable])
+        return RateFunction("expr", lambda x: fn(**{variable: x}), f"expr {expr!r}")
 
-    @staticmethod
-    def from_spec(spec, variable, where):
-        """Build from a scenario JSON fragment; ``where`` names the field in errors."""
-        if isinstance(spec, (int, float)):
-            return RateFunction.constant(spec)
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigurationError(f"{where}: expected a rate function object with 'kind'")
-        kind = spec["kind"]
-        keys = set(spec)
-        if kind == "constant":
-            if keys - {"kind", "value"}:
-                raise ConfigurationError(f"{where}: unknown keys {sorted(keys - {'kind', 'value'})}")
-            if "value" not in spec:
-                raise ConfigurationError(f"{where}: constant needs 'value'")
-            return RateFunction.constant(spec["value"])
-        if kind == "table":
-            if keys - {"kind", "points", "values"}:
-                raise ConfigurationError(
-                    f"{where}: unknown keys {sorted(keys - {'kind', 'points', 'values'})}")
-            try:
-                return RateFunction.table(spec["points"], spec["values"])
-            except KeyError as exc:
-                raise ConfigurationError(f"{where}: table needs 'points' and 'values'") from exc
-        if kind == "expr":
-            if keys - {"kind", "expr"}:
-                raise ConfigurationError(f"{where}: unknown keys {sorted(keys - {'kind', 'expr'})}")
-            if "expr" not in spec:
-                raise ConfigurationError(f"{where}: expr needs 'expr'")
-            return RateFunction.expression(spec["expr"], variable)
-        raise ConfigurationError(f"{where}: unknown rate function kind {kind!r}")
+
+def _compiled(expr, variables):
+    """``compile_expression``, its error naming the field "expr"."""
+    try:
+        return compile_expression(expr, variables)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"expr: {exc}") from None
 
 
 class Fertility:
@@ -117,36 +96,18 @@ class Fertility:
 
     @staticmethod
     def separable_pair(age_profile, response, response_lipschitz=None):
+        if response_lipschitz is not None:
+            response_lipschitz = checked("response_lipschitz", response_lipschitz, gt=0)
         fn = lambda ages, p: age_profile(ages) * response(np.asarray(p, dtype=float))
         return Fertility(fn, age_profile=age_profile, response=response,
                          response_lipschitz=response_lipschitz,
                          describe="separable")
 
     @staticmethod
-    def from_spec(spec, where):
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigurationError(f"{where}: expected a fertility object with 'kind'")
-        kind = spec["kind"]
-        keys = set(spec)
-        if kind == "separable":
-            allowed = {"kind", "age_profile", "response", "response_lipschitz"}
-            if keys - allowed:
-                raise ConfigurationError(f"{where}: unknown keys {sorted(keys - allowed)}")
-            for need in ("age_profile", "response"):
-                if need not in spec:
-                    raise ConfigurationError(f"{where}: separable fertility needs {need!r}")
-            profile = RateFunction.from_spec(spec["age_profile"], "a", f"{where}.age_profile")
-            response = RateFunction.from_spec(spec["response"], "p", f"{where}.response")
-            lip = spec.get("response_lipschitz")
-            if lip is not None:
-                lip = checked(f"{where}.response_lipschitz", lip, gt=0)
-            return Fertility.separable_pair(profile, response, lip)
-        if kind == "expr":
-            if keys - {"kind", "expr"}:
-                raise ConfigurationError(f"{where}: unknown keys {sorted(keys - {'kind', 'expr'})}")
-            fn = compile_expression(spec["expr"], ["a", "p"])
-            return Fertility(lambda ages, p: fn(a=ages, p=p), describe=f"expr {spec['expr']!r}")
-        raise ConfigurationError(f"{where}: unknown fertility kind {kind!r}")
+    def expression(expr):
+        """A general fertility: one expression of the age ``a`` and the male level ``p``."""
+        fn = _compiled(expr, ["a", "p"])
+        return Fertility(lambda ages, p: fn(a=ages, p=p), describe=f"expr {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,26 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .adjoint import _terminal_data
-from .errors import DomainError
+from .errors import DomainError, set_checked
 from .forward import FrozenOperator, control_masks, control_windows, terminal_weights
 from .grid import lattice_inner
 from .model import ControlMode
 
 INFINITE_QUOTIENT = math.inf
+
+
+@dataclass(frozen=True)
+class ObservabilityConfig:
+    """Probes and power steps of one estimate; the observability command's trace count."""
+
+    probes: int = 16
+    power_iters: int = 0
+    num_traces: int = 3
+
+    def __post_init__(self):
+        set_checked(self, "probes", ge=1, integer=True)
+        set_checked(self, "power_iters", ge=0, integer=True)
+        set_checked(self, "num_traces", ge=1, integer=True)
 
 
 @dataclass
@@ -190,8 +204,8 @@ def _power_iteration(op, iters, live):
     return max(best, float(num.quadratic(x_dense, x_spike)))
 
 
-def estimate_observability_constant(model, grid, geom, traces, *, probes=16,
-                                    power_iters=0, seed=0):
+def estimate_observability_constant(model, grid, geom, traces, *,
+                                    config=ObservabilityConfig(), seed=0):
     """Lower estimate of the observability constant, repeated per frozen trace.
 
     Probes are paired across traces (same seeds) so the reported spread
@@ -202,13 +216,11 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=16,
     traces = [np.asarray(t, dtype=float) for t in traces]
     if not traces:
         raise DomainError("estimate_observability_constant needs at least one trace")
-    if probes < 1:
-        raise DomainError("probes must be >= 1")
 
     targeted = _targeted_entries(grid, geom)
     live = np.flatnonzero(targeted)
-    data = _probe_data([np.random.default_rng(seed + 1000 * k) for k in range(probes)],
-                       targeted)
+    data = _probe_data(
+        [np.random.default_rng(seed + 1000 * k) for k in range(config.probes)], targeted)
     # a deterministic probe concentrated on the targeted male tail that the
     # male window's characteristics miss exposes unobserved directions that
     # diffuse random data would average away
@@ -229,7 +241,7 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=16,
     for trace in traces:
         # the traces share the operator's trace-independent tables
         op = FrozenOperator(model, grid, geom, trace) if op is None else op.retrace(trace)
-        if power_iters > 0 or model.fertility.separable:
+        if config.power_iters > 0 or model.fertility.separable:
             # the Gramians give the probe quotients: the power iteration needs
             # them anyway, and in closed form they cost less than the probes
             samples = _gramian_quotients(op, n_block, l_block)
@@ -240,8 +252,8 @@ def estimate_observability_constant(model, grid, geom, traces, *, probes=16,
         if len(finite) < len(samples):
             diverged = True
         estimate = max(finite) if finite else INFINITE_QUOTIENT
-        if power_iters > 0:
-            power = _power_iteration(op, power_iters, live)
+        if config.power_iters > 0:
+            power = _power_iteration(op, config.power_iters, live)
             if math.isfinite(power):
                 estimate = max(estimate, power)
                 power_best = power if power_best is None else max(power_best, power)

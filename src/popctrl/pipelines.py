@@ -188,9 +188,8 @@ def cmd_solve(scenario, outdir, seed, log):
 def cmd_contraction(scenario, outdir, seed, log):
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
-    cfg = scenario.contraction
-    report = contraction_test(scenario.model, grid, m0, f0, trials=cfg["trials"],
-                              seed=seed, amplitude=cfg["amplitude"])
+    report = contraction_test(scenario.model, grid, m0, f0, config=scenario.contraction,
+                              seed=seed)
     passed = report.max_ratio <= report.bound
     payload = base_report("contraction", scenario, grid, seed,
                           [] if passed else [FLAG_CONTRACTION_BOUND_EXCEEDED],
@@ -214,21 +213,20 @@ def _observability_traces(scenario, grid, count):
 
 
 def cmd_observability(scenario, outdir, seed, log):
-    cfg = scenario.observability
-    windows = [(lo, hi) for lo in cfg["male_lo"] for hi in cfg["male_hi"] if lo < hi]
+    sweep = scenario.observability_sweep
+    windows = [(lo, hi) for lo in sweep["male_lo"] for hi in sweep["male_hi"] if lo < hi]
     rows = []
-    for horizon in cfg["horizons"]:
+    for horizon in sweep["horizons"]:
         if not windows:
             break  # nothing to estimate, so no uncontrolled solve either
         grid = build_grid(scenario.model.max_age, horizon, scenario.target_h)
         # the frozen traces come from the uncontrolled solve, which does not
         # depend on the control window: one set serves every window
-        traces = _observability_traces(scenario, grid, cfg["num_traces"])
+        traces = _observability_traces(scenario, grid, scenario.observability.num_traces)
         for lo, hi in windows:
             geom = replace(scenario.geometry, male_window=(lo, hi), horizon=horizon)
             report = estimate_observability_constant(
-                scenario.model, grid, geom, traces, probes=cfg["probes"],
-                power_iters=cfg["power_iters"], seed=seed)
+                scenario.model, grid, geom, traces, config=scenario.observability, seed=seed)
             rows.append([horizon, lo, hi, report.threshold_margin,
                          report.estimated_constant, int(report.diverged)])
     _write_csv(os.path.join(outdir, "observability.csv"),

@@ -5,20 +5,19 @@ a scenario's numbers.
 Top-level keys: "model", "geometry", "grid", "initial" (required) and
 "terminal", "penalty", "fixed_point", "observability", "contraction",
 "output" (optional).  Unknown keys anywhere are an error, and a null value
-means the key is absent.  docs/scenario_schema.md lists every field; rate
-functions are {"kind": "constant"|"table"|"expr", ...} objects or bare
-numbers.
+means the key is absent.  docs/scenario_schema.md lists every field.
 
-The defaults and bounds of the numbers in "model", "geometry", "penalty",
-"penalty.schedule" and "fixed_point" are those of DemographicModel,
-ControlGeometry, PenaltyProblem, EpsilonSchedule and FixedPointConfig: the
-parser builds each class from the keys present.  A library error names the
-field ("start: must be > 0"), and a file error puts the JSON path before it
-("penalty.schedule.start: must be > 0").  The parser keeps the rules of the
-file format alone: object shapes and keys, rate-function specs, the mode
-string, penalty.epsilon and penalty.theta, grid.target_h, the
-observability, contraction and output sections, and the control windows
-inside [0, max_age].
+The parser keeps the file format: object shapes and keys, a spec's "kind",
+a bare number as a constant rate, the mode string, penalty.epsilon and
+penalty.theta, grid.target_h, the observability sweep lists, the output
+section, and the control windows inside [0, max_age].  The values belong
+to the classes the parser builds from the keys present: the numbers of
+DemographicModel, ControlGeometry, PenaltyProblem, EpsilonSchedule,
+FixedPointConfig, ObservabilityConfig and ContractionConfig, and the rate
+specs, whose keys are the arguments of RateFunction and Fertility
+constructors.  A library error names the field ("values[1]: must be
+finite"), and a file error puts the JSON path before it
+("initial.f0.values[1]: must be finite").
 """
 
 import itertools
@@ -29,10 +28,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import EpsilonSchedule, PenaltyProblem
-from .errors import ConfigurationError, checked
-from .fixed_point import FixedPointConfig
+from .errors import ConfigurationError, checked, checked_list
+from .fixed_point import ContractionConfig, FixedPointConfig
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
                     RateFunction)
+from .observability import ObservabilityConfig
 from .util import canonical_json, sha256_hex
 
 
@@ -42,31 +42,69 @@ def _section(obj, path, required=(), optional=()):
     since a null value means the key is absent."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = obj.keys() - {*required, *optional}
     if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {unknown}")
+        raise ConfigurationError(f"{path}: unknown key(s) {sorted(unknown)}")
     present = {key: value for key, value in obj.items() if value is not None}
-    missing = sorted(set(required) - set(present))
+    missing = [key for key in required if key not in present]
     if missing:
-        raise ConfigurationError(f"{path}: missing required key(s) {missing}")
+        raise ConfigurationError(f"{path}: missing required key(s) {sorted(missing)}")
     return present
 
 
-def _config(cls, path, section, **built):
-    """``cls`` from ``built`` and the entries of ``section`` that name its
-    other fields, so an absent entry takes the class default; the class
-    names the field in its error, and the JSON ``path`` goes before it."""
-    names = {f.name for f in fields(cls)} - set(built)
+def _built(path, constructor, **kwargs):
+    """``constructor(**kwargs)``; the constructor names the field in its
+    error, and the JSON ``path`` goes before it."""
     try:
-        return cls(**built, **{k: v for k, v in section.items() if k in names})
+        return constructor(**kwargs)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}.{exc}") from None
 
 
-def _number_list(values, path, **rule):
-    if not isinstance(values, list):
-        raise ConfigurationError(f"{path}: expected a list")
-    return [checked(f"{path}[{k}]", v, **rule) for k, v in enumerate(values)]
+def _config(cls, path, section, **built):
+    """``cls`` from ``built`` and the entries of ``section`` that name its
+    other fields, so an absent entry takes the class default."""
+    names = {f.name for f in fields(cls)} - set(built)
+    return _built(path, cls, **built, **{k: v for k, v in section.items() if k in names})
+
+
+def _spec(spec, path, kinds):
+    """The "kind" of the spec object at ``path`` and its other non-null
+    entries: ``kinds`` maps each kind to its ``_section`` keys."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"{path}: expected an object with a 'kind' in {sorted(kinds)}")
+    entries = _section(spec, path, *kinds[kind])
+    return entries.pop("kind"), entries
+
+
+# the required and optional keys of each kind; but for "kind", they are the
+# arguments of the kind's constructor
+_RATES = {"constant": (("kind", "value"), ()), "table": (("kind", "points", "values"), ()),
+          "expr": (("kind", "expr"), ())}
+_FERTILITIES = {"separable": (("kind", "age_profile", "response"), ("response_lipschitz",)),
+                "expr": (("kind", "expr"), ())}
+
+
+def _rate(spec, path, variable="a"):
+    """The rate function of ``variable`` given by the spec at ``path``, and
+    its echo in ``resolved``: a bare number is a float constant."""
+    if not isinstance(spec, dict):
+        value = checked(path, spec)
+        return RateFunction.constant(value), {"kind": "constant", "value": value}
+    kind, entries = _spec(spec, path, _RATES)
+    if kind == "expr":
+        return _built(path, RateFunction.expression, variable=variable, **entries), spec
+    return _built(path, getattr(RateFunction, kind), **entries), spec
+
+
+def _fertility(spec, path):
+    kind, entries = _spec(spec, path, _FERTILITIES)
+    if kind == "expr":
+        return _built(path, Fertility.expression, **entries)
+    entries["age_profile"] = _rate(entries["age_profile"], f"{path}.age_profile")[0]
+    entries["response"] = _rate(entries["response"], f"{path}.response", "p")[0]
+    return _built(path, Fertility.separable_pair, **entries)
 
 
 def _sanity_check_rates(model):
@@ -110,8 +148,9 @@ class Scenario:
     fixed_point: FixedPointConfig
     n_T: RateFunction = None
     l_T: RateFunction = None
-    observability: dict = None
-    contraction: dict = None
+    observability: ObservabilityConfig = None
+    observability_sweep: dict = None
+    contraction: ContractionConfig = None
     output_dir: str = "."
     quiet: bool = False
     resolved: dict = None
@@ -133,16 +172,6 @@ class Scenario:
         return n, l
 
 
-def _rate_spec_resolved(spec, path):
-    """Echo a rate-function spec that ``RateFunction.from_spec`` accepted
-    back in canonical primitive form."""
-    if isinstance(spec, dict):
-        return {k: spec[k] for k in sorted(spec)}
-    if isinstance(spec, bool):
-        raise ConfigurationError(f"{path}: expected an object")
-    return {"kind": "constant", "value": float(spec)}
-
-
 def _document(raw, source):
     return _section(raw, source, required=("model", "geometry", "grid", "initial"),
                     optional=("terminal", "penalty", "fixed_point", "observability",
@@ -159,13 +188,14 @@ def parse_scenario(raw, *, source="scenario"):
                               "male_fertility_weight", "female_fraction",
                               "fertility_onset", "max_age"),
                     optional=("last_cell_survival",))
-    rates = {name: RateFunction.from_spec(mraw[name], "a", f"model.{name}")
+    rates = {name: _rate(mraw[name], f"model.{name}")
              for name in ("male_mortality", "female_mortality", "male_fertility_weight")}
-    model = _config(DemographicModel, "model", mraw, **rates,
-                    fertility=Fertility.from_spec(mraw["fertility"], "model.fertility"))
+    model = _config(DemographicModel, "model", mraw,
+                    **{name: rate for name, (rate, _) in rates.items()},
+                    fertility=_fertility(mraw["fertility"], "model.fertility"))
     _sanity_check_rates(model)
     resolved["model"] = {
-        **{name: _rate_spec_resolved(mraw[name], f"model.{name}") for name in rates},
+        **{name: echo for name, (_, echo) in rates.items()},
         "fertility": mraw["fertility"],
         "female_fraction": model.female_fraction,
         "fertility_onset": model.fertility_onset,
@@ -200,20 +230,15 @@ def parse_scenario(raw, *, source="scenario"):
     resolved["grid"] = {"target_h": target_h}
 
     iraw = _section(raw["initial"], "initial", required=("m0", "f0"))
-    m0 = RateFunction.from_spec(iraw["m0"], "a", "initial.m0")
-    f0 = RateFunction.from_spec(iraw["f0"], "a", "initial.f0")
-    resolved["initial"] = {"m0": _rate_spec_resolved(iraw["m0"], "initial.m0"),
-                           "f0": _rate_spec_resolved(iraw["f0"], "initial.f0")}
+    (m0, m0_echo), (f0, f0_echo) = (_rate(iraw[k], f"initial.{k}") for k in ("m0", "f0"))
+    resolved["initial"] = {"m0": m0_echo, "f0": f0_echo}
 
-    n_T = l_T = None
+    terminal = {}
     if "terminal" in raw:
         traw = _section(raw["terminal"], "terminal", optional=("n_T", "l_T"))
-        if "n_T" in traw:
-            n_T = RateFunction.from_spec(traw["n_T"], "a", "terminal.n_T")
-        if "l_T" in traw:
-            l_T = RateFunction.from_spec(traw["l_T"], "a", "terminal.l_T")
-        resolved["terminal"] = {k: _rate_spec_resolved(traw[k], f"terminal.{k}")
-                                for k in sorted(traw)}
+        terminal = {k: _rate(spec, f"terminal.{k}") for k, spec in traw.items()}
+        resolved["terminal"] = {k: echo for k, (_, echo) in terminal.items()}
+    n_T, l_T = (terminal[k][0] if k in terminal else None for k in ("n_T", "l_T"))
 
     praw = _section(raw.get("penalty", {}), "penalty",
                     optional=("epsilon", "theta", "target_norm", "max_cg_iters",
@@ -244,27 +269,18 @@ def parse_scenario(raw, *, source="scenario"):
     oraw = _section(raw.get("observability", {}), "observability",
                     optional=("horizons", "male_lo", "male_hi", "probes",
                               "power_iters", "num_traces"))
-    observability = {
-        "horizons": _number_list(oraw.get("horizons", [geometry.horizon]),
-                                 "observability.horizons", gt=0),
-        "male_lo": _number_list(oraw.get("male_lo", [a1]), "observability.male_lo", ge=0),
-        "male_hi": _number_list(oraw.get("male_hi", [a2]), "observability.male_hi", gt=0),
-        "probes": checked("observability.probes", oraw.get("probes", 16),
-                          ge=1, integer=True),
-        "power_iters": checked("observability.power_iters", oraw.get("power_iters", 0),
-                               ge=0, integer=True),
-        "num_traces": checked("observability.num_traces", oraw.get("num_traces", 3),
-                              ge=1, integer=True),
-    }
-    craw = _section(raw.get("contraction", {}), "contraction",
-                    optional=("trials", "amplitude"))
-    contraction = {
-        "trials": checked("contraction.trials", craw.get("trials", 50), ge=1, integer=True),
-        "amplitude": checked("contraction.amplitude", craw.get("amplitude", 1.0), gt=0),
-    }
-    for section, config in (("observability", observability), ("contraction", contraction)):
-        if section in raw:
-            resolved[section] = config
+    observability_sweep = {
+        key: checked_list(f"observability.{key}", oraw.get(key, [default]), **rule)
+        for key, default, rule in (("horizons", geometry.horizon, {"gt": 0}),
+                                   ("male_lo", a1, {"ge": 0}), ("male_hi", a2, {"gt": 0}))}
+    observability = _config(ObservabilityConfig, "observability", oraw)
+    contraction = _config(ContractionConfig, "contraction",
+                          _section(raw.get("contraction", {}), "contraction",
+                                   optional=("trials", "amplitude")))
+    if "observability" in raw:
+        resolved["observability"] = {**observability_sweep, **vars(observability)}
+    if "contraction" in raw:
+        resolved["contraction"] = dict(vars(contraction))
 
     outraw = _section(raw.get("output", {}), "output", optional=("directory", "quiet"))
     output_dir = outraw.get("directory", ".")
@@ -276,8 +292,8 @@ def parse_scenario(raw, *, source="scenario"):
     return Scenario(model=model, geometry=geometry, target_h=target_h,
                     m0=m0, f0=f0, penalty=penalty, fixed_point=fixed_point,
                     n_T=n_T, l_T=l_T, observability=observability,
-                    contraction=contraction, output_dir=output_dir, quiet=quiet,
-                    resolved=resolved)
+                    observability_sweep=observability_sweep, contraction=contraction,
+                    output_dir=output_dir, quiet=quiet, resolved=resolved)
 
 
 def _read_json(path):

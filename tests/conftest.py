@@ -26,9 +26,7 @@ def expr_fertility_model(beta_amp=1.3, gamma=0.6, onset=0.15):
     """The reference model with its fertility written as one ``expr`` of (a, p),
     which the frozen-trace operator tabulates level by level and whose
     Gramians it assembles from the adjoint sweep."""
-    fertility = Fertility.from_spec(
-        {"kind": "expr", "expr": f"{beta_amp} * step(a - {onset}) * p / (1 + p)"},
-        "fertility")
+    fertility = Fertility.expression(f"{beta_amp} * step(a - {onset}) * p / (1 + p)")
     return dataclasses.replace(reference_model(beta_amp, gamma, onset), fertility=fertility)
 
 

@@ -14,9 +14,9 @@ import os
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, Field2D, PenaltyProblem,
-                     build_grid, duality_residual, contraction_test,
-                     estimate_observability_constant, iterate_to_fixed_point,
+from popctrl import (ContractionConfig, ControlGeometry, ControlMode, Field2D,
+                     ObservabilityConfig, PenaltyProblem, build_grid, duality_residual,
+                     contraction_test, estimate_observability_constant, iterate_to_fixed_point,
                      minimize_penalty, solve_adjoint, solve_forward,
                      synthesize_null_control)
 from popctrl.cli import run_command
@@ -234,7 +234,7 @@ def test_criterion_9_contraction():
     model = reference_model(beta_amp=0.6)
     grid = build_grid(1.0, 0.5, H_TARGET)
     m0, f0 = reference_data(grid)
-    rep = contraction_test(model, grid, m0, f0, trials=50, seed=0)
+    rep = contraction_test(model, grid, m0, f0, config=ContractionConfig(trials=50), seed=0)
     report(9, f"weighted-metric contraction factor {rep.max_ratio:.4f} <= "
               f"{rep.bound:.4f} over 50 trials", rep.max_ratio <= rep.bound)
 
@@ -263,8 +263,8 @@ def test_criterion_11_observability_trace_independence():
     model, geom, grid, m0, f0 = _scenario()
     base = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     traces = [base, 0.5 * base, 1.5 * base]
-    rep = estimate_observability_constant(model, grid, geom, traces, probes=24,
-                                          seed=0)
+    rep = estimate_observability_constant(model, grid, geom, traces,
+                                          config=ObservabilityConfig(probes=24), seed=0)
     spread = rep.trace_spread
     report(11, f"observability estimates across 3 frozen traces differ by "
                f"{100 * spread:.2f}%", (not rep.diverged) and spread <= 0.10)

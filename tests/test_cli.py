@@ -459,3 +459,51 @@ def test_blas_thread_count_moves_fields_only_in_the_last_bits(tmp_path):
                     for out in (one, two))
             assert np.array_equal(a[:, :2], b[:, :2])
             assert np.max(np.abs(a[:, 2] - b[:, 2])) <= 1e-13 * np.max(np.abs(a[:, 2]))
+
+
+RATE_SLOTS = ["model.male_mortality", "model.female_mortality", "model.male_fertility_weight",
+              "model.fertility.age_profile", "model.fertility.response", "initial.m0",
+              "initial.f0", "terminal.n_T", "terminal.l_T"]
+
+
+def _table(bad):
+    return {"kind": "table", "points": [0.0, 0.5, 1.0], "values": [0.2, bad, 0.3]}
+
+
+# each malformed spec and the error after the slot's JSON path
+MALFORMED_RATES = {
+    "nan": ({"kind": "constant", "value": float("nan")}, ".value: must be finite"),
+    "infinity": ({"kind": "constant", "value": float("inf")}, ".value: must be finite"),
+    "true": ({"kind": "constant", "value": True}, ".value: expected a number"),
+    "string": ({"kind": "constant", "value": "x"}, ".value: expected a number"),
+    "null": ({"kind": "constant", "value": None}, ": missing required key(s) ['value']"),
+    "bare-true": (True, ": expected a number"),
+    "table-nan": (_table(float("nan")), ".values[1]: must be finite"),
+    "table-string": (_table("x"), ".values[1]: expected a number"),
+    "table-list": (_table([0.2]), ".values[1]: expected a number"),
+    "unknown-key": ({"kind": "constant", "value": 0.2, "scale": 2},
+                    ": unknown key(s) ['scale']"),
+    "missing-key": ({"kind": "table", "points": [0.0, 1.0]},
+                    ": missing required key(s) ['values']"),
+    "expr-number": ({"kind": "expr", "expr": 3}, ".expr: expression must be a non-empty string"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RATES)
+@pytest.mark.parametrize("slot", RATE_SLOTS)
+def test_malformed_rate_spec_exits_2_with_its_json_path(slot, case, tmp_path, capsys):
+    # NaN and Infinity used to pass the loader, true to load as 1.0 inside a
+    # fertility, and a null constant to end in a TypeError traceback
+    spec, message = MALFORMED_RATES[case]
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    *parents, key = slot.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[key] = spec
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_command(["contraction", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {slot}{message}\n"
+    assert not out.exists()

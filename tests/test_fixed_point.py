@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from popctrl import (FixedPointConfig, PenaltyProblem, build_grid, contraction_test,
-                     iterate_to_fixed_point, trace_map)
+from popctrl import (ContractionConfig, FixedPointConfig, PenaltyProblem, build_grid,
+                     contraction_test, iterate_to_fixed_point, trace_map)
 from popctrl.errors import ConfigurationError
 from popctrl.fixed_point import trace_norm
 from popctrl.forward import FrozenOperator
@@ -112,14 +112,12 @@ class TestContraction:
         general = DemographicModel(
             male_mortality=model.male_mortality,
             female_mortality=model.female_mortality,
-            fertility=Fertility.from_spec(
-                {"kind": "expr", "expr": "step(a - 0.15) * p / (1 + p)"},
-                "fertility"),
+            fertility=Fertility.expression("step(a - 0.15) * p / (1 + p)"),
             male_fertility_weight=model.male_fertility_weight,
             female_fraction=0.5, fertility_onset=0.15, max_age=1.0)
         m0, f0 = reference_data(grid)
         with pytest.raises(ConfigurationError):
-            contraction_test(general, grid, m0, f0, trials=2)
+            contraction_test(general, grid, m0, f0, config=ContractionConfig(trials=2))
 
     def test_zero_fertility_gives_zero_ratios(self, grid):
         model = reference_model()
@@ -131,14 +129,16 @@ class TestContraction:
             male_fertility_weight=model.male_fertility_weight,
             female_fraction=0.5, fertility_onset=0.15, max_age=1.0)
         m0, f0 = reference_data(grid)
-        report = contraction_test(dead, grid, m0, f0, trials=5, seed=1)
+        report = contraction_test(dead, grid, m0, f0, config=ContractionConfig(trials=5),
+                                  seed=1)
         assert report.max_ratio == 0.0
 
     def test_generic_instance_below_bound(self):
         model = reference_model(beta_amp=0.6)
         grid = build_grid(1.0, 0.5, 1.0 / 32)
         m0, f0 = reference_data(grid)
-        report = contraction_test(model, grid, m0, f0, trials=25, seed=0)
+        report = contraction_test(model, grid, m0, f0, config=ContractionConfig(trials=25),
+                                  seed=0)
         assert len(report.ratios) == 25  # no degenerate pairs with this rng
         assert report.max_ratio <= report.bound
 
@@ -148,5 +148,5 @@ class TestContraction:
         # no trial, or fields that are zero or negative, carry no contraction information
         m0, f0 = reference_data(grid)
         with pytest.raises(ConfigurationError):
-            contraction_test(reference_model(), grid, m0, f0, trials=trials,
-                             amplitude=amplitude)
+            contraction_test(reference_model(), grid, m0, f0,
+                             config=ContractionConfig(trials=trials, amplitude=amplitude))

@@ -188,3 +188,46 @@ def test_geometry_invariants():
                            horizon=0.35)
     assert geom.time_margin(1.0) == pytest.approx(0.05)
     assert geom.time_margin(1.0, ControlMode.MALE_ONLY) == pytest.approx(0.25)
+
+
+_ONE = RateFunction.constant(1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RateFunction.constant(float("nan")), "value: must be finite"),
+    (lambda: RateFunction.constant(float("-inf")), "value: must be finite"),
+    (lambda: RateFunction.constant(True), "value: expected a number"),
+    (lambda: RateFunction.constant(None), "value: expected a number"),
+    (lambda: RateFunction.table([0.0, 0.5, 1.0], [0.1, float("inf"), 0.2]),
+     "values[1]: must be finite"),
+    (lambda: RateFunction.table([0.0, True, 1.0], [0.1, 0.2, 0.3]),
+     "points[1]: expected a number"),
+    (lambda: RateFunction.table([0.0, 1.0], [0.1, "x"]), "values[1]: expected a number"),
+    (lambda: RateFunction.table("x", [0.1, 0.2]), "points: expected a list"),
+    (lambda: RateFunction.table([0.0, 1.0], [0.1]),
+     "values: expected as many entries as points, at least 2"),
+    (lambda: RateFunction.table([1.0, 0.0], [0.1, 0.2]), "points: must be strictly increasing"),
+    (lambda: RateFunction.expression(None, "a"),
+     "expr: expression must be a non-empty string"),
+    (lambda: RateFunction.expression("a + p", "a"), "expr: unknown variable 'p'"),
+    (lambda: Fertility.expression("a * q"), "expr: unknown variable 'q'"),
+    (lambda: Fertility.separable_pair(_ONE, _ONE, 0.0), "response_lipschitz: must be > 0"),
+    (lambda: Fertility.separable_pair(_ONE, _ONE, float("nan")),
+     "response_lipschitz: must be finite"),
+    (lambda: Fertility.separable_pair(_ONE, _ONE, True),
+     "response_lipschitz: expected a number"),
+])
+def test_rate_constructors_name_the_bad_field(build, message):
+    # the scenario parser puts the JSON path before these messages
+    with pytest.raises(ConfigurationError) as error:
+        build()
+    assert str(error.value).startswith(message)
+
+
+def test_rate_constructors_store_floats():
+    assert RateFunction.constant(2)(np.array([0.0, 1.0])).tolist() == [2.0, 2.0]
+    table = RateFunction.table(np.array([0, 1]), [np.float32(0.5), 1])
+    assert table(0.5) == 0.75
+    assert Fertility.separable_pair(_ONE, _ONE, 2).response_lipschitz == 2.0
+    assert Fertility.separable_pair(_ONE, _ONE).response_lipschitz is None
+    assert Fertility.expression("a * p")(np.array([0.5]), 2.0).tolist() == [1.0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, build_grid,
+from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, build_grid,
                      estimate_observability_constant, forced_terminal_mask,
                      observability_ratio, solve_forward, threshold_margins,
                      unreachable_from_window)
@@ -83,8 +83,8 @@ class TestEstimate:
             g = build_grid(1.0, 0.35, target)
             m0, f0 = reference_data(g)
             trace = solve_forward(model, g, geom, None, None, m0, f0).fertile_male_trace
-            rep = estimate_observability_constant(model, g, geom, [trace],
-                                                  probes=16, seed=0)
+            rep = estimate_observability_constant(
+                model, g, geom, [trace], config=ObservabilityConfig(probes=16), seed=0)
             estimates.append(rep.estimated_constant)
         assert estimates[1] <= 2.0 * estimates[0]
         assert estimates[0] <= 2.0 * estimates[1]
@@ -92,17 +92,18 @@ class TestEstimate:
     def test_trace_independence(self, setup):
         model, geom, grid, trace = setup
         traces = [trace, 0.5 * trace, 1.5 * trace]
-        rep = estimate_observability_constant(model, grid, geom, traces,
-                                              probes=16, seed=0)
+        rep = estimate_observability_constant(
+            model, grid, geom, traces, config=ObservabilityConfig(probes=16), seed=0)
         assert not rep.diverged
         assert rep.trace_spread <= 0.10
 
     def test_power_iteration_dominates_probes(self, setup):
         model, geom, grid, trace = setup
-        plain = estimate_observability_constant(model, grid, geom, [trace],
-                                                probes=8, seed=0)
-        powered = estimate_observability_constant(model, grid, geom, [trace],
-                                                  probes=8, power_iters=12, seed=0)
+        plain = estimate_observability_constant(
+            model, grid, geom, [trace], config=ObservabilityConfig(probes=8), seed=0)
+        powered = estimate_observability_constant(
+            model, grid, geom, [trace], config=ObservabilityConfig(probes=8, power_iters=12),
+            seed=0)
         assert powered.estimated_constant >= plain.estimated_constant
         assert powered.power_estimate is not None
 
@@ -112,8 +113,9 @@ class TestEstimate:
                                horizon=0.3, mode=ControlMode.BOTH)
         grid = build_grid(1.0, 0.3, 1.0 / 32)
         trace = np.zeros(grid.num_time_cells + 1)
-        rep = estimate_observability_constant(model, grid, geom, [trace],
-                                              probes=8, power_iters=8, seed=0)
+        rep = estimate_observability_constant(
+            model, grid, geom, [trace], config=ObservabilityConfig(probes=8, power_iters=8),
+            seed=0)
         assert rep.diverged
         assert math.isinf(rep.estimated_constant)
 
@@ -215,7 +217,8 @@ def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypat
     monkeypatch.setattr(GramianBlocks, "restrict", basis)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    estimate_observability_constant(model, grid, geom, [trace], probes=4, power_iters=2)
+    estimate_observability_constant(model, grid, geom, [trace],
+                                    config=ObservabilityConfig(probes=4, power_iters=2))
     # the numerator and denominator forms
     assert len(seen["basis"]) == 2
     assert all(np.array_equal(live, targeted) for live in seen["basis"])

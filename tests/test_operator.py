@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, Field2D,
-                     FixedPointConfig, PenaltyProblem, RateFunction, build_grid,
-                     duality_residual, estimate_observability_constant,
+                     FixedPointConfig, ObservabilityConfig, PenaltyProblem, RateFunction,
+                     build_grid, duality_residual, estimate_observability_constant,
                      iterate_to_fixed_point, minimize_penalty, observability_ratio,
                      solve_adjoint, solve_forward, synthesize_null_control, trace_map)
 from popctrl import fixed_point as fixed_point_module
@@ -341,7 +341,7 @@ def test_fertility_evaluated_once_per_level_per_operator():
     assert calls == list(trace)
     del calls[:]
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
-                                    probes=4, power_iters=3, seed=0)
+                                    config=ObservabilityConfig(probes=4, power_iters=3), seed=0)
     assert calls == list(trace) + list(2.0 * trace)
 
 
@@ -520,8 +520,9 @@ def test_separable_tables_built_once_per_horizon(power_iters, monkeypatch):
     built = _counting_tables(monkeypatch)
     _, grid, geom, trace = _observability_setup()
     traces = [trace, 2.0 * trace, 0.5 * trace]
-    estimate_observability_constant(model, grid, geom, traces, probes=4,
-                                    power_iters=power_iters, seed=0)
+    estimate_observability_constant(
+        model, grid, geom, traces,
+        config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
     assert len(calls["age_profile"]) == 1
     assert all(np.array_equal(got, want) for got, want in zip(calls["response"], traces))
     assert len(calls["response"]) == len(traces)
@@ -701,8 +702,9 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
         return levels(self, work_n, work_l, visit)
 
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting)
-    estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace], probes=4,
-                                    power_iters=power_iters, seed=0)
+    estimate_observability_constant(
+        model, grid, geom, [trace, 2.0 * trace],
+        config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
     # 4 probes; no terminal age is old enough for the cone datum at this horizon
     if model.fertility.separable:

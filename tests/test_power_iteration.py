@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
-                     estimate_observability_constant, minimize_penalty, solve_forward)
+from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, PenaltyProblem,
+                     build_grid, estimate_observability_constant, minimize_penalty,
+                     solve_forward)
 from popctrl import observability as obs
 from popctrl.forward import FrozenOperator, GramianBlocks
 
@@ -166,8 +167,9 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     result = minimize_penalty(PenaltyProblem(), FrozenOperator(model, grid, geom, trace),
                               m0, f0, 1e-3)
     assert result.converged
-    report = estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
-                                             probes=4, power_iters=5, seed=0)
+    report = estimate_observability_constant(
+        model, grid, geom, [trace, 2.0 * trace],
+        config=ObservabilityConfig(probes=4, power_iters=5), seed=0)
     assert report.power_estimate is not None
     # one eigh per trace, on the dense block only
     assert sizes == [2 * grid.num_time_cells] * 2

@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from popctrl import (ControlMode, build_grid, estimate_observability_constant,
-                     integrate_age, iterate_to_fixed_point, load_scenario, solve_forward,
-                     synthesize_null_control)
+from popctrl import (ControlMode, ObservabilityConfig, build_grid,
+                     estimate_observability_constant, integrate_age, iterate_to_fixed_point,
+                     load_scenario, solve_forward, synthesize_null_control)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "example.json")
 
@@ -51,8 +51,8 @@ def test_observability_estimate_settles_under_refinement():
     for h in (1 / 40, 1 / 80, 1 / 140):
         grid, _, _, trace = _setup(scenario, h)
         report = estimate_observability_constant(
-            scenario.model, grid, scenario.geometry, [trace], probes=8, power_iters=50,
-            seed=0)
+            scenario.model, grid, scenario.geometry, [trace],
+            config=ObservabilityConfig(probes=8, power_iters=50), seed=0)
         assert not report.diverged
         estimates.append(report.estimated_constant)
     print("observability estimate:", " -> ".join(f"{e:.4g}" for e in estimates))

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from popctrl import (ControlMode, EpsilonSchedule, FixedPointConfig, PenaltyProblem,
-                     load_scenario, parse_scenario)
+from popctrl import (ContractionConfig, ControlMode, EpsilonSchedule, FixedPointConfig,
+                     ObservabilityConfig, PenaltyProblem, load_scenario, parse_scenario)
 from popctrl.errors import ConfigurationError
 
 MINIMAL = {
@@ -49,19 +49,23 @@ def test_minimal_scenario_fills_defaults():
 
 
 def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
-    # the defaults of the observability and contraction commands come from
-    # the parser alone; an absent section must not move the scenario hash
+    # the numbers of the observability and contraction commands take the
+    # defaults of their config classes, the sweep lists the geometry's; an
+    # absent section must not move the scenario hash
     scn = parse_scenario(_copy())
-    assert scn.observability == {"horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9],
-                                 "probes": 16, "power_iters": 0, "num_traces": 3}
-    assert scn.contraction == {"trials": 50, "amplitude": 1.0}
+    assert scn.observability_sweep == {"horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9]}
+    assert scn.observability == ObservabilityConfig(probes=16, power_iters=0, num_traces=3)
+    assert scn.contraction == ContractionConfig(trials=50, amplitude=1.0)
     assert "observability" not in scn.resolved and "contraction" not in scn.resolved
     raw = _copy()
     raw["observability"], raw["contraction"] = {}, {}
     explicit = parse_scenario(raw)
-    assert (explicit.observability, explicit.contraction) == \
-        (scn.observability, scn.contraction)
-    assert explicit.resolved["contraction"] == scn.contraction
+    assert (explicit.observability, explicit.observability_sweep, explicit.contraction) == \
+        (scn.observability, scn.observability_sweep, scn.contraction)
+    assert explicit.resolved["observability"] == {
+        "horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9],
+        "probes": 16, "power_iters": 0, "num_traces": 3}
+    assert explicit.resolved["contraction"] == {"trials": 50, "amplitude": 1.0}
     assert explicit.scenario_hash != scn.scenario_hash
 
 
@@ -126,7 +130,7 @@ def test_non_finite_numbers_rejected(section, key, value):
         parse_scenario(raw)
 
 
-# every numeric field of the five configs: (JSON section, field, integer,
+# every numeric field of the seven configs: (JSON section, field, integer,
 # out-of-range value and its message, an integral value in range or None);
 # a window entry is a field of the form "<window>[<index>]"
 CONFIG_FIELDS = [
@@ -149,6 +153,11 @@ CONFIG_FIELDS = [
     ("fixed_point", "omega", False, 1.5, "must be <= 1", 1),
     ("fixed_point", "fp_tol", False, 0.0, "must be > 0", 1),
     ("fixed_point", "max_outer_iters", True, 0, "must be >= 1", None),
+    ("observability", "probes", True, 0, "must be >= 1", None),
+    ("observability", "power_iters", True, -3, "must be >= 0", None),
+    ("observability", "num_traces", True, 0, "must be >= 1", None),
+    ("contraction", "trials", True, 0, "must be >= 1", None),
+    ("contraction", "amplitude", False, 0.0, "must be > 0", 1),
 ]
 
 
@@ -180,7 +189,8 @@ def _set_field(section, field, value):
     raw, scn = _copy(), parse_scenario(_copy())
     config = {"model": scn.model, "geometry": scn.geometry, "penalty": scn.penalty,
               "penalty.schedule": scn.penalty.schedule,
-              "fixed_point": scn.fixed_point}[section]
+              "fixed_point": scn.fixed_point, "observability": scn.observability,
+              "contraction": scn.contraction}[section]
     name, _, index = field.partition("[")
     if index and value is not None:
         pair = list(getattr(config, name))
@@ -199,7 +209,9 @@ def test_config_rules_live_in_the_classes_and_the_file_adds_its_path(
     # classes used to accept, such as ControlGeometry(target_min_age=nan),
     # horizon=inf, male_window=(0.2, inf), DemographicModel(max_age=inf),
     # EpsilonSchedule(stages=2.5), PenaltyProblem(max_cg_iters=True) and
-    # FixedPointConfig(max_outer_iters=1.5)
+    # FixedPointConfig(max_outer_iters=1.5); estimate_observability_constant
+    # took probes=True as 1 probe and power_iters=-3 as 0, and
+    # contraction_test trials=True as 1 trial and amplitude=inf
     raw, config, name, library_value = _set_field(section, field, value)
     if expected is not None:
         with pytest.raises(ConfigurationError) as from_library:
@@ -251,6 +263,23 @@ def test_rate_function_kinds():
     assert scn.f0(0.9) == 0.25
 
 
+def test_rate_specs_echo_as_written():
+    # a spec object echoes its entries as written, so an int value stays an
+    # int, and a fertility object echoes raw, null response_lipschitz
+    # included; a bare number echoes as a float constant.  The hash predates
+    # the spec parser
+    raw = _copy()
+    raw["model"]["male_mortality"] = {"kind": "constant", "value": 0}
+    raw["model"]["fertility"]["response_lipschitz"] = None
+    raw["initial"]["m0"] = 1
+    scn = parse_scenario(raw)
+    assert scn.resolved["model"]["male_mortality"] == {"kind": "constant", "value": 0}
+    assert scn.resolved["initial"]["m0"] == {"kind": "constant", "value": 1.0}
+    assert scn.model.fertility.response_lipschitz is None
+    assert scn.scenario_hash == \
+        "6af5fb41cab39c1914319c5aba7a46b2716bf4799384d2d0fa27b369e6bcaf48"
+
+
 def test_hash_stable_under_key_order():
     a = parse_scenario(_copy())
     reordered = json.loads(json.dumps(_copy(), sort_keys=True))
@@ -262,7 +291,7 @@ def test_example_scenario_loads():
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "example.json")
     scn = load_scenario(path)
     assert scn.model.max_age == 1.0
-    assert scn.observability["probes"] == 8
+    assert scn.observability.probes == 8
     # plain JSON and sha256: the same on every platform and BLAS
     assert scn.scenario_hash == \
         "bbf7fc62c662923c69534c4b355ddbe239bec42ec78f53d9e3d6b16fdf0cfe6f"

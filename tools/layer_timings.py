@@ -11,8 +11,11 @@ so a slow spell of the host falls on all layers alike.
 --src imports popctrl from another source directory (for instance a copy of
 an earlier commit's src/), so two versions can be timed with the same
 layers; the source must take ``minimize_penalty(problem, operator, m0, f0,
-epsilon)``.  The layers:
+epsilon)`` and ``estimate_observability_constant(..., config=)``.  The
+layers:
 
+  nonlinear       solve_forward without controls or frozen trace: the
+                  nonlinear sweep, one rate-function call per level
   rate            FrozenOperator.retrace: the fertility table of every level
   step_loop       FrozenOperator.forward, both controls, one column
   observe         FrozenOperator.observe, the same controls
@@ -49,9 +52,9 @@ def _layers(h, calls):
 
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
-    from popctrl.forward import FrozenOperator
-    from popctrl.observability import (_power_iteration, _targeted_entries,
-                                       estimate_observability_constant)
+    from popctrl.forward import FrozenOperator, solve_forward
+    from popctrl.observability import (ObservabilityConfig, _power_iteration,
+                                       _targeted_entries, estimate_observability_constant)
     from popctrl.pipelines import make_grid, uncontrolled_trace
     from popctrl.scenario import load_scenario
 
@@ -75,6 +78,8 @@ def _layers(h, calls):
         return [op.retrace(trace) for _ in range(calls)]
 
     return grid, {
+        "nonlinear": (repeat(None), lambda _: solve_forward(model, grid, geom, None, None,
+                                                             m0, f0)),
         "rate": (repeat(trace), op.retrace),
         "step_loop": (repeat(None), lambda _: op.forward(m0, f0, v_m, v_f)),
         "observe": (repeat(None), lambda _: op.observe(m0, f0, v_m, v_f)),
@@ -85,7 +90,8 @@ def _layers(h, calls):
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
-            model, grid, geom, traces, probes=8, power_iters=20, seed=0)),
+            model, grid, geom, traces, config=ObservabilityConfig(probes=8, power_iters=20),
+            seed=0)),
     }
 
 
