@@ -19,10 +19,14 @@ zero-data frozen-trace system and L* is its adjoint (the operator's
 transpose applied to a terminal work vector).  By HUM duality the optimum
 is v = L* c, where c solves the terminal-space system
 (I + D G / h) c = -D y0, G = h L L* is the operator's cached control
-Gramian and y0 the terminal state of the uncontrolled system.  G stays in
-block form, and the blocks make both the solve
-(``GramianBlocks.penalised_solve``) and the stopping scale
-|b| = |L* (-D y0)| (``GramianBlocks.energy``).  The stage checks the explicit
+Gramian and y0 the terminal state of the uncontrolled system.  D is zero
+off the targeted terminal entries, and so is c: the system is solved on
+the operator's control Gramian, which lives on the targeted entries, in
+its block form on their pair basis, where a young age's two entries share
+their weight.  The blocks make both the solve
+(``GramianBlocks.penalised_solve``, whose Schur complement has one row per
+young terminal age) and the stopping scale |b| = |L* (-D y0)|
+(``GramianBlocks.energy``).  The stage checks the explicit
 gradient on the controlled terminal state: it maps the control L* c
 through L, never through G.  For separable fertility every map comes in
 closed form from the operator's per-trace renewal system, so a stage runs
@@ -225,8 +229,9 @@ def minimize_penalty(problem, operator, m0, f0, epsilon):
     terminal-space (HUM) solve.
 
     Solves (I + D G / h) c = -D y0 on the control Gramian G of ``operator``,
-    the FrozenOperator of the frozen trace, and sets the control to L* c, a
-    pair of lattice fields that vanish off the control support.  The
+    the FrozenOperator of the frozen trace, on the targeted terminal
+    entries, and sets the control to L* c, a pair of lattice fields that
+    vanish off the control support.  The
     uncontrolled terminal state y0, L* c, the controlled terminal state y(T)
     of each check and its adjoint image come from the operator: in closed
     form for separable fertility
@@ -246,7 +251,8 @@ def minimize_penalty(problem, operator, m0, f0, epsilon):
     grid, geom = operator.grid, operator.geom
     ws = _Workspace(operator, m0, f0, epsilon)
     weights = ws.penalty_weights()
-    gram, shift = operator.control_gramian(), weights / grid.step  # (I + diag(shift) G) c
+    # (I + diag(shift) G) c on the targeted entries; c is zero off them
+    gram, shift = operator.control_gramian(), weights / grid.step
     x = ws.zeros()
     observed = None
     work = -weights * operator.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0

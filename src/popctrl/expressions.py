@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked
 
 _FUNCTIONS = {
     "exp": np.exp,
@@ -62,7 +62,8 @@ def compile_expression(text, variables):
             op, operand = _UNARYOPS[type(node.op)], compiled(node.operand)
             return lambda env: op(operand(env))
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            value = float(node.value)
+            # ast reads True as an int, and an int literal may lie beyond the float range
+            value = checked(f"constant {node.value!r:.40} in expression {text!r}", node.value)
             return lambda env: value
         if isinstance(node, ast.Name):
             if node.id not in allowed:

@@ -39,13 +39,15 @@ level: its adjoint is the backward sweep (`FrozenOperator.adjoint_levels`),
 its `observe` the step loop, and its Gramians come from one batched sweep
 with a single column per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
-the closed forms are tested against.  Both paths give the Gramians in
-block form (`GramianBlocks`): the terminal ages too old to reach age 0 stay
-spikes that never share a row, so their block is diagonal.  Every solve
-with a Gramian is a method of its blocks: the penalised solve of a penalty
-stage, and the pseudo-inverse and null directions the observability power
-iteration uses, each factoring only a Schur complement on the dense
-indices.  The dense matrices are expanded only on demand (``matrix``).
+the closed forms are tested against.  Both paths give the same Gram sums,
+which ``_gram_blocks`` lays out in block form (`GramianBlocks`) on the pair
+basis (`_PairBasis`) of the targeted terminal entries: only the young
+ages' response directions are dense, and every spike direction sits in a
+diagonal block.  Every solve with a Gramian is a method of its blocks: the
+penalised solve of a penalty stage, and the pseudo-inverse and null
+directions the observability power iteration uses, each factoring only a
+Schur complement on the min(Nt, N+1) dense directions.  The matrices on
+the unit vectors are expanded only on demand (``matrix``).
 """
 
 import copy
@@ -263,6 +265,7 @@ class FrozenOperator(_Transport):
                             if fertility.separable else None)
         self._geometry = None
         self._renewal = None
+        self._basis = None
         self._freeze(trace)
 
     def _freeze(self, trace):
@@ -283,7 +286,8 @@ class FrozenOperator(_Transport):
             self.beta = self.age_profile[None, :] * self.response[:, None]
         # one boundary sweep per level, as in the forward step loop
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
-        self._gramian_cache = [None, None]  # (control, initial)
+        self._gramian_cache = [None, None]  # (control, initial) ingredients
+        self._gramian_forms = [None, None]
         self._levels = None
 
     def geometry_tables(self):
@@ -300,7 +304,8 @@ class FrozenOperator(_Transport):
         """The operator of the same model, grid and geometry for another trace.
 
         It shares every trace-independent table of this one, the geometry
-        and renewal tables included once they are built.
+        and renewal tables and the Gramians' basis included once they are
+        built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -490,13 +495,15 @@ class FrozenOperator(_Transport):
         return self._levels
 
     def gramians(self):
-        """(control, initial) Gramians of the terminal unit work vectors, as
-        ``GramianBlocks``.
+        """(control, initial) Gramians of the terminal unit work vectors on
+        the entries ``terminal_weights`` targets, as ``GramianBlocks`` on
+        their ``_PairBasis``.
 
         Built on first use and cached: they do not depend on the penalty
-        weights.  Separable fertility takes the closed form of ``_Levels``,
-        any other the sweep of ``_assemble_gramians``.  Entry (p, q) of the
-        control Gramian is the control-space inner product
+        weights.  Their ingredients come from the closed form of ``_Levels``
+        for separable fertility and from the sweep of ``_assemble_gramians``
+        for any other.  Entry (p, q) of the control Gramian is the
+        control-space inner product
         h^2 * sum over levels >= 1 and ages >= 1 of
         (mask_m * n_p * n_q + mask_f * l_eff_p * l_eff_q), where (n_p, l_eff_p)
         is the backward sweep from the work pair whose stacked entry p is 1
@@ -504,7 +511,7 @@ class FrozenOperator(_Transport):
         (p, q) of the initial one is sum over ages of wa * (n_p * n_q + l_p * l_q)
         at level 0.
         """
-        return self._gramian(0), self._gramian(1)
+        return self.control_gramian(), self._gramian(1)
 
     def control_gramian(self):
         """The control Gramian of ``gramians``; for separable fertility the
@@ -512,20 +519,39 @@ class FrozenOperator(_Transport):
         return self._gramian(0)
 
     def _gramian(self, half):
-        """The control (``half`` 0) or initial (1) Gramian of ``gramians``;
-        for separable fertility only the one asked for is built."""
+        """The control (``half`` 0) or initial (1) Gramian of ``gramians``."""
+        forms = self._gramian_forms
+        if forms[half] is None:
+            live, cross, diag, a, b = self._gramian_parts(half)
+            forms[half] = _gram_blocks(live, cross, diag, self._pair_basis(a, b))
+        return forms[half]
+
+    def _pair_basis(self, a, b):
+        """The ``_PairBasis`` of the targeted entries for the birth shares
+        (a, b), built on first use.  The shares are survival products, which
+        no trace changes, so retraced operators share the basis."""
+        if self._basis is None:
+            size = self.grid.num_age_cells + 1
+            masks = [np.zeros(size, dtype=bool) if w is None else w > 0
+                     for w in self.geometry_tables()[2]]
+            self._basis = _PairBasis(a, b, *masks)
+        return self._basis
+
+    def _gramian_parts(self, half):
+        """The (live, cross, diag, a, b) ingredients of the control (``half``
+        0) or initial (1) Gramian (see ``_assemble_gramians``); for separable
+        fertility only the ones asked for are built."""
         cache = self._gramian_cache
         if cache[half] is None:
             if self.age_profile is None:
                 cache[:] = self._assemble_gramians()
             else:
-                gram = self._renewal_levels().gramian(half)
-                if not all(np.isfinite(part).all() for part in (gram.dense, gram.cross,
-                                                                 gram.diag)):
+                parts = self._renewal_levels().gramian(half)
+                if not all(np.isfinite(part).all() for part in parts[:3]):
                     # the sweep names the first level that stops being finite
                     self._assemble_gramians()
                     raise NumericalFailure("Gramian assembly lost finiteness")
-                cache[half] = gram
+                cache[half] = parts
         return cache[half]
 
     def _assemble_gramians(self):
@@ -550,12 +576,15 @@ class FrozenOperator(_Transport):
         b_p = gamma s_f / ((1 - gamma) s_m + gamma s_f) = 1 - a_p.  So the
         dense product runs over the female rows of the live columns only; the
         spikes' squares, and the products of the female spikes with the live
-        columns, are read off single rows; and (a, b) expand the result to
-        both slots.  The control Gramian sums the region-weighted rows
-        (n_j, l_eff_j) of the levels j >= 1, the initial one the
-        trapezoid-weighted rows (n_0, l_0) of level 0.
+        columns, are read off single rows; and (a, b) give the pair basis
+        (``_PairBasis``) in which ``_gram_blocks`` lays the result out.  The
+        control Gramian sums the region-weighted rows (n_j, l_eff_j) of the
+        levels j >= 1, the initial one the trapezoid-weighted rows (n_0, l_0)
+        of level 0.
 
-        Returns the (control, initial) Gramians as ``GramianBlocks``.
+        Returns the (live, cross, diag, a, b) ingredients of the (control,
+        initial) Gramians: the arguments of ``_gram_blocks`` and the birth
+        shares of its basis.
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
@@ -584,7 +613,8 @@ class FrozenOperator(_Transport):
 
         self.adjoint_levels(work_n, work_l, collect)
         _, split = _birth_split(reached, self.gamma)
-        return control.blocks(*split), initial.blocks(*split)
+        return tuple((gram.gram_live, gram.spike_cross, gram.spike_diag, *split)
+                     for gram in (control, initial))
 
 
 def _birth_split(reached, gamma):
@@ -592,18 +622,13 @@ def _birth_split(reached, gamma):
     age, and the shares (a_p, b_p) of its male and female unit vectors, from
     the spike values (s_m, s_f) that reach age 0."""
     births = (1.0 - gamma) * reached[0] + gamma * reached[1]
-    # a column whose spikes die before age 0 has no response: any split serves
+    # a column whose spikes die before age 0 has no response: any split
+    # serves, and (1, 0) keeps the pair rotation defined
     split = np.zeros(reached.shape)
+    split[0] = 1.0
     np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
     np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
     return births, split
-
-
-def _terminal_blocks(size, young):
-    """Stacked (dense, spike) indices: the young terminal ages of both slots,
-    then the older ones."""
-    ages = np.arange(2 * size).reshape(2, size)
-    return ages[:, :young].ravel(), ages[:, young:].ravel()
 
 
 class _LiveGram:
@@ -612,8 +637,7 @@ class _LiveGram:
     With weights scale^2 * weight_n and scale^2 * weight_l, accumulates the
     female-row Gram matrix of the live young columns, the products of every
     female spike with the live columns, and the squares of the spikes of
-    both slots; ``blocks`` gives the Gramian of the terminal unit vectors
-    from them.
+    both slots: the (live, cross, diag) ingredients of ``_gram_blocks``.
     """
 
     def __init__(self, size, nt, scale, weight_n, weight_l):
@@ -650,39 +674,122 @@ class _LiveGram:
         self.spike_diag[1, ages] += weighted * spike_l
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
 
-    def blocks(self, a, b):
-        """The Gramian of the terminal unit vectors (see ``_gram_blocks``)."""
-        return _gram_blocks(self.gram_live, self.spike_cross, self.spike_diag, a, b)
+
+def _column(coefficients, like):
+    """``coefficients`` shaped to scale the rows of a vector or of a block of columns."""
+    return coefficients.reshape((-1,) + (1,) * (np.ndim(like) - 1))
+
+
+def _span(indices):
+    """Sorted ``indices`` as a slice when they are one contiguous run, as the
+    ages a terminal mask selects are: a slice indexes without a copy."""
+    if indices.size and indices[-1] - indices[0] + 1 == indices.size:
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
+
+
+class _PairBasis:
+    """An orthonormal basis of the span of the stacked terminal unit vectors
+    that the age masks ``male`` and ``female`` select (its ``entries``).
+
+    The two unit vectors of a young terminal age p inject one birth, in the
+    shares (a_p, b_p) of ``_birth_split``: their images are S_m,p + a_p R_p
+    and S_f,p + b_p R_p, with S their spikes and R_p the response to that
+    birth.  When both are entries the pair rotation replaces them:
+    u_p = alpha_p e_m,p + beta_p e_f,p and d_p = beta_p e_m,p - alpha_p e_f,p,
+    with (alpha_p, beta_p) = (a_p, b_p) / hypot(a_p, b_p).  The image of u_p
+    carries the response hypot(a_p, b_p) R_p, and that of d_p only its two
+    spikes.  A young age with one entry keeps its unit vector as u_p, with
+    (alpha_p, beta_p) = (1, 0) or (0, 1), and an older age, whose spikes
+    never inject a birth, keeps its unit vectors.
+
+    The dense directions are the u_p of the ages ``young``; the spike
+    directions are the d_p of the dense positions ``paired``, then the
+    older male entries ``old_m``, then the older female ones ``old_f``.  No
+    two spike directions share a row of the sweep, so a Gramian is diagonal
+    on them.  ``split`` gives the coordinates of a stacked vector (or block
+    of columns) and ``merge`` the stacked vector of coordinates, zero off the
+    entries; the directions are orthonormal, so each is the transpose and,
+    on the entries, the inverse of the other.  ``dense_entries`` and
+    ``spike_entries`` name one stacked entry of each direction, the male one
+    of a pair, for weights that a pair's entries share.
+    """
+
+    def __init__(self, a, b, male, female):
+        young = a.size
+        self.size = size = male.size
+        ages = np.flatnonzero(male[:young] | female[:young])
+        both = male[ages] & female[ages]
+        rho = np.hypot(a[ages], b[ages])
+        self.alpha = np.where(both, a[ages] / rho, male[ages])
+        self.beta = np.where(both, b[ages] / rho, female[ages])
+        # the image of u_p carries sigma_p R_p
+        self.sigma = self.alpha * a[ages] + self.beta * b[ages]
+        self.paired = _span(np.flatnonzero(both))
+        old_m = young + np.flatnonzero(male[young:])
+        old_f = young + np.flatnonzero(female[young:])
+        self.young, self.old_m, self.old_f = _span(ages), _span(old_m), _span(old_f)
+        self.counts = (ages.size, int(np.count_nonzero(both)), old_m.size)  # dense, d, older male
+        self.dense_entries = np.where(male[ages], ages, size + ages)
+        self.spike_entries = np.concatenate([self.dense_entries[both], old_m, size + old_f])
+        self.entries = np.flatnonzero(np.concatenate([male, female]))
+
+    def split(self, y):
+        """(dense, spike) coordinates of a stacked vector or block of columns."""
+        y_m, y_f = y[:self.size], y[self.size:]
+        young_m, young_f = y_m[self.young], y_f[self.young]
+        alpha, beta = _column(self.alpha, y), _column(self.beta, y)
+        pairs = (beta * young_m - alpha * young_f)[self.paired]
+        return (alpha * young_m + beta * young_f,
+                np.concatenate([pairs, y_m[self.old_m], y_f[self.old_f]]))
+
+    def merge(self, x_dense, x_spike):
+        """The stacked vector (or block) of (dense, spike) coordinates."""
+        _, n_pairs, n_old_m = self.counts
+        x_pair = np.zeros_like(x_dense)
+        x_pair[self.paired] = x_spike[:n_pairs]
+        alpha, beta = _column(self.alpha, x_dense), _column(self.beta, x_dense)
+        y = np.zeros((2 * self.size,) + np.shape(x_dense)[1:])
+        y_m, y_f = y[:self.size], y[self.size:]
+        # a young age with one entry has a zero coefficient in the other slot
+        y_m[self.young] = alpha * x_dense + beta * x_pair
+        y_f[self.young] = beta * x_dense - alpha * x_pair
+        y_m[self.old_m] = x_spike[n_pairs:n_pairs + n_old_m]
+        y_f[self.old_f] = x_spike[n_pairs + n_old_m:]
+        return y
+
+    def vectors(self):
+        """The directions as columns, dense ones first, in the unit
+        coordinates of ``entries``."""
+        dense = self.counts[0]
+        eye = np.eye(dense + self.spike_entries.size)
+        return self.merge(eye[:dense], eye[dense:])[self.entries]
 
 
 class GramianBlocks:
-    """A Gramian of the 2(N+1) terminal unit vectors, in block form.
+    """A Gramian of terminal work vectors on a ``_PairBasis``, in block form.
 
-    ``index`` holds the (dense, spike) stacked indices: the young terminal
-    ages of both slots, then the older ones.  ``dense`` is the block A on
-    the dense indices, ``cross`` the block C between dense and spike ones
-    and ``diag`` the diagonal Delta of the spike block, which is diagonal
-    because the older spikes never share a row.  Every solve with the form
-    is made here: Delta is eliminated and only a Schur complement
-    A - C W C^T on the dense indices is factored.  ``matrix`` expands the
-    form to the full matrix on demand.
+    ``dense`` is the block A on the basis's dense directions, ``cross`` the
+    block C between them and its spike directions, and ``diag`` the diagonal
+    Delta of the spike block.  Every solve with the form is made here:
+    Delta is eliminated and only a Schur complement A - C W C^T on the dense
+    directions is factored.  Stacked vectors enter through the basis's
+    ``split`` and leave through its ``merge``; ``matrix`` expands the form
+    to the unit vectors of the basis's entries on demand.
     """
 
-    def __init__(self, dense, cross, diag, index):
+    def __init__(self, dense, cross, diag, basis):
         self.dense, self.cross, self.diag = dense, cross, diag
-        self.index = index
+        self.basis = basis
         self._matrix = None
 
     def matrix(self):
-        """The full symmetric matrix, built on first use and cached."""
+        """The matrix on the unit vectors of ``basis.entries``, in their
+        stacked order, symmetric to rounding; built on first use and cached."""
         if self._matrix is None:
-            dense, spikes = self.index
-            gram = np.zeros((dense.size + spikes.size,) * 2)
-            gram[np.ix_(dense, dense)] = self.dense
-            gram[np.ix_(dense, spikes)] = self.cross
-            gram[np.ix_(spikes, dense)] = self.cross.T
-            gram[spikes, spikes] = self.diag
-            self._matrix = gram
+            q = self.basis.vectors()
+            self._matrix = q @ np.block([[self.dense, self.cross],
+                                         [self.cross.T, np.diag(self.diag)]]) @ q.T
         return self._matrix
 
     def apply(self, x_dense, x_spike):
@@ -697,37 +804,48 @@ class GramianBlocks:
         return np.sum(x_dense * f_dense, axis=0) + np.sum(x_spike * f_spike, axis=0)
 
     def energy(self, x):
-        """x . F x of a stacked vector, or of each column of a stacked block."""
-        dense, spikes = self.index
-        return self.quadratic(x[dense], x[spikes])
+        """x . F x of a stacked vector, or of each column of a stacked block;
+        entries off the basis count as zero."""
+        return self.quadratic(*self.basis.split(x))
 
     def max_abs(self):
         """The largest |entry| of the form."""
         return max(float(np.max(np.abs(part), initial=0.0))
                    for part in (self.dense, self.cross, self.diag))
 
+    def scaled(self, theta):
+        """The form on the basis with each direction scaled by ``theta`` at
+        its entry; ``theta`` is stacked and equal on the two entries of a
+        pair."""
+        t_dense = theta[self.basis.dense_entries]
+        t_spike = theta[self.basis.spike_entries]
+        return GramianBlocks(np.outer(t_dense, t_dense) * self.dense,
+                             np.outer(t_dense, t_spike) * self.cross,
+                             t_spike * t_spike * self.diag, self.basis)
+
     def schur(self, spike_weights):
         """A - C diag(spike_weights) C^T, a new array."""
         return self.dense - (self.cross * spike_weights) @ self.cross.T
 
     def penalised_solve(self, weights, rhs):
-        """Solve (I + diag(weights) F) c = rhs for a stacked ``rhs``.
+        """Solve (I + diag(weights) F) c = rhs on the basis, for a stacked
+        ``rhs``; c is stacked and zero off the basis's entries.
 
-        ``weights`` are nonnegative, one per stacked entry; a zero weight
-        makes its row an identity row.  Delta is eliminated, so only the
-        Schur complement on the dense indices is formed and factored.
+        ``weights`` are nonnegative, one per stacked entry and equal on the
+        two entries of a pair, so that they commute with the pair rotation.
+        Delta is eliminated, so only the Schur complement on the dense
+        directions is formed and factored.
         """
-        dense, spikes = self.index
-        d_dense, d_spike = weights[dense], weights[spikes]
+        basis = self.basis
+        d_dense, d_spike = weights[basis.dense_entries], weights[basis.spike_entries]
+        r_dense, r_spike = basis.split(rhs)
         diag = 1.0 + d_spike * self.diag
         schur = self.schur(d_spike / diag)
         schur *= d_dense[:, None]
         schur.flat[::schur.shape[0] + 1] += 1.0  # the diagonal
-        c = np.empty_like(rhs)
-        c[dense] = np.linalg.solve(schur,
-                                   rhs[dense] - d_dense * (self.cross @ (rhs[spikes] / diag)))
-        c[spikes] = (rhs[spikes] - d_spike * (self.cross.T @ c[dense])) / diag
-        return c
+        c_dense = np.linalg.solve(schur, r_dense - d_dense * (self.cross @ (r_spike / diag)))
+        c_spike = (r_spike - d_spike * (self.cross.T @ c_dense)) / diag
+        return basis.merge(c_dense, c_spike)
 
     def null_cut(self):
         """1e-12 max(|A|_F, max Delta): below it a direction of this positive
@@ -766,54 +884,43 @@ class GramianBlocks:
             return x_dense, x_spike, float(z @ z) + float(y_spike @ (inv_diag * y_spike))
         return solve, null_dense, null_spike, ~live_spikes
 
-    def restrict(self, live, scale):
-        """The form on the sorted stacked entries ``live``, the unit vector of
-        live[i] scaled by scale[i]; indices then count positions in ``live``."""
-        dense, spikes = self.index
-        position = np.full(dense.size + spikes.size, -1)
-        position[live] = np.arange(len(live))
-        weight = np.zeros(position.size)
-        weight[live] = scale
-        keep_d, keep_s = position[dense] >= 0, position[spikes] >= 0
-        w_d, w_s = weight[dense[keep_d]], weight[spikes[keep_s]]
-        if len(live) == position.size:
-            # every entry is live: the blocks are scaled as they are
-            dense_block, cross_block = self.dense, self.cross
-        else:
-            dense_block = self.dense[np.ix_(keep_d, keep_d)]
-            cross_block = self.cross[np.ix_(keep_d, keep_s)]
-        return GramianBlocks(np.outer(w_d, w_d) * dense_block, np.outer(w_d, w_s) * cross_block,
-                             w_s * w_s * self.diag[keep_s],
-                             (position[dense[keep_d]], position[spikes[keep_s]]))
 
+def _gram_blocks(live, cross, diag, basis):
+    """The Gramian of the ingredients (live, cross, diag) on ``basis``, a
+    ``_PairBasis`` of their birth shares (a, b), by closed formulas.
 
-def _gram_blocks(live, cross, diag, a, b):
-    """The Gramian of the terminal unit vectors in block form.
-
-    ``live`` is the Gram matrix of the young columns' responses, ``cross``
-    the products of every terminal age's female spike with those responses
-    and ``diag`` the squares of the spikes of both slots; the male image of
-    young age p is a_p times its column's response and the female one b_p
-    times.  A male spike of an older age meets nothing but itself, so its
-    columns of C are zero.
+    ``live`` is the Gram matrix of the young ages' responses R, ``cross``
+    the products of every terminal age's female spike with them, and
+    ``diag`` the squares D_m, D_f of the spikes of both slots.  The image of
+    u_p is alpha_p S_m,p + beta_p S_f,p + sigma_p R_p, sigma_p = alpha_p a_p
+    + beta_p b_p; R lives in the female rows only, and no two spikes share a
+    row.  So, with Z[p, q] = cross[q, p] the female spike of age q against
+    R_p:
+      A[p, q] = sigma_p sigma_q live[p, q] + sigma_p beta_q Z[p, q]
+                + beta_p sigma_q Z[q, p] + [p = q] (alpha_p^2 D_m,p + beta_p^2 D_f,p);
+    C[u_p, d_q] = -sigma_p alpha_q Z[p, q] + [p = q] alpha_p beta_p (D_m,p - D_f,p);
+    C[u_p, older male q] = 0 and C[u_p, older female q] = sigma_p cross[q, p];
+    Delta is beta_p^2 D_m,p + alpha_p^2 D_f,p on d_p and D on the older
+    spikes.  The blocks that vanish are never summed, so they are exact
+    zeros: every spike of a young age ends before level 0, so the initial
+    Gramian is exactly 0 on the d directions.
     """
-    size, young = cross.shape
-    male, female = slice(0, young), slice(young, 2 * young)
-    # pair[p, q]: the female spike of age q against the live column p
-    pair = cross[:young].T
-    female_pair = b[:, None] * pair
-    dense = np.zeros((2 * young, 2 * young))
-    dense[male, male] = np.outer(a, a) * live
-    dense[male, female] = np.outer(a, b) * live + a[:, None] * pair
-    dense[female, female] = np.outer(b, b) * live + (female_pair + female_pair.T)
-    dense[female, male] = dense[male, female].T
-    dense.flat[::2 * young + 1] += diag[:, :young].ravel()  # the diagonal
-    old = size - young
-    spike_cross = np.zeros((2 * young, 2 * old))
-    spike_cross[male, old:] = (cross[young:] * a).T
-    spike_cross[female, old:] = (cross[young:] * b).T
-    return GramianBlocks(dense, spike_cross, diag[:, young:].ravel(),
-                         _terminal_blocks(size, young))
+    ages, pairs, old_m, old_f = basis.young, basis.paired, basis.old_m, basis.old_f
+    n_dense, n_pairs, n_old_m = basis.counts
+    alpha, beta, sigma = basis.alpha, basis.beta, basis.sigma
+    z = cross[ages][:, ages].T
+    spike_m, spike_f = diag[0, ages], diag[1, ages]
+    mixed = sigma[:, None] * z * beta
+    dense = np.outer(sigma, sigma) * live[ages][:, ages] + (mixed + mixed.T)
+    dense.flat[::n_dense + 1] += alpha * alpha * spike_m + beta * beta * spike_f  # the diagonal
+    spike_diag = np.concatenate([(beta * beta * spike_m + alpha * alpha * spike_f)[pairs],
+                                 diag[0, old_m], diag[1, old_f]])
+    spike_cross = np.zeros((n_dense, spike_diag.size))
+    spike_cross[:, :n_pairs] = -sigma[:, None] * z[:, pairs] * alpha[pairs]
+    spike_cross[np.arange(n_dense)[pairs], np.arange(n_pairs)] += \
+        (alpha * beta * (spike_m - spike_f))[pairs]
+    spike_cross[:, n_pairs + n_old_m:] = sigma[:, None] * cross[old_f][:, ages].T
+    return GramianBlocks(dense, spike_cross, spike_diag, basis)
 
 
 class _Renewal:
@@ -998,7 +1105,8 @@ class _Levels:
         return self._inverse
 
     def gramian(self, half):
-        """The control (``half`` 0) or initial (1) Gramian as ``GramianBlocks``;
+        """The (live, cross, diag, a, b) ingredients of the control (``half``
+        0) or initial (1) Gramian (see ``FrozenOperator._assemble_gramians``);
         both share the young columns' amplitudes, solved on first use."""
         t = self.tables
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1011,7 +1119,7 @@ class _Levels:
             forms, cross, diag = t.gramian_forms()
             live = amplitudes.T @ (forms[half] @ amplitudes)
             live = 0.5 * (live + live.T)
-            return _gram_blocks(live, cross[half] @ amplitudes, diag[half], *t.split)
+            return live, cross[half] @ amplitudes, diag[half], *t.split
 
     def adjoint(self, work_n, work_l, keep_l):
         """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint

@@ -4,11 +4,13 @@ The observability constant is estimated from below: the maximum over
 random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
-Gramians of the frozen-trace operator (`FrozenOperator.gramians`, built
-together) on the targeted terminal entries, scaled by the trapezoid
-weights and kept in the operator's block form: a dense block on the young
-terminal ages, a diagonal on the older spikes and the cross block between
-them.
+Gramians of the frozen-trace operator on the targeted terminal entries
+(`FrozenOperator.gramians`, built together), scaled by the trapezoid
+weights and kept in the operator's block form on the pair basis: a dense block on one direction per young terminal age, the one
+that carries its birth response, a diagonal on the spike directions (the
+other direction of a young age's pair, and the older ages) and the cross
+block between them.  Terminal vectors enter and leave the forms through
+the basis's ``split`` and ``merge``.
 The power iteration applies the denominator's pseudo-inverse and takes its
 null directions from ``GramianBlocks.pseudo_inverse``, which eliminates the
 spike diagonal; this module keeps the policy: the start, the steps and the
@@ -99,7 +101,8 @@ def _gramian_quotients(op, n_T, l_T):
 
     With w = theta * (n_T, l_T) stacked, a column's quotient is
     w . E0 w / w . G w for the initial and control Gramians, applied in
-    block form, so no probe sweep runs.
+    block form, so no probe sweep runs.  The Gramians live on the targeted
+    entries, where the probe data are supported.
     """
     theta = (op.wa / op.grid.step)[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
@@ -149,22 +152,23 @@ def _probe_data(rngs, targeted):
             for rng in rngs]
 
 
-def _quadratic_forms(op, live):
-    """The (numerator, denominator) forms on the basis of the sorted stacked
-    entries ``live``, as ``GramianBlocks``.
+def _quadratic_forms(op):
+    """The (numerator, denominator) forms on the targeted terminal entries,
+    as ``GramianBlocks`` on their pair basis.
 
-    Basis vector p is the terminal datum whose stacked entry p is 1, so its
-    work vector is theta_p times a unit vector and the forms are the
-    operator's initial and control Gramians scaled by theta_p theta_q.
+    A unit direction p of the terminal data has the work vector theta_p
+    times the unit vector, so the forms are the operator's targeted initial
+    and control Gramians with each direction scaled by its theta; the two
+    entries of a pair share theta.
     """
-    theta = np.tile(op.wa / op.grid.step, 2)[live]
+    theta = np.tile(op.wa / op.grid.step, 2)
     control, initial = op.gramians()
-    return initial.restrict(live, theta), control.restrict(live, theta)
+    return initial.scaled(theta), control.scaled(theta)
 
 
-def _power_iteration(op, iters, live):
+def _power_iteration(op, iters):
     """Generalized Rayleigh maximization on the (numerator, denominator) forms
-    of ``_quadratic_forms`` on the stacked entries ``live``.
+    of ``_quadratic_forms``.
 
     Terminal directions invisible from the control regions but carrying
     initial energy make the quotient unbounded and are detected from the
@@ -176,7 +180,7 @@ def _power_iteration(op, iters, live):
     ``GramianBlocks.pseudo_inverse`` of the denominator, so D stays in block
     form.
     """
-    num, den = _quadratic_forms(op, live)
+    num, den = _quadratic_forms(op)
     solve, null_dense, null_spike, dead = den.pseudo_inverse()
     num_scale = max(num.max_abs(), 1e-300)
     null_energy = np.r_[num.quadratic(null_dense, null_spike)
@@ -189,7 +193,7 @@ def _power_iteration(op, iters, live):
 
     # start from the all-ones terminal direction, so the iterates do not
     # depend on the signs or rotations of the eigenvectors
-    x_dense, x_spike = np.ones(den.dense.shape[0]), np.ones(den.diag.size)
+    x_dense, x_spike = den.basis.split(np.ones(2 * op.wa.size))
     start = math.sqrt(float(den.quadratic(x_dense, x_spike)))
     x_dense, x_spike = x_dense / start, x_spike / start
     best = 0.0
@@ -218,7 +222,6 @@ def estimate_observability_constant(model, grid, geom, traces, *,
         raise DomainError("estimate_observability_constant needs at least one trace")
 
     targeted = _targeted_entries(grid, geom)
-    live = np.flatnonzero(targeted)
     data = _probe_data(
         [np.random.default_rng(seed + 1000 * k) for k in range(config.probes)], targeted)
     # a deterministic probe concentrated on the targeted male tail that the
@@ -253,7 +256,7 @@ def estimate_observability_constant(model, grid, geom, traces, *,
             diverged = True
         estimate = max(finite) if finite else INFINITE_QUOTIENT
         if config.power_iters > 0:
-            power = _power_iteration(op, config.power_iters, live)
+            power = _power_iteration(op, config.power_iters)
             if math.isfinite(power):
                 estimate = max(estimate, power)
                 power_best = power if power_best is None else max(power_best, power)

@@ -470,6 +470,8 @@ def _table(bad):
     return {"kind": "table", "points": [0.0, 0.5, 1.0], "values": [0.2, bad, 0.3]}
 
 
+HUGE_INT = "1" + "0" * 400
+
 # each malformed spec and the error after the slot's JSON path
 MALFORMED_RATES = {
     "nan": ({"kind": "constant", "value": float("nan")}, ".value: must be finite"),
@@ -486,6 +488,13 @@ MALFORMED_RATES = {
     "missing-key": ({"kind": "table", "points": [0.0, 1.0]},
                     ": missing required key(s) ['values']"),
     "expr-number": ({"kind": "expr", "expr": 3}, ".expr: expression must be a non-empty string"),
+    # ast reads True as an int, and used to end an int beyond the float range
+    # in an OverflowError traceback
+    "expr-true": ({"kind": "expr", "expr": "True + 0.5"},
+                  ".expr: constant True in expression 'True + 0.5': expected a number"),
+    "expr-huge-int": ({"kind": "expr", "expr": HUGE_INT},
+                      f".expr: constant {HUGE_INT[:40]} in expression {HUGE_INT!r}: "
+                      "must be finite"),
 }
 
 

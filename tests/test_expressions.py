@@ -5,6 +5,7 @@ import pytest
 
 from popctrl.errors import ConfigurationError
 from popctrl.expressions import compile_expression
+from popctrl.model import RateFunction
 
 
 def test_arithmetic_and_functions():
@@ -38,6 +39,21 @@ def test_attribute_access_rejected():
 def test_empty_expression_rejected():
     with pytest.raises(ConfigurationError):
         compile_expression("   ", ["a"])
+
+
+def test_bool_constant_rejected():
+    # ast reads True as the int 1: "True * a" used to compile to a
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("constant True in expression 'True * a': "
+                                       "expected a number")):
+        RateFunction.expression("True * a", "a")
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"])
+def test_constant_beyond_the_float_range_rejected(literal):
+    # the int used to end in an uncaught OverflowError; 1e400 reads as inf
+    with pytest.raises(ConfigurationError, match="must be finite$"):
+        compile_expression(f"{literal} * a", ["a"])
 
 
 AGES = np.linspace(0.0, 1.0, 81)

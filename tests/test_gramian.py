@@ -9,8 +9,9 @@ import pytest
 
 from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      minimize_penalty, solve_forward)
+from popctrl import observability as obs
 from popctrl.control import _Workspace
-from popctrl.forward import FrozenOperator
+from popctrl.forward import FrozenOperator, _gram_blocks, _PairBasis
 
 from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model,
                       reference_data, reference_model)
@@ -75,26 +76,52 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _on_entries(parts, male, female):
+    """The Gramian of the ingredients ``parts`` on the pair basis of the
+    entries of the age masks ``male`` and ``female``."""
+    live, cross, diag, a, b = parts
+    return _gram_blocks(live, cross, diag, _PairBasis(a, b, male, female))
+
+
+def _every_entry(op, half):
+    """The operator's control (``half`` 0) or initial (1) Gramian on the pair
+    basis of every terminal entry, from its cached ingredients."""
+    every = np.ones(op.grid.num_age_cells + 1, dtype=bool)
+    op.gramians()
+    return _on_entries(op._gramian_cache[half], every, every)
+
+
 def _check_gramians(ws):
-    """Both Gramians of the workspace's operator against the pairwise adjoint
-    images and against the sweep assembly; separable fertility takes the
-    closed form, any other the sweep itself."""
+    """Both Gramians of the workspace's operator, on the targeted terminal
+    entries and on every entry, against the pairwise adjoint images and
+    against the sweep assembly; separable fertility takes the closed form,
+    any other the sweep itself.  The pair rotation is orthogonal, so the
+    expanded matrices match the pairwise ones to rounding."""
     op = ws.op
-    swept = op._assemble_gramians()
-    control, initial = op.gramians()
-    for got, pairwise, sweep in ((control.matrix(), _naive_gramian(ws), swept[0].matrix()),
-                                 (initial.matrix(), _naive_initial_gramian(op),
-                                  swept[1].matrix())):
-        assert _close(got, pairwise)
+    every = np.ones(op.grid.num_age_cells + 1, dtype=bool)
+    targeted = np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
+    pairwise = (_naive_gramian(ws), _naive_initial_gramian(op))
+    for half, (form, want, parts) in enumerate(zip(op.gramians(), pairwise,
+                                                   op._assemble_gramians())):
+        full, swept = _every_entry(op, half), _on_entries(parts, every, every)
+        assert _close(full.matrix(), want)
+        assert np.array_equal(form.basis.entries, targeted)
+        assert _close(form.matrix(), want[np.ix_(targeted, targeted)])
         if op.fertility.separable:
-            assert _close(got, sweep)
+            assert _close(full.matrix(), swept.matrix())
         else:
-            assert np.array_equal(got, sweep)
+            assert np.array_equal(full.matrix(), swept.matrix())
+    # every spike of a young age ends before level 0: the initial Gramian is
+    # exactly zero on the d directions
+    initial = _every_entry(op, 1)
+    pairs = initial.basis.counts[1]
+    assert pairs == min(op.grid.num_time_cells, op.grid.num_age_cells + 1)
+    assert not np.any(initial.cross[:, :pairs]) and not np.any(initial.diag[:pairs])
     assert (op._renewal is not None) == op.fertility.separable
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
-    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1), (ControlMode.MALE_ONLY, 0.0),
     (ControlMode.FEMALE_ONLY, 0.0)])
 @pytest.mark.parametrize("horizon", [0.35, 1.0])  # 1.0: every terminal age reaches age 0
 @pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(5),
@@ -118,8 +145,29 @@ def test_structured_gramian_matches_pairwise_adjoint_images(mode, target_min_age
     assert gram.matrix() is gram.matrix()
 
 
+@pytest.mark.parametrize("horizon", [0.35, 1.0])
+def test_any_entry_masks_give_the_restricted_gramian(horizon):
+    # masks with holes, and young ages with one slot only, beside pairs
+    model = reference_model()
+    geom = _geometry(ControlMode.BOTH, horizon)
+    grid = build_grid(1.0, horizon, 1.0 / 16)
+    m0, f0 = reference_data(grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    op = FrozenOperator(model, grid, geom, trace)
+    r = np.random.default_rng(8)
+    male, female = r.random((2, grid.num_age_cells + 1)) < 0.6
+    for half in (0, 1):
+        full = _every_entry(op, half)
+        form = _on_entries(op._gramian_cache[half], male, female)
+        entries = np.flatnonzero(np.concatenate([male, female]))
+        assert np.array_equal(form.basis.entries, entries)
+        assert _close(form.matrix(), full.matrix()[np.ix_(entries, entries)])
+        vectors = form.basis.vectors()
+        assert np.allclose(vectors.T @ vectors, np.eye(entries.size), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("mode, target_min_age", [
-    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
+    (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1), (ControlMode.MALE_ONLY, 0.0),
     (ControlMode.FEMALE_ONLY, 0.0)])
 @pytest.mark.parametrize("horizon", [0.35, 1.0, 1.3])  # 1.3: no terminal age is older
 @pytest.mark.parametrize("last_cell_survival", [0.0, 0.5])

@@ -5,48 +5,57 @@ cut that separates them."""
 import numpy as np
 import pytest
 
-from popctrl import ControlMode
 from popctrl import observability as obs
 
 from conftest import expr_fertility_model, reference_model
-from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator, live_entries
+from test_gramian import _every_entry
+from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator
 
 
+@pytest.mark.parametrize("mode, target_min_age", MODES)
 @pytest.mark.parametrize("horizon", [0.35, 1.0])
-def test_penalised_solve_matches_dense_solve(horizon):
-    # the Schur complement of the spike block gives the solve of the full
-    # matrix, and a zero weight leaves an identity row
-    op = _operator(reference_model, ControlMode.BOTH, 0.0, horizon, 1.0 / 16)
+def test_penalised_solve_matches_dense_solve(horizon, mode, target_min_age):
+    # the Schur complement of the spike block gives the solve of the matrix on
+    # the targeted entries, c is zero off them, and a zero weight leaves an
+    # identity row; the two entries of a pair share their weight
+    op = _operator(reference_model, mode, target_min_age, horizon, 1.0 / 16)
     gram = op.control_gramian()
+    entries = gram.basis.entries
     r = np.random.default_rng(11)
-    size = 2 * (op.grid.num_age_cells + 1)
+    size = op.grid.num_age_cells + 1
     weights = r.random(size) / 1e-4
     weights[r.random(size) < 0.3] = 0.0
-    rhs = r.standard_normal(size)
+    weights = np.tile(weights, 2)
+    rhs = r.standard_normal(2 * size)
     got = gram.penalised_solve(weights, rhs)
-    want = np.linalg.solve(np.eye(size) + weights[:, None] * gram.matrix(), rhs)
+    want = np.zeros(2 * size)
+    want[entries] = np.linalg.solve(np.eye(entries.size)
+                                    + weights[entries, None] * gram.matrix(), rhs[entries])
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    zero = weights == 0.0
+    zero = np.zeros(2 * size, dtype=bool)
+    zero[entries] = weights[entries] == 0.0
     assert np.max(np.abs(got[zero] - rhs[zero])) <= 1e-13 * np.max(np.abs(rhs))
+    off = np.ones(2 * size, dtype=bool)
+    off[entries] = False
+    assert not np.any(got[off])
 
 
 def _check_pseudo_inverse(blocks):
     """F F^- F = F and F v = 0 for every null direction v, on the expanded
-    matrix of ``blocks``; returns the number of dead spikes."""
+    matrix of ``blocks``, whose basis vectors split and merge its columns;
+    returns the number of dead spikes."""
     full = blocks.matrix()
     scale = np.max(np.abs(full))
-    dense, spikes = blocks.index
+    vectors = blocks.basis.vectors()
+    q_dense, q_spike = np.split(vectors, [blocks.dense.shape[0]], axis=1)
     solve, null_dense, null_spike, dead = blocks.pseudo_inverse()
     columns = np.empty_like(full)
     for j, y in enumerate(full.T):
-        x_dense, x_spike, energy = solve(y[dense], y[spikes])
-        columns[dense, j], columns[spikes, j] = x_dense, x_spike
+        x_dense, x_spike, energy = solve(q_dense.T @ y, q_spike.T @ y)
+        columns[:, j] = q_dense @ x_dense + q_spike @ x_spike
         assert abs(energy - y @ columns[:, j]) <= 1e-10 * max(abs(energy), scale)
     assert np.max(np.abs(full @ columns - full)) <= 1e-10 * scale
-    null = np.zeros((full.shape[0], null_dense.shape[1] + int(np.sum(dead))))
-    null[dense, :null_dense.shape[1]], null[spikes, :null_dense.shape[1]] = \
-        null_dense, null_spike
-    null[spikes[dead], null_dense.shape[1] + np.arange(int(np.sum(dead)))] = 1.0
+    null = np.hstack([q_dense @ null_dense + q_spike @ null_spike, q_spike[:, dead]])
     assert np.all(np.max(np.abs(full @ null), axis=0)
                   <= 1e-10 * scale * np.linalg.norm(null, axis=0))
     return int(np.sum(dead))
@@ -62,8 +71,8 @@ def test_pseudo_inverse_and_null_directions_match_the_matrix(make_model, mode,
     # the control Gramian has a dead spike in each slot
     for horizon in (0.35, 1.0):
         op = _operator(make_model, mode, target_min_age, horizon, 1.0 / 32)
-        assert _check_pseudo_inverse(op.control_gramian()) >= 2
-        _check_pseudo_inverse(obs._quadratic_forms(op, live_entries(op))[1])
+        assert _check_pseudo_inverse(_every_entry(op, 0)) >= 2
+        _check_pseudo_inverse(obs._quadratic_forms(op)[1])
 
 
 def _live_counts(den, null_cut):
@@ -83,7 +92,7 @@ def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_ag
     for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
         for h in (1.0 / 32, 1.0 / 64):
             op = _operator(make_model, mode, target_min_age, horizon, h)
-            _, den = obs._quadratic_forms(op, live_entries(op))
+            _, den = obs._quadratic_forms(op)
             top = max(float(np.max(den.diag, initial=0.0)),
                       float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
             eigen_cut = 1e-12 * max(top, 1e-300)

@@ -9,7 +9,7 @@ from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, build_gr
                      unreachable_from_window)
 from popctrl import observability as obs
 from popctrl.errors import DomainError
-from popctrl.forward import GramianBlocks, terminal_weights
+from popctrl.forward import terminal_weights
 from popctrl.observability import forced_set_measure
 
 from conftest import reference_data, reference_geometry, reference_model
@@ -202,26 +202,26 @@ def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypat
     targeted = np.flatnonzero(w_m)
     assert targeted[0] == 14 and targeted[-1] == grid.num_age_cells
 
-    seen = {"basis": []}
-    quotients, restrict = obs._gramian_quotients, GramianBlocks.restrict
+    seen = {}
+    quotients, quadratic_forms = obs._gramian_quotients, obs._quadratic_forms
 
     def probes(op, n_T, l_T):
         seen["probes"] = n_T, l_T
         return quotients(op, n_T, l_T)
 
-    def basis(blocks, live, scale):
-        seen["basis"].append(live)
-        return restrict(blocks, live, scale)
+    def forms(op):
+        seen["forms"] = quadratic_forms(op)
+        return seen["forms"]
 
     monkeypatch.setattr(obs, "_gramian_quotients", probes)
-    monkeypatch.setattr(GramianBlocks, "restrict", basis)
+    monkeypatch.setattr(obs, "_quadratic_forms", forms)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     estimate_observability_constant(model, grid, geom, [trace],
                                     config=ObservabilityConfig(probes=4, power_iters=2))
     # the numerator and denominator forms
-    assert len(seen["basis"]) == 2
-    assert all(np.array_equal(live, targeted) for live in seen["basis"])
+    assert len(seen["forms"]) == 2
+    assert all(np.array_equal(form.basis.entries, targeted) for form in seen["forms"])
     n_T, l_T = seen["probes"]
     # four random probes, then the cone probe on the targeted tail
     assert n_T.shape[1] == 5 and not np.any(l_T)

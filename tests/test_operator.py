@@ -24,7 +24,6 @@ from popctrl.forward import FrozenOperator, GramianBlocks, StateSolution, contro
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
                       random_nonneg_model, reference_data, reference_model)
-from test_power_iteration import live_entries
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 
@@ -540,6 +539,8 @@ def test_retraced_operator_shares_the_tables():
     assert np.array_equal(other.beta, fresh.beta)
     for got, want in zip(other.gramians(), fresh.gramians()):
         assert np.array_equal(got.matrix(), want.matrix())
+    # the birth shares are survival products: the pair basis is shared too
+    assert other._basis is op._basis
     assert op.control_gramian() is gram
     with pytest.raises(DimensionError):
         op.retrace(trace[:-1])
@@ -633,26 +634,31 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
             for n, l in data] == expected
 
     # the forms come from the operator's Gramians, summed in another order
-    live = live_entries(op)
-    num_form, den_form = obs._quadratic_forms(op, live)
+    num_form, den_form = obs._quadratic_forms(op)
     ref_num, ref_den = _reference_forms(model, grid, geom, trace)
     for got, want in ((num_form, ref_num), (den_form, ref_den)):
         assert np.max(np.abs(got.matrix() - want)) <= 1e-13 * np.max(np.abs(want))
-    batched = obs._power_iteration(op, 12, live)
-    # the per-vector forms, cut into the same blocks, feed the power iteration
-    ref_forms = tuple(_as_blocks(ref, num_form.index) for ref in (ref_num, ref_den))
-    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op, _live: ref_forms)
-    assert abs(obs._power_iteration(op, 12, live) - batched) <= 1e-12 * batched
+    batched = obs._power_iteration(op, 12)
+    # the per-vector forms, rotated into the same basis and cut into the same
+    # blocks, feed the power iteration
+    ref_forms = tuple(_as_blocks(ref, num_form.basis) for ref in (ref_num, ref_den))
+    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: ref_forms)
+    assert abs(obs._power_iteration(op, 12) - batched) <= 1e-12 * batched
 
 
-def _as_blocks(matrix, index):
-    """A dense symmetric form cut into ``GramianBlocks`` by (dense, spike) index;
-    its spike block must be diagonal."""
-    dense, spikes = index
-    spike_block = matrix[np.ix_(spikes, spikes)]
-    assert np.array_equal(spike_block, np.diag(np.diag(spike_block)))
-    return GramianBlocks(matrix[np.ix_(dense, dense)], matrix[np.ix_(dense, spikes)],
-                         np.diag(spike_block).copy(), index)
+def _as_blocks(matrix, basis):
+    """A dense symmetric form on the unit vectors of ``basis.entries``, rotated
+    into the basis and cut into ``GramianBlocks``.  Its spike block must be
+    diagonal; the rotation is orthogonal, so off the diagonal it is zero to
+    rounding only, and that rounding is dropped."""
+    vectors = basis.vectors()
+    rotated = vectors.T @ matrix @ vectors
+    dense = basis.counts[0]
+    spike_block = rotated[dense:, dense:]
+    off_diagonal = spike_block - np.diag(np.diag(spike_block))
+    assert np.max(np.abs(off_diagonal), initial=0.0) <= 1e-15 * np.max(np.abs(matrix))
+    return GramianBlocks(rotated[:dense, :dense], rotated[:dense, dense:],
+                         np.diag(spike_block).copy(), basis)
 
 
 def _observability_setup(mode=ControlMode.BOTH, target_min_age=0.0):
@@ -670,8 +676,7 @@ def _observability_setup(mode=ControlMode.BOTH, target_min_age=0.0):
 def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypatch):
     model, grid, geom, trace = _observability_setup(mode, target_min_age)
     op = FrozenOperator(model, grid, geom, trace)
-    live = live_entries(op)
-    plain = obs._power_iteration(op, 5, live)
+    plain = obs._power_iteration(op, 5)
     assert np.isfinite(plain)
     eigh = np.linalg.eigh
 
@@ -681,7 +686,7 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
         return vals, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", flipped)
-    assert abs(obs._power_iteration(op, 5, live) - plain) <= 1e-12 * plain
+    assert abs(obs._power_iteration(op, 5) - plain) <= 1e-12 * plain
 
 
 @pytest.mark.parametrize("power_iters", [0, 3])

@@ -15,6 +15,7 @@ from popctrl.forward import FrozenOperator, GramianBlocks
 
 from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
                       reference_model)
+from test_gramian import _every_entry
 
 MODES = [(ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
          (ControlMode.MALE_ONLY, 0.0), (ControlMode.FEMALE_ONLY, 0.0)]
@@ -27,16 +28,10 @@ def _geometry(mode, horizon, target_min_age=0.0):
                            horizon=horizon, target_min_age=target_min_age, mode=mode)
 
 
-def live_entries(op):
-    """The sorted stacked indices of the operator geometry's targeted terminal
-    entries, the basis of the observability forms."""
-    return np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
-
-
 def oracle_power_iteration(op, iters):
     """The power iteration on the expanded forms: the denominator's full
     eigendecomposition gives its null space and whitens the numerator."""
-    num_blocks, den_blocks = obs._quadratic_forms(op, live_entries(op))
+    num_blocks, den_blocks = obs._quadratic_forms(op)
     num_form, den_form = num_blocks.matrix(), den_blocks.matrix()
     den_vals, den_vecs = np.linalg.eigh(den_form)
     den_scale = max(float(den_vals[-1]), 0.0)
@@ -86,7 +81,7 @@ def test_block_power_iteration_matches_expanded_oracle(mode, target_min_age, mak
     for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
         for h in (1.0 / 32, 1.0 / 64):
             op = _operator(make_model, mode, target_min_age, horizon, h)
-            got = obs._power_iteration(op, 20, live_entries(op))
+            got = obs._power_iteration(op, 20)
             want = oracle_power_iteration(op, 20)
             assert math.isinf(got) == math.isinf(want), (horizon, h, got, want)
             flags.append(math.isinf(got))
@@ -106,10 +101,9 @@ def test_dead_spike_with_initial_energy_gives_the_sentinel(mode):
                            horizon=0.3, mode=mode)
     grid = build_grid(1.0, 0.3, 1.0 / 32)
     op = FrozenOperator(reference_model(), grid, geom, np.zeros(grid.num_time_cells + 1))
-    live = live_entries(op)
-    num, den = obs._quadratic_forms(op, live)
+    num, den = obs._quadratic_forms(op)
     assert np.max(num.diag[den.diag == 0.0]) > 0.0
-    assert obs._power_iteration(op, 20, live) == oracle_power_iteration(op, 20) \
+    assert obs._power_iteration(op, 20) == oracle_power_iteration(op, 20) \
         == obs.INFINITE_QUOTIENT
 
 
@@ -117,21 +111,24 @@ def test_targets_older_than_every_young_age_leave_no_dense_block():
     # male-only targets from age 0.3 on, horizon 0.2: every live terminal
     # entry is an older spike
     op = _operator(reference_model, ControlMode.MALE_ONLY, 0.3, 0.2, 1.0 / 32)
-    live = live_entries(op)
-    num, den = obs._quadratic_forms(op, live)
+    num, den = obs._quadratic_forms(op)
     assert den.dense.shape == (0, 0) and den.diag.size > 0
-    got, want = obs._power_iteration(op, 20, live), oracle_power_iteration(op, 20)
+    got, want = obs._power_iteration(op, 20), oracle_power_iteration(op, 20)
     assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("mode, target_min_age", MODES)
 def test_block_forms_expand_to_the_dense_forms(mode, target_min_age):
+    # the forms live on the targeted entries' pair basis and the Gramians of
+    # every entry on theirs: the two expansions agree to the rounding of the
+    # rotations
     op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
-    live = live_entries(op)
+    live = np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
     scale = np.outer(*(2 * [np.tile(op.wa / op.grid.step, 2)[live]]))
-    control, initial = op.gramians()
-    for blocks, full in zip(obs._quadratic_forms(op, live), (initial, control)):
-        assert np.array_equal(blocks.matrix(), scale * full.matrix()[np.ix_(live, live)])
+    for blocks, half in zip(obs._quadratic_forms(op), (1, 0)):
+        want = scale * _every_entry(op, half).matrix()[np.ix_(live, live)]
+        assert np.array_equal(blocks.basis.entries, live)
+        assert np.max(np.abs(blocks.matrix() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
@@ -149,11 +146,11 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     def no_expand(blocks):
         raise AssertionError("a Gramian was expanded to its dense matrix")
 
-    sizes = []
+    sizes = {"eigh": [], "solve": []}
 
-    def sized(factor):
+    def sized(name, factor):
         def run(matrix, *args, **kwargs):
-            sizes.append(np.shape(matrix)[0])
+            sizes[name].append(np.shape(matrix)[0])
             assert np.shape(matrix)[0] < full
             return factor(matrix, *args, **kwargs)
         return run
@@ -162,7 +159,8 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
         raise AssertionError("the null cut takes no eigenvalues of A")
 
     monkeypatch.setattr(GramianBlocks, "matrix", no_expand)
-    monkeypatch.setattr(np.linalg, "eigh", sized(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", sized("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "solve", sized("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     result = minimize_penalty(PenaltyProblem(), FrozenOperator(model, grid, geom, trace),
                               m0, f0, 1e-3)
@@ -171,5 +169,8 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
         model, grid, geom, [trace, 2.0 * trace],
         config=ObservabilityConfig(probes=4, power_iters=5), seed=0)
     assert report.power_estimate is not None
-    # one eigh per trace, on the dense block only
-    assert sizes == [2 * grid.num_time_cells] * 2
+    # one eigh per trace, and the penalised solve, on the dense block of the
+    # pair basis only: one direction per young terminal age, min(Nt, N+1) = Nt
+    # here; the renewal system of separable fertility is Nt x Nt too
+    assert sizes["eigh"] == [grid.num_time_cells] * 2
+    assert sizes["solve"] and set(sizes["solve"]) == {grid.num_time_cells}

@@ -11,8 +11,8 @@ so a slow spell of the host falls on all layers alike.
 --src imports popctrl from another source directory (for instance a copy of
 an earlier commit's src/), so two versions can be timed with the same
 layers; the source must take ``minimize_penalty(problem, operator, m0, f0,
-epsilon)`` and ``estimate_observability_constant(..., config=)``.  The
-layers:
+epsilon)``, ``estimate_observability_constant(..., config=)`` and
+``observability._power_iteration(op, iters)``.  The layers:
 
   nonlinear       solve_forward without controls or frozen trace: the
                   nonlinear sweep, one rate-function call per level
@@ -48,13 +48,11 @@ def _layers(h, calls):
     """(grid, {layer: (prepare, run)}) of the example at step ``h``:
     ``prepare()`` makes the arguments of ``calls`` runs outside the timing,
     ``run(argument)`` is one timed call."""
-    import numpy as np
-
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
     from popctrl.forward import FrozenOperator, solve_forward
     from popctrl.observability import (ObservabilityConfig, _power_iteration,
-                                       _targeted_entries, estimate_observability_constant)
+                                       estimate_observability_constant)
     from popctrl.pipelines import make_grid, uncontrolled_trace
     from popctrl.scenario import load_scenario
 
@@ -69,7 +67,6 @@ def _layers(h, calls):
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0[:, None], f0[:, None])
     traces = [trace, 0.5 * trace, 1.5 * trace]
-    live = np.flatnonzero(_targeted_entries(grid, geom))
 
     def repeat(value):
         return lambda: [value] * calls
@@ -86,7 +83,7 @@ def _layers(h, calls):
         "adjoint_images": (repeat(work), lambda w: op.adjoint_images(*w)),
         "gramian": (retraced, lambda fresh: fresh.gramians()),
         "stage": (retraced, lambda fresh: minimize_penalty(penalty, fresh, m0, f0, EPSILON)),
-        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20, live)),
+        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20)),
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
