@@ -51,11 +51,6 @@ class AdjointSolution:
     l_eff: np.ndarray = dc_field(default=None, repr=False)
 
 
-def _sweep_from_work(model, grid, geom, work_n, work_l, trace):
-    """The adjoint lattices from already weighted terminal work arrays."""
-    return FrozenOperator(model, grid, geom, trace).adjoint(work_n, work_l)
-
-
 def _terminal_data(grid, geom, n_T, l_T):
     """Validated terminal profiles; None means zero, and a slot that
     ``terminal_weights`` leaves untargeted (dead) must be zero."""
@@ -83,8 +78,8 @@ def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace):
     q_m, q_f = _terminal_data(grid, geom, n_T, l_T)
 
     theta = grid.age_weights() / grid.step
-    n_rows, l_rows, n_eff, l_eff = _sweep_from_work(
-        model, grid, geom, theta * q_m, theta * q_f, frozen_trace)
+    n_rows, l_rows, n_eff, l_eff = FrozenOperator(model, grid, geom, frozen_trace).adjoint(
+        theta * q_m, theta * q_f)
     n_rows[:, nt] = q_m
     l_rows[:, nt] = q_f
     return AdjointSolution(

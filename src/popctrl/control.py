@@ -20,13 +20,10 @@ transpose applied to a terminal work vector).  By HUM duality the optimum
 is v = L* c, where c solves the terminal-space system
 (I + D G / h) c = -D y0, G = h L L* is the operator's cached control
 Gramian and y0 the terminal state of the uncontrolled system.  D is zero
-off the targeted terminal entries, and so is c: the system is solved on
-the operator's control Gramian, which lives on the targeted entries, in
-its block form on their pair basis, where a young age's two entries share
-their weight.  The blocks make both the solve
-(``GramianBlocks.penalised_solve``, whose Schur complement has one row per
-young terminal age) and the stopping scale |b| = |L* (-D y0)|
-(``GramianBlocks.energy``).  The stage checks the explicit
+off the targeted terminal entries, and so is c: the control Gramian lives
+on them, in the block form of `popctrl.gramian`, which gives both the
+solve (``penalised_solve``, on one row per young terminal age) and the
+stopping scale |b| = |L* (-D y0)| (``energy``).  The stage checks the explicit
 gradient on the controlled terminal state: it maps the control L* c
 through L, never through G.  For separable fertility every map comes in
 closed form from the operator's per-trace renewal system, so a stage runs

@@ -39,15 +39,9 @@ level: its adjoint is the backward sweep (`FrozenOperator.adjoint_levels`),
 its `observe` the step loop, and its Gramians come from one batched sweep
 with a single column per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
-the closed forms are tested against.  Both paths give the same Gram sums,
-which ``_gram_blocks`` lays out in block form (`GramianBlocks`) on the pair
-basis (`_PairBasis`) of the targeted terminal entries: only the young
-ages' response directions are dense, and every spike direction sits in a
-diagonal block.  Every solve with a Gramian is a method of its blocks: the
-penalised solve of a penalty stage, and the pseudo-inverse and null
-directions the observability power iteration uses, each factoring only a
-Schur complement on the min(Nt, N+1) dense directions.  The matrices on
-the unit vectors are expanded only on demand (``matrix``).
+the closed forms are tested against.  Both paths give the same Gram sums;
+`popctrl.gramian` lays them out in block form and makes every solve with
+them.
 """
 
 import copy
@@ -57,6 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConsistencyError, DimensionError, NumericalFailure
+from .gramian import _PairBasis, _gram_blocks, birth_shares
 from .grid import Field2D, region_mask, region_weights
 from .model import ControlMode
 
@@ -265,6 +260,7 @@ class FrozenOperator(_Transport):
                             if fertility.separable else None)
         self._geometry = None
         self._renewal = None
+        self._shares = None
         self._basis = None
         self._freeze(trace)
 
@@ -286,8 +282,7 @@ class FrozenOperator(_Transport):
             self.beta = self.age_profile[None, :] * self.response[:, None]
         # one boundary sweep per level, as in the forward step loop
         self.boundary_factor = 1.0 + self.gamma * self.wa[0] * self.beta[:, 0]
-        self._gramian_cache = [None, None]  # (control, initial) ingredients
-        self._gramian_forms = [None, None]
+        self._gramian_forms = [None, None]  # (control, initial)
         self._levels = None
 
     def geometry_tables(self):
@@ -304,8 +299,8 @@ class FrozenOperator(_Transport):
         """The operator of the same model, grid and geometry for another trace.
 
         It shares every trace-independent table of this one, the geometry
-        and renewal tables and the Gramians' basis included once they are
-        built.
+        and renewal tables, the birth shares and the Gramians' basis
+        included once they are built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -496,8 +491,8 @@ class FrozenOperator(_Transport):
 
     def gramians(self):
         """(control, initial) Gramians of the terminal unit work vectors on
-        the entries ``terminal_weights`` targets, as ``GramianBlocks`` on
-        their ``_PairBasis``.
+        the entries ``terminal_weights`` targets, in the block form of
+        ``gramian.GramianBlocks``.
 
         Built on first use and cached: they do not depend on the penalty
         weights.  Their ingredients come from the closed form of ``_Levels``
@@ -519,40 +514,40 @@ class FrozenOperator(_Transport):
         return self._gramian(0)
 
     def _gramian(self, half):
-        """The control (``half`` 0) or initial (1) Gramian of ``gramians``."""
+        """The control (``half`` 0) or initial (1) Gramian of ``gramians``;
+        the sweep builds both at once, the closed form the one asked for."""
         forms = self._gramian_forms
         if forms[half] is None:
-            live, cross, diag, a, b = self._gramian_parts(half)
-            forms[half] = _gram_blocks(live, cross, diag, self._pair_basis(a, b))
+            if self.age_profile is None:
+                forms[:] = [_gram_blocks(*parts, self._pair_basis())
+                            for parts in self._assemble_gramians()]
+            else:
+                parts = self._renewal_levels().gramian(half)
+                if not all(np.isfinite(part).all() for part in parts):
+                    # the sweep names the first level that stops being finite
+                    self._assemble_gramians()
+                    raise NumericalFailure("Gramian assembly lost finiteness")
+                forms[half] = _gram_blocks(*parts, self._pair_basis())
         return forms[half]
 
-    def _pair_basis(self, a, b):
-        """The ``_PairBasis`` of the targeted entries for the birth shares
-        (a, b), built on first use.  The shares are survival products, which
-        no trace changes, so retraced operators share the basis."""
+    def _birth_shares(self):
+        """``gramian.birth_shares`` of the young terminal ages, built on first
+        use.  They are survival products, which no trace changes, so
+        retraced operators share them."""
+        if self._shares is None:
+            young = min(self.grid.num_time_cells, self.grid.num_age_cells + 1)
+            self._shares = birth_shares(self.s_m, self.s_f, self.gamma, young)
+        return self._shares
+
+    def _pair_basis(self):
+        """The ``_PairBasis`` of the targeted entries for the birth shares,
+        built on first use and shared by retraced operators."""
         if self._basis is None:
             size = self.grid.num_age_cells + 1
             masks = [np.zeros(size, dtype=bool) if w is None else w > 0
                      for w in self.geometry_tables()[2]]
-            self._basis = _PairBasis(a, b, *masks)
+            self._basis = _PairBasis(*self._birth_shares()[2], *masks)
         return self._basis
-
-    def _gramian_parts(self, half):
-        """The (live, cross, diag, a, b) ingredients of the control (``half``
-        0) or initial (1) Gramian (see ``_assemble_gramians``); for separable
-        fertility only the ones asked for are built."""
-        cache = self._gramian_cache
-        if cache[half] is None:
-            if self.age_profile is None:
-                cache[:] = self._assemble_gramians()
-            else:
-                parts = self._renewal_levels().gramian(half)
-                if not all(np.isfinite(part).all() for part in parts[:3]):
-                    # the sweep names the first level that stops being finite
-                    self._assemble_gramians()
-                    raise NumericalFailure("Gramian assembly lost finiteness")
-                cache[half] = parts
-        return cache[half]
 
     def _assemble_gramians(self):
         """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
@@ -571,20 +566,16 @@ class FrozenOperator(_Transport):
         level Nt - p its two spikes, of values s_m and s_f there, inject one
         birth source, and from then on the column carries the response R_p
         to it, in the female rows only.  From that level on, the male unit
-        vector's image is a_p R_p and the female one's b_p R_p, with
-        a_p = (1 - gamma) s_m / ((1 - gamma) s_m + gamma s_f) and
-        b_p = gamma s_f / ((1 - gamma) s_m + gamma s_f) = 1 - a_p.  So the
-        dense product runs over the female rows of the live columns only; the
+        vector's image is a_p R_p and the female one's b_p R_p, in the
+        ``gramian.birth_shares`` (a_p, b_p) of the pair basis.  So the dense
+        product runs over the female rows of the live columns only, and the
         spikes' squares, and the products of the female spikes with the live
-        columns, are read off single rows; and (a, b) give the pair basis
-        (``_PairBasis``) in which ``_gram_blocks`` lays the result out.  The
-        control Gramian sums the region-weighted rows (n_j, l_eff_j) of the
-        levels j >= 1, the initial one the trapezoid-weighted rows (n_0, l_0)
-        of level 0.
+        columns, are read off single rows.  The control Gramian sums the
+        region-weighted rows (n_j, l_eff_j) of the levels j >= 1, the initial
+        one the trapezoid-weighted rows (n_0, l_0) of level 0.
 
-        Returns the (live, cross, diag, a, b) ingredients of the (control,
-        initial) Gramians: the arguments of ``_gram_blocks`` and the birth
-        shares of its basis.
+        Returns the (live, cross, diag) ingredients of the (control,
+        initial) Gramians, the arguments of ``gramian._gram_blocks``.
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
@@ -601,34 +592,16 @@ class FrozenOperator(_Transport):
         region_m[0] = region_f[0] = 0.0
         control = _LiveGram(size, nt, h, region_m, region_f)
         initial = _LiveGram(size, nt, 1.0, self.wa, self.wa)
-        reached = np.zeros((2, young))  # (s_m, s_f) of each young age at age 0
 
         def collect(j, n_j, l_j, l_eff_j):
             if j == 0:
                 initial.add(j, n_j, l_j)
-                return
-            if nt - j < young:
-                reached[:, nt - j] = n_j[0, nt - j], l_j[0, nt - j]
-            control.add(j, n_j, l_eff_j)
+            else:
+                control.add(j, n_j, l_eff_j)
 
         self.adjoint_levels(work_n, work_l, collect)
-        _, split = _birth_split(reached, self.gamma)
-        return tuple((gram.gram_live, gram.spike_cross, gram.spike_diag, *split)
+        return tuple((gram.gram_live, gram.spike_cross, gram.spike_diag)
                      for gram in (control, initial))
-
-
-def _birth_split(reached, gamma):
-    """The birth source E_p = (1 - gamma) s_m + gamma s_f of each young terminal
-    age, and the shares (a_p, b_p) of its male and female unit vectors, from
-    the spike values (s_m, s_f) that reach age 0."""
-    births = (1.0 - gamma) * reached[0] + gamma * reached[1]
-    # a column whose spikes die before age 0 has no response: any split
-    # serves, and (1, 0) keeps the pair rotation defined
-    split = np.zeros(reached.shape)
-    split[0] = 1.0
-    np.divide((1.0 - gamma) * reached[0], births, out=split[0], where=births != 0)
-    np.divide(gamma * reached[1], births, out=split[1], where=births != 0)
-    return births, split
 
 
 class _LiveGram:
@@ -673,254 +646,6 @@ class _LiveGram:
         self.spike_diag[0, ages] += self.wq_n[rows] * spike_n * spike_n
         self.spike_diag[1, ages] += weighted * spike_l
         self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
-
-
-def _column(coefficients, like):
-    """``coefficients`` shaped to scale the rows of a vector or of a block of columns."""
-    return coefficients.reshape((-1,) + (1,) * (np.ndim(like) - 1))
-
-
-def _span(indices):
-    """Sorted ``indices`` as a slice when they are one contiguous run, as the
-    ages a terminal mask selects are: a slice indexes without a copy."""
-    if indices.size and indices[-1] - indices[0] + 1 == indices.size:
-        return slice(int(indices[0]), int(indices[-1]) + 1)
-    return indices
-
-
-class _PairBasis:
-    """An orthonormal basis of the span of the stacked terminal unit vectors
-    that the age masks ``male`` and ``female`` select (its ``entries``).
-
-    The two unit vectors of a young terminal age p inject one birth, in the
-    shares (a_p, b_p) of ``_birth_split``: their images are S_m,p + a_p R_p
-    and S_f,p + b_p R_p, with S their spikes and R_p the response to that
-    birth.  When both are entries the pair rotation replaces them:
-    u_p = alpha_p e_m,p + beta_p e_f,p and d_p = beta_p e_m,p - alpha_p e_f,p,
-    with (alpha_p, beta_p) = (a_p, b_p) / hypot(a_p, b_p).  The image of u_p
-    carries the response hypot(a_p, b_p) R_p, and that of d_p only its two
-    spikes.  A young age with one entry keeps its unit vector as u_p, with
-    (alpha_p, beta_p) = (1, 0) or (0, 1), and an older age, whose spikes
-    never inject a birth, keeps its unit vectors.
-
-    The dense directions are the u_p of the ages ``young``; the spike
-    directions are the d_p of the dense positions ``paired``, then the
-    older male entries ``old_m``, then the older female ones ``old_f``.  No
-    two spike directions share a row of the sweep, so a Gramian is diagonal
-    on them.  ``split`` gives the coordinates of a stacked vector (or block
-    of columns) and ``merge`` the stacked vector of coordinates, zero off the
-    entries; the directions are orthonormal, so each is the transpose and,
-    on the entries, the inverse of the other.  ``dense_entries`` and
-    ``spike_entries`` name one stacked entry of each direction, the male one
-    of a pair, for weights that a pair's entries share.
-    """
-
-    def __init__(self, a, b, male, female):
-        young = a.size
-        self.size = size = male.size
-        ages = np.flatnonzero(male[:young] | female[:young])
-        both = male[ages] & female[ages]
-        rho = np.hypot(a[ages], b[ages])
-        self.alpha = np.where(both, a[ages] / rho, male[ages])
-        self.beta = np.where(both, b[ages] / rho, female[ages])
-        # the image of u_p carries sigma_p R_p
-        self.sigma = self.alpha * a[ages] + self.beta * b[ages]
-        self.paired = _span(np.flatnonzero(both))
-        old_m = young + np.flatnonzero(male[young:])
-        old_f = young + np.flatnonzero(female[young:])
-        self.young, self.old_m, self.old_f = _span(ages), _span(old_m), _span(old_f)
-        self.counts = (ages.size, int(np.count_nonzero(both)), old_m.size)  # dense, d, older male
-        self.dense_entries = np.where(male[ages], ages, size + ages)
-        self.spike_entries = np.concatenate([self.dense_entries[both], old_m, size + old_f])
-        self.entries = np.flatnonzero(np.concatenate([male, female]))
-
-    def split(self, y):
-        """(dense, spike) coordinates of a stacked vector or block of columns."""
-        y_m, y_f = y[:self.size], y[self.size:]
-        young_m, young_f = y_m[self.young], y_f[self.young]
-        alpha, beta = _column(self.alpha, y), _column(self.beta, y)
-        pairs = (beta * young_m - alpha * young_f)[self.paired]
-        return (alpha * young_m + beta * young_f,
-                np.concatenate([pairs, y_m[self.old_m], y_f[self.old_f]]))
-
-    def merge(self, x_dense, x_spike):
-        """The stacked vector (or block) of (dense, spike) coordinates."""
-        _, n_pairs, n_old_m = self.counts
-        x_pair = np.zeros_like(x_dense)
-        x_pair[self.paired] = x_spike[:n_pairs]
-        alpha, beta = _column(self.alpha, x_dense), _column(self.beta, x_dense)
-        y = np.zeros((2 * self.size,) + np.shape(x_dense)[1:])
-        y_m, y_f = y[:self.size], y[self.size:]
-        # a young age with one entry has a zero coefficient in the other slot
-        y_m[self.young] = alpha * x_dense + beta * x_pair
-        y_f[self.young] = beta * x_dense - alpha * x_pair
-        y_m[self.old_m] = x_spike[n_pairs:n_pairs + n_old_m]
-        y_f[self.old_f] = x_spike[n_pairs + n_old_m:]
-        return y
-
-    def vectors(self):
-        """The directions as columns, dense ones first, in the unit
-        coordinates of ``entries``."""
-        dense = self.counts[0]
-        eye = np.eye(dense + self.spike_entries.size)
-        return self.merge(eye[:dense], eye[dense:])[self.entries]
-
-
-class GramianBlocks:
-    """A Gramian of terminal work vectors on a ``_PairBasis``, in block form.
-
-    ``dense`` is the block A on the basis's dense directions, ``cross`` the
-    block C between them and its spike directions, and ``diag`` the diagonal
-    Delta of the spike block.  Every solve with the form is made here:
-    Delta is eliminated and only a Schur complement A - C W C^T on the dense
-    directions is factored.  Stacked vectors enter through the basis's
-    ``split`` and leave through its ``merge``; ``matrix`` expands the form
-    to the unit vectors of the basis's entries on demand.
-    """
-
-    def __init__(self, dense, cross, diag, basis):
-        self.dense, self.cross, self.diag = dense, cross, diag
-        self.basis = basis
-        self._matrix = None
-
-    def matrix(self):
-        """The matrix on the unit vectors of ``basis.entries``, in their
-        stacked order, symmetric to rounding; built on first use and cached."""
-        if self._matrix is None:
-            q = self.basis.vectors()
-            self._matrix = q @ np.block([[self.dense, self.cross],
-                                         [self.cross.T, np.diag(self.diag)]]) @ q.T
-        return self._matrix
-
-    def apply(self, x_dense, x_spike):
-        """The product with the vector (or columns) of dense part ``x_dense``
-        and spike part ``x_spike``, split the same way."""
-        return (self.dense @ x_dense + self.cross @ x_spike,
-                self.cross.T @ x_dense + (self.diag * x_spike.T).T)
-
-    def quadratic(self, x_dense, x_spike):
-        """x . F x of the vector, or of each column, split as in ``apply``."""
-        f_dense, f_spike = self.apply(x_dense, x_spike)
-        return np.sum(x_dense * f_dense, axis=0) + np.sum(x_spike * f_spike, axis=0)
-
-    def energy(self, x):
-        """x . F x of a stacked vector, or of each column of a stacked block;
-        entries off the basis count as zero."""
-        return self.quadratic(*self.basis.split(x))
-
-    def max_abs(self):
-        """The largest |entry| of the form."""
-        return max(float(np.max(np.abs(part), initial=0.0))
-                   for part in (self.dense, self.cross, self.diag))
-
-    def scaled(self, theta):
-        """The form on the basis with each direction scaled by ``theta`` at
-        its entry; ``theta`` is stacked and equal on the two entries of a
-        pair."""
-        t_dense = theta[self.basis.dense_entries]
-        t_spike = theta[self.basis.spike_entries]
-        return GramianBlocks(np.outer(t_dense, t_dense) * self.dense,
-                             np.outer(t_dense, t_spike) * self.cross,
-                             t_spike * t_spike * self.diag, self.basis)
-
-    def schur(self, spike_weights):
-        """A - C diag(spike_weights) C^T, a new array."""
-        return self.dense - (self.cross * spike_weights) @ self.cross.T
-
-    def penalised_solve(self, weights, rhs):
-        """Solve (I + diag(weights) F) c = rhs on the basis, for a stacked
-        ``rhs``; c is stacked and zero off the basis's entries.
-
-        ``weights`` are nonnegative, one per stacked entry and equal on the
-        two entries of a pair, so that they commute with the pair rotation.
-        Delta is eliminated, so only the Schur complement on the dense
-        directions is formed and factored.
-        """
-        basis = self.basis
-        d_dense, d_spike = weights[basis.dense_entries], weights[basis.spike_entries]
-        r_dense, r_spike = basis.split(rhs)
-        diag = 1.0 + d_spike * self.diag
-        schur = self.schur(d_spike / diag)
-        schur *= d_dense[:, None]
-        schur.flat[::schur.shape[0] + 1] += 1.0  # the diagonal
-        c_dense = np.linalg.solve(schur, r_dense - d_dense * (self.cross @ (r_spike / diag)))
-        c_spike = (r_spike - d_spike * (self.cross.T @ c_dense)) / diag
-        return basis.merge(c_dense, c_spike)
-
-    def null_cut(self):
-        """1e-12 max(|A|_F, max Delta): below it a direction of this positive
-        semidefinite form counts as null.  |A|_F lies in [lambda_max(A),
-        sqrt(rank A) lambda_max(A)], so the scale is within that of
-        lambda_max(F) / 2."""
-        top = max(float(np.max(self.diag, initial=0.0)), float(np.linalg.norm(self.dense)))
-        return 1e-12 * max(top, 1e-300)
-
-    def pseudo_inverse(self):
-        """The pseudo-inverse F^- of this positive semidefinite form, and its
-        null directions, both under ``null_cut``.
-
-        Returns (solve, null_dense, null_spike, dead).  ``solve(y_dense,
-        y_spike)`` gives (x_dense, x_spike, y . x) for x = F^- y.  The null
-        directions are the dead spikes, flagged in ``dead``, and the null
-        vectors v of the Schur complement S = A - C Delta^+ C^T, lifted to
-        (v, -Delta^+ C^T v): the columns of (null_dense, null_spike).  S is
-        the only matrix eigendecomposed, and null_dense has as many columns
-        as rows exactly when S has no live eigenvalue.
-        """
-        cut = self.null_cut()
-        live_spikes = self.diag > cut
-        inv_diag = np.divide(1.0, self.diag, out=np.zeros_like(self.diag), where=live_spikes)
-        vals, vecs = np.linalg.eigh(self.schur(inv_diag))
-        live = vals > cut
-        null_dense = vecs[:, ~live]
-        null_spike = -inv_diag[:, None] * (self.cross.T @ null_dense)
-        whiten = vecs[:, live] / np.sqrt(vals[live])
-
-        def solve(y_dense, y_spike):
-            # |z|^2 + y . Delta^+ y = y . x
-            z = whiten.T @ (y_dense - self.cross @ (inv_diag * y_spike))
-            x_dense = whiten @ z
-            x_spike = inv_diag * (y_spike - self.cross.T @ x_dense)
-            return x_dense, x_spike, float(z @ z) + float(y_spike @ (inv_diag * y_spike))
-        return solve, null_dense, null_spike, ~live_spikes
-
-
-def _gram_blocks(live, cross, diag, basis):
-    """The Gramian of the ingredients (live, cross, diag) on ``basis``, a
-    ``_PairBasis`` of their birth shares (a, b), by closed formulas.
-
-    ``live`` is the Gram matrix of the young ages' responses R, ``cross``
-    the products of every terminal age's female spike with them, and
-    ``diag`` the squares D_m, D_f of the spikes of both slots.  The image of
-    u_p is alpha_p S_m,p + beta_p S_f,p + sigma_p R_p, sigma_p = alpha_p a_p
-    + beta_p b_p; R lives in the female rows only, and no two spikes share a
-    row.  So, with Z[p, q] = cross[q, p] the female spike of age q against
-    R_p:
-      A[p, q] = sigma_p sigma_q live[p, q] + sigma_p beta_q Z[p, q]
-                + beta_p sigma_q Z[q, p] + [p = q] (alpha_p^2 D_m,p + beta_p^2 D_f,p);
-    C[u_p, d_q] = -sigma_p alpha_q Z[p, q] + [p = q] alpha_p beta_p (D_m,p - D_f,p);
-    C[u_p, older male q] = 0 and C[u_p, older female q] = sigma_p cross[q, p];
-    Delta is beta_p^2 D_m,p + alpha_p^2 D_f,p on d_p and D on the older
-    spikes.  The blocks that vanish are never summed, so they are exact
-    zeros: every spike of a young age ends before level 0, so the initial
-    Gramian is exactly 0 on the d directions.
-    """
-    ages, pairs, old_m, old_f = basis.young, basis.paired, basis.old_m, basis.old_f
-    n_dense, n_pairs, n_old_m = basis.counts
-    alpha, beta, sigma = basis.alpha, basis.beta, basis.sigma
-    z = cross[ages][:, ages].T
-    spike_m, spike_f = diag[0, ages], diag[1, ages]
-    mixed = sigma[:, None] * z * beta
-    dense = np.outer(sigma, sigma) * live[ages][:, ages] + (mixed + mixed.T)
-    dense.flat[::n_dense + 1] += alpha * alpha * spike_m + beta * beta * spike_f  # the diagonal
-    spike_diag = np.concatenate([(beta * beta * spike_m + alpha * alpha * spike_f)[pairs],
-                                 diag[0, old_m], diag[1, old_f]])
-    spike_cross = np.zeros((n_dense, spike_diag.size))
-    spike_cross[:, :n_pairs] = -sigma[:, None] * z[:, pairs] * alpha[pairs]
-    spike_cross[np.arange(n_dense)[pairs], np.arange(n_pairs)] += \
-        (alpha * beta * (spike_m - spike_f))[pairs]
-    spike_cross[:, n_pairs + n_old_m:] = sigma[:, None] * cross[old_f][:, ages].T
-    return GramianBlocks(dense, spike_cross, spike_diag, basis)
 
 
 class _Renewal:
@@ -989,10 +714,9 @@ class _Renewal:
         # K[j, k] = kappa_{k-j} above the diagonal
         lag = np.arange(nt)[None, :] - np.arange(nt)[:, None]
         self.kernel = np.where(lag > 0, carried[0, np.maximum(lag, 0)], 0.0)
-        young_ages = np.arange(young)
-        self.born = lattice[:, 0, nt - young_ages]  # (s_m, s_f) of each young age at age 0
-        self.births, self.split = _birth_split(self.born, op.gamma)
-        self.inject = nt - 1 - young_ages  # row of level Nt - p among levels 1..Nt
+        # (s_m, s_f) of each young age at age 0, and its birth source
+        self.born, self.births, _ = op._birth_shares()
+        self.inject = nt - 1 - np.arange(young)  # row of level Nt - p among levels 1..Nt
         # the birth source of level j = 1..Nt: the spikes of terminal age Nt - j
         # at age 0, in the shares of the birth law
         self.source_spikes = np.array([[1.0 - op.gamma], [op.gamma]]) * lattice[:, 0, 1:]
@@ -1105,7 +829,7 @@ class _Levels:
         return self._inverse
 
     def gramian(self, half):
-        """The (live, cross, diag, a, b) ingredients of the control (``half``
+        """The (live, cross, diag) ingredients of the control (``half``
         0) or initial (1) Gramian (see ``FrozenOperator._assemble_gramians``);
         both share the young columns' amplitudes, solved on first use."""
         t = self.tables
@@ -1119,7 +843,7 @@ class _Levels:
             forms, cross, diag = t.gramian_forms()
             live = amplitudes.T @ (forms[half] @ amplitudes)
             live = 0.5 * (live + live.T)
-            return live, cross[half] @ amplitudes, diag[half], *t.split
+            return live, cross[half] @ amplitudes, diag[half]
 
     def adjoint(self, work_n, work_l, keep_l):
         """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint

@@ -6,22 +6,16 @@ energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
 Gramians of the frozen-trace operator on the targeted terminal entries
 (`FrozenOperator.gramians`, built together), scaled by the trapezoid
-weights and kept in the operator's block form on the pair basis: a dense block on one direction per young terminal age, the one
-that carries its birth response, a diagonal on the spike directions (the
-other direction of a young age's pair, and the older ages) and the cross
-block between them.  Terminal vectors enter and leave the forms through
-the basis's ``split`` and ``merge``.
-The power iteration applies the denominator's pseudo-inverse and takes its
-null directions from ``GramianBlocks.pseudo_inverse``, which eliminates the
-spike diagonal; this module keeps the policy: the start, the steps and the
-null-energy test.  The probe quotients are read off the same blocks when
-the power iteration runs or the Gramians are closed-form (separable
-fertility); otherwise one batched sweep of the probes gives them.  The
-operators of one call are retraced from the first, so they share its
-trace-independent tables.  A zero denominator with nonzero numerator is
-reported as the infinity sentinel: violated observability is a first-class
-outcome that certifies the time condition in the discrete model, not a
-numerical overflow.
+weights, in the block form of `popctrl.gramian`, which also owns the power
+iteration on their pencil (``gramian.pencil_maximum``); this module passes
+them stacked terminal vectors only.  The probe quotients are read off the
+same forms when the power iteration runs or the Gramians are closed-form
+(separable fertility); otherwise one batched sweep of the probes gives
+them.  The operators of one call are retraced from the first, so they
+share its trace-independent tables.  A zero denominator with nonzero
+numerator is reported as the infinity sentinel: violated observability is
+a first-class outcome that certifies the time condition in the discrete
+model, not a numerical overflow.
 
 The geometry's mode reaches this module only through ``forward``'s rules:
 the targeted entries are the nonzero ``terminal_weights`` (the node at a
@@ -38,6 +32,7 @@ import numpy as np
 from .adjoint import _terminal_data
 from .errors import DomainError, set_checked
 from .forward import FrozenOperator, control_masks, control_windows, terminal_weights
+from .gramian import pencil_maximum
 from .grid import lattice_inner
 from .model import ControlMode
 
@@ -154,7 +149,7 @@ def _probe_data(rngs, targeted):
 
 def _quadratic_forms(op):
     """The (numerator, denominator) forms on the targeted terminal entries,
-    as ``GramianBlocks`` on their pair basis.
+    in the block form of ``gramian.GramianBlocks``.
 
     A unit direction p of the terminal data has the work vector theta_p
     times the unit vector, so the forms are the operator's targeted initial
@@ -167,45 +162,10 @@ def _quadratic_forms(op):
 
 
 def _power_iteration(op, iters):
-    """Generalized Rayleigh maximization on the (numerator, denominator) forms
-    of ``_quadratic_forms``.
-
-    Terminal directions invisible from the control regions but carrying
-    initial energy make the quotient unbounded and are detected from the
-    denominator's null directions; otherwise ``iters`` power steps maximize
-    the quotient: from the all-ones direction x scaled to x . D x = 1, each
-    step forms y = N x, takes x . y as a quotient and moves to x = D^- y
-    scaled by sqrt(y . D^- y), which is power iteration on the
-    denominator-whitened numerator.  D^- and the null directions are
-    ``GramianBlocks.pseudo_inverse`` of the denominator, so D stays in block
-    form.
-    """
-    num, den = _quadratic_forms(op)
-    solve, null_dense, null_spike, dead = den.pseudo_inverse()
-    num_scale = max(num.max_abs(), 1e-300)
-    null_energy = np.r_[num.quadratic(null_dense, null_spike)
-                        / (np.sum(null_dense ** 2, axis=0) + np.sum(null_spike ** 2, axis=0)),
-                        num.diag[dead]]
-    if null_energy.size and float(np.max(null_energy)) > 1e-10 * num_scale:
-        return INFINITE_QUOTIENT
-    if null_dense.shape[1] == null_dense.shape[0] and np.all(dead):
-        return 0.0  # every direction is null
-
-    # start from the all-ones terminal direction, so the iterates do not
-    # depend on the signs or rotations of the eigenvectors
-    x_dense, x_spike = den.basis.split(np.ones(2 * op.wa.size))
-    start = math.sqrt(float(den.quadratic(x_dense, x_spike)))
-    x_dense, x_spike = x_dense / start, x_spike / start
-    best = 0.0
-    for _ in range(max(1, iters)):
-        y_dense, y_spike = num.apply(x_dense, x_spike)
-        f_dense, f_spike, energy = solve(y_dense, y_spike)
-        norm = math.sqrt(energy)
-        if norm == 0.0:
-            break
-        best = max(best, float(x_dense @ y_dense) + float(x_spike @ y_spike))
-        x_dense, x_spike = f_dense / norm, f_spike / norm
-    return max(best, float(num.quadratic(x_dense, x_spike)))
+    """``gramian.pencil_maximum`` of the forms of ``_quadratic_forms``: the
+    infinity sentinel when a terminal direction invisible from the control
+    regions carries initial energy, else ``iters`` power steps' estimate."""
+    return pencil_maximum(*_quadratic_forms(op), iters)
 
 
 def estimate_observability_constant(model, grid, geom, traces, *,
@@ -266,13 +226,13 @@ def estimate_observability_constant(model, grid, geom, traces, *,
         estimates.append(estimate)
         all_samples.extend(samples)
 
-    finite_estimates = [e for e in estimates if math.isfinite(e)]
-    overall = max(estimates) if estimates else 0.0
+    low, high = min(estimates), max(estimates)
     spread = 0.0
-    if len(finite_estimates) == len(estimates) and len(estimates) > 1:
-        spread = max(estimates) / min(estimates) - 1.0
+    if math.isfinite(high) and high > low:
+        # equal estimates, zero ones included, have no spread
+        spread = high / low - 1.0 if low > 0 else math.inf
     return ObservabilityReport(
-        estimated_constant=overall,
+        estimated_constant=high,
         quotient_samples=all_samples,
         threshold_margin=geom.time_margin(grid.max_age),
         mode=geom.mode,

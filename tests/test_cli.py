@@ -156,14 +156,32 @@ def test_contraction_command(scenario_path, tmp_path):
     assert report["scalars"]["max_ratio"] <= report["scalars"]["bound"]
 
 
-def test_observability_command(scenario_path, tmp_path):
+ONLY_AGE_A = {"mode": "MALE_ONLY", "target_min_age": 0.99}
+
+
+@pytest.mark.parametrize("overrides, estimate", [
+    ({}, None),
+    # only the terminal age A is targeted, and it dies in the last age cell
+    # (last_cell_survival 0): every trace's estimate is 0, and equal
+    # estimates have no spread
+    ({"geometry": ONLY_AGE_A}, 0.0),
+    ({"geometry": ONLY_AGE_A, "observability": {"power_iters": 5}}, 0.0)],
+    ids=["default", "only_age_A", "only_age_A_power"])
+def test_observability_command(tmp_path, overrides, estimate):
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    for section, values in overrides.items():
+        raw[section].update(values)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
     out = str(tmp_path / "o")
-    assert run_command(["observability", scenario_path, "--out", out, "--quiet"]) == 0
+    assert run_command(["observability", str(path), "--out", out, "--quiet"]) == 0
     with open(os.path.join(out, "observability.csv")) as handle:
         header = handle.readline().strip().split(",")
         rows = handle.readlines()
     assert header == ["T", "a1", "a2", "margin", "estimate", "diverged_flag"]
     assert len(rows) == 1
+    if estimate is not None:
+        assert float(rows[0].split(",")[4]) == estimate
 
 
 def test_observability_window_sweep_solves_once_per_horizon(tmp_path, monkeypatch):

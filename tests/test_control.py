@@ -7,7 +7,8 @@ from popctrl import (ControlGeometry, ControlMode, EpsilonSchedule, PenaltyProbl
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
 from popctrl.errors import ConfigurationError
-from popctrl.forward import FrozenOperator, GramianBlocks, terminal_weights
+from popctrl.forward import FrozenOperator, terminal_weights
+from popctrl.gramian import GramianBlocks
 from popctrl.observability import forced_terminal_mask
 
 from conftest import random_control, reference_data, reference_geometry, reference_model

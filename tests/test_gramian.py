@@ -11,7 +11,8 @@ from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      minimize_penalty, solve_forward)
 from popctrl import observability as obs
 from popctrl.control import _Workspace
-from popctrl.forward import FrozenOperator, _gram_blocks, _PairBasis
+from popctrl.forward import FrozenOperator
+from popctrl.gramian import _gram_blocks, _PairBasis
 
 from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model,
                       reference_data, reference_model)
@@ -76,19 +77,42 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _on_entries(parts, male, female):
-    """The Gramian of the ingredients ``parts`` on the pair basis of the
-    entries of the age masks ``male`` and ``female``."""
-    live, cross, diag, a, b = parts
-    return _gram_blocks(live, cross, diag, _PairBasis(a, b, male, female))
+def _on_entries(op, parts, male, female):
+    """The Gramian of the ingredients ``parts`` on the pair basis, for the
+    operator's birth shares, of the entries of the age masks ``male`` and
+    ``female``."""
+    return _gram_blocks(*parts, _PairBasis(*op._birth_shares()[2], male, female))
+
+
+def _parts(op, half):
+    """The (live, cross, diag) ingredients of the operator's control (``half``
+    0) or initial (1) Gramian, from the path its fertility takes."""
+    if op.fertility.separable:
+        return op._renewal_levels().gramian(half)
+    return op._assemble_gramians()[half]
 
 
 def _every_entry(op, half):
     """The operator's control (``half`` 0) or initial (1) Gramian on the pair
-    basis of every terminal entry, from its cached ingredients."""
+    basis of every terminal entry."""
     every = np.ones(op.grid.num_age_cells + 1, dtype=bool)
-    op.gramians()
-    return _on_entries(op._gramian_cache[half], every, every)
+    return _on_entries(op, _parts(op, half), every, every)
+
+
+def _swept_birth_spikes(op):
+    """The (male, female) spikes that the backward sweep from each young
+    terminal age's unit vectors carries to age 0."""
+    nt, size = op.grid.num_time_cells, op.grid.num_age_cells + 1
+    young = min(nt, size)
+    born = np.zeros((2, young))
+
+    def record(j, n_j, l_j, l_eff_j):
+        if nt - j < young:
+            born[:, nt - j] = n_j[0, nt - j], l_j[0, nt - j]
+
+    units = np.eye(size)[:, :young]
+    op.adjoint_levels(units, units, record)
+    return born
 
 
 def _check_gramians(ws):
@@ -103,7 +127,7 @@ def _check_gramians(ws):
     pairwise = (_naive_gramian(ws), _naive_initial_gramian(op))
     for half, (form, want, parts) in enumerate(zip(op.gramians(), pairwise,
                                                    op._assemble_gramians())):
-        full, swept = _every_entry(op, half), _on_entries(parts, every, every)
+        full, swept = _every_entry(op, half), _on_entries(op, parts, every, every)
         assert _close(full.matrix(), want)
         assert np.array_equal(form.basis.entries, targeted)
         assert _close(form.matrix(), want[np.ix_(targeted, targeted)])
@@ -118,6 +142,14 @@ def _check_gramians(ws):
     assert pairs == min(op.grid.num_time_cells, op.grid.num_age_cells + 1)
     assert not np.any(initial.cross[:, :pairs]) and not np.any(initial.diag[:pairs])
     assert (op._renewal is not None) == op.fertility.separable
+    # nothing else pins the birth shares to the sweep: their table must hold
+    # the sweep's row-0 spikes bit for bit, as must the closed form's lattice
+    born = op._birth_shares()[0]
+    assert np.array_equal(born, _swept_birth_spikes(op))
+    if op.fertility.separable:
+        nt = op.grid.num_time_cells
+        lattice = op._renewal.lattice_spikes[:, 0, nt - np.arange(born.shape[1])]
+        assert np.array_equal(lattice, born)
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
@@ -158,7 +190,7 @@ def test_any_entry_masks_give_the_restricted_gramian(horizon):
     male, female = r.random((2, grid.num_age_cells + 1)) < 0.6
     for half in (0, 1):
         full = _every_entry(op, half)
-        form = _on_entries(op._gramian_cache[half], male, female)
+        form = _on_entries(op, _parts(op, half), male, female)
         entries = np.flatnonzero(np.concatenate([male, female]))
         assert np.array_equal(form.basis.entries, entries)
         assert _close(form.matrix(), full.matrix()[np.ix_(entries, entries)])

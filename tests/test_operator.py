@@ -20,7 +20,8 @@ from popctrl.cli import run_command
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
-from popctrl.forward import FrozenOperator, GramianBlocks, StateSolution, control_masks
+from popctrl.forward import FrozenOperator, StateSolution, control_masks
+from popctrl.gramian import GramianBlocks
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
                       random_nonneg_model, reference_data, reference_model)
@@ -277,7 +278,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
         controlled = (mode is not ControlMode.FEMALE_ONLY, mode is not ControlMode.MALE_ONLY)
         assert widths == {"forward": [], "adjoint": [], "closed_form": [1, 1],
                           "gramians": [0], "observe": [(False, False, False), (*controlled, True)]}
-        assert op._gramian_cache[1] is None  # no initial Gramian
+        assert op._gramian_forms[1] is None  # no initial Gramian
     else:
         gramian_sweep = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
         assert widths == {"forward": [1, 1], "adjoint": [gramian_sweep, 1, 1],

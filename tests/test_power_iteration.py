@@ -11,7 +11,8 @@ from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, PenaltyP
                      build_grid, estimate_observability_constant, minimize_penalty,
                      solve_forward)
 from popctrl import observability as obs
-from popctrl.forward import FrozenOperator, GramianBlocks
+from popctrl.forward import FrozenOperator
+from popctrl.gramian import GramianBlocks
 
 from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
                       reference_model)
