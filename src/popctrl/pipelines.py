@@ -133,8 +133,6 @@ def _control_scalars(result):
         "J_value": result.J_value,
         "iterations": result.iterations,
         "epsilon": result.epsilon,
-        # a stage has one penalty weight; the key stays so reports keep their keys
-        "theta": result.epsilon,
         "stages": result.stage_history,
     }
 

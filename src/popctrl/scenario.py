@@ -7,23 +7,24 @@ Top-level keys: "model", "geometry", "grid", "initial" (required) and
 "output" (optional).  Unknown keys anywhere are an error, and a null value
 means the key is absent.  docs/scenario_schema.md lists every field.
 
-The parser keeps the file format: object shapes and keys, a spec's "kind",
-a bare number as a constant rate, the mode string, penalty.epsilon and
-penalty.theta, grid.target_h, the observability sweep lists, the output
-section, and the control windows inside [0, max_age].  The values belong
-to the classes the parser builds from the keys present: the numbers of
-DemographicModel, ControlGeometry, PenaltyProblem, EpsilonSchedule,
-FixedPointConfig, ObservabilityConfig and ContractionConfig, and the rate
-specs, whose keys are the arguments of RateFunction and Fertility
-constructors.  A library error names the field ("values[1]: must be
-finite"), and a file error puts the JSON path before it
-("initial.f0.values[1]: must be finite").
+The parser keeps the file format: a spec's "kind", a bare number as a
+constant rate, the mode string, grid.target_h, the observability sweep
+lists, the output section, the control windows inside [0, max_age], and
+the retired keys penalty.epsilon and penalty.theta, which are an error.
+The fields of DemographicModel, ControlGeometry, PenaltyProblem,
+EpsilonSchedule, FixedPointConfig, ObservabilityConfig and
+ContractionConfig, which hold the defaults and bounds, are the keys of
+their sections and, all but the model's, their echo in ``resolved``; a
+rate spec's keys are the arguments of a RateFunction or Fertility
+constructor.  A library error names the field ("values[1]: must be
+finite"), and a file error puts the JSON path before it.
 """
 
 import itertools
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -61,11 +62,27 @@ def _built(path, constructor, **kwargs):
         raise ConfigurationError(f"{path}.{exc}") from None
 
 
+def _keys(cls):
+    """The required and the optional keys of the section of the config class
+    ``cls``: its public fields, required where the class has no default."""
+    public = [f for f in fields(cls) if not f.name.startswith("_")]
+    required = [f.name for f in public if f.default is MISSING and f.default_factory is MISSING]
+    return required, [f.name for f in public if f.name not in required]
+
+
 def _config(cls, path, section, **built):
     """``cls`` from ``built`` and the entries of ``section`` that name its
     other fields, so an absent entry takes the class default."""
     names = {f.name for f in fields(cls)} - set(built)
     return _built(path, cls, **built, **{k: v for k, v in section.items() if k in names})
+
+
+def _echo(config):
+    """The echo of ``config`` in ``resolved``: its fields by name, an enum as
+    its value, a window as a list and a nested config as an object."""
+    return asdict(config, dict_factory=lambda items: {
+        name: value.value if isinstance(value, Enum) else
+        list(value) if isinstance(value, tuple) else value for name, value in items})
 
 
 def _spec(spec, path, kinds):
@@ -183,11 +200,7 @@ def parse_scenario(raw, *, source="scenario"):
     raw = _document(raw, source)
     resolved = {}
 
-    mraw = _section(raw["model"], "model",
-                    required=("male_mortality", "female_mortality", "fertility",
-                              "male_fertility_weight", "female_fraction",
-                              "fertility_onset", "max_age"),
-                    optional=("last_cell_survival",))
+    mraw = _section(raw["model"], "model", *_keys(DemographicModel))
     rates = {name: _rate(mraw[name], f"model.{name}")
              for name in ("male_mortality", "female_mortality", "male_fertility_weight")}
     model = _config(DemographicModel, "model", mraw,
@@ -203,9 +216,7 @@ def parse_scenario(raw, *, source="scenario"):
         "last_cell_survival": model.last_cell_survival,
     }
 
-    graw = _section(raw["geometry"], "geometry",
-                    required=("male_window", "female_window", "horizon"),
-                    optional=("target_min_age", "mode"))
+    graw = _section(raw["geometry"], "geometry", *_keys(ControlGeometry))
     mode = {}
     if "mode" in graw:
         try:
@@ -216,14 +227,9 @@ def parse_scenario(raw, *, source="scenario"):
                 f"{[m.value for m in ControlMode]}") from None
     geometry = _config(ControlGeometry, "geometry", graw, **mode)
     a1, a2 = geometry.male_window
-    b1, b2 = geometry.female_window
-    if a2 > model.max_age or b2 > model.max_age:
+    if max(a2, geometry.female_window[1]) > model.max_age:
         raise ConfigurationError("geometry: control windows must lie inside [0, max_age]")
-    resolved["geometry"] = {
-        "male_window": [a1, a2], "female_window": [b1, b2],
-        "horizon": geometry.horizon, "target_min_age": geometry.target_min_age,
-        "mode": geometry.mode.value,
-    }
+    resolved["geometry"] = _echo(geometry)
 
     grraw = _section(raw["grid"], "grid", required=("target_h",))
     target_h = checked("grid.target_h", grraw["target_h"], gt=0)
@@ -240,35 +246,27 @@ def parse_scenario(raw, *, source="scenario"):
         resolved["terminal"] = {k: echo for k, (_, echo) in terminal.items()}
     n_T, l_T = (terminal[k][0] if k in terminal else None for k in ("n_T", "l_T"))
 
-    praw = _section(raw.get("penalty", {}), "penalty",
-                    optional=("epsilon", "theta", "target_norm", "max_cg_iters",
-                              "cg_tol", "schedule"))
+    praw = raw.get("penalty", {})
+    retired = [key for key in ("epsilon", "theta") if isinstance(praw, dict) and key in praw]
+    if retired:
+        raise ConfigurationError(f"penalty: {retired} no longer exist: a stage's penalty "
+                                 "weight comes from penalty.schedule.start and its ratio")
+    praw = _section(praw, "penalty", *_keys(PenaltyProblem))
     schedule = _config(EpsilonSchedule, "penalty.schedule",
                        _section(praw.get("schedule", {}), "penalty.schedule",
-                                optional=("start", "ratio", "stages")))
+                                *_keys(EpsilonSchedule)))
     penalty = _config(PenaltyProblem, "penalty", praw, schedule=schedule)
-    resolved["penalty"] = {
-        # checked and hashed, and read by nothing: every stage's penalty
-        # weight comes from the schedule
-        "epsilon": checked("penalty.epsilon", praw.get("epsilon", 1e-2), gt=0),
-        "theta": checked("penalty.theta", praw.get("theta", 1e-2), gt=0),
-        "target_norm": penalty.target_norm, "max_cg_iters": penalty.max_cg_iters,
-        "cg_tol": penalty.cg_tol,
-        "schedule": {"start": schedule.start, "ratio": schedule.ratio,
-                     "stages": schedule.stages},
-    }
+    resolved["penalty"] = _echo(penalty)
 
     fixed_point = _config(FixedPointConfig, "fixed_point",
                           _section(raw.get("fixed_point", {}), "fixed_point",
-                                   optional=("omega", "fp_tol", "max_outer_iters")))
-    resolved["fixed_point"] = {"omega": fixed_point.omega, "fp_tol": fixed_point.fp_tol,
-                               "max_outer_iters": fixed_point.max_outer_iters}
+                                   *_keys(FixedPointConfig)))
+    resolved["fixed_point"] = _echo(fixed_point)
 
     # an absent section takes the defaults, and stays out of ``resolved`` so
     # that the scenario hash does not move
-    oraw = _section(raw.get("observability", {}), "observability",
-                    optional=("horizons", "male_lo", "male_hi", "probes",
-                              "power_iters", "num_traces"))
+    oraw = _section(raw.get("observability", {}), "observability", optional=(
+        "horizons", "male_lo", "male_hi", *_keys(ObservabilityConfig)[1]))
     observability_sweep = {
         key: checked_list(f"observability.{key}", oraw.get(key, [default]), **rule)
         for key, default, rule in (("horizons", geometry.horizon, {"gt": 0}),
@@ -276,11 +274,11 @@ def parse_scenario(raw, *, source="scenario"):
     observability = _config(ObservabilityConfig, "observability", oraw)
     contraction = _config(ContractionConfig, "contraction",
                           _section(raw.get("contraction", {}), "contraction",
-                                   optional=("trials", "amplitude")))
+                                   *_keys(ContractionConfig)))
     if "observability" in raw:
-        resolved["observability"] = {**observability_sweep, **vars(observability)}
+        resolved["observability"] = {**observability_sweep, **_echo(observability)}
     if "contraction" in raw:
-        resolved["contraction"] = dict(vars(contraction))
+        resolved["contraction"] = _echo(contraction)
 
     outraw = _section(raw.get("output", {}), "output", optional=("directory", "quiet"))
     output_dir = outraw.get("directory", ".")

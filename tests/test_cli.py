@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -268,6 +269,9 @@ def _input(command, **changes):
     return {"base": raw, "parameters": [{"path": "penalty.schedule.stages", "values": [1]}]}
 
 
+RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule.start"
+
+
 @pytest.mark.parametrize("command, document, message", [
     ("sweep", {"base": [1.0], "parameters": [{"path": "x", "values": [1]}]},
      "base: expected an object"),
@@ -282,8 +286,13 @@ def _input(command, **changes):
                        terminal={"l_T": 1.0}), "l_T must vanish"),
     ("observability", _input("observability", observability={"horizons": [1e-9]}),
      "target_h=0.0625 must be smaller than min(max_age, horizon)=1e-09"),
+    # the retired penalty weights, which moved the hash and no result
+    ("control", _input("control", penalty=dict(FAST_SCENARIO["penalty"], epsilon=1e-2)),
+     f"penalty: ['epsilon'] {RETIRED}"),
+    ("sweep", _input("sweep", penalty=dict(FAST_SCENARIO["penalty"], theta=1e-2)),
+     f"base.penalty: ['theta'] {RETIRED}"),
 ], ids=["base", "grid", "grid-3", "cg_tol", "parameters", "adjoint", "adjoint-mode",
-        "observability"])
+        "observability", "epsilon", "sweep-theta"])
 def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, message,
                                                              tmp_path, capsys):
     # with --grid-h the first two used to end in a traceback and exit 1, the
@@ -299,29 +308,6 @@ def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, 
         assert f"error: {message}" in capsys.readouterr().err
         assert os.listdir(existing) == []
 
-
-def test_penalty_epsilon_and_theta_change_no_artifact_but_the_hash(tmp_path):
-    # every stage takes its penalty weight from the schedule: the file's
-    # penalty.epsilon and penalty.theta are checked and hashed, and read by nothing
-    outs = []
-    for epsilon, theta in ((1e-2, 1e-2), (0.5, 3e-7)):
-        raw = json.loads(json.dumps(FAST_SCENARIO))
-        raw["penalty"].update(epsilon=epsilon, theta=theta)
-        path = tmp_path / f"scenario_{epsilon}.json"
-        path.write_text(json.dumps(raw))
-        outs.append(tmp_path / f"out_{epsilon}")
-        assert run_command(["control", str(path), "--out", str(outs[-1]), "--quiet"]) == 0
-    names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1])) == ["report.json", "v_f.csv", "v_m.csv"]
-    for name in names:
-        one, two = (_read(os.path.join(out, name)).splitlines() for out in outs)
-        if name == "report.json":
-            hashes = [[line for line in lines if b'"scenario_hash"' in line]
-                      for lines in (one, two)]
-            assert len(hashes[0]) == len(hashes[1]) == 1 and hashes[0] != hashes[1]
-            one, two = ([line for line in lines if b'"scenario_hash"' not in line]
-                        for lines in (one, two))
-        assert one == two
 
 def test_female_only_mode_via_cli(tmp_path):
     raw = json.loads(json.dumps(FAST_SCENARIO))
@@ -450,20 +436,34 @@ def test_blas_thread_count_moves_fields_only_in_the_last_bits(tmp_path):
     # and 2 threads the flags and iterations hold and the fields agree to
     # rounding.  The variable is set for the child processes only.  The
     # products at 80x28 may be too small for a second BLAS thread, so a
-    # 260x91 control runs too
+    # 260x91 control runs too, and the observability sweep of the
+    # observe_sweep bench workload, whose eigh takes a second thread once the
+    # Schur complement is wider than 25 rows, as at each of its horizons
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    observe = json.loads(_read(EXAMPLE))
+    observe["observability"] = {"horizons": [0.2, 0.35, 0.5], "male_lo": [0.2],
+                                "male_hi": [0.9], "probes": 8, "power_iters": 20,
+                                "num_traces": 3}
+    (tmp_path / "observe.json").write_text(json.dumps(observe))
     cases = (("control", 64, ("v_m", "v_f")), ("solve", 64, ("v_m", "v_f", "m", "f")),
              ("control", 256, ("v_m", "v_f")))
     children = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for command, cells, _ in cases:
+        for command, cells, _ in (*cases, ("observability", 128, ())):
             out = tmp_path / f"{command}_{cells}_{threads}"
+            scenario = tmp_path / "observe.json" if command == "observability" else EXAMPLE
             children.append(subprocess.Popen(
-                [sys.executable, "-m", "popctrl.cli", command, EXAMPLE, "--grid-h",
+                [sys.executable, "-m", "popctrl.cli", command, str(scenario), "--grid-h",
                  repr(1.0 / cells), "--out", str(out), "--quiet"], env=env))
     assert [child.wait(timeout=60) for child in children] == [0] * len(children)
+    one, two = (np.loadtxt(tmp_path / f"observability_128_{threads}" / "observability.csv",
+                           delimiter=",", skiprows=1) for threads in ("1", "2"))
+    assert one.shape == (3, 6)
+    # T, a1, a2, margin and diverged_flag; then the estimates
+    assert np.array_equal(one[:, [0, 1, 2, 3, 5]], two[:, [0, 1, 2, 3, 5]])
+    assert np.allclose(one[:, 4], two[:, 4], rtol=1e-12, atol=0)
     for command, cells, fields in cases:
         one, two = (tmp_path / f"{command}_{cells}_{threads}" for threads in ("1", "2"))
         reports = [json.loads(_read(out / "report.json")) for out in (one, two)]
@@ -477,6 +477,42 @@ def test_blas_thread_count_moves_fields_only_in_the_last_bits(tmp_path):
                     for out in (one, two))
             assert np.array_equal(a[:, :2], b[:, :2])
             assert np.max(np.abs(a[:, 2] - b[:, 2])) <= 1e-13 * np.max(np.abs(a[:, 2]))
+
+
+SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "scenario_schema.md")
+
+
+def _documented_scalars():
+    """Command -> the keys its table under "`report.json` scalars" in
+    docs/scenario_schema.md lists; "stages" -> those of a stage entry."""
+    with open(SCHEMA, encoding="utf-8") as handle:
+        section = handle.read().split("## `report.json` scalars\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for line in section.splitlines():
+        heading = re.match(r"^(?:`(\w+)`|Each entry of `(stages)`):$", line)
+        if heading:
+            keys = tables[heading.group(1) or heading.group(2)] = set()
+        row = re.match(r"^\| `(\w+)`", line)
+        if row:
+            keys.add(row.group(1))
+    return tables
+
+
+def test_report_scalars_are_the_documented_ones(tmp_path):
+    # each command writes exactly the scalars its table documents, so a key
+    # can neither linger unread nor go undocumented
+    documented = _documented_scalars()
+    commands = ("simulate", "adjoint", "control", "solve", "contraction")
+    assert set(documented) == {*commands, "stages"}
+    for command in commands:
+        out = tmp_path / command
+        assert run_command([command, EXAMPLE, "--grid-h", repr(1 / 64),
+                            "--out", str(out), "--quiet"]) == 0
+        scalars = json.loads(_read(out / "report.json"))["scalars"]
+        assert set(scalars) == documented[command]
+        assert "stages" not in scalars or scalars["stages"]
+        for stage in scalars.get("stages", []):
+            assert set(stage) == documented["stages"]
 
 
 RATE_SLOTS = ["model.male_mortality", "model.female_mortality", "model.male_fertility_weight",

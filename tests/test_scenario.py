@@ -39,13 +39,20 @@ def _copy():
 
 
 def test_minimal_scenario_fills_defaults():
+    # the echo of a config section is its class's fields, defaults included
     scn = parse_scenario(_copy())
-    assert scn.resolved["penalty"]["epsilon"] == scn.resolved["penalty"]["theta"] == 0.01
     assert scn.penalty.schedule.stages == 4
     assert scn.fixed_point.omega == 0.5
     assert scn.geometry.mode is ControlMode.BOTH
     assert scn.output_dir == "."
-    assert scn.resolved["penalty"]["target_norm"] == 0.001
+    assert scn.resolved["geometry"] == {
+        "male_window": [0.2, 0.9], "female_window": [0.1, 0.95], "horizon": 0.35,
+        "target_min_age": 0.0, "mode": "BOTH"}
+    assert scn.resolved["penalty"] == {
+        "target_norm": 0.001, "max_cg_iters": 800, "cg_tol": 1e-9,
+        "schedule": {"start": 0.01, "ratio": 10.0, "stages": 4}}
+    assert scn.resolved["fixed_point"] == {"omega": 0.5, "fp_tol": 1e-4,
+                                           "max_outer_iters": 40}
 
 
 def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
@@ -114,7 +121,7 @@ def test_fraction_bounds_enforced():
 
 
 @pytest.mark.parametrize("section, key", [
-    ("penalty", "epsilon"), ("penalty", "theta"), ("penalty", "target_norm"),
+    ("penalty", "target_norm"),
     ("fixed_point", "fp_tol"), ("geometry", "horizon"), ("model", "max_age"),
     # a NaN constant used to be accepted and flag every contraction probe
     ("model.fertility", "response_lipschitz"),
@@ -240,18 +247,22 @@ def test_config_rules_live_in_the_classes_and_the_file_adds_its_path(
             == {float}
 
 
-@pytest.mark.parametrize("key", ["epsilon", "theta"])
-def test_unread_penalty_weights_are_still_checked_and_hashed(key):
-    # no stage reads penalty.epsilon or penalty.theta, but the file format
-    # keeps both: a zero is rejected and a change moves the scenario hash
+@pytest.mark.parametrize("value", [None, 0.01, 0.0, math.nan],
+                         ids=["null", "old-default", "zero", "nan"])
+@pytest.mark.parametrize("keys", [["epsilon"], ["theta"], ["epsilon", "theta"]],
+                         ids=["epsilon", "theta", "both"])
+def test_retired_penalty_weights_name_the_schedule(keys, value):
+    # no stage read penalty.epsilon or penalty.theta, yet both moved the
+    # scenario hash: a file that still has either is an error whatever the
+    # value, one the old bounds took, one they rejected, or null; the retired
+    # keys are named before any range or finiteness check
+    # (tests/test_cli.py runs one key of each through the CLI)
     raw = _copy()
-    raw["penalty"] = {key: 0.0}
-    with pytest.raises(ConfigurationError, match=rf"penalty\.{key}: must be > 0"):
+    raw["penalty"] = {**dict.fromkeys(keys, value), "target_norm": 1e-3}
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"penalty: {keys} no longer exist: a stage's penalty weight "
+            "comes from penalty.schedule.start")):
         parse_scenario(raw)
-    raw["penalty"] = {key: 1e-3}
-    scn = parse_scenario(raw)
-    assert scn.resolved["penalty"][key] == 1e-3
-    assert scn.scenario_hash != parse_scenario(_copy()).scenario_hash
 
 
 def test_rate_function_kinds():
@@ -266,8 +277,8 @@ def test_rate_function_kinds():
 def test_rate_specs_echo_as_written():
     # a spec object echoes its entries as written, so an int value stays an
     # int, and a fertility object echoes raw, null response_lipschitz
-    # included; a bare number echoes as a float constant.  The hash predates
-    # the spec parser
+    # included; a bare number echoes as a float constant.  The hash last
+    # moved when penalty.epsilon and penalty.theta left the file format
     raw = _copy()
     raw["model"]["male_mortality"] = {"kind": "constant", "value": 0}
     raw["model"]["fertility"]["response_lipschitz"] = None
@@ -277,7 +288,7 @@ def test_rate_specs_echo_as_written():
     assert scn.resolved["initial"]["m0"] == {"kind": "constant", "value": 1.0}
     assert scn.model.fertility.response_lipschitz is None
     assert scn.scenario_hash == \
-        "6af5fb41cab39c1914319c5aba7a46b2716bf4799384d2d0fa27b369e6bcaf48"
+        "df1557bbb29491ed697b643342ab30ef4efcfb07fdac38690de35f956998bd88"
 
 
 def test_hash_stable_under_key_order():
@@ -294,7 +305,7 @@ def test_example_scenario_loads():
     assert scn.observability.probes == 8
     # plain JSON and sha256: the same on every platform and BLAS
     assert scn.scenario_hash == \
-        "bbf7fc62c662923c69534c4b355ddbe239bec42ec78f53d9e3d6b16fdf0cfe6f"
+        "7c0b1a78a7459925ce6cf6d33d4c2d04ad61e0f6241b11bf027076253ca52048"
 
 
 def test_missing_file():
