@@ -145,11 +145,7 @@ class _Workspace:
         self.m0 = np.asarray(m0, dtype=float)
         self.f0 = np.asarray(f0, dtype=float)
         self.inner_weights, self.support, terminal = operator.geometry_tables()
-        size = self.grid.num_age_cells + 1
-        self._weights = np.zeros(2 * size)  # ``penalty_weights``, one per stage
-        for k, w in enumerate(terminal):
-            if w is not None:
-                self._weights[k * size:(k + 1) * size] = w / (self.grid.step * epsilon)
+        self._weights = terminal / (self.grid.step * epsilon)  # ``penalty_weights``
 
     def zeros(self):
         return [np.zeros(support.shape) for support in self.support]
@@ -239,8 +235,9 @@ def minimize_penalty(problem, operator, m0, f0, epsilon):
     itself is never formed.  The explicit gradient is checked on y(T): the
     stage stops when the gradient norm, in the region inner product, is at
     most cg_tol |b|.  While it is above, a correction solve on the terminal
-    residual -(c + D y(T)) follows, up to max_cg_iters solves in all, after
-    which CONVERGENCE_NOT_REACHED is flagged.  ``iterations`` counts the
+    residual -(c + D y(T)) follows, the first from c = 0 and none when
+    |b| = 0, up to max_cg_iters solves in all, after which
+    CONVERGENCE_NOT_REACHED is flagged.  ``iterations`` counts the
     solves and ``cg_trace`` holds |b| and the gradient norm after each
     solve.  The result carries the frozen trace and the controlled system's
     fertile-male trace and terminal profiles.
@@ -253,19 +250,16 @@ def minimize_penalty(problem, operator, m0, f0, epsilon):
     x = ws.zeros()
     observed = None
     work = -weights * operator.uncontrolled_terminal(ws.m0, ws.f0)  # -D y0
-    c = gram.penalised_solve(shift, work)
-    step = ws.adjoint_image(c)  # L* c
+    c = np.zeros_like(work)
     # |b| = |L* work|, read off G = h L L*; rounding must not take it below 0
     norm_b = math.sqrt(max(float(gram.energy(work)), 0.0))
     tol = problem.cg_tol * norm_b
     cg_trace = [norm_b]
     while cg_trace[-1] > tol and len(cg_trace) <= problem.max_cg_iters:
-        if len(cg_trace) > 1:
-            # correction on the terminal residual -(c + D y(T))
-            delta = gram.penalised_solve(shift, work - c)
-            c = c + delta
-            step = ws.adjoint_image(delta)
-        x = [xi + si for xi, si in zip(x, step)]
+        # correction on the terminal residual -(c + D y(T))
+        delta = gram.penalised_solve(shift, work - c)
+        c = c + delta
+        x = [xi + si for xi, si in zip(x, ws.adjoint_image(delta))]
         observed = ws.observe(x)
         work = -weights * observed[1]
         grad = [xi - gi for xi, gi in zip(x, ws.adjoint_image(work))]

@@ -37,11 +37,16 @@ work block and the controlled male trace and terminal state in closed
 form, with no level loop.  Any other fertility is evaluated once per
 level: its adjoint is the backward sweep (`FrozenOperator.adjoint_levels`),
 its `observe` the step loop, and its Gramians come from one batched sweep
-with a single column per terminal age young enough to reach age 0
+of min(Nt, N+1) columns, one per terminal age young enough to reach age 0
 (`FrozenOperator._assemble_gramians`).  Those sweeps are also the oracles
 the closed forms are tested against.  Both paths give the same Gram sums;
 `popctrl.gramian` lays them out in block form and makes every solve with
 them.
+
+One rule, `carry`, builds every survival table: the spikes of the terminal
+unit vectors (`FrozenOperator._spike_lattice`) and the profiles the closed
+forms carry.  The spike lattice and the Gramians' `spike_terms` are built
+once per operator family, and both Gramian paths read them.
 """
 
 import copy
@@ -99,6 +104,42 @@ def terminal_weights(grid, geom):
     if geom.mode is ControlMode.FEMALE_ONLY:
         return None, wa
     return wa, wa
+
+
+def stacked_terminal_weights(grid, geom):
+    """The ``terminal_weights`` stacked, male slot first, zero in an untargeted
+    slot: the nonzero entries are the targeted ones."""
+    zero = np.zeros(grid.num_age_cells + 1)
+    return np.concatenate([zero if w is None else w for w in terminal_weights(grid, geom)])
+
+
+def carry(profile, survival, levels):
+    """``profile`` carried 0..``levels`` levels down its rows by the survival
+    ratios s (a leading axis, one per sex, alongside): column d, row r is
+    s[r+1] (s[r+2] (... (s[r+d] profile[r+d]))) in the sweep's order, 0 past
+    the grid."""
+    table = np.zeros(np.shape(profile) + (levels + 1,))
+    table[..., 0] = profile
+    for d in range(1, levels + 1):
+        table[..., :-1, d] = survival[..., 1:] * table[..., 1:, d - 1]
+    return table
+
+
+def spike_terms(spikes, weights, levels):
+    """(diag, weighted) of one Gramian from the ``spikes`` S of the levels
+    Nt - d for d in ``levels``, with row weights w = ``weights``: diag[s, r + d]
+    sums w_s[r] S_s[r, Nt - d]^2, and weighted[d] is w_f S_f[:, Nt - d], the
+    factor of the female spikes' products with the responses.  A row whose
+    spike feeds a birth weighs zero."""
+    size, nt = spikes.shape[1], spikes.shape[2] - 1
+    diag = np.zeros((2, size))
+    weighted = {}
+    for d in levels:
+        spike = spikes[:, :size - d, nt - d]
+        terms = weights[:, :size - d] * spike
+        diag[:, d:] += terms * spike
+        weighted[d] = terms[1]
+    return diag, weighted
 
 
 def _as_profile(values, grid, name):
@@ -258,10 +299,10 @@ class FrozenOperator(_Transport):
         # a separable fertility's age profile, shared by every trace
         self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
                             if fertility.separable else None)
-        self._geometry = None
-        self._renewal = None
-        self._shares = None
-        self._basis = None
+        self.region = np.stack([self.mask_m, self.mask_f])
+        self.region[:, 0] = 0.0  # the age-zero node never couples to the controls
+        self._geometry = self._renewal = self._shares = self._basis = None
+        self._spikes = self._terms = None
         self._freeze(trace)
 
     def _freeze(self, trace):
@@ -288,19 +329,20 @@ class FrozenOperator(_Transport):
     def geometry_tables(self):
         """(inner weights, supports, terminal weights): the ``region_weights``
         of the control masks, their nodes of nonzero weight, and the
-        ``terminal_weights``; built on first use, as the renewal tables are."""
+        ``stacked_terminal_weights``; built on first use, as the renewal
+        tables are."""
         if self._geometry is None:
             weights = tuple(region_weights(self.grid, mask) for mask in (self.mask_m, self.mask_f))
             self._geometry = (weights, tuple(w > 0 for w in weights),
-                              terminal_weights(self.grid, self.geom))
+                              stacked_terminal_weights(self.grid, self.geom))
         return self._geometry
 
     def retrace(self, trace):
         """The operator of the same model, grid and geometry for another trace.
 
         It shares every trace-independent table of this one, the geometry
-        and renewal tables, the birth shares and the Gramians' basis
-        included once they are built.
+        and renewal tables, the spike lattice and terms, the birth shares
+        and the Gramians' basis included once they are built.
         """
         op = copy.copy(self)
         op._freeze(trace)
@@ -522,7 +564,7 @@ class FrozenOperator(_Transport):
                 forms[:] = [_gram_blocks(*parts, self._pair_basis())
                             for parts in self._assemble_gramians()]
             else:
-                parts = self._renewal_levels().gramian(half)
+                parts = self._renewal_levels().gramian(half, self._spike_terms())
                 if not all(np.isfinite(part).all() for part in parts):
                     # the sweep names the first level that stops being finite
                     self._assemble_gramians()
@@ -530,27 +572,49 @@ class FrozenOperator(_Transport):
                 forms[half] = _gram_blocks(*parts, self._pair_basis())
         return forms[half]
 
+    def _spike_lattice(self):
+        """``carry`` of the unit profiles of both slots, in level order: entry
+        (s, r, j) is the spike of terminal age r + Nt - j of slot s, in row r
+        at level j; built on first use and shared by retraced operators."""
+        if self._spikes is None:
+            self._spikes = carry(np.ones((2, self.grid.num_age_cells + 1)),
+                                 np.stack([self.s_m, self.s_f]),
+                                 self.grid.num_time_cells)[..., ::-1].copy()
+        return self._spikes
+
+    def _spike_terms(self):
+        """The ``spike_terms`` of the control (levels 1..Nt, weights h^2
+        ``region``) and initial (level 0, weights wa) Gramians; built on
+        first use and shared by retraced operators."""
+        if self._terms is None:
+            nt, size = self.grid.num_time_cells, self.grid.num_age_cells + 1
+            h, spikes = self.grid.step, self._spike_lattice()
+            self._terms = (spike_terms(spikes, h * h * self.region, range(min(nt, size))),
+                           spike_terms(spikes, np.stack([self.wa, self.wa]),
+                                       range(nt, min(nt + 1, size))))
+        return self._terms
+
     def _birth_shares(self):
-        """``gramian.birth_shares`` of the young terminal ages, built on first
-        use.  They are survival products, which no trace changes, so
-        retraced operators share them."""
+        """(born, births, shares) of the young terminal ages: their spikes at
+        age 0, at level Nt - p, and the ``gramian.birth_shares`` of those;
+        built on first use and shared by retraced operators."""
         if self._shares is None:
-            young = min(self.grid.num_time_cells, self.grid.num_age_cells + 1)
-            self._shares = birth_shares(self.s_m, self.s_f, self.gamma, young)
+            nt = self.grid.num_time_cells
+            young = min(nt, self.grid.num_age_cells + 1)
+            born = self._spike_lattice()[:, 0, nt:nt - young:-1]
+            self._shares = (born, *birth_shares(born, self.gamma))
         return self._shares
 
     def _pair_basis(self):
         """The ``_PairBasis`` of the targeted entries for the birth shares,
         built on first use and shared by retraced operators."""
         if self._basis is None:
-            size = self.grid.num_age_cells + 1
-            masks = [np.zeros(size, dtype=bool) if w is None else w > 0
-                     for w in self.geometry_tables()[2]]
-            self._basis = _PairBasis(*self._birth_shares()[2], *masks)
+            targeted = self.geometry_tables()[2] > 0
+            self._basis = _PairBasis(*self._birth_shares()[2], *np.split(targeted, 2))
         return self._basis
 
     def _assemble_gramians(self):
-        """One batched sweep of min(Nt, N+1) + 2 columns, laid out by transport.
+        """One batched sweep of min(Nt, N+1) columns, laid out by transport.
 
         The Gramians of a fertility that is not separable come from here; a
         separable one takes ``_Renewal``, and comes here only to name the
@@ -558,94 +622,72 @@ class FrozenOperator(_Transport):
 
         The male row has no source, so until terminal age p reaches age 0, at
         level Nt - p, both of its unit vectors stay single transported
-        spikes, in row p - (Nt - j) of their slot at level j.  A terminal age
-        p >= Nt reaches age 0 only at level 0, after the last feedback, so
-        its spikes never end.  All those older spikes of one slot ride in one
-        column without sharing a row.  Each of the min(Nt, N+1) younger ages
-        gets one column that starts from its unit vector in both slots: at
-        level Nt - p its two spikes, of values s_m and s_f there, inject one
-        birth source, and from then on the column carries the response R_p
-        to it, in the female rows only.  From that level on, the male unit
-        vector's image is a_p R_p and the female one's b_p R_p, in the
-        ``gramian.birth_shares`` (a_p, b_p) of the pair basis.  So the dense
-        product runs over the female rows of the live columns only, and the
-        spikes' squares, and the products of the female spikes with the live
-        columns, are read off single rows.  The control Gramian sums the
-        region-weighted rows (n_j, l_eff_j) of the levels j >= 1, the initial
-        one the trapezoid-weighted rows (n_0, l_0) of level 0.
+        spikes (``_spike_lattice``); a terminal age p >= Nt reaches age 0
+        only at level 0, after the last feedback, so its spikes never end.
+        Their terms are the family's ``_spike_terms``, so only the
+        min(Nt, N+1) younger ages are swept, each in one column that starts
+        from its unit vector in both slots: at level Nt - p its two spikes,
+        of values s_m and s_f there, inject one birth source, and from then
+        on the column carries the response R_p to it, in the female rows
+        only.  From that level on, the male unit vector's image is a_p R_p
+        and the female one's b_p R_p, in the ``gramian.birth_shares``
+        (a_p, b_p) of the pair basis.  So the dense product runs over the
+        female rows of the live columns only, and the products of the female
+        spikes with the live columns are read off single rows.  The control
+        Gramian sums the region-weighted rows l_eff_j of the levels j >= 1,
+        the initial one the trapezoid-weighted rows l_0 of level 0.
 
         Returns the (live, cross, diag) ingredients of the (control,
         initial) Gramians, the arguments of ``gramian._gram_blocks``.
         """
-        na, nt = self.grid.num_age_cells, self.grid.num_time_cells
-        h = self.grid.step
-        size = na + 1
-        young = min(nt, size)
-        work_n = np.zeros((size, young + 2))
-        work_l = np.zeros((size, young + 2))
-        work_n[:young, :young] = work_l[:young, :young] = np.eye(young)
-        work_n[young:, young] = 1.0
-        work_l[young:, young + 1] = 1.0
-
-        # the age-zero node never couples to the controls
-        region_m, region_f = self.mask_m.copy(), self.mask_f.copy()
-        region_m[0] = region_f[0] = 0.0
-        control = _LiveGram(size, nt, h, region_m, region_f)
-        initial = _LiveGram(size, nt, 1.0, self.wa, self.wa)
+        nt, size = self.grid.num_time_cells, self.grid.num_age_cells + 1
+        terms = self._spike_terms()
+        control = _LiveGram(nt, size, self.grid.step, self.region[1], terms[0][1])
+        initial = _LiveGram(nt, size, 1.0, self.wa, terms[1][1])
 
         def collect(j, n_j, l_j, l_eff_j):
             if j == 0:
-                initial.add(j, n_j, l_j)
+                initial.add(j, l_j)
             else:
-                control.add(j, n_j, l_eff_j)
+                control.add(j, l_eff_j)
 
-        self.adjoint_levels(work_n, work_l, collect)
-        return tuple((gram.gram_live, gram.spike_cross, gram.spike_diag)
-                     for gram in (control, initial))
+        units = np.eye(size, min(nt, size))
+        self.adjoint_levels(units, units, collect)
+        return tuple((gram.gram_live, gram.spike_cross, diag)
+                     for gram, (diag, _) in zip((control, initial), terms))
 
 
 class _LiveGram:
     """Weighted Gram sums over the levels of the sweep of ``_assemble_gramians``.
 
-    With weights scale^2 * weight_n and scale^2 * weight_l, accumulates the
-    female-row Gram matrix of the live young columns, the products of every
-    female spike with the live columns, and the squares of the spikes of
-    both slots: the (live, cross, diag) ingredients of ``_gram_blocks``.
+    With the row weights scale^2 * weight, accumulates the female-row Gram
+    matrix of the live young columns and, from the ``weighted`` female
+    spikes of ``spike_terms``, their products with the live columns: the
+    live and cross ingredients of ``_gram_blocks``.
     """
 
-    def __init__(self, size, nt, scale, weight_n, weight_l):
-        self.size, self.nt = size, nt
+    def __init__(self, nt, size, scale, weight, weighted):
+        self.nt, self.weighted = nt, weighted
         self.young = young = min(nt, size)
-        self.rows_l = np.nonzero(weight_l)[0]
-        self.root_l = (scale * np.sqrt(weight_l[self.rows_l]))[:, None]
-        self.wq_n, self.wq_l = scale * scale * weight_n, scale * scale * weight_l
-        self.region = np.empty(self.rows_l.size * young)
+        self.rows = np.nonzero(weight)[0]
+        self.root = (scale * np.sqrt(weight[self.rows]))[:, None]
+        self.region = np.empty(self.rows.size * young)
         self.gram_live = np.zeros((young, young))
         # rows: female spike by terminal age; columns: the live young columns
         self.spike_cross = np.zeros((size, young))
-        self.spike_diag = np.zeros((2, size))
-        # the sweep column that carries the spike of each terminal age, per slot
-        ages = np.arange(size)
-        self.col_n = np.minimum(ages, young)
-        self.col_l = np.where(ages < young, ages, young + 1)
 
-    def add(self, j, n_rows, l_rows):
+    def add(self, j, l_rows):
         shift = self.nt - j
         # the young columns p <= Nt - j have reached age 0
         live = min(shift + 1, self.young)
-        region = self.region[:self.rows_l.size * live].reshape(-1, live)
-        np.multiply(self.root_l, l_rows[self.rows_l, :live], out=region)
+        region = self.region[:self.rows.size * live].reshape(-1, live)
+        np.multiply(self.root, l_rows[self.rows, :live], out=region)
         gram = self.gram_live[:live, :live]
         np.add(gram, region.T @ region, out=gram)
-        # every other terminal age p is a spike in row p - (Nt - j) of each slot
-        rows = np.arange(max(live - shift, 0), self.size - shift)
-        ages = rows + shift
-        spike_n = n_rows[rows, self.col_n[ages]]
-        spike_l = l_rows[rows, self.col_l[ages]]
-        weighted = self.wq_l[rows] * spike_l
-        self.spike_diag[0, ages] += self.wq_n[rows] * spike_n * spike_n
-        self.spike_diag[1, ages] += weighted * spike_l
-        self.spike_cross[ages, :live] += weighted[:, None] * l_rows[rows, :live]
+        # every other terminal age p is a spike in row p - (Nt - j)
+        weighted = self.weighted.get(shift)
+        if weighted is not None:
+            self.spike_cross[shift:, :live] += weighted[:, None] * l_rows[:weighted.size, :live]
 
 
 class _Renewal:
@@ -656,17 +698,17 @@ class _Renewal:
     fixed age profile psi = (wa / h) phi times c_j = h bf_j r_j, bf_j the
     level's boundary factor, times the level's birth source
     q_j = (1 - gamma) n_j[0] + gamma l_j[0].  Let T_d psi be psi carried d
-    levels down the female rows and kappa_d its age-0 entry.  Apart from
-    the feedbacks, the work entry of terminal age q is a spike that the
-    sweep carries down its row: d levels below the terminal one it sits in
-    row q - d, times a survival product (``lattice_spikes``), and at level
-    Nt - q it reaches age 0.  So the feedback amplitudes
-    alpha_j = c_j q_j of any work pair solve the discrete renewal equation
-    (I - gamma diag(c) K) alpha = c e, with K[j, k] = kappa_{k-j} for k > j
-    and e_j the birth source of the spikes that reach age 0 at level j.  The
-    female row l_j is its spike plus the sum over k > j of
-    alpha_k T_{k-j} psi, a Hankel product in alpha, and l_eff_j adds
-    alpha_j psi.
+    levels down the female rows (``carried``, by ``carry``) and kappa_d its
+    age-0 entry.  Apart from the feedbacks, the work entry of terminal age q
+    is a spike that the sweep carries down its row: d levels below the
+    terminal one it sits in row q - d, times a survival product (the
+    operator's ``_spike_lattice``), and at level Nt - q it reaches age 0.
+    So the feedback amplitudes alpha_j = c_j q_j of any work pair solve the
+    discrete renewal equation (I - gamma diag(c) K) alpha = c e, with
+    K[j, k] = kappa_{k-j} for k > j and e_j the birth source of the spikes
+    that reach age 0 at level j.  The female row l_j is its spike plus the
+    sum over k > j of alpha_k T_{k-j} psi, a Hankel product in alpha, and
+    l_eff_j adds alpha_j psi.
 
     The forward map without controls solves the transposed recursion: the
     births B_n of the levels n >= 1 satisfy
@@ -682,8 +724,9 @@ class _Renewal:
     spike-by-response block Z Lambda, where Q sums the region-weighted
     products of T_{k-j} psi and T_{k'-j} psi over the levels j and Z those
     of the female spikes with T_{k-j} psi; the initial Gramian has Q0 and
-    Z0 at level 0.  Only c depends on the trace (``_Levels``), so everything
-    else is tabulated here, once.
+    Z0 at level 0; the spike terms are the family's ``spike_terms``.  Only
+    c depends on the trace (``_Levels``), so everything else is tabulated
+    here, once.
     """
 
     def __init__(self, op):
@@ -692,24 +735,11 @@ class _Renewal:
         size = na + 1
         self.nt, self.size, self.h, self.gamma = nt, size, h, op.gamma
         self.young = young = min(nt, size)
-        region_m, region_f = op.mask_m.copy(), op.mask_f.copy()
-        region_m[0] = region_f[0] = 0.0
-        self.weights = (h * h * region_m, h * h * region_f, op.wa)
+        self.weights = (h * h * op.region[1], op.wa)
 
-        # carried[:, d] is T_d psi.  lattice_spikes[s, r, j] is the spike of
-        # terminal age r + Nt - j of slot s, in row r at level j, multiplied in
-        # the sweep's order; it is zero where that age is past the grid
-        carried = np.zeros((size, nt + 1))
-        carried[:, 0] = (op.wa / h) * op.age_profile
-        lattice = np.zeros((2, size, nt + 1))
-        lattice[:, :, nt] = 1.0
-        survival = np.stack([op.s_m, op.s_f])
-        for d in range(1, nt + 1):
-            carried[:-1, d] = op.s_f[1:] * carried[1:, d - 1]
-            if d < size:
-                lattice[:, :size - d, nt - d] = (survival[:, 1:size - d + 1]
-                                                 * lattice[:, 1:size - d + 1, nt - d + 1])
-        self.carried, self.lattice_spikes = carried, lattice
+        # carried[:, d] is T_d psi
+        self.carried = carried = carry((op.wa / h) * op.age_profile, op.s_f, nt)
+        self.lattice_spikes = spikes = op._spike_lattice()
 
         # K[j, k] = kappa_{k-j} above the diagonal
         lag = np.arange(nt)[None, :] - np.arange(nt)[:, None]
@@ -719,7 +749,7 @@ class _Renewal:
         self.inject = nt - 1 - np.arange(young)  # row of level Nt - p among levels 1..Nt
         # the birth source of level j = 1..Nt: the spikes of terminal age Nt - j
         # at age 0, in the shares of the birth law
-        self.source_spikes = np.array([[1.0 - op.gamma], [op.gamma]]) * lattice[:, 0, 1:]
+        self.source_spikes = np.array([[1.0 - op.gamma], [op.gamma]]) * spikes[:, 0, 1:]
         # l_eff - spike = carried @ A with the Hankel matrix A[d, j] = alpha_{j+d},
         # read from the amplitudes padded as [0, alpha_1, ..., alpha_Nt, 0];
         # l drops the term d = 0
@@ -727,26 +757,23 @@ class _Renewal:
 
         # the forward map: the terminal ages >= Nt carry the initial data by the
         # spikes of level 0
-        self.old = lattice[:, :size - young, 0]
+        self.old = spikes[:, :size - young, 0]
         self.male_weight, self.s_m = op.wa * op.lam, op.s_m
         self._forward = None
         self._forms = None
 
     def forward_tables(self):
         """The tables of ``_Levels.observe``, built on first use:
-        ``male_carried``, whose column d is wa * lambda carried d levels down
-        the male rows, so that its entry r weighs the male trace d levels
-        after a value in row r; the level d + k that entry (d, k) of a
-        product with a source lattice reaches; and the terminal age
+        ``male_carried``, whose column d is wa * lambda ``carry``-ed d levels
+        down the male rows, so that its entry r weighs the male trace d
+        levels after a value in row r; the level d + k that entry (d, k) of
+        a product with a source lattice reaches; and the terminal age
         r + Nt - k that the source in row r at level k reaches."""
         if self._forward is None:
             nt, size = self.nt, self.size
-            male_carried = np.zeros((size, nt + 1))
-            male_carried[:, 0] = self.male_weight
-            for d in range(1, nt + 1):
-                male_carried[:-1, d] = self.s_m[1:] * male_carried[1:, d - 1]
             levels = np.arange(nt + 1)
-            self._forward = (male_carried, (levels[:, None] + levels).ravel(),
+            self._forward = (carry(self.male_weight, self.s_m, nt),
+                             (levels[:, None] + levels).ravel(),
                              (np.arange(size)[:, None] + (nt - levels)).ravel())
         return self._forward
 
@@ -762,43 +789,30 @@ class _Renewal:
         carried = (self.lattice_spikes[slot] * source).ravel()
         return np.bincount(self.forward_tables()[2], carried)[:self.size]
 
-    def gramian_forms(self):
-        """The (forms, cross, diag) tables of the (control, initial) Gramians,
-        built on first use."""
+    def gramian_forms(self, terms):
+        """The (forms, cross) tables of the (control, initial) Gramians, from
+        the operator family's ``spike_terms`` ``terms``; built on first use."""
         if self._forms is not None:
             return self._forms
         nt, size = self.nt, self.size
-        wq_m, wq_f, wa = self.weights
-        carried, spikes = self.carried.T, self.lattice_spikes  # carried[d] is T_d psi
-        # control: levels j = Nt - d >= 1, spikes in rows r = q - d >= 1
+        wq_f, wa = self.weights
+        carried = self.carried.T  # carried[d] is T_d psi
+        # control: levels j = Nt - d >= 1, spikes in rows r = q - d
         root = carried[:nt] * np.sqrt(wq_f)
         q_ctrl = root @ root.T  # Q[k, k'] = sum_j G[k - j, k' - j], G this Gram matrix
         for k in range(1, nt):
             q_ctrl[k, 1:] += q_ctrl[k - 1, :-1]
         z_ctrl = np.zeros((size, nt))
-        diag_ctrl = np.zeros((2, size))
-        for d in range(min(nt, size - 1)):
-            j = nt - d
-            rows = slice(1, size - d)
-            spike_f = spikes[1, rows, j]
-            weighted = wq_f[rows] * spike_f
-            spike_m = spikes[0, rows, j]
-            z_ctrl[d + 1:, j - 1:] += weighted[:, None] * carried[:d + 1, rows].T
-            diag_ctrl[0, d + 1:] += wq_m[rows] * spike_m * spike_m
-            diag_ctrl[1, d + 1:] += weighted * spike_f
+        for d, weighted in terms[0][1].items():
+            z_ctrl[d:, nt - d - 1:] += weighted[:, None] * carried[:d + 1, :size - d].T
 
         # initial: level 0, spikes of the terminal ages q >= Nt in rows q - Nt
         root = carried[1:] * np.sqrt(wa)
         q_init = root @ root.T
         z_init = np.zeros((size, nt))
-        diag_init = np.zeros((2, size))
-        if nt < size:
-            rows = slice(0, size - nt)
-            weighted = wa[rows] * spikes[1, rows, 0]
-            z_init[nt:] = weighted[:, None] * carried[1:, rows].T
-            diag_init[0, nt:] = wa[rows] * spikes[0, rows, 0] * spikes[0, rows, 0]
-            diag_init[1, nt:] = weighted * spikes[1, rows, 0]
-        self._forms = ((q_ctrl, q_init), (z_ctrl, z_init), (diag_ctrl, diag_init))
+        for d, weighted in terms[1][1].items():
+            z_init[d:] = weighted[:, None] * carried[1:, :size - d].T
+        self._forms = ((q_ctrl, q_init), (z_ctrl, z_init))
         return self._forms
 
 
@@ -828,10 +842,11 @@ class _Levels:
                 self._inverse = np.full(self.system.shape, np.nan)
         return self._inverse
 
-    def gramian(self, half):
+    def gramian(self, half, terms):
         """The (live, cross, diag) ingredients of the control (``half``
-        0) or initial (1) Gramian (see ``FrozenOperator._assemble_gramians``);
-        both share the young columns' amplitudes, solved on first use."""
+        0) or initial (1) Gramian (see ``FrozenOperator._assemble_gramians``),
+        with the operator family's ``spike_terms`` ``terms``; both share the
+        young columns' amplitudes, solved on first use."""
         t = self.tables
         with np.errstate(over="ignore", invalid="ignore"):
             if self._amplitudes is None:
@@ -840,10 +855,10 @@ class _Levels:
                 # the system is unit upper triangular: LU finds no row to swap
                 self._amplitudes = np.linalg.solve(self.system, source)
             amplitudes = self._amplitudes
-            forms, cross, diag = t.gramian_forms()
+            forms, cross = t.gramian_forms(terms)
             live = amplitudes.T @ (forms[half] @ amplitudes)
             live = 0.5 * (live + live.T)
-            return live, cross[half] @ amplitudes, diag[half]
+            return live, cross[half] @ amplitudes, terms[half][0]
 
     def adjoint(self, work_n, work_l, keep_l):
         """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint

@@ -16,19 +16,14 @@ import math
 import numpy as np
 
 
-def birth_shares(s_m, s_f, gamma, young):
-    """(born, births, shares) of the terminal ages p < ``young``.
+def birth_shares(born, gamma):
+    """(births, shares) of the young terminal ages from ``born``, the
+    (male, female) spikes that the backward sweep carries from their unit
+    vectors to age 0 (row 0 of ``forward``'s spike lattice).
 
-    The backward sweep carries the unit vectors of age p down their rows to
-    age 0: ``born[:, p]`` is the (male, female) spike there, the survival
-    product s[1] (s[2] (... (s[p] 1))) in the sweep's order, so bit for bit
-    the sweep's.  It injects the birth source E_p = (1 - gamma) s_m + gamma s_f
+    Those spikes inject the birth source E_p = (1 - gamma) s_m + gamma s_f
     (``births``) in the shares (a_p, b_p) = ((1 - gamma) s_m, gamma s_f) / E_p.
     """
-    born = np.ones((2, young))
-    for d in range(1, young):
-        born[0, d:] *= s_m[1:young - d + 1]
-        born[1, d:] *= s_f[1:young - d + 1]
     births = (1.0 - gamma) * born[0] + gamma * born[1]
     # a column whose spikes die before age 0 has no response: any split
     # serves, and (1, 0) keeps the pair rotation defined
@@ -36,7 +31,7 @@ def birth_shares(s_m, s_f, gamma, young):
     shares[0] = 1.0
     np.divide((1.0 - gamma) * born[0], births, out=shares[0], where=births != 0)
     np.divide(gamma * born[1], births, out=shares[1], where=births != 0)
-    return born, births, shares
+    return births, shares
 
 
 def _column(coefficients, like):

@@ -18,10 +18,10 @@ a first-class outcome that certifies the time condition in the discrete
 model, not a numerical overflow.
 
 The geometry's mode reaches this module only through ``forward``'s rules:
-the targeted entries are the nonzero ``terminal_weights`` (the node at a
-male-only ``target_min_age`` included), and they give the forms' basis,
-the probes' support and the cone probe's tail, once per estimate; the
-cone probe's male window is that of ``control_windows``.
+the targeted entries are the nonzero ``stacked_terminal_weights`` (the
+node at a male-only ``target_min_age`` included), and they give the forms'
+basis, the probes' support and the cone probe's tail, once per estimate;
+the cone probe's male window is that of ``control_windows``.
 """
 
 import math
@@ -31,7 +31,7 @@ import numpy as np
 
 from .adjoint import _terminal_data
 from .errors import DomainError, set_checked
-from .forward import FrozenOperator, control_masks, control_windows, terminal_weights
+from .forward import FrozenOperator, control_masks, control_windows, stacked_terminal_weights
 from .gramian import pencil_maximum
 from .grid import lattice_inner
 from .model import ControlMode
@@ -130,14 +130,6 @@ def observability_ratio(model, grid, geom, n_T, l_T, trace):
     return _quotients(op, q_m[:, None], q_f[:, None])[0]
 
 
-def _targeted_entries(grid, geom):
-    """Stacked mask (male 0..N, female N+1..2N+1) of the targeted terminal
-    entries: those of nonzero ``terminal_weights``."""
-    zero = np.zeros(grid.num_age_cells + 1)
-    weights = [zero if w is None else w for w in terminal_weights(grid, geom)]
-    return np.concatenate(weights) > 0
-
-
 def _probe_data(rngs, targeted):
     """One standard normal stacked terminal datum per generator, male slot
     drawn first, zero off the ``targeted`` entries."""
@@ -181,7 +173,7 @@ def estimate_observability_constant(model, grid, geom, traces, *,
     if not traces:
         raise DomainError("estimate_observability_constant needs at least one trace")
 
-    targeted = _targeted_entries(grid, geom)
+    targeted = stacked_terminal_weights(grid, geom) > 0
     data = _probe_data(
         [np.random.default_rng(seed + 1000 * k) for k in range(config.probes)], targeted)
     # a deterministic probe concentrated on the targeted male tail that the

@@ -284,7 +284,9 @@ def parse_scenario(raw, *, source="scenario"):
     output_dir = outraw.get("directory", ".")
     if not isinstance(output_dir, str):
         raise ConfigurationError("output.directory: expected a string")
-    quiet = bool(outraw.get("quiet", False))
+    quiet = outraw.get("quiet", False)
+    if not isinstance(quiet, bool):
+        raise ConfigurationError("output.quiet: expected true or false")
     resolved["output"] = {"directory": output_dir, "quiet": quiet}
 
     return Scenario(model=model, geometry=geometry, target_h=target_h,

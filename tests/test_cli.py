@@ -185,6 +185,21 @@ def test_observability_command(tmp_path, overrides, estimate):
         assert float(rows[0].split(",")[4]) == estimate
 
 
+def test_observability_without_a_window_writes_the_header_only(tmp_path, monkeypatch):
+    # every male_lo at or above every male_hi leaves no window to estimate,
+    # and no horizon needs its uncontrolled solve
+    from popctrl import pipelines
+
+    monkeypatch.setattr(pipelines, "uncontrolled_trace", None)
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["observability"] = {"male_lo": [0.5, 0.9], "male_hi": [0.2, 0.5]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_command(["observability", str(path), "--out", str(out), "--quiet"]) == 0
+    assert _read(out / "observability.csv") == b"T,a1,a2,margin,estimate,diverged_flag\r\n"
+
+
 def test_observability_window_sweep_solves_once_per_horizon(tmp_path, monkeypatch):
     from popctrl import pipelines
 
@@ -399,6 +414,34 @@ def test_adjoint_mode_mismatch_is_an_error(tmp_path):
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(raw))
     assert run_command(["adjoint", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("quiet", ["false", "yes", 2, 0, [True]])
+def test_output_quiet_takes_only_true_or_false(quiet, tmp_path, capsys):
+    # any value used to count by its truth: "false" silenced a run, and
+    # entered the hash as true
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["output"] = {"quiet": quiet}
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps(raw))
+    assert run_command(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: output.quiet: expected true or false\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_output_quiet_null_is_absent(tmp_path, capsys):
+    hashes = {}
+    for quiet in ("absent", None, False, True):
+        raw = json.loads(json.dumps(FAST_SCENARIO))
+        if quiet != "absent":
+            raw["output"] = {"quiet": quiet}
+        path = tmp_path / f"{quiet}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out_{quiet}"
+        assert run_command(["simulate", str(path), "--out", str(out)]) == 0
+        assert (capsys.readouterr().out == "") is (quiet is True)
+        hashes[quiet] = json.loads(_read(out / "report.json"))["scenario_hash"]
+    assert hashes["absent"] == hashes[None] == hashes[False] != hashes[True]
 
 
 def test_grid_override_changes_hash(scenario_path, tmp_path):

@@ -156,6 +156,17 @@ class TestMinimize:
         assert result.J_value == 0.0
         assert np.all(result.v_m.values == 0.0)
 
+    def test_zero_data_spends_no_solve(self, setup, monkeypatch):
+        # |b| = 0 meets the tolerance before the first solve
+        model, geom, grid, _, _, trace, problem = setup
+        zeros = np.zeros(grid.num_age_cells + 1)
+        spent = []
+        monkeypatch.setattr(GramianBlocks, "penalised_solve", lambda *args: spent.append(args))
+        monkeypatch.setattr(FrozenOperator, "adjoint_images", lambda *args: spent.append(args))
+        result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace),
+                                  zeros, zeros, EPS)
+        assert spent == [] and result.converged and result.cg_trace == [0.0]
+
     def test_support_and_optimality(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
         result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,

@@ -3,6 +3,8 @@ import pytest
 
 from popctrl import (ContractionConfig, FixedPointConfig, PenaltyProblem, build_grid,
                      contraction_test, iterate_to_fixed_point, trace_map)
+from popctrl.control import (EpsilonSchedule, FLAG_FIXED_POINT_NOT_REACHED,
+                             FLAG_TARGET_NOT_REACHED)
 from popctrl.errors import ConfigurationError
 from popctrl.fixed_point import trace_norm
 from popctrl.forward import FrozenOperator
@@ -95,6 +97,27 @@ class TestIteration:
         nl_f = np.sqrt(wa @ nonlinear.f.values[:, -1] ** 2)
         assert nl_m <= 1.5 * result.terminal_m_norm
         assert nl_f <= 1.5 * result.terminal_f_norm
+
+    def test_outer_iteration_cap_flags_the_fixed_point(self, setup):
+        # the stage ends unconverged: the schedule stops there, and the stage's
+        # result carries the flag
+        model, geom, grid, m0, f0, problem = setup
+        fp = FixedPointConfig(fp_tol=1e-12, max_outer_iters=1)
+        state, result, _ = iterate_to_fixed_point(model, grid, geom, problem, fp, m0, f0)
+        assert not state.converged and state.flags == [FLAG_FIXED_POINT_NOT_REACHED]
+        assert FLAG_FIXED_POINT_NOT_REACHED in result.flags
+        assert len(state.history) == 1 and len(result.stage_history) == 1
+
+    def test_unreachable_target_flags_a_converged_fixed_point(self, setup):
+        # the one stage reaches its fixed point, but the nonlinear norms miss
+        # the target
+        model, geom, grid, m0, f0, _ = setup
+        problem = PenaltyProblem(target_norm=1e-12, schedule=EpsilonSchedule(stages=1))
+        state, result, _ = iterate_to_fixed_point(model, grid, geom, problem,
+                                                  FixedPointConfig(), m0, f0)
+        assert state.converged and state.flags == [FLAG_TARGET_NOT_REACHED]
+        assert FLAG_TARGET_NOT_REACHED in result.flags
+        assert state.history[-1]["nonlinear_m_norm"] > problem.target_norm
 
     def test_bounded_iterates(self, setup):
         model, geom, grid, m0, f0, problem = setup

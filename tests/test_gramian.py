@@ -9,9 +9,8 @@ import pytest
 
 from popctrl import (ControlGeometry, ControlMode, PenaltyProblem, build_grid,
                      minimize_penalty, solve_forward)
-from popctrl import observability as obs
 from popctrl.control import _Workspace
-from popctrl.forward import FrozenOperator
+from popctrl.forward import FrozenOperator, stacked_terminal_weights
 from popctrl.gramian import _gram_blocks, _PairBasis
 
 from conftest import (PenaltySystem, expr_fertility_model, random_nonneg_model,
@@ -88,7 +87,7 @@ def _parts(op, half):
     """The (live, cross, diag) ingredients of the operator's control (``half``
     0) or initial (1) Gramian, from the path its fertility takes."""
     if op.fertility.separable:
-        return op._renewal_levels().gramian(half)
+        return op._renewal_levels().gramian(half, op._spike_terms())
     return op._assemble_gramians()[half]
 
 
@@ -99,22 +98,6 @@ def _every_entry(op, half):
     return _on_entries(op, _parts(op, half), every, every)
 
 
-def _swept_birth_spikes(op):
-    """The (male, female) spikes that the backward sweep from each young
-    terminal age's unit vectors carries to age 0."""
-    nt, size = op.grid.num_time_cells, op.grid.num_age_cells + 1
-    young = min(nt, size)
-    born = np.zeros((2, young))
-
-    def record(j, n_j, l_j, l_eff_j):
-        if nt - j < young:
-            born[:, nt - j] = n_j[0, nt - j], l_j[0, nt - j]
-
-    units = np.eye(size)[:, :young]
-    op.adjoint_levels(units, units, record)
-    return born
-
-
 def _check_gramians(ws):
     """Both Gramians of the workspace's operator, on the targeted terminal
     entries and on every entry, against the pairwise adjoint images and
@@ -123,7 +106,7 @@ def _check_gramians(ws):
     expanded matrices match the pairwise ones to rounding."""
     op = ws.op
     every = np.ones(op.grid.num_age_cells + 1, dtype=bool)
-    targeted = np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
+    targeted = np.flatnonzero(stacked_terminal_weights(op.grid, op.geom))
     pairwise = (_naive_gramian(ws), _naive_initial_gramian(op))
     for half, (form, want, parts) in enumerate(zip(op.gramians(), pairwise,
                                                    op._assemble_gramians())):
@@ -142,14 +125,32 @@ def _check_gramians(ws):
     assert pairs == min(op.grid.num_time_cells, op.grid.num_age_cells + 1)
     assert not np.any(initial.cross[:, :pairs]) and not np.any(initial.diag[:pairs])
     assert (op._renewal is not None) == op.fertility.separable
-    # nothing else pins the birth shares to the sweep: their table must hold
-    # the sweep's row-0 spikes bit for bit, as must the closed form's lattice
-    born = op._birth_shares()[0]
-    assert np.array_equal(born, _swept_birth_spikes(op))
-    if op.fertility.separable:
-        nt = op.grid.num_time_cells
-        lattice = op._renewal.lattice_spikes[:, 0, nt - np.arange(born.shape[1])]
-        assert np.array_equal(lattice, born)
+
+
+@pytest.mark.parametrize("last_cell_survival", [0.0, 0.5])
+@pytest.mark.parametrize("horizon", [0.35, 1.3])  # 1.3: Nt above N + 1
+@pytest.mark.parametrize("make_model", [reference_model, lambda: random_nonneg_model(5),
+                                        expr_fertility_model],
+                         ids=["reference", "random_nonneg", "expr"])
+def test_spike_lattice_holds_the_sweeps_spikes(make_model, horizon, last_cell_survival):
+    # nothing else pins the carry rule to the sweep, and the birth shares,
+    # both Gramians' spike terms and the closed forms read the lattice: it
+    # must hold, bit for bit, the spike that the backward sweep from each
+    # terminal unit vector carries d levels down, before it reaches age 0
+    model = replace(make_model(), last_cell_survival=last_cell_survival)
+    geom = _geometry(ControlMode.BOTH, horizon)
+    grid = build_grid(1.0, horizon, 1.0 / 16)
+    nt, size = grid.num_time_cells, grid.num_age_cells + 1
+    op = FrozenOperator(model, grid, geom, np.linspace(0.5, 1.5, nt + 1))
+    swept = np.zeros((2, size, nt + 1))
+
+    def record(j, n_j, l_j, l_eff_j):
+        rows = np.arange(max(size - (nt - j), 0))
+        swept[:, rows, j] = n_j[rows, rows + nt - j], l_j[rows, rows + nt - j]
+
+    op.adjoint_levels(np.eye(size), np.eye(size), record)
+    assert np.array_equal(op._spike_lattice(), swept)
+    assert op.retrace(2.0 * op.trace)._spike_lattice() is op._spike_lattice()
 
 
 @pytest.mark.parametrize("mode, target_min_age", [

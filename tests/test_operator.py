@@ -20,7 +20,7 @@ from popctrl.cli import run_command
 from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
-from popctrl.forward import FrozenOperator, StateSolution, control_masks
+from popctrl.forward import FrozenOperator, StateSolution, control_masks, stacked_terminal_weights
 from popctrl.gramian import GramianBlocks
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
@@ -252,9 +252,9 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
         widths["closed_form"].append(np.shape(work_n)[1])
         return closed_adjoint(self, work_n, work_l, keep_l)
 
-    def counting_gramian(self, half):
+    def counting_gramian(self, half, terms):
         widths["gramians"].append(half)
-        return closed_gramian(self, half)
+        return closed_gramian(self, half, terms)
 
     def counting_observe(self, m0, f0, source_m, source_f, male):
         # y0 has no sources and no male trace; the check's control has one
@@ -280,7 +280,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
                           "gramians": [0], "observe": [(False, False, False), (*controlled, True)]}
         assert op._gramian_forms[1] is None  # no initial Gramian
     else:
-        gramian_sweep = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+        gramian_sweep = min(grid.num_time_cells, grid.num_age_cells + 1)
         assert widths == {"forward": [1, 1], "adjoint": [gramian_sweep, 1, 1],
                           "closed_form": [], "gramians": [], "observe": []}
     monkeypatch.undo()
@@ -540,8 +540,9 @@ def test_retraced_operator_shares_the_tables():
     assert np.array_equal(other.beta, fresh.beta)
     for got, want in zip(other.gramians(), fresh.gramians()):
         assert np.array_equal(got.matrix(), want.matrix())
-    # the birth shares are survival products: the pair basis is shared too
-    assert other._basis is op._basis
+    # the birth shares and the spike terms are survival products: the pair
+    # basis and the terms are shared too
+    assert other._basis is op._basis and other._spike_terms() is op._spike_terms()
     assert op.control_gramian() is gram
     with pytest.raises(DimensionError):
         op.retrace(trace[:-1])
@@ -588,11 +589,11 @@ def _reference_ratio(model, grid, geom, n_T, l_T, trace):
 def _probes(rng, grid, geom, count):
     """``count`` probe data of one generator, as (n_T, l_T) pairs."""
     return [np.split(datum, 2)
-            for datum in obs._probe_data([rng] * count, obs._targeted_entries(grid, geom))]
+            for datum in obs._probe_data([rng] * count, stacked_terminal_weights(grid, geom) > 0)]
 
 
 def _reference_forms(model, grid, geom, trace):
-    basis = np.flatnonzero(obs._targeted_entries(grid, geom))
+    basis = np.flatnonzero(stacked_terminal_weights(grid, geom))
     na, nt = grid.num_age_cells, grid.num_time_cells
     h = grid.step
     sq_wa = np.sqrt(grid.age_weights())
@@ -711,7 +712,7 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
     estimate_observability_constant(
         model, grid, geom, [trace, 2.0 * trace],
         config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
-    gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1) + 2
+    gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1)
     # 4 probes; no terminal age is old enough for the cone datum at this horizon
     if model.fertility.separable:
         assert widths == []

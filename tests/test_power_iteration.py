@@ -11,7 +11,7 @@ from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, PenaltyP
                      build_grid, estimate_observability_constant, minimize_penalty,
                      solve_forward)
 from popctrl import observability as obs
-from popctrl.forward import FrozenOperator
+from popctrl.forward import FrozenOperator, stacked_terminal_weights
 from popctrl.gramian import GramianBlocks
 
 from conftest import (expr_fertility_model, random_nonneg_model, reference_data,
@@ -124,7 +124,7 @@ def test_block_forms_expand_to_the_dense_forms(mode, target_min_age):
     # every entry on theirs: the two expansions agree to the rounding of the
     # rotations
     op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
-    live = np.flatnonzero(obs._targeted_entries(op.grid, op.geom))
+    live = np.flatnonzero(stacked_terminal_weights(op.grid, op.geom))
     scale = np.outer(*(2 * [np.tile(op.wa / op.grid.step, 2)[live]]))
     for blocks, half in zip(obs._quadratic_forms(op), (1, 0)):
         want = scale * _every_entry(op, half).matrix()[np.ix_(live, live)]

@@ -80,7 +80,8 @@ def test_an_adjoint_or_forward_map_alone_builds_no_geometry_tables():
     op.adjoint(ws.m0, ws.f0)
     op.forward(ws.m0, ws.f0)
     op.observe(ws.m0, ws.f0, None, None)
-    assert op._geometry is None
+    # nor any Gramian table
+    assert op._geometry is None and op._terms is None
 
 
 def test_cli_solve_builds_the_geometry_tables_once(tmp_path, monkeypatch):

@@ -11,8 +11,9 @@ so a slow spell of the host falls on all layers alike.
 --src imports popctrl from another source directory (for instance a copy of
 an earlier commit's src/), so two versions can be timed with the same
 layers; the source must take ``minimize_penalty(problem, operator, m0, f0,
-epsilon)``, ``estimate_observability_constant(..., config=)`` and
-``observability._power_iteration(op, iters)``.  The layers:
+epsilon)``, ``estimate_observability_constant(..., config=)``,
+``observability._power_iteration(op, iters)`` and
+``Fertility.expression(expr)``.  The layers:
 
   nonlinear       solve_forward without controls or frozen trace: the
                   nonlinear sweep, one rate-function call per level
@@ -21,7 +22,12 @@ epsilon)``, ``estimate_observability_constant(..., config=)`` and
   observe         FrozenOperator.observe, the same controls
   adjoint_images  FrozenOperator.adjoint_images of one terminal work column
   gramian         FrozenOperator.gramians of a freshly retraced operator
+  gramian_expr    the same with the example's fertility written as one
+                  expression, 1.3 * step(a - 0.15) * p / (1 + p): the swept
+                  Gramians of a fertility that is not separable
   stage           minimize_penalty at epsilon 1e-2 on a freshly retraced operator
+  stage_expr      the same with that expression fertility (step loop, backward
+                  sweeps and the swept control Gramian)
   power_iteration observability._power_iteration, 20 steps, on a freshly
                   retraced operator (its Gramians included)
   fixed_point     iterate_to_fixed_point with the scenario's settings (CLI solve)
@@ -33,6 +39,7 @@ stage, and every trace-independent table is built before the timing starts.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -42,6 +49,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRIDS = ((1.0 / 64, 20), (1.0 / 256, 5))  # (h, calls per round): 80 x 28 and 260 x 91
 EPSILON = 1e-2  # the penalty weight of the stage layer and of the controls
+# the example's separable fertility written as one expression of a and p
+EXPR_FERTILITY = "1.3 * step(a - 0.15) * p / (1 + p)"
 
 
 def _layers(h, calls):
@@ -51,6 +60,7 @@ def _layers(h, calls):
     from popctrl.control import minimize_penalty
     from popctrl.fixed_point import iterate_to_fixed_point
     from popctrl.forward import FrozenOperator, solve_forward
+    from popctrl.model import Fertility
     from popctrl.observability import (ObservabilityConfig, _power_iteration,
                                        estimate_observability_constant)
     from popctrl.pipelines import make_grid, uncontrolled_trace
@@ -63,6 +73,8 @@ def _layers(h, calls):
     m0, f0 = scenario.sample_initial(grid)
     trace = uncontrolled_trace(scenario, grid)
     op = FrozenOperator(model, grid, geom, trace)
+    expr_model = dataclasses.replace(model, fertility=Fertility.expression(EXPR_FERTILITY))
+    op_expr = FrozenOperator(expr_model, grid, geom, trace)
     control = minimize_penalty(penalty, op, m0, f0, EPSILON)
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0[:, None], f0[:, None])
@@ -71,8 +83,8 @@ def _layers(h, calls):
     def repeat(value):
         return lambda: [value] * calls
 
-    def retraced():
-        return [op.retrace(trace) for _ in range(calls)]
+    def retraced(base):
+        return lambda: [base.retrace(trace) for _ in range(calls)]
 
     return grid, {
         "nonlinear": (repeat(None), lambda _: solve_forward(model, grid, geom, None, None,
@@ -81,9 +93,12 @@ def _layers(h, calls):
         "step_loop": (repeat(None), lambda _: op.forward(m0, f0, v_m, v_f)),
         "observe": (repeat(None), lambda _: op.observe(m0, f0, v_m, v_f)),
         "adjoint_images": (repeat(work), lambda w: op.adjoint_images(*w)),
-        "gramian": (retraced, lambda fresh: fresh.gramians()),
-        "stage": (retraced, lambda fresh: minimize_penalty(penalty, fresh, m0, f0, EPSILON)),
-        "power_iteration": (retraced, lambda fresh: _power_iteration(fresh, 20)),
+        "gramian": (retraced(op), lambda fresh: fresh.gramians()),
+        "gramian_expr": (retraced(op_expr), lambda fresh: fresh.gramians()),
+        "stage": (retraced(op), lambda fresh: minimize_penalty(penalty, fresh, m0, f0, EPSILON)),
+        "stage_expr": (retraced(op_expr),
+                       lambda fresh: minimize_penalty(penalty, fresh, m0, f0, EPSILON)),
+        "power_iteration": (retraced(op), lambda fresh: _power_iteration(fresh, 20)),
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
