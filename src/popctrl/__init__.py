@@ -20,8 +20,7 @@ from .forward import FrozenOperator, StateSolution, fertile_male_integral, solve
 from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
                    region_mask, write_field_csv)
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
-                    RateFunction, ValidationReport, beta_eval, lambda_eval,
-                    survival_ratio, validate_hypotheses)
+                    RateFunction, ValidationReport, validate_hypotheses)
 from .observability import (ObservabilityConfig, ObservabilityReport, ThresholdReport,
                             estimate_observability_constant, forced_terminal_mask,
                             observability_ratio, threshold_margins,
@@ -37,13 +36,11 @@ __all__ = [
     "EpsilonSchedule", "Fertility", "Field2D", "FixedPointConfig", "FixedPointState",
     "FrozenOperator", "NumericalFailure", "ObservabilityConfig", "ObservabilityReport",
     "PenaltyProblem", "PopctrlError", "RateFunction", "Scenario", "StateSolution",
-    "ThresholdReport", "ValidationReport", "beta_eval", "build_grid", "contraction_test",
+    "ThresholdReport", "ValidationReport", "build_grid", "contraction_test",
     "duality_residual", "estimate_observability_constant", "evaluate_objective",
     "fertile_male_integral", "forced_terminal_mask", "integrate_age",
-    "iterate_to_fixed_point", "lambda_eval", "load_scenario", "minimize_penalty",
-    "objective_gradient", "observability_ratio", "parse_scenario",
-    "read_field_csv", "region_mask", "solve_adjoint", "solve_forward",
-    "survival_ratio", "synthesize_null_control", "threshold_margins",
-    "trace_map", "unreachable_from_window", "validate_hypotheses",
-    "write_field_csv",
+    "iterate_to_fixed_point", "load_scenario", "minimize_penalty", "objective_gradient",
+    "observability_ratio", "parse_scenario", "read_field_csv", "region_mask",
+    "solve_adjoint", "solve_forward", "synthesize_null_control", "threshold_margins",
+    "trace_map", "unreachable_from_window", "validate_hypotheses", "write_field_csv",
 ]

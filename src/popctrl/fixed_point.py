@@ -53,7 +53,6 @@ class FixedPointState:
     trace: np.ndarray
     male_trace: np.ndarray
     history: list
-    damping: float
     converged: bool
     flags: list = dc_field(default_factory=list)
 
@@ -153,8 +152,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
                 result.flags.append(flag)
     state = FixedPointState(
         trace=p, male_trace=nonlinear.fertile_male_trace.copy(), history=history,
-        damping=omega, converged=converged_all and FLAG_FIXED_POINT_NOT_REACHED not in flags,
-        flags=flags)
+        converged=converged_all and FLAG_FIXED_POINT_NOT_REACHED not in flags, flags=flags)
     return state, result, nonlinear
 
 

@@ -5,17 +5,24 @@ interpolation, closed-form expression) so that scenario files are fully
 self-contained.  Their constructors own the values: a constant or table
 entry is a finite number, an expression compiles, and an error names the
 field ("values[1]: must be finite").  Mortality integrals are accumulated
-once on a fine age grid; survival ratios are then exact ratios
-pi(hi)/pi(lo) of the same cumulative table, so they multiply exactly.
+once on a fine age grid, filled on a model's first use; a survival ratio
+is exp of the difference of two values of that one table, so ratios
+multiply exactly.
+
+The demographic hypotheses are sampled in one place, ``_RateSamples``: 513
+ages of [0, max_age] and, for the fertility, 41 male levels of [0, 10].
+``validate_hypotheses`` reports every check on those samples, and
+``check_rate_samples``, which the scenario parser runs, raises on the first
+of a subset: a non-finite sample of any rate, or a negative mortality
+(H1), fertility (H2) or male weight (H4).
 """
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, checked, checked_list, set_checked
+from .errors import ConfigurationError, checked, checked_list, set_checked
 from .expressions import compile_expression
 
 DEFAULT_QUAD_INTERVALS = 8192
@@ -28,10 +35,8 @@ DEFAULT_QUAD_INTERVALS = 8192
 class RateFunction:
     """Scalar function of one variable, vectorized over numpy arrays."""
 
-    def __init__(self, kind, fn, describe):
-        self.kind = kind
+    def __init__(self, fn):
         self._fn = fn
-        self.describe = describe
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -44,8 +49,7 @@ class RateFunction:
     @staticmethod
     def constant(value):
         value = checked("value", value)
-        return RateFunction("constant", lambda x: np.full_like(x, value, dtype=float),
-                            f"constant {value}")
+        return RateFunction(lambda x: np.full_like(x, value, dtype=float))
 
     @staticmethod
     def table(points, values):
@@ -55,13 +59,12 @@ class RateFunction:
             raise ConfigurationError("values: expected as many entries as points, at least 2")
         if np.any(np.diff(points) <= 0):
             raise ConfigurationError("points: must be strictly increasing")
-        return RateFunction("table", lambda x: np.interp(x, points, values),
-                            f"table with {points.size} samples")
+        return RateFunction(lambda x: np.interp(x, points, values))
 
     @staticmethod
     def expression(expr, variable):
         fn = _compiled(expr, [variable])
-        return RateFunction("expr", lambda x: fn(**{variable: x}), f"expr {expr!r}")
+        return RateFunction(lambda x: fn(**{variable: x}))
 
 
 def _compiled(expr, variables):
@@ -75,13 +78,11 @@ def _compiled(expr, variables):
 class Fertility:
     """Fertility rate beta(a, p); separable form carries its own factors."""
 
-    def __init__(self, fn, *, age_profile=None, response=None, response_lipschitz=None,
-                 describe=""):
+    def __init__(self, fn, *, age_profile=None, response=None, response_lipschitz=None):
         self._fn = fn
         self.age_profile = age_profile
         self.response = response
         self.response_lipschitz = response_lipschitz
-        self.describe = describe
 
     @property
     def separable(self):
@@ -100,14 +101,13 @@ class Fertility:
             response_lipschitz = checked("response_lipschitz", response_lipschitz, gt=0)
         fn = lambda ages, p: age_profile(ages) * response(np.asarray(p, dtype=float))
         return Fertility(fn, age_profile=age_profile, response=response,
-                         response_lipschitz=response_lipschitz,
-                         describe="separable")
+                         response_lipschitz=response_lipschitz)
 
     @staticmethod
     def expression(expr):
         """A general fertility: one expression of the age ``a`` and the male level ``p``."""
         fn = _compiled(expr, ["a", "p"])
-        return Fertility(lambda ages, p: fn(a=ages, p=p), describe=f"expr {expr!r}")
+        return Fertility(lambda ages, p: fn(a=ages, p=p))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +139,9 @@ class DemographicModel:
     fertility_onset: float
     max_age: float
     last_cell_survival: float = 0.0
-    _mortality_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    _mortality_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                            repr=False, compare=False)
+    # not an __init__ field, so dataclasses.replace starts a new model's cache
+    _mortality_tables: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         set_checked(self, "female_fraction", gt=0, lt=1)
@@ -151,14 +151,8 @@ class DemographicModel:
 
     def _cumulative_mortality(self, which):
         table = self._mortality_tables.get(which)
-        if table is not None:
-            return table
-        # filled under the lock so concurrent first users evaluate the rate once
-        with self._mortality_lock:
-            table = self._mortality_tables.get(which)
-            if table is None:
-                table = self._mortality_table(which)
-                self._mortality_tables[which] = table
+        if table is None:
+            table = self._mortality_tables[which] = self._mortality_table(which)
         return table
 
     def _mortality_table(self, which):
@@ -180,49 +174,6 @@ class DemographicModel:
         """Trapezoid value of the cumulative mortality integral up to ``age``."""
         ages, cum = self._cumulative_mortality(which)
         return np.interp(age, ages, cum)
-
-    def survival_ratio(self, which, a_lo, a_hi):
-        """exp(-integral of mortality over (a_lo, a_hi)) = pi(a_hi)/pi(a_lo)."""
-        if a_lo > a_hi:
-            raise DomainError(f"survival_ratio: a_lo={a_lo} exceeds a_hi={a_hi}")
-        if a_lo < 0 or a_hi > self.max_age + 1e-12 * self.max_age:
-            raise DomainError("survival_ratio: interval outside [0, max_age]")
-        return float(np.exp(self.mortality_integral(which, a_lo)
-                            - self.mortality_integral(which, a_hi)))
-
-
-def survival_ratio(mu, a_lo, a_hi):
-    """Standalone survival ratio for an arbitrary rate callable.
-
-    Composite trapezoid over (a_lo, a_hi) on a fixed fine subdivision, so
-    nested intervals compose to within quadrature tolerance.
-    """
-    if a_lo > a_hi:
-        raise DomainError(f"survival_ratio: a_lo={a_lo} exceeds a_hi={a_hi}")
-    if a_lo == a_hi:
-        return 1.0
-    intervals = max(64, int(np.ceil((a_hi - a_lo) * 4096)))
-    ages = np.linspace(a_lo, a_hi, intervals + 1)
-    values = np.asarray(mu(ages), dtype=float)
-    h = ages[1] - ages[0]
-    integral = float(np.sum(0.5 * h * (values[1:] + values[:-1])))
-    return float(np.exp(-integral))
-
-
-def beta_eval(model, a, p):
-    """Fertility rate at (a, p); domain error outside [0, max_age]."""
-    arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0) or np.any(arr > model.max_age):
-        raise DomainError(f"beta_eval: age outside [0, {model.max_age}]")
-    return model.fertility(a, p)
-
-
-def lambda_eval(model, a):
-    """Male fertility weight at age a; domain error outside [0, max_age]."""
-    arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0) or np.any(arr > model.max_age):
-        raise DomainError(f"lambda_eval: age outside [0, {model.max_age}]")
-    return model.male_fertility_weight(a)
 
 
 # ---------------------------------------------------------------------------
@@ -294,87 +245,142 @@ class ValidationReport:
         return lines
 
 
+@dataclass(frozen=True)
+class _RateSamples:
+    """Every rate of a model on the hypothesis samples: 513 ``ages`` of
+    [0, max_age] and, for the fertility, one row per male level of
+    ``levels``, 41 points of [0, 10].  Numpy's warnings are off while the
+    rates are evaluated, since a non-finite sample is a finding."""
+
+    ages: np.ndarray
+    levels: np.ndarray
+    male_mortality: np.ndarray
+    female_mortality: np.ndarray
+    male_fertility_weight: np.ndarray
+    fertility: np.ndarray
+
+    @staticmethod
+    def of(model):
+        ages = np.linspace(0.0, model.max_age, 513)
+        levels = np.linspace(0.0, 10.0, 41)
+
+        def sampled(name, rate, *args):
+            try:
+                return np.asarray(rate(*args), dtype=float)
+            except Exception as exc:
+                raise ConfigurationError(f"{name} is not evaluable: {exc}") from exc
+
+        fertility = model.fertility
+        with np.errstate(all="ignore"):
+            rates = [sampled(name, getattr(model, name), ages) for name in
+                     ("male_mortality", "female_mortality", "male_fertility_weight")]
+            if fertility.separable:
+                # the products phi(a) r(p) of the per-level calls, from one call each
+                beta = (sampled("fertility", fertility.age_profile, ages)[None, :]
+                        * sampled("fertility", fertility.response, levels)[:, None])
+            else:
+                beta = np.array([sampled("fertility", fertility, ages, p) for p in levels])
+        return _RateSamples(ages, levels, *rates, beta)
+
+
+def _first(mask):
+    """The index of the first True entry of ``mask`` in row-major order, a
+    (level, age) pair for the fertility samples, or None."""
+    return np.unravel_index(int(np.argmax(mask)), mask.shape) if mask.any() else None
+
+
+def check_rate_samples(model):
+    """Raise a ConfigurationError naming the field on the first failing
+    load-time check of the rate samples.  Each rate in turn, the mortalities,
+    the male weight and the fertility, must be finite, then nonnegative:
+    (H1), (H4) and (H2)."""
+    samples = _RateSamples.of(model)
+    ages, levels = samples.ages, samples.levels
+    for name, noun, hypothesis in (("male_mortality", "mortality", "H1"),
+                                   ("female_mortality", "mortality", "H1"),
+                                   ("male_fertility_weight", "value", "H4")):
+        values = getattr(samples, name)
+        bad = _first(~np.isfinite(values))
+        if bad is not None:
+            where = "mortality sample" if noun == "mortality" else f"value at age {ages[bad]:.6g}"
+            raise ConfigurationError(f"{name}: non-finite {where}")
+        bad = _first(values < 0)
+        if bad is not None:
+            raise ConfigurationError(f"{name}: negative {noun} {values[bad]:.6g} at age "
+                                     f"{ages[bad]:.6g} violates ({hypothesis})")
+    beta = samples.fertility
+    bad = _first(~np.isfinite(beta))
+    if bad is not None:
+        raise ConfigurationError(f"fertility: non-finite value at p={levels[bad[0]]}")
+    bad = _first(beta < 0)
+    if bad is not None:
+        raise ConfigurationError(f"fertility: negative value {beta[bad]:.6g} at (age "
+                                 f"{ages[bad[1]]:.6g}, p={levels[bad[0]]}) violates (H2)")
+
+
 def validate_hypotheses(model, geom):
     """Check the demographic hypotheses and geometry conditions by sampling.
 
-    Ages are sampled at 513 points of [0, A], male levels at 41 points of
-    [0, 10].  Returns a report with one entry per condition and the
-    witnessing sample point for failures; never raises for a failed
-    hypothesis, only for non-evaluable rate functions.
+    The rates are sampled once, by ``_RateSamples``.  Returns a report with
+    one entry per condition and the witnessing sample point for failures;
+    never raises for a failed hypothesis, only for non-evaluable rate
+    functions.
     """
     A = model.max_age
-    ages = np.linspace(0.0, A, 513)
-    ps = np.linspace(0.0, 10.0, 41)
+    samples = _RateSamples.of(model)
+    ages, ps = samples.ages, samples.levels
+    mu_m, mu_f = samples.male_mortality, samples.female_mortality
+    lam, beta_all = samples.male_fertility_weight, samples.fertility
     checks = []
 
-    def eval_or_raise(name, fn, *args):
-        try:
-            return np.asarray(fn(*args), dtype=float)
-        except Exception as exc:
-            raise ConfigurationError(f"{name} is not evaluable: {exc}") from exc
-
-    mu_m = eval_or_raise("male_mortality", model.male_mortality, ages)
-    mu_f = eval_or_raise("female_mortality", model.female_mortality, ages)
-    lam = eval_or_raise("male_fertility_weight", model.male_fertility_weight, ages)
-
     def witness(mask, values, label):
-        idx = int(np.argmax(mask))
-        return f"{label}={values[idx]:.6g} at a={ages[idx]:.6g}"
+        i = _first(mask)
+        return "" if i is None else f"{label}={values[i]:.6g} at a={ages[i]:.6g}"
 
     bad = mu_m < 0
     checks.append(CheckResult("H1: male mortality nonnegative", not bad.any(),
-                              witness(bad, mu_m, "mu_m") if bad.any() else ""))
+                              witness(bad, mu_m, "mu_m")))
     bad = mu_f < 0
     checks.append(CheckResult("H1: female mortality nonnegative", not bad.any(),
-                              witness(bad, mu_f, "mu_f") if bad.any() else ""))
+                              witness(bad, mu_f, "mu_f")))
 
-    beta_all = np.empty((ps.size, ages.size))
-    for k, p in enumerate(ps):
-        beta_all[k] = eval_or_raise("fertility", model.fertility, ages, p)
+    def level_witness(mask):
+        # ``mask`` has beta_all's levels and a prefix of its ages, so its index is beta_all's
+        bad = _first(mask)
+        return "" if bad is None else \
+            f"beta={beta_all[bad]:.6g} at (a={ages[bad[1]]:.6g}, p={ps[bad[0]]:.6g})"
+
     bad = beta_all < 0
-    if bad.any():
-        k, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        detail = f"beta={beta_all[k, i]:.6g} at (a={ages[i]:.6g}, p={ps[k]:.6g})"
-    else:
-        detail = ""
-    checks.append(CheckResult("H2: fertility nonnegative", not bad.any(), detail))
+    checks.append(CheckResult("H2: fertility nonnegative", not bad.any(), level_witness(bad)))
 
     finite = np.isfinite(beta_all).all()
     checks.append(CheckResult("H3: fertility bounded on samples", bool(finite),
                               "" if finite else "non-finite fertility sample"))
 
-    before_onset = ages < model.fertility_onset
-    bad = beta_all[:, before_onset] > 1e-12
-    if bad.any():
-        k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        a_bad = ages[before_onset][j]
-        detail = f"beta={beta_all[k, before_onset][j]:.6g} at (a={a_bad:.6g}, p={ps[k]:.6g})"
-    else:
-        detail = ""
-    checks.append(CheckResult("H3: fertility vanishes below onset age", not bad.any(), detail))
+    bad = beta_all[:, ages < model.fertility_onset] > 1e-12
+    checks.append(CheckResult("H3: fertility vanishes below onset age", not bad.any(),
+                              level_witness(bad)))
 
-    beta_zero = eval_or_raise("fertility", model.fertility, ages, 0.0)
+    beta_zero = beta_all[0]  # the level p = 0
     bad = np.abs(beta_zero) > 1e-12
     checks.append(CheckResult("H3: fertility vanishes at zero male population",
-                              not bad.any(),
-                              witness(bad, beta_zero, "beta(.,0)") if bad.any() else ""))
+                              not bad.any(), witness(bad, beta_zero, "beta(.,0)")))
 
     bad = lam < 0
     checks.append(CheckResult("H4: male fertility weight nonnegative", not bad.any(),
-                              witness(bad, lam, "weight") if bad.any() else ""))
-    lam_mu = lam * mu_m
-    integral = float(np.sum(0.5 * (lam_mu[1:] + lam_mu[:-1]) * np.diff(ages)))
+                              witness(bad, lam, "weight")))
+    with np.errstate(all="ignore"):
+        lam_mu = lam * mu_m
+        integral = float(np.sum(0.5 * (lam_mu[1:] + lam_mu[:-1]) * np.diff(ages)))
     finite = np.isfinite(integral)
     checks.append(CheckResult("H4: weight*mortality integrable (finite quadrature)",
                               bool(finite), "" if finite else "non-finite integral"))
 
-    ends_ok = abs(float(model.male_fertility_weight(0.0))) <= 1e-12 and \
-        abs(float(model.male_fertility_weight(A))) <= 1e-12
+    ends_ok = bool(abs(lam[0]) <= 1e-12 and abs(lam[-1]) <= 1e-12)
     checks.append(CheckResult("fixed point driver: weight vanishes at ages 0 and A",
                               ends_ok,
                               "" if ends_ok else
-                              f"weight(0)={model.male_fertility_weight(0.0):.6g}, "
-                              f"weight(A)={model.male_fertility_weight(A):.6g}"))
+                              f"weight(0)={lam[0]:.6g}, weight(A)={lam[-1]:.6g}"))
 
     if model.fertility.separable and model.fertility.response_lipschitz is not None:
         resp = model.fertility.response

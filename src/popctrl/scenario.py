@@ -17,7 +17,11 @@ ContractionConfig, which hold the defaults and bounds, are the keys of
 their sections and, all but the model's, their echo in ``resolved``; a
 rate spec's keys are the arguments of a RateFunction or Fertility
 constructor.  A library error names the field ("values[1]: must be
-finite"), and a file error puts the JSON path before it.
+finite"), and a file error puts the JSON path before it.  The model's rates
+are then checked on the samples that the ``validate`` command reads, by
+``model.check_rate_samples``: a non-finite sample of any rate, or a
+negative mortality (H1), fertility (H2) or male weight (H4), rejects the
+file.
 """
 
 import itertools
@@ -32,7 +36,7 @@ from .control import EpsilonSchedule, PenaltyProblem
 from .errors import ConfigurationError, checked, checked_list
 from .fixed_point import ContractionConfig, FixedPointConfig
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
-                    RateFunction)
+                    RateFunction, check_rate_samples)
 from .observability import ObservabilityConfig
 from .util import canonical_json, sha256_hex
 
@@ -124,36 +128,6 @@ def _fertility(spec, path):
     return _built(path, Fertility.separable_pair, **entries)
 
 
-def _sanity_check_rates(model):
-    """Cheap load-time checks of the demographic hypotheses on samples."""
-    ages = np.linspace(0.0, model.max_age, 257)
-    for name, rate in (("model.male_mortality", model.male_mortality),
-                       ("model.female_mortality", model.female_mortality)):
-        values = np.asarray(rate(ages), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError(f"{name}: non-finite mortality sample")
-        if np.any(values < 0):
-            idx = int(np.argmax(values < 0))
-            raise ConfigurationError(
-                f"{name}: negative mortality {values[idx]:.6g} at age "
-                f"{ages[idx]:.6g} violates (H1)")
-    lam = np.asarray(model.male_fertility_weight(ages), dtype=float)
-    if np.any(lam < 0):
-        idx = int(np.argmax(lam < 0))
-        raise ConfigurationError(
-            f"model.male_fertility_weight: negative value {lam[idx]:.6g} at age "
-            f"{ages[idx]:.6g} violates (H4)")
-    for p in (0.0, 1.0, 10.0):
-        beta = np.asarray(model.fertility(ages, p), dtype=float)
-        if not np.all(np.isfinite(beta)):
-            raise ConfigurationError(f"model.fertility: non-finite value at p={p}")
-        if np.any(beta < 0):
-            idx = int(np.argmax(beta < 0))
-            raise ConfigurationError(
-                f"model.fertility: negative value {beta[idx]:.6g} at (age "
-                f"{ages[idx]:.6g}, p={p}) violates (H2)")
-
-
 @dataclass
 class Scenario:
     model: DemographicModel
@@ -206,7 +180,7 @@ def parse_scenario(raw, *, source="scenario"):
     model = _config(DemographicModel, "model", mraw,
                     **{name: rate for name, (rate, _) in rates.items()},
                     fertility=_fertility(mraw["fertility"], "model.fertility"))
-    _sanity_check_rates(model)
+    _built("model", check_rate_samples, model=model)
     resolved["model"] = {
         **{name: echo for name, (_, echo) in rates.items()},
         "fertility": mraw["fertility"],

@@ -306,8 +306,12 @@ RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule
      f"penalty: ['epsilon'] {RETIRED}"),
     ("sweep", _input("sweep", penalty=dict(FAST_SCENARIO["penalty"], theta=1e-2)),
      f"base.penalty: ['theta'] {RETIRED}"),
+    ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": 3, "values": [1]}]},
+     "parameters[0].path: expected a string"),
+    ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": "grid.target_h", "values": 0.1}]},
+     "parameters[0].values: expected a list"),
 ], ids=["base", "grid", "grid-3", "cg_tol", "parameters", "adjoint", "adjoint-mode",
-        "observability", "epsilon", "sweep-theta"])
+        "observability", "epsilon", "sweep-theta", "sweep-path", "sweep-values"])
 def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, message,
                                                              tmp_path, capsys):
     # with --grid-h the first two used to end in a traceback and exit 1, the
@@ -595,21 +599,93 @@ MALFORMED_RATES = {
 }
 
 
+def _with(raw, slot, spec):
+    """A copy of the document ``raw`` with ``spec`` at the dotted ``slot``."""
+    raw = json.loads(json.dumps(raw))
+    *parents, key = slot.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[key] = spec
+    return raw
+
+
+def _exits_2_at_load(command, raw, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_command([command, str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", MALFORMED_RATES)
 @pytest.mark.parametrize("slot", RATE_SLOTS)
 def test_malformed_rate_spec_exits_2_with_its_json_path(slot, case, tmp_path, capsys):
     # NaN and Infinity used to pass the loader, true to load as 1.0 inside a
     # fertility, and a null constant to end in a TypeError traceback
     spec, message = MALFORMED_RATES[case]
-    raw = json.loads(json.dumps(FAST_SCENARIO))
-    *parents, key = slot.split(".")
-    node = raw
-    for name in parents:
-        node = node[name]
-    node[key] = spec
+    _exits_2_at_load("contraction", _with(FAST_SCENARIO, slot, spec), f"{slot}{message}",
+                     tmp_path, capsys)
+
+
+# rates with non-finite samples that used to load: a NaN weight is not < 0,
+# and the response's pole lies between the three male levels that the loader
+# sampled.  The weights then failed in the adjoint and the forward solve, and
+# the pole ran to exit 0 unflagged, though `validate` failed H3
+NON_FINITE_RATES = {
+    "weight-pole": ("model.male_fertility_weight", "4 * (1 - a) / a",
+                    "model.male_fertility_weight: non-finite value at age 0"),
+    "weight-sqrt": ("model.male_fertility_weight", "4 * a * (1 - a) * sqrt(a - 0.5)",
+                    "model.male_fertility_weight: non-finite value at age 0"),
+    "response-pole": ("model.fertility.response", "p / (1 + p) / (p - 0.5)**2",
+                      "model.fertility: non-finite value at p=0.5"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_RATES)
+def test_non_finite_rate_samples_exit_2_at_load(case, tmp_path, capsys):
+    slot, expr, message = NON_FINITE_RATES[case]
+    raw = _with(json.loads(_read(EXAMPLE)), slot, {"kind": "expr", "expr": expr})
+    _exits_2_at_load("control", raw, message, tmp_path, capsys)
+
+
+def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert run_command(["contraction", str(path), "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err == f"error: {slot}{message}\n"
-    assert not out.exists()
+    path.write_text('{"model": ')
+    assert run_command(["control", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _leaves(value, path=""):
+    """The numbers and flags of a report's scalars by their path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    return {leaf: v for key, item in items for leaf, v in _leaves(item, f"{path}/{key}").items()}
+
+
+@pytest.mark.parametrize("command", ["control", "solve"])
+def test_expr_fertility_reports_match_the_separable_example(command, tmp_path):
+    # the example's fertility written as one expression of a and p takes the
+    # level sweeps instead of the closed forms of the separable path; the two
+    # reports agree to rounding (6.5e-14 relative at most at h = 1/32)
+    raw = _with(json.loads(_read(EXAMPLE)), "model.fertility",
+                {"kind": "expr", "expr": "1.3 * step(a - 0.15) * p / (1 + p)"})
+    (tmp_path / "expr.json").write_text(json.dumps(raw))
+    reports = []
+    for scenario in (EXAMPLE, tmp_path / "expr.json"):
+        out = tmp_path / f"out{len(reports)}"
+        assert run_command([command, str(scenario), "--out", str(out), "--quiet"]) == 0
+        reports.append(_leaves(json.loads(_read(out / "report.json"))["scalars"]))
+    separable, expr = reports
+    assert expr.keys() == separable.keys()
+    for key, value in separable.items():
+        if isinstance(value, float):
+            assert expr[key] == pytest.approx(value, rel=1e-10, abs=0), key
+        else:
+            assert expr[key] == value, key

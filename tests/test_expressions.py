@@ -26,6 +26,12 @@ def test_unknown_variable_rejected():
         compile_expression("a + q", ["a"])
 
 
+def test_call_without_a_declared_variable_rejected():
+    fn = compile_expression("a * p", ["a", "p"])
+    with pytest.raises(ConfigurationError, match=re.escape("missing variables ['p']")):
+        fn(a=1.0)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ConfigurationError, match="unknown function"):
         compile_expression("__import__('os')", ["a"])

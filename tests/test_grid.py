@@ -130,6 +130,22 @@ def test_field_roundtrip(tmp_path):
     assert np.array_equal(loaded.values, field.values)
 
 
+def test_field_csv_checks_header_and_row_count(tmp_path):
+    g = build_grid(1.0, 0.5, 0.125)
+    path = os.path.join(tmp_path, "field.csv")
+    write_field_csv(path, Field2D.from_values(g, np.zeros((g.num_age_cells + 1,
+                                                           g.num_time_cells + 1))))
+    with open(path) as handle:
+        lines = handle.readlines()
+    rows = (g.num_age_cells + 1) * (g.num_time_cells + 1)
+    for body, message in ((["a,t,v\n", *lines[1:]], "expected header age,time,value"),
+                          (lines[:-1], f"{rows - 1} rows, expected {rows}")):
+        with open(path, "w") as handle:
+            handle.writelines(body)
+        with pytest.raises(DimensionError, match=message):
+            read_field_csv(path, g)
+
+
 def test_field_csv_bytes_match_csv_writer(tmp_path):
     g = build_grid(1.0, 0.5, 0.125)
     special = [0.0, -0.0, 1e-5, 5e-324, 1e300, -1e300]

@@ -1,6 +1,4 @@
-import sys
-import threading
-import time
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility,
-                     RateFunction, beta_eval, lambda_eval, survival_ratio,
-                     validate_hypotheses)
-from popctrl.errors import ConfigurationError, DomainError
+                     RateFunction, validate_hypotheses)
+from popctrl.errors import ConfigurationError
+from popctrl.model import _RateSamples, check_rate_samples
 
 from conftest import reference_geometry, reference_model
 
@@ -68,7 +66,7 @@ class TestValidation:
     def test_non_evaluable_rate_raises(self):
         model = reference_model()
         bad = DemographicModel(
-            male_mortality=RateFunction("broken", lambda a: 1.0 / 0.0, "broken"),
+            male_mortality=RateFunction(lambda a: 1.0 / 0.0),
             female_mortality=model.female_mortality,
             fertility=model.fertility,
             male_fertility_weight=model.male_fertility_weight,
@@ -77,98 +75,89 @@ class TestValidation:
             validate_hypotheses(bad, reference_geometry())
 
 
+def _survival(model, lo, hi):
+    """pi(hi) / pi(lo) from the model's cumulative male mortality table."""
+    return float(np.exp(model.mortality_integral("male", lo)
+                        - model.mortality_integral("male", hi)))
+
+
+@pytest.mark.parametrize("rates, check, detail, message", [
+    ({"male_mortality": RateFunction.expression("a - 0.25", "a")},
+     "H1: male mortality nonnegative", "mu_m=-0.25 at a=0",
+     "male_mortality: negative mortality -0.25 at age 0 violates (H1)"),
+    # a pole between the levels p in {0, 1, 10} that the loader once sampled
+    ({"fertility": Fertility.separable_pair(
+        RateFunction.expression("step(a - 0.15)", "a"),
+        RateFunction.expression("p / (1 + p) / (p - 0.5)**2", "p"))},
+     "H3: fertility bounded on samples", "non-finite fertility sample",
+     "fertility: non-finite value at p=0.5"),
+], ids=["negative-mortality", "fertility-pole"])
+def test_load_time_checks_read_the_validation_samples(rates, check, detail, message):
+    # a model built in the library may fail the checks that reject a scenario
+    # file; validate_hypotheses reports them, without numpy warnings, and
+    # check_rate_samples raises on the same samples
+    model = dataclasses.replace(reference_model(), **rates)
+    result = _check(validate_hypotheses(model, reference_geometry()), check)
+    assert (result.passed, result.detail) == (False, detail)
+    with pytest.raises(ConfigurationError) as error:
+        check_rate_samples(model)
+    assert str(error.value) == message
+
+
+def test_fertility_witnesses_name_the_level_and_the_age():
+    model = dataclasses.replace(reference_model(), fertility=Fertility.expression("p - 1"))
+    report = validate_hypotheses(model, reference_geometry())
+    assert [(c.passed, c.detail) for c in report.checks[2:6]] == [
+        (False, "beta=-1 at (a=0, p=0)"), (True, ""), (False, "beta=0.25 at (a=0, p=1.25)"),
+        (False, "beta(.,0)=-1 at a=0")]
+
+
+@pytest.mark.parametrize("response", ["p / (1 + p)", "1 - exp(-p) + 0.1 * sin(p)**2"])
+def test_separable_samples_equal_the_per_level_calls(response):
+    # the samples take one call of each factor, not one call per level
+    model = dataclasses.replace(reference_model(), fertility=Fertility.separable_pair(
+        RateFunction.expression("step(a - 0.15)", "a"), RateFunction.expression(response, "p")))
+    samples = _RateSamples.of(model)
+    assert np.array_equal(samples.fertility,
+                          [model.fertility(samples.ages, p) for p in samples.levels])
+
+
+def test_replaced_model_builds_its_own_mortality_table():
+    # the filled table of the first model used to be shared by the copy
+    model = reference_model()
+    assert model.mortality_integral("male", 1.0) == pytest.approx(0.2, rel=1e-12)
+    faster = dataclasses.replace(model, male_mortality=RateFunction.constant(1.0))
+    assert faster.mortality_integral("male", 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestSurvivalRatio:
-    def test_zero_mortality(self):
-        assert survival_ratio(lambda a: 0.0 * a, 0.1, 0.9) == pytest.approx(1.0)
-
-    def test_empty_interval(self):
-        assert survival_ratio(lambda a: 5.0 + 0.0 * a, 0.4, 0.4) == 1.0
-
-    def test_constant_rate_closed_form(self):
-        # mu = 0.5 over (0, 2): exp(-1), checked against a fine quadrature
-        value = survival_ratio(lambda a: 0.5 + 0.0 * a, 0.0, 2.0)
-        assert value == pytest.approx(np.exp(-1.0), abs=1e-10)
-
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(DomainError):
-            survival_ratio(lambda a: 0.0 * a, 0.5, 0.4)
-
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(lo=st.floats(0.0, 1.0), mid=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0))
     def test_multiplicative_on_model_table(self, lo, mid, hi):
         a, b, c = sorted((lo, mid, hi))
         model = reference_model()
-        left = model.survival_ratio("male", a, b)
-        right = model.survival_ratio("male", b, c)
-        both = model.survival_ratio("male", a, c)
+        left = _survival(model, a, b)
+        right = _survival(model, b, c)
+        both = _survival(model, a, c)
         assert both == pytest.approx(left * right, rel=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(lo=st.floats(0.0, 0.5), hi1=st.floats(0.5, 0.75), hi2=st.floats(0.75, 1.0))
     def test_non_increasing_in_upper_limit(self, lo, hi1, hi2):
         model = reference_model()
-        assert model.survival_ratio("male", lo, hi2) <= \
-            model.survival_ratio("male", lo, hi1) + 1e-12
-
-
-def test_concurrent_first_use_builds_each_mortality_table_once():
-    calls = {"male": 0, "female": 0}
-
-    def slow_rate(which, value):
-        def fn(ages):
-            calls[which] += 1
-            time.sleep(0.05)  # keep the first thread inside the fill
-            return np.full_like(ages, value)
-        return RateFunction("constant", fn, f"slow constant {which}")
-
-    base = reference_model()
-    model = DemographicModel(
-        male_mortality=slow_rate("male", 0.2), female_mortality=slow_rate("female", 0.3),
-        fertility=base.fertility, male_fertility_weight=base.male_fertility_weight,
-        female_fraction=0.6, fertility_onset=0.15, max_age=1.0)
-    workers = 4
-    start = threading.Barrier(workers, timeout=10)
-    errors = []
-
-    def first_use():
-        try:
-            start.wait()
-            model.survival_ratio("male", 0.1, 0.5)
-            model.survival_ratio("female", 0.1, 0.5)
-        except Exception as exc:  # reported below; a thread must not die silently
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=first_use) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert calls == {"male": 1, "female": 1}
+        assert _survival(model, lo, hi2) <= _survival(model, lo, hi1) + 1e-12
 
 
 class TestRateEvaluation:
     def test_beta_cutoff_below_onset(self, model):
-        assert beta_eval(model, 0.1, 3.0) == 0.0
+        assert model.fertility(0.1, 3.0) == 0.0
 
     def test_beta_zero_population(self, model):
-        assert beta_eval(model, 0.5, 0.0) == 0.0
+        assert model.fertility(0.5, 0.0) == 0.0
 
     def test_separable_value(self):
         model = reference_model(beta_amp=1.0)
-        assert beta_eval(model, 0.5, 1.0) == pytest.approx(0.5)
-
-    def test_domain_errors(self, model):
-        with pytest.raises(DomainError):
-            beta_eval(model, 1.5, 1.0)
-        with pytest.raises(DomainError):
-            lambda_eval(model, -0.1)
+        assert model.fertility(0.5, 1.0) == pytest.approx(0.5)
 
     def test_lipschitz_probe_matches_configuration(self, model):
         # response p/(1+p) has Lipschitz constant 1 near zero

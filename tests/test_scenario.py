@@ -106,6 +106,50 @@ def test_negative_mortality_table_cites_hypothesis():
         parse_scenario(raw)
 
 
+# file errors, each with the JSON path of its field.  The rates are checked
+# at load on the samples of `validate`: each message names the sample that
+# fails and, for a sign, the hypothesis it violates
+FILE_ERRORS = {
+    "mortality-nan": ("model.female_mortality", {"kind": "expr", "expr": "0.2 + 0 / a"},
+                      "model.female_mortality: non-finite mortality sample"),
+    "mortality-negative": ("model.male_mortality", -0.1, "model.male_mortality: negative "
+                           "mortality -0.1 at age 0 violates (H1)"),
+    "weight-negative": ("model.male_fertility_weight", {"kind": "expr", "expr": "a - 0.5"},
+                        "model.male_fertility_weight: negative value -0.5 at age 0 "
+                        "violates (H4)"),
+    "fertility-nan": ("model.fertility", {"kind": "expr", "expr": "step(a - 0.15) * p / p"},
+                      "model.fertility: non-finite value at p=0.0"),
+    "fertility-negative": ("model.fertility", {"kind": "expr", "expr": "p - 1"},
+                           "model.fertility: negative value -1 at (age 0, p=0.0) "
+                           "violates (H2)"),
+    "expr-syntax": ("model.male_mortality", {"kind": "expr", "expr": "0.2 *"},
+                    "model.male_mortality.expr: cannot parse expression '0.2 *': "),
+    "fertility-not-a-kind": ("model.fertility", 0.5, "model.fertility: expected an object "
+                             "with a 'kind' in ['expr', 'separable']"),
+    "rate-unknown-kind": ("initial.m0", {"kind": "spline", "value": 1.0},
+                          "initial.m0: expected an object with a 'kind' in "
+                          "['constant', 'expr', 'table']"),
+    "window-beyond-max-age": ("geometry.female_window", [0.1, 1.5],
+                              "geometry: control windows must lie inside [0, max_age]"),
+    "directory-not-a-string": ("output", {"directory": 3},
+                               "output.directory: expected a string"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_name_the_field(case):
+    slot, value, message = FILE_ERRORS[case]
+    raw = _copy()
+    *parents, key = slot.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    with pytest.raises(ConfigurationError) as error:
+        parse_scenario(raw)
+    assert str(error.value).startswith(message)  # a syntax error adds Python's message
+
+
 def test_bad_mode_rejected():
     raw = _copy()
     raw["geometry"]["mode"] = "BOTHH"
