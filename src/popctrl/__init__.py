@@ -8,15 +8,14 @@ the controllability time thresholds.
 """
 
 from .adjoint import AdjointSolution, duality_residual, solve_adjoint
-from .control import (ControlResult, EpsilonSchedule, PenaltyProblem,
-                      evaluate_objective, minimize_penalty, objective_gradient,
+from .control import (ControlResult, EpsilonSchedule, PenaltyProblem, minimize_penalty,
                       synthesize_null_control)
 from .errors import (ConfigurationError, ConsistencyError, DimensionError,
                      DomainError, NumericalFailure, PopctrlError)
 from .fixed_point import (ContractionConfig, ContractionReport, FixedPointConfig,
                           FixedPointState, contraction_test, iterate_to_fixed_point,
                           trace_map)
-from .forward import FrozenOperator, StateSolution, fertile_male_integral, solve_forward
+from .forward import FrozenOperator, StateSolution, solve_forward
 from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
                    region_mask, write_field_csv)
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
@@ -37,9 +36,8 @@ __all__ = [
     "FrozenOperator", "NumericalFailure", "ObservabilityConfig", "ObservabilityReport",
     "PenaltyProblem", "PopctrlError", "RateFunction", "Scenario", "StateSolution",
     "ThresholdReport", "ValidationReport", "build_grid", "contraction_test",
-    "duality_residual", "estimate_observability_constant", "evaluate_objective",
-    "fertile_male_integral", "forced_terminal_mask", "integrate_age",
-    "iterate_to_fixed_point", "load_scenario", "minimize_penalty", "objective_gradient",
+    "duality_residual", "estimate_observability_constant", "forced_terminal_mask",
+    "integrate_age", "iterate_to_fixed_point", "load_scenario", "minimize_penalty",
     "observability_ratio", "parse_scenario", "read_field_csv", "region_mask",
     "solve_adjoint", "solve_forward", "synthesize_null_control", "threshold_margins",
     "trace_map", "unreachable_from_window", "validate_hypotheses", "write_field_csv",

@@ -77,9 +77,8 @@ def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace):
     nt = grid.num_time_cells
     q_m, q_f = _terminal_data(grid, geom, n_T, l_T)
 
-    theta = grid.age_weights() / grid.step
-    n_rows, l_rows, n_eff, l_eff = FrozenOperator(model, grid, geom, frozen_trace).adjoint(
-        theta * q_m, theta * q_f)
+    op = FrozenOperator(model, grid, geom, frozen_trace)
+    n_rows, l_rows, n_eff, l_eff = op.adjoint(op.theta * q_m, op.theta * q_f)
     n_rows[:, nt] = q_m
     l_rows[:, nt] = q_f
     return AdjointSolution(

@@ -38,7 +38,9 @@ eps.  The schedule supplies eps, one value per stage.  The geometry alone
 sets the control mode, and ``forward`` holds its two rules:
 ``control_windows`` gives each sex's window or None, and
 ``terminal_weights`` the targeted terminal slots and entries with their
-weights.  Everything here derives from them.
+weights.  Everything here derives from them.  The objective and its
+gradient at a given control are ``_Workspace.objective`` and
+``_Workspace.gradient`` of a stage's workspace.
 """
 
 import math
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, checked, set_checked
-from .forward import FrozenOperator, control_windows, terminal_weights
+from .forward import FrozenOperator, terminal_weights
 from .grid import Field2D, lattice_inner
 
 FLAG_NON_ADMISSIBLE = "NON_ADMISSIBLE"
@@ -150,11 +152,6 @@ class _Workspace:
     def zeros(self):
         return [np.zeros(support.shape) for support in self.support]
 
-    def pack(self, v_m, v_f):
-        """The control of two fields, restricted to ``support``; None counts as zero."""
-        return [np.where(support, v.values, 0.0) if v is not None else np.zeros(support.shape)
-                for support, v in zip(self.support, (v_m, v_f))]
-
     def observe(self, x):
         """(fertile-male trace, stacked terminal profiles) of the control x,
         from ``FrozenOperator.observe``."""
@@ -195,26 +192,6 @@ class _Workspace:
     def gradient(self, x):
         image = self.adjoint_image(-self.penalty_weights() * self.terminal(x))
         return [xi - a for xi, a in zip(x, image)]
-
-
-def evaluate_objective(epsilon, model, grid, geom, trace, m0, f0, v_m, v_f):
-    """Value of the penalty functional at the given controls."""
-    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, epsilon)
-    return ws.objective(ws.pack(v_m, v_f))
-
-
-def objective_gradient(epsilon, model, grid, geom, trace, m0, f0, v_m, v_f):
-    """Exact gradient of the discrete objective, as region-supported fields.
-
-    Returns (g_m, g_f) Field2D, each equal to the control minus the masked
-    adjoint state on the control's support and zero elsewhere, the gradient
-    in the region inner product; the entry of a sex without a
-    ``control_windows`` window is None.
-    """
-    ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, epsilon)
-    gradient = ws.gradient(ws.pack(v_m, v_f))
-    return tuple(None if window is None else Field2D(grid, g)
-                 for window, g in zip(control_windows(geom), gradient))
 
 
 def minimize_penalty(problem, operator, m0, f0, epsilon):

@@ -187,17 +187,16 @@ def contraction_test(model, grid, m0, f0, *, config=ContractionConfig(), seed=0)
                            female_window=(0.0, grid.max_age),
                            horizon=grid.horizon, mode=ControlMode.BOTH)
     m0, f0 = _as_profile(m0, grid, "m0"), _as_profile(f0, grid, "f0")
-    ages = grid.ages()
-    wa = grid.age_weights()
-    lam = np.asarray(model.male_fertility_weight(ages), dtype=float)
-    beta1 = np.asarray(fert.age_profile(ages), dtype=float)
-
     shape = (grid.num_age_cells + 1, grid.num_time_cells + 1)
+    # one operator, at the trace of no males, holds the weights and the age
+    # profile; every trial retraces it
+    op = FrozenOperator(model, grid, geom, np.zeros(shape[1]))
+    wa, lam, beta1 = op.wa, op.lam, op.age_profile
+
     # the metric weights need sigma_hat, known only after every trial, so each
     # trial keeps the age-integrated squared differences per time node
     profiles = []
     y_sup = p_max = -np.inf
-    op = None  # the operator of the first trace, retraced for every other
     for k in range(config.trials):
         r = np.random.default_rng(seed + 7919 * k)
         p_field = config.amplitude * r.random(shape)
@@ -206,8 +205,7 @@ def contraction_test(model, grid, m0, f0, *, config=ContractionConfig(), seed=0)
         trace_q = wa @ (lam[:, None] * q_field)
         males = []
         for trace in (trace_p, trace_q):
-            op = FrozenOperator(model, grid, geom, trace) if op is None else op.retrace(trace)
-            m, f, _, _ = op.forward(m0, f0)
+            m, f, _, _ = op.retrace(trace).forward(m0, f0)
             males.append(m)
             y_sup = max(y_sup, float(np.max(wa @ (beta1[:, None] * f))))
         p_max = max(p_max, float(np.max(trace_p)), float(np.max(trace_q)))

@@ -9,6 +9,8 @@ the source of the fertility row differs.  The nonlinear solve evaluates
 fertility at the solution's own fertile-male integral, once per level and
 before the births; the frozen-trace operator (the linear auxiliary mode
 used by the control machinery) reads it from a table built for its trace.
+Both take their trace-independent tables, the work weights theta = wa / h
+and a separable fertility's age profile included, from `_Transport`.
 
 Step order is explicit because the male weight vanishes at age zero and
 fertility vanishes below the onset age; when a scenario violates the
@@ -23,14 +25,15 @@ every trace-independent table.  Both take a single age profile or an
 single-column call performs, so a block equals k single columns bit for
 bit.
 
-`FrozenOperator.forward`/`state` (the whole lattice) always run the step
-loop.  The parts of the forward map a penalty stage reads
-(`FrozenOperator.observe`: the fertile-male trace and the terminal state,
-controls included), the transpose and the control and initial Gramians
-take one of two paths, by the kind of fertility.  Separable fertility
-phi(a) r(p) is tabulated from one vector call of r per trace, and the birth
-law, the only coupling between ages, reduces to a discrete renewal
-equation on the Nt time levels (`_Renewal`).  Its trace-independent tables
+`FrozenOperator.forward` (the whole lattice) always runs the step loop,
+and `solve_forward` with a frozen trace packages its result.  The parts
+of the forward map a penalty stage reads (`FrozenOperator.observe`: the
+fertile-male trace and the terminal state, controls included), the
+transpose and the control and initial Gramians take one of two paths, by
+the kind of fertility.  Separable fertility phi(a) r(p) is tabulated from
+one vector call of r per trace, and the birth law, the only coupling
+between ages, reduces to a discrete renewal equation on the Nt time
+levels (`_Renewal`).  Its trace-independent tables
 are built once and shared by retraced operators; per trace one triangular
 system (`_Levels`) gives the Gramians, the whole adjoint lattice of any
 work block and the controlled male trace and terminal state in closed
@@ -165,19 +168,14 @@ def _control_values(v, grid, name):
     return arr
 
 
-def fertile_male_integral(values, model, grid):
-    """Trapezoid integral of weight * profile over age (the M of the birth law)."""
-    arr = _as_profile(values, grid, "age profile")
-    lam = np.asarray(model.male_fertility_weight(grid.ages()), dtype=float)
-    return float(np.dot(grid.age_weights(), lam * arr))
-
-
 class _Transport:
     """The trace-independent tables of the sweeps, and the forward step loop.
 
-    Holds the survival ratios, the male fertility weight, the trapezoid
-    weights, the control masks and the female fraction; the nonlinear solve
-    and every frozen-trace operator build them here.
+    Holds the survival ratios, the male fertility weight lambda, the
+    trapezoid weights wa and the work weights theta = wa / h, the control
+    masks, the female fraction and, for a separable fertility, its age
+    profile; the nonlinear solve and every frozen-trace operator build them
+    here, and their callers read them here.
     """
 
     def __init__(self, model, grid, geom):
@@ -194,8 +192,12 @@ class _Transport:
         self.s_m[na] = self.s_f[na] = model.last_cell_survival
         self.lam = np.asarray(model.male_fertility_weight(self.ages), dtype=float)
         self.wa = grid.age_weights()
+        self.theta = self.wa / grid.step
         self.mask_m, self.mask_f = control_masks(grid, geom)
         self.gamma = model.female_fraction
+        self.fertility = fertility = model.fertility
+        self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
+                            if fertility.separable else None)
 
     @staticmethod
     def _block(values, extra_dims=0):
@@ -295,10 +297,6 @@ class FrozenOperator(_Transport):
 
     def __init__(self, model, grid, geom, trace):
         super().__init__(model, grid, geom)
-        self.fertility = fertility = model.fertility
-        # a separable fertility's age profile, shared by every trace
-        self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
-                            if fertility.separable else None)
         self.region = np.stack([self.mask_m, self.mask_f])
         self.region[:, 0] = 0.0  # the age-zero node never couples to the controls
         self._geometry = self._renewal = self._shares = self._basis = None
@@ -359,13 +357,6 @@ class FrozenOperator(_Transport):
         """
         return self._step_loop(m0, f0, v_m, v_f, lambda j, male: self.beta[j])
 
-    def state(self, m0, f0, v_m=None, v_f=None):
-        """Single-column forward sweep packaged as a StateSolution."""
-        m, f, male_trace, birth_trace = self.forward(m0, f0, v_m, v_f)
-        return StateSolution(m=Field2D(self.grid, m), f=Field2D(self.grid, f),
-                             fertile_male_trace=male_trace, birth_trace=birth_trace,
-                             frozen_trace=self.trace.copy())
-
     def adjoint_levels(self, work_n, work_l, visit):
         """Backward sweep from weighted terminal work blocks, level by level.
 
@@ -408,7 +399,7 @@ class FrozenOperator(_Transport):
         h = self.grid.step
         wn, wl = np.array(work_n), np.array(work_l)
         gamma = self.gamma
-        theta = (self.wa / h)[:, None]
+        theta = self.theta[:, None]
         s_m, s_f = self.s_m[1:, None], self.s_f[1:, None]
         # fixed buffers: wide blocks would otherwise churn the heap every level
         next_n, next_l = np.zeros_like(wn), np.zeros_like(wl)
@@ -738,7 +729,7 @@ class _Renewal:
         self.weights = (h * h * op.region[1], op.wa)
 
         # carried[:, d] is T_d psi
-        self.carried = carried = carry((op.wa / h) * op.age_profile, op.s_f, nt)
+        self.carried = carried = carry(op.theta * op.age_profile, op.s_f, nt)
         self.lattice_spikes = spikes = op._spike_lattice()
 
         # K[j, k] = kappa_{k-j} above the diagonal
@@ -949,31 +940,28 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
     m0 = _as_profile(m0, grid, "m0")
     f0 = _as_profile(f0, grid, "f0")
     if frozen_trace is not None:
-        return FrozenOperator(model, grid, geom, frozen_trace).state(m0, f0, vm, vf)
+        op = FrozenOperator(model, grid, geom, frozen_trace)
+        m, f, male_trace, birth_trace = op.forward(m0, f0, vm, vf)
+        frozen_trace = op.trace
+    else:
+        transport = _Transport(model, grid, geom)
+        ages, lam, wa = transport.ages, transport.lam, transport.wa
+        fertility, profile = transport.fertility, transport.age_profile
 
-    transport = _Transport(model, grid, geom)
-    ages, lam, wa = transport.ages, transport.lam, transport.wa
-    fertility = model.fertility
-    # a separable fertility's age profile, evaluated once per solve: each level
-    # then forms the products phi(a) r(p) of a per-level call from one scalar
-    profile = (np.asarray(fertility.age_profile(ages), dtype=float)
-               if fertility.separable else None)
+        def fertility_row(j, male):
+            # the sweep goes on past a non-finite level and reports it at the
+            # end; the rate function only ever sees integrals of finite rows
+            if not np.isfinite(male).all():
+                return np.full(ages.size, np.nan)
+            # level 0 weighs the whole initial profile, later levels the
+            # transported interior rows before the births
+            cut = 0 if j == 0 else 1
+            level_p = float(np.dot(wa[cut:], lam[cut:] * male[:, 0]))
+            if profile is None:
+                return np.asarray(fertility(ages, level_p), dtype=float)
+            # the products phi(a) r(p) of a per-level call, from one scalar
+            return profile * fertility.response(np.asarray(level_p, dtype=float))
 
-    def fertility_row(j, male):
-        # the sweep goes on past a non-finite level and reports it at the end;
-        # the rate function only ever sees integrals of finite rows
-        if not np.isfinite(male).all():
-            return np.full(ages.size, np.nan)
-        # level 0 weighs the whole initial profile, later levels the
-        # transported interior rows before the births
-        cut = 0 if j == 0 else 1
-        level_p = float(np.dot(wa[cut:], lam[cut:] * male[:, 0]))
-        if profile is None:
-            return np.asarray(fertility(ages, level_p), dtype=float)
-        return profile * fertility.response(np.asarray(level_p, dtype=float))
-
-    m, f, male_trace, birth_trace = transport._step_loop(m0, f0, vm, vf, fertility_row)
-    return StateSolution(
-        m=Field2D(grid, m), f=Field2D(grid, f),
-        fertile_male_trace=male_trace, birth_trace=birth_trace,
-    )
+        m, f, male_trace, birth_trace = transport._step_loop(m0, f0, vm, vf, fertility_row)
+    return StateSolution(m=Field2D(grid, m), f=Field2D(grid, f), fertile_male_trace=male_trace,
+                         birth_trace=birth_trace, frozen_trace=frozen_trace)

@@ -104,9 +104,6 @@ class Field2D:
             raise DimensionError("field contains non-finite values")
         return Field2D(grid, values)
 
-    def copy(self):
-        return Field2D(self.grid, self.values.copy())
-
 
 def integrate_age(values, grid):
     """Composite trapezoid over one age profile; exact on linear integrands."""

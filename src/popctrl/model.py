@@ -14,7 +14,8 @@ ages of [0, max_age] and, for the fertility, 41 male levels of [0, 10].
 ``validate_hypotheses`` reports every check on those samples, and
 ``check_rate_samples``, which the scenario parser runs, raises on the first
 of a subset: a non-finite sample of any rate, or a negative mortality
-(H1), fertility (H2) or male weight (H4).
+(H1), fertility (H2) or male weight (H4).  It then fills the mortality
+tables, which raise on a non-finite value of their 8193 points.
 """
 
 import enum
@@ -159,13 +160,15 @@ class DemographicModel:
         rate = self.male_mortality if which == "male" else self.female_mortality
         ages = np.linspace(0.0, self.max_age, DEFAULT_QUAD_INTERVALS + 1)
         try:
-            values = rate(ages)
+            with np.errstate(all="ignore"):  # a non-finite value is a finding
+                values = rate(ages)
         except Exception as exc:
             raise ConfigurationError(
                 f"{which}_mortality is not evaluable on [0, max_age]: {exc}") from exc
         values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
-            raise ConfigurationError(f"{which}_mortality produced non-finite values")
+            raise ConfigurationError(f"{which}_mortality: non-finite value on the "
+                                     f"{ages.size}-point table")
         h = ages[1] - ages[0]
         cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (values[1:] + values[:-1]))))
         return ages, cum
@@ -293,7 +296,9 @@ def check_rate_samples(model):
     """Raise a ConfigurationError naming the field on the first failing
     load-time check of the rate samples.  Each rate in turn, the mortalities,
     the male weight and the fertility, must be finite, then nonnegative:
-    (H1), (H4) and (H2)."""
+    (H1), (H4) and (H2).  Then the model's mortality tables are filled, so a
+    mortality that is non-finite only between the samples fails here, and
+    the solvers reuse the tables."""
     samples = _RateSamples.of(model)
     ages, levels = samples.ages, samples.levels
     for name, noun, hypothesis in (("male_mortality", "mortality", "H1"),
@@ -316,6 +321,8 @@ def check_rate_samples(model):
     if bad is not None:
         raise ConfigurationError(f"fertility: negative value {beta[bad]:.6g} at (age "
                                  f"{ages[bad[1]]:.6g}, p={levels[bad[0]]}) violates (H2)")
+    for which in ("male", "female"):
+        model._cumulative_mortality(which)
 
 
 def validate_hypotheses(model, geom):

@@ -5,10 +5,11 @@ random terminal data of the quotient (initial adjoint energy) / (adjoint
 energy on the control regions), optionally sharpened by power iteration on
 the pair of quadratic forms.  The forms are the initial-energy and control
 Gramians of the frozen-trace operator on the targeted terminal entries
-(`FrozenOperator.gramians`, built together), scaled by the trapezoid
-weights, in the block form of `popctrl.gramian`, which also owns the power
-iteration on their pencil (``gramian.pencil_maximum``); this module passes
-them stacked terminal vectors only.  The probe quotients are read off the
+(`FrozenOperator.gramians`, built together), scaled by the operator's
+work weights theta = wa / h, in the block form of `popctrl.gramian`,
+which also owns the power iteration on their pencil
+(``gramian.pencil_maximum``); this module passes them stacked terminal
+vectors only.  The probe quotients are read off the
 same forms when the power iteration runs or the Gramians are closed-form
 (separable fertility); otherwise one batched sweep of the probes gives
 them.  The operators of one call are retraced from the first, so they
@@ -21,7 +22,8 @@ The geometry's mode reaches this module only through ``forward``'s rules:
 the targeted entries are the nonzero ``stacked_terminal_weights`` (the
 node at a male-only ``target_min_age`` included), and they give the forms'
 basis, the probes' support and the cone probe's tail, once per estimate;
-the cone probe's male window is that of ``control_windows``.
+the cone probe's male window is that of ``control_windows``.  The measure
+of a ``forced_terminal_mask`` is ``grid.integrate_age`` of the mask.
 """
 
 import math
@@ -75,10 +77,8 @@ def _quotients(op, n_T, l_T):
     Level 0 of (n_eff, l_eff) is (n, l) there.  A column invisible from the
     control regions but carrying initial energy gets the infinity sentinel.
     """
-    grid = op.grid
-    theta = (grid.age_weights() / grid.step)[:, None]
+    theta, wa = op.theta[:, None], op.wa
     n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
-    wa = grid.age_weights()
     weights_m, weights_f = op.geometry_tables()[0]
     quotients = []
     for c in range(n_T.shape[1]):
@@ -99,7 +99,7 @@ def _gramian_quotients(op, n_T, l_T):
     block form, so no probe sweep runs.  The Gramians live on the targeted
     entries, where the probe data are supported.
     """
-    theta = (op.wa / op.grid.step)[:, None]
+    theta = op.theta[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
     control, initial = op.gramians()
     return [_quotient(float(a), float(b))
@@ -120,12 +120,9 @@ def observability_ratio(model, grid, geom, n_T, l_T, trace):
     Returns the infinity sentinel when the terminal datum is invisible from
     the control region but carries initial energy.
     """
-    n_arr = np.zeros(grid.num_age_cells + 1) if n_T is None else np.asarray(n_T, float)
-    l_arr = np.zeros(grid.num_age_cells + 1) if l_T is None else np.asarray(l_T, float)
-    scale = float(np.max(np.abs(n_arr))) + float(np.max(np.abs(l_arr)))
-    if scale == 0.0:
+    q_m, q_f = _terminal_data(grid, geom, n_T, l_T)
+    if not (q_m.any() or q_f.any()):
         raise DomainError("observability_ratio: terminal data must not vanish")
-    q_m, q_f = _terminal_data(grid, geom, n_arr, l_arr)
     op = FrozenOperator(model, grid, geom, trace)
     return _quotients(op, q_m[:, None], q_f[:, None])[0]
 
@@ -148,7 +145,7 @@ def _quadratic_forms(op):
     and control Gramians with each direction scaled by its theta; the two
     entries of a pair share theta.
     """
-    theta = np.tile(op.wa / op.grid.step, 2)
+    theta = np.tile(op.theta, 2)
     control, initial = op.gramians()
     return initial.scaled(theta), control.scaled(theta)
 
@@ -176,9 +173,11 @@ def estimate_observability_constant(model, grid, geom, traces, *,
     targeted = stacked_terminal_weights(grid, geom) > 0
     data = _probe_data(
         [np.random.default_rng(seed + 1000 * k) for k in range(config.probes)], targeted)
-    # a deterministic probe concentrated on the targeted male tail that the
-    # male window's characteristics miss exposes unobserved directions that
-    # diffuse random data would average away
+    # a deterministic probe concentrated on the targeted male tail whose
+    # characteristics miss the open male window exposes unobserved directions
+    # that diffuse random data would average away; the node at the window's
+    # lower end, which the control reaches at its last step, may be in it,
+    # and the probe still bounds the constant from below
     size = grid.num_age_cells + 1
     cone = unreachable_from_window(grid, control_windows(geom)[0], geom.horizon)
     cone &= (grid.ages() >= geom.horizon) & targeted[:size]
@@ -277,11 +276,14 @@ def threshold_margins(geom, max_age):
 
 
 def unreachable_from_window(grid, window, horizon):
-    """Terminal age nodes whose backward characteristic misses an age window.
+    """Terminal age nodes whose backward characteristic misses the open age
+    window (lo, hi): characteristics through (a, T) sweep the ages
+    (a - T, a), which avoid (lo, hi) exactly when a <= lo or a - T >= hi.
 
-    These are the ages where the direct control contribution is identically
-    zero: characteristics through (a, T) sweep the ages (a - T, a), which
-    avoid (lo, hi) exactly when a <= lo or a - T >= hi.
+    This is the continuous rule, not the scheme's: the node a = lo takes
+    the control at the last level, with the boundary mask 1/2, so
+    ``forced_terminal_mask`` counts it as reachable.  The direct control
+    contribution vanishes on every other returned node.
     """
     ages = grid.ages()
     tol = 1e-9 * max(1.0, grid.max_age)
@@ -316,8 +318,3 @@ def forced_terminal_mask(model, grid, geom):
         birth_fed = (i <= nt - 1) and births_shapeable
         forced[i] = direct_dead and not birth_fed
     return forced
-
-
-def forced_set_measure(grid, mask):
-    """Quadrature measure of a forced-age node set."""
-    return float(np.dot(grid.age_weights(), mask.astype(float)))

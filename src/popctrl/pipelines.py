@@ -7,7 +7,6 @@ across reruns of the same scenario and seed.
 """
 
 import csv
-import math
 import os
 from dataclasses import replace
 
@@ -23,12 +22,6 @@ from .grid import build_grid, write_field_csv
 from .model import validate_hypotheses
 from .observability import estimate_observability_constant
 from .util import write_json
-
-
-def _fmt(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
 
 
 def make_grid(scenario):
@@ -59,12 +52,12 @@ def base_report(command, scenario, grid, seed, flags, scalars):
 
 
 def _write_csv(path, header, rows):
-    """A small CSV: floats through ``_fmt``, every other value as csv.writer
-    prints it."""
+    """A small CSV: floats as ``%.17g`` (``inf`` for the infinity sentinel),
+    every other value as csv.writer prints it."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row]
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
                          for row in rows)
 
 
@@ -137,12 +130,18 @@ def _control_scalars(result):
     }
 
 
-def cmd_control(scenario, outdir, seed, log):
+def _null_control(scenario):
+    """(grid, result) of the control pipeline: the synthesis on the frozen
+    trace of the uncontrolled solve."""
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
     trace = uncontrolled_trace(scenario, grid)
-    result = synthesize_null_control(scenario.penalty, scenario.model, grid,
-                                     scenario.geometry, trace, m0, f0)
+    return grid, synthesize_null_control(scenario.penalty, scenario.model, grid,
+                                         scenario.geometry, trace, m0, f0)
+
+
+def cmd_control(scenario, outdir, seed, log):
+    grid, result = _null_control(scenario)
     write_field_csv(os.path.join(outdir, "v_m.csv"), result.v_m)
     write_field_csv(os.path.join(outdir, "v_f.csv"), result.v_f)
     write_json(os.path.join(outdir, "report.json"),
@@ -238,11 +237,7 @@ def cmd_sweep(sweep, outdir, seed, log):
     rows = []
     any_flagged = False
     for values, scenario in sweep.runs:
-        grid = make_grid(scenario)
-        m0, f0 = scenario.sample_initial(grid)
-        trace = uncontrolled_trace(scenario, grid)
-        result = synthesize_null_control(scenario.penalty, scenario.model, grid,
-                                         scenario.geometry, trace, m0, f0)
+        result = _null_control(scenario)[1]
         any_flagged = any_flagged or bool(result.flags)
         rows.append(values + [result.terminal_m_norm, result.terminal_f_norm,
                               result.J_value, result.iterations, result.epsilon,

@@ -16,14 +16,14 @@ import pytest
 
 from popctrl import (ContractionConfig, ControlGeometry, ControlMode, Field2D,
                      ObservabilityConfig, PenaltyProblem, build_grid, duality_residual,
-                     contraction_test, estimate_observability_constant, iterate_to_fixed_point,
-                     minimize_penalty, solve_adjoint, solve_forward,
+                     contraction_test, estimate_observability_constant, integrate_age,
+                     iterate_to_fixed_point, minimize_penalty, solve_adjoint, solve_forward,
                      synthesize_null_control)
 from popctrl.cli import run_command
 from popctrl.control import _Workspace, FLAG_TARGET_NOT_REACHED
 from popctrl.fixed_point import FixedPointConfig
 from popctrl.forward import FrozenOperator
-from popctrl.observability import forced_set_measure, forced_terminal_mask
+from popctrl.observability import forced_terminal_mask
 
 from conftest import (random_control, random_nonneg_model, reference_data,
                       reference_geometry, reference_model, transport_model)
@@ -172,7 +172,7 @@ def test_criterion_6_time_condition_sharpness():
     uncontrolled = solve_forward(model, grid, geom, None, None, m0, f0)
     trace = uncontrolled.fertile_male_trace
     cone = forced_terminal_mask(model, grid, geom)
-    measure = forced_set_measure(grid, cone)
+    measure = integrate_age(cone.astype(float), grid)
     print(f"criterion  6: forced-set measure {measure:.4f}")
     assert measure > 0.0, "unreachable cone has measure zero"
     w_cone = grid.age_weights() * cone

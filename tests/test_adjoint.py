@@ -256,3 +256,12 @@ def test_nonlocal_trace_ratio_recorded(model, geometry):
         if denominator > 0:
             ratios.append(numerator / denominator)
     assert ratios and np.isfinite(max(ratios))
+
+
+def test_duality_needs_a_frozen_trace_forward_solve(model, geometry, grid):
+    zeros = np.zeros(grid.num_age_cells + 1)
+    state = solve_forward(model, grid, geometry, None, None, zeros, zeros)
+    adj = solve_adjoint(model, grid, geometry, zeros, zeros, np.zeros(grid.num_time_cells + 1))
+    with pytest.raises(ConsistencyError, match="duality requires a frozen-trace forward solve"):
+        duality_residual(state, adj, zeros, zeros, zeros, zeros, None, None, model, grid,
+                         geometry)

@@ -115,6 +115,28 @@ def test_control_success_and_flags(scenario_path, tmp_path):
     assert "NON_ADMISSIBLE" in report["flags"]
 
 
+def test_no_command_exits_2_with_usage(capsys):
+    assert run_command([]) == 2
+    assert capsys.readouterr().err.startswith("usage: popctrl ")
+
+
+def test_error_after_writing_keeps_the_directory_made(scenario_path, tmp_path, monkeypatch,
+                                                      capsys):
+    # a directory the command made is removed on an error exit only while empty
+    from popctrl import pipelines
+    from popctrl.errors import NumericalFailure
+
+    def failing(scenario, outdir, seed, log):
+        (tmp_path / "made" / "run" / "partial.csv").write_text("t\r\n")
+        raise NumericalFailure("lost finiteness")
+
+    monkeypatch.setattr(pipelines, "cmd_simulate", failing)
+    out = tmp_path / "made" / "run"
+    assert run_command(["simulate", scenario_path, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: lost finiteness\n"
+    assert os.listdir(out) == ["partial.csv"]
+
+
 def test_unknown_subcommand_and_bad_scenario(tmp_path):
     assert run_command(["frobnicate", "x.json"]) == 2
     bad = tmp_path / "bad.json"
@@ -183,6 +205,35 @@ def test_observability_command(tmp_path, overrides, estimate):
     assert len(rows) == 1
     if estimate is not None:
         assert float(rows[0].split(",")[4]) == estimate
+
+
+def _observability_rows(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_command(["observability", str(path), "--out", str(out), "--quiet"]) == 0
+    return _read(out / "observability.csv").decode().splitlines()[1:]
+
+
+def test_observability_writes_an_infinite_estimate(tmp_path):
+    # the horizon 0.3 is below the time condition's 0.6, and a terminal
+    # direction the control regions never see carries initial energy
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["geometry"]["female_window"] = [0.05, 0.6]
+    raw["observability"] = {"horizons": [0.3], "male_lo": [0.1], "male_hi": [0.5],
+                            "probes": 4, "power_iters": 3, "num_traces": 2}
+    [row] = _observability_rows(tmp_path, raw)
+    assert row.endswith(",inf,1")
+
+
+def test_observability_in_female_only_mode(tmp_path):
+    # the mode has no male window, so the cone probe's rule gets none; the
+    # female control observes every direction here
+    raw = json.loads(json.dumps(FAST_SCENARIO))
+    raw["geometry"]["mode"] = "FEMALE_ONLY"
+    [row] = _observability_rows(tmp_path, raw)
+    estimate, diverged = row.split(",")[4:]
+    assert float(estimate) > 0 and diverged == "0"
 
 
 def test_observability_without_a_window_writes_the_header_only(tmp_path, monkeypatch):
@@ -310,8 +361,11 @@ RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule
      "parameters[0].path: expected a string"),
     ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": "grid.target_h", "values": 0.1}]},
      "parameters[0].values: expected a list"),
+    ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": "penalty.stages", "values": [1]}]},
+     "parameters[0].path: 'penalty.stages' is not in the base scenario"),
 ], ids=["base", "grid", "grid-3", "cg_tol", "parameters", "adjoint", "adjoint-mode",
-        "observability", "epsilon", "sweep-theta", "sweep-path", "sweep-values"])
+        "observability", "epsilon", "sweep-theta", "sweep-path", "sweep-values",
+        "sweep-missing-path"])
 def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, message,
                                                              tmp_path, capsys):
     # with --grid-h the first two used to end in a traceback and exit 1, the
@@ -640,6 +694,11 @@ NON_FINITE_RATES = {
                     "model.male_fertility_weight: non-finite value at age 0"),
     "response-pole": ("model.fertility.response", "p / (1 + p) / (p - 0.5)**2",
                       "model.fertility: non-finite value at p=0.5"),
+    # a pole at the second of the mortality table's 8193 points, between the
+    # samples: the table is filled at load, and used to fail mid-command
+    # without the JSON path
+    "mortality-fine-pole": ("model.male_mortality", "1 / abs(a - 0.0001220703125)",
+                            "model.male_mortality: non-finite value on the 8193-point table"),
 }
 
 
@@ -689,3 +748,21 @@ def test_expr_fertility_reports_match_the_separable_example(command, tmp_path):
             assert expr[key] == pytest.approx(value, rel=1e-10, abs=0), key
         else:
             assert expr[key] == value, key
+
+
+@pytest.mark.parametrize("window", [[0.2], [0.2, 0.5, 0.9], 0.2])
+def test_male_window_that_is_not_a_pair_exits_2(window, tmp_path, capsys):
+    raw = _with(FAST_SCENARIO, "geometry.male_window", window)
+    _exits_2_at_load("control", raw, "geometry.male_window: expected [lo, hi]", tmp_path, capsys)
+
+
+def test_expr_rate_without_its_variable_is_the_constant(tmp_path):
+    # "0.2" evaluates to one number, which the rate broadcasts over the ages
+    fields = []
+    for spec in (0.2, {"kind": "expr", "expr": "0.2"}):
+        path = tmp_path / f"s{len(fields)}.json"
+        path.write_text(json.dumps(_with(FAST_SCENARIO, "model.male_mortality", spec)))
+        out = tmp_path / f"o{len(fields)}"
+        assert run_command(["control", str(path), "--out", str(out), "--quiet"]) == 0
+        fields.append([_read(out / name) for name in ("v_m.csv", "v_f.csv")])
+    assert fields[0] == fields[1]

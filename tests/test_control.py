@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, EpsilonSchedule, PenaltyProblem,
-                     build_grid, evaluate_objective, minimize_penalty,
-                     objective_gradient, solve_forward, synthesize_null_control)
+                     build_grid, minimize_penalty, solve_forward, synthesize_null_control)
 from popctrl.control import (FLAG_CONVERGENCE_NOT_REACHED, FLAG_NON_ADMISSIBLE,
                              FLAG_TARGET_NOT_REACHED, _Workspace)
 from popctrl.errors import ConfigurationError
@@ -48,9 +47,8 @@ class TestObjective:
     def test_zero_everything(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        value = evaluate_objective(EPS, model, grid, geom, trace, zeros, zeros,
-                                   None, None)
-        assert value == 0.0
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), zeros, zeros, EPS)
+        assert ws.objective(ws.zeros()) == 0.0
 
     def test_uncontrolled_value_matches_direct_solve(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
@@ -59,9 +57,8 @@ class TestObjective:
         wa = grid.age_weights()
         expected = 0.5 / EPS * (float(wa @ state.m.values[:, -1] ** 2)
                                 + float(wa @ state.f.values[:, -1] ** 2))
-        value = evaluate_objective(EPS, model, grid, geom, trace, m0, f0,
-                                   None, None)
-        assert value == pytest.approx(expected, rel=1e-12)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
+        assert ws.objective(ws.zeros()) == pytest.approx(expected, rel=1e-12)
 
     def test_convexity_along_segments(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
@@ -78,10 +75,10 @@ class TestGradient:
     def test_zero_at_zero_data(self, setup):
         model, geom, grid, _, _, trace, problem = setup
         zeros = np.zeros(grid.num_age_cells + 1)
-        g_m, g_f = objective_gradient(EPS, model, grid, geom, trace, zeros,
-                                      zeros, None, None)
-        assert np.all(g_m.values == 0.0)
-        assert np.all(g_f.values == 0.0)
+        ws = _Workspace(FrozenOperator(model, grid, geom, trace), zeros, zeros, EPS)
+        g_m, g_f = ws.gradient(ws.zeros())
+        assert np.all(g_m == 0.0)
+        assert np.all(g_f == 0.0)
 
     def test_finite_difference_check(self, setup):
         model, geom, grid, m0, f0, trace, problem = setup
@@ -122,15 +119,14 @@ class TestGradient:
             return out
 
         # the terminal map from the step loop
-        base = ws.op.state(ws.m0, ws.f0, *ws.zeros())
-        t0 = np.concatenate([base.m.values[:, -1], base.f.values[:, -1]])
+        m, f, _, _ = ws.op.forward(ws.m0, ws.f0, *ws.zeros())
+        t0 = np.concatenate([m[:, -1], f[:, -1]])
         columns = []
         zero = np.zeros(grid.num_age_cells + 1)
         for k in range(dim):
             e = np.zeros(dim); e[k] = 1.0
-            state = ws.op.state(zero, zero, *unpack_flat(e))
-            columns.append(np.concatenate([state.m.values[:, -1],
-                                           state.f.values[:, -1]]))
+            m, f, _, _ = ws.op.forward(zero, zero, *unpack_flat(e))
+            columns.append(np.concatenate([m[:, -1], f[:, -1]]))
         tmat = np.stack(columns, axis=1)
 
         h = grid.step
@@ -173,7 +169,7 @@ class TestMinimize:
                                   EPS)
         assert result.converged
         ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
-        packed = ws.pack(result.v_m, result.v_f)
+        packed = [result.v_m.values, result.v_f.values]
         # support: exactly zero outside the active region
         support_m, support_f = ws.support
         assert np.all(result.v_m.values[~support_m] == 0.0)
@@ -190,7 +186,7 @@ class TestMinimize:
         result = minimize_penalty(problem, FrozenOperator(model, grid, geom, trace), m0, f0,
                                   EPS)
         ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
-        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+        grad = ws.gradient([result.v_m.values, result.v_f.values])
         zero_grad = ws.gradient(ws.zeros())
         assert np.sqrt(ws.inner(grad, grad)) <= \
             problem.cg_tol * np.sqrt(ws.inner(zero_grad, zero_grad)) * 1.01
@@ -248,7 +244,7 @@ class TestMinimize:
         assert result.converged and result.iterations > 10
         assert all(b < a for a, b in zip(result.cg_trace, result.cg_trace[1:]))
         ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, EPS)
-        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+        grad = ws.gradient([result.v_m.values, result.v_f.values])
         assert np.sqrt(ws.inner(grad, grad)) <= problem.cg_tol * result.cg_trace[0]
 
 

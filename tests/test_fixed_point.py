@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,12 @@ class TestContraction:
         with pytest.raises(ConfigurationError):
             contraction_test(reference_model(), grid, m0, f0,
                              config=ContractionConfig(trials=trials, amplitude=amplitude))
+
+
+def test_contraction_requires_the_response_lipschitz_constant(grid):
+    model = reference_model()
+    fertility = Fertility.separable_pair(model.fertility.age_profile, model.fertility.response)
+    m0, f0 = reference_data(grid)
+    with pytest.raises(ConfigurationError, match="configured response Lipschitz constant"):
+        contraction_test(dataclasses.replace(model, fertility=fertility), grid, m0, f0,
+                         config=ContractionConfig(trials=2))

@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from popctrl import (ControlMode, Fertility, Field2D, build_grid, fertile_male_integral,
-                     solve_forward)
+from popctrl import ControlMode, Fertility, Field2D, build_grid, solve_forward
 from popctrl import forward as forward_module
-from popctrl.errors import DimensionError
+from popctrl.errors import ConsistencyError, DimensionError
 
 from conftest import (random_nonneg_model, reference_data, reference_geometry,
                       reference_model, transport_model)
@@ -148,12 +147,16 @@ def test_frozen_bound_independent_of_trace(model, geometry, grid):
     assert max(ratios) / min(ratios) <= 1.05
 
 
-def test_fertile_male_integral_polynomial(model):
+def test_fertile_male_trace_starts_at_the_weighted_integral(model, geometry):
     g = build_grid(1.0, 0.35, 0.1)
+    ones, zeros = np.ones(g.num_age_cells + 1), np.zeros(g.num_age_cells + 1)
+
+    def initial_trace(m, m0):
+        return solve_forward(m, g, geometry, None, None, m0, ones).fertile_male_trace[0]
+
     # weight 4a(1-a) against a constant profile: 4 * (1/2 - 1/3) = 2/3
-    value = fertile_male_integral(np.ones(g.num_age_cells + 1), model, g)
-    assert value == pytest.approx(2.0 / 3.0, abs=2e-2)
-    assert fertile_male_integral(np.zeros(g.num_age_cells + 1), model, g) == 0.0
+    assert initial_trace(model, ones) == pytest.approx(2.0 / 3.0, abs=2e-2)
+    assert initial_trace(model, zeros) == 0.0
     # and a vanishing weight annihilates any profile
     from popctrl.model import DemographicModel, RateFunction
     flat = DemographicModel(
@@ -164,7 +167,25 @@ def test_fertile_male_integral_polynomial(model):
         female_fraction=model.female_fraction,
         fertility_onset=model.fertility_onset,
         max_age=model.max_age)
-    assert fertile_male_integral(np.ones(g.num_age_cells + 1), flat, g) == 0.0
+    assert initial_trace(flat, ones) == 0.0
+
+
+def test_initial_profile_checked(model, geometry, grid):
+    size = grid.num_age_cells + 1
+    with pytest.raises(DimensionError, match=rf"m0 has shape \(3,\), expected \({size},\)"):
+        solve_forward(model, grid, geometry, None, None, np.zeros(3), np.zeros(size))
+    with pytest.raises(DimensionError, match="f0 contains non-finite values"):
+        solve_forward(model, grid, geometry, None, None, np.zeros(size), np.full(size, np.nan))
+
+
+def test_controls_checked(model, geometry, grid):
+    m0, f0 = reference_data(grid)
+    other = build_grid(1.0, 0.35, 1.0 / 16)
+    elsewhere = Field2D(other, np.zeros((other.num_age_cells + 1, other.num_time_cells + 1)))
+    with pytest.raises(ConsistencyError, match="v_m lives on a different grid"):
+        solve_forward(model, grid, geometry, elsewhere, None, m0, f0)
+    with pytest.raises(DimensionError, match=rf"v_f has shape \({m0.size}, 3\)"):
+        solve_forward(model, grid, geometry, None, np.zeros((m0.size, 3)), m0, f0)
 
 
 def test_wrong_trace_length_rejected(model, geometry, grid):

@@ -257,7 +257,7 @@ def test_terminal_solve_matches_dense_system_and_control_space_loop(mode, target
     assert result.converged and result.iterations == 1
     assert len(result.cg_trace) == result.iterations + 1
     ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, eps)
-    got = ws.pack(result.v_m, result.v_f)
+    got = [result.v_m.values, result.v_f.values]
 
     # the optimum L* D^1/2 w, with (I + D^1/2 G D^1/2 / h) w = -D^1/2 y0 solved
     # densely on the pairwise Gramian, with no Schur complement
@@ -290,7 +290,7 @@ def test_gradient_below_tolerance_after_every_stage(mode, target_min_age):
         assert result.converged
         ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, eps)
         b = PenaltySystem(ws).rhs()
-        grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+        grad = ws.gradient([result.v_m.values, result.v_f.values])
         assert np.sqrt(ws.inner(grad, grad)) <= \
             1.01 * problem.cg_tol * np.sqrt(ws.inner(b, b))
 

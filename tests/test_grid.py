@@ -52,6 +52,20 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError, match="must be finite"):
             build_grid(*args)
 
+    @pytest.mark.parametrize("max_age, horizon, target_h, message", [
+        (0.0, 0.35, 0.1, "max_age and horizon must be positive"),
+        (1.0, -0.35, 0.1, "max_age and horizon must be positive"),
+        (1.0, 0.35, 0.0, "target_h must be positive"),
+        (1.0, 0.35, -0.1, "target_h must be positive"),
+        # no step of a workable grid divides both lengths
+        (1.0, 0.1234567, 0.01, "are not commensurate at a workable resolution"),
+        # the snapped horizon 1/3 misses the requested one by 3e-8
+        (1.0, 0.3333333, 0.1, "cannot represent horizon=0.3333333"),
+    ])
+    def test_range_checks(self, max_age, horizon, target_h, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_grid(max_age, horizon, target_h)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(na=st.integers(2, 40), nt=st.integers(2, 40),
            splits=st.integers(1, 5))
@@ -170,3 +184,9 @@ def test_field_rejects_non_finite():
     values[0, 0] = math.nan
     with pytest.raises(DimensionError):
         Field2D.from_values(g, values)
+
+
+def test_field_rejects_a_wrong_shape():
+    g = build_grid(1.0, 0.5, 0.125)
+    with pytest.raises(DimensionError, match=r"field shape \(2, 2\) does not match grid \(9, 5\)"):
+        Field2D.from_values(g, np.zeros((2, 2)))

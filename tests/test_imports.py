@@ -41,3 +41,11 @@ def test_an_unused_import_is_found():
     source = "import math\nimport numpy as np\nfrom .grid import Field2D, lattice_inner\n" \
              "__all__ = ['Field2D']\nx = np.zeros(1)\n"
     assert _unused_imports(source) == ["lattice_inner (line 3)", "math (line 1)"]
+
+
+def test_every_public_name_imports():
+    import popctrl
+
+    assert [name for name in popctrl.__all__ if not hasattr(popctrl, name)] == []
+    retired = {"evaluate_objective", "objective_gradient", "fertile_male_integral"}
+    assert retired.isdisjoint(popctrl.__all__)

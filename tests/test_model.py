@@ -173,6 +173,9 @@ def test_geometry_invariants():
         ControlGeometry(male_window=(0.5, 0.2), female_window=(0.1, 0.9), horizon=1.0)
     with pytest.raises(ConfigurationError):
         ControlGeometry(male_window=(0.2, 0.5), female_window=(0.1, 0.9), horizon=-1.0)
+    with pytest.raises(ConfigurationError, match="mode: expected a ControlMode"):
+        ControlGeometry(male_window=(0.2, 0.5), female_window=(0.1, 0.9), horizon=1.0,
+                        mode="BOTH")
     geom = ControlGeometry(male_window=(0.2, 0.9), female_window=(0.1, 0.95),
                            horizon=0.35)
     assert geom.time_margin(1.0) == pytest.approx(0.05)

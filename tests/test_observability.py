@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, build_grid,
-                     estimate_observability_constant, forced_terminal_mask,
+                     estimate_observability_constant, forced_terminal_mask, integrate_age,
                      observability_ratio, solve_forward, threshold_margins,
                      unreachable_from_window)
 from popctrl import observability as obs
 from popctrl.errors import DomainError
 from popctrl.forward import terminal_weights
-from popctrl.observability import forced_set_measure
 
 from conftest import reference_data, reference_geometry, reference_model
 
@@ -161,7 +160,7 @@ class TestCones:
         geom = reference_geometry(horizon=0.25)
         grid = build_grid(1.0, 0.25, 1.0 / 32)
         mask = forced_terminal_mask(model, grid, geom)
-        assert forced_set_measure(grid, mask) == 0.0
+        assert integrate_age(mask.astype(float), grid) == 0.0
 
     def test_forced_set_positive_for_short_horizon(self):
         model = reference_model()
@@ -169,10 +168,36 @@ class TestCones:
                                horizon=0.3, mode=ControlMode.BOTH)
         grid = build_grid(1.0, 0.3, 1.0 / 32)
         mask = forced_terminal_mask(model, grid, geom)
-        measure = forced_set_measure(grid, mask)
+        measure = integrate_age(mask.astype(float), grid)
         assert measure > 0.1
         ages = grid.ages()[mask]
         assert ages.min() >= 0.3 - 1e-12 and ages.max() <= 0.5 + 1e-12
+
+    def test_window_lower_end_is_in_the_rule_but_reached_by_the_scheme(self):
+        # the T = 0.2 geometry of the observability benchmark at h = 1/130:
+        # among the ages >= T the rule and the scheme differ only at the node
+        # a = lo, which is the whole cone probe; the control reaches it at the
+        # last level with the boundary mask 1/2, and no other node of the rule
+        model = reference_model()
+        geom = reference_geometry(horizon=0.2)
+        grid = build_grid(1.0, 0.2, 1.0 / 128)
+        ages, h = grid.ages(), grid.step
+        lower = int(np.argmin(np.abs(ages - 0.2)))
+        rule = unreachable_from_window(grid, geom.male_window, geom.horizon)
+        forced = forced_terminal_mask(model, grid, geom)
+        late = ages >= geom.horizon - 1e-12
+        assert list(np.flatnonzero(rule & late)) == [lower]
+        assert list(np.flatnonzero((rule != forced) & late)) == [lower]
+        m0, f0 = reference_data(grid)
+        trace = np.linspace(0.2, 0.8, grid.num_time_cells + 1)
+
+        def terminal_male(v_m):
+            state = solve_forward(model, grid, geom, v_m, None, m0, f0, frozen_trace=trace)
+            return state.m.values[:, -1]
+
+        reached = terminal_male(np.ones((ages.size, trace.size))) - terminal_male(None)
+        assert reached[lower] == pytest.approx(0.5 * h, rel=1e-12)
+        assert np.all(reached[rule & (ages != ages[lower])] == 0.0)
 
     def test_male_only_cone_counts_no_birth_path(self):
         model = reference_model()
@@ -185,6 +210,12 @@ class TestCones:
         # swept window are forced
         ages = grid.ages()
         assert np.all(mask[ages >= 0.5 + 0.2 + grid.step])
+
+
+def test_estimate_needs_a_trace(setup):
+    model, geom, grid, _ = setup
+    with pytest.raises(DomainError, match="needs at least one trace"):
+        estimate_observability_constant(model, grid, geom, [])
 
 
 def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypatch):

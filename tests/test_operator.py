@@ -289,7 +289,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     # check gives the gradient bit for bit
     ws = _Workspace(FrozenOperator(model, grid, geom, trace), m0, f0, 1e-3)
     b = PenaltySystem(ws).rhs()
-    grad = ws.gradient(ws.pack(result.v_m, result.v_f))
+    grad = ws.gradient([result.v_m.values, result.v_f.values])
     assert abs(result.cg_trace[0] - np.sqrt(ws.inner(b, b))) <= 1e-13 * result.cg_trace[0]
     assert result.cg_trace[1] == np.sqrt(ws.inner(grad, grad))
 
@@ -413,11 +413,12 @@ def test_nonlinear_solve_is_the_frozen_step_at_its_own_arguments(mode):
     nonlinear = solve_forward(model, grid, geom, vm, vf, m0, f0)
     assert len(calls) == nt + 1
     recorded = list(calls)
-    frozen = FrozenOperator(model, grid, geom, recorded).state(m0, f0, vm, vf)
-    assert np.array_equal(frozen.m.values, nonlinear.m.values)
-    assert np.array_equal(frozen.f.values, nonlinear.f.values)
-    assert np.array_equal(frozen.fertile_male_trace, nonlinear.fertile_male_trace)
-    assert np.array_equal(frozen.birth_trace, nonlinear.birth_trace)
+    m, f, male_trace, birth_trace = FrozenOperator(model, grid, geom, recorded).forward(
+        m0, f0, vm, vf)
+    assert np.array_equal(m, nonlinear.m.values)
+    assert np.array_equal(f, nonlinear.f.values)
+    assert np.array_equal(male_trace, nonlinear.fertile_male_trace)
+    assert np.array_equal(birth_trace, nonlinear.birth_trace)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -749,3 +750,16 @@ def test_gramian_quotients_keep_the_infinity_sentinel():
     read = obs._gramian_quotients(op, n_block, l_block)
     assert swept[:2] == read[:2] == [obs.INFINITE_QUOTIENT, 0.0]
     assert abs(read[2] - swept[2]) <= 1e-13 * swept[2]
+
+
+def test_operator_blocks_checked():
+    model = reference_model()
+    grid = build_grid(1.0, 0.35, 1.0 / 16)
+    trace = np.zeros(grid.num_time_cells + 1)
+    op = FrozenOperator(model, grid, _geometry(ControlMode.BOTH), trace)
+    size = grid.num_age_cells + 1
+    with pytest.raises(DimensionError, match="expected a profile or a block of columns"):
+        op.forward(np.zeros((size, 2, 2)), np.zeros((size, 2, 2)))
+    with pytest.raises(DimensionError, match=r"work blocks have shapes \(%d, 1\) and \(%d, 2\)"
+                       % (size, size)):
+        op.adjoint(np.zeros(size), np.zeros((size, 2)))
