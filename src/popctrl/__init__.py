@@ -20,10 +20,8 @@ from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
                    region_mask, write_field_csv)
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
                     RateFunction, ValidationReport, validate_hypotheses)
-from .observability import (ObservabilityConfig, ObservabilityReport, ThresholdReport,
-                            estimate_observability_constant, forced_terminal_mask,
-                            observability_ratio, threshold_margins,
-                            unreachable_from_window)
+from .observability import (ObservabilityConfig, ObservabilityReport,
+                            estimate_observability_constant, observability_ratio)
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __version__ = "0.1.0"
@@ -35,10 +33,9 @@ __all__ = [
     "EpsilonSchedule", "Fertility", "Field2D", "FixedPointConfig", "FixedPointState",
     "FrozenOperator", "NumericalFailure", "ObservabilityConfig", "ObservabilityReport",
     "PenaltyProblem", "PopctrlError", "RateFunction", "Scenario", "StateSolution",
-    "ThresholdReport", "ValidationReport", "build_grid", "contraction_test",
-    "duality_residual", "estimate_observability_constant", "forced_terminal_mask",
-    "integrate_age", "iterate_to_fixed_point", "load_scenario", "minimize_penalty",
-    "observability_ratio", "parse_scenario", "read_field_csv", "region_mask",
-    "solve_adjoint", "solve_forward", "synthesize_null_control", "threshold_margins",
-    "trace_map", "unreachable_from_window", "validate_hypotheses", "write_field_csv",
+    "ValidationReport", "build_grid", "contraction_test", "duality_residual",
+    "estimate_observability_constant", "integrate_age", "iterate_to_fixed_point",
+    "load_scenario", "minimize_penalty", "observability_ratio", "parse_scenario",
+    "read_field_csv", "region_mask", "solve_adjoint", "solve_forward",
+    "synthesize_null_control", "trace_map", "validate_hypotheses", "write_field_csv",
 ]

@@ -34,17 +34,13 @@ from .errors import ConsistencyError
 from .forward import (FrozenOperator, _as_profile, _control_values, control_masks,
                       terminal_weights)
 from .grid import Field2D, lattice_inner, region_weights
-from .model import ControlMode
 
 
 @dataclass
 class AdjointSolution:
     n: Field2D
     l: Field2D
-    n0_trace: np.ndarray
-    l0_trace: np.ndarray
     frozen_trace: np.ndarray
-    mode: ControlMode = ControlMode.BOTH
     # duality-consistent arrays: terminal level carries trapezoid half
     # weights, the female one includes the same-level nonlocal feedback
     n_eff: np.ndarray = dc_field(default=None, repr=False)
@@ -83,9 +79,7 @@ def solve_adjoint(model, grid, geom, n_T, l_T, frozen_trace):
     l_rows[:, nt] = q_f
     return AdjointSolution(
         n=Field2D(grid, n_rows), l=Field2D(grid, l_rows),
-        n0_trace=n_rows[0, :].copy(), l0_trace=l_rows[0, :].copy(),
-        frozen_trace=np.array(frozen_trace, dtype=float), mode=geom.mode,
-        n_eff=n_eff, l_eff=l_eff,
+        frozen_trace=np.array(frozen_trace, dtype=float), n_eff=n_eff, l_eff=l_eff,
     )
 
 

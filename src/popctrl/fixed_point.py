@@ -51,7 +51,6 @@ class ContractionConfig:
 @dataclass
 class FixedPointState:
     trace: np.ndarray
-    male_trace: np.ndarray
     history: list
     converged: bool
     flags: list = dc_field(default_factory=list)
@@ -151,7 +150,7 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
             if flag not in result.flags:
                 result.flags.append(flag)
     state = FixedPointState(
-        trace=p, male_trace=nonlinear.fertile_male_trace.copy(), history=history,
+        trace=p, history=history,
         converged=converged_all and FLAG_FIXED_POINT_NOT_REACHED not in flags, flags=flags)
     return state, result, nonlinear
 
@@ -163,8 +162,6 @@ class ContractionReport:
     ratios: list
     bound: float
     trials: int
-    seed: int
-    y_sup: float
 
 
 def contraction_test(model, grid, m0, f0, *, config=ContractionConfig(), seed=0):
@@ -232,5 +229,4 @@ def contraction_test(model, grid, m0, f0, *, config=ContractionConfig(), seed=0)
         ratios.append(metric(dm) / denom)
     return ContractionReport(
         sigma_hat=sigma_hat, max_ratio=max(ratios) if ratios else 0.0,
-        ratios=ratios, bound=1.0 / np.sqrt(2.0) + 0.1, trials=config.trials, seed=seed,
-        y_sup=y_sup)
+        ratios=ratios, bound=1.0 / np.sqrt(2.0) + 0.1, trials=config.trials)

@@ -20,10 +20,10 @@ adjoint reproduces exactly (the `boundary_factor` below).
 For a frozen trace the map is linear, and `FrozenOperator` holds everything
 its forward map and exact transpose need, built once per trace;
 `FrozenOperator.retrace` gives the operator of another trace that shares
-every trace-independent table.  Both take a single age profile or an
-(N+1) x k block of columns; every per-column operation is the one the
-single-column call performs, so a block equals k single columns bit for
-bit.
+every trace-independent table.  The forward map takes a single age
+profile; the adjoint also takes an (N+1) x k block of columns, and solves
+each column as the single-column call does, so a block equals k single
+columns bit for bit.
 
 `FrozenOperator.forward` (the whole lattice) always runs the step loop,
 and `solve_forward` with a frozen trace packages its result.  The parts
@@ -145,11 +145,15 @@ def spike_terms(spikes, weights, levels):
     return diag, weighted
 
 
-def _as_profile(values, grid, name):
+def _shaped(values, shape, name):
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.num_age_cells + 1,):
-        raise DimensionError(f"{name} has shape {arr.shape}, expected "
-                             f"({grid.num_age_cells + 1},)")
+    if arr.shape != shape:
+        raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _as_profile(values, grid, name):
+    arr = _shaped(values, (grid.num_age_cells + 1,), name)
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite values")
     return arr
@@ -162,10 +166,7 @@ def _control_values(v, grid, name):
         if v.grid != grid:
             raise ConsistencyError(f"{name} lives on a different grid")
         return v.values
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (grid.num_age_cells + 1, grid.num_time_cells + 1):
-        raise DimensionError(f"{name} has shape {arr.shape}")
-    return arr
+    return _shaped(v, (grid.num_age_cells + 1, grid.num_time_cells + 1), name)
 
 
 class _Transport:
@@ -199,47 +200,29 @@ class _Transport:
         self.age_profile = (np.asarray(fertility.age_profile(self.ages), dtype=float)
                             if fertility.separable else None)
 
-    @staticmethod
-    def _block(values, extra_dims=0):
-        arr = np.asarray(values, dtype=float)
-        lead = arr.ndim - extra_dims
-        if lead not in (1, 2):
-            raise DimensionError(f"expected a profile or a block of columns, "
-                                 f"got shape {arr.shape}")
-        return arr if lead == 2 else arr[..., None]
-
-    @staticmethod
-    def _unblock(arrays, single):
-        return tuple(a[..., 0] for a in arrays) if single else arrays
-
     def _step_loop(self, m0, f0, v_m, v_f, fertility_row):
         """Forward sweep; returns (m, f, fertile-male trace, birth trace).
 
+        ``m0``/``f0`` are (N+1,) profiles and the controls None or
+        (N+1, Nt+1) lattice arrays; the callers check them.
         ``fertility_row(j, male)`` returns the fertility over the age nodes
-        at level j; ``male`` is the male block its argument would integrate:
-        the whole initial block at level 0, the transported interior rows
-        before the births at level j >= 1.  Shapes as in
-        ``FrozenOperator.forward``.
+        at level j; ``male`` is the male profile its argument would
+        integrate: the whole initial profile at level 0, the transported
+        interior rows before the births at level j >= 1.
         """
         na, nt = self.grid.num_age_cells, self.grid.num_time_cells
         h = self.grid.step
-        single = np.ndim(m0) == 1
-        m0, f0 = self._block(m0), self._block(f0)
-        vm = None if v_m is None else self._block(v_m, extra_dims=1)
-        vf = None if v_f is None else self._block(v_f, extra_dims=1)
-        k = m0.shape[1]
-        s_m, s_f = self.s_m[1:, None], self.s_f[1:, None]
+        s_m, s_f = self.s_m[1:], self.s_f[1:]
         lam, wa = self.lam, self.wa
         gamma = self.gamma
-        hmask_m = (h * self.mask_m[1:])[:, None]
-        hmask_f = (h * self.mask_f[1:])[:, None]
+        hmask_m, hmask_f = h * self.mask_m[1:], h * self.mask_f[1:]
 
-        m = np.zeros((na + 1, nt + 1, k))
-        f = np.zeros((na + 1, nt + 1, k))
+        m = np.zeros((na + 1, nt + 1))
+        f = np.zeros((na + 1, nt + 1))
         m[:, 0] = m0
         f[:, 0] = f0
-        male_trace = np.zeros((nt + 1, k))
-        birth_trace = np.zeros((nt + 1, k))
+        male_trace = np.zeros(nt + 1)
+        birth_trace = np.zeros(nt + 1)
         # interior weights exclude node 0: the male weight and the fertility both
         # contribute nothing there under the standing hypotheses
         wa_int = wa[1:]
@@ -247,10 +230,8 @@ class _Transport:
         beta = fertility_row(0, m0)
         # one boundary sweep: exact when fertility vanishes at age zero
         factor = 1.0 + gamma * wa[0] * beta[0]
-        for c in range(k):
-            male_trace[0, c] = float(np.dot(wa, lam * m0[:, c]))
-            birth0 = float(np.dot(wa_int, beta[1:] * f0[1:, c]))
-            birth_trace[0, c] = factor * birth0
+        male_trace[0] = float(np.dot(wa, lam * m0))
+        birth_trace[0] = factor * float(np.dot(wa_int, beta[1:] * f0[1:]))
 
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(nt):
@@ -258,28 +239,25 @@ class _Transport:
                 mt, ft = m[1:, n + 1], f[1:, n + 1]
                 np.multiply(s_m, m[:-1, n], out=mt)
                 np.multiply(s_f, f[:-1, n], out=ft)
-                if vm is not None:
-                    mt += hmask_m * vm[1:, n + 1]
-                if vf is not None:
-                    ft += hmask_f * vf[1:, n + 1]
+                if v_m is not None:
+                    mt += hmask_m * v_m[1:, n + 1]
+                if v_f is not None:
+                    ft += hmask_f * v_f[1:, n + 1]
                 beta = fertility_row(n + 1, mt)
-                beta_int = beta[1:]
                 factor = 1.0 + gamma * wa[0] * beta[0]
-                for c in range(k):
-                    births = float(np.dot(wa_int, beta_int * ft[:, c])) * factor
-                    m[0, n + 1, c] = (1.0 - gamma) * births
-                    f[0, n + 1, c] = gamma * births
-                    birth_trace[n + 1, c] = births
-                    male_trace[n + 1, c] = float(np.dot(wa, lam * m[:, n + 1, c]))
+                births = float(np.dot(wa_int, beta[1:] * ft)) * factor
+                m[0, n + 1] = (1.0 - gamma) * births
+                f[0, n + 1] = gamma * births
+                birth_trace[n + 1] = births
+                male_trace[n + 1] = float(np.dot(wa, lam * m[:, n + 1]))
         # one check of levels 1..Nt; the first non-finite level is searched
         # for only when there is one
         if not (np.isfinite(m[:, 1:]).all() and np.isfinite(f[:, 1:]).all()):
-            finite = (np.isfinite(m[:, 1:]).all(axis=(0, 2))
-                      & np.isfinite(f[:, 1:]).all(axis=(0, 2)))
+            finite = np.isfinite(m[:, 1:]).all(axis=0) & np.isfinite(f[:, 1:]).all(axis=0)
             step = int(np.argmin(finite)) + 1
             raise NumericalFailure(f"forward solve lost finiteness at step {step}",
                                    step=step)
-        return self._unblock((m, f, male_trace, birth_trace), single)
+        return m, f, male_trace, birth_trace
 
 
 class FrozenOperator(_Transport):
@@ -291,8 +269,9 @@ class FrozenOperator(_Transport):
     ``response`` at every level, the factors of that table, and the
     closed forms of ``_Renewal`` built from them on first use.
 
-    Profiles are (N+1,) arrays or (N+1) x k blocks whose columns are
-    independent right-hand sides; results keep the column axis last.
+    The forward map takes (N+1,) profiles.  The adjoint takes (N+1,)
+    arrays or (N+1) x k blocks whose columns are independent right-hand
+    sides; its results keep the column axis last.
     """
 
     def __init__(self, model, grid, geom, trace):
@@ -349,13 +328,21 @@ class FrozenOperator(_Transport):
     def forward(self, m0, f0, v_m=None, v_f=None):
         """Forward sweep; returns (m, f, fertile-male trace, birth trace).
 
-        ``m0``/``f0`` are (N+1,) or (N+1, k); controls are None or full
-        lattice arrays of shape (N+1, Nt+1) or (N+1, Nt+1, k) to match.
-        Raises NumericalFailure with the first step, in any column, at which
-        the solution stops being finite; the lattice is checked once, after
-        the sweep.
+        ``m0``/``f0`` are (N+1,) profiles; controls are None or full lattice
+        arrays of shape (N+1, Nt+1).  Raises DimensionError naming a wrong
+        shape, and NumericalFailure with the first step at which the
+        solution stops being finite; the lattice is checked once, after the
+        sweep.
         """
-        return self._step_loop(m0, f0, v_m, v_f, lambda j, male: self.beta[j])
+        return self._step_loop(*self._arguments(m0, f0, v_m, v_f),
+                               lambda j, male: self.beta[j])
+
+    def _arguments(self, m0, f0, v_m, v_f):
+        """The profiles and controls of ``forward`` as float arrays of their
+        shapes; their values are not checked."""
+        size = (self.grid.num_age_cells + 1,)
+        return (_shaped(m0, size, "m0"), _shaped(f0, size, "f0"),
+                _control_values(v_m, self.grid, "v_m"), _control_values(v_f, self.grid, "v_f"))
 
     def adjoint_levels(self, work_n, work_l, visit):
         """Backward sweep from weighted terminal work blocks, level by level.
@@ -382,6 +369,14 @@ class FrozenOperator(_Transport):
             self._backward(wn, wl, self._check_finite)
             raise NumericalFailure("adjoint solve lost finiteness at level 0", step=0)
         visit(0, n_0, l_0, l_0)
+
+    @staticmethod
+    def _block(values):
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim not in (1, 2):
+            raise DimensionError(f"expected a profile or a block of columns, "
+                                 f"got shape {arr.shape}")
+        return arr if arr.ndim == 2 else arr[:, None]
 
     def _work_blocks(self, work_n, work_l):
         """The work arrays as (N+1) x k blocks of matching shape."""
@@ -436,9 +431,9 @@ class FrozenOperator(_Transport):
         any other the backward sweep.  Raises NumericalFailure naming the
         level at which the sweep stops being finite.
         """
-        single = np.ndim(work_n) == 1
         n, l, l_eff = self._adjoint_lattices(work_n, work_l, keep_l=True)
-        return self._unblock((n, l, n.copy(), l_eff), single)
+        lattices = (n, l, n.copy(), l_eff)
+        return tuple(a[..., 0] for a in lattices) if np.ndim(work_n) == 1 else lattices
 
     def adjoint_images(self, work_n, work_l):
         """The (n, l_eff) lattice blocks of the adjoint, (N+1) x (Nt+1) x k:
@@ -474,10 +469,10 @@ class FrozenOperator(_Transport):
         trace at every level, (Nt+1,), and the stacked terminal (male, female)
         profiles, (2(N+1),).
 
-        Single column; arguments as in ``forward``.  Separable fertility takes
-        the closed form of ``_Levels.observe``, any other the step loop.
-        Raises NumericalFailure naming the first step at which the step loop
-        stops being finite.
+        Arguments as in ``forward``.  Separable fertility takes the closed
+        form of ``_Levels.observe``, any other the step loop.  Raises
+        DimensionError naming a wrong shape, and NumericalFailure naming the
+        first step at which the step loop stops being finite.
         """
         return self._observe(m0, f0, v_m, v_f, male=True)
 
@@ -489,8 +484,7 @@ class FrozenOperator(_Transport):
     def _observe(self, m0, f0, v_m, v_f, male):
         """``observe``; the closed form skips the male trace (None) unless
         ``male``."""
-        if np.ndim(m0) != 1 or np.ndim(f0) != 1:
-            raise DimensionError("observe takes single age profiles")
+        m0, f0, v_m, v_f = self._arguments(m0, f0, v_m, v_f)
         if self.age_profile is None:
             m, f, male_trace, _ = self.forward(m0, f0, v_m, v_f)
             return male_trace, np.concatenate([m[:, -1], f[:, -1]])
@@ -505,8 +499,7 @@ class FrozenOperator(_Transport):
                 source = np.zeros(shape)
                 np.multiply((h * mask[1:])[:, None], v[1:, 1:], out=source[1:, 1:])
             sources.append(source)
-        male_trace, terminal = self._renewal_levels().observe(
-            np.asarray(m0, dtype=float), np.asarray(f0, dtype=float), *sources, male)
+        male_trace, terminal = self._renewal_levels().observe(m0, f0, *sources, male)
         if not (np.isfinite(terminal).all()
                 and (male_trace is None or np.isfinite(male_trace).all())):
             self.forward(m0, f0, v_m, v_f)  # names the first non-finite step
@@ -956,7 +949,7 @@ def solve_forward(model, grid, geom, v_m, v_f, m0, f0, frozen_trace=None):
             # level 0 weighs the whole initial profile, later levels the
             # transported interior rows before the births
             cut = 0 if j == 0 else 1
-            level_p = float(np.dot(wa[cut:], lam[cut:] * male[:, 0]))
+            level_p = float(np.dot(wa[cut:], lam[cut:] * male))
             if profile is None:
                 return np.asarray(fertility(ages, level_p), dtype=float)
             # the products phi(a) r(p) of a per-level call, from one scalar

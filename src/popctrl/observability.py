@@ -1,4 +1,4 @@
-"""Numerical probes of the observability inequalities and time thresholds.
+"""Numerical probes of the observability inequalities.
 
 The observability constant is estimated from below: the maximum over
 random terminal data of the quotient (initial adjoint energy) / (adjoint
@@ -27,7 +27,7 @@ of a ``forced_terminal_mask`` is ``grid.integrate_age`` of the mask.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import DomainError, set_checked
 from .forward import FrozenOperator, control_masks, control_windows, stacked_terminal_weights
 from .gramian import pencil_maximum
 from .grid import lattice_inner
-from .model import ControlMode
 
 INFINITE_QUOTIENT = math.inf
 
@@ -58,15 +57,10 @@ class ObservabilityConfig:
 @dataclass
 class ObservabilityReport:
     estimated_constant: float
-    quotient_samples: list
     threshold_margin: float
-    mode: ControlMode
     diverged: bool
-    estimates_by_trace: list = dc_field(default_factory=list)
     trace_spread: float = 0.0
     power_estimate: float = None
-    grid_step: float = 0.0
-    geometry: object = None
 
 
 def _quotients(op, n_T, l_T):
@@ -187,7 +181,6 @@ def estimate_observability_constant(model, grid, geom, traces, *,
     n_block, l_block = np.split(np.stack(data, axis=1), 2)
 
     estimates = []
-    all_samples = []
     diverged = False
     power_best = None
 
@@ -215,7 +208,6 @@ def estimate_observability_constant(model, grid, geom, traces, *,
                 diverged = True
                 estimate = INFINITE_QUOTIENT
         estimates.append(estimate)
-        all_samples.extend(samples)
 
     low, high = min(estimates), max(estimates)
     spread = 0.0
@@ -224,55 +216,15 @@ def estimate_observability_constant(model, grid, geom, traces, *,
         spread = high / low - 1.0 if low > 0 else math.inf
     return ObservabilityReport(
         estimated_constant=high,
-        quotient_samples=all_samples,
         threshold_margin=geom.time_margin(grid.max_age),
-        mode=geom.mode,
         diverged=diverged,
-        estimates_by_trace=estimates,
         trace_spread=spread,
         power_estimate=power_best,
-        grid_step=grid.step,
-        geometry=geom,
     )
 
 
 # ---------------------------------------------------------------------------
-# geometric thresholds and characteristic cones
-
-
-@dataclass
-class ThresholdReport:
-    margin_pair: float        # horizon - (a1 + A - a2): coupled and female-only
-    margin_male: float        # horizon - (A - a2): male-only
-    tail_witness: dict        # a0, kappa certifying the tail vanishing
-    trace_witness: dict       # a0, kappa certifying the trace-window inequality
-
-
-def threshold_margins(geom, max_age):
-    """Margins of the strict time conditions plus explicit witnesses.
-
-    The witnesses realize the constructions behind the vanishing of the
-    male adjoint tail (slack inside (a1, a2), needs horizon > A - a2) and
-    the trace-window chain (needs horizon > a1 + A - a2); both are None
-    when the corresponding margin is not strictly positive.
-    """
-    a1, a2 = geom.male_window
-    t_hor = geom.horizon
-    margin_pair = geom.time_margin(max_age, ControlMode.BOTH)
-    margin_male = geom.time_margin(max_age, ControlMode.MALE_ONLY)
-    tail_witness = None
-    if margin_male > 0:
-        kappa = min(margin_male, a2 - a1) / 2.0
-        tail_witness = {"a0": a2 - kappa, "kappa": kappa}
-    trace_witness = None
-    if margin_pair > 0:
-        kappa = min(margin_pair, a2 - a1) / 4.0
-        a0 = a2 - kappa
-        trace_witness = {"a0": a0, "kappa": kappa,
-                         "trace_window": t_hor - (a1 + kappa),
-                         "tail_window": max_age - a0}
-    return ThresholdReport(margin_pair=margin_pair, margin_male=margin_male,
-                           tail_witness=tail_witness, trace_witness=trace_witness)
+# characteristic cones
 
 
 def unreachable_from_window(grid, window, horizon):

@@ -29,12 +29,12 @@ def make_grid(scenario):
                       scenario.target_h)
 
 
-def uncontrolled_trace(scenario, grid):
-    """Fertile-male trace of the uncontrolled nonlinear solve.
+def uncontrolled_trace(scenario, grid, m0, f0):
+    """Fertile-male trace of the uncontrolled nonlinear solve from the
+    initial profiles ``m0``, ``f0`` sampled on ``grid``.
 
     This is the default frozen trace for the linear auxiliary pipelines.
     """
-    m0, f0 = scenario.sample_initial(grid)
     state = solve_forward(scenario.model, grid, scenario.geometry, None, None, m0, f0)
     return state.fertile_male_trace
 
@@ -101,12 +101,12 @@ def cmd_adjoint(scenario, outdir, seed, log):
             "adjoint command needs a 'terminal' section with n_T and/or l_T")
     grid = make_grid(scenario)
     n_T, l_T = scenario.sample_terminal(grid)
-    trace = uncontrolled_trace(scenario, grid)
+    trace = uncontrolled_trace(scenario, grid, *scenario.sample_initial(grid))
     adj = solve_adjoint(scenario.model, grid, scenario.geometry, n_T, l_T, trace)
     write_field_csv(os.path.join(outdir, "n.csv"), adj.n)
     write_field_csv(os.path.join(outdir, "l.csv"), adj.l)
     _write_csv(os.path.join(outdir, "traces.csv"), ["t", "n0", "l0"],
-               zip(grid.times(), adj.n0_trace, adj.l0_trace))
+               zip(grid.times(), adj.n.values[0], adj.l.values[0]))
     wa = grid.age_weights()
     scalars = {
         "initial_n_norm": float(np.sqrt(wa @ adj.n.values[:, 0] ** 2)),
@@ -135,7 +135,7 @@ def _null_control(scenario):
     trace of the uncontrolled solve."""
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
-    trace = uncontrolled_trace(scenario, grid)
+    trace = uncontrolled_trace(scenario, grid, m0, f0)
     return grid, synthesize_null_control(scenario.penalty, scenario.model, grid,
                                          scenario.geometry, trace, m0, f0)
 
@@ -200,7 +200,7 @@ def cmd_contraction(scenario, outdir, seed, log):
 
 
 def _observability_traces(scenario, grid, count):
-    base = uncontrolled_trace(scenario, grid)
+    base = uncontrolled_trace(scenario, grid, *scenario.sample_initial(grid))
     scales = [1.0, 0.5, 1.5, 0.25, 2.0, 0.75]
     traces = []
     for k in range(count):

@@ -90,7 +90,7 @@ def test_trace_support_propagation(model, geometry):
                         np.zeros(g.num_time_cells + 1))
     times = g.times()
     silent = times > 0.35 - rho + g.step + 1e-12
-    assert np.all(adj.n0_trace[silent] == 0.0)
+    assert np.all(adj.n.values[0, silent] == 0.0)
 
 
 def test_male_equation_autonomous(model, geometry, grid):
@@ -251,7 +251,7 @@ def test_nonlocal_trace_ratio_recorded(model, geometry):
         adj = solve_adjoint(model, g, geometry, n_T,
                             np.zeros(g.num_age_cells + 1),
                             np.zeros(g.num_time_cells + 1))
-        numerator = float(np.sum(g.step * adj.n0_trace[early] ** 2))
+        numerator = float(np.sum(g.step * adj.n.values[0, early] ** 2))
         denominator = region_inner(g, mask, adj.n_eff, adj.n_eff)
         if denominator > 0:
             ratios.append(numerator / denominator)

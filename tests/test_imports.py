@@ -47,5 +47,7 @@ def test_every_public_name_imports():
     import popctrl
 
     assert [name for name in popctrl.__all__ if not hasattr(popctrl, name)] == []
-    retired = {"evaluate_objective", "objective_gradient", "fertile_male_integral"}
+    retired = {"evaluate_objective", "objective_gradient", "fertile_male_integral",
+               "threshold_margins", "ThresholdReport", "forced_terminal_mask",
+               "unreachable_from_window"}
     assert retired.isdisjoint(popctrl.__all__)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, build_grid,
-                     estimate_observability_constant, forced_terminal_mask, integrate_age,
-                     observability_ratio, solve_forward, threshold_margins,
-                     unreachable_from_window)
+                     estimate_observability_constant, integrate_age, observability_ratio,
+                     solve_forward)
 from popctrl import observability as obs
+from popctrl.observability import forced_terminal_mask, unreachable_from_window
 from popctrl.errors import DomainError
 from popctrl.forward import terminal_weights
 
@@ -117,32 +117,6 @@ class TestEstimate:
             seed=0)
         assert rep.diverged
         assert math.isinf(rep.estimated_constant)
-
-
-class TestThresholds:
-    def test_witnesses_exist_above_threshold(self):
-        geom = ControlGeometry(male_window=(0.2, 0.9), female_window=(0.1, 0.95),
-                               horizon=0.2 + 1.0 - 0.9 + 0.1)
-        report = threshold_margins(geom, 1.0)
-        assert report.margin_pair == pytest.approx(0.1)
-        w = report.trace_witness
-        assert w is not None and w["kappa"] < (0.9 - 0.2) / 2
-        assert geom.horizon - (0.2 + w["kappa"]) > 1.0 - w["a0"]
-
-    def test_no_witness_at_equality(self):
-        geom = ControlGeometry(male_window=(0.2, 0.9), female_window=(0.1, 0.95),
-                               horizon=0.2 + 1.0 - 0.9)
-        report = threshold_margins(geom, 1.0)
-        assert report.margin_pair == pytest.approx(0.0)
-        assert report.trace_witness is None
-
-    def test_window_reaching_max_age(self):
-        geom = ControlGeometry(male_window=(0.2, 1.0), female_window=(0.1, 1.0),
-                               horizon=0.25)
-        report = threshold_margins(geom, 1.0)
-        assert report.margin_pair == pytest.approx(0.05)
-        assert report.trace_witness is not None
-        assert report.tail_witness is not None
 
 
 class TestCones:

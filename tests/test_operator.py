@@ -1,9 +1,10 @@
-"""The frozen-trace operator: block sweeps against single-column sweeps,
+"""The frozen-trace operator: adjoint blocks against single-column sweeps,
 duality and gradients through one operator, and the batched observability
 assembly against per-vector adjoint solves."""
 
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def _geometry(mode, horizon=0.5, target_min_age=0.0):
 
 
 def _column(arrays, c):
-    return tuple(a[..., c] for a in arrays)
+    return tuple(None if a is None else a[..., c] for a in arrays)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -54,22 +55,22 @@ def test_block_sweeps_equal_single_sweeps_bitwise(mode):
         else None
     work_n, work_l = r.standard_normal((na + 1, k)), r.standard_normal((na + 1, k))
 
-    block_fwd = op.forward(m0, f0, vm, vf)
     block_adj = op.adjoint(work_n, work_l)
     for c in range(k):
-        single_fwd = op.forward(m0[:, c], f0[:, c], None if vm is None else vm[..., c],
-                                None if vf is None else vf[..., c])
-        for got, want in zip(_column(block_fwd, c), single_fwd):
-            assert np.array_equal(got, want)
         for got, want in zip(_column(block_adj, c), op.adjoint(work_n[:, c], work_l[:, c])):
             assert np.array_equal(got, want)
-
-    # the public wrapper is the operator's single-column sweep
-    state = solve_forward(model, grid, geom, None if vm is None else vm[..., 0],
-                          None if vf is None else vf[..., 0], m0[:, 0], f0[:, 0],
-                          frozen_trace=op.trace)
-    assert np.array_equal(state.m.values, block_fwd[0][..., 0])
-    assert np.array_equal(state.fertile_male_trace, block_fwd[2][:, 0])
+        # the forward map of a strided column is that of its contiguous copy,
+        # and the public wrapper is the operator's sweep
+        columns = _column((m0, f0, vm, vf), c)
+        fwd = op.forward(*columns)
+        for got, want in zip(fwd, op.forward(*(None if a is None else a.copy()
+                                                for a in columns))):
+            assert np.array_equal(got, want)
+        state = solve_forward(model, grid, geom, *columns[2:], *columns[:2],
+                              frozen_trace=op.trace)
+        for got, want in zip((state.m.values, state.f.values, state.fertile_male_trace,
+                              state.birth_trace), fwd):
+            assert np.array_equal(got, want)
 
 
 def test_non_finite_column_raises_with_level():
@@ -83,10 +84,10 @@ def test_non_finite_column_raises_with_level():
     with pytest.raises(NumericalFailure) as info:
         op.adjoint(work, np.ones((na + 1, 3)))
     assert info.value.step == nt - 1
-    m0 = np.ones((na + 1, 3))
-    m0[3, 2] = np.nan
+    m0 = np.ones(na + 1)
+    m0[3] = np.nan
     with pytest.raises(NumericalFailure) as info:
-        op.forward(m0, np.ones((na + 1, 3)))
+        op.forward(m0, np.ones(na + 1))
     assert info.value.step == 1
 
 
@@ -115,16 +116,13 @@ def test_forward_reports_the_first_non_finite_level(bad, slot, where):
     level = {"first": 1, "middle": nt // 2, "last": nt}[where]
     op = FrozenOperator(reference_model(), grid, _geometry(ControlMode.BOTH),
                         np.ones(nt + 1))
-    k = 3
-    controls = {s: np.zeros((na + 1, nt + 1, k)) for s in ("male", "female")}
-    controls[slot][na // 2, level, 1] = bad  # age 0.5, inside both windows
+    controls = {s: np.zeros((na + 1, nt + 1)) for s in ("male", "female")}
+    controls[slot][na // 2, level] = bad  # age 0.5, inside both windows
     with pytest.raises(NumericalFailure) as info:
-        op.forward(np.ones((na + 1, k)), np.ones((na + 1, k)),
-                   controls["male"], controls["female"])
+        op.forward(np.ones(na + 1), np.ones(na + 1), controls["male"], controls["female"])
     assert info.value.step == level
-    finite = [0, 2]
-    op.forward(np.ones((na + 1, 2)), np.ones((na + 1, 2)),
-               controls["male"][..., finite], controls["female"][..., finite])
+    controls[slot][na // 2, level] = 0.0
+    op.forward(np.ones(na + 1), np.ones(na + 1), controls["male"], controls["female"])
 
 
 @pytest.mark.parametrize("fault", ["beta", "column"])
@@ -187,15 +185,13 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
     vf = r.standard_normal((na + 1, nt + 1, k))
     q_m, q_f = r.standard_normal((na + 1, k)), r.standard_normal((na + 1, k))
     theta = (grid.age_weights() / grid.step)[:, None]
-    m, f, male_trace, birth_trace = op.forward(
-        np.repeat(m0[:, None], k, axis=1), np.repeat(f0[:, None], k, axis=1), vm, vf)
     n, l, n_eff, l_eff = op.adjoint(theta * q_m, theta * q_f)
     for c in range(k):
-        state = StateSolution(m=Field2D(grid, m[..., c]), f=Field2D(grid, f[..., c]),
-                              fertile_male_trace=male_trace[:, c],
-                              birth_trace=birth_trace[:, c], frozen_trace=op.trace)
+        m, f, male_trace, birth_trace = op.forward(m0, f0, vm[..., c], vf[..., c])
+        state = StateSolution(m=Field2D(grid, m), f=Field2D(grid, f),
+                              fertile_male_trace=male_trace, birth_trace=birth_trace,
+                              frozen_trace=op.trace)
         adj = AdjointSolution(n=Field2D(grid, n[..., c]), l=Field2D(grid, l[..., c]),
-                              n0_trace=n[0, :, c], l0_trace=l[0, :, c],
                               frozen_trace=op.trace, n_eff=n_eff[..., c],
                               l_eff=l_eff[..., c])
         residual, scale = duality_residual(
@@ -240,7 +236,7 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
     closed_observe = forward_module._Levels.observe
 
     def counting_forward(self, m0, f0, v_m=None, v_f=None):
-        widths["forward"].append(1 if np.ndim(m0) == 1 else np.shape(m0)[1])
+        widths["forward"].append(1)
         return forward(self, m0, f0, v_m, v_f)
 
     def counting_levels(self, work_n, work_l, visit):
@@ -759,7 +755,35 @@ def test_operator_blocks_checked():
     op = FrozenOperator(model, grid, _geometry(ControlMode.BOTH), trace)
     size = grid.num_age_cells + 1
     with pytest.raises(DimensionError, match="expected a profile or a block of columns"):
-        op.forward(np.zeros((size, 2, 2)), np.zeros((size, 2, 2)))
+        op.adjoint(np.zeros((size, 2, 2)), np.zeros((size, 2, 2)))
     with pytest.raises(DimensionError, match=r"work blocks have shapes \(%d, 1\) and \(%d, 2\)"
                        % (size, size)):
         op.adjoint(np.zeros(size), np.zeros((size, 2)))
+
+
+_BAD_SHAPES = {
+    "extra_level": ("v_m", lambda size, levels: (size, levels + 1)),
+    "missing_level": ("v_m", lambda size, levels: (size, levels - 1)),
+    "missing_age": ("v_f", lambda size, levels: (size - 1, levels)),
+    "column_axis": ("v_f", lambda size, levels: (size, levels, 1)),
+    "profile_block": ("m0", lambda size, levels: (size, 2)),
+}
+
+
+@pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
+                         ids=["separable", "expr"])
+@pytest.mark.parametrize("method", ["forward", "observe"])
+@pytest.mark.parametrize("case", list(_BAD_SHAPES))
+def test_forward_shapes_checked(make_model, method, case):
+    # a profile is (N+1,) and a control (N+1, Nt+1); any other shape is named,
+    # a control with a level too many included
+    grid = build_grid(1.0, 0.35, 1.0 / 32)
+    size, levels = grid.num_age_cells + 1, grid.num_time_cells + 1
+    op = FrozenOperator(make_model(), grid, _geometry(ControlMode.BOTH), np.ones(levels))
+    args = {"m0": np.ones(size), "f0": np.ones(size), "v_m": np.zeros((size, levels)),
+            "v_f": np.zeros((size, levels))}
+    getattr(op, method)(**args)
+    slot, shape = _BAD_SHAPES[case]
+    args[slot] = np.zeros(shape(size, levels))
+    with pytest.raises(DimensionError, match=re.escape(f"{slot} has shape {args[slot].shape}")):
+        getattr(op, method)(**args)

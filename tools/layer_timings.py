@@ -63,7 +63,7 @@ def _layers(h, calls):
     from popctrl.model import Fertility
     from popctrl.observability import (ObservabilityConfig, _power_iteration,
                                        estimate_observability_constant)
-    from popctrl.pipelines import make_grid, uncontrolled_trace
+    from popctrl.pipelines import make_grid
     from popctrl.scenario import load_scenario
 
     scenario = load_scenario(os.path.join(ROOT, "scenarios", "example.json"))
@@ -71,7 +71,7 @@ def _layers(h, calls):
     model, geom, penalty = scenario.model, scenario.geometry, scenario.penalty
     grid = make_grid(scenario)
     m0, f0 = scenario.sample_initial(grid)
-    trace = uncontrolled_trace(scenario, grid)
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     op = FrozenOperator(model, grid, geom, trace)
     expr_model = dataclasses.replace(model, fertility=Fertility.expression(EXPR_FERTILITY))
     op_expr = FrozenOperator(expr_model, grid, geom, trace)
