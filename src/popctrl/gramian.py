@@ -8,7 +8,11 @@ direction sits in a diagonal block (`GramianBlocks`).  Every solve factors
 only a Schur complement on the min(Nt, N+1) dense directions: the
 penalised solve of a penalty stage, the pseudo-inverse, and the pencil of
 two forms that the observability power iteration climbs
-(``pencil_maximum``).  Callers pass and receive stacked terminal vectors.
+(``pencil_maximum``).  The pseudo-inverse counts the null directions from
+the eigenvalues of its Schur complement; when a gap separates them from
+the live ones, LU solves with the complement bordered by one column per
+null direction, and an LU inverse, give the rest, and no eigenvector is
+computed.  Callers pass and receive stacked terminal vectors.
 """
 
 import math
@@ -219,29 +223,89 @@ class GramianBlocks:
         null directions, both under ``null_cut``.
 
         Returns (solve, null_dense, null_spike, dead).  ``solve(y_dense,
-        y_spike)`` gives (x_dense, x_spike, y . x) for x = F^- y.  The null
-        directions are the dead spikes, flagged in ``dead``, and the null
-        vectors v of the Schur complement S = A - C Delta^+ C^T, lifted to
-        (v, -Delta^+ C^T v): the columns of (null_dense, null_spike).  S is
-        the only matrix eigendecomposed, and null_dense has as many columns
-        as rows exactly when S has no live eigenvalue.
+        y_spike)`` gives (x_dense, x_spike, y . x) for x = F^- y, where F^-
+        eliminates Delta by blocks and takes the Moore-Penrose inverse S^+ of
+        the Schur complement S = A - C Delta^+ C^T, so F F^- F = F.  The null
+        directions are the dead spikes, flagged in ``dead``, and an
+        orthonormal basis Q of the null space of S, lifted to
+        (Q, -Delta^+ C^T Q): the columns of (null_dense, null_spike).  The
+        eigenvalues of S at or below the cut
+        count them, and null_dense has as many columns as rows exactly when S
+        has no live eigenvalue.
+
+        S is formed as the syrk A - B B^T with B = C sqrt(Delta^+), so it is
+        exactly symmetric, and ``eigvalsh`` counts its null eigenvalues.  When
+        no live one lies within ``_GAP`` times the cut, ``_gap_split`` finds
+        S^+ and Q without eigenvectors; otherwise, or when its border is too
+        far from the null space, ``eigh`` splits S.  The syrk, ``eigvalsh``
+        and the LU and qr calls of ``_gap_split`` stay on the calling BLAS
+        thread at larger sizes than ``eigh`` (README, on BLAS threads).
         """
         cut = self.null_cut()
         live_spikes = self.diag > cut
         inv_diag = np.divide(1.0, self.diag, out=np.zeros_like(self.diag), where=live_spikes)
-        vals, vecs = np.linalg.eigh(self.schur(inv_diag))
-        live = vals > cut
-        null_dense = vecs[:, ~live]
+        half = self.cross * np.sqrt(inv_diag)
+        schur = self.dense - half @ half.T  # a syrk: exactly symmetric
+        vals = np.linalg.eigvalsh(schur)
+        null = int(np.count_nonzero(vals <= cut))
+        split = None
+        if null == vals.size or vals[null] > _GAP * cut:
+            split = _gap_split(schur, null, cut)
+        if split is None:
+            vals, vecs = np.linalg.eigh(schur)
+            live = vals > cut
+            whiten = vecs[:, live] / np.sqrt(vals[live])
+            split = whiten @ whiten.T, vecs[:, ~live]
+        generalized, null_dense = split
         null_spike = -inv_diag[:, None] * (self.cross.T @ null_dense)
-        whiten = vecs[:, live] / np.sqrt(vals[live])
+        reduced = self.cross * inv_diag  # C Delta^+
+        reduced_t = reduced.T
 
         def solve(y_dense, y_spike):
-            # |z|^2 + y . Delta^+ y = y . x
-            z = whiten.T @ (y_dense - self.cross @ (inv_diag * y_spike))
-            x_dense = whiten @ z
-            x_spike = inv_diag * (y_spike - self.cross.T @ x_dense)
-            return x_dense, x_spike, float(z @ z) + float(y_spike @ (inv_diag * y_spike))
+            x_dense = generalized @ (y_dense - reduced @ y_spike)
+            x_spike = inv_diag * y_spike - reduced_t @ x_dense
+            return x_dense, x_spike, float(y_dense @ x_dense) + float(y_spike @ x_spike)
         return solve, null_dense, null_spike, ~live_spikes
+
+
+_GAP = 1e3  # the least ratio of S's smallest live eigenvalue to the cut for _gap_split
+
+
+def _gap_split(schur, null, cut):
+    """(S^+, Q) of the Schur complement S, with Q an orthonormal basis of its
+    null space, when ``null`` eigenvalues of S lie at or below ``cut`` and
+    no live one within ``_GAP`` times it; None when the border below is too
+    far from the null space.  No eigenvector is computed.
+
+    S is bordered by a block U of one column per null direction: the last
+    columns of the inverse of [[S, U], [U^T, 0]] are [[V], [0]], with
+    U^T V = I and S V = 0, for any U that no null vector is orthogonal to;
+    ``null`` solves give them.  U is the unit vectors of the ``null``
+    directions of least diagonal, which a null vector concentrated on a few
+    directions favours, times t = trace S.  Q is V orthonormalised, S + t Q Q^T
+    is definite, and S^+ is its inverse less Q Q^T / t; that inverse and S
+    share their live eigenvectors, so no large terms cancel.  The null
+    eigenvalues are not exact zeros: S V is then about their size times |V|
+    over the cosine between U and the null space, and V leaves the null
+    space by their ratio to the smallest live one over that cosine.  A border
+    nearly orthogonal to the null space leaves the bordered matrix nearly
+    singular and V no null basis; |S V| above 10 cut |V| shows either.
+    """
+    size = schur.shape[0]
+    scale = float(np.trace(schur)) + cut
+    least = np.argsort(np.diagonal(schur), kind="stable")[:null]
+    bordered = np.zeros((size + null,) * 2)
+    bordered[:size, :size] = schur
+    bordered[least, size + np.arange(null)] = scale
+    bordered[size + np.arange(null), least] = scale
+    ends = np.zeros((size + null, null))
+    ends[size + np.arange(null), np.arange(null)] = 1.0
+    null_dense = np.linalg.solve(bordered, ends)[:size]
+    if np.linalg.norm(schur @ null_dense) > 10.0 * cut * np.linalg.norm(null_dense):
+        return None
+    null_dense = np.linalg.qr(null_dense)[0]
+    projection = null_dense @ null_dense.T
+    return np.linalg.inv(schur + scale * projection) - projection / scale, null_dense
 
 
 def _gram_blocks(live, cross, diag, basis):
@@ -286,33 +350,45 @@ def pencil_maximum(num, den, iters):
     """Lower estimate of the top eigenvalue of the pencil (N, D) of the forms
     ``num`` and ``den`` on one basis, the maximum of x . N x / x . D x.
 
-    math.inf when N has energy on a null direction of D's ``pseudo_inverse``,
+    math.inf when N has energy on the null space of D's ``pseudo_inverse``:
+    when its trace there, the sum of x . N x over an orthonormal basis of
+    the space, which is the same for every such basis, exceeds 1e-10 max|N|.
     0.0 when every direction is null.  Otherwise ``iters`` power steps: from
     the all-ones stacked x scaled to x . D x = 1, each forms y = N x, takes
     x . y as a quotient and moves to x = D^- y / sqrt(y . D^- y).
     """
     solve, null_dense, null_spike, dead = den.pseudo_inverse()
-    num_scale = max(num.max_abs(), 1e-300)
-    null_energy = np.r_[num.quadratic(null_dense, null_spike)
-                        / (np.sum(null_dense ** 2, axis=0) + np.sum(null_spike ** 2, axis=0)),
-                        num.diag[dead]]
-    if null_energy.size and float(np.max(null_energy)) > 1e-10 * num_scale:
+    # the lifted null directions Z are zero on the dead spikes, which are
+    # unit vectors on N's diagonal block: the trace is that of
+    # (Z^T Z)^-1 Z^T N Z plus N's diagonal on the dead spikes
+    f_dense, f_spike = num.apply(null_dense, null_spike)
+    restricted = np.linalg.solve(null_dense.T @ null_dense + null_spike.T @ null_spike,
+                                 null_dense.T @ f_dense + null_spike.T @ f_spike)
+    if np.trace(restricted) + np.sum(num.diag[dead]) > 1e-10 * max(num.max_abs(), 1e-300):
         return math.inf
-    if null_dense.shape[1] == null_dense.shape[0] and np.all(dead):
+    size = null_dense.shape[0]
+    if null_dense.shape[1] == size and np.all(dead):
         return 0.0  # every direction is null
 
     # start from the all-ones terminal direction, so the iterates do not
-    # depend on the signs or rotations of the eigenvectors
+    # depend on the null basis that D's pseudo_inverse picks
     x_dense, x_spike = den.basis.split(np.ones(2 * den.basis.size))
-    start = math.sqrt(float(den.quadratic(x_dense, x_spike)))
-    x_dense, x_spike = x_dense / start, x_spike / start
+    x = np.concatenate([x_dense, x_spike]) / math.sqrt(float(den.quadratic(x_dense, x_spike)))
+    # the steps carry x and y stacked, dense part first, in place, and N's
+    # dense rows as one block
+    rows, cross_t = np.hstack([num.dense, num.cross]), num.cross.T
+    y = np.empty_like(x)
+    x_dense, x_spike, y_dense, y_spike = x[:size], x[size:], y[:size], y[size:]
     best = 0.0
     for _ in range(max(1, iters)):
-        y_dense, y_spike = num.apply(x_dense, x_spike)
+        np.matmul(rows, x, out=y_dense)
+        np.multiply(num.diag, x_spike, out=y_spike)
+        y_spike += cross_t @ x_dense
         f_dense, f_spike, energy = solve(y_dense, y_spike)
-        norm = math.sqrt(energy)
-        if norm == 0.0:
+        if energy <= 0.0:  # y = 0, or D^- y null to rounding
             break
-        best = max(best, float(x_dense @ y_dense) + float(x_spike @ y_spike))
-        x_dense, x_spike = f_dense / norm, f_spike / norm
+        best = max(best, float(x @ y))
+        norm = math.sqrt(energy)
+        np.divide(f_dense, norm, out=x_dense)
+        np.divide(f_spike, norm, out=x_spike)
     return max(best, float(num.quadratic(x_dense, x_spike)))

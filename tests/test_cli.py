@@ -536,10 +536,11 @@ def test_blas_thread_count_moves_fields_only_in_the_last_bits(tmp_path):
     # the artifacts are byte-identical for one BLAS thread count; between 1
     # and 2 threads the flags and iterations hold and the fields agree to
     # rounding.  The variable is set for the child processes only.  The
-    # products at 80x28 may be too small for a second BLAS thread, so a
-    # 260x91 control runs too, and the observability sweep of the
-    # observe_sweep bench workload, whose eigh takes a second thread once the
-    # Schur complement is wider than 25 rows, as at each of its horizons
+    # products at 80x28 are too small for a second BLAS thread, so a 260x91
+    # control runs too, whose adjoint, observe, Gramian and Schur products
+    # take one; and the observability sweep of the observe_sweep bench
+    # workload, whose pseudo-inverses of 26, 49 and 64 dense rows stay on one
+    # thread (an eigh of them would take a second one from 26 rows)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     observe = json.loads(_read(EXAMPLE))
     observe["observability"] = {"horizons": [0.2, 0.35, 0.5], "male_lo": [0.2],

@@ -2,12 +2,19 @@
 penalised solve, the pseudo-inverse and its null directions, and the null
 cut that separates them."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from popctrl import ControlGeometry, ControlMode, build_grid, solve_forward
 from popctrl import observability as obs
+from popctrl.forward import FrozenOperator
+from popctrl.gramian import pencil_maximum
 
-from conftest import expr_fertility_model, reference_model
+from conftest import expr_fertility_model, reference_data, reference_model
 from test_gramian import _every_entry
 from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator
 
@@ -75,12 +82,17 @@ def test_pseudo_inverse_and_null_directions_match_the_matrix(make_model, mode,
         _check_pseudo_inverse(obs._quadratic_forms(op)[1])
 
 
-def _live_counts(den, null_cut):
-    """(live spikes, live eigenvalues of the Schur complement) under a cut."""
+def _schur_eigenvalues(den, null_cut):
+    """The eigenvalues of the Schur complement of the spikes above a cut."""
     live_spikes = den.diag > null_cut
     inv_diag = np.divide(1.0, den.diag, out=np.zeros_like(den.diag), where=live_spikes)
-    vals = np.linalg.eigvalsh(den.schur(inv_diag))
-    return int(np.sum(live_spikes)), int(np.sum(vals > null_cut))
+    return np.linalg.eigvalsh(den.schur(inv_diag))
+
+
+def _live_counts(den, null_cut):
+    """(live spikes, live eigenvalues of the Schur complement) under a cut."""
+    vals = _schur_eigenvalues(den, null_cut)
+    return int(np.sum(den.diag > null_cut)), int(np.sum(vals > null_cut))
 
 
 @pytest.mark.parametrize("mode, target_min_age", MODES)
@@ -99,3 +111,78 @@ def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_ag
             assert den.null_cut() >= eigen_cut
             assert _live_counts(den, den.null_cut()) == _live_counts(den, eigen_cut), \
                 (horizon, h)
+
+
+def _dense_pencil(num, den, iters):
+    """The power iteration of ``pencil_maximum`` on the expanded forms, and
+    the eigenvalues of the expanded denominator: their eigendecomposition,
+    under the denominator's ``null_cut``, gives its null space and whitens
+    the numerator."""
+    num_form, den_form = num.matrix(), den.matrix()
+    vals, vecs = np.linalg.eigh(den_form)
+    live = vals > den.null_cut()
+    null_space = vecs[:, ~live]
+    if np.sum(null_space * (num_form @ null_space)) > 1e-10 * max(num.max_abs(), 1e-300):
+        return math.inf, vals
+    if not np.any(live):
+        return 0.0, vals
+    root = np.sqrt(vals[live])
+    whiten = vecs[:, live] / root
+    reduced = whiten.T @ num_form @ whiten
+    z = root * (vecs[:, live].T @ np.ones(vals.size))
+    z /= np.linalg.norm(z)
+    best = 0.0
+    for _ in range(iters):
+        z_new = reduced @ z
+        best = max(best, float(z @ z_new))
+        z = z_new / np.linalg.norm(z_new)
+    return max(best, float(z @ reduced @ z)), vals
+
+
+_WINDOW = st.lists(st.integers(0, 20), min_size=2, max_size=2, unique=True) \
+    .map(lambda ends: (min(ends) / 20, max(ends) / 20))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(ControlMode)), male=_WINDOW, female=_WINDOW,
+       horizon=st.integers(2, 60).map(lambda j: j / 40),
+       target_min_age=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+       h=st.sampled_from([1.0 / 32, 1.0 / 40]),
+       make_model=st.sampled_from([reference_model, expr_fertility_model]))
+# past the maximal age with narrow windows the Schur complement has several
+# null directions, here three, one of them an exact zero; in the second
+# its eigenvalues run on through the cut (0.77 and 2.1 times it), so that
+# only eigenvectors split them
+@example(mode=ControlMode.BOTH, male=(0.0, 0.05), female=(0.05, 0.1), horizon=1.45,
+         target_min_age=0.0, h=1.0 / 32, make_model=reference_model)
+@example(mode=ControlMode.BOTH, male=(0.0, 0.05), female=(0.1, 0.15), horizon=1.425,
+         target_min_age=0.0, h=1.0 / 32, make_model=reference_model)
+def test_pseudo_inverse_and_pencil_match_the_dense_forms(mode, male, female, horizon,
+                                                         target_min_age, h, make_model):
+    # horizons below the time threshold, above it and past the maximal age
+    geom = ControlGeometry(male_window=male, female_window=female, horizon=horizon,
+                           target_min_age=target_min_age, mode=mode)
+    grid = build_grid(1.0, horizon, h)
+    m0, f0 = reference_data(grid)
+    model = make_model()
+    trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
+    num, den = obs._quadratic_forms(FrozenOperator(model, grid, geom, trace))
+    dead = _check_pseudo_inverse(den)
+    null = dead + den.pseudo_inverse()[1].shape[1]
+    got, (want, vals) = pencil_maximum(num, den, 200), _dense_pencil(num, den, 200)
+    # the pseudo-inverse counts on the Schur complement, whose small
+    # eigenvalues are those of the expanded form only to within a factor: the
+    # count is the dense one wherever no eigenvalue lies within 10x of the cut
+    cut = den.null_cut()
+    assert np.count_nonzero(vals <= cut / 10) <= null <= np.count_nonzero(vals <= 10 * cut)
+    if null != np.count_nonzero(vals <= cut):
+        return  # the two split the spectrum at different places: other pencils
+    if math.isfinite(want) and want > 0.0:
+        # each side whitens by its smallest live eigenvalue, known to a few
+        # eps |D|: the expanded form's for the reference, the Schur
+        # complement's here, so each carries a few eps cond
+        schur = _schur_eigenvalues(den, cut)
+        cond = vals[-1] / min(vals[vals > cut][0], np.min(schur[schur > cut], initial=np.inf))
+        assert abs(got - want) <= (1e-8 + 10 * np.finfo(float).eps * cond) * want, (got, want)
+    else:
+        assert got == want

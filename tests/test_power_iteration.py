@@ -1,6 +1,7 @@
 """The observability power iteration on the block form of the Gramians,
 against the eigh-whitened iteration on the expanded forms, and a guard that
-neither it nor a penalty stage expands a Gramian or factors a full one."""
+neither it nor a penalty stage expands a Gramian, factors a full one or
+computes an eigenvector."""
 
 import math
 
@@ -147,7 +148,11 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     def no_expand(blocks):
         raise AssertionError("a Gramian was expanded to its dense matrix")
 
-    sizes = {"eigh": [], "solve": []}
+    def no_eigh(matrix, *args, **kwargs):
+        raise AssertionError("an eigenvector on the stage or the observability path")
+
+    factors = ("eigvalsh", "cholesky", "inv", "solve", "qr")
+    sizes = {name: [] for name in factors}
 
     def sized(name, factor):
         def run(matrix, *args, **kwargs):
@@ -156,22 +161,38 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
             return factor(matrix, *args, **kwargs)
         return run
 
-    def no_eigvalsh(matrix, *args, **kwargs):
-        raise AssertionError("the null cut takes no eigenvalues of A")
+    def symmetric(factor):
+        def run(matrix, *args, **kwargs):
+            assert np.array_equal(matrix, np.transpose(matrix)), "S is not exactly symmetric"
+            return factor(matrix, *args, **kwargs)
+        return run
 
     monkeypatch.setattr(GramianBlocks, "matrix", no_expand)
-    monkeypatch.setattr(np.linalg, "eigh", sized("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "solve", sized("solve", np.linalg.solve))
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for name in factors:
+        factor = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, sized(name, symmetric(factor)
+                                                   if name == "eigvalsh" else factor))
     result = minimize_penalty(PenaltyProblem(), FrozenOperator(model, grid, geom, trace),
                               m0, f0, 1e-3)
     assert result.converged
+    # the null cut takes no eigenvalues of A: a stage takes none at all
+    assert not sizes["eigvalsh"]
     report = estimate_observability_constant(
         model, grid, geom, [trace, 2.0 * trace],
         config=ObservabilityConfig(probes=4, power_iters=5), seed=0)
     assert report.power_estimate is not None
-    # one eigh per trace, and the penalised solve, on the dense block of the
-    # pair basis only: one direction per young terminal age, min(Nt, N+1) = Nt
-    # here; the renewal system of separable fertility is Nt x Nt too
-    assert sizes["eigh"] == [grid.num_time_cells] * 2
-    assert sizes["solve"] and set(sizes["solve"]) == {grid.num_time_cells}
+    # per trace, the pseudo-inverse counts the null directions of its Schur
+    # complement (eigvalsh), solves the complement bordered by its one null
+    # direction (nt + 1), orthonormalises that direction (qr) and inverts the
+    # complement shifted along it; the null-energy test solves with the Gram
+    # matrix of the lifted direction (1 x 1).  The penalised solve, and the
+    # renewal system of separable fertility and its inverse, are Nt x Nt: all
+    # on the dense block of the pair basis only, one direction per young
+    # terminal age, min(Nt, N+1) = Nt here
+    nt = grid.num_time_cells
+    assert sizes["eigvalsh"] == sizes["qr"] == [nt] * 2
+    assert [size for size in sizes["solve"] if size != nt] == [nt + 1, 1] * 2
+    assert sizes["solve"].count(nt) >= 1
+    assert sizes["inv"].count(nt) >= 2 and set(sizes["inv"]) == {nt}
+    assert not sizes["cholesky"]

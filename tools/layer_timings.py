@@ -6,6 +6,16 @@ object: per grid and layer, the min and the median over the rounds of the
 mean time of one call, in ms.  Each round runs every layer once, in turn,
 so a slow spell of the host falls on all layers alike.
 
+Beside them, ``worker_ms`` is the CPU time, in ms, that threads other than
+the calling one burn during one call of the layer and a 0.2 s idle tail
+after it: time.process_time() minus time.thread_time() over that span,
+measured once per layer after the rounds and after 0.2 s of idling.  The
+package starts no threads of its own, so this is BLAS worker threads: an
+OpenBLAS worker that a call wakes spins on for about 0.13 s after the call
+returns, and the tail charges that spin to the layer that woke it.  It reads
+0 with OPENBLAS_NUM_THREADS=1; run with the default thread count to see
+which layers take a second thread.
+
     python tools/layer_timings.py [--rounds 12] [--src DIR]
 
 --src imports popctrl from another source directory (for instance a copy of
@@ -51,6 +61,7 @@ GRIDS = ((1.0 / 64, 20), (1.0 / 256, 5))  # (h, calls per round): 80 x 28 and 26
 EPSILON = 1e-2  # the penalty weight of the stage layer and of the controls
 # the example's separable fertility written as one expression of a and p
 EXPR_FERTILITY = "1.3 * step(a - 0.15) * p / (1 + p)"
+IDLE_S = 0.2  # outlasts the spin of a BLAS worker after its last task
 
 
 def _layers(h, calls):
@@ -107,6 +118,17 @@ def _layers(h, calls):
     }
 
 
+def _worker_ms(run, argument):
+    """CPU ms of the threads other than the caller over one ``run(argument)``
+    and an ``IDLE_S`` tail, from an idle start."""
+    time.sleep(IDLE_S)
+    process, caller = time.process_time(), time.thread_time()
+    run(argument)
+    time.sleep(IDLE_S)
+    # the two clocks tick apart, so an idle worker can read a hair below 0
+    return max(0.0, (time.process_time() - process) - (time.thread_time() - caller)) * 1e3
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=12, help="rounds per grid (>= 1)")
@@ -131,8 +153,10 @@ def main(argv=None):
                     run(argument)
                 samples[layer].append((time.perf_counter() - start) / len(arguments) * 1e3)
         result["grids"][f"{grid.num_age_cells}x{grid.num_time_cells}"] = {
-            layer: {"min_ms": round(min(ms), 4), "median_ms": round(statistics.median(ms), 4)}
-            for layer, ms in samples.items()}
+            layer: {"min_ms": round(min(samples[layer]), 4),
+                    "median_ms": round(statistics.median(samples[layer]), 4),
+                    "worker_ms": round(_worker_ms(run, prepare()[0]), 1)}
+            for layer, (prepare, run) in layers.items()}
     print(json.dumps(result, indent=1))
 
 
