@@ -166,8 +166,7 @@ class _Workspace:
         size = self.m0.size
         n_rows, l_eff = self.op.adjoint_images(work[:size], work[size:])
         support_m, support_f = self.support
-        return [np.where(support_m, n_rows[..., 0], 0.0),
-                np.where(support_f, l_eff[..., 0], 0.0)]
+        return [np.where(support_m, n_rows, 0.0), np.where(support_f, l_eff, 0.0)]
 
     def penalty_weights(self):
         """Diagonal D of the terminal penalty in work coordinates: H = I + L* D L."""

@@ -20,10 +20,10 @@ adjoint reproduces exactly (the `boundary_factor` below).
 For a frozen trace the map is linear, and `FrozenOperator` holds everything
 its forward map and exact transpose need, built once per trace;
 `FrozenOperator.retrace` gives the operator of another trace that shares
-every trace-independent table.  The forward map takes a single age
-profile; the adjoint also takes an (N+1) x k block of columns, and solves
-each column as the single-column call does, so a block equals k single
-columns bit for bit.
+every trace-independent table.  The forward map and the adjoint each take
+a single age profile; only the backward sweep (`adjoint_levels`) takes an
+(N+1) x k block of columns, which the Gramian assembly of a fertility that
+is not separable sweeps at once.
 
 `FrozenOperator.forward` (the whole lattice) always runs the step loop,
 and `solve_forward` with a frozen trace packages its result.  The parts
@@ -35,8 +35,8 @@ one vector call of r per trace, and the birth law, the only coupling
 between ages, reduces to a discrete renewal equation on the Nt time
 levels (`_Renewal`).  Its trace-independent tables
 are built once and shared by retraced operators; per trace one triangular
-system (`_Levels`) gives the Gramians, the whole adjoint lattice of any
-work block and the controlled male trace and terminal state in closed
+system (`_Levels`) gives the Gramians, the whole adjoint lattice of a
+work pair and the controlled male trace and terminal state in closed
 form, with no level loop.  Any other fertility is evaluated once per
 level: its adjoint is the backward sweep (`FrozenOperator.adjoint_levels`),
 its `observe` the step loop, and its Gramians come from one batched sweep
@@ -269,9 +269,9 @@ class FrozenOperator(_Transport):
     ``response`` at every level, the factors of that table, and the
     closed forms of ``_Renewal`` built from them on first use.
 
-    The forward map takes (N+1,) profiles.  The adjoint takes (N+1,)
-    arrays or (N+1) x k blocks whose columns are independent right-hand
-    sides; its results keep the column axis last.
+    The forward map and the adjoint take (N+1,) profiles; the backward
+    sweep ``adjoint_levels`` takes (N+1) x k blocks whose columns are
+    independent right-hand sides.
     """
 
     def __init__(self, model, grid, geom, trace):
@@ -345,7 +345,8 @@ class FrozenOperator(_Transport):
                 _control_values(v_m, self.grid, "v_m"), _control_values(v_f, self.grid, "v_f"))
 
     def adjoint_levels(self, work_n, work_l, visit):
-        """Backward sweep from weighted terminal work blocks, level by level.
+        """Backward sweep from weighted terminal work blocks, (N+1) x k
+        each, level by level.
 
         Calls ``visit(j, n_j, l_j, l_eff_j)`` for j = Nt, ..., 0, each
         (N+1) x k: the male and female adjoint rows at level j and the
@@ -354,7 +355,8 @@ class FrozenOperator(_Transport):
         must copy what it keeps.  The work arrays carry the terminal
         trapezoid weights (theta = wa / h).
 
-        Raises NumericalFailure with the index of the first level, in sweep
+        Raises DimensionError naming blocks of any other shape, and
+        NumericalFailure with the index of the first level, in sweep
         order, that stops being finite.  Finiteness is checked once, at
         level 0, so ``visit`` may already have seen non-finite rows at the
         levels j >= 1 when the failure is raised; it never sees them at
@@ -370,19 +372,11 @@ class FrozenOperator(_Transport):
             raise NumericalFailure("adjoint solve lost finiteness at level 0", step=0)
         visit(0, n_0, l_0, l_0)
 
-    @staticmethod
-    def _block(values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim not in (1, 2):
-            raise DimensionError(f"expected a profile or a block of columns, "
-                                 f"got shape {arr.shape}")
-        return arr if arr.ndim == 2 else arr[:, None]
-
     def _work_blocks(self, work_n, work_l):
-        """The work arrays as (N+1) x k blocks of matching shape."""
+        """The work arrays as float (N+1) x k blocks of matching shape."""
         na = self.grid.num_age_cells
-        wn, wl = self._block(work_n), self._block(work_l)
-        if wn.shape != wl.shape or wn.shape[0] != na + 1:
+        wn, wl = np.asarray(work_n, dtype=float), np.asarray(work_l, dtype=float)
+        if wn.ndim != 2 or wn.shape != wl.shape or wn.shape[0] != na + 1:
             raise DimensionError(f"work blocks have shapes {wn.shape} and {wl.shape}, "
                                  f"expected ({na + 1}, k)")
         return wn, wl
@@ -422,36 +416,38 @@ class FrozenOperator(_Transport):
             raise NumericalFailure(f"adjoint solve lost finiteness at level {j}", step=j)
 
     def adjoint(self, work_n, work_l):
-        """The whole adjoint; returns (n, l, n_eff, l_eff) lattice arrays.
+        """The whole adjoint; returns (n, l, n_eff, l_eff), (N+1) x (Nt+1)
+        lattice arrays, from the (N+1,) work arrays.
 
         The rows at the terminal level are the work arrays themselves;
         ``n_eff`` equals ``n`` and ``l_eff`` adds the same-level feedback,
         as the duality identity and the objective gradient require.
         Separable fertility takes the closed form of ``_Levels.adjoint``,
-        any other the backward sweep.  Raises NumericalFailure naming the
-        level at which the sweep stops being finite.
+        any other the backward sweep.  Raises DimensionError naming a wrong
+        shape, and NumericalFailure naming the level at which the sweep
+        stops being finite.
         """
         n, l, l_eff = self._adjoint_lattices(work_n, work_l, keep_l=True)
-        lattices = (n, l, n.copy(), l_eff)
-        return tuple(a[..., 0] for a in lattices) if np.ndim(work_n) == 1 else lattices
+        return n, l, n.copy(), l_eff
 
     def adjoint_images(self, work_n, work_l):
-        """The (n, l_eff) lattice blocks of the adjoint, (N+1) x (Nt+1) x k:
-        the rows that pair with the male and female controls."""
+        """The (n, l_eff) lattices of ``adjoint``, (N+1) x (Nt+1): the rows
+        that pair with the male and female controls."""
         n, _, l_eff = self._adjoint_lattices(work_n, work_l, keep_l=False)
         return n, l_eff
 
     def _adjoint_lattices(self, work_n, work_l, keep_l):
-        """(n, l, l_eff) blocks of the adjoint; l is None unless ``keep_l``."""
-        wn, wl = self._work_blocks(work_n, work_l)
+        """(n, l, l_eff) lattices of the adjoint; l is None unless ``keep_l``."""
+        size = (self.grid.num_age_cells + 1,)
+        wn, wl = _shaped(work_n, size, "work_n"), _shaped(work_l, size, "work_l")
         if self.age_profile is not None:
             lattices = self._renewal_levels().adjoint(wn, wl, keep_l)
             if not all(np.isfinite(a).all() for a in lattices if a is not None):
                 # the sweep names the first level that stops being finite
-                self.adjoint_levels(wn, wl, lambda *rows: None)
+                self.adjoint_levels(wn[:, None], wl[:, None], lambda *rows: None)
                 raise NumericalFailure("adjoint solve lost finiteness")
             return lattices
-        shape = (wn.shape[0], self.grid.num_time_cells + 1, wn.shape[1])
+        shape = size + (self.grid.num_time_cells + 1, 1)  # the sweep's column axis last
         n_rows, l_eff = np.zeros(shape), np.zeros(shape)
         l_rows = np.zeros(shape) if keep_l else None
 
@@ -461,8 +457,8 @@ class FrozenOperator(_Transport):
             if keep_l:
                 l_rows[:, j] = l_j
 
-        self.adjoint_levels(wn, wl, store)
-        return n_rows, l_rows, l_eff
+        self.adjoint_levels(wn[:, None], wl[:, None], store)
+        return tuple(None if a is None else a[..., 0] for a in (n_rows, l_rows, l_eff))
 
     def observe(self, m0, f0, v_m=None, v_f=None):
         """The parts of the forward map a penalty stage reads: the fertile-male
@@ -845,39 +841,33 @@ class _Levels:
             return live, cross[half] @ amplitudes, terms[half][0]
 
     def adjoint(self, work_n, work_l, keep_l):
-        """The (n, l, l_eff) lattice blocks, (N+1) x (Nt+1) x k, of the adjoint
-        from (N+1) x k work blocks; l is None unless ``keep_l``.  Each column
-        is solved and carried on its own, so a block equals its single
-        columns bit for bit."""
+        """The (n, l, l_eff) lattices, (N+1) x (Nt+1), of the adjoint from
+        the (N+1,) work arrays; l is None unless ``keep_l``."""
         t = self.tables
-        nt, size, k = t.nt, t.size, work_n.shape[1]
-        inverse = self.inverse()
-        n, l_eff = np.empty((2, k, size, nt + 1))
-        l = np.empty((k, size, nt + 1)) if keep_l else None
-        spike_f = np.empty((size, nt + 1))
-        # a work column padded with zeros: row r at level j reads entry r + Nt - j,
-        # and level j's birth source entry Nt - j
+        nt, size = t.nt, t.size
+        # the work arrays padded with zeros: row r at level j reads entry
+        # r + Nt - j, and level j's birth source entry Nt - j
         padded = np.zeros((2, size + nt + 1))
+        padded[0, :size], padded[1, :size] = work_n, work_l
         step = padded.strides[1]
         reach = as_strided(padded[:, nt:], shape=(2, size, nt + 1),
                            strides=(padded.strides[0], step, -step))
         source = padded[:, nt - 1::-1]
         alpha = np.zeros(nt + 2)  # [0, alpha_1, ..., alpha_Nt, 0]
+        l = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for col in range(k):
-                padded[0, :size], padded[1, :size] = work_n[:, col], work_l[:, col]
-                np.multiply(t.lattice_spikes[0], reach[0], out=n[col])
-                births = t.source_spikes[0] * source[0] + t.source_spikes[1] * source[1]
-                alpha[1:nt + 1] = inverse @ (self.c * births)
-                amplitudes = alpha[t.hankel]
-                np.multiply(t.lattice_spikes[1], reach[1], out=spike_f)
-                np.matmul(t.carried, amplitudes, out=l_eff[col])
-                l_eff[col] += spike_f
-                if keep_l:
-                    np.matmul(t.carried[:, 1:], amplitudes[1:], out=l[col])
-                    l[col] += spike_f
-                    l[col, :, 0] = l_eff[col, :, 0]  # no feedback at level 0
-        return tuple(None if a is None else a.transpose(1, 2, 0) for a in (n, l, l_eff))
+            n = t.lattice_spikes[0] * reach[0]
+            births = t.source_spikes[0] * source[0] + t.source_spikes[1] * source[1]
+            alpha[1:nt + 1] = self.inverse() @ (self.c * births)
+            amplitudes = alpha[t.hankel]
+            spike_f = t.lattice_spikes[1] * reach[1]
+            l_eff = t.carried @ amplitudes
+            l_eff += spike_f
+            if keep_l:
+                l = t.carried[:, 1:] @ amplitudes[1:]
+                l += spike_f
+                l[:, 0] = l_eff[:, 0]  # no feedback at level 0
+        return n, l, l_eff
 
     def observe(self, m0, f0, source_m, source_f, male):
         """The fertile-male trace at every level (None unless ``male``) and

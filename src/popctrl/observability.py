@@ -9,11 +9,12 @@ Gramians of the frozen-trace operator on the targeted terminal entries
 work weights theta = wa / h, in the block form of `popctrl.gramian`,
 which also owns the power iteration on their pencil
 (``gramian.pencil_maximum``); this module passes them stacked terminal
-vectors only.  The probe quotients are read off the
-same forms when the power iteration runs or the Gramians are closed-form
-(separable fertility); otherwise one batched sweep of the probes gives
-them.  The operators of one call are retraced from the first, so they
-share its trace-independent tables.  A zero denominator with nonzero
+vectors only.  The probe quotients are read off the same forms, for
+every fertility and every number of power steps, so the probes and the
+control synthesis share one matrix, the control Gramian; only
+``observability_ratio`` solves its one datum's adjoint.  The operators of
+one call are retraced from the first, so they share its
+trace-independent tables.  A zero denominator with nonzero
 numerator is reported as the infinity sentinel: violated observability is
 a first-class outcome that certifies the time condition in the discrete
 model, not a numerical overflow.
@@ -60,38 +61,18 @@ class ObservabilityReport:
     threshold_margin: float
     diverged: bool
     trace_spread: float = 0.0
-    power_estimate: float = None
-
-
-def _quotients(op, n_T, l_T):
-    """Energy quotient of each column of (N+1) x k terminal blocks.
-
-    One call of the operator's adjoint on the block serves all columns:
-    closed-form for separable fertility, one batched sweep for any other.
-    Level 0 of (n_eff, l_eff) is (n, l) there.  A column invisible from the
-    control regions but carrying initial energy gets the infinity sentinel.
-    """
-    theta, wa = op.theta[:, None], op.wa
-    n_eff, l_eff = op.adjoint_images(theta * n_T, theta * l_T)
-    weights_m, weights_f = op.geometry_tables()[0]
-    quotients = []
-    for c in range(n_T.shape[1]):
-        n_c, l_c = n_eff[:, :, c], l_eff[:, :, c]
-        # the dead slot of a mode adds exact zeros: its masks vanish, and a
-        # zero male terminal datum keeps the sourceless male row zero
-        num = float(np.dot(wa, n_c[:, 0] ** 2)) + float(np.dot(wa, l_c[:, 0] ** 2))
-        den = lattice_inner(weights_m, n_c, n_c) + lattice_inner(weights_f, l_c, l_c)
-        quotients.append(_quotient(num, den))
-    return quotients
 
 
 def _gramian_quotients(op, n_T, l_T):
-    """The quotients of ``_quotients``, read off the operator's Gramians.
+    """Energy quotient of each column of (N+1) x k terminal blocks, read off
+    the operator's Gramians.
 
     With w = theta * (n_T, l_T) stacked, a column's quotient is
     w . E0 w / w . G w for the initial and control Gramians, applied in
-    block form, so no probe sweep runs.  The Gramians live on the targeted
-    entries, where the probe data are supported.
+    block form, so no adjoint is solved.  The Gramians live on the targeted
+    entries, where the probe data are supported.  A column invisible from
+    the control regions but carrying initial energy gets the infinity
+    sentinel.
     """
     theta = op.theta[:, None]
     work = np.concatenate([theta * n_T, theta * l_T])
@@ -118,7 +99,14 @@ def observability_ratio(model, grid, geom, n_T, l_T, trace):
     if not (q_m.any() or q_f.any()):
         raise DomainError("observability_ratio: terminal data must not vanish")
     op = FrozenOperator(model, grid, geom, trace)
-    return _quotients(op, q_m[:, None], q_f[:, None])[0]
+    n_eff, l_eff = op.adjoint_images(op.theta * q_m, op.theta * q_f)
+    weights_m, weights_f = op.geometry_tables()[0]
+    # level 0 of (n_eff, l_eff) is (n, l); the dead slot of a mode adds exact
+    # zeros: its masks vanish, and a zero male terminal datum keeps the
+    # sourceless male row zero
+    num = float(np.dot(op.wa, n_eff[:, 0] ** 2)) + float(np.dot(op.wa, l_eff[:, 0] ** 2))
+    den = lattice_inner(weights_m, n_eff, n_eff) + lattice_inner(weights_f, l_eff, l_eff)
+    return _quotient(num, den)
 
 
 def _probe_data(rngs, targeted):
@@ -182,19 +170,12 @@ def estimate_observability_constant(model, grid, geom, traces, *,
 
     estimates = []
     diverged = False
-    power_best = None
 
     op = None
     for trace in traces:
         # the traces share the operator's trace-independent tables
         op = FrozenOperator(model, grid, geom, trace) if op is None else op.retrace(trace)
-        if config.power_iters > 0 or model.fertility.separable:
-            # the Gramians give the probe quotients: the power iteration needs
-            # them anyway, and in closed form they cost less than the probes
-            samples = _gramian_quotients(op, n_block, l_block)
-        else:
-            # one sweep of the probes costs less than a swept Gramian assembly
-            samples = _quotients(op, n_block, l_block)
+        samples = _gramian_quotients(op, n_block, l_block)
         finite = [s for s in samples if math.isfinite(s)]
         if len(finite) < len(samples):
             diverged = True
@@ -203,7 +184,6 @@ def estimate_observability_constant(model, grid, geom, traces, *,
             power = _power_iteration(op, config.power_iters)
             if math.isfinite(power):
                 estimate = max(estimate, power)
-                power_best = power if power_best is None else max(power_best, power)
             else:
                 diverged = True
                 estimate = INFINITE_QUOTIENT
@@ -219,7 +199,6 @@ def estimate_observability_constant(model, grid, geom, traces, *,
         threshold_margin=geom.time_margin(grid.max_age),
         diverged=diverged,
         trace_spread=spread,
-        power_estimate=power_best,
     )
 
 

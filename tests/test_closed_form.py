@@ -1,8 +1,9 @@
 """The closed forms of the renewal equation (separable fertility) against the
-level sweeps they replace: the whole adjoint lattice of a work block, the
+level sweeps they replace: the whole adjoint lattice of a work pair, the
 controlled forward map's male trace and terminal state (``observe``),
-duality with the forward step loop and between the closed forms, block
-against single columns, and the level a non-finite result is reported at."""
+duality with the forward step loop and between the closed forms, a swept
+block against its single columns, and the level a non-finite result is
+reported at."""
 
 import dataclasses
 
@@ -66,16 +67,18 @@ def test_closed_forms_match_the_level_sweeps(mode, model_name, horizon, step):
     assert op.grid.num_time_cells > op.grid.num_age_cells + 1 or horizon < 1.0
     size = op.grid.num_age_cells + 1
     work_n, work_l = np.random.default_rng(11).standard_normal((2, size, 3))
-    n, l, n_eff, l_eff = op.adjoint(work_n, work_l)
     swept_n, swept_l, swept_l_eff = _swept(op, work_n, work_l)
-    for got, want in ((n, swept_n), (l, swept_l), (n_eff, swept_n), (l_eff, swept_l_eff)):
-        assert _close(got, want)
-    # the terminal rows are the work arrays, and level 0 has no feedback
-    assert np.array_equal(n[:, -1], work_n) and np.array_equal(l[:, -1], work_l)
-    assert np.array_equal(l[:, 0], l_eff[:, 0])
-    # the control images are the same lattices
-    images = op.adjoint_images(work_n, work_l)
-    assert np.array_equal(images[0], n) and np.array_equal(images[1], l_eff)
+    for c in range(3):
+        n, l, n_eff, l_eff = op.adjoint(work_n[:, c], work_l[:, c])
+        for got, want in ((n, swept_n), (l, swept_l), (n_eff, swept_n),
+                          (l_eff, swept_l_eff)):
+            assert _close(got, want[..., c])
+        # the terminal rows are the work arrays, and level 0 has no feedback
+        assert np.array_equal(n[:, -1], work_n[:, c]) and np.array_equal(l[:, -1], work_l[:, c])
+        assert np.array_equal(l[:, 0], l_eff[:, 0])
+        # the control images are the same lattices
+        images = op.adjoint_images(work_n[:, c], work_l[:, c])
+        assert np.array_equal(images[0], n) and np.array_equal(images[1], l_eff)
 
     m, f, _, _ = op.forward(m0, f0)
     assert _close(op.uncontrolled_terminal(m0, f0), np.concatenate([m[:, -1], f[:, -1]]))
@@ -158,10 +161,12 @@ def test_expr_fertility_keeps_the_sweeps():
     op, m0, f0 = _operator(expr_fertility_model(), ControlMode.BOTH, 0.35, 1.0 / 32)
     size = op.grid.num_age_cells + 1
     work_n, work_l = np.random.default_rng(2).standard_normal((2, size, 2))
-    n, l, n_eff, l_eff = op.adjoint(work_n, work_l)
     swept_n, swept_l, swept_l_eff = _swept(op, work_n, work_l)
-    for got, want in ((n, swept_n), (l, swept_l), (n_eff, swept_n), (l_eff, swept_l_eff)):
-        assert np.array_equal(got, want)
+    for c in range(2):
+        n, l, n_eff, l_eff = op.adjoint(work_n[:, c], work_l[:, c])
+        for got, want in ((n, swept_n), (l, swept_l), (n_eff, swept_n),
+                          (l_eff, swept_l_eff)):
+            assert np.array_equal(got, want[..., c])
     m, f, _, _ = op.forward(m0, f0)
     assert np.array_equal(op.uncontrolled_terminal(m0, f0),
                           np.concatenate([m[:, -1], f[:, -1]]))
@@ -200,17 +205,20 @@ def test_duality_between_step_loop_and_closed_form_adjoint(mode, model_name, hor
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 @pytest.mark.parametrize("horizon", [0.35, 1.3])
 def test_block_equals_its_single_columns_bitwise(model_name, horizon):
+    # the backward sweep of a block equals that of its single columns, and
+    # the closed form of a column of a block, a strided view, equals that of
+    # its contiguous copy
     op, _, _ = _operator(MODELS[model_name](), ControlMode.BOTH, horizon, 1.0 / 32)
     size = op.grid.num_age_cells + 1
     work_n, work_l = np.random.default_rng(3).standard_normal((2, size, 5))
-    block = op.adjoint(work_n, work_l)
-    images = op.adjoint_images(work_n, work_l)
+    block = _swept(op, work_n, work_l)
     for c in range(5):
-        single = op.adjoint(work_n[:, c], work_l[:, c])
-        for got, want in zip(block, single):
-            assert np.array_equal(got[..., c], want)
-        for got, want in zip(images, op.adjoint_images(work_n[:, [c]], work_l[:, [c]])):
+        for got, want in zip(block, _swept(op, work_n[:, [c]], work_l[:, [c]])):
             assert np.array_equal(got[..., c], want[..., 0])
+        column, copy = (work_n[:, c], work_l[:, c]), (work_n[:, c].copy(), work_l[:, c].copy())
+        for method in (op.adjoint, op.adjoint_images):
+            for got, want in zip(method(*column), method(*copy)):
+                assert np.array_equal(got, want)
 
 
 def _explosive_model():
@@ -248,10 +256,12 @@ def test_non_finite_closed_form_names_the_sweeps_level(fault, where):
     op = FrozenOperator(_explosive_model(), grid, _geometry(ControlMode.BOTH, 0.5), trace)
     swept = _failure_step(lambda: op.adjoint_levels(work, work, lambda *rows: None))
     assert swept == j - 1
-    assert _failure_step(lambda: op.adjoint(work, work)) == swept
-    assert _failure_step(lambda: op.adjoint_images(work, work)) == swept
+    # column 1 meets the fault either way
+    assert _failure_step(lambda: op.adjoint(work[:, 1], work[:, 1])) == swept
+    assert _failure_step(lambda: op.adjoint_images(work[:, 1], work[:, 1])) == swept
     if fault == "column":
-        op.adjoint(work[:, [0, 2]], work[:, [0, 2]])  # the finite columns pass
+        for c in (0, 2):
+            op.adjoint(work[:, c], work[:, c])  # the finite columns pass
         return
     # the forward map meets the infinite fertility at step j
     profile = np.ones(na + 1)

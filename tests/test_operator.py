@@ -1,5 +1,5 @@
-"""The frozen-trace operator: adjoint blocks against single-column sweeps,
-duality and gradients through one operator, and the batched observability
+"""The frozen-trace operator: swept adjoint blocks against single-column
+sweeps, duality and gradients through one operator, and the batched observability
 assembly against per-vector adjoint solves."""
 
 import dataclasses
@@ -26,6 +26,7 @@ from popctrl.gramian import GramianBlocks
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
                       random_nonneg_model, reference_data, reference_model)
+from test_closed_form import _swept
 
 MODES = [ControlMode.BOTH, ControlMode.MALE_ONLY, ControlMode.FEMALE_ONLY]
 
@@ -55,10 +56,10 @@ def test_block_sweeps_equal_single_sweeps_bitwise(mode):
         else None
     work_n, work_l = r.standard_normal((na + 1, k)), r.standard_normal((na + 1, k))
 
-    block_adj = op.adjoint(work_n, work_l)
+    block = _swept(op, work_n, work_l)
     for c in range(k):
-        for got, want in zip(_column(block_adj, c), op.adjoint(work_n[:, c], work_l[:, c])):
-            assert np.array_equal(got, want)
+        for got, want in zip(block, _swept(op, work_n[:, [c]], work_l[:, [c]])):
+            assert np.array_equal(got[..., c], want[..., 0])
         # the forward map of a strided column is that of its contiguous copy,
         # and the public wrapper is the operator's sweep
         columns = _column((m0, f0, vm, vf), c)
@@ -79,10 +80,10 @@ def test_non_finite_column_raises_with_level():
     grid = build_grid(1.0, 0.5, 1.0 / 16)
     na, nt = grid.num_age_cells, grid.num_time_cells
     op = FrozenOperator(model, grid, geom, np.ones(nt + 1))
-    work = np.ones((na + 1, 3))
-    work[5, 1] = np.inf
+    work = np.ones(na + 1)
+    work[5] = np.inf
     with pytest.raises(NumericalFailure) as info:
-        op.adjoint(work, np.ones((na + 1, 3)))
+        op.adjoint(work, np.ones(na + 1))
     assert info.value.step == nt - 1
     m0 = np.ones(na + 1)
     m0[3] = np.nan
@@ -150,7 +151,8 @@ def test_adjoint_reports_the_first_non_finite_level(fault, where):
     assert info.value.step == j - 1
     assert 0 not in visited  # the rows of levels >= 1 may be non-finite by then
     if fault == "column":
-        op.adjoint(work[:, [0, 2]], work[:, [0, 2]])
+        for c in (0, 2):
+            op.adjoint(work[:, c], work[:, c])
 
 
 @pytest.mark.parametrize("where", _LEVELS)
@@ -184,16 +186,15 @@ def test_duality_and_gradient_through_one_operator_fine_grid():
     vm = r.standard_normal((na + 1, nt + 1, k))
     vf = r.standard_normal((na + 1, nt + 1, k))
     q_m, q_f = r.standard_normal((na + 1, k)), r.standard_normal((na + 1, k))
-    theta = (grid.age_weights() / grid.step)[:, None]
-    n, l, n_eff, l_eff = op.adjoint(theta * q_m, theta * q_f)
+    theta = grid.age_weights() / grid.step
     for c in range(k):
         m, f, male_trace, birth_trace = op.forward(m0, f0, vm[..., c], vf[..., c])
         state = StateSolution(m=Field2D(grid, m), f=Field2D(grid, f),
                               fertile_male_trace=male_trace, birth_trace=birth_trace,
                               frozen_trace=op.trace)
-        adj = AdjointSolution(n=Field2D(grid, n[..., c]), l=Field2D(grid, l[..., c]),
-                              frozen_trace=op.trace, n_eff=n_eff[..., c],
-                              l_eff=l_eff[..., c])
+        n, l, n_eff, l_eff = op.adjoint(theta * q_m[:, c], theta * q_f[:, c])
+        adj = AdjointSolution(n=Field2D(grid, n), l=Field2D(grid, l),
+                              frozen_trace=op.trace, n_eff=n_eff, l_eff=l_eff)
         residual, scale = duality_residual(
             state, adj, q_m[:, c], q_f[:, c], m0, f0, Field2D(grid, vm[..., c]),
             Field2D(grid, vf[..., c]), model, grid, geom)
@@ -245,7 +246,8 @@ def test_stage_sweeps(mode, target_min_age, make_model, monkeypatch):
 
     def counting_closed_adjoint(self, work_n, work_l, keep_l):
         assert not keep_l, "the control path keeps the female rows without feedback"
-        widths["closed_form"].append(np.shape(work_n)[1])
+        assert np.shape(work_n) == np.shape(work_l) == (grid.num_age_cells + 1,)
+        widths["closed_form"].append(1)
         return closed_adjoint(self, work_n, work_l, keep_l)
 
     def counting_gramian(self, half, terms):
@@ -625,10 +627,7 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     op = FrozenOperator(model, grid, geom, trace)
 
     data = _probes(np.random.default_rng(3), grid, geom, 6)
-    n_block = np.stack([n for n, _ in data], axis=1)
-    l_block = np.stack([l for _, l in data], axis=1)
     expected = [_reference_ratio(model, grid, geom, n, l, trace) for n, l in data]
-    assert obs._quotients(op, n_block, l_block) == expected
     assert [observability_ratio(model, grid, geom, n, l, trace)
             for n, l in data] == expected
 
@@ -693,9 +692,8 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
                          ids=["separable", "expr"])
 def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch):
     # separable fertility: the closed-form Gramians serve both forms and the
-    # probe quotients, with no sweep.  Any other fertility: with power
-    # iteration one Gramian sweep per trace serves them, without it one sweep
-    # of the probes costs less
+    # probe quotients, with no sweep.  Any other fertility: one Gramian sweep
+    # per trace serves them, with power iteration or without
     model = make_model()
     _, grid, geom, trace = _observability_setup()
     widths = []
@@ -710,23 +708,21 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
         model, grid, geom, [trace, 2.0 * trace],
         config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1)
-    # 4 probes; no terminal age is old enough for the cone datum at this horizon
-    if model.fertility.separable:
-        assert widths == []
-    else:
-        assert widths == ([gramian_width] if power_iters else [4]) * 2
+    # no terminal age is old enough for the cone datum at this horizon
+    assert widths == ([] if model.fertility.separable else [gramian_width] * 2)
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
 def test_gramian_quotients_match_probe_sweep(mode, target_min_age):
+    # against one solve_adjoint per probe
     model, grid, geom, trace = _observability_setup(mode, target_min_age)
     op = FrozenOperator(model, grid, geom, trace)
     data = _probes(np.random.default_rng(5), grid, geom, 6)
     n_block = np.stack([n for n, _ in data], axis=1)
     l_block = np.stack([l for _, l in data], axis=1)
-    swept = np.array(obs._quotients(op, n_block, l_block))
+    swept = np.array([_reference_ratio(model, grid, geom, n, l, trace) for n, l in data])
     read = np.array(obs._gramian_quotients(op, n_block, l_block))
     assert np.all(np.abs(read - swept) <= 1e-13 * swept)
 
@@ -737,28 +733,42 @@ def test_gramian_quotients_keep_the_infinity_sentinel():
     geom = ControlGeometry(male_window=(0.1, 0.5), female_window=(0.05, 0.6),
                            horizon=0.3, mode=ControlMode.BOTH)
     grid = build_grid(1.0, 0.3, 1.0 / 32)
-    op = FrozenOperator(model, grid, geom, np.zeros(grid.num_time_cells + 1))
+    trace = np.zeros(grid.num_time_cells + 1)
+    op = FrozenOperator(model, grid, geom, trace)
     ages = grid.ages()
     invisible = np.where(ages >= 0.85, 1.0, 0.0)
     n_block = np.stack([invisible, np.zeros_like(ages), np.sin(np.pi * ages)], axis=1)
     l_block = np.zeros_like(n_block)
-    swept = obs._quotients(op, n_block, l_block)
+    swept = [_reference_ratio(model, grid, geom, n, l, trace)
+             for n, l in zip(n_block.T, l_block.T)]
     read = obs._gramian_quotients(op, n_block, l_block)
     assert swept[:2] == read[:2] == [obs.INFINITE_QUOTIENT, 0.0]
     assert abs(read[2] - swept[2]) <= 1e-13 * swept[2]
 
 
-def test_operator_blocks_checked():
-    model = reference_model()
+@pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
+                         ids=["separable", "expr"])
+def test_operator_blocks_checked(make_model):
+    # the adjoint takes one (N+1,) work pair, as forward and observe take one
+    # profile pair; only the backward sweep takes (N+1) x k blocks
     grid = build_grid(1.0, 0.35, 1.0 / 16)
     trace = np.zeros(grid.num_time_cells + 1)
-    op = FrozenOperator(model, grid, _geometry(ControlMode.BOTH), trace)
+    op = FrozenOperator(make_model(), grid, _geometry(ControlMode.BOTH), trace)
     size = grid.num_age_cells + 1
-    with pytest.raises(DimensionError, match="expected a profile or a block of columns"):
-        op.adjoint(np.zeros((size, 2, 2)), np.zeros((size, 2, 2)))
-    with pytest.raises(DimensionError, match=r"work blocks have shapes \(%d, 1\) and \(%d, 2\)"
+    for method in (op.adjoint, op.adjoint_images):
+        method(np.ones(size), np.ones(size))
+        for shape in ((size, 1), (size, 2)):
+            with pytest.raises(DimensionError,
+                               match=re.escape(f"work_n has shape {shape}, expected ({size},)")):
+                method(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"work_l has shape ({size - 1},), expected ({size},)")):
+            method(np.zeros(size), np.zeros(size - 1))
+    with pytest.raises(DimensionError, match=r"work blocks have shapes \(%d, 2, 2\)" % size):
+        op.adjoint_levels(np.zeros((size, 2, 2)), np.zeros((size, 2, 2)), lambda *rows: None)
+    with pytest.raises(DimensionError, match=r"work blocks have shapes \(%d,\) and \(%d, 2\)"
                        % (size, size)):
-        op.adjoint(np.zeros(size), np.zeros((size, 2)))
+        op.adjoint_levels(np.zeros(size), np.zeros((size, 2)), lambda *rows: None)
 
 
 _BAD_SHAPES = {
