@@ -3,7 +3,7 @@
 Simulates the nonlinear transport system with its nonlocal birth coupling,
 synthesizes approximate null controls by penalty minimization over frozen
 fertility traces, restores the nonlinearity by damped fixed-point
-iteration, and numerically probes the observability inequalities behind
+iteration, and numerically estimates the observability constants behind
 the controllability time thresholds.
 """
 

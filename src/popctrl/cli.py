@@ -37,7 +37,7 @@ def _build_parser():
     """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="popctrl",
-        description="Simulation, control synthesis and observability probes for a "
+        description="Simulation, control synthesis and observability estimates for a "
                     "two-sex age-structured population model.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, help_text in _COMMANDS.items():

@@ -8,7 +8,7 @@ norms meet the target.  The map has a unique value per penalty stage
 underlying existence proof is non-constructive, hence non-convergence is a
 reportable outcome, not an error.
 
-`contraction_test` probes the well-posedness contraction map: the
+`contraction_test` tests the well-posedness contraction map: the
 uncontrolled frozen-field solve, measured in the exponentially weighted
 metric whose rate is reconstructed from the model constants.
 """

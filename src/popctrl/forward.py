@@ -97,7 +97,7 @@ def terminal_weights(grid, geom):
     None marks a slot the mode does not target.  A male-only target leaves
     out the ages below ``target_min_age``, and the node at it (within the
     grid tolerance) has half weight.  The penalty, the reported norms and
-    the observability forms and probes all read their terminal entries here.
+    the observability forms all read their terminal entries here.
     """
     wa = grid.age_weights()
     if geom.mode is ControlMode.MALE_ONLY:

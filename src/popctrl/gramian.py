@@ -347,15 +347,22 @@ def _gram_blocks(live, cross, diag, basis):
 
 
 def pencil_maximum(num, den, iters):
-    """Lower estimate of the top eigenvalue of the pencil (N, D) of the forms
-    ``num`` and ``den`` on one basis, the maximum of x . N x / x . D x.
+    """The top eigenvalue of the pencil (N, D) of the forms ``num`` and
+    ``den`` on one basis, the maximum of x . N x / x . D x, on the live
+    space of D that its ``pseudo_inverse`` counts.
 
     math.inf when N has energy on the null space of D's ``pseudo_inverse``:
     when its trace there, the sum of x . N x over an orthonormal basis of
     the space, which is the same for every such basis, exceeds 1e-10 max|N|.
-    0.0 when every direction is null.  Otherwise ``iters`` power steps: from
-    the all-ones stacked x scaled to x . D x = 1, each forms y = N x, takes
-    x . y as a quotient and moves to x = D^- y / sqrt(y . D^- y).
+    0.0 when every direction is null.  Otherwise ``iters`` >= 1 power steps,
+    which approach that eigenvalue from below: from the all-ones stacked x
+    scaled to x . D x = 1, each forms y = N x, takes x . y as a quotient and
+    moves to x = D^- y / sqrt(y . D^- y).  The null count is the Schur
+    complement's, so where small eigenvalues straddle the cut the live space
+    can hold a direction that the expanded form calls null, and the value
+    can exceed the dense whitened pencil's (0.006562 against 0.005573 in
+    the strict xfail
+    ``test_pseudo_inverse_counts_the_null_directions_of_the_expanded_form``).
     """
     solve, null_dense, null_spike, dead = den.pseudo_inverse()
     # the lifted null directions Z are zero on the dead spikes, which are
@@ -380,7 +387,7 @@ def pencil_maximum(num, den, iters):
     y = np.empty_like(x)
     x_dense, x_spike, y_dense, y_spike = x[:size], x[size:], y[:size], y[size:]
     best = 0.0
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         np.matmul(rows, x, out=y_dense)
         np.multiply(num.diag, x_spike, out=y_spike)
         y_spike += cross_t @ x_dense

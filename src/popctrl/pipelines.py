@@ -223,7 +223,7 @@ def cmd_observability(scenario, outdir, seed, log):
         for lo, hi in windows:
             geom = replace(scenario.geometry, male_window=(lo, hi), horizon=horizon)
             report = estimate_observability_constant(
-                scenario.model, grid, geom, traces, config=scenario.observability, seed=seed)
+                scenario.model, grid, geom, traces, config=scenario.observability)
             rows.append([horizon, lo, hi, report.threshold_margin,
                          report.estimated_constant, int(report.diverged)])
     _write_csv(os.path.join(outdir, "observability.csv"),

@@ -9,8 +9,10 @@ means the key is absent.  docs/scenario_schema.md lists every field.
 
 The parser keeps the file format: a spec's "kind", a bare number as a
 constant rate, the mode string, grid.target_h, the observability sweep
-lists, the output section, the control windows inside [0, max_age], and
-the retired keys penalty.epsilon and penalty.theta, which are an error.
+lists, the output section, the control windows inside [0, max_age], the
+retired keys penalty.epsilon and penalty.theta, which are an error, and
+the retired key observability.probes, an integer >= 1 that has no effect
+and no echo in ``resolved``.
 The fields of DemographicModel, ControlGeometry, PenaltyProblem,
 EpsilonSchedule, FixedPointConfig, ObservabilityConfig and
 ContractionConfig, which hold the defaults and bounds, are the keys of
@@ -240,7 +242,10 @@ def parse_scenario(raw, *, source="scenario"):
     # an absent section takes the defaults, and stays out of ``resolved`` so
     # that the scenario hash does not move
     oraw = _section(raw.get("observability", {}), "observability", optional=(
-        "horizons", "male_lo", "male_hi", *_keys(ObservabilityConfig)[1]))
+        "horizons", "male_lo", "male_hi", "probes", *_keys(ObservabilityConfig)[1]))
+    if "probes" in oraw:
+        # the retired random-probe count: still checked, then ignored
+        checked("observability.probes", oraw["probes"], ge=1, integer=True)
     observability_sweep = {
         key: checked_list(f"observability.{key}", oraw.get(key, [default]), **rule)
         for key, default, rule in (("horizons", geometry.horizon, {"gt": 0}),

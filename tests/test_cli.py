@@ -43,7 +43,7 @@ FAST_SCENARIO = {
     "penalty": {"target_norm": 0.002, "max_cg_iters": 2000, "cg_tol": 1e-8,
                 "schedule": {"start": 0.01, "ratio": 10.0, "stages": 3}},
     "fixed_point": {"omega": 0.5, "fp_tol": 0.001, "max_outer_iters": 25},
-    "observability": {"probes": 4, "num_traces": 2},
+    "observability": {"num_traces": 2},
     "contraction": {"trials": 5, "amplitude": 1.0},
 }
 
@@ -221,14 +221,25 @@ def test_observability_writes_an_infinite_estimate(tmp_path):
     raw = json.loads(json.dumps(FAST_SCENARIO))
     raw["geometry"]["female_window"] = [0.05, 0.6]
     raw["observability"] = {"horizons": [0.3], "male_lo": [0.1], "male_hi": [0.5],
-                            "probes": 4, "power_iters": 3, "num_traces": 2}
+                            "power_iters": 3, "num_traces": 2}
     [row] = _observability_rows(tmp_path, raw)
     assert row.endswith(",inf,1")
 
 
+def test_observability_ignores_the_retired_probes_key(tmp_path):
+    # the bench's observe_sweep scenario still carries observability.probes
+    rows = []
+    for name, extra in (("plain", {}), ("legacy", {"probes": 8})):
+        raw = json.loads(json.dumps(FAST_SCENARIO))
+        raw["observability"] = {"horizons": [0.2, 0.35], "power_iters": 20, **extra}
+        (tmp_path / name).mkdir()
+        rows.append(_observability_rows(tmp_path / name, raw))
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
 def test_observability_in_female_only_mode(tmp_path):
-    # the mode has no male window, so the cone probe's rule gets none; the
-    # female control observes every direction here
+    # the mode has no male window; the female control observes every
+    # direction here
     raw = json.loads(json.dumps(FAST_SCENARIO))
     raw["geometry"]["mode"] = "FEMALE_ONLY"
     [row] = _observability_rows(tmp_path, raw)
@@ -257,8 +268,7 @@ def test_observability_window_sweep_solves_once_per_horizon(tmp_path, monkeypatc
     def run(name, horizons, male_lo, male_hi):
         raw = json.loads(json.dumps(FAST_SCENARIO))
         raw["observability"] = {"horizons": horizons, "male_lo": male_lo,
-                                "male_hi": male_hi, "probes": 4, "power_iters": 3,
-                                "num_traces": 2}
+                                "male_hi": male_hi, "power_iters": 3, "num_traces": 2}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
         out = str(tmp_path / name)

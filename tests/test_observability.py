@@ -7,7 +7,7 @@ from popctrl import (ControlGeometry, ControlMode, ObservabilityConfig, build_gr
                      estimate_observability_constant, integrate_age, observability_ratio,
                      solve_forward)
 from popctrl import observability as obs
-from popctrl.observability import forced_terminal_mask, unreachable_from_window
+from popctrl.observability import forced_terminal_mask
 from popctrl.errors import DomainError
 from popctrl.forward import FrozenOperator, terminal_weights
 
@@ -82,8 +82,7 @@ class TestEstimate:
             g = build_grid(1.0, 0.35, target)
             m0, f0 = reference_data(g)
             trace = solve_forward(model, g, geom, None, None, m0, f0).fertile_male_trace
-            rep = estimate_observability_constant(
-                model, g, geom, [trace], config=ObservabilityConfig(probes=16), seed=0)
+            rep = estimate_observability_constant(model, g, geom, [trace])
             estimates.append(rep.estimated_constant)
         assert estimates[1] <= 2.0 * estimates[0]
         assert estimates[0] <= 2.0 * estimates[1]
@@ -91,21 +90,21 @@ class TestEstimate:
     def test_trace_independence(self, setup):
         model, geom, grid, trace = setup
         traces = [trace, 0.5 * trace, 1.5 * trace]
-        rep = estimate_observability_constant(
-            model, grid, geom, traces, config=ObservabilityConfig(probes=16), seed=0)
+        rep = estimate_observability_constant(model, grid, geom, traces)
         assert not rep.diverged
         assert rep.trace_spread <= 0.10
 
-    def test_power_iteration_dominates_probes(self, setup):
+    def test_estimate_is_the_power_iteration(self, setup):
         model, geom, grid, trace = setup
-        plain = estimate_observability_constant(
-            model, grid, geom, [trace], config=ObservabilityConfig(probes=8), seed=0)
-        powered = estimate_observability_constant(
-            model, grid, geom, [trace], config=ObservabilityConfig(probes=8, power_iters=12),
-            seed=0)
-        # the same probes, and the power steps' estimate of the one operator
-        power = obs._power_iteration(FrozenOperator(model, grid, geom, trace), 12)
-        assert powered.estimated_constant == max(plain.estimated_constant, power)
+        traces = [trace, 0.5 * trace, 1.5 * trace]
+        rep = estimate_observability_constant(
+            model, grid, geom, traces, config=ObservabilityConfig(power_iters=12))
+        # the largest of the power steps' estimates of the traces' operators
+        op = FrozenOperator(model, grid, geom, trace)
+        powers = [obs._power_iteration(op.retrace(t), 12) for t in traces]
+        assert rep.estimated_constant == max(powers)
+        assert rep.trace_spread == max(powers) / min(powers) - 1.0
+        assert not rep.diverged
 
     def test_divergence_flagged_on_short_horizon(self):
         model = reference_model()
@@ -114,20 +113,12 @@ class TestEstimate:
         grid = build_grid(1.0, 0.3, 1.0 / 32)
         trace = np.zeros(grid.num_time_cells + 1)
         rep = estimate_observability_constant(
-            model, grid, geom, [trace], config=ObservabilityConfig(probes=8, power_iters=8),
-            seed=0)
+            model, grid, geom, [trace], config=ObservabilityConfig(power_iters=8))
         assert rep.diverged
         assert math.isinf(rep.estimated_constant)
 
 
 class TestCones:
-    def test_direct_cone_matches_geometry(self):
-        grid = build_grid(1.0, 0.3, 1.0 / 32)
-        mask = unreachable_from_window(grid, (0.5, 0.9), 0.3)
-        ages = grid.ages()
-        expected = (ages <= 0.5 + 1e-12) | (ages - 0.3 >= 0.9 - 1e-12)
-        assert np.array_equal(mask, expected)
-
     def test_forced_set_empty_when_births_reach_everywhere(self):
         # horizon above both a1 and A - a2: every age is either swept by the
         # window or fed by controllable births
@@ -149,16 +140,19 @@ class TestCones:
         assert ages.min() >= 0.3 - 1e-12 and ages.max() <= 0.5 + 1e-12
 
     def test_window_lower_end_is_in_the_rule_but_reached_by_the_scheme(self):
-        # the T = 0.2 geometry of the observability benchmark at h = 1/130:
-        # among the ages >= T the rule and the scheme differ only at the node
-        # a = lo, which is the whole cone probe; the control reaches it at the
-        # last level with the boundary mask 1/2, and no other node of the rule
+        # the T = 0.2 geometry of the observability benchmark at h = 1/128:
+        # the continuous rule says that characteristics through (a, T) sweep
+        # the ages (a - T, a), which miss the open window (lo, hi) exactly when
+        # a <= lo or a - T >= hi.  Among the ages >= T the rule and the scheme
+        # differ only at the node a = lo: the control reaches it at the last
+        # level with the boundary mask 1/2, and no other node of the rule
         model = reference_model()
         geom = reference_geometry(horizon=0.2)
         grid = build_grid(1.0, 0.2, 1.0 / 128)
         ages, h = grid.ages(), grid.step
         lower = int(np.argmin(np.abs(ages - 0.2)))
-        rule = unreachable_from_window(grid, geom.male_window, geom.horizon)
+        lo, hi = geom.male_window
+        rule = (ages <= lo + 1e-9) | (ages - geom.horizon >= hi - 1e-9)
         forced = forced_terminal_mask(model, grid, geom)
         late = ages >= geom.horizon - 1e-12
         assert list(np.flatnonzero(rule & late)) == [lower]
@@ -196,9 +190,7 @@ def test_estimate_needs_a_trace(setup):
 def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypatch):
     # at h = 1/140 node 14 sits at age 0.09999999999999999, the boundary of a
     # male-only target from age 0.1, which the penalty weighs h/2.  The
-    # forms' basis, the probes' support and the cone probe's tail are the
-    # nonzero terminal weights, that node included.  A male window ending at
-    # 0.05 with horizon 0.05 leaves the whole targeted tail in the cone.
+    # forms' basis is the nonzero terminal weights, that node included.
     model = reference_model()
     geom = ControlGeometry(male_window=(0.01, 0.05), female_window=(0.01, 0.95),
                            horizon=0.05, target_min_age=0.1, mode=ControlMode.MALE_ONLY)
@@ -209,27 +201,17 @@ def test_targeted_entries_include_the_boundary_node_of_the_target_tail(monkeypat
     assert targeted[0] == 14 and targeted[-1] == grid.num_age_cells
 
     seen = {}
-    quotients, quadratic_forms = obs._gramian_quotients, obs._quadratic_forms
-
-    def probes(op, n_T, l_T):
-        seen["probes"] = n_T, l_T
-        return quotients(op, n_T, l_T)
+    quadratic_forms = obs._quadratic_forms
 
     def forms(op):
         seen["forms"] = quadratic_forms(op)
         return seen["forms"]
 
-    monkeypatch.setattr(obs, "_gramian_quotients", probes)
     monkeypatch.setattr(obs, "_quadratic_forms", forms)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     estimate_observability_constant(model, grid, geom, [trace],
-                                    config=ObservabilityConfig(probes=4, power_iters=2))
+                                    config=ObservabilityConfig(power_iters=2))
     # the numerator and denominator forms
     assert len(seen["forms"]) == 2
     assert all(np.array_equal(form.basis.entries, targeted) for form in seen["forms"])
-    n_T, l_T = seen["probes"]
-    # four random probes, then the cone probe on the targeted tail
-    assert n_T.shape[1] == 5 and not np.any(l_T)
-    for column in n_T.T:
-        assert np.array_equal(np.flatnonzero(column), targeted)

@@ -339,7 +339,7 @@ def test_fertility_evaluated_once_per_level_per_operator():
     assert calls == list(trace)
     del calls[:]
     estimate_observability_constant(model, grid, geom, [trace, 2.0 * trace],
-                                    config=ObservabilityConfig(probes=4, power_iters=3), seed=0)
+                                    config=ObservabilityConfig(power_iters=3))
     assert calls == list(trace) + list(2.0 * trace)
 
 
@@ -511,17 +511,16 @@ def test_separable_tables_built_once_per_fixed_point_solve(monkeypatch):
     assert (len(calls["age_profile"]), len(calls["response"]), len(built)) == (1, 1, 1)
 
 
-@pytest.mark.parametrize("power_iters", [0, 3])
+@pytest.mark.parametrize("power_iters", [1, 3])
 def test_separable_tables_built_once_per_horizon(power_iters, monkeypatch):
-    # with or without power iteration the probe quotients are read off the
-    # closed-form Gramians, so the traces share one set of tables
+    # the power steps read the closed-form Gramians, so the traces share one
+    # set of tables
     model, calls = _counting_factors(reference_model())
     built = _counting_tables(monkeypatch)
     _, grid, geom, trace = _observability_setup()
     traces = [trace, 2.0 * trace, 0.5 * trace]
     estimate_observability_constant(
-        model, grid, geom, traces,
-        config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
+        model, grid, geom, traces, config=ObservabilityConfig(power_iters=power_iters))
     assert len(calls["age_profile"]) == 1
     assert all(np.array_equal(got, want) for got, want in zip(calls["response"], traces))
     assert len(calls["response"]) == len(traces)
@@ -585,10 +584,12 @@ def _reference_ratio(model, grid, geom, n_T, l_T, trace):
     return num / den
 
 
-def _probes(rng, grid, geom, count):
-    """``count`` probe data of one generator, as (n_T, l_T) pairs."""
-    return [np.split(datum, 2)
-            for datum in obs._probe_data([rng] * count, stacked_terminal_weights(grid, geom) > 0)]
+def _terminal_samples(rng, grid, geom, count):
+    """``count`` standard normal terminal data, zero off the targeted
+    entries, as (n_T, l_T) pairs."""
+    targeted = stacked_terminal_weights(grid, geom) > 0
+    return [np.split(np.where(targeted, rng.standard_normal(targeted.size), 0.0), 2)
+            for _ in range(count)]
 
 
 def _reference_forms(model, grid, geom, trace):
@@ -626,7 +627,7 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     op = FrozenOperator(model, grid, geom, trace)
 
-    data = _probes(np.random.default_rng(3), grid, geom, 6)
+    data = _terminal_samples(np.random.default_rng(3), grid, geom, 6)
     expected = [_reference_ratio(model, grid, geom, n, l, trace) for n, l in data]
     assert [observability_ratio(model, grid, geom, n, l, trace)
             for n, l in data] == expected
@@ -687,13 +688,13 @@ def test_power_estimate_ignores_eigenvector_signs(mode, target_min_age, monkeypa
     assert abs(obs._power_iteration(op, 5) - plain) <= 1e-12 * plain
 
 
-@pytest.mark.parametrize("power_iters", [0, 3])
+@pytest.mark.parametrize("power_iters", [1, 3])
 @pytest.mark.parametrize("make_model", [reference_model, expr_fertility_model],
                          ids=["separable", "expr"])
 def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch):
-    # separable fertility: the closed-form Gramians serve both forms and the
-    # probe quotients, with no sweep.  Any other fertility: one Gramian sweep
-    # per trace serves them, with power iteration or without
+    # separable fertility: the closed-form Gramians serve both forms, with no
+    # sweep.  Any other fertility: one Gramian sweep per trace serves them,
+    # however many power steps run
     model = make_model()
     _, grid, geom, trace = _observability_setup()
     widths = []
@@ -706,28 +707,38 @@ def test_estimate_makes_one_sweep_per_trace(power_iters, make_model, monkeypatch
     monkeypatch.setattr(FrozenOperator, "adjoint_levels", counting)
     estimate_observability_constant(
         model, grid, geom, [trace, 2.0 * trace],
-        config=ObservabilityConfig(probes=4, power_iters=power_iters), seed=0)
+        config=ObservabilityConfig(power_iters=power_iters))
     gramian_width = min(grid.num_time_cells, grid.num_age_cells + 1)
-    # no terminal age is old enough for the cone datum at this horizon
     assert widths == ([] if model.fertility.separable else [gramian_width] * 2)
+
+
+def _gramian_ratios(op, n_block, l_block):
+    """The energy quotient of each column of (N+1) x k terminal blocks, read
+    off the operator's Gramians: with w = theta * (n_T, l_T) stacked,
+    w . E0 w / w . G w, with ``_quotient``'s sentinel."""
+    theta = op.theta[:, None]
+    work = np.concatenate([theta * n_block, theta * l_block])
+    control, initial = op.gramians()
+    return [obs._quotient(float(a), float(b))
+            for a, b in zip(initial.energy(work), control.energy(work))]
 
 
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
-def test_gramian_quotients_match_probe_sweep(mode, target_min_age):
-    # against one solve_adjoint per probe
+def test_gramian_energies_match_per_vector_ratios(mode, target_min_age):
+    # against one solve_adjoint per terminal datum
     model, grid, geom, trace = _observability_setup(mode, target_min_age)
     op = FrozenOperator(model, grid, geom, trace)
-    data = _probes(np.random.default_rng(5), grid, geom, 6)
+    data = _terminal_samples(np.random.default_rng(5), grid, geom, 6)
     n_block = np.stack([n for n, _ in data], axis=1)
     l_block = np.stack([l for _, l in data], axis=1)
     swept = np.array([_reference_ratio(model, grid, geom, n, l, trace) for n, l in data])
-    read = np.array(obs._gramian_quotients(op, n_block, l_block))
+    read = np.array(_gramian_ratios(op, n_block, l_block))
     assert np.all(np.abs(read - swept) <= 1e-13 * swept)
 
 
-def test_gramian_quotients_keep_the_infinity_sentinel():
+def test_gramian_energies_keep_the_infinity_sentinel():
     # a short horizon leaves the oldest ages invisible from the male window
     model = reference_model()
     geom = ControlGeometry(male_window=(0.1, 0.5), female_window=(0.05, 0.6),
@@ -741,7 +752,7 @@ def test_gramian_quotients_keep_the_infinity_sentinel():
     l_block = np.zeros_like(n_block)
     swept = [_reference_ratio(model, grid, geom, n, l, trace)
              for n, l in zip(n_block.T, l_block.T)]
-    read = obs._gramian_quotients(op, n_block, l_block)
+    read = _gramian_ratios(op, n_block, l_block)
     assert swept[:2] == read[:2] == [obs.INFINITE_QUOTIENT, 0.0]
     assert abs(read[2] - swept[2]) <= 1e-13 * swept[2]
 

@@ -180,7 +180,7 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     assert not sizes["eigvalsh"]
     report = estimate_observability_constant(
         model, grid, geom, [trace, 2.0 * trace],
-        config=ObservabilityConfig(probes=4, power_iters=5), seed=0)
+        config=ObservabilityConfig(power_iters=5))
     # per trace, the pseudo-inverse counts the null directions of its Schur
     # complement (eigvalsh), solves the complement bordered by its one null
     # direction (nt + 1), orthonormalises that direction (qr) and inverts the
@@ -195,7 +195,7 @@ def test_penalty_stage_and_power_iteration_stay_in_block_form(make_model, monkey
     assert sizes["solve"].count(nt) >= 1
     assert sizes["inv"].count(nt) >= 2 and set(sizes["inv"]) == {nt}
     assert not sizes["cholesky"]
-    # the power steps dominate the probes on both traces
+    # the largest of the two traces' power steps
     monkeypatch.undo()
     op = FrozenOperator(model, grid, geom, trace)
     assert report.estimated_constant == max(obs._power_iteration(op.retrace(t), 5)

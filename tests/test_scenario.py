@@ -61,7 +61,7 @@ def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
     # absent section must not move the scenario hash
     scn = parse_scenario(_copy())
     assert scn.observability_sweep == {"horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9]}
-    assert scn.observability == ObservabilityConfig(probes=16, power_iters=0, num_traces=3)
+    assert scn.observability == ObservabilityConfig(power_iters=20, num_traces=3)
     assert scn.contraction == ContractionConfig(trials=50, amplitude=1.0)
     assert "observability" not in scn.resolved and "contraction" not in scn.resolved
     raw = _copy()
@@ -71,7 +71,7 @@ def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
         (scn.observability, scn.observability_sweep, scn.contraction)
     assert explicit.resolved["observability"] == {
         "horizons": [0.35], "male_lo": [0.2], "male_hi": [0.9],
-        "probes": 16, "power_iters": 0, "num_traces": 3}
+        "power_iters": 20, "num_traces": 3}
     assert explicit.resolved["contraction"] == {"trials": 50, "amplitude": 1.0}
     assert explicit.scenario_hash != scn.scenario_hash
 
@@ -204,8 +204,7 @@ CONFIG_FIELDS = [
     ("fixed_point", "omega", False, 1.5, "must be <= 1", 1),
     ("fixed_point", "fp_tol", False, 0.0, "must be > 0", 1),
     ("fixed_point", "max_outer_iters", True, 0, "must be >= 1", None),
-    ("observability", "probes", True, 0, "must be >= 1", None),
-    ("observability", "power_iters", True, -3, "must be >= 0", None),
+    ("observability", "power_iters", True, 0, "must be >= 1", None),
     ("observability", "num_traces", True, 0, "must be >= 1", None),
     ("contraction", "trials", True, 0, "must be >= 1", None),
     ("contraction", "amplitude", False, 0.0, "must be > 0", 1),
@@ -261,8 +260,8 @@ def test_config_rules_live_in_the_classes_and_the_file_adds_its_path(
     # horizon=inf, male_window=(0.2, inf), DemographicModel(max_age=inf),
     # EpsilonSchedule(stages=2.5), PenaltyProblem(max_cg_iters=True) and
     # FixedPointConfig(max_outer_iters=1.5); estimate_observability_constant
-    # took probes=True as 1 probe and power_iters=-3 as 0, and
-    # contraction_test trials=True as 1 trial and amplitude=inf
+    # took power_iters=-3 as 0, and contraction_test trials=True as 1 trial
+    # and amplitude=inf
     raw, config, name, library_value = _set_field(section, field, value)
     if expected is not None:
         with pytest.raises(ConfigurationError) as from_library:
@@ -309,6 +308,37 @@ def test_retired_penalty_weights_name_the_schedule(keys, value):
         parse_scenario(raw)
 
 
+@pytest.mark.parametrize("value, expected", [
+    (0, "must be >= 1"), (2.5, "expected an integer"), (True, "expected an integer"),
+    ("8", "expected an integer"), (math.nan, "expected an integer"),
+    (math.inf, "expected an integer")],
+    ids=["zero", "fraction", "bool", "string", "nan", "inf"])
+def test_retired_probes_key_is_still_checked(value, expected):
+    # observability.probes counted the random probes that the estimate no
+    # longer draws; files in use still carry it, so it loads as long as it
+    # is an integer >= 1, and is named when it is not
+    raw = _copy()
+    raw["observability"] = {"probes": value}
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario(raw)
+    assert str(info.value) == f"observability.probes: {expected}"
+
+
+def test_retired_probes_key_has_no_effect():
+    # neither the config, nor the echo, nor the hash sees it
+    # (tests/test_cli.py checks the command's bytes)
+    raw = _copy()
+    raw["observability"] = {"power_iters": 20}
+    plain = parse_scenario(raw)
+    for value in (8, None):
+        raw["observability"]["probes"] = value
+        legacy = parse_scenario(raw)
+        assert "probes" not in legacy.resolved["observability"]
+        assert legacy.resolved == plain.resolved
+        assert legacy.scenario_hash == plain.scenario_hash
+        assert legacy.observability == plain.observability
+
+
 def test_rate_function_kinds():
     raw = _copy()
     raw["initial"]["m0"] = {"kind": "table", "points": [0.0, 1.0], "values": [1.0, 0.0]}
@@ -346,10 +376,12 @@ def test_example_scenario_loads():
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "example.json")
     scn = load_scenario(path)
     assert scn.model.max_age == 1.0
-    assert scn.observability.probes == 8
-    # plain JSON and sha256: the same on every platform and BLAS
+    assert scn.observability.power_iters == 20
+    # plain JSON and sha256: the same on every platform and BLAS.  It last
+    # moved when the example's observability section dropped probes and took
+    # 20 power steps
     assert scn.scenario_hash == \
-        "7c0b1a78a7459925ce6cf6d33d4c2d04ad61e0f6241b11bf027076253ca52048"
+        "5a7b1ec785819a55d95ba71f4d9395a09ee4871f2e8f9def046eafbd938815c9"
 
 
 def test_missing_file():

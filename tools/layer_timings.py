@@ -44,8 +44,9 @@ epsilon)``, ``estimate_observability_constant(..., config=)``,
   power_iteration observability._power_iteration, 20 steps, on a freshly
                   retraced operator (its Gramians included)
   fixed_point     iterate_to_fixed_point with the scenario's settings (CLI solve)
-  observability   estimate_observability_constant, three traces, 8 probes and
-                  20 power steps (the observe_sweep settings of bench/)
+  observability   estimate_observability_constant, three traces and 20 power
+                  steps (the observe_sweep settings of bench/; a tree whose
+                  estimate still draws random probes gets 8 and seed 0)
 
 The trace is the uncontrolled one, the controls those of the epsilon 1e-2
 stage, and every trace-independent table is built before the timing starts.
@@ -83,6 +84,7 @@ import dataclasses
 import filecmp
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -146,6 +148,13 @@ def _layers(package, h, calls):
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0, f0)
     traces = [trace, 0.5 * trace, 1.5 * trace]
+    # a tree from before the estimate was the power steps alone also takes
+    # the random probes' count and seed
+    probes = {"probes": 8} if "probes" in {
+        f.name for f in dataclasses.fields(ObservabilityConfig)} else {}
+    config = ObservabilityConfig(power_iters=20, **probes)
+    seed = {"seed": 0} if "seed" in inspect.signature(
+        estimate_observability_constant).parameters else {}
 
     def repeat(value):
         return lambda: [value] * calls
@@ -169,8 +178,7 @@ def _layers(package, h, calls):
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
-            model, grid, geom, traces, config=ObservabilityConfig(probes=8, power_iters=20),
-            seed=0)),
+            model, grid, geom, traces, config=config, **seed)),
     }
 
 
