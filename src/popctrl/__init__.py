@@ -2,9 +2,9 @@
 
 Simulates the nonlinear transport system with its nonlocal birth coupling,
 synthesizes approximate null controls by penalty minimization over frozen
-fertility traces, restores the nonlinearity by damped fixed-point
-iteration, and numerically estimates the observability constants behind
-the controllability time thresholds.
+fertility traces, restores the nonlinearity by Picard iteration on the
+fertile-male trace, and numerically estimates the observability constants
+behind the controllability time thresholds.
 """
 
 from .adjoint import AdjointSolution, duality_residual, solve_adjoint

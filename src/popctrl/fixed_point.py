@@ -1,7 +1,7 @@
 """Outer nonlinear loops.
 
 `iterate_to_fixed_point` restores the nonlinear birth coupling around the
-frozen-trace control synthesis: damped Picard iteration on the fertile-male
+frozen-trace control synthesis: Picard iteration p <- y on the fertile-male
 trace, walked along the penalty schedule until the true nonlinear terminal
 norms meet the target.  The map has a unique value per penalty stage
 (strictly convex objective), so Picard iteration is well defined; the
@@ -26,12 +26,10 @@ from .model import ControlGeometry, ControlMode
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    omega: float = 0.5
     fp_tol: float = 1e-4
     max_outer_iters: int = 40
 
     def __post_init__(self):
-        set_checked(self, "omega", gt=0, le=1)
         set_checked(self, "fp_tol", gt=0)
         set_checked(self, "max_outer_iters", ge=1, integer=True)
 
@@ -61,11 +59,6 @@ def trace_norm(grid, values):
     return float(np.sqrt(np.dot(grid.time_weights(), np.asarray(values) ** 2)))
 
 
-def _trace_derivative_norm(grid, values):
-    diffs = np.diff(np.asarray(values, dtype=float)) / grid.step
-    return float(np.sqrt(grid.step * np.sum(diffs**2)))
-
-
 def trace_map(operator, problem, m0, f0, epsilon):
     """One application of the controlled-trace map.
 
@@ -79,10 +72,12 @@ def trace_map(operator, problem, m0, f0, epsilon):
 
 
 def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
-    """Damped Picard iteration on the fertile-male trace, per penalty stage.
+    """Picard iteration on the fertile-male trace, per penalty stage.
 
-    Starts from the uncontrolled nonlinear trace.  Each schedule stage is
-    iterated to self-consistency, then verified on the true nonlinear
+    Starts from the uncontrolled nonlinear trace.  Each schedule stage maps
+    p to the trace y of its controlled frozen-trace system and takes p <- y
+    until the residual ``delta`` = ||y - p|| (`trace_norm`) is at most
+    ``fp_tol * ||p||``; it is then verified on the true nonlinear
     system; the schedule advances until the nonlinear terminal norms meet
     the target or the stages run out.
 
@@ -94,7 +89,6 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
     uncontrolled = solve_forward(model, grid, geom, None, None, m0, f0)
     p = uncontrolled.fertile_male_trace.copy()
     operator = None
-    omega = fp_config.omega
     history = []
     stages = []
     flags = []
@@ -109,22 +103,19 @@ def iterate_to_fixed_point(model, grid, geom, problem, fp_config, m0, f0):
             operator = (FrozenOperator(model, grid, geom, p) if operator is None
                         else operator.retrace(p))
             y, result = trace_map(operator, problem, m0, f0, eps)
-            p_new = (1.0 - omega) * p + omega * y
-            delta = trace_norm(grid, p_new - p)
+            delta = trace_norm(grid, y - p)
             norm_p = trace_norm(grid, p)
             entry = {
                 "epsilon": eps,
                 "iteration": k + 1,
                 "delta": delta,
                 "delta_ratio": (delta / prev_delta) if prev_delta and prev_delta > 0 else None,
-                "trace_sup": float(np.max(np.abs(y))),
-                "trace_derivative_l2": _trace_derivative_norm(grid, y),
                 "terminal_m_norm": result.terminal_m_norm,
                 "terminal_f_norm": result.terminal_f_norm,
             }
             history.append(entry)
             prev_delta = delta
-            p = p_new
+            p = y
             if delta <= fp_config.fp_tol * norm_p:
                 stage_converged = True
                 break

@@ -162,7 +162,8 @@ def cmd_solve(scenario, outdir, seed, log):
     write_field_csv(os.path.join(outdir, "v_f.csv"), result.v_f)
     write_field_csv(os.path.join(outdir, "m.csv"), nonlinear.m)
     write_field_csv(os.path.join(outdir, "f.csv"), nonlinear.f)
-    columns = ["epsilon", "iteration", "delta", "terminal_m_norm", "terminal_f_norm"]
+    columns = ["epsilon", "iteration", "delta", "terminal_m_norm", "terminal_f_norm",
+               "delta_ratio"]
     _write_csv(os.path.join(outdir, "history.csv"), columns,
                ([entry[c] for c in columns] for entry in fp_state.history))
     m_norm, f_norm = terminal_norms(grid, scenario.geometry, nonlinear.m.values[:, -1],

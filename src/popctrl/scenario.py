@@ -10,9 +10,9 @@ means the key is absent.  docs/scenario_schema.md lists every field.
 The parser keeps the file format: a spec's "kind", a bare number as a
 constant rate, the mode string, grid.target_h, the observability sweep
 lists, the output section, the control windows inside [0, max_age], the
-retired keys penalty.epsilon and penalty.theta, which are an error, and
-the retired key observability.probes, an integer >= 1 that has no effect
-and no echo in ``resolved``.
+retired keys penalty.epsilon, penalty.theta and fixed_point.omega, which
+are an error, and the retired key observability.probes, an integer >= 1
+that has no effect and no echo in ``resolved``.
 The fields of DemographicModel, ControlGeometry, PenaltyProblem,
 EpsilonSchedule, FixedPointConfig, ObservabilityConfig and
 ContractionConfig, which hold the defaults and bounds, are the keys of
@@ -171,9 +171,22 @@ def _document(raw, source):
                               "contraction", "output"))
 
 
+# the keys that left the file format, per section, and what took their place
+_RETIRED = {
+    "penalty": (("epsilon", "theta"), "a stage's penalty weight comes from "
+                "penalty.schedule.start and its ratio"),
+    "fixed_point": (("omega",), "the outer iteration takes the undamped step p <- y"),
+}
+
+
 def parse_scenario(raw, *, source="scenario"):
     """Validate a parsed JSON document and build the typed scenario."""
     raw = _document(raw, source)
+    for section, (keys, reason) in _RETIRED.items():
+        retired = [key for key in keys if isinstance(raw.get(section), dict)
+                   and key in raw[section]]
+        if retired:
+            raise ConfigurationError(f"{section}: {retired} no longer exist: {reason}")
     resolved = {}
 
     mraw = _section(raw["model"], "model", *_keys(DemographicModel))
@@ -222,12 +235,7 @@ def parse_scenario(raw, *, source="scenario"):
         resolved["terminal"] = {k: echo for k, (_, echo) in terminal.items()}
     n_T, l_T = (terminal[k][0] if k in terminal else None for k in ("n_T", "l_T"))
 
-    praw = raw.get("penalty", {})
-    retired = [key for key in ("epsilon", "theta") if isinstance(praw, dict) and key in praw]
-    if retired:
-        raise ConfigurationError(f"penalty: {retired} no longer exist: a stage's penalty "
-                                 "weight comes from penalty.schedule.start and its ratio")
-    praw = _section(praw, "penalty", *_keys(PenaltyProblem))
+    praw = _section(raw.get("penalty", {}), "penalty", *_keys(PenaltyProblem))
     schedule = _config(EpsilonSchedule, "penalty.schedule",
                        _section(praw.get("schedule", {}), "penalty.schedule",
                                 *_keys(EpsilonSchedule)))

@@ -244,7 +244,7 @@ def test_criterion_10_fixed_point_convergence():
     kappa = _kappa(grid, m0, f0)
     problem = PenaltyProblem(target_norm=kappa,
                              max_cg_iters=6000, cg_tol=1e-9)
-    fp = FixedPointConfig(omega=0.5, fp_tol=1e-4, max_outer_iters=40)
+    fp = FixedPointConfig(fp_tol=1e-4, max_outer_iters=40)
     state, result, nonlinear = iterate_to_fixed_point(model, grid, geom, problem,
                                                       fp, m0, f0)
     ratios = [e["delta_ratio"] for e in state.history if e["delta_ratio"] is not None]
@@ -287,7 +287,7 @@ def test_criterion_12_determinism(tmp_path):
                     "f0": {"kind": "expr", "expr": "0.5 * exp(-30 * (a - 0.55)**2)"}},
         "penalty": {"target_norm": 0.002, "max_cg_iters": 2000, "cg_tol": 1e-8,
                     "schedule": {"start": 0.01, "ratio": 10.0, "stages": 3}},
-        "fixed_point": {"omega": 0.5, "fp_tol": 0.001, "max_outer_iters": 25},
+        "fixed_point": {"fp_tol": 0.001, "max_outer_iters": 25},
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))

@@ -42,7 +42,7 @@ FAST_SCENARIO = {
     "terminal": {"n_T": {"kind": "expr", "expr": "exp(-30 * (a - 0.5)**2)"}},
     "penalty": {"target_norm": 0.002, "max_cg_iters": 2000, "cg_tol": 1e-8,
                 "schedule": {"start": 0.01, "ratio": 10.0, "stages": 3}},
-    "fixed_point": {"omega": 0.5, "fp_tol": 0.001, "max_outer_iters": 25},
+    "fixed_point": {"fp_tol": 0.001, "max_outer_iters": 25},
     "observability": {"num_traces": 2},
     "contraction": {"trials": 5, "amplitude": 1.0},
 }
@@ -170,6 +170,25 @@ def test_solve_report_lists_every_stage(scenario_path, tmp_path):
     for key in ("epsilon", "terminal_m_norm", "terminal_f_norm", "iterations",
                 "J_value"):
         assert stages[-1][key] == scalars[key]
+
+
+def test_history_csv_persists_the_delta_ratio(scenario_path, tmp_path):
+    # delta_ratio comes last, so that delta stays the third column; it is
+    # empty on a stage's first row and delta over the row before elsewhere
+    out = tmp_path / "history"
+    assert run_command(["solve", scenario_path, "--out", str(out), "--quiet"]) == 0
+    with open(out / "history.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["epsilon", "iteration", "delta", "terminal_m_norm",
+                       "terminal_f_norm", "delta_ratio"]
+    previous = None
+    for row in rows[1:]:
+        if previous is None or previous[0] != row[0]:
+            assert row[1] == "1" and row[-1] == ""
+        else:
+            assert float(row[-1]) == float(row[2]) / float(previous[2])
+        previous = row
+    assert any(row[-1] for row in rows[1:])
 
 
 def test_contraction_command(scenario_path, tmp_path):
@@ -346,6 +365,7 @@ def _input(command, **changes):
 
 
 RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule.start"
+OMEGA_RETIRED = "no longer exist: the outer iteration takes the undamped step p <- y"
 
 
 @pytest.mark.parametrize("command, document, message", [
@@ -367,6 +387,11 @@ RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule
      f"penalty: ['epsilon'] {RETIRED}"),
     ("sweep", _input("sweep", penalty=dict(FAST_SCENARIO["penalty"], theta=1e-2)),
      f"base.penalty: ['theta'] {RETIRED}"),
+    # the retired damping factor of the outer iteration
+    ("solve", _input("solve", fixed_point=dict(FAST_SCENARIO["fixed_point"], omega=0.5)),
+     f"fixed_point: ['omega'] {OMEGA_RETIRED}"),
+    ("sweep", _input("sweep", fixed_point=dict(FAST_SCENARIO["fixed_point"], omega=1.0)),
+     f"base.fixed_point: ['omega'] {OMEGA_RETIRED}"),
     ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": 3, "values": [1]}]},
      "parameters[0].path: expected a string"),
     ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": "grid.target_h", "values": 0.1}]},
@@ -374,8 +399,8 @@ RETIRED = "no longer exist: a stage's penalty weight comes from penalty.schedule
     ("sweep", {"base": FAST_SCENARIO, "parameters": [{"path": "penalty.stages", "values": [1]}]},
      "parameters[0].path: 'penalty.stages' is not in the base scenario"),
 ], ids=["base", "grid", "grid-3", "cg_tol", "parameters", "adjoint", "adjoint-mode",
-        "observability", "epsilon", "sweep-theta", "sweep-path", "sweep-values",
-        "sweep-missing-path"])
+        "observability", "epsilon", "sweep-theta", "omega", "sweep-omega", "sweep-path",
+        "sweep-values", "sweep-missing-path"])
 def test_sweep_grid_override_on_a_malformed_base_is_an_error(command, document, message,
                                                              tmp_path, capsys):
     # with --grid-h the first two used to end in a traceback and exit 1, the
@@ -625,6 +650,38 @@ def test_report_scalars_are_the_documented_ones(tmp_path):
         assert "stages" not in scalars or scalars["stages"]
         for stage in scalars.get("stages", []):
             assert set(stage) == documented["stages"]
+
+
+def test_example_solve_settles_in_few_outer_iterations(tmp_path):
+    # the undamped outer iteration: at h = 1/64 the example reaches the
+    # target unflagged in 9 outer iterations
+    out = tmp_path / "solve"
+    assert run_command(["solve", EXAMPLE, "--grid-h", repr(1 / 64),
+                        "--out", str(out), "--quiet"]) == 0
+    report = json.loads(_read(out / "report.json"))
+    assert report["flags"] == [] and report["scalars"]["fixed_point_converged"]
+    assert report["scalars"]["outer_iterations"] <= 10
+
+
+@pytest.mark.parametrize("fertility", [
+    {"kind": "separable", "age_profile": {"kind": "expr", "expr": "300 * step(a - 0.15)"},
+     "response": {"kind": "expr", "expr": "p / (1 + p)"}, "response_lipschitz": 1.0},
+    {"kind": "expr", "expr": "300 * step(a - 0.15) * p / (1 + p)"}],
+    ids=["separable", "expr"])
+def test_strong_fertility_male_only_reaches_the_target(fertility, tmp_path):
+    # a fertility amplitude of 300 with MALE_ONLY control at T = 0.25: the
+    # damping 0.5 ran the schedule out at h = 1/64 (TARGET_NOT_REACHED, a
+    # male norm of 1.2e-3 against 8.5e-4); undamped, it settles on target
+    raw = _with(json.loads(_read(EXAMPLE)), "model.fertility", fertility)
+    raw["geometry"].update(mode="MALE_ONLY", horizon=0.25)
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "solve"
+    assert run_command(["solve", str(path), "--grid-h", repr(1 / 64),
+                        "--out", str(out), "--quiet"]) == 0
+    report = json.loads(_read(out / "report.json"))
+    assert report["flags"] == []
+    assert report["scalars"]["nonlinear_m_norm"] <= raw["penalty"]["target_norm"]
 
 
 RATE_SLOTS = ["model.male_mortality", "model.female_mortality", "model.male_fertility_weight",

@@ -78,13 +78,13 @@ def test_population_dies_out_one_max_age_after_control(mode):
     # population is extinct by T + A, A the maximal age
     scenario = load_scenario(EXAMPLE)
     geom = replace(scenario.geometry, mode=mode)
-    fixed_point = replace(scenario.fixed_point, omega=1.0)
     rows = []
     for h in (1 / 32, 1 / 64, 1 / 128):
         grid = build_grid(scenario.model.max_age, geom.horizon, h)
         m0, f0 = scenario.sample_initial(grid)
         state, result, nonlinear = iterate_to_fixed_point(scenario.model, grid, geom,
-                                                          scenario.penalty, fixed_point,
+                                                          scenario.penalty,
+                                                          scenario.fixed_point,
                                                           m0, f0)
         assert state.converged and not result.flags
         controlled = _total_after_max_age(scenario, grid, nonlinear.m.values[:, -1],

@@ -34,6 +34,10 @@ MINIMAL = {
 }
 
 
+PENALTY_RETIRED = ("a stage's penalty weight comes from penalty.schedule.start "
+                   "and its ratio")
+
+
 def _copy():
     return json.loads(json.dumps(MINIMAL))
 
@@ -42,7 +46,7 @@ def test_minimal_scenario_fills_defaults():
     # the echo of a config section is its class's fields, defaults included
     scn = parse_scenario(_copy())
     assert scn.penalty.schedule.stages == 4
-    assert scn.fixed_point.omega == 0.5
+    assert scn.fixed_point.fp_tol == 1e-4
     assert scn.geometry.mode is ControlMode.BOTH
     assert scn.output_dir == "."
     assert scn.resolved["geometry"] == {
@@ -51,8 +55,7 @@ def test_minimal_scenario_fills_defaults():
     assert scn.resolved["penalty"] == {
         "target_norm": 0.001, "max_cg_iters": 800, "cg_tol": 1e-9,
         "schedule": {"start": 0.01, "ratio": 10.0, "stages": 4}}
-    assert scn.resolved["fixed_point"] == {"omega": 0.5, "fp_tol": 1e-4,
-                                           "max_outer_iters": 40}
+    assert scn.resolved["fixed_point"] == {"fp_tol": 1e-4, "max_outer_iters": 40}
 
 
 def test_absent_analysis_sections_take_the_defaults_and_stay_unresolved():
@@ -201,7 +204,6 @@ CONFIG_FIELDS = [
     ("penalty", "target_norm", False, -1.0, "must be > 0", 1),
     ("penalty", "max_cg_iters", True, 0, "must be >= 1", None),
     ("penalty", "cg_tol", False, 0.0, "must be > 0", 1),
-    ("fixed_point", "omega", False, 1.5, "must be <= 1", 1),
     ("fixed_point", "fp_tol", False, 0.0, "must be > 0", 1),
     ("fixed_point", "max_outer_iters", True, 0, "must be >= 1", None),
     ("observability", "power_iters", True, 0, "must be >= 1", None),
@@ -291,21 +293,24 @@ def test_config_rules_live_in_the_classes_and_the_file_adds_its_path(
 
 
 @pytest.mark.parametrize("value", [None, 0.01, 0.0, math.nan],
-                         ids=["null", "old-default", "zero", "nan"])
-@pytest.mark.parametrize("keys", [["epsilon"], ["theta"], ["epsilon", "theta"]],
-                         ids=["epsilon", "theta", "both"])
-def test_retired_penalty_weights_name_the_schedule(keys, value):
+                         ids=["null", "old-value", "zero", "nan"])
+@pytest.mark.parametrize("section, keys, reason", [
+    ("penalty", ["epsilon"], PENALTY_RETIRED), ("penalty", ["theta"], PENALTY_RETIRED),
+    ("penalty", ["epsilon", "theta"], PENALTY_RETIRED),
+    ("fixed_point", ["omega"], "the outer iteration takes the undamped step p <- y")],
+    ids=["epsilon", "theta", "both", "omega"])
+def test_retired_keys_name_their_replacement(section, keys, reason, value):
     # no stage read penalty.epsilon or penalty.theta, yet both moved the
-    # scenario hash: a file that still has either is an error whatever the
-    # value, one the old bounds took, one they rejected, or null; the retired
-    # keys are named before any range or finiteness check
-    # (tests/test_cli.py runs one key of each through the CLI)
+    # scenario hash, and the outer iteration no longer damps its step: a
+    # file that still has any of them is an error whatever the value, one
+    # the old bounds took, one they rejected, or null; the retired keys are
+    # named before any range or finiteness check
+    # (tests/test_cli.py runs them through the CLI)
     raw = _copy()
-    raw["penalty"] = {**dict.fromkeys(keys, value), "target_norm": 1e-3}
-    with pytest.raises(ConfigurationError, match=re.escape(
-            f"penalty: {keys} no longer exist: a stage's penalty weight "
-            "comes from penalty.schedule.start")):
+    raw[section] = dict.fromkeys(keys, value)
+    with pytest.raises(ConfigurationError) as info:
         parse_scenario(raw)
+    assert str(info.value) == f"{section}: {keys} no longer exist: {reason}"
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -352,7 +357,7 @@ def test_rate_specs_echo_as_written():
     # a spec object echoes its entries as written, so an int value stays an
     # int, and a fertility object echoes raw, null response_lipschitz
     # included; a bare number echoes as a float constant.  The hash last
-    # moved when penalty.epsilon and penalty.theta left the file format
+    # moved when fixed_point.omega left the file format and the echo
     raw = _copy()
     raw["model"]["male_mortality"] = {"kind": "constant", "value": 0}
     raw["model"]["fertility"]["response_lipschitz"] = None
@@ -362,7 +367,7 @@ def test_rate_specs_echo_as_written():
     assert scn.resolved["initial"]["m0"] == {"kind": "constant", "value": 1.0}
     assert scn.model.fertility.response_lipschitz is None
     assert scn.scenario_hash == \
-        "df1557bbb29491ed697b643342ab30ef4efcfb07fdac38690de35f956998bd88"
+        "ce2224988665c5ee77e6bb414fc7208b5fb05192f374bb22aaf0bf81958aa5d1"
 
 
 def test_hash_stable_under_key_order():
@@ -378,10 +383,9 @@ def test_example_scenario_loads():
     assert scn.model.max_age == 1.0
     assert scn.observability.power_iters == 20
     # plain JSON and sha256: the same on every platform and BLAS.  It last
-    # moved when the example's observability section dropped probes and took
-    # 20 power steps
+    # moved when fixed_point.omega left the file format and the echo
     assert scn.scenario_hash == \
-        "5a7b1ec785819a55d95ba71f4d9395a09ee4871f2e8f9def046eafbd938815c9"
+        "1e4d8a6bc096f46ca35daaf44a57d34010442654f65d5c19c2f9da5fb9bb537e"
 
 
 def test_missing_file():
