@@ -21,7 +21,7 @@ from .grid import (CharGrid, Field2D, build_grid, integrate_age, read_field_csv,
 from .model import (ControlGeometry, ControlMode, DemographicModel, Fertility,
                     RateFunction, ValidationReport, validate_hypotheses)
 from .observability import (ObservabilityConfig, ObservabilityReport,
-                            estimate_observability_constant, observability_ratio)
+                            estimate_observability_constant)
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "PenaltyProblem", "PopctrlError", "RateFunction", "Scenario", "StateSolution",
     "ValidationReport", "build_grid", "contraction_test", "duality_residual",
     "estimate_observability_constant", "integrate_age", "iterate_to_fixed_point",
-    "load_scenario", "minimize_penalty", "observability_ratio", "parse_scenario",
+    "load_scenario", "minimize_penalty", "parse_scenario",
     "read_field_csv", "region_mask", "solve_adjoint", "solve_forward",
     "synthesize_null_control", "trace_map", "validate_hypotheses", "write_field_csv",
 ]

@@ -176,16 +176,6 @@ class GramianBlocks:
         return max(float(np.max(np.abs(part), initial=0.0))
                    for part in (self.dense, self.cross, self.diag))
 
-    def scaled(self, theta):
-        """The form on the basis with each direction scaled by ``theta`` at
-        its entry; ``theta`` is stacked and equal on the two entries of a
-        pair."""
-        t_dense = theta[self.basis.dense_entries]
-        t_spike = theta[self.basis.spike_entries]
-        return GramianBlocks(np.outer(t_dense, t_dense) * self.dense,
-                             np.outer(t_dense, t_spike) * self.cross,
-                             t_spike * t_spike * self.diag, self.basis)
-
     def schur(self, spike_weights):
         """A - C diag(spike_weights) C^T, a new array."""
         return self.dense - (self.cross * spike_weights) @ self.cross.T

@@ -3,17 +3,18 @@
 The observability constant of the adjoint of the frozen-trace system is
 the top eigenvalue of the pencil of two quadratic forms on the targeted
 terminal entries: the initial-energy and control Gramians of the
-frozen-trace operator (`FrozenOperator.gramians`, built together), scaled
-by the operator's work weights theta = wa / h, in the block form of
-`popctrl.gramian`, which also owns the power iteration on their pencil
-(``gramian.pencil_maximum``).  ``estimate_observability_constant`` reports
-that iteration's value per frozen trace, so the estimate and the control
-synthesis share one matrix, the control Gramian; only
-``observability_ratio`` solves its one datum's adjoint.  The operators of
-one call are retraced from the first, so they share its
-trace-independent tables.  A terminal direction that carries initial
-energy but is invisible from the control regions is reported as the
-infinity sentinel: violated observability is a first-class outcome that
+frozen-trace operator (`FrozenOperator.gramians`, built together and
+cached), in the block form of `popctrl.gramian`, which also owns the power
+iteration on their pencil (``gramian.pencil_maximum``).  A terminal datum
+(n_T, l_T) has the work vector theta * (n_T, l_T), theta = wa / h > 0, and
+the pencil's eigenvalues do not change under that diagonal congruence, so
+the Gramians of the work vectors serve as they are.
+``estimate_observability_constant`` reports the iteration's value per
+frozen trace, so the estimate and the control synthesis share one matrix,
+the control Gramian.  The operators of one call are retraced from the
+first, so they share its trace-independent tables.  A terminal direction
+that carries initial energy but is invisible from the control regions is
+reported as math.inf: violated observability is a first-class outcome that
 certifies the time condition in the discrete model, not a numerical
 overflow.
 
@@ -29,13 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _terminal_data
 from .errors import DomainError, set_checked
 from .forward import FrozenOperator, control_masks, control_windows
 from .gramian import pencil_maximum
-from .grid import lattice_inner
-
-INFINITE_QUOTIENT = math.inf
 
 
 @dataclass(frozen=True)
@@ -58,53 +55,12 @@ class ObservabilityReport:
     trace_spread: float = 0.0
 
 
-def _quotient(num, den):
-    """num / den, or the infinity sentinel for a datum that carries initial
-    energy but is invisible from the control regions."""
-    if den <= 1e-300 * max(num, 1.0):
-        return INFINITE_QUOTIENT if num > 0 else 0.0
-    return num / den
-
-
-def observability_ratio(model, grid, geom, n_T, l_T, trace):
-    """Quotient of initial adjoint energy over control-region energy.
-
-    Returns the infinity sentinel when the terminal datum is invisible from
-    the control region but carries initial energy.
-    """
-    q_m, q_f = _terminal_data(grid, geom, n_T, l_T)
-    if not (q_m.any() or q_f.any()):
-        raise DomainError("observability_ratio: terminal data must not vanish")
-    op = FrozenOperator(model, grid, geom, trace)
-    n_eff, l_eff = op.adjoint_images(op.theta * q_m, op.theta * q_f)
-    weights_m, weights_f = op.geometry_tables()[0]
-    # level 0 of (n_eff, l_eff) is (n, l); the dead slot of a mode adds exact
-    # zeros: its masks vanish, and a zero male terminal datum keeps the
-    # sourceless male row zero
-    num = float(np.dot(op.wa, n_eff[:, 0] ** 2)) + float(np.dot(op.wa, l_eff[:, 0] ** 2))
-    den = lattice_inner(weights_m, n_eff, n_eff) + lattice_inner(weights_f, l_eff, l_eff)
-    return _quotient(num, den)
-
-
-def _quadratic_forms(op):
-    """The (numerator, denominator) forms on the targeted terminal entries,
-    in the block form of ``gramian.GramianBlocks``.
-
-    A unit direction p of the terminal data has the work vector theta_p
-    times the unit vector, so the forms are the operator's targeted initial
-    and control Gramians with each direction scaled by its theta; the two
-    entries of a pair share theta.
-    """
-    theta = np.tile(op.theta, 2)
-    control, initial = op.gramians()
-    return initial.scaled(theta), control.scaled(theta)
-
-
 def _power_iteration(op, iters):
-    """``gramian.pencil_maximum`` of the forms of ``_quadratic_forms``: the
-    infinity sentinel when a terminal direction invisible from the control
+    """``gramian.pencil_maximum`` of the operator's (initial, control)
+    Gramians: math.inf when a terminal direction invisible from the control
     regions carries initial energy, else ``iters`` power steps' estimate."""
-    return pencil_maximum(*_quadratic_forms(op), iters)
+    control, initial = op.gramians()
+    return pencil_maximum(initial, control, iters)
 
 
 def estimate_observability_constant(model, grid, geom, traces, *,
@@ -114,7 +70,7 @@ def estimate_observability_constant(model, grid, geom, traces, *,
     Each trace's estimate is ``_power_iteration`` with ``config.power_iters``
     steps; the report carries the largest, and the spread of the others
     below it isolates the trace dependence.  A direction invisible from the
-    control regions (the infinity sentinel) is flagged as ``diverged``
+    control regions (math.inf) is flagged as ``diverged``
     instead of chased.
     """
     traces = [np.asarray(t, dtype=float) for t in traces]

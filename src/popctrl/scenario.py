@@ -254,10 +254,13 @@ def parse_scenario(raw, *, source="scenario"):
     if "probes" in oraw:
         # the retired random-probe count: still checked, then ignored
         checked("observability.probes", oraw["probes"], ge=1, integer=True)
+    # the swept male windows lie inside [0, max_age], as the geometry's do
     observability_sweep = {
         key: checked_list(f"observability.{key}", oraw.get(key, [default]), **rule)
-        for key, default, rule in (("horizons", geometry.horizon, {"gt": 0}),
-                                   ("male_lo", a1, {"ge": 0}), ("male_hi", a2, {"gt": 0}))}
+        for key, default, rule in (
+            ("horizons", geometry.horizon, {"gt": 0}),
+            ("male_lo", a1, {"ge": 0, "le": model.max_age}),
+            ("male_hi", a2, {"gt": 0, "le": model.max_age}))}
     observability = _config(ObservabilityConfig, "observability", oraw)
     contraction = _config(ContractionConfig, "contraction",
                           _section(raw.get("contraction", {}), "contraction",

@@ -824,6 +824,26 @@ def test_male_window_that_is_not_a_pair_exits_2(window, tmp_path, capsys):
     _exits_2_at_load("control", raw, "geometry.male_window: expected [lo, hi]", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("key, values, message", [
+    ("male_hi", [1.5], "male_hi[0]: must be <= 1.0"),
+    ("male_hi", [0.5, 1.0 + 1e-9], "male_hi[1]: must be <= 1.0"),
+    ("male_lo", [0.2, 1.2], "male_lo[1]: must be <= 1.0"),
+], ids=["hi-beyond", "hi-beyond-by-1e-9", "lo-beyond"])
+def test_swept_male_window_beyond_max_age_exits_2(key, values, message, tmp_path, capsys):
+    # the swept windows lie inside [0, max_age], as geometry.male_window does;
+    # male_hi [1.5] used to load and write the (0.2, 1.0) window's estimate
+    # with the margin of (0.2, 1.5)
+    raw = _with(FAST_SCENARIO, f"observability.{key}", values)
+    _exits_2_at_load("observability", raw, f"observability.{message}", tmp_path, capsys)
+
+
+def test_swept_male_window_up_to_max_age_loads(tmp_path):
+    raw = _with(FAST_SCENARIO, "observability.male_lo", [0.2, 1.0])
+    raw["observability"].update(male_hi=[1.0], power_iters=3)
+    [row] = _observability_rows(tmp_path, raw)
+    assert [float(end) for end in row.split(",")[1:3]] == [0.2, 1.0]
+
+
 def test_expr_rate_without_its_variable_is_the_constant(tmp_path):
     # "0.2" evaluates to one number, which the rate broadcasts over the ages
     fields = []

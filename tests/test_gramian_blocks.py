@@ -16,6 +16,7 @@ from popctrl.gramian import pencil_maximum
 
 from conftest import expr_fertility_model, reference_data, reference_model
 from test_gramian import _every_entry
+from test_operator import _as_blocks
 from test_power_iteration import MODEL_IDS, MODELS, MODES, _operator
 
 
@@ -79,7 +80,7 @@ def test_pseudo_inverse_and_null_directions_match_the_matrix(make_model, mode,
     for horizon in (0.35, 1.0):
         op = _operator(make_model, mode, target_min_age, horizon, 1.0 / 32)
         assert _check_pseudo_inverse(_every_entry(op, 0)) >= 2
-        _check_pseudo_inverse(obs._quadratic_forms(op)[1])
+        _check_pseudo_inverse(op.control_gramian())
 
 
 def _schur_eigenvalues(den, null_cut):
@@ -104,7 +105,7 @@ def test_frobenius_null_cut_classifies_as_the_eigenvalue_cut(mode, target_min_ag
     for horizon in (0.2, 0.3, 0.35, 0.6, 1.0):
         for h in (1.0 / 32, 1.0 / 64):
             op = _operator(make_model, mode, target_min_age, horizon, h)
-            _, den = obs._quadratic_forms(op)
+            den = op.control_gramian()
             top = max(float(np.max(den.diag, initial=0.0)),
                       float(np.linalg.eigvalsh(den.dense)[-1]) if den.dense.size else 0.0)
             eigen_cut = 1e-12 * max(top, 1e-300)
@@ -166,7 +167,7 @@ def test_pseudo_inverse_and_pencil_match_the_dense_forms(mode, male, female, hor
     m0, f0 = reference_data(grid)
     model = make_model()
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    num, den = obs._quadratic_forms(FrozenOperator(model, grid, geom, trace))
+    den, num = FrozenOperator(model, grid, geom, trace).gramians()
     dead = _check_pseudo_inverse(den)
     null = dead + den.pseudo_inverse()[1].shape[1]
     got, (want, vals) = pencil_maximum(num, den, 200), _dense_pencil(num, den, 200)
@@ -181,12 +182,37 @@ def test_pseudo_inverse_and_pencil_match_the_dense_forms(mode, male, female, hor
         # each side whitens by its smallest live eigenvalue, known to a few
         # eps |D|: the expanded form's for the reference, the Schur
         # complement's here, so each carries a few eps cond
-        schur = _schur_eigenvalues(den, cut)
-        cond = vals[-1] / min(vals[vals > cut][0], np.min(schur[schur > cut], initial=np.inf))
-        assert abs(got - want) <= (1e-8 + 10 * np.finfo(float).eps * cond) * want, (got, want)
+        assert abs(got - want) <= _pencil_tolerance(den, vals, want), (got, want)
     else:
         assert got == want
 
+
+def _pencil_tolerance(den, vals, want):
+    """The bound of ``test_pseudo_inverse_and_pencil_match_the_dense_forms``
+    on |pencil_maximum - _dense_pencil| for the denominator ``den`` and the
+    eigenvalues ``vals`` of its expanded matrix."""
+    cut = den.null_cut()
+    schur = _schur_eigenvalues(den, cut)
+    cond = vals[-1] / min(vals[vals > cut][0], np.min(schur[schur > cut], initial=np.inf))
+    return (1e-8 + 10 * np.finfo(float).eps * cond) * want
+
+
+@pytest.mark.parametrize("mode, target_min_age", MODES)
+def test_power_iteration_is_the_pencil_of_the_terminal_unit_vectors(mode, target_min_age):
+    # a terminal unit vector e_p has the work vector theta_p e_p, so the
+    # forms of the terminal data are theta E0 theta and theta G theta; that
+    # congruence keeps the pencil's eigenvalues, which the power steps on the
+    # operator's own Gramians reach
+    op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
+    control, initial = op.gramians()
+    theta = np.tile(op.theta, 2)[control.basis.entries]
+    num, den = (_as_blocks(np.outer(theta, theta) * form.matrix(), control.basis)
+                for form in (initial, control))
+    got, (want, vals) = obs._power_iteration(op, 200), _dense_pencil(num, den, 200)
+    if math.isfinite(want):
+        assert want > 0.0 and abs(got - want) <= _pencil_tolerance(den, vals, want), (got, want)
+    else:
+        assert got == want
 
 
 def _null_counts(den):
@@ -211,10 +237,10 @@ def test_pseudo_inverse_counts_the_null_directions_of_the_expanded_form():
                            mode=ControlMode.BOTH)
     grid = build_grid(1.0, 1.45, 1.0 / 32)
     zero = FrozenOperator(model, grid, geom, np.zeros(grid.num_time_cells + 1))
-    assert _null_counts(obs._quadratic_forms(zero)[1]) == (5, 5)
+    assert _null_counts(zero.control_gramian()) == (5, 5)
     m0, f0 = reference_data(grid)
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
-    num, den = obs._quadratic_forms(zero.retrace(trace))
+    den, num = zero.retrace(trace).gramians()
     got, want = _null_counts(den)
     assert got == want
     dense = _dense_pencil(num, den, 200)[0]

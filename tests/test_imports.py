@@ -49,5 +49,5 @@ def test_every_public_name_imports():
     assert [name for name in popctrl.__all__ if not hasattr(popctrl, name)] == []
     retired = {"evaluate_objective", "objective_gradient", "fertile_male_integral",
                "threshold_margins", "ThresholdReport", "forced_terminal_mask",
-               "unreachable_from_window"}
+               "unreachable_from_window", "observability_ratio"}
     assert retired.isdisjoint(popctrl.__all__)

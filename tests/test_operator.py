@@ -3,6 +3,7 @@ sweeps, duality and gradients through one operator, and the batched observabilit
 assembly against per-vector adjoint solves."""
 
 import dataclasses
+import math
 import pathlib
 import re
 
@@ -12,7 +13,7 @@ import pytest
 from popctrl import (ControlGeometry, ControlMode, DemographicModel, Fertility, Field2D,
                      FixedPointConfig, ObservabilityConfig, PenaltyProblem, RateFunction,
                      build_grid, duality_residual, estimate_observability_constant,
-                     iterate_to_fixed_point, minimize_penalty, observability_ratio,
+                     iterate_to_fixed_point, minimize_penalty,
                      solve_adjoint, solve_forward, synthesize_null_control, trace_map)
 from popctrl import fixed_point as fixed_point_module
 from popctrl import forward as forward_module
@@ -22,7 +23,7 @@ from popctrl.adjoint import AdjointSolution, region_inner
 from popctrl.control import _Workspace
 from popctrl.errors import DimensionError, NumericalFailure
 from popctrl.forward import FrozenOperator, StateSolution, control_masks, stacked_terminal_weights
-from popctrl.gramian import GramianBlocks
+from popctrl.gramian import GramianBlocks, pencil_maximum
 
 from conftest import (PenaltySystem, expr_fertility_model, random_control,
                       random_nonneg_model, reference_data, reference_model)
@@ -579,8 +580,14 @@ def _reference_ratio(model, grid, geom, n_T, l_T, trace):
         den += region_inner(grid, mask_f, adj.l_eff, adj.l_eff)
     if mode is ControlMode.MALE_ONLY:
         num += float(np.dot(wa, adj.l.values[:, 0] ** 2))
+    return _quotient(num, den)
+
+
+def _quotient(num, den):
+    """num / den, or math.inf for a datum that carries initial energy but is
+    invisible from the control regions (0.0 for one that carries none)."""
     if den <= 1e-300 * max(num, 1.0):
-        return obs.INFINITE_QUOTIENT if num > 0 else 0.0
+        return math.inf if num > 0 else 0.0
     return num / den
 
 
@@ -618,8 +625,7 @@ def _reference_forms(model, grid, geom, trace):
 @pytest.mark.parametrize("mode, target_min_age", [
     (ControlMode.BOTH, 0.0), (ControlMode.MALE_ONLY, 0.1),
     (ControlMode.FEMALE_ONLY, 0.0)])
-def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
-                                                         monkeypatch):
+def test_batched_observability_matches_per_vector_solves(mode, target_min_age):
     model = reference_model()
     geom = _geometry(mode, horizon=0.35, target_min_age=target_min_age)
     grid = build_grid(1.0, 0.35, 1.0 / 32)
@@ -627,22 +633,19 @@ def test_batched_observability_matches_per_vector_solves(mode, target_min_age,
     trace = solve_forward(model, grid, geom, None, None, m0, f0).fertile_male_trace
     op = FrozenOperator(model, grid, geom, trace)
 
-    data = _terminal_samples(np.random.default_rng(3), grid, geom, 6)
-    expected = [_reference_ratio(model, grid, geom, n, l, trace) for n, l in data]
-    assert [observability_ratio(model, grid, geom, n, l, trace)
-            for n, l in data] == expected
-
-    # the forms come from the operator's Gramians, summed in another order
-    num_form, den_form = obs._quadratic_forms(op)
+    # the forms of the terminal unit vectors are the operator's Gramians of
+    # their work vectors theta * e_p, theta G theta, summed in another order
+    control, initial = op.gramians()
+    theta = np.tile(op.theta, 2)[control.basis.entries]
+    congruence = np.outer(theta, theta)
     ref_num, ref_den = _reference_forms(model, grid, geom, trace)
-    for got, want in ((num_form, ref_num), (den_form, ref_den)):
-        assert np.max(np.abs(got.matrix() - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, want in ((initial, ref_num), (control, ref_den)):
+        assert np.max(np.abs(congruence * got.matrix() - want)) <= 1e-13 * np.max(np.abs(want))
     batched = obs._power_iteration(op, 12)
-    # the per-vector forms, rotated into the same basis and cut into the same
-    # blocks, feed the power iteration
-    ref_forms = tuple(_as_blocks(ref, num_form.basis) for ref in (ref_num, ref_den))
-    monkeypatch.setattr(obs, "_quadratic_forms", lambda _op: ref_forms)
-    assert abs(obs._power_iteration(op, 12) - batched) <= 1e-12 * batched
+    # the per-vector forms, taken back to work vectors, rotated into the same
+    # basis and cut into the same blocks, feed the same power iteration
+    ref_forms = [_as_blocks(ref / congruence, control.basis) for ref in (ref_num, ref_den)]
+    assert abs(pencil_maximum(*ref_forms, 12) - batched) <= 1e-12 * batched
 
 
 def _as_blocks(matrix, basis):
@@ -719,7 +722,7 @@ def _gramian_ratios(op, n_block, l_block):
     theta = op.theta[:, None]
     work = np.concatenate([theta * n_block, theta * l_block])
     control, initial = op.gramians()
-    return [obs._quotient(float(a), float(b))
+    return [_quotient(float(a), float(b))
             for a, b in zip(initial.energy(work), control.energy(work))]
 
 
@@ -753,7 +756,7 @@ def test_gramian_energies_keep_the_infinity_sentinel():
     swept = [_reference_ratio(model, grid, geom, n, l, trace)
              for n, l in zip(n_block.T, l_block.T)]
     read = _gramian_ratios(op, n_block, l_block)
-    assert swept[:2] == read[:2] == [obs.INFINITE_QUOTIENT, 0.0]
+    assert swept[:2] == read[:2] == [math.inf, 0.0]
     assert abs(read[2] - swept[2]) <= 1e-13 * swept[2]
 
 

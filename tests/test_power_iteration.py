@@ -33,7 +33,7 @@ def _geometry(mode, horizon, target_min_age=0.0):
 def oracle_power_iteration(op, iters):
     """The power iteration on the expanded forms: the denominator's full
     eigendecomposition gives its null space and whitens the numerator."""
-    num_blocks, den_blocks = obs._quadratic_forms(op)
+    den_blocks, num_blocks = op.gramians()
     num_form, den_form = num_blocks.matrix(), den_blocks.matrix()
     den_vals, den_vecs = np.linalg.eigh(den_form)
     den_scale = max(float(den_vals[-1]), 0.0)
@@ -44,7 +44,7 @@ def oracle_power_iteration(op, iters):
         null_energy = float(np.max(np.sum(null_space * (num_form @ null_space),
                                           axis=0)))
         if null_energy > 1e-10 * num_scale:
-            return obs.INFINITE_QUOTIENT
+            return math.inf
     live = den_vals > null_cut
     if not np.any(live):
         return 0.0
@@ -103,17 +103,16 @@ def test_dead_spike_with_initial_energy_gives_the_sentinel(mode):
                            horizon=0.3, mode=mode)
     grid = build_grid(1.0, 0.3, 1.0 / 32)
     op = FrozenOperator(reference_model(), grid, geom, np.zeros(grid.num_time_cells + 1))
-    num, den = obs._quadratic_forms(op)
+    den, num = op.gramians()
     assert np.max(num.diag[den.diag == 0.0]) > 0.0
-    assert obs._power_iteration(op, 20) == oracle_power_iteration(op, 20) \
-        == obs.INFINITE_QUOTIENT
+    assert obs._power_iteration(op, 20) == oracle_power_iteration(op, 20) == math.inf
 
 
 def test_targets_older_than_every_young_age_leave_no_dense_block():
     # male-only targets from age 0.3 on, horizon 0.2: every live terminal
     # entry is an older spike
     op = _operator(reference_model, ControlMode.MALE_ONLY, 0.3, 0.2, 1.0 / 32)
-    num, den = obs._quadratic_forms(op)
+    den = op.control_gramian()
     assert den.dense.shape == (0, 0) and den.diag.size > 0
     got, want = obs._power_iteration(op, 20), oracle_power_iteration(op, 20)
     assert abs(got - want) <= 1e-12 * want
@@ -126,9 +125,8 @@ def test_block_forms_expand_to_the_dense_forms(mode, target_min_age):
     # rotations
     op = _operator(reference_model, mode, target_min_age, 0.35, 1.0 / 32)
     live = np.flatnonzero(stacked_terminal_weights(op.grid, op.geom))
-    scale = np.outer(*(2 * [np.tile(op.wa / op.grid.step, 2)[live]]))
-    for blocks, half in zip(obs._quadratic_forms(op), (1, 0)):
-        want = scale * _every_entry(op, half).matrix()[np.ix_(live, live)]
+    for blocks, half in zip(op.gramians(), (0, 1)):
+        want = _every_entry(op, half).matrix()[np.ix_(live, live)]
         assert np.array_equal(blocks.basis.entries, live)
         assert np.max(np.abs(blocks.matrix() - want)) <= 1e-14 * np.max(np.abs(want))
 

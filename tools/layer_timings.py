@@ -22,11 +22,14 @@ which layers take a second thread.
 
 --src loads popctrl from another source directory (for instance a copy of
 an earlier commit's src/), so two versions can be timed with the same
-layers; the source must take ``minimize_penalty(problem, operator, m0, f0,
-epsilon)``, ``estimate_observability_constant(..., config=)``,
-``observability._power_iteration(op, iters)``,
+layers.  Both the --src tree and an --against tree must take
+``minimize_penalty(problem, operator, m0, f0, epsilon)``,
+``ObservabilityConfig(power_iters=20)`` (no probe count),
+``estimate_observability_constant(model, grid, geom, traces, config=)``
+(no seed), ``observability._power_iteration(op, iters)``,
 ``FrozenOperator.adjoint_images`` of one (N+1,) work pair and
-``Fertility.expression(expr)``.  The layers:
+``Fertility.expression(expr)``; a tree whose estimate still draws random
+probes is older than that.  The layers:
 
   nonlinear       solve_forward without controls or frozen trace: the
                   nonlinear sweep, one rate-function call per level
@@ -45,8 +48,7 @@ epsilon)``, ``estimate_observability_constant(..., config=)``,
                   retraced operator (its Gramians included)
   fixed_point     iterate_to_fixed_point with the scenario's settings (CLI solve)
   observability   estimate_observability_constant, three traces and 20 power
-                  steps (the observe_sweep settings of bench/; a tree whose
-                  estimate still draws random probes gets 8 and seed 0)
+                  steps (the observe_sweep settings of bench/)
 
 The trace is the uncontrolled one, the controls those of the epsilon 1e-2
 stage, and every trace-independent table is built before the timing starts.
@@ -84,7 +86,6 @@ import dataclasses
 import filecmp
 import importlib
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -148,13 +149,7 @@ def _layers(package, h, calls):
     v_m, v_f = control.v_m.values, control.v_f.values
     work = (m0, f0)
     traces = [trace, 0.5 * trace, 1.5 * trace]
-    # a tree from before the estimate was the power steps alone also takes
-    # the random probes' count and seed
-    probes = {"probes": 8} if "probes" in {
-        f.name for f in dataclasses.fields(ObservabilityConfig)} else {}
-    config = ObservabilityConfig(power_iters=20, **probes)
-    seed = {"seed": 0} if "seed" in inspect.signature(
-        estimate_observability_constant).parameters else {}
+    config = ObservabilityConfig(power_iters=20)
 
     def repeat(value):
         return lambda: [value] * calls
@@ -178,7 +173,7 @@ def _layers(package, h, calls):
         "fixed_point": (lambda: [None], lambda _: iterate_to_fixed_point(
             model, grid, geom, penalty, scenario.fixed_point, m0, f0)),
         "observability": (lambda: [None], lambda _: estimate_observability_constant(
-            model, grid, geom, traces, config=config, **seed)),
+            model, grid, geom, traces, config=config)),
     }
 
 
